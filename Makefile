@@ -10,12 +10,12 @@ all: vet test race build
 # platforms, so the build-tagged mmsg files are vetted for Linux and
 # for the portable fallback), a full build, the test suite under the
 # race detector, the pool-ownership checker over the packet-buffer
-# packages, a bounded differential-fuzz pass over the LPM lookup, a
-# serve-path benchmark smoke run that catches hit-path regressions
-# without waiting for a full bench sweep, a small-N X8 sweep checking
-# the bounded-load ring still beats the plain ring, and a small-N X9
-# run checking mesh peer steering still serves flash-crowd misses
-# from sibling MECs.
+# packages, bounded differential-fuzz passes over the LPM lookup and
+# over the cache's reply patch, a serve-path benchmark smoke run that
+# catches hit-path regressions without waiting for a full bench sweep,
+# a small-N X8 sweep checking the bounded-load ring still beats the
+# plain ring, and a small-N X9 run checking mesh peer steering still
+# serves flash-crowd misses from sibling MECs.
 ci:
 	GOOS=linux $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
@@ -24,6 +24,7 @@ ci:
 	$(GO) test -race ./...
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
+	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|ServeUDPParallelSockets|RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .
 	$(GO) run ./cmd/experiments -x loadbalance -ues 20000 -requests 1000
 	$(GO) run ./cmd/experiments -x mesh -requests 200
@@ -45,18 +46,20 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Archive the serve-path benchmarks as JSON: name, ns/op, allocs/op,
-# averaged over -count=5 runs. BENCH_pr10.json adds the mesh peer
-# lookup (one atomic snapshot load, 0 alloc/op) on top of the PR-9
+# averaged over -count=5 runs, into BENCH_pr$(PR).json — `make
+# bench-json PR=13`; without PR the output is the git-ignored
+# BENCH_prlocal.json, so no earlier archive is overwritten. The set:
+# the mesh peer lookup (one atomic snapshot load, 0 alloc/op), the
 # hash-ring lookup pair (plain vs bounded-load OwnersAppend), the
-# PR-8 lock-free read-plane pair (snapshot vs RWMutex zone lookup and
-# stub match, at -cpu 1 and 4 to expose reader-side cache-line
-# contention) and the PR-7 LPM and PR-6 hit-path, batching,
-# multi-socket, and routing numbers kept for continuity.
+# lock-free read-plane pair (snapshot vs RWMutex zone lookup and stub
+# match, at -cpu 1 and 4 to expose reader-side cache-line contention)
+# and the LPM, hit-path, batching, multi-socket, and routing numbers.
+PR ?= local
 bench-json:
 	( $(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|DNSMessageCache$$|ServeUDPParallelSockets|RouterWithRegistry|RouterPolicyAvailability|LPMLookup|RingOwners|RoutePeerLookup' -benchmem -count=5 . ; \
 	  $(GO) test -run xxx -bench='ZoneLookupParallel|StubMatchParallel' -benchmem -count=5 -cpu 1,4 ./internal/dnsserver/ ) \
-		| $(GO) run ./cmd/benchjson > BENCH_pr10.json
-	cat BENCH_pr10.json
+		| $(GO) run ./cmd/benchjson > BENCH_pr$(PR).json
+	cat BENCH_pr$(PR).json
 
 # Smoke-check that the serve path takes no zone/stub/ACL/router locks:
 # mutex-profile the read plane under writer churn and fail on any

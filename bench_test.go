@@ -821,8 +821,7 @@ func BenchmarkServeUDPParallelSockets(b *testing.B) {
 // wireBenchWriter mimics the server's UDP socket writer from the
 // cache's point of view: it advertises a wire budget, accepts patched
 // wire bytes without decoding them, and tracks whether a response was
-// produced — so cache hits take the same wire fast path they take on
-// a real socket.
+// produced — so cache hits reach it the way they reach a real socket.
 type wireBenchWriter struct {
 	buf     [dnswire.MaxUDPSize]byte
 	n       int
@@ -861,8 +860,8 @@ func BenchmarkDNSMessageCache(b *testing.B) {
 		q.SetQuestion(fmt.Sprintf("host-%d.bench.test.", i), dnswire.TypeA)
 		reqs[i] = &dnsserver.Request{Msg: q}
 	}
-	// Warm every entry, then measure pure hit traffic through the wire
-	// fast path a socket writer would take.
+	// Warm every entry, then measure pure hit traffic as a socket
+	// writer would receive it.
 	w := new(wireBenchWriter)
 	for i := range reqs {
 		w.written = false

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/meccdn/meccdn/internal/experiments"
@@ -39,13 +40,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*table, *fig, *air, *ecs, *ext, *all, *seed, *runs, *ues, *reqs, *format); err != nil {
+	if err := run(os.Stdout, *table, *fig, *air, *ecs, *ext, *all, *seed, *runs, *ues, *reqs, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table, fig int, air string, ecs bool, ext string, all bool, seed int64, runs, ues, reqs int, format string) error {
+func run(out io.Writer, table, fig int, air string, ecs bool, ext string, all bool, seed int64, runs, ues, reqs int, format string) error {
 	render := func(r interface {
 		Render() string
 		CSV() string
@@ -61,11 +62,11 @@ func run(table, fig int, air string, ecs bool, ext string, all bool, seed int64,
 	}
 	ran := false
 	if all || table == 1 {
-		fmt.Println(experiments.RenderTable1())
+		fmt.Fprintln(out, experiments.RenderTable1())
 		ran = true
 	}
 	if all || table == 2 {
-		fmt.Println(experiments.RenderTable2())
+		fmt.Fprintln(out, experiments.RenderTable2())
 		ran = true
 	}
 	if all || fig == 2 {
@@ -73,7 +74,7 @@ func run(table, fig int, air string, ecs bool, ext string, all bool, seed int64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(render(res))
+		fmt.Fprintln(out, render(res))
 		ran = true
 	}
 	if all || fig == 3 {
@@ -81,7 +82,7 @@ func run(table, fig int, air string, ecs bool, ext string, all bool, seed int64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(render(res))
+		fmt.Fprintln(out, render(res))
 		ran = true
 	}
 	if all || fig == 5 {
@@ -89,7 +90,7 @@ func run(table, fig int, air string, ecs bool, ext string, all bool, seed int64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(render(res))
+		fmt.Fprintln(out, render(res))
 		ran = true
 	}
 	if all || ecs {
@@ -97,7 +98,7 @@ func run(table, fig int, air string, ecs bool, ext string, all bool, seed int64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(render(res))
+		fmt.Fprintln(out, render(res))
 		ran = true
 	}
 	exts := map[string]func() (interface{ Render() string }, error){
@@ -124,7 +125,7 @@ func run(table, fig int, air string, ecs bool, ext string, all bool, seed int64,
 			if err != nil {
 				return err
 			}
-			fmt.Println(res.Render())
+			fmt.Fprintln(out, res.Render())
 		}
 		ran = true
 	} else if ext != "" {
@@ -136,7 +137,7 @@ func run(table, fig int, air string, ecs bool, ext string, all bool, seed int64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(out, res.Render())
 		ran = true
 	}
 	if !ran {

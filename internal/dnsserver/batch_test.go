@@ -184,8 +184,8 @@ func TestBatchDrainOnShutdown(t *testing.T) {
 // sent small — never sent oversized, and never mutated in place in a
 // message another goroutine may share. The second query repeats the
 // check through the cache, whose stored wire image is larger than the
-// limit and must take the decode-and-truncate fallback rather than
-// patching oversized bytes onto the wire.
+// limit and must be handed to the writer decoded, for truncation,
+// rather than patched onto the wire oversized.
 func TestUDPTruncatesOversizedResponse(t *testing.T) {
 	zone := NewZone("big.test.")
 	const rrs = 40 // ~650 bytes packed: comfortably past the 512-byte plain-UDP limit

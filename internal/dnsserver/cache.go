@@ -65,15 +65,10 @@ type Cache struct {
 	Clock vclock.Clock
 	// MaxEntries bounds the cache across all shards; 0 means 4096.
 	MaxEntries int
-	// MinTTL/MaxTTL clamp stored lifetimes. Zero MaxTTL means 1h.
-	MinTTL, MaxTTL time.Duration
 	// Shards is the number of independent shards; 0 means 16. The
 	// count is reduced automatically so every shard holds at least 64
 	// entries, which keeps LRU eviction near-exact for small caches.
 	Shards int
-	// DisableCoalescing turns off singleflight miss coalescing; each
-	// miss then performs its own upstream exchange.
-	DisableCoalescing bool
 	// PrefetchFrac enables refresh-ahead prefetch: a hit whose
 	// remaining TTL is at or below this fraction of its stored
 	// lifetime is served from cache as usual and re-resolved
@@ -92,12 +87,9 @@ type Cache struct {
 	// MaxStale enables RFC 8767 serve-stale: when a refill fails
 	// (upstream error, or a SERVFAIL/REFUSED verdict) and the expired
 	// entry is no older than expiry+MaxStale, the stale answer is
-	// served with its TTLs clamped to StaleTTL instead of relaying
+	// served with its TTLs clamped to staleTTL instead of relaying
 	// the failure. 0 disables.
 	MaxStale time.Duration
-	// StaleTTL is the clamp applied to stale answers' TTLs; 0 means
-	// 30s, the RFC 8767 recommendation.
-	StaleTTL time.Duration
 
 	once        sync.Once
 	shards      []*cacheShard
@@ -114,6 +106,16 @@ type Cache struct {
 	scope4 atomic.Uint64
 	scope6 [3]atomic.Uint64
 }
+
+const (
+	// maxTTL caps stored lifetimes.
+	maxTTL = time.Hour
+	// staleTTL is the clamp, in seconds, applied to the TTLs of stale
+	// answers — the RFC 8767 recommendation: never the original TTL
+	// (long expired) and never zero (which clients treat as uncacheable
+	// and immediately re-ask).
+	staleTTL = 30
+)
 
 // cacheCounters are the cache's off-hot-path counters as telemetry
 // instruments (shared atomics are fine for events this rare),
@@ -143,26 +145,29 @@ type cacheShard struct {
 // flight is one in-progress upstream exchange that concurrent misses
 // for the same key wait on.
 type flight struct {
-	done  chan struct{}
-	msg   *dnswire.Message // nil when the leader failed
+	done chan struct{}
+	// ent is the answer the leader obtained — fresh, or (stale set) an
+	// expired entry served per RFC 8767; nil when the leader failed, in
+	// which case waiters relay rcode and err.
+	ent   *cacheEntry
+	stale bool
 	rcode dnswire.Rcode
 	err   error
 }
 
 type cacheEntry struct {
 	key string
-	msg *dnswire.Message
-	// wire is the packed form of msg, captured once at insert, and
-	// ttlOffs the byte offsets of its non-OPT TTL fields. A hit through
-	// a WireWriter copies wire into a pooled buffer and patches ID,
-	// RD/CD bits, and TTLs in place — no Clone, no Pack. wire is nil
-	// when packing failed at insert; such entries always take the
-	// decode path.
-	wire    []byte
-	ttlOffs []int
-	rcode   dnswire.Rcode
-	stored  time.Duration
-	expires time.Duration
+	// wire is the packed response, the only stored form of an entry,
+	// and ttlOffs/ecs the patch positions recorded once at insert: the
+	// non-OPT TTL fields and the OPT's ECS option. Every reply is a
+	// copy of wire patched at those positions (see Cache.reply).
+	wire     []byte
+	ttlOffs  []int
+	ecs      dnswire.ECSAt
+	rcode    dnswire.Rcode
+	negative bool // NXDOMAIN/NODATA, for the negative-hit counter
+	stored   time.Duration
+	expires  time.Duration
 	// refreshing latches once a refresh-ahead prefetch has been
 	// spawned for this stored generation; store() replaces the whole
 	// entry, so the flag resets naturally when the refresh lands. It
@@ -266,27 +271,9 @@ func (c *Cache) Collectors() []telemetry.Collector {
 	}
 }
 
-// shard returns the shard owning key. The FNV-1a hash is inlined so
-// the per-query path stays allocation-free.
-func (c *Cache) shard(key string) *cacheShard {
-	c.init()
-	if len(c.shards) == 1 {
-		return c.shards[0]
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return c.shards[h%uint32(len(c.shards))]
-}
-
-// shardOf is shard for a key still in its stack buffer, so the hit
-// path never materializes the key string.
+// shardOf returns the shard owning key, taken while still in its stack
+// buffer so the hit path never materializes the key string. The FNV-1a
+// hash is inlined so the per-query path stays allocation-free.
 func (c *Cache) shardOf(key []byte) *cacheShard {
 	c.init()
 	if len(c.shards) == 1 {
@@ -342,29 +329,11 @@ func (c *Cache) Flush() {
 	}
 }
 
-func cacheKey(r *Request) string {
-	var kb [cacheKeyBuf]byte
-	return string(appendCacheKey(kb[:0], r))
-}
-
 // cacheKeyBuf sizes the stack buffer lookups build their key in; a
-// maximal DNS name (255 octets) plus type and ECS suffixes fits.
+// maximal DNS name (255 octets) plus type and ECS suffixes fits. The
+// key string is materialized only on a miss (as the singleflight
+// identity) and at store.
 const cacheKeyBuf = 288
-
-// appendCacheKey appends r's cache key to b and returns the extended
-// slice. Passing a stack buffer keeps the hit path free of the
-// per-query key allocation; the string is materialized only on a miss
-// (when the entry has to be stored anyway). ECS requests are keyed at
-// the full disclosed source length; scoped lookups and stores build
-// their own suffix with appendECSKey.
-func appendCacheKey(b []byte, r *Request) []byte {
-	b = appendBaseKey(b, r)
-	if ecs, ok := r.Msg.ECS(); ok {
-		_, famBits := ecsFamily(ecs)
-		b = appendECSKey(b, ecs, int(ecs.SourcePrefix), famBits)
-	}
-	return b
-}
 
 // appendBaseKey appends the ECS-independent part of r's cache key.
 func appendBaseKey(b []byte, r *Request) []byte {
@@ -374,13 +343,12 @@ func appendBaseKey(b []byte, r *Request) []byte {
 	return b
 }
 
-// ecsFamily resolves an ECS option to its key-suffix family byte and
-// address width in bits.
-func ecsFamily(ecs *dnswire.ECSOption) (byte, int) {
+// ecsFamilyBits resolves an ECS option to its address width in bits.
+func ecsFamilyBits(ecs *dnswire.ECSOption) int {
 	if ecs.Family == 2 {
-		return 2, 128
+		return 128
 	}
-	return 1, 32
+	return 32
 }
 
 // appendECSKey appends an ECS key suffix for the given prefix length:
@@ -449,7 +417,7 @@ func orBit(w *atomic.Uint64, b int) {
 // entry answers a query when its scope-masked prefix covers the
 // query's address at no more bits than the client disclosed, most
 // specific entry first. Entries are keyed at store time by the
-// *answer's* scope (see storeForRequest), so the lookup probes the
+// *answer's* scope (see store), so the lookup probes the
 // base key extended with each plausible scope length in descending
 // order — bounded by the per-family scope-hint bitmask, which in
 // practice holds a handful of bits, not all 33/129. Probes reuse the
@@ -466,11 +434,8 @@ func orBit(w *atomic.Uint64, b int) {
 func (c *Cache) serveScoped(kb *[cacheKeyBuf]byte, ecs *dnswire.ECSOption, now time.Duration, w ResponseWriter, r *Request) ([]byte, *cacheShard, lookupResult) {
 	base := appendBaseKey(kb[:0], r)
 	baseLen := len(base)
-	_, famBits := ecsFamily(ecs)
-	source := int(ecs.SourcePrefix)
-	if source > famBits {
-		source = famBits
-	}
+	famBits := ecsFamilyBits(ecs)
+	source := min(int(ecs.SourcePrefix), famBits)
 	var stale *cacheEntry
 	probe := func(scope int) ([]byte, *cacheShard, lookupResult, bool) {
 		key := appendECSKey(base[:baseLen], ecs, scope, famBits)
@@ -565,9 +530,6 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 	}
 	endLookup("miss")
 	key := string(kbuf)
-	if c.DisableCoalescing {
-		return c.fill(ctx, sh, nil, key, w, r, next, res.stale)
-	}
 
 	// Singleflight: join an in-flight exchange for this key, or
 	// become the leader of a new one.
@@ -583,17 +545,10 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 			endWait("canceled")
 			return dnswire.RcodeServerFailure, ctx.Err()
 		}
-		if f.msg == nil {
+		if f.ent == nil {
 			return f.rcode, f.err
 		}
-		msg := f.msg.Clone()
-		msg.ID = r.Msg.ID
-		msg.RecursionDesired = r.Msg.RecursionDesired
-		msg.CheckingDisabled = r.Msg.CheckingDisabled
-		if err := w.WriteMsg(msg); err != nil {
-			return dnswire.RcodeServerFailure, err
-		}
-		return msg.Rcode, nil
+		return c.reply(w, r, f.ent, 0, f.stale)
 	}
 	f := &flight{done: make(chan struct{})}
 	sh.flights[key] = f
@@ -601,75 +556,116 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 	return c.fill(ctx, sh, f, key, w, r, next, res.stale)
 }
 
-// fill performs the upstream exchange for a miss, stores a cacheable
-// answer, and (when f is non-nil) publishes the outcome to coalesced
-// waiters. When the exchange fails and stale carries an expired entry
-// still in its RFC 8767 window, the stale answer is served instead of
-// the failure.
+// fill performs the upstream exchange for a miss as the leader of
+// flight f (registered under key in sh), stores the answer, publishes
+// it to coalesced waiters and replies to its own client from the same
+// stored image. When the exchange fails and stale carries an expired
+// entry still in its RFC 8767 window, the stale answer is served —
+// better a recently-true answer than a SERVFAIL, for a bounded window.
 func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string, w ResponseWriter, r *Request, next Handler, stale *cacheEntry) (dnswire.Rcode, error) {
-	rec := &recorder{w: nil}
+	rec := &recorder{}
 	rcode, err := next.ServeDNS(ctx, rec, r)
-	if stale != nil && (err != nil || !rec.written || failoverRcode(rec.msg.Rcode)) {
-		return c.serveStale(sh, f, key, w, r, stale)
+	answered := err == nil && rec.written
+	switch {
+	case stale != nil && (!answered || failoverRcode(rec.msg.Rcode)):
+		c.ctr.staleServes.Inc()
+		f.ent, f.stale = stale, true
+	case answered:
+		f.ent = c.store(r, rec.msg)
 	}
-	if f != nil {
-		if err == nil && rec.written {
-			f.msg = rec.msg
-		}
-		f.rcode, f.err = rcode, err
-		sh.mu.Lock()
-		delete(sh.flights, key)
-		sh.mu.Unlock()
-		close(f.done)
+	f.rcode, f.err = rcode, err
+	sh.mu.Lock()
+	delete(sh.flights, key)
+	sh.mu.Unlock()
+	close(f.done)
+	if f.ent != nil {
+		return c.reply(w, r, f.ent, 0, f.stale)
 	}
-	if err != nil || !rec.written {
-		if rec.written {
-			_ = w.WriteMsg(rec.msg)
-		}
+	if !rec.written {
 		return rcode, err
 	}
-	c.storeForRequest(r, sh, key, rec.msg)
-	if err := w.WriteMsg(rec.msg); err != nil {
-		return dnswire.RcodeServerFailure, err
+	// Relay what the chain wrote, uncached: it came with an error, or it
+	// is an answer that does not pack.
+	werr := w.WriteMsg(rec.msg)
+	switch {
+	case err != nil:
+		return rcode, err
+	case werr != nil:
+		return dnswire.RcodeServerFailure, werr
 	}
 	return rec.msg.Rcode, nil
 }
 
-// storeForRequest caches msg under the key the *answer* dictates. For
-// a non-ECS request that is simply the query key. For ECS, RFC 7871
-// §7.3.1 keying: the response's scope prefix — 0 when the answer
-// carried no ECS option (§7.2.2: such an answer is valid for all
-// addresses), clamped to the disclosed source length — masks the query
-// address into the entry key. A /16-scoped answer to a /24 query is
-// therefore stored once under the /16 key, where every sibling /24
-// finds it, instead of fragmenting into 256 identical entries.
-func (c *Cache) storeForRequest(r *Request, qsh *cacheShard, qkey string, msg *dnswire.Message) {
-	ecs, ok := r.Msg.ECS()
-	if !ok {
-		c.store(qsh, qkey, msg)
-		return
+// store packs msg — once: the leader's reply, its waiters' and every
+// later hit are all served from this image — and caches it for its
+// effective TTL under the key the *answer* dictates. For a non-ECS
+// request that is the question. For ECS, RFC 7871 §7.3.1 keying: the
+// response's scope prefix — 0 when the answer carried no ECS option
+// (§7.2.2: such an answer is valid for all addresses), clamped to the
+// disclosed source length — masks the query address into the entry
+// key. A /16-scoped answer to a /24 query is therefore stored once
+// under the /16 key, where every sibling /24 finds it, instead of
+// fragmenting into 256 identical entries. The key is always derived
+// here, never taken from the lookup: a refresh of a /16 entry may come
+// back scoped /24, and must not land under the /16 key.
+//
+// A response with no cacheable lifetime is returned packed but not
+// inserted (coalesced waiters still need it); store returns nil for a
+// response that does not pack into a patchable image.
+func (c *Cache) store(r *Request, msg *dnswire.Message) *cacheEntry {
+	buf := dnswire.GetBuffer()
+	defer dnswire.PutBuffer(buf)
+	wire, err := msg.AppendPack(buf[:0])
+	if err != nil {
+		return nil
 	}
-	_, famBits := ecsFamily(ecs)
-	source := int(ecs.SourcePrefix)
-	if source > famBits {
-		source = famBits
+	ttlOffs, ecsAt, err := dnswire.PatchOffsets(wire)
+	if err != nil {
+		return nil
 	}
-	scope := 0
-	if recs, ok := msg.ECS(); ok {
-		scope = int(recs.ScopePrefix)
+	now := c.Clock.Now()
+	ttl := min(effectiveTTL(msg), maxTTL)
+	ent := &cacheEntry{
+		wire:     append([]byte(nil), wire...),
+		ttlOffs:  ttlOffs,
+		ecs:      ecsAt,
+		rcode:    msg.Rcode,
+		negative: msg.Rcode != dnswire.RcodeSuccess || len(msg.Answers) == 0,
+		stored:   now,
+		expires:  now + ttl,
 	}
-	if scope > source {
-		scope = source
-	}
-	c.markScope(famBits, scope)
-	if scope == source {
-		// The scoped key equals the query key the caller already built.
-		c.store(qsh, qkey, msg)
-		return
+	if ttl <= 0 {
+		return ent
 	}
 	var kb [cacheKeyBuf]byte
-	key := appendECSKey(appendBaseKey(kb[:0], r), ecs, scope, famBits)
-	c.store(c.shardOf(key), string(key), msg)
+	kbuf := appendBaseKey(kb[:0], r)
+	if ecs, ok := r.Msg.ECS(); ok {
+		famBits := ecsFamilyBits(ecs)
+		scope := 0
+		if recs, ok := msg.ECS(); ok {
+			scope = int(recs.ScopePrefix)
+		}
+		scope = min(scope, int(ecs.SourcePrefix), famBits)
+		c.markScope(famBits, scope)
+		kbuf = appendECSKey(kbuf, ecs, scope, famBits)
+	}
+	ent.key = string(kbuf)
+	sh := c.shardOf(kbuf)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.items[ent.key]; ok {
+		el.Value = ent
+		sh.lru.MoveToFront(el)
+		return ent
+	}
+	for sh.lru.Len() >= sh.max {
+		oldest := sh.lru.Back()
+		sh.lru.Remove(oldest)
+		delete(sh.items, oldest.Value.(*cacheEntry).key)
+		sh.evictions++
+	}
+	sh.items[ent.key] = sh.lru.PushFront(ent)
+	return ent
 }
 
 // discardWriter swallows a prefetch's response: the refreshed answer
@@ -746,99 +742,11 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 	}()
 }
 
-// staleTTL resolves the serve-stale TTL clamp in seconds.
-func (c *Cache) staleTTL() uint32 {
-	ttl := c.StaleTTL
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	return uint32(ttl / time.Second)
-}
-
-// staleResponse builds the decoded RFC 8767 answer for ent: a clone
-// restamped for r with every TTL clamped down to the stale lifetime —
-// never the original TTL (long expired) and never zero (which clients
-// treat as uncacheable and immediately re-ask).
-func staleResponse(ent *cacheEntry, r *Request, ttl uint32) *dnswire.Message {
-	msg := ent.msg.Clone()
-	msg.ID = r.Msg.ID
-	msg.RecursionDesired = r.Msg.RecursionDesired
-	msg.CheckingDisabled = r.Msg.CheckingDisabled
-	patchECSEcho(msg, r)
-	for _, section := range [][]dnswire.RR{msg.Answers, msg.Authorities, msg.Additionals} {
-		for _, rr := range section {
-			if rr.Header().Type == dnswire.TypeOPT {
-				continue
-			}
-			if rr.Header().TTL > ttl {
-				rr.Header().TTL = ttl
-			}
-		}
-	}
-	return msg
-}
-
-// serveStale answers r from an expired entry after a failed refill,
-// per RFC 8767: better a recently-true answer than a SERVFAIL, for a
-// bounded window. Coalesced waiters receive the same stale answer.
-// Like serveHit it has a wire fast path — copy the stored image,
-// patch ID and flag bits, clamp the TTLs in place — and a decode
-// fallback for EDNS requests and plain writers.
-func (c *Cache) serveStale(sh *cacheShard, f *flight, key string, w ResponseWriter, r *Request, ent *cacheEntry) (dnswire.Rcode, error) {
-	c.ctr.staleServes.Inc()
-	ttl := c.staleTTL()
-	var msg *dnswire.Message
-	if f != nil {
-		msg = staleResponse(ent, r, ttl)
-		f.msg, f.rcode, f.err = msg, msg.Rcode, nil
-		sh.mu.Lock()
-		delete(sh.flights, key)
-		sh.mu.Unlock()
-		close(f.done)
-	}
-	if ww, ok := w.(WireWriter); ok && ent.wire != nil && len(ent.wire) <= ww.WireSize() {
-		if _, hasOPT := r.Msg.OPT(); !hasOPT {
-			buf := dnswire.GetBuffer()
-			wire := buf[:copy(buf, ent.wire)]
-			dnswire.PatchID(wire, r.Msg.ID)
-			dnswire.PatchReplyBits(wire, r.Msg.RecursionDesired, r.Msg.CheckingDisabled)
-			dnswire.ClampTTLs(wire, ent.ttlOffs, ttl)
-			var err error
-			if ow, ok := w.(OwnedWireWriter); ok {
-				err = ow.WriteWireOwned(buf, len(wire))
-			} else {
-				err = ww.WriteWire(wire)
-				dnswire.PutBuffer(buf)
-			}
-			if err != nil {
-				return dnswire.RcodeServerFailure, err
-			}
-			return ent.rcode, nil
-		}
-	}
-	if msg == nil {
-		msg = staleResponse(ent, r, ttl)
-	}
-	if err := w.WriteMsg(msg); err != nil {
-		return dnswire.RcodeServerFailure, err
-	}
-	return msg.Rcode, nil
-}
-
-// serveHit looks key up and, on a live entry, writes the response
-// through w and returns a hit result. Only the map/LRU bookkeeping
-// runs under the shard lock; serving runs outside it, which is safe
-// because stored entries are immutable — store replaces whole entries
-// and every reader gets its own copy (a pooled wire buffer on the fast
-// path, a clone on the fallback).
-//
-// The fast path fires when w is a WireWriter, the entry has a packed
-// form that fits the transport, and the request carries no OPT record
-// (EDNS/ECS force the decode path, per the patching rules in
-// DESIGN.md): the cached bytes are copied into a pooled buffer and the
-// transaction ID, the RD/CD mirror bits, and the aged TTLs are patched
-// in place. The result is byte-identical to decode-age-repack (the
-// FuzzTTLPatch invariant) at none of the cost.
+// serveHit looks key up and, on a live entry, replies from it and
+// returns a hit result. Only the map/LRU bookkeeping runs under the
+// shard lock; replying runs outside it, which is safe because stored
+// entries are immutable — store replaces whole entries and every
+// reader patches its own copy.
 //
 // Hits whose remaining TTL has entered the PrefetchFrac window carry
 // the entry back in lookupResult.refresh; expired entries still inside
@@ -881,7 +789,7 @@ func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w Respon
 	}
 	sh.lru.MoveToFront(el)
 	sh.hits++
-	if ent.msg.Rcode != dnswire.RcodeSuccess || len(ent.msg.Answers) == 0 {
+	if ent.negative {
 		sh.negHits++
 	}
 	sh.mu.Unlock()
@@ -892,120 +800,61 @@ func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w Respon
 			res.refresh = ent
 		}
 	}
-	aged := uint32((now - ent.stored) / time.Second)
-
-	if ww, ok := w.(WireWriter); ok && ent.wire != nil && len(ent.wire) <= ww.WireSize() {
-		if _, hasOPT := r.Msg.OPT(); !hasOPT {
-			buf := dnswire.GetBuffer()
-			wire := buf[:copy(buf, ent.wire)]
-			dnswire.PatchID(wire, r.Msg.ID)
-			dnswire.PatchReplyBits(wire, r.Msg.RecursionDesired, r.Msg.CheckingDisabled)
-			dnswire.AgeTTLs(wire, ent.ttlOffs, aged)
-			// Hand the patched buffer itself to an owning writer (the
-			// server's batched UDP writer) instead of paying one more
-			// copy between the cache and the socket.
-			var err error
-			if ow, ok := w.(OwnedWireWriter); ok {
-				err = ow.WriteWireOwned(buf, len(wire))
-			} else {
-				err = ww.WriteWire(wire)
-				dnswire.PutBuffer(buf)
-			}
-			if err != nil {
-				res.rcode, res.err = dnswire.RcodeServerFailure, err
-				return res
-			}
-			res.rcode = ent.rcode
-			return res
-		}
-	}
-
-	msg := ent.msg.Clone()
-	msg.ID = r.Msg.ID
-	msg.RecursionDesired = r.Msg.RecursionDesired
-	msg.CheckingDisabled = r.Msg.CheckingDisabled
-	patchECSEcho(msg, r)
-	// Age the TTLs by the time spent in cache.
-	for _, section := range [][]dnswire.RR{msg.Answers, msg.Authorities, msg.Additionals} {
-		for _, rr := range section {
-			if rr.Header().Type == dnswire.TypeOPT {
-				continue
-			}
-			if rr.Header().TTL > aged {
-				rr.Header().TTL -= aged
-			} else {
-				rr.Header().TTL = 0
-			}
-		}
-	}
-	if err := w.WriteMsg(msg); err != nil {
-		res.rcode, res.err = dnswire.RcodeServerFailure, err
-		return res
-	}
-	res.rcode = msg.Rcode
+	res.rcode, res.err = c.reply(w, r, ent, uint32((now-ent.stored)/time.Second), false)
 	return res
 }
 
-// patchECSEcho rewrites the ECS echo of a cached response clone for
-// the current query: Address, SourcePrefix, and Family mirror the
-// query per RFC 7871 §7.2.1, while ScopePrefix keeps the stored
-// answer's scope — the entry may have been stored by a sibling subnet
-// whose masked address differs from this client's in the bits beyond
-// the scope.
-func patchECSEcho(msg *dnswire.Message, r *Request) {
-	qecs, ok := r.Msg.ECS()
-	if !ok {
-		return
+// reply is the one way a cached response leaves the cache — live hit,
+// RFC 8767 stale answer, coalesced waiter, and the leader's own fresh
+// fill alike. The stored wire image is copied into a pooled buffer and
+// restamped for r in place: transaction ID, the RD/CD mirror bits, the
+// TTLs (aged by the seconds spent in cache, or clamped down to staleTTL
+// when stale), and the RFC 7871 §7.2.1 ECS echo. The result is
+// byte-identical to decoding the image, editing the message and
+// repacking it (the FuzzHitPatch invariant) at none of the cost.
+//
+// A WireWriter takes the patched bytes as they are (an OwnedWireWriter
+// the buffer itself, saving the last copy before the socket). A writer
+// that cannot take bytes — and any reply larger than the transport
+// carries, so that truncation stays the writer's business — gets the
+// same image decoded, here and only here, through WriteMsg.
+func (c *Cache) reply(w ResponseWriter, r *Request, ent *cacheEntry, age uint32, stale bool) (dnswire.Rcode, error) {
+	buf := dnswire.GetBuffer()
+	n := copy(buf, ent.wire)
+	dnswire.PatchID(buf[:n], r.Msg.ID)
+	dnswire.PatchReplyBits(buf[:n], r.Msg.RecursionDesired, r.Msg.CheckingDisabled)
+	if stale {
+		dnswire.ClampTTLs(buf[:n], ent.ttlOffs, staleTTL)
+	} else {
+		dnswire.AgeTTLs(buf[:n], ent.ttlOffs, age)
 	}
-	recs, ok := msg.ECS()
-	if !ok {
-		return
-	}
-	recs.Family = qecs.Family
-	recs.Address = qecs.Address
-	recs.SourcePrefix = qecs.SourcePrefix
-}
-
-// store caches msg under key for its effective TTL.
-func (c *Cache) store(sh *cacheShard, key string, msg *dnswire.Message) {
-	ttl := effectiveTTL(msg)
-	if ttl <= 0 {
-		return
-	}
-	if c.MinTTL > 0 && ttl < c.MinTTL {
-		ttl = c.MinTTL
-	}
-	maxTTL := c.MaxTTL
-	if maxTTL <= 0 {
-		maxTTL = time.Hour
-	}
-	if ttl > maxTTL {
-		ttl = maxTTL
-	}
-	now := c.Clock.Now()
-	ent := &cacheEntry{key: key, msg: msg.Clone(), rcode: msg.Rcode, stored: now, expires: now + ttl}
-	// Capture the packed form and its TTL offsets once, so every
-	// subsequent hit can be served by patching bytes instead of
-	// Clone+Pack. Entries that fail to pack simply lack a fast path.
-	if wire, err := ent.msg.Pack(); err == nil {
-		if offs, err := dnswire.TTLOffsets(wire); err == nil {
-			ent.wire, ent.ttlOffs = wire, offs
+	if qecs, ok := r.Msg.ECS(); ok && ent.ecs != (dnswire.ECSAt{}) {
+		var err error
+		if n, err = dnswire.EchoECS(buf, n, ent.ecs, qecs); err != nil {
+			dnswire.PutBuffer(buf)
+			return dnswire.RcodeServerFailure, err
 		}
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		el.Value = ent
-		sh.lru.MoveToFront(el)
-		return
+	var err error
+	if ww, ok := w.(WireWriter); ok && n <= ww.WireSize() {
+		if ow, ok := w.(OwnedWireWriter); ok {
+			err = ow.WriteWireOwned(buf, n)
+		} else {
+			err = ww.WriteWire(buf[:n])
+			dnswire.PutBuffer(buf)
+		}
+	} else {
+		msg := new(dnswire.Message)
+		err = msg.Unpack(buf[:n])
+		dnswire.PutBuffer(buf)
+		if err == nil {
+			err = w.WriteMsg(msg)
+		}
 	}
-	for sh.lru.Len() >= sh.max {
-		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		delete(sh.items, oldest.Value.(*cacheEntry).key)
-		sh.evictions++
+	if err != nil {
+		return dnswire.RcodeServerFailure, err
 	}
-	sh.items[key] = sh.lru.PushFront(ent)
+	return ent.rcode, nil
 }
 
 // effectiveTTL derives the cacheable lifetime of a response: the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,73 +151,112 @@ func TestCacheScopeNeverExceedsDisclosure(t *testing.T) {
 	}
 }
 
-// ECS responses must be byte-identical whether served through a
-// wire-capable writer or the plain decode path — and must never take
-// the raw wire-patch fast path, which cannot rewrite the scope echo.
-func TestECSWireAndDecodePathsAgree(t *testing.T) {
+// An ECS hit reaches a wire-capable writer as patched stored bytes —
+// the echo spliced in place — byte-identical to the decode-and-repack
+// oracle, and a message writer gets those same bytes decoded.
+func TestECSWireHitMatchesOracle(t *testing.T) {
 	clock := &vclock.Fixed{}
 	cache := NewCache(clock)
 	backend := &countingPlugin{h: ecsAnswerHandler("192.0.2.9", 16)}
 	h := Chain(cache, backend)
 
 	warm := ecsQueryFor("wireecs.test.", "10.1.1.0/24")
+	stored := upstreamImage(t, ecsAnswerHandler("192.0.2.9", 16), warm)
 	if resp := Resolve(context.Background(), h, warm); resp.Rcode != dnswire.RcodeSuccess {
 		t.Fatalf("warm rcode = %v", resp.Rcode)
 	}
 	clock.Advance(10 * time.Second)
 
-	q := func() *Request {
-		r := ecsQueryFor("wireecs.test.", "10.1.2.0/24") // sibling: scoped hit
-		r.Msg.ID = 0x7A7A
-		return r
-	}
+	// Siblings inside the /16 scope, at a shorter, an equal and a longer
+	// source length than the stored echo: the splice shrinks, keeps and
+	// grows the option.
+	for _, prefix := range []string{"10.1.0.0/17", "10.1.2.0/24", "10.1.2.128/27"} {
+		q := func() *Request {
+			r := ecsQueryFor("wireecs.test.", prefix)
+			r.Msg.ID = 0x7A7A
+			return r
+		}
+		want, err := oracleReply(stored, q().Msg, 10, false)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	fast := &wireSink{}
-	if rcode := ResolveTo(context.Background(), h, fast, q()); rcode != dnswire.RcodeSuccess {
-		t.Fatalf("wire-writer hit rcode = %v", rcode)
-	}
-	if fast.wire != nil {
-		t.Fatal("ECS hit took the wire patch path; must decode to rewrite the echo")
-	}
-	if fast.msg == nil {
-		t.Fatal("wire-writer hit wrote nothing")
-	}
-	fromWireWriter, err := fast.msg.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
+		fast := &wireSink{}
+		if rcode := ResolveTo(context.Background(), h, fast, q()); rcode != dnswire.RcodeSuccess {
+			t.Fatalf("%s: wire-writer hit rcode = %v", prefix, rcode)
+		}
+		if fast.wire == nil || fast.msg != nil {
+			t.Fatalf("%s: ECS hit not served as wire bytes", prefix)
+		}
+		if !bytes.Equal(fast.wire, want) {
+			t.Fatalf("%s: ECS wire hit differs from the oracle:\n% x\n% x", prefix, fast.wire, want)
+		}
 
-	slow := &recorder{}
-	if _, err := h.ServeDNS(context.Background(), slow, q()); err != nil {
-		t.Fatal(err)
-	}
-	if !slow.written {
-		t.Fatal("decode hit wrote nothing")
-	}
-	fromDecode, err := slow.msg.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromWireWriter, fromDecode) {
-		t.Fatalf("ECS response differs between writers:\n% x\n% x", fromWireWriter, fromDecode)
-	}
+		slow := &recorder{}
+		if _, err := h.ServeDNS(context.Background(), slow, q()); err != nil {
+			t.Fatal(err)
+		}
+		if !slow.written {
+			t.Fatalf("%s: message-writer hit wrote nothing", prefix)
+		}
+		if repacked, err := slow.msg.Pack(); err != nil || !bytes.Equal(repacked, want) {
+			t.Fatalf("%s: message-writer hit differs from the oracle (%v):\n% x\n% x", prefix, err, repacked, want)
+		}
 
-	var got dnswire.Message
-	if err := got.Unpack(fromDecode); err != nil {
-		t.Fatal(err)
-	}
-	ecs, ok := got.ECS()
-	if !ok {
-		t.Fatal("served response lost ECS")
-	}
-	if want := netip.MustParseAddr("10.1.2.0"); ecs.Address != want || ecs.ScopePrefix != 16 {
-		t.Errorf("echo = %s/%d/%d, want %s/24/16", ecs.Address, ecs.SourcePrefix, ecs.ScopePrefix, want)
-	}
-	if len(got.Answers) != 1 || got.Answers[0].Header().TTL != 20 {
-		t.Errorf("answers = %v, want one A aged to TTL 20", got.Answers)
+		var got dnswire.Message
+		if err := got.Unpack(fast.wire); err != nil {
+			t.Fatal(err)
+		}
+		ecs, ok := got.ECS()
+		if !ok {
+			t.Fatalf("%s: served response lost ECS", prefix)
+		}
+		if want := netip.MustParsePrefix(prefix); ecs.Prefix() != want || ecs.ScopePrefix != 16 {
+			t.Errorf("%s: echo = %s/%d/%d, want %s scope 16", prefix, ecs.Address, ecs.SourcePrefix, ecs.ScopePrefix, want)
+		}
+		if len(got.Answers) != 1 || got.Answers[0].Header().TTL != 20 {
+			t.Errorf("%s: answers = %v, want one A aged to TTL 20", prefix, got.Answers)
+		}
 	}
 	if backend.hits != 1 {
 		t.Errorf("backend hits = %d, want 1", backend.hits)
+	}
+}
+
+// A refresh-ahead prefetch of a scoped entry stores under the key the
+// *refreshed* answer dictates: when the authority has since narrowed
+// its scope from /16 to /24, the /24-tailored answer must not replace
+// the /16 entry, where every sibling /24 would be served it.
+func TestPrefetchRescopedAnswerKeyedByItsOwnScope(t *testing.T) {
+	clock := &vclock.Fixed{}
+	cache := NewCache(clock)
+	cache.PrefetchFrac = 0.5
+	var scope, reached atomic.Int32
+	scope.Store(16)
+	origin := HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		defer reached.Add(1)
+		return ecsAnswerHandler("192.0.2.9", uint8(scope.Load())).ServeDNS(ctx, w, r)
+	})
+	h := Chain(cache, pluginize(origin))
+
+	Resolve(context.Background(), h, ecsQueryFor("rescope.test.", "10.1.1.0/24")) // stored at /16
+	scope.Store(24)
+	clock.Advance(20 * time.Second) // TTL 30: inside the refresh window
+	Resolve(context.Background(), h, ecsQueryFor("rescope.test.", "10.1.1.0/24"))
+	waitFor(t, 2*time.Second, func() bool { return reached.Load() == 2 && cache.Stats().Entries == 2 })
+
+	// The /16 entry has expired; only 10.1.1.0/24 has a (fresh) entry.
+	clock.Advance(15 * time.Second)
+	resp := Resolve(context.Background(), h, ecsQueryFor("rescope.test.", "10.1.2.0/24"))
+	if got := reached.Load(); got != 3 {
+		t.Errorf("sibling /24 was served the refreshed /24-scoped answer from cache (origin reached %d times, want 3)", got)
+	}
+	if ecs, ok := resp.ECS(); !ok || ecs.ScopePrefix != 24 || ecs.Address != netip.MustParseAddr("10.1.2.0") {
+		t.Errorf("sibling response ECS = %v %v, want 10.1.2.0/24 scope 24", ecs, ok)
+	}
+	Resolve(context.Background(), h, ecsQueryFor("rescope.test.", "10.1.1.0/24"))
+	if got := reached.Load(); got != 3 {
+		t.Errorf("refreshed 10.1.1.0/24 entry missing: origin reached %d times, want 3", got)
 	}
 }
 

@@ -192,11 +192,11 @@ func TestServeStaleOnUpstreamFailure(t *testing.T) {
 		t.Errorf("staleServes=%d expired=%d, want 1/1", s.StaleServes, s.Expired)
 	}
 
-	// The wire fast path must clamp identically.
+	// A wire-capable writer gets the same clamp as patched bytes.
 	sink := &wireSink{}
 	ResolveTo(context.Background(), h, sink, queryFor("stale.test."))
 	if sink.wire == nil {
-		t.Fatal("stale serve did not take the wire path for a wire-capable writer")
+		t.Fatal("stale serve did not reach a wire-capable writer as wire bytes")
 	}
 	var m dnswire.Message
 	if err := m.Unpack(sink.wire); err != nil {

@@ -354,10 +354,17 @@ func TestECSPluginOverride(t *testing.T) {
 	}
 }
 
-// pluginize wraps a terminal Handler as a Plugin for tests.
-func pluginize(h Handler) Plugin {
-	return &countingPlugin{h: h}
+// terminalPlugin is a Handler as the last link of a chain. Unlike
+// countingPlugin it keeps no state, so concurrent tests may share it.
+type terminalPlugin struct{ h Handler }
+
+func (p terminalPlugin) Name() string { return "terminal" }
+func (p terminalPlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, _ Handler) (dnswire.Rcode, error) {
+	return p.h.ServeDNS(ctx, w, r)
 }
+
+// pluginize wraps a terminal Handler as a Plugin for tests.
+func pluginize(h Handler) Plugin { return terminalPlugin{h} }
 
 func TestLoadShedThreshold(t *testing.T) {
 	clock := &vclock.Fixed{}

@@ -4,6 +4,7 @@ package dnsserver
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/netip"
 	"testing"
@@ -14,11 +15,12 @@ import (
 )
 
 // TestServePathPoolBalance is the pool-leak regression test: drive
-// every UDP serve path that touches pooled buffers — misses, wire
-// fast-path hits (ownership transfer through WriteWireOwned),
-// EDNS decode-path hits, and clone-truncated oversized responses —
-// then shut the server down and require every checked-out buffer to be
-// back in the pool. A positive delta is a leak on some exit path.
+// every UDP serve path that touches pooled buffers — misses (packed
+// once at store, replied from the image), plain and EDNS hits
+// (ownership transfer through WriteWireOwned), and oversized replies
+// (decoded at the cache boundary, clone-truncated in the writer) — then
+// shut the server down and require every checked-out buffer to be back
+// in the pool. A positive delta is a leak on some exit path.
 func TestServePathPoolBalance(t *testing.T) {
 	zone := NewZone("bal.test.")
 	if err := zone.AddA("www.bal.test.", 300, netip.MustParseAddr("192.0.2.5")); err != nil {
@@ -70,12 +72,12 @@ func TestServePathPoolBalance(t *testing.T) {
 	}
 
 	for i := 0; i < 8; i++ {
-		ask("www.bal.test.", uint16(1+i), false)   // miss then wire fast-path hits
-		ask("www.bal.test.", uint16(100+i), true)  // EDNS → decode-path hits
-		ask("big.bal.test.", uint16(200+i), false) // clone-truncate path every time
+		ask("www.bal.test.", uint16(1+i), false)   // miss, then hits
+		ask("www.bal.test.", uint16(100+i), true)  // EDNS hits
+		ask("big.bal.test.", uint16(200+i), false) // decode boundary + clone-truncate every time
 	}
 	if st := cache.Stats(); st.Hits == 0 {
-		t.Fatalf("expected wire-path hits, got %+v", st)
+		t.Fatalf("expected cache hits, got %+v", st)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -95,4 +97,62 @@ func TestServePathPoolBalance(t *testing.T) {
 	}
 	t.Fatalf("%d pooled buffers still checked out after shutdown (baseline %d)",
 		dnswire.PoolOutstanding(), base)
+}
+
+// ownedSink takes ownership of the cache's patch buffer, like the
+// server's UDP writer; failing makes it refuse the reply, which still
+// transfers ownership.
+type ownedSink struct {
+	wireSink
+	failing bool
+}
+
+func (s *ownedSink) WriteWireOwned(buf []byte, n int) error {
+	defer dnswire.PutBuffer(buf)
+	if s.failing {
+		return errors.New("sink refuses")
+	}
+	return s.WriteWire(buf[:n])
+}
+
+// TestReplyPoolBalance drives every exit of the cache's one reply
+// routine — WriteWire, WriteWireOwned (accepting and refusing), the
+// decode boundary for a message writer and for an oversized reply, and
+// the ECS echo failing — and requires each pooled patch buffer to have
+// been returned exactly once (a second return panics under this tag).
+func TestReplyPoolBalance(t *testing.T) {
+	cache := NewCache(&vclock.Fixed{})
+	h := Chain(cache, pluginize(ecsAnswerHandler("192.0.2.9", 16)))
+	base := dnswire.PoolOutstanding()
+	Resolve(context.Background(), h, ecsQueryFor("pool.test.", "10.1.1.0/24")) // store + decode boundary
+
+	badECS := ecsQueryFor("pool.test.", "10.1.3.0/24")
+	for _, tc := range []struct {
+		name    string
+		w       ResponseWriter
+		req     *Request
+		wantErr bool
+	}{
+		{"WriteWire", &wireSink{}, ecsQueryFor("pool.test.", "10.1.2.0/24"), false},
+		{"WriteWireOwned", &ownedSink{}, ecsQueryFor("pool.test.", "10.1.2.0/25"), false},
+		{"WriteWireOwned refusing", &ownedSink{failing: true}, ecsQueryFor("pool.test.", "10.1.2.0/24"), true},
+		{"message writer", &recorder{}, ecsQueryFor("pool.test.", "10.1.2.0/23"), false},
+		{"oversized", &wireSink{size: 20}, ecsQueryFor("pool.test.", "10.1.2.0/24"), false},
+		{"echo fails", &wireSink{}, badECS, true},
+	} {
+		if tc.req == badECS {
+			ecs, _ := tc.req.Msg.ECS()
+			ecs.Family = 9 // keyed like IPv4, so still a hit; not packable
+		}
+		_, err := h.ServeDNS(context.Background(), tc.w, tc.req)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error: %v", tc.name, err, tc.wantErr)
+		}
+		if out := dnswire.PoolOutstanding(); out != base {
+			t.Errorf("%s: %d pooled buffers outstanding, want %d", tc.name, out, base)
+		}
+	}
+	if st := cache.Stats(); st.Hits != 6 {
+		t.Errorf("hits = %d, want every case served from the cache (6)", st.Hits)
+	}
 }

@@ -17,10 +17,11 @@ import (
 	"github.com/meccdn/meccdn/internal/vclock"
 )
 
-// wireSink is a ResponseWriter that records whichever path the cache
-// chose: WriteWire captures patched wire bytes, WriteMsg the decoded
-// message. It implements WireWriter and responseTracker like the
-// server's socket writers.
+// wireSink is a ResponseWriter that records which way a response
+// arrived: WriteWire captures wire bytes (into wire's capacity, so a
+// pre-sized sink allocates nothing), WriteMsg the message. It
+// implements WireWriter and responseTracker like the server's socket
+// writers.
 type wireSink struct {
 	size    int
 	wire    []byte
@@ -36,7 +37,7 @@ func (s *wireSink) WireSize() int {
 }
 func (s *wireSink) Written() bool { return s.written }
 func (s *wireSink) WriteWire(w []byte) error {
-	s.wire = append([]byte(nil), w...)
+	s.wire = append(s.wire[:0], w...)
 	s.written = true
 	return nil
 }
@@ -46,19 +47,21 @@ func (s *wireSink) WriteMsg(m *dnswire.Message) error {
 	return nil
 }
 
-// TestWireHitMatchesDecodePath pins the tentpole invariant end to end
-// at the plugin layer: a cache hit served by patching stored wire
-// bytes must be byte-identical to the same hit served by the decode →
-// age → repack fallback, including transaction ID, RD/CD mirroring,
-// and TTL aging.
-func TestWireHitMatchesDecodePath(t *testing.T) {
+// TestWireHitMatchesOracle pins the serve-path invariant end to end at
+// the plugin layer: every cache hit — plain or EDNS — reaches a
+// wire-capable writer as patched stored bytes, byte-identical to the
+// decode → restamp → age → repack oracle, including transaction ID,
+// RD/CD mirroring, and TTL aging; a writer that only takes messages
+// gets a message that packs to those same bytes.
+func TestWireHitMatchesOracle(t *testing.T) {
 	zone := NewZone("wire.test.")
 	if err := zone.AddA("www.wire.test.", 300, netip.MustParseAddr("192.0.2.31")); err != nil {
 		t.Fatal(err)
 	}
 	clock := &vclock.Fixed{}
 	cache := NewCache(clock)
-	chain := Chain(cache, NewZonePlugin(zone))
+	origin := NewZonePlugin(zone)
+	chain := Chain(cache, origin)
 
 	query := func(id uint16, rd bool) *Request {
 		q := new(dnswire.Message)
@@ -67,6 +70,7 @@ func TestWireHitMatchesDecodePath(t *testing.T) {
 		q.RecursionDesired = rd
 		return &Request{Msg: q, Client: netip.MustParseAddrPort("192.0.2.99:4242"), Transport: "udp"}
 	}
+	stored := upstreamImage(t, Chain(origin), query(1, true))
 
 	// Populate the cache, then age it.
 	if resp := Resolve(context.Background(), chain, query(1, true)); resp.Rcode != dnswire.RcodeSuccess {
@@ -74,30 +78,33 @@ func TestWireHitMatchesDecodePath(t *testing.T) {
 	}
 	clock.Advance(10 * time.Second)
 
-	// Hit through the wire fast path.
 	fast := &wireSink{}
 	rcode := ResolveTo(context.Background(), chain, fast, query(0xABCD, true))
 	if rcode != dnswire.RcodeSuccess {
 		t.Fatalf("wire hit rcode = %v", rcode)
 	}
 	if fast.wire == nil {
-		t.Fatal("cache hit did not take the wire path (WriteMsg used instead)")
+		t.Fatal("cache hit did not reach the writer as wire bytes (WriteMsg used instead)")
+	}
+	want, err := oracleReply(stored, query(0xABCD, true).Msg, 10, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fast.wire, want) {
+		t.Fatalf("wire hit differs from the oracle:\n% x\n% x", fast.wire, want)
 	}
 
-	// Same hit through the decode fallback (a writer without WireWriter).
+	// Same hit through a writer without WireWriter: decoded at the
+	// boundary from the same image.
 	slow := &recorder{}
 	if _, err := chain.ServeDNS(context.Background(), slow, query(0xABCD, true)); err != nil {
 		t.Fatal(err)
 	}
 	if !slow.written {
-		t.Fatal("decode hit wrote nothing")
+		t.Fatal("message-writer hit wrote nothing")
 	}
-	repacked, err := slow.msg.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fast.wire, repacked) {
-		t.Fatalf("wire path differs from decode path:\n% x\n% x", fast.wire, repacked)
+	if repacked, err := slow.msg.Pack(); err != nil || !bytes.Equal(repacked, want) {
+		t.Fatalf("message-writer hit differs from the oracle (%v):\n% x\n% x", err, repacked, want)
 	}
 
 	// The patched response carries the caller's ID and the aged TTL.
@@ -120,7 +127,7 @@ func TestWireHitMatchesDecodePath(t *testing.T) {
 	fast2 := &wireSink{}
 	ResolveTo(context.Background(), chain, fast2, query(7, false))
 	if fast2.wire == nil {
-		t.Fatal("second hit did not take the wire path")
+		t.Fatal("second hit did not reach the writer as wire bytes")
 	}
 	var got2 dnswire.Message
 	if err := got2.Unpack(fast2.wire); err != nil {
@@ -130,20 +137,28 @@ func TestWireHitMatchesDecodePath(t *testing.T) {
 		t.Error("RD=false request served with RD set")
 	}
 
-	// An EDNS-bearing request must fall back to the decode path.
+	// An EDNS-bearing request is served the same way.
 	eq := query(9, true)
 	eq.Msg.SetEDNS(1232)
 	edns := &wireSink{size: dnswire.MaxMessageSize}
 	ResolveTo(context.Background(), chain, edns, eq)
-	if edns.wire != nil {
-		t.Error("EDNS request served from the wire fast path; want decode fallback")
+	if edns.wire == nil || edns.msg != nil {
+		t.Fatal("EDNS request not served as wire bytes")
 	}
-	if edns.msg == nil {
-		t.Error("EDNS request got no response at all")
+	if want, err := oracleReply(stored, eq.Msg, 10, false); err != nil || !bytes.Equal(edns.wire, want) {
+		t.Errorf("EDNS hit differs from the oracle (%v):\n% x\n% x", err, edns.wire, want)
 	}
 
-	if st := cache.Stats(); st.Hits < 3 {
-		t.Errorf("cache hits = %d, want >= 3", st.Hits)
+	// A reply larger than the transport carries goes through WriteMsg,
+	// so truncation stays with the writer.
+	small := &wireSink{size: 20}
+	ResolveTo(context.Background(), chain, small, query(11, true))
+	if small.wire != nil || small.msg == nil {
+		t.Error("oversized hit not handed to WriteMsg")
+	}
+
+	if st := cache.Stats(); st.Hits < 5 {
+		t.Errorf("cache hits = %d, want >= 5", st.Hits)
 	}
 }
 

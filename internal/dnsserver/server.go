@@ -64,16 +64,17 @@ type ResponseWriter interface {
 }
 
 // WireWriter is an optional ResponseWriter extension for writers that
-// can transmit a pre-packed response without decoding it. The cache
-// uses it to serve hits straight from the stored wire form — patching
-// only the transaction ID, the request-mirrored flag bits, and the
-// aged TTLs — instead of paying a Clone+Pack per hit.
+// can transmit a pre-packed response without decoding it. Every reply
+// the cache emits is its stored wire image patched in place —
+// transaction ID, the request-mirrored flag bits, the TTLs, the ECS
+// echo — and a WireWriter receives those bytes as they are; any other
+// writer receives them decoded, through WriteMsg.
 type WireWriter interface {
 	ResponseWriter
 	// WireSize returns the largest packed response the transport can
 	// carry as-is: the client's advertised EDNS payload size on UDP,
-	// MaxMessageSize on TCP. Larger responses must go through WriteMsg
-	// so truncation applies.
+	// MaxMessageSize on TCP. Larger responses go through WriteMsg so
+	// truncation applies.
 	WireSize() int
 	// WriteWire transmits a packed response verbatim. The writer must
 	// not retain wire after returning; callers typically recycle it.
@@ -82,8 +83,8 @@ type WireWriter interface {
 
 // OwnedWireWriter is an optional WireWriter extension for writers that
 // can take ownership of a dnswire pooled buffer instead of copying out
-// of it. The cache's hit path patches the stored wire image inside a
-// pooled buffer anyway; handing that buffer over saves the last copy
+// of it. The cache patches the stored wire image inside a pooled
+// buffer anyway; handing that buffer over saves the last copy
 // between the cache and the socket. The writer becomes responsible for
 // returning buf to the pool.
 type OwnedWireWriter interface {
@@ -203,7 +204,7 @@ type responseTracker interface {
 // Unlike Resolve it never materializes the response: a writer that
 // implements both responseTracker and WireWriter (the server's own
 // socket writers do) receives cached answers as patched wire bytes,
-// which is the allocation-free fast path of the serve loop.
+// which is what keeps a hit in the serve loop allocation-free.
 func ResolveTo(ctx context.Context, h Handler, w ResponseWriter, req *Request) dnswire.Rcode {
 	normalizeQueryECS(req)
 	if t, ok := w.(responseTracker); ok {
@@ -937,9 +938,9 @@ type egressPkt struct {
 // accumulate in out (each in a pooled buffer the writer owns) and
 // leave in one sendmmsg per batch when the worker flushes — back out
 // the sharded socket the queries arrived on. It implements WireWriter
-// so cache hits reach the socket as patched wire bytes, OwnedWireWriter
-// so the cache's patch buffer is handed over instead of copied, and
-// responseTracker so the engine needs no recorder around it.
+// so cache replies reach the socket as patched wire bytes,
+// OwnedWireWriter so the cache's patch buffer is handed over instead of
+// copied, and responseTracker so the engine needs no recorder around it.
 type udpWriter struct {
 	shard    *socketShard
 	raddr    netip.AddrPort
@@ -990,7 +991,7 @@ func (w *udpWriter) WriteWire(wire []byte) error {
 
 // WriteWireOwned implements OwnedWireWriter: like WriteWire, but buf
 // is a pooled buffer whose ownership transfers to the writer, so the
-// cache's patched hit needs no extra copy on its way to the socket.
+// cache's patched reply needs no extra copy on its way to the socket.
 func (w *udpWriter) WriteWireOwned(buf []byte, n int) error {
 	if w.wrote || n > w.size {
 		dnswire.PutBuffer(buf)
@@ -1006,8 +1007,9 @@ func (w *udpWriter) WriteWireOwned(buf []byte, n int) error {
 // WriteMsg implements ResponseWriter: pack into a pooled buffer and
 // queue for the batch flush. A response larger than the client's
 // advertised payload size is truncated with TC set — on a clone, so
-// a message a handler may share (the cache's coalesced fills) is
-// never mutated here. Only the first write per query is passed
+// a message the handler still holds is never mutated here. This is
+// where a cache reply too large for the transport is cut down: the
+// cache hands it over decoded. Only the first write per query is passed
 // through, matching recorder semantics.
 func (w *udpWriter) WriteMsg(m *dnswire.Message) error {
 	if w.wrote {
@@ -1143,8 +1145,8 @@ func (s *Server) serveTCPQuery(w *tcpWriter, pkt []byte, raddr netip.AddrPort) e
 
 // tcpWriter writes length-prefixed responses for one TCP connection;
 // handleConn owns one and resets it per query. Like udpWriter it
-// implements WireWriter and responseTracker so cached hits skip the
-// decode-repack round trip on TCP too.
+// implements WireWriter and responseTracker so cache replies go out as
+// patched wire bytes on TCP too.
 type tcpWriter struct {
 	conn  net.Conn
 	wrote bool

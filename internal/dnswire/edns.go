@@ -231,11 +231,11 @@ func (o *ECSOption) packOption(b []byte) ([]byte, error) {
 	if n > len(addr) {
 		return nil, fmt.Errorf("%w: ECS prefix %d too long for family %d", ErrBadRdata, o.SourcePrefix, o.Family)
 	}
-	trunc := append([]byte(nil), addr[:n]...)
-	if rem := int(o.SourcePrefix) % 8; rem != 0 && n > 0 {
-		trunc[n-1] &= byte(0xFF << (8 - rem))
+	b = append(b, addr[:n]...)
+	if rem := int(o.SourcePrefix) % 8; rem != 0 {
+		b[len(b)-1] &= byte(0xFF << (8 - rem))
 	}
-	return append(b, trunc...), nil
+	return b, nil
 }
 
 func (o *ECSOption) unpackOption(data []byte) error {

@@ -62,10 +62,12 @@ func FuzzMessageUnpack(f *testing.F) {
 	})
 }
 
-// FuzzTTLPatch: the in-place wire patch path (TTLOffsets + AgeTTLs +
-// PatchID) must produce bytes identical to the reference path that
+// FuzzTTLPatch: the in-place wire patch helpers (PatchOffsets + AgeTTLs
+// + PatchID) must produce bytes identical to the reference path that
 // decodes the message, ages each RR TTL, and re-packs. This is the
-// invariant the wire-level response cache rests on.
+// invariant the wire-level response cache rests on; FuzzHitPatch in
+// internal/dnsserver holds the cache's whole reply routine — flag bits,
+// stale clamp and ECS echo included — to the same standard.
 func FuzzTTLPatch(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -77,11 +79,11 @@ func FuzzTTLPatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		offsets, err := TTLOffsets(wire)
+		offsets, _, err := PatchOffsets(wire)
 		if err != nil {
 			// Pack output must always be walkable; anything Pack
-			// emits that TTLOffsets rejects is a bug in one of them.
-			t.Fatalf("TTLOffsets rejects packed message: %v\n% x", err, wire)
+			// emits that PatchOffsets rejects is a bug in one of them.
+			t.Fatalf("PatchOffsets rejects packed message: %v\n% x", err, wire)
 		}
 		for _, age := range []uint32{0, 1, 30, 1 << 20} {
 			patched := append([]byte(nil), wire...)

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -10,9 +11,10 @@ import (
 // MaxMessageSize packet buffers shared by the socket read loops,
 // response packing, and the client transport, plus in-place patch
 // helpers that let a cached packed response be re-served without the
-// decode → clone → re-encode round trip. A cached hit then costs one
-// buffer copy, a 2-byte ID patch, two flag-bit patches, and a fixed
-// set of 4-byte TTL rewrites at offsets recorded once at insert time.
+// decode → clone → re-encode round trip. A cached reply then costs one
+// buffer copy, a 2-byte ID patch, two flag-bit patches, a fixed set of
+// 4-byte TTL rewrites and — for an ECS query — one option splice, all
+// at offsets recorded once at insert time.
 
 // bufPool recycles MaxMessageSize packet buffers. Entries are stored
 // as *[]byte; the headers themselves circulate through boxPool so a
@@ -90,52 +92,110 @@ func skipName(msg []byte, off int) (int, error) {
 	}
 }
 
-// TTLOffsets walks a packed message and returns the byte offsets of
-// every resource-record TTL field outside OPT pseudo-records (whose
-// TTL carries the extended rcode, not a lifetime). Recording the
-// offsets once at cache-insert time lets AgeTTLs rewrite the packed
-// form in place on every subsequent hit.
-func TTLOffsets(wire []byte) ([]int, error) {
+// ECSAt locates the ECS option of a packed response's OPT record for
+// EchoECS: the offsets of the record's RDLENGTH field and of the
+// option's OPTION-CODE. The zero value means there is no such option.
+type ECSAt struct{ RDLen, Opt int }
+
+// ErrOPTNotLast rejects a response whose ECS-bearing OPT record is
+// followed by further records: EchoECS may change the option's length,
+// and bytes after it could hold compression pointers it cannot fix up.
+var ErrOPTNotLast = errors.New("dnswire: records follow an ECS-bearing OPT")
+
+// PatchOffsets walks a packed message and returns what a cache records
+// once, at insert, so every later reply is a copy plus fixed-position
+// patches: the byte offsets of every resource-record TTL field outside
+// OPT pseudo-records (whose TTL carries the extended rcode, not a
+// lifetime), and the location of the first OPT's ECS option.
+func PatchOffsets(wire []byte) (ttls []int, ecs ECSAt, err error) {
 	if len(wire) < 12 {
-		return nil, ErrShortMessage
+		return nil, ECSAt{}, ErrShortMessage
 	}
 	qd := int(binary.BigEndian.Uint16(wire[4:]))
-	rrs := int(binary.BigEndian.Uint16(wire[6:])) +
-		int(binary.BigEndian.Uint16(wire[8:])) +
-		int(binary.BigEndian.Uint16(wire[10:]))
+	// arStart is the index of the first additional-section record: like
+	// Message.OPT, only that section's first OPT counts as the EDNS record.
+	arStart := int(binary.BigEndian.Uint16(wire[6:])) + int(binary.BigEndian.Uint16(wire[8:]))
+	rrs := arStart + int(binary.BigEndian.Uint16(wire[10:]))
 	off := 12
-	var err error
 	for i := 0; i < qd; i++ {
 		if off, err = skipName(wire, off); err != nil {
-			return nil, err
+			return nil, ECSAt{}, err
 		}
 		off += 4 // type + class
 		if off > len(wire) {
-			return nil, ErrBufferTooSmall
+			return nil, ECSAt{}, ErrBufferTooSmall
 		}
 	}
-	var offsets []int
+	sawOPT := false
 	for i := 0; i < rrs; i++ {
 		if off, err = skipName(wire, off); err != nil {
-			return nil, err
+			return nil, ECSAt{}, err
 		}
 		if off+10 > len(wire) {
-			return nil, ErrBufferTooSmall
+			return nil, ECSAt{}, ErrBufferTooSmall
 		}
-		if Type(binary.BigEndian.Uint16(wire[off:])) != TypeOPT {
-			offsets = append(offsets, off+4)
+		isOPT := Type(binary.BigEndian.Uint16(wire[off:])) == TypeOPT
+		if !isOPT {
+			ttls = append(ttls, off+4)
 		}
-		off += 10 + int(binary.BigEndian.Uint16(wire[off+8:]))
-		if off > len(wire) {
-			return nil, ErrBufferTooSmall
+		end := off + 10 + int(binary.BigEndian.Uint16(wire[off+8:]))
+		if end > len(wire) {
+			return nil, ECSAt{}, ErrBufferTooSmall
 		}
+		if isOPT && !sawOPT && i >= arStart {
+			sawOPT = true
+			for o := off + 10; o+4 <= end; {
+				olen := int(binary.BigEndian.Uint16(wire[o+2:]))
+				if binary.BigEndian.Uint16(wire[o:]) == OptionCodeECS {
+					if olen < 4 || o+4+olen > end {
+						return nil, ECSAt{}, ErrBadRdata
+					}
+					if i != rrs-1 {
+						return nil, ECSAt{}, ErrOPTNotLast
+					}
+					ecs = ECSAt{RDLen: off + 8, Opt: o}
+					break
+				}
+				o += 4 + olen
+			}
+		}
+		off = end
 	}
-	return offsets, nil
+	return ttls, ecs, nil
+}
+
+// EchoECS rewrites the ECS option at at, inside the packed response
+// buf[:n], into the RFC 7871 §7.2.1 echo of a query that carried q:
+// family, source prefix and address mirror the query, while the scope
+// stays the stored answer's — the entry may have been stored by a
+// sibling subnet whose address differs in the bits beyond the scope.
+// The option length, the OPT RDLENGTH and whatever follows the option
+// are moved to fit; the new message length is returned. The bytes are
+// those Pack would emit for the decoded message with its echo replaced.
+func EchoECS(buf []byte, n int, at ECSAt, q *ECSOption) (int, error) {
+	data := at.Opt + 4
+	old := int(binary.BigEndian.Uint16(buf[at.Opt+2:]))
+	echo := *q
+	echo.ScopePrefix = buf[data+3]
+	var scratch [20]byte // family, source, scope and at most 16 address octets
+	opt, err := echo.packOption(scratch[:0])
+	if err != nil {
+		return 0, err
+	}
+	delta := len(opt) - old
+	if n+delta > len(buf) {
+		return 0, fmt.Errorf("dnswire: ECS echo grows the message past %d bytes", len(buf))
+	}
+	copy(buf[data+len(opt):], buf[data+old:n])
+	copy(buf[data:], opt)
+	binary.BigEndian.PutUint16(buf[at.Opt+2:], uint16(len(opt)))
+	binary.BigEndian.PutUint16(buf[at.RDLen:], uint16(int(binary.BigEndian.Uint16(buf[at.RDLen:]))+delta))
+	return n + delta, nil
 }
 
 // AgeTTLs subtracts age seconds from each TTL field at the given
-// offsets (recorded by TTLOffsets), clamping at zero — the in-place
-// equivalent of the decode-path TTL aging loop.
+// offsets (recorded by PatchOffsets), clamping at zero — the in-place
+// equivalent of decoding the message and aging each record.
 func AgeTTLs(wire []byte, offsets []int, age uint32) {
 	if age == 0 {
 		return
@@ -155,7 +215,7 @@ func AgeTTLs(wire []byte, offsets []int, age uint32) {
 }
 
 // ClampTTLs caps each TTL field at the given offsets (recorded by
-// TTLOffsets) to at most max seconds — the in-place patch behind
+// PatchOffsets) to at most max seconds — the in-place patch behind
 // RFC 8767 serve-stale, where an expired cached answer goes out with
 // its TTLs clamped to a short stale lifetime instead of the original
 // (now meaningless) values. TTLs already at or below max are left

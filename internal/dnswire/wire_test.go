@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"testing"
 )
@@ -25,13 +26,13 @@ func testResponse(t testing.TB) *Message {
 	return m
 }
 
-func TestTTLOffsets(t *testing.T) {
+func TestPatchOffsetsTTLs(t *testing.T) {
 	m := testResponse(t)
 	wire, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, err := TTLOffsets(wire)
+	offs, _, err := PatchOffsets(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestAgeTTLsMatchesDecodePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, err := TTLOffsets(wire)
+	offs, _, err := PatchOffsets(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestWireRcode(t *testing.T) {
 	}
 }
 
-func TestTTLOffsetsMalformed(t *testing.T) {
+func TestPatchOffsetsMalformed(t *testing.T) {
 	m := testResponse(t)
 	wire, err := m.Pack()
 	if err != nil {
@@ -157,8 +158,8 @@ func TestTTLOffsetsMalformed(t *testing.T) {
 		wire[:8],
 		wire[:len(wire)-3], // truncated mid-record
 	} {
-		if _, err := TTLOffsets(bad); err == nil {
-			t.Errorf("TTLOffsets(%d bytes) accepted malformed input", len(bad))
+		if _, _, err := PatchOffsets(bad); err == nil {
+			t.Errorf("PatchOffsets(%d bytes) accepted malformed input", len(bad))
 		}
 	}
 }
@@ -183,7 +184,7 @@ func TestClampTTLs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, err := TTLOffsets(wire)
+	offs, _, err := PatchOffsets(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,5 +209,70 @@ func TestClampTTLs(t *testing.T) {
 	opt, ok := got.OPT()
 	if !ok || opt.UDPSize() != 1232 {
 		t.Errorf("OPT record disturbed by clamp: ok=%v", ok)
+	}
+}
+
+// TestEchoECS splices query echoes shorter than, as long as and longer
+// than the stored option — between two other options, so the tail of
+// the OPT record has to move — and checks each result decodes to the
+// stored message with only the echo replaced.
+func TestEchoECS(t *testing.T) {
+	m := testResponse(t)
+	opt, _ := m.OPT()
+	opt.Options = []EDNSOption{
+		&GenericOption{OptCode: OptionCodeCookie, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		&ECSOption{Family: 1, SourcePrefix: 24, ScopePrefix: 16, Address: netip.MustParseAddr("10.1.1.0")},
+		&GenericOption{OptCode: OptionCodePadding, Data: []byte{0, 0, 0}},
+	}
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, at, err := PatchOffsets(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at == (ECSAt{}) {
+		t.Fatal("PatchOffsets did not locate the ECS option")
+	}
+	for _, prefix := range []string{"0.0.0.0/0", "10.1.0.0/17", "10.1.2.0/24", "10.1.2.128/27", "2001:db8:7:1::/64"} {
+		q := NewECSOption(netip.MustParsePrefix(prefix))
+		buf := GetBuffer()
+		n, err := EchoECS(buf, copy(buf, wire), at, q)
+		if err != nil {
+			t.Fatalf("%s: %v", prefix, err)
+		}
+		var got Message
+		if err := got.Unpack(buf[:n]); err != nil {
+			t.Fatalf("%s: spliced image does not unpack: %v", prefix, err)
+		}
+		PutBuffer(buf)
+		ecs, _ := got.ECS()
+		if ecs.Prefix() != netip.MustParsePrefix(prefix) || ecs.Family != q.Family || ecs.ScopePrefix != 16 {
+			t.Errorf("%s: echo = family %d %s scope %d, want the query's subnet at the stored scope 16",
+				prefix, ecs.Family, ecs.Prefix(), ecs.ScopePrefix)
+		}
+		want := m.Clone()
+		wantECS, _ := want.ECS()
+		wantECS.Family, wantECS.SourcePrefix, wantECS.Address = q.Family, q.SourcePrefix, q.Address
+		wantWire, err := want.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotWire, _ := got.Pack(); !bytes.Equal(gotWire, wantWire) {
+			t.Errorf("%s: spliced image differs from repacking the edited message:\n% x\n% x", prefix, gotWire, wantWire)
+		}
+	}
+
+	// An ECS-bearing OPT that is not the last record is rejected: the
+	// splice could not fix up compression pointers behind it.
+	m.Additionals = append(m.Additionals,
+		&A{Hdr: RRHeader{Name: "ns1.mycdn.ciab.test.", Type: TypeA, Class: ClassINET, TTL: 60}, Addr: netip.MustParseAddr("192.0.2.53")})
+	wire, err = m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := PatchOffsets(wire); !errors.Is(err, ErrOPTNotLast) {
+		t.Errorf("PatchOffsets with records after an ECS-bearing OPT: err = %v, want ErrOPTNotLast", err)
 	}
 }
