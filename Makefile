@@ -10,22 +10,23 @@ all: vet test race build
 # platforms, so the build-tagged mmsg files are vetted for Linux and
 # for the portable fallback), a full build, the test suite under the
 # race detector, the pool-ownership checker over the packet-buffer
-# packages, bounded differential-fuzz passes over the LPM lookup and
-# over the cache's reply patch, a serve-path benchmark smoke run that
-# catches hit-path regressions without waiting for a full bench sweep,
+# packages (the upstream client's exchange buffers included), bounded
+# differential-fuzz passes over the LPM lookup and over the cache's
+# reply patch, a serve-path benchmark smoke run that catches hit-path
+# and stub-exchange regressions without waiting for a full bench sweep,
 # a small-N X8 sweep checking the bounded-load ring still beats the
 # plain ring, and a small-N X9 run checking mesh peer steering still
 # serves flash-crowd misses from sibling MECs.
 ci:
 	GOOS=linux $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
-	GOOS=linux $(GO) vet -tags pooldebug ./internal/dnswire/ ./internal/dnsserver/
+	GOOS=linux $(GO) vet -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsserver/
+	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
-	$(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|ServeUDPParallelSockets|RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .
+	$(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|ServeUDPParallelSockets|StubExchange|RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .
 	$(GO) run ./cmd/experiments -x loadbalance -ues 20000 -requests 1000
 	$(GO) run ./cmd/experiments -x mesh -requests 200
 
@@ -53,10 +54,11 @@ bench:
 # hash-ring lookup pair (plain vs bounded-load OwnersAppend), the
 # lock-free read-plane pair (snapshot vs RWMutex zone lookup and stub
 # match, at -cpu 1 and 4 to expose reader-side cache-line contention)
-# and the LPM, hit-path, batching, multi-socket, and routing numbers.
+# and the LPM, hit-path, batching, multi-socket, stub-exchange (the
+# P2 miss path over a loopback upstream) and routing numbers.
 PR ?= local
 bench-json:
-	( $(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|DNSMessageCache$$|ServeUDPParallelSockets|RouterWithRegistry|RouterPolicyAvailability|LPMLookup|RingOwners|RoutePeerLookup' -benchmem -count=5 . ; \
+	( $(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|DNSMessageCache$$|ServeUDPParallelSockets|StubExchange|RouterWithRegistry|RouterPolicyAvailability|LPMLookup|RingOwners|RoutePeerLookup' -benchmem -count=5 . ; \
 	  $(GO) test -run xxx -bench='ZoneLookupParallel|StubMatchParallel' -benchmem -count=5 -cpu 1,4 ./internal/dnsserver/ ) \
 		| $(GO) run ./cmd/benchjson > BENCH_pr$(PR).json
 	cat BENCH_pr$(PR).json

@@ -638,6 +638,69 @@ func BenchmarkServeUDPHit(b *testing.B) {
 	}
 }
 
+// BenchmarkStubExchange measures the paper's P2 hop, the one path a
+// MEC L-DNS miss takes: never-repeated ECS names through Cache → Stub →
+// a loopback UDP exchange → the C-DNS's Metrics → cdn.Router, and the
+// answer back into the cache. The L-DNS half runs in-process, so what
+// is timed is the miss path and the upstream exchange, not a second
+// client socket. dials/op is the transport's sockets opened per query:
+// 1 when every exchange dials, about 0 when sockets are kept.
+func BenchmarkStubExchange(b *testing.B) {
+	b.ReportAllocs()
+	const domain = "cdn.bench.test."
+	sim := simnet.New(4)
+	sim.AddNode("hub")
+	router := cdn.NewRouter(domain)
+	router.TTL = 300
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("cache-%d", i)
+		sim.AddNode(name)
+		sim.AddLink("hub", name, simnet.Constant(time.Millisecond), 0)
+		s := cdn.NewCacheServer(sim.Node(name), cdn.CacheServerConfig{Name: name, CapacityBytes: 1 << 20})
+		router.AddServer(s, geoip.Location{X: float64(i)})
+	}
+	cdns := &dnsserver.Server{Addr: "127.0.0.1:0", Handler: dnsserver.Chain(dnsserver.NewMetrics(), router)}
+	if err := cdns.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer cdns.Close()
+
+	transport := &dnsclient.NetTransport{}
+	defer transport.Close()
+	stub := dnsserver.NewStub(&dnsclient.Client{Transport: transport, Timeout: 3 * time.Second, Retries: 1})
+	stub.Route(domain, cdns.LocalAddr())
+	cache := dnsserver.NewCache(vclock.NewReal())
+	cache.MaxEntries = 4096
+	ldns := dnsserver.Chain(cache, stub)
+
+	req := &dnsserver.Request{
+		Msg:       new(dnswire.Message),
+		Client:    netip.MustParseAddrPort("198.51.100.7:4242"),
+		Transport: "bench",
+	}
+	ask := func(i int) {
+		req.Msg.SetQuestion(fmt.Sprintf("obj-%d.%s", i, domain), dnswire.TypeA)
+		subnet := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), 0}), 24)
+		opt := req.Msg.SetEDNS(1232)
+		opt.Options = append(opt.Options, dnswire.NewECSOption(subnet))
+		resp := dnsserver.Resolve(context.Background(), ldns, req)
+		if resp.Rcode != dnswire.RcodeSuccess || len(resp.Answers) == 0 {
+			b.Fatalf("query %d: %v", i, resp)
+		}
+	}
+	ask(-1) // the first exchange's dial is set-up, not steady state
+	dialed := transport.Stats().Dialed
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ask(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(transport.Stats().Dialed-dialed)/float64(b.N), "dials/op")
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != uint64(b.N)+1 {
+		b.Fatalf("cache stats %+v: every query should miss", st)
+	}
+}
+
 // BenchmarkServeUDPBatch measures the batched ingress under sustained
 // load: several client flows keep deep windows of cache-hit queries in
 // flight against one socket, so the read loop's recvmmsg finds many

@@ -199,6 +199,7 @@ type serverConfig struct {
 // daemon is the assembled-but-not-started server process.
 type daemon struct {
 	srv      *meccdn.DNSServer
+	upstream *meccdn.NetTransport // every upstream exchange's sockets
 	metrics  *meccdn.DNSMetrics
 	cache    *meccdn.DNSCache
 	hub      *meccdn.Telemetry
@@ -362,7 +363,7 @@ func run(cfg serverConfig) error {
 	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 	defer cancel()
 	fmt.Printf("\ndraining (up to %v)...\n", cfg.drain)
-	if err := d.srv.Shutdown(drainCtx); err != nil {
+	if err := d.shutdown(drainCtx); err != nil {
 		fmt.Printf("drain cut short: %v\n", err)
 	}
 	metrics, cache := d.metrics, d.cache
@@ -379,6 +380,14 @@ func run(cfg serverConfig) error {
 	return nil
 }
 
+// shutdown drains the server, then closes the upstream sockets the
+// drained queries left idle.
+func (d *daemon) shutdown(ctx context.Context) error {
+	err := d.srv.Shutdown(ctx)
+	d.upstream.Close()
+	return err
+}
+
 // build assembles the server from the flag values without starting it.
 func build(cfg serverConfig) (*daemon, error) {
 	metrics := meccdn.NewDNSMetrics()
@@ -389,7 +398,8 @@ func build(cfg serverConfig) (*daemon, error) {
 	cache.MaxStale = cfg.maxStale
 	plugins := []meccdn.DNSPlugin{metrics, cache}
 
-	client := &meccdn.Client{Transport: &meccdn.NetTransport{}, Timeout: 3 * time.Second, Retries: 1}
+	upstream := &meccdn.NetTransport{}
+	client := &meccdn.Client{Transport: upstream, Timeout: 3 * time.Second, Retries: 1}
 
 	// Every forward and stub upstream is a candidate probe target for
 	// the health registry (deduplicated by address).
@@ -551,6 +561,9 @@ func build(cfg serverConfig) (*daemon, error) {
 	if err := hub.Registry.Register(cache.Collectors()...); err != nil {
 		return nil, err
 	}
+	if err := hub.Registry.Register(upstream.Collectors()...); err != nil {
+		return nil, err
+	}
 	// Only the main forwarder registers: stub routes build their own
 	// Forward instances whose families would collide by name.
 	if fwd != nil {
@@ -588,7 +601,7 @@ func build(cfg serverConfig) (*daemon, error) {
 	if err := hub.Registry.Register(srv.Collectors()...); err != nil {
 		return nil, err
 	}
-	d := &daemon{srv: srv, metrics: metrics, cache: cache, hub: hub, health: reg, router: router}
+	d := &daemon{srv: srv, upstream: upstream, metrics: metrics, cache: cache, hub: hub, health: reg, router: router}
 	if cfg.meshAddr != "" && router != nil {
 		var meshPeers []meccdn.MeshPeer
 		for _, p := range cfg.peers {

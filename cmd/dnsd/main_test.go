@@ -102,6 +102,34 @@ func TestBuildStubAndForward(t *testing.T) {
 	if len(resp.Answers) != 1 {
 		t.Fatalf("forward answers = %v", resp.Answers)
 	}
+
+	// Both misses went to one upstream, one after the other, on one
+	// kept socket; the registry exports the pool, and the drain closes
+	// what is idle.
+	if st := d.upstream.Stats(); st.Dialed != 1 || st.Reused != 1 || st.Idle != 1 {
+		t.Errorf("upstream sockets after two misses = %+v, want 1 dialed, 1 reused, 1 idle", st)
+	}
+	var metrics strings.Builder
+	if err := d.hub.Registry.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`meccdn_dns_upstream_sockets_total{result="dialed"} 1`,
+		`meccdn_dns_upstream_sockets_total{result="reused"} 1`,
+		"meccdn_dns_upstream_sockets_idle 1",
+	} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := d.shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.upstream.Stats(); st.Idle != 0 || st.Discarded != 1 {
+		t.Errorf("upstream sockets after shutdown = %+v, want none idle", st)
+	}
 }
 
 func TestBuildHotPathConfig(t *testing.T) {

@@ -126,8 +126,12 @@ type (
 	Resolver = resolver.Resolver
 	// Client is a DNS stub client with retries and TCP fallback.
 	Client = dnsclient.Client
-	// NetTransport exchanges DNS messages over real sockets.
+	// NetTransport exchanges DNS messages over real sockets. It keeps
+	// its upstream UDP sockets between exchanges: share one per
+	// process, and Close it to release the idle ones.
 	NetTransport = dnsclient.NetTransport
+	// SocketStats is a snapshot of a NetTransport's UDP socket pool.
+	SocketStats = dnsclient.SocketStats
 	// SimTransport exchanges DNS messages inside the simulator.
 	SimTransport = dnsclient.SimTransport
 	// VClock abstracts elapsed time (virtual or wall clock).

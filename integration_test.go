@@ -171,13 +171,16 @@ func TestRealSocketConcurrentClients(t *testing.T) {
 
 	const clients = 8
 	const perClient = 25
+	// One transport for all: the clients share its upstream sockets.
+	transport := &meccdn.NetTransport{}
+	defer transport.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			client := &meccdn.Client{Transport: &meccdn.NetTransport{}, Timeout: 3 * time.Second, Retries: 2}
+			client := &meccdn.Client{Transport: transport, Timeout: 3 * time.Second, Retries: 2}
 			for i := 0; i < perClient; i++ {
 				name := fmt.Sprintf("host-%02d.load.test.", (c*perClient+i)%50)
 				resp, err := client.Query(context.Background(), addr, name, meccdn.TypeA)
@@ -199,6 +202,16 @@ func TestRealSocketConcurrentClients(t *testing.T) {
 	}
 	if metrics.Total() < clients*perClient {
 		t.Errorf("served %d queries, want ≥%d", metrics.Total(), clients*perClient)
+	}
+	// Eight clients at a time need about eight sockets, not one per
+	// query (a retry after a lost datagram dials a few more).
+	var st meccdn.SocketStats = transport.Stats()
+	if st.Dialed+st.Reused < clients*perClient || st.Dialed > 4*clients || st.Idle > clients {
+		t.Errorf("socket stats = %+v for %d queries from %d clients", st, clients*perClient, clients)
+	}
+	transport.Close()
+	if idle := transport.Stats().Idle; idle != 0 {
+		t.Errorf("%d sockets idle after Close", idle)
 	}
 }
 

@@ -3,9 +3,9 @@
 // TCP fallback, and response sanity checking.
 //
 // The client is transport-agnostic. NetTransport speaks real UDP and
-// TCP sockets; SimTransport runs the same exchanges inside a simnet
-// virtual network, which is how every experiment in this repository
-// executes.
+// TCP sockets, keeping its upstream UDP sockets between exchanges;
+// SimTransport runs the same exchanges inside a simnet virtual
+// network, which is how every experiment in this repository executes.
 package dnsclient
 
 import (
@@ -13,9 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"net/netip"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/meccdn/meccdn/internal/dnswire"
@@ -33,6 +35,11 @@ var (
 // packed response. Implementations decide what the tcp flag means;
 // for NetTransport it selects the socket type, for SimTransport it is
 // ignored (the virtual network has no 512-byte limit).
+//
+// The context's deadline is the attempt's time limit and is the
+// transport's to enforce (NetTransport sets it on the socket); the
+// client starts no timer of its own, so Done reports only the caller's
+// cancellation.
 type Transport interface {
 	Exchange(ctx context.Context, server netip.AddrPort, query []byte, tcp bool) ([]byte, error)
 }
@@ -53,25 +60,48 @@ type Client struct {
 	// retrying over TCP.
 	DisableTCPFallback bool
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	rng atomic.Pointer[rand.Rand]
+	mu  sync.Mutex // serializes draws from rng
 }
 
 // SetRand installs a deterministic RNG for query ID generation; tests
 // and simulations use this so runs replay exactly.
 func (c *Client) SetRand(rng *rand.Rand) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rng = rng
+	c.rng.Store(rng)
 }
 
+// newID draws a query ID. Once sockets (and so source ports) are
+// reused, the ID is most of what an off-path spoofer has to guess
+// (RFC 5452), so it comes from math/rand/v2's top-level generator —
+// ChaCha8, randomly seeded, lock-free — unless SetRand installed a
+// deterministic source.
 func (c *Client) newID() uint16 {
+	rng := c.rng.Load()
+	if rng == nil {
+		return uint16(randv2.Uint32())
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+	return uint16(rng.Intn(1 << 16))
+}
+
+// attemptCtx is the caller's context carrying one attempt's deadline
+// for the transport to enforce. Unlike context.WithTimeout it starts
+// no timer: cancellation is still the caller's alone.
+type attemptCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (a *attemptCtx) Deadline() (time.Time, bool) { return a.deadline, true }
+
+// begin starts an attempt lasting at most timeout, within any deadline
+// the caller's context already has.
+func (a *attemptCtx) begin(timeout time.Duration) {
+	a.deadline = time.Now().Add(timeout)
+	if d, ok := a.Context.Deadline(); ok && d.Before(a.deadline) {
+		a.deadline = d
 	}
-	return uint16(c.rng.Intn(1 << 16))
 }
 
 // Query is a convenience wrapper building a recursion-desired question
@@ -83,61 +113,65 @@ func (c *Client) Query(ctx context.Context, server netip.AddrPort, name string, 
 }
 
 // Do sends q to server and returns the validated response. Do never
-// mutates the caller's message: it operates on its own copy, so the
-// same query value can be reused (or raced by hedged exchanges)
-// safely. The copy's ID is assigned by the client, and EDNS is
-// attached per UDPSize. Truncated UDP responses are retried over TCP
-// unless DisableTCPFallback is set.
+// mutates the caller's message, so the same query value can be reused
+// (or raced by hedged exchanges) safely: what is packed is a header
+// copy carrying the client's own ID over the caller's records, which
+// are only read — cloned first only when an OPT has to be attached per
+// UDPSize. Truncated UDP responses are retried over TCP unless
+// DisableTCPFallback is set.
 func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
 	if c.Transport == nil {
 		return nil, errors.New("dnsclient: no transport configured")
 	}
-	q = q.Clone()
-	q.ID = c.newID()
+	sent := *q
 	if c.UDPSize > 0 {
 		if _, ok := q.OPT(); !ok {
-			q.SetEDNS(c.UDPSize)
+			sent = *q.Clone()
+			sent.SetEDNS(c.UDPSize)
 		}
 	}
+	sent.ID = c.newID()
+	q = &sent
 	// Over real sockets the packed query can live in a pooled buffer:
 	// its bytes are consumed by the socket write, so the buffer is free
 	// once Do returns. Virtual transports (simnet) may keep datagrams
 	// queued past the exchange, so they get a private allocation.
-	var wire []byte
+	var buf []byte
 	if _, pooled := c.Transport.(*NetTransport); pooled {
-		buf := dnswire.GetBuffer()
+		buf = dnswire.GetBuffer()
 		defer dnswire.PutBuffer(buf)
-		w, err := q.AppendPack(buf[:0])
-		if err != nil {
-			return nil, fmt.Errorf("packing query for %q: %w", q.Question().Name, err)
-		}
-		wire = w
 	} else {
-		w, err := q.Pack()
-		if err != nil {
-			return nil, fmt.Errorf("packing query for %q: %w", q.Question().Name, err)
-		}
-		wire = w
+		buf = make([]byte, 0, 128)
+	}
+	wire, err := q.AppendPack(buf[:0])
+	if err != nil {
+		return nil, fmt.Errorf("packing query for %q: %w", q.Question().Name, err)
 	}
 	timeout := c.Timeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
+	// Each attempt is one timed "upstream" hop on the query's span, so
+	// a live server's hop breakdown shows exactly how long was spent
+	// waiting on which resolver. The address is rendered once, and
+	// only when there is a span to note it on.
+	sp := telemetry.FromContext(ctx)
+	var upstream string
+	if sp != nil {
+		upstream = server.String()
+	}
+	attempt := &attemptCtx{Context: ctx}
 
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		// Each attempt is one timed "upstream" hop on the query's
-		// span, so a live server's hop breakdown shows exactly how
-		// long was spent waiting on which resolver.
-		endHop := telemetry.StartHop(ctx, "upstream")
-		attemptCtx, cancel := context.WithTimeout(ctx, timeout)
-		resp, err := c.exchangeOnce(attemptCtx, server, wire, q, false)
-		cancel()
+	for n := 0; n <= c.Retries; n++ {
+		endHop := sp.StartHop("upstream")
+		attempt.begin(timeout)
+		resp, err := c.exchangeOnce(attempt, server, wire, q, false)
 		if err == nil {
-			endHop(server.String())
+			endHop(upstream)
 			return resp, nil
 		}
-		endHop(server.String() + " err attempt=" + strconv.Itoa(attempt))
+		endHop(upstream + " err attempt=" + strconv.Itoa(n))
 		lastErr = err
 		if ctx.Err() != nil {
 			break

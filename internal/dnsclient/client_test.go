@@ -239,3 +239,48 @@ func TestSimTransportTimeout(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestDoLeavesCallerMessageUntouched: Do packs a header copy over the
+// caller's records, so neither the ID it assigns nor the OPT it adds
+// may show in the caller's message — while both go out on the wire.
+func TestDoLeavesCallerMessageUntouched(t *testing.T) {
+	var sent dnswire.Message
+	ft := &fakeTransport{fn: func(q []byte, tcp bool) ([]byte, error) {
+		if err := sent.Unpack(q); err != nil {
+			t.Fatal(err)
+		}
+		return answerFor(t, q, nil), nil
+	}}
+	c := &Client{Transport: ft, UDPSize: 1232}
+	c.SetRand(rand.New(rand.NewSource(11)))
+
+	// Without an OPT: one is attached to the copy only.
+	bare := new(dnswire.Message)
+	bare.SetQuestion("bare.test.", dnswire.TypeA)
+	bare.ID = 0x1234
+	bare.Additionals = make([]dnswire.RR, 0, 4) // spare capacity an append could scribble on
+	if _, err := c.Do(context.Background(), testServer, bare); err != nil {
+		t.Fatal(err)
+	}
+	if bare.ID != 0x1234 || len(bare.Additionals) != 0 || len(bare.Additionals[:1]) != 1 || bare.Additionals[:1][0] != nil {
+		t.Errorf("caller's OPT-less query changed: id=%#x additionals=%v", bare.ID, bare.Additionals[:1])
+	}
+	if opt, ok := sent.OPT(); !ok || opt.UDPSize() != 1232 || sent.ID == 0x1234 {
+		t.Errorf("wire query: id=%#x opt=%v, want the client's ID and a 1232-byte OPT", sent.ID, ok)
+	}
+
+	// With its own OPT: sent as is, and still the caller's afterwards.
+	own := new(dnswire.Message)
+	own.SetQuestion("own.test.", dnswire.TypeA)
+	own.ID = 0x4321
+	ownOPT := own.SetEDNS(4096)
+	if _, err := c.Do(context.Background(), testServer, own); err != nil {
+		t.Fatal(err)
+	}
+	if opt, _ := own.OPT(); own.ID != 0x4321 || opt != ownOPT || opt.UDPSize() != 4096 || len(own.Additionals) != 1 {
+		t.Errorf("caller's query changed: id=%#x additionals=%v", own.ID, own.Additionals)
+	}
+	if opt, ok := sent.OPT(); !ok || opt.UDPSize() != 4096 || sent.ID == 0x4321 {
+		t.Errorf("wire query: id=%#x opt=%v, want the client's ID and the caller's 4096-byte OPT", sent.ID, ok)
+	}
+}

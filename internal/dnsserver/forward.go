@@ -386,7 +386,10 @@ func writeUpstream(w ResponseWriter, r *Request, resp *dnswire.Message) (dnswire
 // hedgedExchange races primary against secondary: the secondary
 // exchange starts after HedgeDelay (or immediately once the primary
 // fails), and the first usable answer wins. Returns ok=false when
-// both failed; fromHedge reports whether the secondary won.
+// both failed; fromHedge reports whether the secondary won. Returning
+// cancels the loser: over real sockets the transport wakes its read at
+// once and closes the socket, so it holds neither a goroutine nor a
+// port until the attempt timeout.
 func (f *Forward) hedgedExchange(ctx context.Context, primary, secondary netip.AddrPort, r *Request) (resp *dnswire.Message, fromHedge, ok bool) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

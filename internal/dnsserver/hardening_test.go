@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/netip"
 	"runtime"
 	"sync"
@@ -267,6 +268,51 @@ func TestForwardHedgeFailedPrimaryFailsOverEarly(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("early failover took %v, appears to have waited out the hedge delay", elapsed)
+	}
+}
+
+// TestForwardHedgeLoserReturnsAtOnce: over real sockets, the exchange
+// that lost a hedged race must not sit in its read until the attempt
+// timeout. hedgedExchange cancels it on return; the transport wakes
+// the read and closes the socket, so the goroutine and the socket are
+// both gone within 50 ms, seconds before the 3 s timeout.
+func TestForwardHedgeLoserReturnsAtOnce(t *testing.T) {
+	silent, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.MustParseAddrPort("127.0.0.1:0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close() // bound, never read: queries to it go unanswered
+	primary := silent.LocalAddr().(*net.UDPAddr).AddrPort()
+	secondary := startTestServer(t, answerHandler("203.0.113.2"))
+
+	tr := &dnsclient.NetTransport{}
+	defer tr.Close()
+	fwd := &Forward{
+		Upstreams:  []netip.AddrPort{primary, secondary},
+		Client:     &dnsclient.Client{Transport: tr, Timeout: 3 * time.Second, Retries: 1},
+		HedgeDelay: 5 * time.Millisecond,
+	}
+	before := runtime.NumGoroutine()
+	resp := Resolve(context.Background(), Chain(fwd), queryFor("loser.test."))
+	if len(resp.Answers) != 1 || resp.Answers[0].(*dnswire.A).Addr.String() != "203.0.113.2" {
+		t.Fatalf("answers = %v, want the hedge's 203.0.113.2", resp.Answers)
+	}
+	returned := time.Now()
+	inUse := func() uint64 {
+		st := tr.Stats()
+		return st.Dialed - st.Discarded - uint64(st.Idle)
+	}
+	for runtime.NumGoroutine() > before || inUse() != 0 {
+		if time.Since(returned) > 50*time.Millisecond {
+			t.Fatalf("50ms after the hedged win: %d goroutines (%d before), %d sockets in use",
+				runtime.NumGoroutine(), before, inUse())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The loser's socket was closed with its query outstanding; the
+	// winner's went back to the pool.
+	if st := tr.Stats(); st.Dialed != 2 || st.Discarded != 1 || st.Idle != 1 {
+		t.Errorf("socket stats = %+v, want 2 dialed, 1 discarded, 1 idle", st)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/meccdn/meccdn/internal/dnsclient"
 	"github.com/meccdn/meccdn/internal/dnswire"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
@@ -154,5 +155,120 @@ func TestReplyPoolBalance(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 6 {
 		t.Errorf("hits = %d, want every case served from the cache (6)", st.Hits)
+	}
+}
+
+// TestExchangePoolBalance drives every exit of the upstream UDP
+// exchange — the matching reply (alone, and behind a stray datagram),
+// the deadline, a cancellation in mid-read, an already-cancelled
+// context, a refused port and a query too short to send — and requires
+// the pooled read buffer to be out exactly when the caller holds the
+// reply, and back after every failure (a second return panics under
+// this tag).
+func TestExchangePoolBalance(t *testing.T) {
+	// The upstream answers by echoing the query, preceded by a stray
+	// datagram when the name (first label byte) says so; "mute" queries
+	// get nothing.
+	upstream, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.MustParseAddrPort("127.0.0.1:0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer upstream.Close()
+	const plain, stray, mute = 'p', 's', 'm'
+	got := make(chan struct{}, 8) // one token per query seen; the test sends fewer than 8
+	go func() {
+		buf := make([]byte, 512)
+		for {
+			n, from, err := upstream.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			got <- struct{}{}
+			switch buf[13] {
+			case stray:
+				upstream.WriteToUDPAddrPort([]byte{buf[0] ^ 0xFF, buf[1], 0, 0}, from)
+				fallthrough
+			case plain:
+				upstream.WriteToUDPAddrPort(buf[:n], from)
+			}
+		}
+	}()
+	up := upstream.LocalAddr().(*net.UDPAddr).AddrPort()
+	query := func(kind byte) []byte {
+		q := new(dnswire.Message)
+		q.SetQuestion(string(kind)+".pool.test.", dnswire.TypeA)
+		q.ID = 0xBEEF
+		wire, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	closed, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.MustParseAddrPort("127.0.0.1:0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := closed.LocalAddr().(*net.UDPAddr).AddrPort()
+	closed.Close()
+
+	tr := &dnsclient.NetTransport{}
+	defer tr.Close()
+	base := dnswire.PoolOutstanding()
+	within := func(d time.Duration) (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), d)
+	}
+	cancelled := func(time.Duration) (context.Context, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx, cancel
+	}
+	cancelledInRead := func(time.Duration) (context.Context, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		for len(got) > 0 {
+			<-got
+		}
+		go func() {
+			<-got
+			cancel()
+		}()
+		return ctx, cancel
+	}
+	for _, tc := range []struct {
+		name   string
+		ctx    func(time.Duration) (context.Context, context.CancelFunc)
+		server netip.AddrPort
+		query  []byte
+		wantOK bool
+	}{
+		{"reply", within, up, query(plain), true},
+		{"stray then reply", within, up, query(stray), true},
+		{"deadline", within, up, query(mute), false},
+		{"cancelled in read", cancelledInRead, up, query(mute), false},
+		{"already cancelled", cancelled, up, query(plain), false},
+		{"refused", within, refused, query(plain), false},
+		{"short query", within, up, []byte{1}, false},
+	} {
+		timeout := 50 * time.Millisecond
+		if tc.wantOK {
+			timeout = 2 * time.Second
+		}
+		ctx, cancel := tc.ctx(timeout)
+		resp, err := tr.Exchange(ctx, tc.server, tc.query, false)
+		cancel()
+		if (err == nil) != tc.wantOK {
+			t.Errorf("%s: err = %v, want success: %v", tc.name, err, tc.wantOK)
+		}
+		if err == nil {
+			if out := dnswire.PoolOutstanding(); out != base+1 {
+				t.Errorf("%s: %d pooled buffers outstanding while the reply is held, want %d", tc.name, out, base+1)
+			}
+			dnswire.PutBuffer(resp)
+		}
+		if out := dnswire.PoolOutstanding(); out != base {
+			t.Errorf("%s: %d pooled buffers outstanding, want %d", tc.name, out, base)
+		}
+	}
+	if st := tr.Stats(); st.Dialed != 3 || st.Discarded != 3 {
+		t.Errorf("socket stats = %+v, want 3 dialed and all 3 discarded (deadline, cancel, refused)", st)
 	}
 }
