@@ -131,10 +131,10 @@ func run(seed int64, objects, requests int, air string, caches int, policy strin
 	ms := site.MsgCache.Stats()
 	fmt.Printf("  L-DNS msg cache: %d entries over %d shards, %d hits / %d misses, %d coalesced\n",
 		ms.Entries, ms.Shards, ms.Hits, ms.Misses, ms.Coalesced)
-	if lat := site.Metrics.Latency(); lat.Len() > 0 {
-		fmt.Printf("  L-DNS serve time (virtual): p50 %8.2fms  p99 %8.2fms  n=%d\n",
-			float64(lat.Percentile(50))/float64(time.Millisecond),
-			float64(lat.Percentile(99))/float64(time.Millisecond), lat.Len())
+	if d := site.Metrics.Duration(); d.Count() > 0 {
+		msec := func(t time.Duration) float64 { return float64(t) / float64(time.Millisecond) }
+		fmt.Printf("  L-DNS serve time (virtual): mean %8.2fms  p50 <=%.2fms  p99 <=%.2fms  n=%d\n",
+			msec(d.Sum())/float64(d.Count()), msec(d.Quantile(0.50)), msec(d.Quantile(0.99)), d.Count())
 	}
 	fmt.Printf("  virtual time elapsed: %v (wall time: instantaneous)\n", tb.Net.Now().Round(time.Millisecond))
 

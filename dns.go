@@ -98,10 +98,6 @@ type (
 	DNSCache = dnsserver.Cache
 	// DNSCacheStats is a snapshot of the cache counters.
 	DNSCacheStats = dnsserver.CacheStats
-	// BackgroundTracker scopes background work (cache refresh-ahead
-	// prefetches) to a server's graceful drain; a started DNSServer
-	// implements it.
-	BackgroundTracker = dnsserver.BackgroundTracker
 	// Forward forwards queries to upstream resolvers with rcode-aware
 	// failover, health cooldowns, and optional hedged queries.
 	Forward = dnsserver.Forward
@@ -145,9 +141,6 @@ func Chain(plugins ...DNSPlugin) DNSHandler { return dnsserver.Chain(plugins...)
 // NewZone creates an empty authoritative zone rooted at origin.
 func NewZone(origin string) *Zone { return dnsserver.NewZone(origin) }
 
-// ParseZone reads a minimal zone-file dialect.
-var ParseZone = dnsserver.ParseZone
-
 // NewZonePlugin builds an authoritative plugin from zones.
 func NewZonePlugin(zones ...*Zone) *ZonePlugin { return dnsserver.NewZonePlugin(zones...) }
 
@@ -183,41 +176,9 @@ func AttachDNS(node *Node, h DNSHandler, proc Sampler) { dnsserver.Attach(node, 
 // RealClock returns a wall clock for live servers.
 func RealClock() VClock { return vclock.NewReal() }
 
-// Telemetry: per-query spans, the metrics registry, and the sampled
-// query log, plus the admin HTTP endpoint that exposes them.
-type (
-	// Telemetry owns the per-process observability state: the span
-	// sampler, serve-duration histogram, resolution-path counters, and
-	// the bounded query log. Install one on a DNSServer to get a hop
-	// breakdown for every query.
-	Telemetry = telemetry.Hub
-	// TelemetryRegistry collects metric families for Prometheus text
-	// exposition.
-	TelemetryRegistry = telemetry.Registry
-	// TelemetryAdmin serves /metrics, /healthz, /querylog and
-	// /debug/pprof on a side HTTP listener.
-	TelemetryAdmin = telemetry.Admin
-	// TelemetryCollector is one exposable metric family.
-	TelemetryCollector = telemetry.Collector
-	// Span is one query's hop-by-hop trace.
-	Span = telemetry.Span
-	// QueryLog is the bounded ring of sampled query records.
-	QueryLog = telemetry.QueryLog
-	// TelemetryCounter is a single lock-free cumulative counter.
-	TelemetryCounter = telemetry.Counter
-	// TelemetryCounterVec is a labelled family of counters.
-	TelemetryCounterVec = telemetry.CounterVec
-)
-
-// NewTelemetryCounter returns a registerable counter family of one.
-func NewTelemetryCounter(name, help string) *TelemetryCounter {
-	return telemetry.NewCounter(name, help)
-}
-
-// NewTelemetryCounterVec returns a labelled counter family.
-func NewTelemetryCounterVec(name, help string, labels ...string) *TelemetryCounterVec {
-	return telemetry.NewCounterVec(name, help, labels...)
-}
+// TelemetryRegistry collects metric families for Prometheus text
+// exposition; every component's Collectors() registers on one.
+type TelemetryRegistry = telemetry.Registry
 
 // Health control plane: active probers scoring targets, a per-target
 // hysteresis state machine, and the ingress-load fallback switch.
@@ -230,19 +191,10 @@ type (
 	// drives the ingress-load fallback switch. Routers and forwarders
 	// consult it instead of static health flags.
 	HealthRegistry = health.Registry
-	// HealthChecker runs the periodic, jittered probe loop feeding a
-	// registry.
-	HealthChecker = health.Checker
 	// HealthState is one target's hysteresis state.
 	HealthState = health.State
 	// HealthStatus is one target's externally visible health record.
 	HealthStatus = health.TargetStatus
-	// HealthProber issues one liveness probe against a target.
-	HealthProber = health.Prober
-	// DNSProber probes DNS upstreams with a lightweight NS query over
-	// the client's transport; any well-formed response counts as
-	// alive.
-	DNSProber = health.DNSProber
 )
 
 // Health states.
@@ -257,12 +209,5 @@ const (
 // applied.
 func NewHealthRegistry(cfg HealthConfig) *HealthRegistry { return health.New(cfg) }
 
-// NewTelemetry builds a Hub (span sampler + default DNS metric
-// families) on the given clock.
-func NewTelemetry(clock VClock) *Telemetry { return telemetry.NewHub(clock) }
-
 // NewTelemetryRegistry returns an empty metrics registry.
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
-
-// NewQueryLog returns a bounded query-log ring.
-func NewQueryLog(capacity int) *QueryLog { return telemetry.NewQueryLog(capacity) }

@@ -6,51 +6,9 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"github.com/meccdn/meccdn/internal/keyhash"
 )
-
-// FNV-1a, inlined: the query path hashes every content key and must
-// not allocate a hasher object per call (hash/fnv's New64a escapes).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// fmix64 is MurmurHash3's 64-bit finalizer. Raw FNV-1a has weak
-// high-bit avalanche on inputs that differ only in a short suffix —
-// exactly the shape of the "<member>#<i>" virtual-node keys — which
-// left each member's 256 virtual nodes clumped in long same-member
-// runs on the sorted ring (runs of 150+ observed with 16 members).
-// Plain lookups merely got a lumpy key split from that; bounded
-// lookups were crippled, because a spill off a saturated member had
-// to walk its whole clump before reaching anyone else. Finalizing
-// restores uniform interleaving, so the expected spill walk is
-// O(members / members-under-cap) virtual nodes.
-func fmix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-func hash64(s string) uint64 {
-	h := fnvOffset64
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return fmix64(h)
-}
-
-func hash64Bytes(b []byte) uint64 {
-	h := fnvOffset64
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= fnvPrime64
-	}
-	return fmix64(h)
-}
 
 // loadCell is one member's decayed load counter. Cells are allocated
 // once per member and shared by every ring revision that includes the
@@ -204,7 +162,7 @@ func (r *HashRing) rebuild(members []string) {
 		base := len(buf)
 		for v := 0; v < replicas; v++ {
 			buf = strconv.AppendInt(buf[:base], int64(v), 10)
-			ring = append(ring, ringPoint{hash: hash64Bytes(buf), idx: int32(i)})
+			ring = append(ring, ringPoint{hash: keyhash.Sum64(buf), idx: int32(i)})
 		}
 	}
 	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
@@ -297,7 +255,7 @@ const smallOwners = 16
 // ownersAppend is the shared owner walk over one snapshot. Callers
 // guarantee a non-empty ring and 1 ≤ n ≤ len(s.members).
 func (r *HashRing) ownersAppend(s *ringState, dst []string, key string, n int) []string {
-	h := hash64(key)
+	h := keyhash.Sum64(key)
 	i := sort.Search(len(s.ring), func(i int) bool { return s.ring[i].hash >= h })
 	nm := len(s.members)
 
@@ -537,5 +495,5 @@ func (m *ModuloPlacement) Owner(key string) string {
 	if len(members) == 0 {
 		return ""
 	}
-	return members[hash64(key)%uint64(len(members))]
+	return members[keyhash.Sum64(key)%uint64(len(members))]
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/meccdn/meccdn/internal/dnswire"
+	"github.com/meccdn/meccdn/internal/keyhash"
 	"github.com/meccdn/meccdn/internal/telemetry"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
@@ -272,23 +273,13 @@ func (c *Cache) Collectors() []telemetry.Collector {
 }
 
 // shardOf returns the shard owning key, taken while still in its stack
-// buffer so the hit path never materializes the key string. The FNV-1a
-// hash is inlined so the per-query path stays allocation-free.
+// buffer so the hit path never materializes the key string.
 func (c *Cache) shardOf(key []byte) *cacheShard {
 	c.init()
 	if len(c.shards) == 1 {
 		return c.shards[0]
 	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return c.shards[h%uint32(len(c.shards))]
+	return c.shards[keyhash.Sum64(key)%uint64(len(c.shards))]
 }
 
 // Name implements Plugin.

@@ -480,7 +480,9 @@ type Stub struct {
 	Client *dnsclient.Client
 	// Clock, FailureThreshold, Cooldown, HedgeDelay, and Health
 	// configure the per-route forwarders; see Forward for semantics.
-	// They apply to routes added after they are set.
+	// Set them before the first Route: each route's forwarder copies
+	// them when Route is called, and a later assignment never reaches
+	// a route that already exists.
 	Clock            vclock.Clock
 	FailureThreshold int
 	Cooldown         time.Duration

@@ -642,37 +642,13 @@ func TestMetricsLatencyHistogram(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		Resolve(context.Background(), h, queryFor("lat.test."))
 	}
-	lat := m.Latency()
-	if lat.Len() != 20 {
-		t.Fatalf("samples = %d, want 20", lat.Len())
+	d := m.Duration()
+	if d.Count() != 20 || d.Sum() != 100*time.Millisecond {
+		t.Fatalf("histogram count/sum = %d/%v, want 20/100ms", d.Count(), d.Sum())
 	}
-	if p99 := lat.Percentile(99); p99 != 5*time.Millisecond {
-		t.Errorf("p99 = %v, want 5ms", p99)
-	}
-	if bar := m.LatencyBar(); bar.Mean != 5*time.Millisecond {
-		t.Errorf("trimmed mean = %v, want 5ms", bar.Mean)
-	}
-}
-
-// TestMetricsLatencyRingBounded: the ring keeps only the most recent
-// MaxLatencySamples observations.
-func TestMetricsLatencyRingBounded(t *testing.T) {
-	clock := &vclock.Fixed{}
-	m := NewMetrics()
-	m.Clock = clock
-	m.MaxLatencySamples = 8
-	backend := HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
-		clock.Advance(time.Millisecond)
-		return dnswire.RcodeSuccess, nil
-	})
-	h := Chain(m, pluginize(backend))
-	for i := 0; i < 100; i++ {
-		Resolve(context.Background(), h, queryFor("ring.test."))
-	}
-	if got := m.Latency().Len(); got != 8 {
-		t.Errorf("retained samples = %d, want 8", got)
-	}
-	if m.Total() != 100 {
-		t.Errorf("total = %d, want 100", m.Total())
+	// Every observation is exactly on the 5ms bound, so both quantiles
+	// read that bucket.
+	if p50, p99 := d.Quantile(0.50), d.Quantile(0.99); p50 != 5*time.Millisecond || p99 != 5*time.Millisecond {
+		t.Errorf("p50/p99 = %v/%v, want 5ms/5ms", p50, p99)
 	}
 }

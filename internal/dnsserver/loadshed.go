@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/meccdn/meccdn/internal/dnswire"
-	"github.com/meccdn/meccdn/internal/stats"
 	"github.com/meccdn/meccdn/internal/telemetry"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
@@ -139,30 +138,26 @@ func (l *LoadShed) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, n
 	return next.ServeDNS(ctx, w, r)
 }
 
-// Metrics counts queries by type and response code and records the
-// per-query ServeDNS duration twice over: a fixed-bucket telemetry
-// histogram for live Prometheus exposition, and a bounded ring of
-// recent observations for exact percentiles — so the Fig-5 latency
-// decomposition is observable on a live server, not only in simnet
-// traces.
+// Metrics counts queries by type and response code and observes each
+// query's ServeDNS duration once, into a fixed-bucket telemetry
+// histogram — the same series /metrics exposes and the shutdown
+// summaries quote — so the Fig-5 latency decomposition is observable
+// on a live server, not only in simnet traces.
 type Metrics struct {
 	// Clock supplies the duration measurements. Nil means a wall
-	// clock, initialized on first use; set the simnet clock so the
-	// histogram reflects virtual time in experiments.
+	// clock; set the simnet clock so the histogram reflects virtual
+	// time in experiments.
 	Clock vclock.Clock
-	// MaxLatencySamples bounds the retained duration observations
-	// (a ring keeping the most recent ones). Zero means 4096.
-	MaxLatencySamples int
 
 	ctrOnce  sync.Once
 	queries  *telemetry.CounterVec
 	rcodes   *telemetry.CounterVec
 	duration *telemetry.Histogram
-
-	mu      sync.Mutex
-	durs    []time.Duration
-	durNext int
 }
+
+// wallClock times queries for every Metrics without a Clock of its
+// own; only differences of its readings are used.
+var wallClock vclock.Clock = vclock.NewReal()
 
 // NewMetrics returns an empty counter set.
 func NewMetrics() *Metrics {
@@ -195,12 +190,10 @@ func (m *Metrics) Name() string { return "metrics" }
 // ServeDNS implements Plugin.
 func (m *Metrics) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
 	queries, rcodes, duration := m.instruments()
-	m.mu.Lock()
-	if m.Clock == nil {
-		m.Clock = vclock.NewReal()
-	}
 	clock := m.Clock
-	m.mu.Unlock()
+	if clock == nil {
+		clock = wallClock
+	}
 
 	start := clock.Now()
 	rcode, err := next.ServeDNS(ctx, w, r)
@@ -212,19 +205,6 @@ func (m *Metrics) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 	queries.Inc1(r.Type().String())
 	rcodes.Inc1(rcode.String())
 	duration.Observe(elapsed)
-
-	m.mu.Lock()
-	limit := m.MaxLatencySamples
-	if limit <= 0 {
-		limit = 4096
-	}
-	if len(m.durs) < limit {
-		m.durs = append(m.durs, elapsed)
-	} else {
-		m.durs[m.durNext] = elapsed
-	}
-	m.durNext = (m.durNext + 1) % limit
-	m.mu.Unlock()
 	return rcode, err
 }
 
@@ -246,16 +226,9 @@ func (m *Metrics) CountByType(t dnswire.Type) uint64 {
 	return queries.Value(t.String())
 }
 
-// Latency returns a stats.Sample of the retained per-query ServeDNS
-// durations (the most recent MaxLatencySamples observations).
-func (m *Metrics) Latency() *stats.Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return stats.FromDurations(m.durs)
-}
-
-// LatencyBar summarizes the retained durations with the paper's
-// trimmed-mean/min/max bar methodology.
-func (m *Metrics) LatencyBar() stats.Bar {
-	return m.Latency().PaperBar()
+// Duration returns the ServeDNS duration histogram, for summaries
+// (Count, Sum, Quantile) outside a /metrics scrape.
+func (m *Metrics) Duration() *telemetry.Histogram {
+	_, _, duration := m.instruments()
+	return duration
 }

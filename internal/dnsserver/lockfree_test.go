@@ -230,152 +230,3 @@ func TestServePathMutexFree(t *testing.T) {
 		t.Logf("mutex profile:\n%s", profile)
 	}
 }
-
-// benchZone builds a ~100-name zone for the lookup benchmarks.
-func benchZone(b *testing.B) *Zone {
-	b.Helper()
-	zone := NewZone("bench.test.")
-	err := zone.Update(func(zb *ZoneBuilder) error {
-		for i := 0; i < 100; i++ {
-			if err := zb.AddA(fmt.Sprintf("host%d.bench.test.", i), 60,
-				netip.AddrFrom4([4]byte{10, 0, byte(i / 250), byte(1 + i%250)})); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return zone
-}
-
-// BenchmarkZoneLookupParallel measures the post-refactor lock-free
-// zone lookup: one atomic view load per query, shared-nothing across
-// CPUs. Compare with BenchmarkZoneLookupParallelMutex (the
-// pre-refactor RWMutex read path) at -cpu 1,4.
-func BenchmarkZoneLookupParallel(b *testing.B) {
-	zone := benchZone(b)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			name := fmt.Sprintf("host%d.bench.test.", i%100)
-			i++
-			if res, _, _ := zone.Lookup(name, dnswire.TypeA); res != LookupSuccess {
-				b.Fatalf("lookup %s: %v", name, res)
-			}
-		}
-	})
-}
-
-// mutexZone reproduces the pre-refactor read path: the same record
-// data behind a sync.RWMutex taken for every lookup.
-type mutexZone struct {
-	mu   sync.RWMutex
-	view *ZoneView
-}
-
-func (m *mutexZone) Lookup(qname string, qtype dnswire.Type) (LookupResult, []dnswire.RR, []dnswire.RR) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.view.Lookup(qname, qtype)
-}
-
-// BenchmarkZoneLookupParallelMutex is the pre-refactor baseline:
-// identical lookup work, but through the RWMutex every query used to
-// take. The -cpu 4 gap against BenchmarkZoneLookupParallel is the
-// reader cache-line contention the snapshot refactor removes.
-func BenchmarkZoneLookupParallelMutex(b *testing.B) {
-	mz := &mutexZone{view: benchZone(b).View()}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			name := fmt.Sprintf("host%d.bench.test.", i%100)
-			i++
-			if res, _, _ := mz.Lookup(name, dnswire.TypeA); res != LookupSuccess {
-				b.Fatalf("lookup %s: %v", name, res)
-			}
-		}
-	})
-}
-
-// benchStubDomains routes 8 stub domains; queries alternate hit/miss.
-var benchStubDomains = []string{
-	"cdn-a.example.", "cdn-b.example.", "cdn-c.example.", "cdn-d.example.",
-	"video.cdn-a.example.", "img.cdn-b.example.", "api.cdn-c.example.", "edge.cdn-d.example.",
-}
-
-// BenchmarkStubMatchParallel measures the post-refactor lock-free
-// stub longest-match walk (one atomic table load per query). Compare
-// with BenchmarkStubMatchParallelMutex at -cpu 1,4.
-func BenchmarkStubMatchParallel(b *testing.B) {
-	stub := NewStub(nil)
-	up := netip.MustParseAddrPort("192.0.2.53:53")
-	for _, d := range benchStubDomains {
-		stub.Route(d, up)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			var qname string
-			if i%2 == 0 {
-				qname = "www." + benchStubDomains[i%len(benchStubDomains)]
-			} else {
-				qname = "www.unrouted.example."
-			}
-			i++
-			stub.match(qname)
-		}
-	})
-}
-
-// mutexStub reproduces the pre-refactor stub read path: the same
-// route map behind the RWMutex match() used to take per query.
-type mutexStub struct {
-	mu     sync.RWMutex
-	routes map[string]*stubRoute
-}
-
-func (s *mutexStub) match(qname string) (*Forward, string) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var best *stubRoute
-	bestDomain := ""
-	for domain, rt := range s.routes {
-		if dnswire.IsSubdomain(domain, qname) {
-			if best == nil || rt.labels > best.labels {
-				best, bestDomain = rt, domain
-			}
-		}
-	}
-	if best == nil {
-		return nil, ""
-	}
-	return best.fwd, bestDomain
-}
-
-// BenchmarkStubMatchParallelMutex is the pre-refactor baseline for
-// the stub route walk.
-func BenchmarkStubMatchParallelMutex(b *testing.B) {
-	ms := &mutexStub{routes: make(map[string]*stubRoute)}
-	for _, d := range benchStubDomains {
-		ms.routes[d] = &stubRoute{labels: dnswire.CountLabels(d), fwd: &Forward{}}
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			var qname string
-			if i%2 == 0 {
-				qname = "www." + benchStubDomains[i%len(benchStubDomains)]
-			} else {
-				qname = "www.unrouted.example."
-			}
-			i++
-			ms.match(qname)
-		}
-	})
-}

@@ -299,7 +299,20 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 	site.Metrics = dnsserver.NewMetrics()
 	site.Metrics.Clock = net.Clock
 
-	publicPlugins := []dnsserver.Plugin{site.Metrics}
+	// The public view's links; their serving order is LDNS.Plugins'.
+	public := dnsserver.LDNS{
+		Metrics: site.Metrics,
+		Cache:   site.MsgCache,
+		Stub:    site.stub,
+		Zones:   dnsserver.NewZonePlugin(site.PublicZone),
+	}
+	providerForward := func() *dnsserver.Forward {
+		return &dnsserver.Forward{
+			Upstreams: []netip.AddrPort{cfg.ProviderLDNS},
+			Client:    upClient,
+			Clock:     net.Clock,
+		}
+	}
 	if cfg.MaxIngressQPS > 0 {
 		site.Shed = &dnsserver.LoadShed{
 			Clock:      net.Clock,
@@ -307,37 +320,24 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 			Window:     time.Second,
 		}
 		if cfg.ProviderLDNS.IsValid() {
-			site.Shed.Fallback = dnsserver.Chain(&dnsserver.Forward{
-				Upstreams: []netip.AddrPort{cfg.ProviderLDNS},
-				Client:    upClient,
-				Clock:     net.Clock,
-			})
+			site.Shed.Fallback = dnsserver.Chain(providerForward())
 		}
-		publicPlugins = append(publicPlugins, site.Shed)
+		public.Shed = site.Shed
 	}
 	if cfg.EnableECS {
-		publicPlugins = append(publicPlugins, &dnsserver.ECS{})
+		public.ECS = &dnsserver.ECS{}
 	}
-	publicPlugins = append(publicPlugins,
-		site.MsgCache,
-		site.stub,
-		dnsserver.NewZonePlugin(site.PublicZone),
-	)
 	if cfg.ProviderLDNS.IsValid() {
 		// Non-MEC names are forwarded upstream so the MEC DNS can be
 		// the UE's only resolver (the server-side workaround of §3).
-		publicPlugins = append(publicPlugins, &dnsserver.Forward{
-			Upstreams: []netip.AddrPort{cfg.ProviderLDNS},
-			Client:    upClient,
-			Clock:     net.Clock,
-		})
+		public.Forward = providerForward()
 	}
 
 	clusterCIDR := netip.MustParsePrefix("10.96.0.0/16")
 	split := &dnsserver.Split{
 		IsInternal: func(a netip.Addr) bool { return clusterCIDR.Contains(a) },
 		Internal:   dnsserver.Chain(dnsserver.NewZonePlugin(orch.InternalZone())),
-		Public:     dnsserver.Chain(publicPlugins...),
+		Public:     dnsserver.Chain(public.Plugins()...),
 	}
 	ldnsProc := cfg.LDNSProcessing
 	if cfg.EnableECS {

@@ -28,6 +28,8 @@
 // steering view within DownAfter announce intervals.
 package mesh
 
+import "github.com/meccdn/meccdn/internal/keyhash"
+
 // Content digests are counting-Bloom filters: m counters, k probe
 // positions per name via double hashing. The counting form (Digest)
 // supports incremental Add/Remove so a caller may maintain one
@@ -55,35 +57,12 @@ const (
 	MaxDigestHashes = 8
 )
 
-// FNV-1a with a MurmurHash3 finalizer, the same construction the cdn
-// hash ring uses: raw FNV-1a has weak avalanche on short-suffix
-// variations (exactly the "seg-0042-3" shape of content names), and
-// the finalizer restores uniform bit mixing.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func fmix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
 // digestHash derives the double-hashing pair for name: probe i tests
 // bit (h1 + i·h2) mod m (Kirsch–Mitzenmacher). h2 is forced odd so it
 // is never zero and cycles through power-of-two moduli.
 func digestHash(name string) (h1, h2 uint64) {
-	h := fnvOffset64
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= fnvPrime64
-	}
-	h1 = fmix64(h)
-	h2 = fmix64(h1^0x9e3779b97f4a7c15) | 1
+	h1 = keyhash.Sum64(name)
+	h2 = keyhash.Mix64(h1^0x9e3779b97f4a7c15) | 1
 	return h1, h2
 }
 

@@ -19,13 +19,6 @@ type Sample struct {
 // New returns an empty sample.
 func New() *Sample { return &Sample{} }
 
-// FromDurations returns a sample holding a copy of ds, so callers can
-// snapshot concurrently updated observation buffers (e.g. the DNS
-// server's ServeDNS duration ring) into an independent Sample.
-func FromDurations(ds []time.Duration) *Sample {
-	return &Sample{values: append([]time.Duration(nil), ds...)}
-}
-
 // Add appends an observation.
 func (s *Sample) Add(d time.Duration) {
 	s.values = append(s.values, d)

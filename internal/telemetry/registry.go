@@ -13,6 +13,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -504,6 +505,25 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the total observed duration.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
+
+// Quantile returns the upper bound of the bucket the q-quantile
+// (0 < q ≤ 1) observation fell in — an upper estimate as coarse as the
+// buckets are. It is 0 with no observations and the last finite bound
+// when the quantile lies in the +Inf bucket.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	total := h.Count()
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var cum uint64
+	for i, bound := range h.bounds {
+		if cum += h.counts[i].Load(); cum >= rank {
+			return bound
+		}
+	}
+	return h.bounds[len(h.bounds)-1]
+}
 
 // MetricName implements Collector.
 func (h *Histogram) MetricName() string { return h.name }

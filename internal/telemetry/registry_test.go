@@ -150,6 +150,34 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantile(t *testing.T) {
+	h := NewHistogram("hq_seconds", "h") // DefBuckets
+	if got := h.Quantile(0.5); got != 0 {
+		t.Errorf("empty quantile = %v, want 0", got)
+	}
+	for i := 0; i < 90; i++ {
+		h.Observe(80 * time.Microsecond) // ≤ 100µs
+	}
+	for i := 0; i < 9; i++ {
+		h.Observe(2 * time.Millisecond) // ≤ 2.5ms
+	}
+	h.Observe(time.Minute) // +Inf
+	for _, tc := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0.50, 100 * time.Microsecond},
+		{0.90, 100 * time.Microsecond},
+		{0.91, 2500 * time.Microsecond},
+		{0.99, 2500 * time.Microsecond},
+		{1.00, 5 * time.Second}, // +Inf reads as the last finite bound
+	} {
+		if got := h.Quantile(tc.q); got != tc.want {
+			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+}
+
 // TestRegistryConcurrent hammers every instrument type from parallel
 // goroutines while the exposition path scrapes; run with -race.
 func TestRegistryConcurrent(t *testing.T) {

@@ -27,8 +27,6 @@
 package meccdn
 
 import (
-	"io"
-
 	"github.com/meccdn/meccdn/internal/cdn"
 	"github.com/meccdn/meccdn/internal/geoip"
 	"github.com/meccdn/meccdn/internal/lpm"
@@ -134,10 +132,6 @@ type (
 // NewRouteBuilder returns an empty RouteBuilder.
 func NewRouteBuilder() *RouteBuilder { return lpm.NewBuilder() }
 
-// ParseRoutes reads a routes file ("prefix popID" per line, #
-// comments) into a RouteTable.
-func ParseRoutes(r io.Reader) (*RouteTable, error) { return lpm.ParseRoutes(r) }
-
 // CDN tiers.
 const (
 	TierEdge = cdn.TierEdge
@@ -184,29 +178,16 @@ type (
 // sibling MEC sites and peer-steered miss routing (see DESIGN.md
 // "Federated mesh").
 type (
-	// MeshAgent gossips this site's content digest to configured peers
-	// over ANNOUNCE/DIGEST datagrams and publishes the received peer
-	// tables as an immutable MeshView snapshot.
-	MeshAgent = mesh.Agent
-	// MeshConfig parameterizes NewMeshAgent.
-	MeshConfig = mesh.Config
-	// MeshPeer names one configured announce target.
-	MeshPeer = mesh.Peer
 	// MeshView is the read-plane peer snapshot a Router consults on
 	// the miss path (one atomic load per lookup).
 	MeshView = mesh.View
 	// MeshStatus is the JSON-serializable snapshot behind admin /mesh.
 	MeshStatus = mesh.Status
-	// MeshUDPTransport exchanges mesh datagrams over real UDP sockets.
-	MeshUDPTransport = mesh.UDPTransport
 	// PeerHit identifies the sibling site a lookup steered to.
 	PeerHit = mesh.PeerHit
 	// MeshOptions enables the mesh agent on a deployed Site.
 	MeshOptions = meccdn.MeshOptions
 )
-
-// NewMeshAgent returns a mesh agent with cfg's defaults applied.
-func NewMeshAgent(cfg MeshConfig) *MeshAgent { return mesh.NewAgent(cfg) }
 
 // ConnectMesh peers every given site with every other, both ways.
 func ConnectMesh(sites ...*Site) error { return meccdn.ConnectMesh(sites...) }
