@@ -10,10 +10,12 @@ all: vet test race build
 # platforms, so the build-tagged mmsg files are vetted for Linux and
 # for the portable fallback), a full build, the test suite under the
 # race detector, the pool-ownership checker over the packet-buffer
-# packages (the upstream client's exchange buffers included), bounded
-# differential-fuzz passes over the LPM lookup and over the cache's
-# reply patch, a serve-path benchmark smoke run that catches hit-path
-# and stub-exchange regressions without waiting for a full bench sweep,
+# packages (the upstream client's exchange buffers and the relayed
+# reply image included), bounded differential-fuzz passes over the LPM
+# lookup, the cache's reply patch, the walk that lets a reply be relayed
+# undecoded and the name codec, a serve-path benchmark smoke run that
+# catches hit-path and stub-exchange regressions without waiting for a
+# full bench sweep,
 # a small-N X8 sweep checking the bounded-load ring still beats the
 # plain ring, a small-N X9 run checking mesh peer steering still
 # serves flash-crowd misses from sibling MECs, and a build and vet of
@@ -28,6 +30,8 @@ ci:
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
+	$(GO) test -run xxx -fuzz FuzzResponseWalk -fuzztime 5s ./internal/dnswire/
+	$(GO) test -run xxx -fuzz FuzzNameUnpack -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -bench='ServeUDPHit|StubExchange|RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .
 	$(GO) run ./cmd/experiments -x loadbalance -ues 20000 -requests 1000
 	$(GO) run ./cmd/experiments -x mesh -requests 200

@@ -9,6 +9,7 @@
 package dnsclient
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -112,16 +113,43 @@ func (c *Client) Query(ctx context.Context, server netip.AddrPort, name string, 
 	return c.Do(ctx, server, q)
 }
 
-// Do sends q to server and returns the validated response. Do never
-// mutates the caller's message, so the same query value can be reused
-// (or raced by hedged exchanges) safely: what is packed is a header
-// copy carrying the client's own ID over the caller's records, which
-// are only read — cloned first only when an OPT has to be attached per
-// UDPSize. Truncated UDP responses are retried over TCP unless
-// DisableTCPFallback is set.
+// Do is Exchange for a caller that wants the response decoded.
 func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	return unpack(c.Exchange(ctx, server, "", q))
+}
+
+// unpack decodes the image an exchange returned and recycles its
+// buffer (a foreign slice is unaffected: PutBuffer drops it).
+func unpack(img []byte, _ dnswire.Rcode, err error) (*dnswire.Message, error) {
+	if err != nil {
+		return nil, err
+	}
+	resp := new(dnswire.Message)
+	err = resp.Unpack(img)
+	dnswire.PutBuffer(img)
+	if err != nil {
+		return nil, fmt.Errorf("unpacking response: %w", err)
+	}
+	return resp, nil
+}
+
+// Exchange sends q to server and returns the response as it arrived:
+// its wire image — the caller recycles it with dnswire.PutBuffer or
+// hands it to a writer that takes ownership — and its rcode, extended
+// bits included. The image is never decoded: it is checked against the
+// query on the bytes (checkReply) and walked by dnswire.PatchOffsets,
+// which refuses whatever Message.Unpack would. upstream is server as
+// hop notes should show it; empty means server.String().
+//
+// Exchange never mutates the caller's message, so the same query value
+// can be reused (or raced by hedged exchanges) safely: what is packed is
+// a header copy carrying the client's own ID over the caller's records,
+// which are only read — cloned first only when an OPT has to be attached
+// per UDPSize. Truncated UDP responses are retried over TCP unless
+// DisableTCPFallback is set.
+func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, upstream string, q *dnswire.Message) ([]byte, dnswire.Rcode, error) {
 	if c.Transport == nil {
-		return nil, errors.New("dnsclient: no transport configured")
+		return nil, 0, errors.New("dnsclient: no transport configured")
 	}
 	sent := *q
 	if c.UDPSize > 0 {
@@ -134,8 +162,9 @@ func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Messa
 	q = &sent
 	// Over real sockets the packed query can live in a pooled buffer:
 	// its bytes are consumed by the socket write, so the buffer is free
-	// once Do returns. Virtual transports (simnet) may keep datagrams
-	// queued past the exchange, so they get a private allocation.
+	// once Exchange returns. Virtual transports (simnet) may keep
+	// datagrams queued past the exchange, so they get a private
+	// allocation.
 	var buf []byte
 	if _, pooled := c.Transport.(*NetTransport); pooled {
 		buf = dnswire.GetBuffer()
@@ -145,7 +174,7 @@ func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Messa
 	}
 	wire, err := q.AppendPack(buf[:0])
 	if err != nil {
-		return nil, fmt.Errorf("packing query for %q: %w", q.Question().Name, err)
+		return nil, 0, fmt.Errorf("packing query for %q: %w", q.Question().Name, err)
 	}
 	timeout := c.Timeout
 	if timeout <= 0 {
@@ -153,11 +182,9 @@ func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Messa
 	}
 	// Each attempt is one timed "upstream" hop on the query's span, so
 	// a live server's hop breakdown shows exactly how long was spent
-	// waiting on which resolver. The address is rendered once, and
-	// only when there is a span to note it on.
+	// waiting on which resolver.
 	sp := telemetry.FromContext(ctx)
-	var upstream string
-	if sp != nil {
+	if sp != nil && upstream == "" {
 		upstream = server.String()
 	}
 	attempt := &attemptCtx{Context: ctx}
@@ -166,10 +193,10 @@ func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Messa
 	for n := 0; n <= c.Retries; n++ {
 		endHop := sp.StartHop("upstream")
 		attempt.begin(timeout)
-		resp, err := c.exchangeOnce(attempt, server, wire, q, false)
+		img, rcode, err := c.exchangeOnce(attempt, server, wire, false)
 		if err == nil {
 			endHop(upstream)
-			return resp, nil
+			return img, rcode, nil
 		}
 		endHop(upstream + " err attempt=" + strconv.Itoa(n))
 		lastErr = err
@@ -177,7 +204,7 @@ func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Messa
 			break
 		}
 	}
-	return nil, fmt.Errorf("%w: query %s %s to %v: %v",
+	return nil, 0, fmt.Errorf("%w: query %s %s to %v: %v",
 		ErrAllAttemptsFail, q.Question().Name, q.Question().Type, server, lastErr)
 }
 
@@ -186,31 +213,9 @@ func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Messa
 // last). The server may refuse (ACL, unknown zone); that surfaces as
 // a response with RcodeRefused and no records.
 func (c *Client) Transfer(ctx context.Context, server netip.AddrPort, zone string) ([]dnswire.RR, error) {
-	if c.Transport == nil {
-		return nil, errors.New("dnsclient: no transport configured")
-	}
 	q := new(dnswire.Message)
 	q.SetQuestion(zone, dnswire.TypeAXFR)
-	q.RecursionDesired = false
-	q.ID = c.newID()
-	wire, err := q.Pack()
-	if err != nil {
-		return nil, err
-	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	attemptCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	resp, err := c.exchangeOnce(attemptCtx, server, wire, q, true)
-	if err != nil {
-		return nil, fmt.Errorf("transferring %s from %v: %w", zone, server, err)
-	}
-	if resp.Rcode != dnswire.RcodeSuccess {
-		return nil, fmt.Errorf("transferring %s from %v: %s", zone, server, resp.Rcode)
-	}
-	return resp.Answers, nil
+	return c.transfer(ctx, server, q, "transferring")
 }
 
 // TransferFrom performs an incremental zone transfer (IXFR, RFC 1995)
@@ -221,19 +226,26 @@ func (c *Client) Transfer(ctx context.Context, server netip.AddrPort, zone strin
 // journal no longer reaches that far back. The raw answer records are
 // returned for dnsserver.ApplyTransfer to classify and apply.
 func (c *Client) TransferFrom(ctx context.Context, server netip.AddrPort, zone string, serial uint32) ([]dnswire.RR, error) {
-	if c.Transport == nil {
-		return nil, errors.New("dnsclient: no transport configured")
-	}
 	q := new(dnswire.Message)
 	q.SetQuestion(zone, dnswire.TypeIXFR)
-	q.RecursionDesired = false
-	q.ID = c.newID()
 	// RFC 1995 §3: the client's current SOA rides in the authority
 	// section; only the serial field is meaningful to the server.
 	q.Authorities = []dnswire.RR{&dnswire.SOA{
 		Hdr:    dnswire.RRHeader{Name: dnswire.CanonicalName(zone), Type: dnswire.TypeSOA, Class: dnswire.ClassINET},
 		Serial: serial,
 	}}
+	return c.transfer(ctx, server, q, "incremental transfer of")
+}
+
+// transfer sends q, a transfer question, in one exchange over the
+// stream transport and returns the answer section of a NOERROR reply;
+// what names the operation in the error of any other outcome.
+func (c *Client) transfer(ctx context.Context, server netip.AddrPort, q *dnswire.Message, what string) ([]dnswire.RR, error) {
+	if c.Transport == nil {
+		return nil, errors.New("dnsclient: no transport configured")
+	}
+	q.RecursionDesired = false
+	q.ID = c.newID()
 	wire, err := q.Pack()
 	if err != nil {
 		return nil, err
@@ -242,59 +254,70 @@ func (c *Client) TransferFrom(ctx context.Context, server netip.AddrPort, zone s
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	attemptCtx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	resp, err := c.exchangeOnce(attemptCtx, server, wire, q, true)
-	if err != nil {
-		return nil, fmt.Errorf("incremental transfer of %s from %v: %w", zone, server, err)
+	resp, err := unpack(c.exchangeOnce(ctx, server, wire, true))
+	if err == nil && resp.Rcode != dnswire.RcodeSuccess {
+		err = errors.New(resp.Rcode.String())
 	}
-	if resp.Rcode != dnswire.RcodeSuccess {
-		return nil, fmt.Errorf("incremental transfer of %s from %v: %s", zone, server, resp.Rcode)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s from %v: %w", what, q.Question().Name, server, err)
 	}
 	return resp.Answers, nil
 }
 
-func (c *Client) exchangeOnce(ctx context.Context, server netip.AddrPort, wire []byte, q *dnswire.Message, tcp bool) (*dnswire.Message, error) {
-	raw, err := c.Transport.Exchange(ctx, server, wire, tcp)
+const qrBit, tcBit = 0x80, 0x02 // in a packed header's third octet
+
+// exchangeOnce is one attempt: query out, reply image back, checked. A
+// truncated UDP reply is retried over TCP on its header bit alone.
+func (c *Client) exchangeOnce(ctx context.Context, server netip.AddrPort, query []byte, tcp bool) ([]byte, dnswire.Rcode, error) {
+	raw, err := c.Transport.Exchange(ctx, server, query, tcp)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	resp := new(dnswire.Message)
-	err = resp.Unpack(raw)
-	// Unpack copies all it needs, so the transport's buffer can go
-	// back to the pool now. Transports returning foreign (non-pooled)
-	// slices are unaffected: PutBuffer drops anything undersized.
-	dnswire.PutBuffer(raw)
-	if err != nil {
-		return nil, fmt.Errorf("unpacking response: %w", err)
+	if err := checkReply(query, raw); err != nil {
+		dnswire.PutBuffer(raw)
+		return nil, 0, err
 	}
-	if err := validate(q, resp); err != nil {
-		return nil, err
+	if raw[2]&tcBit != 0 && !tcp && !c.DisableTCPFallback {
+		dnswire.PutBuffer(raw)
+		return c.exchangeOnce(ctx, server, query, true)
 	}
-	if resp.Truncated && !tcp && !c.DisableTCPFallback {
-		return c.exchangeOnce(ctx, server, wire, q, true)
+	var ttls [8]int // keeps the offsets, the cache's business, off the heap
+	img, err := dnswire.PatchOffsets(raw, ttls[:0])
+	if err != nil && !errors.Is(err, dnswire.ErrOPTNotLast) {
+		dnswire.PutBuffer(raw)
+		return nil, 0, fmt.Errorf("malformed response: %w", err)
 	}
-	return resp, nil
+	return raw, img.Rcode, nil
 }
 
-// validate applies the anti-spoofing sanity checks of RFC 5452 §9 that
-// a stub can perform: matching ID and question.
-func validate(q, resp *dnswire.Message) error {
-	if resp.ID != q.ID {
+// checkReply applies the anti-spoofing checks of RFC 5452 §9 a stub can
+// perform, to the bytes: resp carries query's ID, is a response, and
+// echoes query's first question — the name label for label, ASCII case
+// aside, type and class exactly. A missing or compressed question is a
+// mismatch: query's own is neither (it is the first name Pack wrote).
+func checkReply(query, resp []byte) error {
+	if len(query) < 12 || len(resp) < 12 {
+		return dnswire.ErrShortMessage
+	}
+	if resp[0] != query[0] || resp[1] != query[1] {
 		return ErrIDMismatch
 	}
-	if !resp.Response {
+	if resp[2]&qrBit == 0 {
 		return errors.New("dnsclient: response flag not set")
 	}
-	if len(q.Questions) > 0 {
-		if len(resp.Questions) == 0 {
-			return ErrQuestionMismatch
-		}
-		qq, rq := q.Questions[0], resp.Questions[0]
-		if dnswire.CanonicalName(qq.Name) != dnswire.CanonicalName(rq.Name) ||
-			qq.Type != rq.Type || qq.Class != rq.Class {
-			return ErrQuestionMismatch
-		}
+	if query[4]|query[5] == 0 {
+		return nil // nothing was asked
+	}
+	end := 12
+	for end < len(query) && query[end] != 0 {
+		end += 1 + int(query[end])
+	}
+	end += 5 // the root label, type and class
+	if end > len(query) || end > len(resp) || resp[4]|resp[5] == 0 ||
+		!dnswire.EqualFoldASCII(resp[12:end-4], query[12:end-4]) || !bytes.Equal(resp[end-4:end], query[end-4:end]) {
+		return ErrQuestionMismatch
 	}
 	return nil
 }

@@ -34,8 +34,8 @@ const (
 //
 // UDP exchanges reuse connected sockets, kept idle per upstream: an
 // exchange takes one (or dials), writes the query, reads until the
-// datagram carrying the query's ID arrives, and hands the socket back.
-// The pool's invariant is that an idle socket has no query
+// datagram answering it arrives (checkReply), and hands the socket
+// back. The pool's invariant is that an idle socket has no query
 // outstanding: a socket goes back only after its own query's reply was
 // read, and is closed on timeout, cancellation or any socket error, so
 // a late reply can never reach another exchange. Expired sockets are
@@ -136,8 +136,8 @@ func (t *NetTransport) Exchange(ctx context.Context, server netip.AddrPort, quer
 	if tcp {
 		return t.exchangeTCP(ctx, server, query)
 	}
-	if len(query) < 2 {
-		return nil, errors.New("dnsclient: query is shorter than its ID")
+	if len(query) < 12 {
+		return nil, errors.New("dnsclient: query is shorter than a DNS header")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -262,10 +262,11 @@ func (t *NetTransport) discard(s udpSocket) {
 // read immediately.
 var aLongTimeAgo = time.Unix(1, 0)
 
-// roundTrip writes query to conn and reads datagrams until one carries
-// the query's ID, ignoring any that do not (RFC 5452 §9.1: a stray or
-// spoofed datagram must not end the wait for the real reply; the
-// client validates the rest of the message). The reply is in a pooled
+// roundTrip writes query to conn and reads datagrams until one passes
+// checkReply — the query's ID, the response bit, the question echoed —
+// ignoring any that do not (RFC 5452 §9.1: a stray or spoofed datagram
+// must neither end the wait for the real reply nor stand in for it; a
+// flood of them cannot outlast the deadline). The reply is in a pooled
 // buffer the caller recycles. On any error — the deadline, a
 // cancelled ctx, a socket error such as ECONNREFUSED — the query may
 // still be outstanding and conn must not be reused.
@@ -304,7 +305,7 @@ func writeAndRead(conn net.Conn, query, buf []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if n >= 2 && buf[0] == query[0] && buf[1] == query[1] {
+		if checkReply(query, buf[:n]) == nil {
 			return n, nil
 		}
 	}

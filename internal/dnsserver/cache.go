@@ -164,6 +164,7 @@ type cacheEntry struct {
 	// copy of wire patched at those positions (see Cache.reply).
 	wire     []byte
 	ttlOffs  []int
+	ttlBuf   [4]int // backs ttlOffs for the usual answer of a few records
 	ecs      dnswire.ECSAt
 	rcode    dnswire.Rcode
 	negative bool // NXDOMAIN/NODATA, for the negative-hit counter
@@ -554,15 +555,18 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 // entry still in its RFC 8767 window, the stale answer is served —
 // better a recently-true answer than a SERVFAIL, for a bounded window.
 func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string, w ResponseWriter, r *Request, next Handler, stale *cacheEntry) (dnswire.Rcode, error) {
-	rec := &recorder{}
-	rcode, err := next.ServeDNS(ctx, rec, r)
-	answered := err == nil && rec.written
-	switch {
-	case stale != nil && (!answered || failoverRcode(rec.msg.Rcode)):
+	var rec imageRecorder
+	rcode, err := next.ServeDNS(ctx, &rec, r)
+	answered := err == nil && rec.buf != nil
+	var fresh *cacheEntry
+	if answered {
+		fresh = c.store(r, rec.buf[:rec.n])
+	}
+	if stale != nil && (!answered || fresh != nil && failoverRcode(fresh.rcode)) {
 		c.ctr.staleServes.Inc()
 		f.ent, f.stale = stale, true
-	case answered:
-		f.ent = c.store(r, rec.msg)
+	} else {
+		f.ent = fresh
 	}
 	f.rcode, f.err = rcode, err
 	sh.mu.Lock()
@@ -570,61 +574,99 @@ func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string,
 	sh.mu.Unlock()
 	close(f.done)
 	if f.ent != nil {
+		dnswire.PutBuffer(rec.buf)
 		return c.reply(w, r, f.ent, 0, f.stale)
 	}
-	if !rec.written {
+	if rec.buf == nil {
 		return rcode, err
 	}
 	// Relay what the chain wrote, uncached: it came with an error, or it
-	// is an answer that does not pack.
-	werr := w.WriteMsg(rec.msg)
-	switch {
-	case err != nil:
-		return rcode, err
-	case werr != nil:
+	// is an image the cache cannot patch.
+	if werr := writeImage(w, rec.buf, rec.n); werr != nil && err == nil {
 		return dnswire.RcodeServerFailure, werr
 	}
-	return rec.msg.Rcode, nil
+	return rcode, err
 }
 
-// store packs msg — once: the leader's reply, its waiters' and every
-// later hit are all served from this image — and caches it for its
-// effective TTL under the key the *answer* dictates. For a non-ECS
-// request that is the question. For ECS, RFC 7871 §7.3.1 keying: the
-// response's scope prefix — 0 when the answer carried no ECS option
-// (§7.2.2: such an answer is valid for all addresses), clamped to the
-// disclosed source length — masks the query address into the entry
-// key. A /16-scoped answer to a /24 query is therefore stored once
-// under the /16 key, where every sibling /24 finds it, instead of
-// fragmenting into 256 identical entries. The key is always derived
-// here, never taken from the lookup: a refresh of a /16 entry may come
-// back scoped /24, and must not land under the /16 key.
-//
-// A response with no cacheable lifetime is returned packed but not
-// inserted (coalesced waiters still need it); store returns nil for a
-// response that does not pack into a patchable image.
-func (c *Cache) store(r *Request, msg *dnswire.Message) *cacheEntry {
+// imageRecorder is the writer a miss runs the rest of the chain
+// against. It keeps the first response written as a wire image in a
+// pooled buffer fill then owns: taken over as it is from a plugin that
+// relays one (Stub, Forward), packed here — the one time the answer is
+// packed — from a plugin that builds a Message (Zone).
+type imageRecorder struct {
+	buf []byte // nil until written
+	n   int
+}
+
+// WireSize implements WireWriter: any answer is kept whole, and cut to
+// the client's size by the writer reply hands it to.
+func (rec *imageRecorder) WireSize() int { return dnswire.MaxMessageSize }
+
+// WriteWireOwned implements OwnedWireWriter.
+func (rec *imageRecorder) WriteWireOwned(buf []byte, n int) error {
+	if rec.buf != nil {
+		dnswire.PutBuffer(buf)
+		return nil
+	}
+	rec.buf, rec.n = buf, n
+	return nil
+}
+
+// WriteWire implements WireWriter.
+func (rec *imageRecorder) WriteWire(wire []byte) error {
 	buf := dnswire.GetBuffer()
-	defer dnswire.PutBuffer(buf)
-	wire, err := msg.AppendPack(buf[:0])
+	return rec.WriteWireOwned(buf, copy(buf, wire))
+}
+
+// WriteMsg implements ResponseWriter.
+func (rec *imageRecorder) WriteMsg(m *dnswire.Message) error {
+	if rec.buf != nil {
+		return nil
+	}
+	buf := dnswire.GetBuffer()
+	wire, err := m.AppendPack(buf[:0])
+	if err != nil {
+		dnswire.PutBuffer(buf)
+		return err
+	}
+	rec.buf, rec.n = buf, len(wire)
+	return nil
+}
+
+// store caches image — the answer to r as the chain wrote it; the
+// leader's reply, its waiters' and every later hit are all served from
+// a copy of these bytes — for the lifetime its records give it, under
+// the key the *answer* dictates. For a non-ECS request that is the
+// question. For ECS, RFC 7871 §7.3.1 keying: the response's scope
+// prefix — 0 when the answer carried no ECS option (§7.2.2: such an
+// answer is valid for all addresses), clamped to the disclosed source
+// length — masks the query address into the entry key. A /16-scoped
+// answer to a /24 query is therefore stored once under the /16 key,
+// where every sibling /24 finds it, instead of fragmenting into 256
+// identical entries. The key is always derived here, never taken from
+// the lookup: a refresh of a /16 entry may come back scoped /24, and
+// must not land under the /16 key.
+//
+// Rcode, lifetime, scope and patch positions all come from one walk over
+// the bytes, dnswire.PatchOffsets; nothing is decoded. A response with
+// no cacheable lifetime (server failures among them) is returned as an
+// entry but not inserted (coalesced waiters still need it); store
+// returns nil for an image the walk refuses.
+func (c *Cache) store(r *Request, image []byte) *cacheEntry {
+	ent := new(cacheEntry)
+	img, err := dnswire.PatchOffsets(image, ent.ttlBuf[:0])
 	if err != nil {
 		return nil
 	}
-	ttlOffs, ecsAt, err := dnswire.PatchOffsets(wire)
-	if err != nil {
-		return nil
+	var ttl time.Duration
+	if img.Rcode == dnswire.RcodeSuccess || img.Rcode == dnswire.RcodeNameError {
+		ttl = min(time.Duration(img.TTL)*time.Second, maxTTL)
 	}
-	now := c.Clock.Now()
-	ttl := min(effectiveTTL(msg), maxTTL)
-	ent := &cacheEntry{
-		wire:     append([]byte(nil), wire...),
-		ttlOffs:  ttlOffs,
-		ecs:      ecsAt,
-		rcode:    msg.Rcode,
-		negative: msg.Rcode != dnswire.RcodeSuccess || len(msg.Answers) == 0,
-		stored:   now,
-		expires:  now + ttl,
-	}
+	ent.wire = append([]byte(nil), image...)
+	ent.ttlOffs, ent.ecs, ent.rcode = img.TTLs, img.ECS, img.Rcode
+	ent.negative = img.Rcode != dnswire.RcodeSuccess || img.Answers == 0
+	ent.stored = c.Clock.Now()
+	ent.expires = ent.stored + ttl
 	if ttl <= 0 {
 		return ent
 	}
@@ -632,11 +674,7 @@ func (c *Cache) store(r *Request, msg *dnswire.Message) *cacheEntry {
 	kbuf := appendBaseKey(kb[:0], r)
 	if ecs, ok := r.Msg.ECS(); ok {
 		famBits := ecsFamilyBits(ecs)
-		scope := 0
-		if recs, ok := msg.ECS(); ok {
-			scope = int(recs.ScopePrefix)
-		}
-		scope = min(scope, int(ecs.SourcePrefix), famBits)
+		scope := min(int(img.Scope), int(ecs.SourcePrefix), famBits)
 		c.markScope(famBits, scope)
 		kbuf = appendECSKey(kbuf, ecs, scope, famBits)
 	}
@@ -800,15 +838,10 @@ func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w Respon
 // fill alike. The stored wire image is copied into a pooled buffer and
 // restamped for r in place: transaction ID, the RD/CD mirror bits, the
 // TTLs (aged by the seconds spent in cache, or clamped down to staleTTL
-// when stale), and the RFC 7871 §7.2.1 ECS echo. The result is
-// byte-identical to decoding the image, editing the message and
-// repacking it (the FuzzHitPatch invariant) at none of the cost.
-//
-// A WireWriter takes the patched bytes as they are (an OwnedWireWriter
-// the buffer itself, saving the last copy before the socket). A writer
-// that cannot take bytes — and any reply larger than the transport
-// carries, so that truncation stays the writer's business — gets the
-// same image decoded, here and only here, through WriteMsg.
+// when stale), and the RFC 7871 §7.2.1 ECS echo. The result decodes to
+// what decoding the image, editing the message and repacking it would
+// give — and, for an image Pack wrote, is that byte for byte (the
+// FuzzHitPatch invariants) — at none of the cost. writeImage sends it.
 func (c *Cache) reply(w ResponseWriter, r *Request, ent *cacheEntry, age uint32, stale bool) (dnswire.Rcode, error) {
 	buf := dnswire.GetBuffer()
 	n := copy(buf, ent.wire)
@@ -826,59 +859,34 @@ func (c *Cache) reply(w ResponseWriter, r *Request, ent *cacheEntry, age uint32,
 			return dnswire.RcodeServerFailure, err
 		}
 	}
-	var err error
-	if ww, ok := w.(WireWriter); ok && n <= ww.WireSize() {
-		if ow, ok := w.(OwnedWireWriter); ok {
-			err = ow.WriteWireOwned(buf, n)
-		} else {
-			err = ww.WriteWire(buf[:n])
-			dnswire.PutBuffer(buf)
-		}
-	} else {
-		msg := new(dnswire.Message)
-		err = msg.Unpack(buf[:n])
-		dnswire.PutBuffer(buf)
-		if err == nil {
-			err = w.WriteMsg(msg)
-		}
-	}
-	if err != nil {
+	if err := writeImage(w, buf, n); err != nil {
 		return dnswire.RcodeServerFailure, err
 	}
 	return ent.rcode, nil
 }
 
-// effectiveTTL derives the cacheable lifetime of a response: the
-// minimum answer TTL for positive answers, or the SOA MinTTL rule of
-// RFC 2308 for negative ones. Server failures are not cached.
-func effectiveTTL(msg *dnswire.Message) time.Duration {
-	switch msg.Rcode {
-	case dnswire.RcodeSuccess, dnswire.RcodeNameError:
-	default:
-		return 0
-	}
-	if len(msg.Answers) > 0 {
-		min := uint32(1<<32 - 1)
-		for _, rr := range msg.Answers {
-			if rr.Header().Type == dnswire.TypeOPT {
-				continue
-			}
-			if rr.Header().TTL < min {
-				min = rr.Header().TTL
-			}
+// writeImage hands w the response image buf[:n] and the pooled buffer
+// it is in. A WireWriter takes the bytes as they are (an
+// OwnedWireWriter the buffer itself, saving the last copy before the
+// socket). A writer that cannot take bytes — and any image larger than
+// the transport carries, so that truncation stays the writer's
+// business — gets it decoded, here and only here, through WriteMsg.
+func writeImage(w ResponseWriter, buf []byte, n int) error {
+	if ww, ok := w.(WireWriter); ok && n <= ww.WireSize() {
+		if ow, ok := w.(OwnedWireWriter); ok {
+			return ow.WriteWireOwned(buf, n)
 		}
-		return time.Duration(min) * time.Second
+		err := ww.WriteWire(buf[:n])
+		dnswire.PutBuffer(buf)
+		return err
 	}
-	for _, rr := range msg.Authorities {
-		if soa, ok := rr.(*dnswire.SOA); ok {
-			ttl := soa.Hdr.TTL
-			if soa.MinTTL < ttl {
-				ttl = soa.MinTTL
-			}
-			return time.Duration(ttl) * time.Second
-		}
+	msg := new(dnswire.Message)
+	err := msg.Unpack(buf[:n])
+	dnswire.PutBuffer(buf)
+	if err != nil {
+		return err
 	}
-	return 0
+	return w.WriteMsg(msg)
 }
 
 // String summarizes the cache for debugging.

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,9 +37,11 @@ type ForwardStats struct {
 // cooldown deadline it must sit out after tripping the threshold.
 // Both fields are atomics so exchanges record outcomes without a
 // lock; the entry itself is carried across upstream-set rebuilds so
-// health survives reconfiguration.
+// health survives reconfiguration. name is addr rendered once, for hop
+// notes and probe-registry lookups.
 type upstreamEntry struct {
 	addr      netip.AddrPort
+	name      string
 	fails     atomic.Int32
 	downUntil atomic.Int64 // vclock nanoseconds; 0 = not cooling
 }
@@ -51,8 +53,7 @@ type upstreamEntry struct {
 // Upstreams or Clock fields change.
 type upstreamSet struct {
 	addrs   []netip.AddrPort
-	entries []*upstreamEntry
-	index   map[netip.AddrPort]*upstreamEntry
+	entries []*upstreamEntry // parallel to addrs
 	// clockSrc is the Forward.Clock value this set was built from
 	// (possibly nil); clock is the resolved, never-nil clock.
 	clockSrc vclock.Clock
@@ -172,13 +173,13 @@ func (f *Forward) Stats() ForwardStats {
 // slice comparison, no lock.
 func (f *Forward) set() *upstreamSet {
 	s := f.ups.Load()
-	if s != nil && s.clockSrc == f.Clock && equalAddrPorts(s.addrs, f.Upstreams) {
+	if s != nil && s.clockSrc == f.Clock && slices.Equal(s.addrs, f.Upstreams) {
 		return s
 	}
 	f.wmu.Lock()
 	defer f.wmu.Unlock()
 	s = f.ups.Load()
-	if s != nil && s.clockSrc == f.Clock && equalAddrPorts(s.addrs, f.Upstreams) {
+	if s != nil && s.clockSrc == f.Clock && slices.Equal(s.addrs, f.Upstreams) {
 		return s
 	}
 	clock := f.Clock
@@ -188,37 +189,20 @@ func (f *Forward) set() *upstreamSet {
 	next := &upstreamSet{
 		addrs:    append([]netip.AddrPort(nil), f.Upstreams...),
 		entries:  make([]*upstreamEntry, 0, len(f.Upstreams)),
-		index:    make(map[netip.AddrPort]*upstreamEntry, len(f.Upstreams)),
 		clockSrc: f.Clock,
 		clock:    clock,
 	}
 	for _, up := range next.addrs {
-		var e *upstreamEntry
+		e := &upstreamEntry{addr: up, name: up.String()}
 		if s != nil {
-			e = s.index[up] // carry health across rebuilds
-		}
-		if e == nil {
-			e = &upstreamEntry{addr: up}
+			if i := slices.Index(s.addrs, up); i >= 0 {
+				e = s.entries[i] // carry health across rebuilds
+			}
 		}
 		next.entries = append(next.entries, e)
-		next.index[up] = e
 	}
 	f.ups.Store(next)
 	return next
-}
-
-// equalAddrPorts reports whether two upstream lists are identical in
-// content and order.
-func equalAddrPorts(a, b []netip.AddrPort) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // failoverRcode reports whether rcode should trigger a try of the
@@ -227,52 +211,54 @@ func failoverRcode(rc dnswire.Rcode) bool {
 	return rc == dnswire.RcodeServerFailure || rc == dnswire.RcodeRefused
 }
 
-// candidates orders the upstreams for this query: healthy ones first
-// in configured order (probe-registry-scored when Health is
-// attached), cooled-down ones appended as a last resort. Lock-free:
-// one snapshot load and per-entry atomic reads.
-func (f *Forward) candidates() []netip.AddrPort {
+// candidates orders the upstreams for this query into ups, a slice the
+// caller owns (room for the whole set keeps the call allocation-free):
+// healthy ones first in configured order (probe-registry-scored when
+// Health is attached), cooled-down ones after them as a last resort.
+// Lock-free: one snapshot load and per-entry atomic reads.
+func (f *Forward) candidates(ups []*upstreamEntry) []*upstreamEntry {
 	s := f.set()
 	now := int64(s.clock.Now())
-	healthy := make([]netip.AddrPort, 0, len(s.entries))
-	var cooling []netip.AddrPort
+	n := len(s.entries)
+	ups = slices.Grow(ups[:0], n)[:n]
+	healthy, cooling := 0, n // healthy fill from the front, cooling from the back
 	for _, e := range s.entries {
 		if du := e.downUntil.Load(); du != 0 && now < du {
-			cooling = append(cooling, e.addr)
+			cooling--
+			ups[cooling] = e
 			f.counters().skipped.Inc()
 			continue
 		}
-		healthy = append(healthy, e.addr)
+		ups[healthy] = e
+		healthy++
 	}
-	if f.Health != nil && len(healthy) > 1 {
+	slices.Reverse(ups[cooling:])
+	if f.Health != nil && healthy > 1 {
 		type score struct {
 			rank int
 			ewma time.Duration
 		}
-		scores := make(map[netip.AddrPort]score, len(healthy))
-		for _, up := range healthy {
-			rank, ewma := f.Health.Rank(up.String())
-			scores[up] = score{rank, ewma}
+		var arr [8]score
+		scores := arr[:0]
+		for _, e := range ups[:healthy] {
+			rank, ewma := f.Health.Rank(e.name)
+			scores = append(scores, score{rank, ewma})
 		}
-		sort.SliceStable(healthy, func(i, j int) bool {
-			a, b := scores[healthy[i]], scores[healthy[j]]
-			if a.rank != b.rank {
-				return a.rank < b.rank
+		// A stable insertion sort: the set is a handful of upstreams.
+		for i := 1; i < healthy; i++ {
+			for j := i; j > 0 && (scores[j].rank < scores[j-1].rank ||
+				scores[j].rank == scores[j-1].rank && scores[j].ewma < scores[j-1].ewma); j-- {
+				scores[j], scores[j-1] = scores[j-1], scores[j]
+				ups[j], ups[j-1] = ups[j-1], ups[j]
 			}
-			return a.ewma < b.ewma
-		})
+		}
 	}
-	return append(healthy, cooling...)
+	return ups
 }
 
 // recordFailure notes one failed exchange and trips the cooldown once
 // the threshold is reached, backing off exponentially after that.
-func (f *Forward) recordFailure(up netip.AddrPort) {
-	s := f.set()
-	e := s.index[up]
-	if e == nil {
-		return
-	}
+func (f *Forward) recordFailure(e *upstreamEntry) {
 	fails := int(e.fails.Add(1))
 	threshold := f.FailureThreshold
 	if threshold <= 0 {
@@ -290,19 +276,13 @@ func (f *Forward) recordFailure(up netip.AddrPort) {
 	if exp > 6 {
 		exp = 6
 	}
-	e.downUntil.Store(int64(s.clock.Now() + cooldown<<exp))
+	e.downUntil.Store(int64(f.set().clock.Now() + cooldown<<exp))
 }
 
 // recordSuccess resets an upstream's failure state.
-func (f *Forward) recordSuccess(up netip.AddrPort) {
-	s := f.ups.Load()
-	if s == nil {
-		return
-	}
-	if e := s.index[up]; e != nil {
-		e.fails.Store(0)
-		e.downUntil.Store(0)
-	}
+func (f *Forward) recordSuccess(e *upstreamEntry) {
+	e.fails.Store(0)
+	e.downUntil.Store(0)
 }
 
 // ServeDNS implements Plugin.
@@ -313,7 +293,8 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 	if f.Client == nil {
 		return dnswire.RcodeServerFailure, errors.New("dnsserver: forward has no client")
 	}
-	ups := f.candidates()
+	var arr [4]*upstreamEntry
+	ups := f.candidates(arr[:0])
 	if len(ups) == 0 {
 		return dnswire.RcodeServerFailure, fmt.Errorf("forwarding %s: no upstreams configured", r.Name())
 	}
@@ -322,19 +303,20 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 	endHop := telemetry.StartHop(ctx, "forward")
 
 	var lastErr error
-	var lastResp *dnswire.Message
+	var lastImg []byte // the last SERVFAIL/REFUSED verdict, if any
+	var lastRcode dnswire.Rcode
 	hedgeFell := false
 
 	if f.HedgeDelay > 0 && len(ups) > 1 {
-		resp, fromHedge, ok := f.hedgedExchange(ctx, ups[0], ups[1], r)
+		img, rcode, fromHedge, ok := f.hedgedExchange(ctx, ups[0], ups[1], r)
 		if ok {
 			if fromHedge {
 				ctr.failovers.Inc() // answered by other than the first upstream
-				endHop("hedge:" + ups[1].String())
+				endHop("hedge:" + ups[1].name)
 			} else {
-				endHop(ups[0].String())
+				endHop(ups[0].name)
 			}
-			return writeUpstream(w, r, resp)
+			return writeUpstream(w, r, img, rcode)
 		}
 		// Both raced upstreams failed; fall through to the rest.
 		ups = ups[2:]
@@ -342,29 +324,31 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 	}
 
 	for i, up := range ups {
-		resp, err := f.Client.Do(ctx, up, r.Msg)
+		img, rcode, err := f.Client.Exchange(ctx, up.addr, up.name, r.Msg)
 		if err != nil {
 			f.recordFailure(up)
 			lastErr = err
 			continue
 		}
-		if failoverRcode(resp.Rcode) {
+		if failoverRcode(rcode) {
 			f.recordFailure(up)
-			lastResp = resp
+			dnswire.PutBuffer(lastImg)
+			lastImg, lastRcode = img, rcode
 			continue
 		}
+		dnswire.PutBuffer(lastImg)
 		f.recordSuccess(up)
 		if i > 0 || hedgeFell {
 			ctr.failovers.Inc()
 		}
-		endHop(up.String())
-		return writeUpstream(w, r, resp)
+		endHop(up.name)
+		return writeUpstream(w, r, img, rcode)
 	}
-	if lastResp != nil {
+	if lastImg != nil {
 		// Every upstream answered with SERVFAIL/REFUSED; relay the
 		// last verdict rather than synthesizing our own.
 		endHop("relayed-failure")
-		return writeUpstream(w, r, lastResp)
+		return writeUpstream(w, r, lastImg, lastRcode)
 	}
 	if lastErr == nil {
 		lastErr = errors.New("all upstreams failed")
@@ -373,14 +357,16 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 	return dnswire.RcodeServerFailure, fmt.Errorf("forwarding %s: %w", r.Name(), lastErr)
 }
 
-// writeUpstream relays an upstream response to the client under the
-// client's query ID.
-func writeUpstream(w ResponseWriter, r *Request, resp *dnswire.Message) (dnswire.Rcode, error) {
-	resp.ID = r.Msg.ID
-	if err := w.WriteMsg(resp); err != nil {
+// writeUpstream relays an upstream response — img and rcode as the
+// client's Exchange returned them, the buffer now this side's — to the
+// client under the client's query ID: the image as it arrived, decoded
+// only if the writer cannot take bytes (writeImage).
+func writeUpstream(w ResponseWriter, r *Request, img []byte, rcode dnswire.Rcode) (dnswire.Rcode, error) {
+	dnswire.PatchID(img, r.Msg.ID)
+	if err := writeImage(w, img, len(img)); err != nil {
 		return dnswire.RcodeServerFailure, err
 	}
-	return resp.Rcode, nil
+	return rcode, nil
 }
 
 // hedgedExchange races primary against secondary: the secondary
@@ -390,28 +376,36 @@ func writeUpstream(w ResponseWriter, r *Request, resp *dnswire.Message) (dnswire
 // cancels the loser: over real sockets the transport wakes its read at
 // once and closes the socket, so it holds neither a goroutine nor a
 // port until the attempt timeout.
-func (f *Forward) hedgedExchange(ctx context.Context, primary, secondary netip.AddrPort, r *Request) (resp *dnswire.Message, fromHedge, ok bool) {
+func (f *Forward) hedgedExchange(ctx context.Context, primary, secondary *upstreamEntry, r *Request) (img []byte, rcode dnswire.Rcode, fromHedge, ok bool) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		resp *dnswire.Message
-		err  error
-		up   netip.AddrPort
+		img   []byte
+		rcode dnswire.Rcode
+		err   error
+		up    *upstreamEntry
 	}
-	ch := make(chan result, 2)
+	ch := make(chan result, 2) // one send per launch, so no sender ever blocks
 	// The losing exchange can still be running when the winner returns
 	// control to ServeDNS — and the server recycles r.Msg for the next
 	// packet the moment ServeDNS is done. Clone once up front so the
 	// stragglers hold their own copy instead of racing the reuse.
 	q := r.Msg.Clone()
-	launch := func(up netip.AddrPort) {
+	launch := func(up *upstreamEntry) {
 		go func() {
-			resp, err := f.Client.Do(ctx, up, q)
-			ch <- result{resp, err, up}
+			img, rcode, err := f.Client.Exchange(ctx, up.addr, up.name, q)
+			ch <- result{img, rcode, err, up}
 		}()
 	}
 	launch(primary)
-	launched := 1
+	launched, received := 1, 0
+	// A loser that got its reply in before the cancel reached it still
+	// holds a pooled buffer; whoever is left to report hands it back.
+	defer func() {
+		for ; received < launched; received++ {
+			go func() { dnswire.PutBuffer((<-ch).img) }()
+		}
+	}()
 	timer := time.NewTimer(f.HedgeDelay)
 	defer timer.Stop()
 	hedge := func() {
@@ -419,18 +413,18 @@ func (f *Forward) hedgedExchange(ctx context.Context, primary, secondary netip.A
 		launched = 2
 		f.counters().hedged.Inc()
 	}
-	for received := 0; received < launched; {
+	for received < launched {
 		select {
 		case res := <-ch:
 			received++
-			if res.err == nil && !failoverRcode(res.resp.Rcode) {
+			if res.err == nil && !failoverRcode(res.rcode) {
 				f.recordSuccess(res.up)
 				if res.up == secondary {
 					f.counters().hedgeWins.Inc()
-					return res.resp, true, true
 				}
-				return res.resp, false, true
+				return res.img, res.rcode, res.up == secondary, true
 			}
+			dnswire.PutBuffer(res.img)
 			f.recordFailure(res.up)
 			if launched == 1 {
 				// Primary failed before the hedge timer: fail over
@@ -443,7 +437,7 @@ func (f *Forward) hedgedExchange(ctx context.Context, primary, secondary netip.A
 			}
 		}
 	}
-	return nil, false, false
+	return nil, 0, false, false
 }
 
 // stubRoute is one stub domain's upstream set with its persistent

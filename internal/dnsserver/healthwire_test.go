@@ -34,7 +34,7 @@ func TestForwardHealthOrdering(t *testing.T) {
 	reg.ReportSuccess(up[3].String(), time.Millisecond)
 
 	f := &Forward{Upstreams: up, Clock: clk, Health: reg}
-	got := f.candidates()
+	got := candidateAddrs(f)
 	want := []netip.AddrPort{up[3], up[2], up[1], up[4], up[0]}
 	if len(got) != len(want) {
 		t.Fatalf("candidates = %v", got)
@@ -59,7 +59,7 @@ func TestForwardHealthEWMATieBreak(t *testing.T) {
 	reg.ReportSuccess(fast.String(), 2*time.Millisecond)
 
 	f := &Forward{Upstreams: []netip.AddrPort{slow, fast}, Clock: clk, Health: reg}
-	got := f.candidates()
+	got := candidateAddrs(f)
 	if got[0] != fast || got[1] != slow {
 		t.Fatalf("candidates = %v, want fastest healthy upstream first", got)
 	}
@@ -77,8 +77,8 @@ func TestForwardHealthKeepsCooldownLast(t *testing.T) {
 	reg.ReportSuccess(a.String(), time.Millisecond)
 
 	f := &Forward{Upstreams: []netip.AddrPort{a, b}, Clock: clk, FailureThreshold: 1, Health: reg}
-	f.recordFailure(a) // trips the cooldown immediately
-	got := f.candidates()
+	f.recordFailure(f.set().entries[0]) // a: trips the cooldown immediately
+	got := candidateAddrs(f)
 	if got[0] != b || got[1] != a {
 		t.Fatalf("candidates = %v, want cooling upstream demoted to last", got)
 	}
@@ -102,5 +102,43 @@ func TestIngressLoad(t *testing.T) {
 	s.queue <- &udpBatch{}
 	if got := s.IngressLoad(); got != 1 {
 		t.Fatalf("IngressLoad at capacity = %v, want 1", got)
+	}
+}
+
+// candidateAddrs is the order ServeDNS would try f's upstreams in.
+func candidateAddrs(f *Forward) []netip.AddrPort {
+	var addrs []netip.AddrPort
+	for _, e := range f.candidates(nil) {
+		addrs = append(addrs, e.addr)
+	}
+	return addrs
+}
+
+// TestCandidatesAllocateNothing: ordering the upstreams is per-query
+// work, and with the caller's array to fill it makes no garbage —
+// neither plain nor scored by the probe registry.
+func TestCandidatesAllocateNothing(t *testing.T) {
+	ups := []netip.AddrPort{
+		netip.MustParseAddrPort("10.0.0.1:53"),
+		netip.MustParseAddrPort("10.0.0.2:53"),
+		netip.MustParseAddrPort("10.0.0.3:53"),
+	}
+	clk := &vclock.Fixed{}
+	reg := health.New(health.Config{MinDwell: -1, Clock: clk})
+	for _, up := range ups {
+		reg.Add(up.String(), up.String())
+		reg.ReportSuccess(up.String(), time.Millisecond)
+	}
+	for name, f := range map[string]*Forward{
+		"plain":  {Upstreams: ups, Clock: clk},
+		"scored": {Upstreams: ups, Clock: clk, Health: reg},
+	} {
+		var arr [4]*upstreamEntry
+		if got := f.candidates(arr[:0]); len(got) != len(ups) || got[0].name != "10.0.0.1:53" {
+			t.Fatalf("%s: candidates = %v", name, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { f.candidates(arr[:0]) }); allocs != 0 {
+			t.Errorf("%s: candidates allocates %v times per query, want 0", name, allocs)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/netip"
 	"testing"
+	"time"
 
 	"github.com/meccdn/meccdn/internal/dnswire"
 	"github.com/meccdn/meccdn/internal/vclock"
@@ -62,6 +63,39 @@ func oracleReply(stored []byte, q *dnswire.Message, age uint32, stale bool) ([]b
 	return msg.Pack()
 }
 
+// effectiveTTL is the reference for the lifetime store reads off the
+// bytes: the minimum answer TTL for positive answers, or the SOA MinTTL
+// rule of RFC 2308 for negative ones. Server failures are not cached.
+func effectiveTTL(msg *dnswire.Message) time.Duration {
+	switch msg.Rcode {
+	case dnswire.RcodeSuccess, dnswire.RcodeNameError:
+	default:
+		return 0
+	}
+	if len(msg.Answers) > 0 {
+		min := uint32(1<<32 - 1)
+		for _, rr := range msg.Answers {
+			if rr.Header().Type == dnswire.TypeOPT {
+				continue
+			}
+			if rr.Header().TTL < min {
+				min = rr.Header().TTL
+			}
+		}
+		return time.Duration(min) * time.Second
+	}
+	for _, rr := range msg.Authorities {
+		if soa, ok := rr.(*dnswire.SOA); ok {
+			ttl := soa.Hdr.TTL
+			if soa.MinTTL < ttl {
+				ttl = soa.MinTTL
+			}
+			return time.Duration(ttl) * time.Second
+		}
+	}
+	return 0
+}
+
 // upstreamImage packs what h answers req with — the image a cache in
 // front of h stores.
 func upstreamImage(t *testing.T, h Handler, req *Request) []byte {
@@ -101,12 +135,21 @@ func fuzzQuery(id uint16, rd, cd bool, mode, source uint8, addr []byte) *Request
 	return req
 }
 
-// FuzzHitPatch is the differential test of the whole reply patch, not
-// just its TTLs: for an arbitrary packable response stored by the cache
-// and a query with any ID, RD/CD and OPT/ECS shape, the bytes
-// Cache.reply emits — aged by 0/1/30/2^20 seconds, or stale-clamped —
-// equal the oracle's, and a writer that cannot take bytes is handed a
-// message that packs to the very same bytes.
+// FuzzHitPatch is the differential test of the one stored form. An
+// arbitrary well-formed response is stored twice — the image as it
+// arrived, which is what Stub and Forward relay, and its decode → Pack,
+// which is what the recorder keeps of a chain that answered with a
+// Message — and for a query with any ID, RD/CD and OPT/ECS shape:
+//
+//   - both entries carry the key, rcode and lifetime the decoded message
+//     dictates (the effectiveTTL oracle);
+//   - the bytes Cache.reply emits from the packed one — aged by
+//     0/1/30/2^20 seconds, or stale-clamped — equal the oracle's, and a
+//     writer that cannot take bytes is handed a message that packs to
+//     the very same bytes;
+//   - the bytes it emits from the arrived one decode to that same
+//     message (its compression is the upstream's, so they are compared
+//     repacked).
 func FuzzHitPatch(f *testing.F) {
 	seed := func(build func(m *dnswire.Message)) []byte {
 		m := new(dnswire.Message)
@@ -137,8 +180,17 @@ func FuzzHitPatch(f *testing.F) {
 		opt.Options = append(opt.Options,
 			&dnswire.ECSOption{Family: 2, SourcePrefix: 56, ScopePrefix: 48, Address: netip.MustParseAddr("2001:db8:7::")})
 	})
+	negative := seed(func(m *dnswire.Message) {
+		m.Rcode, m.Answers = dnswire.RcodeNameError, nil
+		m.Authorities = []dnswire.RR{&dnswire.SOA{Hdr: dnswire.RRHeader{Name: "test.", Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 900},
+			NS: "ns.test.", Mbox: "admin.test.", MinTTL: 60}}
+	})
+	// An upstream that does not compress, and answers in upper case.
+	uncompressed := []byte{0, 0, 0x84, 0, 0, 1, 0, 1, 0, 0, 0, 0,
+		4, 'f', 'u', 'z', 'z', 4, 't', 'e', 's', 't', 0, 0, 1, 0, 1,
+		4, 'F', 'U', 'Z', 'Z', 4, 'T', 'E', 'S', 'T', 0, 0, 1, 0, 1, 0, 0, 0, 77, 0, 4, 192, 0, 2, 9}
 	addr := []byte{10, 1, 2, 255, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 8}
-	for _, resp := range [][]byte{plain, optOnly, ecs4, ecs6} {
+	for _, resp := range [][]byte{plain, optOnly, ecs4, ecs6, negative, uncompressed} {
 		for mode := uint8(0); mode < 4; mode++ {
 			f.Add(resp, uint16(0x7a7a), mode&1 == 0, mode&2 == 0, mode, uint8(23), addr)
 		}
@@ -153,38 +205,67 @@ func FuzzHitPatch(f *testing.F) {
 		}
 		req := fuzzQuery(id, rd, cd, mode, source, addr)
 		cache := NewCache(&vclock.Fixed{})
-		ent := cache.store(req, &resp)
-		if ent == nil {
-			return // does not pack into a patchable image: never cached
+		arrived := cache.store(req, data)
+		var packed *cacheEntry
+		if wire, err := resp.Pack(); err == nil {
+			packed = cache.store(req, wire)
+		}
+		for _, ent := range []*cacheEntry{arrived, packed} {
+			if ent == nil {
+				continue // an ECS-bearing OPT that is not last: never cached
+			}
+			if life, want := ent.expires-ent.stored, min(effectiveTTL(&resp), maxTTL); ent.rcode != resp.Rcode || life != want {
+				t.Fatalf("stored rcode %v for %v, the message says %v for %v", ent.rcode, life, resp.Rcode, want)
+			}
+			if packed != nil && ent.key != packed.key {
+				t.Fatalf("the arrived image is keyed %q, its repack %q", ent.key, packed.key)
+			}
 		}
 		type replyCase struct {
 			age   uint32
 			stale bool
 		}
 		for _, c := range []replyCase{{age: 0}, {age: 1}, {age: 30}, {age: 1 << 20}, {stale: true}} {
-			want, oerr := oracleReply(ent.wire, req.Msg, c.age, c.stale)
 			sink := &wireSink{size: dnswire.MaxMessageSize}
-			_, err := cache.reply(sink, req, ent, c.age, c.stale)
-			if oerr != nil {
-				if err == nil {
-					t.Fatalf("%+v: reply succeeded where the oracle fails: %v", c, oerr)
+			var want []byte
+			if packed != nil {
+				var oerr error
+				want, oerr = oracleReply(packed.wire, req.Msg, c.age, c.stale)
+				_, err := cache.reply(sink, req, packed, c.age, c.stale)
+				if oerr != nil {
+					if err == nil {
+						t.Fatalf("%+v: reply succeeded where the oracle fails: %v", c, oerr)
+					}
+					continue
 				}
+				if err != nil {
+					t.Fatalf("%+v: reply failed: %v", c, err)
+				}
+				if sink.msg != nil || !bytes.Equal(sink.wire, want) {
+					t.Fatalf("%+v: reply != decode-restamp-repack oracle (WriteMsg used: %v):\n% x\n% x",
+						c, sink.msg != nil, sink.wire, want)
+				}
+				// The decode boundary hands over that same image.
+				rec := &recorder{}
+				if _, err := cache.reply(rec, req, packed, c.age, c.stale); err != nil {
+					t.Fatalf("%+v: reply to a message writer failed: %v", c, err)
+				}
+				if got, err := rec.msg.Pack(); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%+v: decoded reply repacks differently (%v):\n% x\n% x", c, err, got, want)
+				}
+			}
+			if arrived == nil || want == nil {
 				continue
 			}
-			if err != nil {
-				t.Fatalf("%+v: reply failed: %v", c, err)
+			if _, err := cache.reply(sink, req, arrived, c.age, c.stale); err != nil {
+				t.Fatalf("%+v: reply from the arrived image failed: %v", c, err)
 			}
-			if sink.msg != nil || !bytes.Equal(sink.wire, want) {
-				t.Fatalf("%+v: reply != decode-restamp-repack oracle (WriteMsg used: %v):\n% x\n% x",
-					c, sink.msg != nil, sink.wire, want)
+			var got dnswire.Message
+			if err := got.Unpack(sink.wire); err != nil {
+				t.Fatalf("%+v: reply from the arrived image does not unpack: %v\n% x", c, err, sink.wire)
 			}
-			// The decode boundary hands over that same image.
-			rec := &recorder{}
-			if _, err := cache.reply(rec, req, ent, c.age, c.stale); err != nil {
-				t.Fatalf("%+v: reply to a message writer failed: %v", c, err)
-			}
-			if got, err := rec.msg.Pack(); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("%+v: decoded reply repacks differently (%v):\n% x\n% x", c, err, got, want)
+			if repacked, err := got.Pack(); err != nil || !bytes.Equal(repacked, want) {
+				t.Fatalf("%+v: the arrived image answers differently from its repack (%v):\n% x\n% x", c, err, repacked, want)
 			}
 		}
 	})

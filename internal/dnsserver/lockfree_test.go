@@ -197,9 +197,9 @@ func TestServePathMutexFree(t *testing.T) {
 				q := new(dnswire.Message)
 				q.SetQuestion("www.live.test.", dnswire.TypeA)
 				Resolve(context.Background(), h, &Request{Msg: q, Transport: "udp", Client: client})
-				fwd.candidates()
-				fwd.recordFailure(fwd.Upstreams[0])
-				fwd.recordSuccess(fwd.Upstreams[0])
+				first := fwd.candidates(nil)[0]
+				fwd.recordFailure(first)
+				fwd.recordSuccess(first)
 			}
 		}()
 	}

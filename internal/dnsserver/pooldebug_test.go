@@ -166,9 +166,9 @@ func TestReplyPoolBalance(t *testing.T) {
 // reply, and back after every failure (a second return panics under
 // this tag).
 func TestExchangePoolBalance(t *testing.T) {
-	// The upstream answers by echoing the query, preceded by a stray
-	// datagram when the name (first label byte) says so; "mute" queries
-	// get nothing.
+	// The upstream answers by echoing the query with QR set, preceded
+	// by a stray datagram when the name (first label byte) says so;
+	// "mute" queries get nothing.
 	upstream, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.MustParseAddrPort("127.0.0.1:0")))
 	if err != nil {
 		t.Fatal(err)
@@ -189,6 +189,7 @@ func TestExchangePoolBalance(t *testing.T) {
 				upstream.WriteToUDPAddrPort([]byte{buf[0] ^ 0xFF, buf[1], 0, 0}, from)
 				fallthrough
 			case plain:
+				buf[2] |= 0x80 // the transport passes over anything that is not a response
 				upstream.WriteToUDPAddrPort(buf[:n], from)
 			}
 		}
@@ -270,5 +271,103 @@ func TestExchangePoolBalance(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Dialed != 3 || st.Discarded != 3 {
 		t.Errorf("socket stats = %+v, want 3 dialed and all 3 discarded (deadline, cancel, refused)", st)
+	}
+}
+
+// TestRelayPoolBalance follows the upstream reply's buffer through the
+// relay path, where it changes owner twice — transport → the cache's
+// recorder → the socket writer — on every exit: a stored answer, an
+// answer too large for the client (decoded and truncated by the
+// writer), a SERVFAIL verdict relayed as the last resort (kept while
+// the second upstream is tried, then relayed uncached), a malformed
+// reply and a dead upstream. After the servers have drained, every
+// buffer is back.
+func TestRelayPoolBalance(t *testing.T) {
+	zone := NewZone("relay.test.")
+	if err := zone.AddA("www.relay.test.", 300, netip.MustParseAddr("192.0.2.5")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ { // past 512 octets: the L-DNS decodes it to truncate
+		if err := zone.AddA("big.relay.test.", 300, netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := dnswire.PoolOutstanding()
+	cdns := &Server{Addr: "127.0.0.1:0", Handler: Chain(NewZonePlugin(zone))}
+	if err := cdns.Start(); err != nil {
+		t.Fatal(err)
+	}
+	servfail := scriptedUpstream(t, func(q *dnswire.Message, _ []byte) [][]byte {
+		m := new(dnswire.Message)
+		m.SetRcode(q, dnswire.RcodeServerFailure)
+		return [][]byte{mustPack(t, m)}
+	})
+	malformed := scriptedUpstream(t, func(q *dnswire.Message, _ []byte) [][]byte {
+		m := new(dnswire.Message)
+		m.SetReply(q)
+		return [][]byte{append(mustPack(t, m), 0)}
+	})
+	dead, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.MustParseAddrPort("127.0.0.1:0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.LocalAddr().(*net.UDPAddr).AddrPort()
+	dead.Close()
+
+	tr := &dnsclient.NetTransport{}
+	stub := NewStub(&dnsclient.Client{Transport: tr, Timeout: 200 * time.Millisecond})
+	stub.Route("relay.test.", cdns.LocalAddr())
+	stub.Route("fail.test.", servfail, servfail)
+	stub.Route("bad.test.", malformed)
+	stub.Route("dead.test.", deadAddr)
+	ldns := &Server{Addr: "127.0.0.1:0", Handler: Chain(NewCache(vclock.NewReal()), stub), Workers: 2}
+	if err := ldns.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("udp", ldns.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 4096)
+	for i, tc := range []struct {
+		name string
+		want dnswire.Rcode
+	}{
+		{"www.relay.test.", dnswire.RcodeSuccess}, {"www.relay.test.", dnswire.RcodeSuccess},
+		{"big.relay.test.", dnswire.RcodeSuccess}, {"big.relay.test.", dnswire.RcodeSuccess},
+		{"x.fail.test.", dnswire.RcodeServerFailure}, {"x.bad.test.", dnswire.RcodeServerFailure},
+		{"x.dead.test.", dnswire.RcodeServerFailure},
+	} {
+		q := new(dnswire.Message)
+		q.SetQuestion(tc.name, dnswire.TypeA)
+		q.ID = uint16(1 + i)
+		if _, err := conn.Write(mustPack(t, q)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rc := dnswire.Rcode(buf[3] & 0xF); n < 12 || rc != tc.want {
+			t.Errorf("%s: rcode %v, want %v", tc.name, rc, tc.want)
+		}
+	}
+	for _, srv := range []*Server{ldns, cdns} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		cancel()
+	}
+	tr.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for dnswire.PoolOutstanding() != base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if out := dnswire.PoolOutstanding(); out != base {
+		t.Fatalf("%d pooled buffers still checked out after the relay path drained (baseline %d)", out, base)
 	}
 }

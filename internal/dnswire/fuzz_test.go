@@ -4,6 +4,8 @@ package dnswire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -79,7 +81,11 @@ func FuzzTTLPatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		offsets, _, err := PatchOffsets(wire)
+		img, err := PatchOffsets(wire, nil)
+		if errors.Is(err, ErrOPTNotLast) {
+			return // well-formed, but not an image a cache may patch
+		}
+		offsets := img.TTLs
 		if err != nil {
 			// Pack output must always be walkable; anything Pack
 			// emits that PatchOffsets rejects is a bug in one of them.
@@ -118,11 +124,14 @@ func FuzzTTLPatch(f *testing.F) {
 	})
 }
 
-// FuzzNameUnpack: name decompression must never panic or over-read.
+// FuzzNameUnpack: name decompression must never panic or over-read, and
+// the presentation form it builds is exact: packing it again, without
+// compression, gives back the name's wire labels octet for octet.
 func FuzzNameUnpack(f *testing.F) {
 	f.Add([]byte{3, 'c', 'o', 'm', 0}, 0)
 	f.Add([]byte{0xC0, 0x00}, 0)
 	f.Add([]byte{1, '*', 0xC0, 0x00}, 2)
+	f.Add([]byte{3, 'a', '.', 'b', 2, '\\', 0xFF, 1, ' ', 0, 1, 'x', 0xC0, 0x04}, 10)
 	f.Fuzz(func(t *testing.T, data []byte, off int) {
 		if off < 0 {
 			off = -off
@@ -139,9 +148,114 @@ func FuzzNameUnpack(f *testing.F) {
 		if end < 0 || end > len(data) {
 			t.Fatalf("end %d out of bounds (len %d)", end, len(data))
 		}
-		// Decoded names must re-encode.
-		if _, err := packName(nil, name, nil); err != nil {
+		var flat []byte // the labels with every pointer followed
+		for data[off] != 0 {
+			if c := data[off]; c >= 0xC0 {
+				off = int(c&0x3F)<<8 | int(data[off+1])
+				continue
+			}
+			flat = append(flat, data[off:off+1+int(data[off])]...)
+			off += 1 + int(data[off])
+		}
+		flat = append(flat, 0)
+		repacked, err := packName(nil, name, nil)
+		if err != nil {
 			t.Fatalf("decoded name %q does not re-pack: %v", name, err)
+		}
+		if !bytes.Equal(repacked, flat) {
+			t.Fatalf("name %q re-packs to % x, was % x", name, repacked, flat)
+		}
+	})
+}
+
+// referenceLifetime is Image.TTL read off the decoded message instead.
+func referenceLifetime(m *Message) uint32 {
+	if len(m.Answers) > 0 {
+		ttl := uint32(1<<32 - 1)
+		for _, rr := range m.Answers {
+			if rr.Header().Type != TypeOPT {
+				ttl = min(ttl, rr.Header().TTL)
+			}
+		}
+		return ttl
+	}
+	for _, rr := range m.Authorities {
+		if soa, ok := rr.(*SOA); ok {
+			return min(soa.Hdr.TTL, soa.MinTTL)
+		}
+	}
+	return 0
+}
+
+// FuzzResponseWalk: a response PatchOffsets accepts is relayed to
+// clients and stored without being decoded, so the walk's accept set
+// must lie inside Unpack's, and what it reads off the bytes must be
+// what Unpack would have said: header, question, rcode, lifetime, ECS
+// scope, and a TTL offset for exactly the non-OPT records. (A response
+// it reports ErrOPTNotLast for is relayed too, only never stored.)
+func FuzzResponseWalk(f *testing.F) {
+	fuzzSeeds(f)
+	for _, v := range packVectors() {
+		if wire, err := v.msg.Pack(); err == nil && len(wire) < 600 {
+			f.Add(wire)
+		}
+	}
+	for _, bad := range hostileReplies() {
+		f.Add(bad)
+	}
+	notLast := routerReply()
+	notLast.Additionals = append(notLast.Additionals, notLast.Answers[0])
+	if wire, err := notLast.Pack(); err == nil {
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := PatchOffsets(data, nil)
+		if err != nil && !errors.Is(err, ErrOPTNotLast) {
+			return
+		}
+		var m Message
+		if uerr := m.Unpack(data); uerr != nil {
+			t.Fatalf("walk accepts (%v) what Unpack refuses: %v\n% x", err, uerr, data)
+		}
+		flags := binary.BigEndian.Uint16(data[2:])
+		if m.ID != binary.BigEndian.Uint16(data) || m.Response != (flags&flagQR != 0) || m.Truncated != (flags&flagTC != 0) {
+			t.Fatalf("header bytes % x decode to id %d qr %v tc %v", data[:4], m.ID, m.Response, m.Truncated)
+		}
+		if len(m.Questions) > 0 {
+			name, end, err := unpackName(data, 12)
+			if q := m.Questions[0]; err != nil || name != q.Name ||
+				Type(binary.BigEndian.Uint16(data[end:])) != q.Type || Class(binary.BigEndian.Uint16(data[end+2:])) != q.Class {
+				t.Fatalf("question at offset 12 is %q (%v), Unpack says %v", name, err, q)
+			}
+		}
+		if img.Rcode != m.Rcode || img.Answers != len(m.Answers) {
+			t.Fatalf("walk: rcode %v, %d answers; Unpack: %v, %d", img.Rcode, img.Answers, m.Rcode, len(m.Answers))
+		}
+		if want := referenceLifetime(&m); img.TTL != want {
+			t.Fatalf("walk: lifetime %d; from the message: %d\n% x", img.TTL, want, data)
+		}
+		ecs, hasECS := m.ECS()
+		var scope uint8
+		if hasECS {
+			scope = ecs.ScopePrefix
+		}
+		if img.Scope != scope || (img.ECS != ECSAt{}) != hasECS {
+			t.Fatalf("walk: scope %d at %+v; Unpack: ECS %v, scope %d", img.Scope, img.ECS, hasECS, scope)
+		}
+		i := 0
+		for _, section := range [][]RR{m.Answers, m.Authorities, m.Additionals} {
+			for _, rr := range section {
+				if rr.Header().Type == TypeOPT {
+					continue
+				}
+				if i >= len(img.TTLs) || binary.BigEndian.Uint32(data[img.TTLs[i]:]) != rr.Header().TTL {
+					t.Fatalf("TTL offset %d of %v does not read %v's TTL", i, img.TTLs, rr)
+				}
+				i++
+			}
+		}
+		if i != len(img.TTLs) {
+			t.Fatalf("%d TTL offsets for %d non-OPT records", len(img.TTLs), i)
 		}
 	})
 }

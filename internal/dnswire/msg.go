@@ -204,7 +204,7 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Authorities)))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Additionals)))
 
-	c := newCompressor()
+	c := new(compressor)
 	var err error
 	for _, q := range m.Questions {
 		if b, err = packName(b, q.Name, c); err != nil {

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,7 +141,7 @@ func TestUnpackNameTruncated(t *testing.T) {
 }
 
 func TestCompressionProducesPointer(t *testing.T) {
-	c := newCompressor()
+	c := new(compressor)
 	b, err := packName(nil, "www.example.com.", c)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +166,7 @@ func TestCompressionProducesPointer(t *testing.T) {
 }
 
 func TestCompressionIsCaseInsensitive(t *testing.T) {
-	c := newCompressor()
+	c := new(compressor)
 	b, _ := packName(nil, "EXAMPLE.com.", c)
 	before := len(b)
 	b, _ = packName(b, "www.example.COM.", c)
@@ -178,7 +179,7 @@ func TestNameRoundTripProperty(t *testing.T) {
 	f := func(labels [][]byte) bool {
 		// Build a legal name from arbitrary label bytes.
 		total := 1
-		var parts []string
+		var wire []byte
 		for _, l := range labels {
 			if len(l) == 0 {
 				continue
@@ -190,11 +191,12 @@ func TestNameRoundTripProperty(t *testing.T) {
 				break
 			}
 			total += len(l) + 1
-			parts = append(parts, escapeLabel(string(l)))
+			wire = append(append(wire, byte(len(l))), l...)
 		}
-		name := "."
-		if len(parts) > 0 {
-			name = strings.Join(parts, ".") + "."
+		name, _, err := unpackName(append(wire, 0), 0)
+		if err != nil {
+			t.Logf("unpackName(% x): %v", wire, err)
+			return false
 		}
 		b, err := packName(nil, name, nil)
 		if err != nil {
@@ -282,14 +284,17 @@ func TestCountLabelsAndParent(t *testing.T) {
 }
 
 func TestEscapeLabelPrintable(t *testing.T) {
-	if got := escapeLabel("abc-123"); got != "abc-123" {
-		t.Errorf("escapeLabel plain = %q", got)
-	}
-	if got := escapeLabel("a.b"); got != `a\.b` {
-		t.Errorf("escapeLabel dot = %q", got)
-	}
-	if got := escapeLabel("a\x00b"); got != `a\000b` {
-		t.Errorf("escapeLabel nul = %q", got)
+	for label, want := range map[string]string{
+		"abc-123": "abc-123.",
+		"a.b":     `a\.b.`,
+		"a\x00b":  `a\000b.`,
+		`a\b`:     `a\\b.`,
+		"\xff ~!": `\255\032~!.`,
+	} {
+		wire := append(append([]byte{byte(len(label))}, label...), 0)
+		if got, _, err := unpackName(wire, 0); err != nil || got != want {
+			t.Errorf("unpackName of label %q = %q, %v; want %q", label, got, err, want)
+		}
 	}
 }
 
@@ -301,5 +306,121 @@ func TestPackNameBufferIsAppended(t *testing.T) {
 	}
 	if !bytes.HasPrefix(b, prefix) {
 		t.Error("packName did not preserve existing buffer contents")
+	}
+}
+
+// TestCompressionKeepsDistinctNamesApart: two names that differ only in
+// an escaped dot, or only in a non-ASCII octet, are different names and
+// must not be compressed onto one another. (The map-keyed compressor
+// joined labels with "." and folded case with strings.ToLower, so the
+// second name of each pair came back as the first.)
+func TestCompressionKeepsDistinctNamesApart(t *testing.T) {
+	for _, pair := range [][2]string{
+		{"a.b.example.", `a\.b.example.`},
+		{`\255.example.`, `\254.example.`},
+		{`\195\137.example.`, `\195\169.example.`}, // É and é in UTF-8: not ASCII, not folded
+	} {
+		m := new(Message)
+		m.SetQuestion(pair[0], TypeCNAME)
+		m.Response = true
+		m.Answers = []RR{&CNAME{Hdr: RRHeader{Name: pair[0], Type: TypeCNAME, Class: ClassINET, TTL: 60}, Target: pair[1]}}
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatalf("%q: %v", pair, err)
+		}
+		var got Message
+		if err := got.Unpack(wire); err != nil {
+			t.Fatalf("%q: %v", pair, err)
+		}
+		if owner, target := got.Answers[0].Header().Name, got.Answers[0].(*CNAME).Target; owner != pair[0] || target != pair[1] {
+			t.Errorf("packed %q, decoded owner %q target %q", pair, owner, target)
+		}
+	}
+}
+
+// TestPackNameUnrootedEscapedDot: a name ending in an escaped dot has no
+// root dot to trim; the dot belongs to the last label.
+func TestPackNameUnrootedEscapedDot(t *testing.T) {
+	for name, want := range map[string][]byte{
+		`a\.`:  {2, 'a', '.', 0},
+		`a\..`: {2, 'a', '.', 0},
+		`\.`:   {1, '.', 0},
+		`a\\.`: {2, 'a', '\\', 0}, // an escaped backslash, then the root dot
+	} {
+		if b, err := packName(nil, name, nil); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("packName(%q) = % x, %v; want % x", name, b, err, want)
+		}
+	}
+}
+
+// TestCompressorTableBound: past maxCompressOffsets distinct suffixes a
+// message still packs to something that decodes to itself; later names
+// compress against the listed ones only.
+func TestCompressorTableBound(t *testing.T) {
+	m := new(Message)
+	m.SetQuestion("zone.test.", TypeAXFR)
+	m.Response = true
+	for i := 0; i < 3*maxCompressOffsets; i++ {
+		owner := "h" + strings.Repeat("x", i%7) + string(rune('a'+i%26)) + string(rune('a'+i/26)) + ".zone.test."
+		m.Answers = append(m.Answers,
+			&CNAME{Hdr: RRHeader{Name: owner, Type: TypeCNAME, Class: ClassINET, TTL: 60}, Target: "t." + owner},
+			&CNAME{Hdr: RRHeader{Name: owner, Type: TypeCNAME, Class: ClassINET, TTL: 60}, Target: "u." + owner})
+	}
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Message
+	if err := got.Unpack(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i, rr := range got.Answers {
+		if want := m.Answers[i].(*CNAME); rr.Header().Name != want.Hdr.Name || rr.(*CNAME).Target != want.Target {
+			t.Fatalf("record %d decoded as %v, packed %v", i, rr, want)
+		}
+	}
+	if _, err := PatchOffsets(wire, nil); err != nil {
+		t.Errorf("walk refuses the packed message: %v", err)
+	}
+}
+
+// TestNameCodecAllocs is the name codec's allocation budget: growing
+// the buffer, once, to pack into a nil one (none into one with room),
+// one string to unpack, and three for a whole Pack of the reply shape
+// the C-DNS router sends — output buffer, compressor table, nothing per
+// name.
+func TestNameCodecAllocs(t *testing.T) {
+	const name = `video.demo1.my\.cdn.ciab.test.`
+	wire, err := packName(nil, name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	reply := routerReply()
+	// What growing a nil slice once costs: 1, or 2 under the race
+	// detector, which turns off the compiler's append(make) rewrite.
+	var grown []byte
+	grow := testing.AllocsPerRun(100, func() { grown = slices.Grow([]byte(nil), 64) })
+	_ = grown
+	for _, c := range []struct {
+		what string
+		max  float64
+		f    func()
+	}{
+		{"packName into nil", grow, func() { _, _ = packName(nil, name, nil) }},
+		{"packName into a buffer with room", 0, func() { _, _ = packName(buf, name, nil) }},
+		{"packName twice, compressing", 0, func() {
+			var c compressor
+			b, _ := packName(buf, name, &c)
+			_, _ = packName(b, name, &c)
+		}},
+		{"unpackName", 1, func() { _, _, _ = unpackName(wire, 0) }},
+		{"Pack of the router's A + OPT/ECS reply", 3, func() { _, _ = reply.Pack() }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got > c.max {
+			t.Errorf("%s: %v allocations, budget %v", c.what, got, c.max)
+		} else {
+			t.Logf("%s: %v allocations", c.what, got)
+		}
 	}
 }

@@ -88,6 +88,15 @@ func unpackRR(msg []byte, off int) (RR, int, error) {
 	return rr, off + rdlen, nil
 }
 
+// unpackLastName decodes the name at off that must end an RDATA at end.
+func unpackLastName(msg []byte, off, end int) (string, error) {
+	name, next, err := unpackName(msg, off)
+	if err == nil && next != end {
+		err = ErrBadRdata
+	}
+	return name, err
+}
+
 // newRR returns a zero record of the concrete type for t.
 func newRR(t Type) RR {
 	switch t {
@@ -197,16 +206,9 @@ func (r *CNAME) packData(b []byte, c *compressor) ([]byte, error) {
 	return packName(b, r.Target, c)
 }
 
-func (r *CNAME) unpackData(msg []byte, off, rdlen int) error {
-	target, end, err := unpackName(msg, off)
-	if err != nil {
-		return err
-	}
-	if end != off+rdlen {
-		return ErrBadRdata
-	}
-	r.Target = target
-	return nil
+func (r *CNAME) unpackData(msg []byte, off, rdlen int) (err error) {
+	r.Target, err = unpackLastName(msg, off, off+rdlen)
+	return err
 }
 
 // NS is a name-server delegation record.
@@ -228,16 +230,9 @@ func (r *NS) packData(b []byte, c *compressor) ([]byte, error) {
 	return packName(b, r.NS, c)
 }
 
-func (r *NS) unpackData(msg []byte, off, rdlen int) error {
-	ns, end, err := unpackName(msg, off)
-	if err != nil {
-		return err
-	}
-	if end != off+rdlen {
-		return ErrBadRdata
-	}
-	r.NS = ns
-	return nil
+func (r *NS) unpackData(msg []byte, off, rdlen int) (err error) {
+	r.NS, err = unpackLastName(msg, off, off+rdlen)
+	return err
 }
 
 // PTR is a pointer record (reverse lookups).
@@ -259,16 +254,9 @@ func (r *PTR) packData(b []byte, c *compressor) ([]byte, error) {
 	return packName(b, r.PTR, c)
 }
 
-func (r *PTR) unpackData(msg []byte, off, rdlen int) error {
-	p, end, err := unpackName(msg, off)
-	if err != nil {
-		return err
-	}
-	if end != off+rdlen {
-		return ErrBadRdata
-	}
-	r.PTR = p
-	return nil
+func (r *PTR) unpackData(msg []byte, off, rdlen int) (err error) {
+	r.PTR, err = unpackLastName(msg, off, off+rdlen)
+	return err
 }
 
 // SOA is a start-of-authority record.
@@ -354,20 +342,13 @@ func (r *MX) packData(b []byte, c *compressor) ([]byte, error) {
 	return packName(b, r.MX, c)
 }
 
-func (r *MX) unpackData(msg []byte, off, rdlen int) error {
+func (r *MX) unpackData(msg []byte, off, rdlen int) (err error) {
 	if rdlen < 3 {
 		return ErrBadRdata
 	}
 	r.Preference = binary.BigEndian.Uint16(msg[off:])
-	mx, end, err := unpackName(msg, off+2)
-	if err != nil {
-		return err
-	}
-	if end != off+rdlen {
-		return ErrBadRdata
-	}
-	r.MX = mx
-	return nil
+	r.MX, err = unpackLastName(msg, off+2, off+rdlen)
+	return err
 }
 
 // TXT is a text record; each string is at most 255 octets on the wire.
@@ -453,22 +434,15 @@ func (r *SRV) packData(b []byte, _ *compressor) ([]byte, error) {
 	return packName(b, r.Target, nil)
 }
 
-func (r *SRV) unpackData(msg []byte, off, rdlen int) error {
+func (r *SRV) unpackData(msg []byte, off, rdlen int) (err error) {
 	if rdlen < 7 {
 		return ErrBadRdata
 	}
 	r.Priority = binary.BigEndian.Uint16(msg[off:])
 	r.Weight = binary.BigEndian.Uint16(msg[off+2:])
 	r.Port = binary.BigEndian.Uint16(msg[off+4:])
-	target, end, err := unpackName(msg, off+6)
-	if err != nil {
-		return err
-	}
-	if end != off+rdlen {
-		return ErrBadRdata
-	}
-	r.Target = target
-	return nil
+	r.Target, err = unpackLastName(msg, off+6, off+rdlen)
+	return err
 }
 
 // Generic carries the rdata of any record type this package does not

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -67,31 +68,6 @@ func PutBuffer(b []byte) {
 	bufPool.Put(p)
 }
 
-// skipName advances past one wire-format name without decoding it.
-// A compression pointer terminates the name in place (pointers are
-// two bytes and always end the label sequence).
-func skipName(msg []byte, off int) (int, error) {
-	for {
-		if off >= len(msg) {
-			return 0, ErrBufferTooSmall
-		}
-		c := msg[off]
-		switch {
-		case c == 0:
-			return off + 1, nil
-		case c&0xC0 == 0xC0:
-			if off+2 > len(msg) {
-				return 0, ErrBadPointer
-			}
-			return off + 2, nil
-		case c&0xC0 != 0:
-			return 0, fmt.Errorf("dnswire: reserved label type 0x%02x", c&0xC0)
-		default:
-			off += 1 + int(c)
-		}
-	}
-}
-
 // ECSAt locates the ECS option of a packed response's OPT record for
 // EchoECS: the offsets of the record's RDLENGTH field and of the
 // option's OPTION-CODE. The zero value means there is no such option.
@@ -100,68 +76,203 @@ type ECSAt struct{ RDLen, Opt int }
 // ErrOPTNotLast rejects a response whose ECS-bearing OPT record is
 // followed by further records: EchoECS may change the option's length,
 // and bytes after it could hold compression pointers it cannot fix up.
+// PatchOffsets reports it after the whole walk, Image filled in: such a
+// response is well-formed and may be relayed, just not stored.
 var ErrOPTNotLast = errors.New("dnswire: records follow an ECS-bearing OPT")
 
-// PatchOffsets walks a packed message and returns what a cache records
-// once, at insert, so every later reply is a copy plus fixed-position
-// patches: the byte offsets of every resource-record TTL field outside
-// OPT pseudo-records (whose TTL carries the extended rcode, not a
-// lifetime), and the location of the first OPT's ECS option.
-func PatchOffsets(wire []byte) (ttls []int, ecs ECSAt, err error) {
+// Image is what one walk over a packed response reads off it: where a
+// cache patches every later reply, and what a forwarder or cache would
+// otherwise decode the message to learn.
+type Image struct {
+	// TTLs are the offsets of every record's TTL field outside OPT
+	// pseudo-records (whose TTL carries the extended rcode, not a
+	// lifetime); ECS locates the ECS option of the first OPT in the
+	// additional section, the one Message.OPT returns.
+	TTLs []int
+	ECS  ECSAt
+	// Rcode has that OPT's extended bits folded in; Answers is ANCOUNT;
+	// Scope is the ECS option's scope prefix, 0 without the option.
+	Rcode   Rcode
+	Answers int
+	Scope   uint8
+	// TTL is the lifetime in seconds the records give the response: the
+	// minimum answer TTL, or without answers the RFC 2308 min(TTL,
+	// MINIMUM) of the first authority SOA, or 0 with neither.
+	TTL uint32
+}
+
+// PatchOffsets walks a packed message once and returns its Image,
+// appending the TTL offsets to ttls. A response that passes may be
+// relayed and cached without ever being decoded, so the walk refuses
+// everything Message.Unpack refuses; FuzzResponseWalk holds it to that,
+// and to reading the same rcode, lifetime and scope off the bytes.
+func PatchOffsets(wire []byte, ttls []int) (Image, error) {
 	if len(wire) < 12 {
-		return nil, ECSAt{}, ErrShortMessage
+		return Image{}, ErrShortMessage
+	}
+	if len(wire) > MaxMessageSize {
+		return Image{}, fmt.Errorf("dnswire: message is %d bytes, max %d", len(wire), MaxMessageSize)
 	}
 	qd := int(binary.BigEndian.Uint16(wire[4:]))
-	// arStart is the index of the first additional-section record: like
-	// Message.OPT, only that section's first OPT counts as the EDNS record.
-	arStart := int(binary.BigEndian.Uint16(wire[6:])) + int(binary.BigEndian.Uint16(wire[8:]))
-	rrs := arStart + int(binary.BigEndian.Uint16(wire[10:]))
+	an := int(binary.BigEndian.Uint16(wire[6:]))
+	ns := int(binary.BigEndian.Uint16(wire[8:]))
+	ar := int(binary.BigEndian.Uint16(wire[10:]))
+	if qd > maxSectionRecords || an > maxSectionRecords || ns > maxSectionRecords || ar > maxSectionRecords {
+		return Image{}, ErrTooManyRecords
+	}
+	img := Image{TTLs: ttls, Rcode: Rcode(wire[3] & 0xF), Answers: an}
+	if an > 0 {
+		img.TTL = 1<<32 - 1
+	}
 	off := 12
+	var err error
 	for i := 0; i < qd; i++ {
-		if off, err = skipName(wire, off); err != nil {
-			return nil, ECSAt{}, err
+		if off, err = checkName(wire, off, nil); err != nil {
+			return Image{}, err
 		}
-		off += 4 // type + class
-		if off > len(wire) {
-			return nil, ECSAt{}, ErrBufferTooSmall
+		if off += 4; off > len(wire) { // type + class
+			return Image{}, ErrBufferTooSmall
 		}
 	}
-	sawOPT := false
-	for i := 0; i < rrs; i++ {
-		if off, err = skipName(wire, off); err != nil {
-			return nil, ECSAt{}, err
+	sawOPT, sawSOA, notLast := false, false, false
+	for i, rrs := 0, an+ns+ar; i < rrs; i++ {
+		if off, err = checkName(wire, off, img.TTLs); err != nil {
+			return Image{}, err
 		}
 		if off+10 > len(wire) {
-			return nil, ECSAt{}, ErrBufferTooSmall
+			return Image{}, ErrBufferTooSmall
 		}
-		isOPT := Type(binary.BigEndian.Uint16(wire[off:])) == TypeOPT
-		if !isOPT {
-			ttls = append(ttls, off+4)
-		}
+		t := Type(binary.BigEndian.Uint16(wire[off:]))
+		ttl := binary.BigEndian.Uint32(wire[off+4:])
 		end := off + 10 + int(binary.BigEndian.Uint16(wire[off+8:]))
 		if end > len(wire) {
-			return nil, ECSAt{}, ErrBufferTooSmall
+			return Image{}, ErrBufferTooSmall
 		}
-		if isOPT && !sawOPT && i >= arStart {
+		if t != TypeOPT {
+			img.TTLs = append(img.TTLs, off+4)
+		}
+		ecsOpt, err := checkRdata(wire, off+10, end, t, img.TTLs)
+		switch {
+		case err != nil:
+			return Image{}, err
+		case t != TypeOPT && i < an:
+			img.TTL = min(img.TTL, ttl)
+		case t == TypeSOA && an == 0 && i < ns && !sawSOA:
+			sawSOA = true
+			img.TTL = min(ttl, binary.BigEndian.Uint32(wire[end-4:]))
+		case t == TypeOPT && i >= an+ns && !sawOPT:
 			sawOPT = true
-			for o := off + 10; o+4 <= end; {
-				olen := int(binary.BigEndian.Uint16(wire[o+2:]))
-				if binary.BigEndian.Uint16(wire[o:]) == OptionCodeECS {
-					if olen < 4 || o+4+olen > end {
-						return nil, ECSAt{}, ErrBadRdata
-					}
-					if i != rrs-1 {
-						return nil, ECSAt{}, ErrOPTNotLast
-					}
-					ecs = ECSAt{RDLen: off + 8, Opt: o}
-					break
-				}
-				o += 4 + olen
+			img.Rcode |= Rcode(ttl>>24) << 4
+			if ecsOpt != 0 {
+				img.ECS = ECSAt{RDLen: off + 8, Opt: ecsOpt}
+				img.Scope = wire[ecsOpt+7]
+				notLast = i != rrs-1
 			}
 		}
 		off = end
 	}
-	return ttls, ecs, nil
+	if off != len(wire) {
+		return Image{}, ErrTrailingGarbage
+	}
+	if notLast {
+		return img, ErrOPTNotLast
+	}
+	return img, nil
+}
+
+// checkName is scanName for a response that is patched undecoded: where
+// the name follows compression pointers it must read only bytes no
+// patch rewrites — nothing in the header (ID and flag bits change per
+// reply), in a TTL field (ttls: those walked so far), or at or past the
+// pointer it jumped from, where later records' lie. A compressor points
+// at an earlier name, so no honest response notices; a name aliasing
+// patched bytes would decode differently, or not, after every restamp.
+func checkName(wire []byte, off int, ttls []int) (int, error) {
+	next, err := scanName(wire, off)
+	if err != nil {
+		return 0, err
+	}
+	for limit := -1; ; {
+		c, n := wire[off], 1
+		if c >= 0xC0 {
+			n = 2
+		} else {
+			n += int(c)
+		}
+		if limit >= 0 {
+			i := sort.Search(len(ttls), func(i int) bool { return ttls[i]+4 > off })
+			if off < 12 || off+n > limit || i < len(ttls) && ttls[i] < off+n {
+				return 0, ErrBadPointer
+			}
+		}
+		switch {
+		case c == 0:
+			return next, nil
+		case c >= 0xC0:
+			limit, off = off, int(c&0x3F)<<8|int(wire[off+1])
+		default:
+			off += n
+		}
+	}
+}
+
+// checkRdata holds the RDATA at wire[off:end] of a record of type t to
+// the shape that type's unpackData demands — so many fixed octets, so
+// many names (checkName), so many fixed octets — and returns, for an
+// OPT, the offset of its first ECS option, 0 when there is none.
+func checkRdata(wire []byte, off, end int, t Type, ttls []int) (ecsOpt int, err error) {
+	head, names, tail := 0, 0, 0
+	switch t {
+	case TypeA:
+		head = 4
+	case TypeAAAA:
+		head = 16
+	case TypeCNAME, TypeNS, TypePTR:
+		names = 1
+	case TypeMX:
+		head, names = 2, 1
+	case TypeSRV:
+		head, names = 6, 1
+	case TypeSOA:
+		names, tail = 2, 20
+	case TypeTXT:
+		for off < end {
+			off += 1 + int(wire[off])
+		}
+	case TypeOPT:
+		for off < end {
+			if off+4 > end {
+				return 0, ErrBadRdata
+			}
+			opt := off
+			if off += 4 + int(binary.BigEndian.Uint16(wire[off+2:])); off > end {
+				return 0, ErrBadRdata
+			}
+			if binary.BigEndian.Uint16(wire[opt:]) == OptionCodeECS {
+				if err := new(ECSOption).unpackOption(wire[opt+4 : off]); err != nil {
+					return 0, err
+				}
+				if ecsOpt == 0 {
+					ecsOpt = opt
+				}
+			}
+		}
+	default:
+		return 0, nil
+	}
+	off += head
+	for ; names > 0; names-- {
+		if off >= end {
+			return 0, ErrBadRdata
+		}
+		if off, err = checkName(wire, off, ttls); err != nil {
+			return 0, err
+		}
+	}
+	if off+tail != end {
+		return 0, ErrBadRdata
+	}
+	return ecsOpt, nil
 }
 
 // EchoECS rewrites the ECS option at at, inside the packed response
@@ -258,13 +369,4 @@ func PatchReplyBits(wire []byte, rd, cd bool) {
 	if cd {
 		wire[3] |= cdBit
 	}
-}
-
-// WireRcode extracts the 4-bit header rcode of a packed message
-// (extended rcode bits from an OPT record are not folded in).
-func WireRcode(wire []byte) Rcode {
-	if len(wire) < 4 {
-		return RcodeServerFailure
-	}
-	return Rcode(wire[3] & 0xF)
 }

@@ -32,10 +32,11 @@ func TestPatchOffsetsTTLs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, _, err := PatchOffsets(wire)
+	img, err := PatchOffsets(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	offs := img.TTLs
 	// Three non-OPT records; the OPT TTL (extended rcode) is excluded.
 	if len(offs) != 3 {
 		t.Fatalf("got %d TTL offsets, want 3: %v", len(offs), offs)
@@ -55,10 +56,11 @@ func TestAgeTTLsMatchesDecodePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, _, err := PatchOffsets(wire)
+	img, err := PatchOffsets(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	offs := img.TTLs
 	for _, age := range []uint32{0, 1, 59, 60, 61, 299, 1 << 30} {
 		patched := append([]byte(nil), wire...)
 		AgeTTLs(patched, offs, age)
@@ -130,20 +132,32 @@ func TestPatchReplyBits(t *testing.T) {
 	}
 }
 
-func TestWireRcode(t *testing.T) {
-	m := new(Message)
-	m.SetQuestion("x.test.", TypeA)
-	m.Response = true
-	m.Rcode = RcodeNameError
-	wire, err := m.Pack()
+// hostileReplies are the router's reply bent into shapes Unpack refuses;
+// the walk that lets a reply be relayed undecoded must refuse them too.
+func hostileReplies() [][]byte {
+	reply, err := routerReply().Pack()
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	if rc := WireRcode(wire); rc != RcodeNameError {
-		t.Fatalf("WireRcode = %v, want NXDOMAIN", rc)
+	// 12 header octets, a 19-octet question name and its type and
+	// class, then the answer: a two-octet pointer as owner, type,
+	// class, TTL, RDLENGTH.
+	const owner, rdlen = 12 + 19 + 4, 12 + 19 + 4 + 2 + 8
+	bend := func(at int, v byte) []byte {
+		b := append([]byte(nil), reply...)
+		b[at] = v
+		return b
 	}
-	if rc := WireRcode(nil); rc != RcodeServerFailure {
-		t.Fatalf("WireRcode(nil) = %v, want SERVFAIL", rc)
+	return [][]byte{
+		bend(rdlen+1, 5),       // an A record of five octets, the fifth borrowed from the OPT
+		bend(owner+1, owner+2), // a forward pointer
+		bend(owner+1, owner),   // a pointer at itself
+		append(bend(0, 0), 0),  // a trailing octet
+		bend(len(reply)-6, 3),  // ECS family 3
+		bend(len(reply)-5, 25), // ECS source /25 with three address octets
+		bend(len(reply)-8, 99), // an ECS option running past the OPT's RDATA
+		bend(5, 2),             // QDCOUNT 2
+		bend(11, 2),            // ARCOUNT 2
 	}
 }
 
@@ -153,14 +167,86 @@ func TestPatchOffsetsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range [][]byte{
+	for _, bad := range append(hostileReplies(),
 		nil,
 		wire[:8],
 		wire[:len(wire)-3], // truncated mid-record
-	} {
-		if _, _, err := PatchOffsets(bad); err == nil {
-			t.Errorf("PatchOffsets(%d bytes) accepted malformed input", len(bad))
+	) {
+		if _, err := PatchOffsets(bad, nil); err == nil {
+			t.Errorf("PatchOffsets accepted malformed input % x", bad)
 		}
+		if err := new(Message).Unpack(bad); err == nil {
+			t.Errorf("Unpack accepts % x: not a malformed input", bad)
+		}
+	}
+}
+
+// TestPatchOffsetsRefusesNamesOverPatchedBytes: Unpack decodes a name
+// whose pointer lands in the header, in a TTL field or ahead of itself,
+// but a relay restamps those bytes, so the walk must not let it through.
+func TestPatchOffsetsRefusesNamesOverPatchedBytes(t *testing.T) {
+	head := []byte{0, 0, 0x84, 0, 0, 1, 0, 2, 0, 0, 0, 0,
+		1, 'q', 0, 0, 1, 0, 1, // the question, q. A IN, at 12
+		0xC0, 12, 0, 1, 0, 1, 1, 'x', 0, 0, 0, 4, 192, 0, 2, 3} // q. A, TTL 0x01780000 at 25: "\x01x" then the root
+	second := func(owner ...byte) []byte {
+		rr := append(append([]byte(nil), head...), owner...)
+		return append(rr, 0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 192, 0, 2, 2)
+	}
+	for what, wire := range map[string][]byte{
+		"into the header":  second(0xC0, 5),  // QDCOUNT's low octet, 1, then ANCOUNT's 0, 2, ...
+		"into a TTL field": second(0xC0, 25), // reads the label "x" out of the first answer's TTL
+		"past the pointer": second(0xC0, 34), // the address's 3 as a length octet: a label over the pointer itself
+	} {
+		if err := new(Message).Unpack(wire); err != nil {
+			t.Errorf("%s: Unpack refuses it (%v), so the case proves nothing", what, err)
+		}
+		if _, err := PatchOffsets(wire, nil); !errors.Is(err, ErrBadPointer) {
+			t.Errorf("%s: PatchOffsets err = %v, want ErrBadPointer", what, err)
+		}
+	}
+	if _, err := PatchOffsets(second(0xC0, 12), nil); err != nil {
+		t.Errorf("a pointer at the question name: %v", err)
+	}
+}
+
+// TestPatchOffsetsImage: what the walk reads off a response besides the
+// patch positions — the facts a cache used to decode the message for.
+func TestPatchOffsetsImage(t *testing.T) {
+	reply, err := routerReply().Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch [4]int
+	img, err := PatchOffsets(reply, scratch[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Rcode != RcodeSuccess || img.Answers != 1 || img.TTL != 300 || img.Scope != 24 || len(img.TTLs) != 1 {
+		t.Errorf("router reply: %+v", img)
+	}
+	if &img.TTLs[0] != &scratch[0] {
+		t.Error("TTL offsets were not appended to the caller's slice")
+	}
+
+	neg := new(Message)
+	neg.SetQuestion("nx.zone.test.", TypeA)
+	neg.Response = true
+	neg.Rcode = RcodeBadVers | RcodeNameError // 19: header bits 3, extended bits 1
+	neg.Authorities = []RR{
+		&NS{Hdr: RRHeader{Name: "zone.test.", Type: TypeNS, Class: ClassINET, TTL: 5}, NS: "ns.zone.test."},
+		&SOA{Hdr: RRHeader{Name: "zone.test.", Type: TypeSOA, Class: ClassINET, TTL: 900}, NS: "ns.zone.test.", Mbox: "admin.zone.test.", MinTTL: 120},
+		&SOA{Hdr: RRHeader{Name: "zone.test.", Type: TypeSOA, Class: ClassINET, TTL: 7}, NS: "ns.zone.test.", Mbox: "admin.zone.test.", MinTTL: 7},
+	}
+	neg.SetEDNS(1232)
+	wire, err := neg.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img, err = PatchOffsets(wire, nil); err != nil {
+		t.Fatal(err)
+	}
+	if img.Rcode != 19 || img.Answers != 0 || img.TTL != 120 || img.Scope != 0 || img.ECS != (ECSAt{}) {
+		t.Errorf("negative reply: %+v, want rcode 19, the first SOA's min(900, 120), no ECS", img)
 	}
 }
 
@@ -184,10 +270,11 @@ func TestClampTTLs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, _, err := PatchOffsets(wire)
+	img, err := PatchOffsets(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	offs := img.TTLs
 	ClampTTLs(wire, offs, 100)
 	var got Message
 	if err := got.Unpack(wire); err != nil {
@@ -228,10 +315,11 @@ func TestEchoECS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, at, err := PatchOffsets(wire)
+	img, err := PatchOffsets(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	at := img.ECS
 	if at == (ECSAt{}) {
 		t.Fatal("PatchOffsets did not locate the ECS option")
 	}
@@ -272,7 +360,7 @@ func TestEchoECS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := PatchOffsets(wire); !errors.Is(err, ErrOPTNotLast) {
+	if _, err := PatchOffsets(wire, nil); !errors.Is(err, ErrOPTNotLast) {
 		t.Errorf("PatchOffsets with records after an ECS-bearing OPT: err = %v, want ErrOPTNotLast", err)
 	}
 }
