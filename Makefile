@@ -6,22 +6,24 @@ GO ?= go
 
 all: vet test race build
 
-# The gate a commit must pass: static checks (on both supported
-# platforms, so the build-tagged mmsg files are vetted for Linux and
-# for the portable fallback), a full build, the test suite under the
-# race detector, the pool-ownership checker over the packet-buffer
-# packages (the upstream client's exchange buffers and the relayed
-# reply image included), bounded differential-fuzz passes over the LPM
-# lookup, the cache's reply patch, the walk that lets a reply be relayed
-# undecoded and the name codec, a serve-path benchmark smoke run that
-# catches hit-path and stub-exchange regressions without waiting for a
-# full bench sweep,
+# The gate a commit must pass: static checks (gofmt, and vet on both
+# supported platforms, so the build-tagged mmsg files are vetted for
+# Linux and for the portable fallback), a full build, the test suite
+# under the race detector, the pool-ownership checker over the
+# packet-buffer packages (the upstream client's exchange buffers and
+# the relayed reply image included), bounded differential-fuzz passes
+# over the LPM lookup, the cache's reply patch, the one query→reply
+# function every ingress serves with, the walk that lets a reply be
+# relayed undecoded and the name codec, a serve-path benchmark smoke
+# run that catches hit-path and stub-exchange regressions without
+# waiting for a full bench sweep,
 # a small-N X8 sweep checking the bounded-load ring still beats the
 # plain ring, a small-N X9 run checking mesh peer steering still
 # serves flash-crowd misses from sibling MECs, and a build and vet of
 # the benchmark module, which compiles against internal/... but is a
 # module of its own (its tests wait for ROADMAP item 6b).
 ci:
+	gofmt -l . | (! grep .) || (echo "gofmt needed" && exit 1)
 	GOOS=linux $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
 	GOOS=linux $(GO) vet -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/
@@ -30,6 +32,7 @@ ci:
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
+	$(GO) test -run xxx -fuzz FuzzServeQuery -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzResponseWalk -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzNameUnpack -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -bench='ServeUDPHit|StubExchange|RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .

@@ -555,7 +555,7 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 // entry still in its RFC 8767 window, the stale answer is served —
 // better a recently-true answer than a SERVFAIL, for a bounded window.
 func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string, w ResponseWriter, r *Request, next Handler, stale *cacheEntry) (dnswire.Rcode, error) {
-	var rec imageRecorder
+	rec := replyImage{limit: dnswire.MaxMessageSize} // kept whole; reply cuts it to the client's size
 	rcode, err := next.ServeDNS(ctx, &rec, r)
 	answered := err == nil && rec.buf != nil
 	var fresh *cacheEntry
@@ -586,51 +586,6 @@ func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string,
 		return dnswire.RcodeServerFailure, werr
 	}
 	return rcode, err
-}
-
-// imageRecorder is the writer a miss runs the rest of the chain
-// against. It keeps the first response written as a wire image in a
-// pooled buffer fill then owns: taken over as it is from a plugin that
-// relays one (Stub, Forward), packed here — the one time the answer is
-// packed — from a plugin that builds a Message (Zone).
-type imageRecorder struct {
-	buf []byte // nil until written
-	n   int
-}
-
-// WireSize implements WireWriter: any answer is kept whole, and cut to
-// the client's size by the writer reply hands it to.
-func (rec *imageRecorder) WireSize() int { return dnswire.MaxMessageSize }
-
-// WriteWireOwned implements OwnedWireWriter.
-func (rec *imageRecorder) WriteWireOwned(buf []byte, n int) error {
-	if rec.buf != nil {
-		dnswire.PutBuffer(buf)
-		return nil
-	}
-	rec.buf, rec.n = buf, n
-	return nil
-}
-
-// WriteWire implements WireWriter.
-func (rec *imageRecorder) WriteWire(wire []byte) error {
-	buf := dnswire.GetBuffer()
-	return rec.WriteWireOwned(buf, copy(buf, wire))
-}
-
-// WriteMsg implements ResponseWriter.
-func (rec *imageRecorder) WriteMsg(m *dnswire.Message) error {
-	if rec.buf != nil {
-		return nil
-	}
-	buf := dnswire.GetBuffer()
-	wire, err := m.AppendPack(buf[:0])
-	if err != nil {
-		dnswire.PutBuffer(buf)
-		return err
-	}
-	rec.buf, rec.n = buf, len(wire)
-	return nil
 }
 
 // store caches image — the answer to r as the chain wrote it; the

@@ -15,6 +15,8 @@ import (
 	"github.com/meccdn/meccdn/internal/vclock"
 )
 
+func init() { poolOutstanding = dnswire.PoolOutstanding }
+
 // TestServePathPoolBalance is the pool-leak regression test: drive
 // every UDP serve path that touches pooled buffers — misses (packed
 // once at store, replied from the image), plain and EDNS hits

@@ -72,9 +72,9 @@ type ResponseWriter interface {
 type WireWriter interface {
 	ResponseWriter
 	// WireSize returns the largest packed response the transport can
-	// carry as-is: the client's advertised EDNS payload size on UDP,
-	// MaxMessageSize on TCP. Larger responses go through WriteMsg so
-	// truncation applies.
+	// carry as-is: the client's advertised EDNS payload size on UDP
+	// (at most maxUDPPayload), MaxMessageSize on TCP and simnet. Larger
+	// responses go through WriteMsg so truncation applies.
 	WireSize() int
 	// WriteWire transmits a packed response verbatim. The writer must
 	// not retain wire after returning; callers typically recycle it.
@@ -133,16 +133,26 @@ func Chain(plugins ...Plugin) Handler {
 	return h
 }
 
-// recorder wraps a ResponseWriter and notes whether a response was
-// written, so the engine can synthesize one if not.
+// responseTracker is a ResponseWriter that knows whether it has been
+// written to, which is what lets ResolveTo synthesize a response only
+// when the chain wrote none.
+type responseTracker interface {
+	ResponseWriter
+	Written() bool
+}
+
+// recorder is the Message-capturing responseTracker: it keeps the
+// first response written (later writes from confused plugins are
+// dropped) and passes it on to w when there is one. ResolveTo wraps a
+// writer that cannot say whether it was written in it; Resolve and the
+// tests use it bare, as the double of a writer that cannot take bytes.
 type recorder struct {
 	w       ResponseWriter
 	written bool
 	msg     *dnswire.Message
 }
 
-// WriteMsg implements ResponseWriter. Only the first write is passed
-// through; later writes from confused plugins are dropped.
+// WriteMsg implements ResponseWriter.
 func (rec *recorder) WriteMsg(m *dnswire.Message) error {
 	if rec.written {
 		return nil
@@ -155,31 +165,22 @@ func (rec *recorder) WriteMsg(m *dnswire.Message) error {
 	return rec.w.WriteMsg(m)
 }
 
-// Resolve runs handler h to completion for req and returns the
-// response message, synthesizing an empty response with the handler's
-// rcode (or SERVFAIL on error) when no plugin answered. It is the
-// engine shared by the socket server, the simnet adapter, and tests.
+// Written implements responseTracker.
+func (rec *recorder) Written() bool { return rec.written }
+
+// Resolve is ResolveTo into a recorder, returning the response as a
+// Message: the convenience tests drive a chain with. Nothing that
+// serves calls it — every ingress goes through serveQuery.
 func Resolve(ctx context.Context, h Handler, req *Request) *dnswire.Message {
-	normalizeQueryECS(req)
 	rec := &recorder{}
-	rcode, err := h.ServeDNS(ctx, rec, req)
-	if rec.written {
-		return rec.msg
-	}
-	m := new(dnswire.Message)
-	if err != nil {
-		m.SetRcode(req.Msg, dnswire.RcodeServerFailure)
-		return m
-	}
-	m.SetRcode(req.Msg, rcode)
-	return m
+	ResolveTo(ctx, h, rec, req)
+	return rec.msg
 }
 
 // normalizeQueryECS enforces the RFC 7871 §6 query-side invariants on
 // an inbound request's ECS option — scope zeroed, undisclosed address
-// bits masked — before any plugin sees it. Running in the shared
-// Resolve/ResolveTo engines covers every ingress: UDP, TCP, the simnet
-// adapter, and tests.
+// bits masked — before any plugin sees it. Running in ResolveTo covers
+// every ingress: UDP, TCP, the simnet adapter, and tests.
 func normalizeQueryECS(req *Request) {
 	if opt, ok := req.Msg.OPT(); ok {
 		if ecs, ok := opt.ECS(); ok {
@@ -188,49 +189,33 @@ func normalizeQueryECS(req *Request) {
 	}
 }
 
-// responseTracker is a ResponseWriter that knows whether it has been
-// written to. The server's pooled socket writers implement it so
-// ResolveTo can skip the per-query recorder allocation Resolve pays.
-type responseTracker interface {
-	ResponseWriter
-	Written() bool
-}
-
-// ResolveTo runs handler h to completion for req, writing the response
-// through w as the chain produces it, and synthesizing an empty
-// response with the handler's rcode (SERVFAIL on error) when no plugin
-// answered. It returns the rcode of the response that was written.
+// ResolveTo is the engine: it runs handler h to completion for req,
+// writing the response through w as the chain produces it, and
+// synthesizing an empty response with the handler's rcode (SERVFAIL on
+// error) when no plugin answered. It returns the rcode of the response
+// that was written.
 //
-// Unlike Resolve it never materializes the response: a writer that
-// implements both responseTracker and WireWriter (the server's own
-// socket writers do) receives cached answers as patched wire bytes,
-// which is what keeps a hit in the serve loop allocation-free.
+// It never materializes the response: a writer that implements
+// WireWriter (the ingresses' replyImage does) receives cached and
+// relayed answers as patched wire bytes, which is what keeps a hit in
+// the serve loop allocation-free. A writer that is not a
+// responseTracker is served through a recorder, as a Message-only one.
 func ResolveTo(ctx context.Context, h Handler, w ResponseWriter, req *Request) dnswire.Rcode {
 	normalizeQueryECS(req)
-	if t, ok := w.(responseTracker); ok {
-		rcode, err := h.ServeDNS(ctx, w, req)
-		if t.Written() {
-			return rcode
-		}
-		m := new(dnswire.Message)
-		if err != nil {
-			rcode = dnswire.RcodeServerFailure
-		}
-		m.SetRcode(req.Msg, rcode)
-		_ = w.WriteMsg(m)
-		return m.Rcode
+	t, ok := w.(responseTracker)
+	if !ok {
+		t = &recorder{w: w}
 	}
-	rec := &recorder{w: w}
-	rcode, err := h.ServeDNS(ctx, rec, req)
-	if rec.written {
-		return rec.msg.Rcode
+	rcode, err := h.ServeDNS(ctx, t, req)
+	if t.Written() {
+		return rcode
 	}
 	m := new(dnswire.Message)
 	if err != nil {
 		rcode = dnswire.RcodeServerFailure
 	}
 	m.SetRcode(req.Msg, rcode)
-	_ = w.WriteMsg(m)
+	_ = t.WriteMsg(m)
 	return m.Rcode
 }
 
@@ -786,17 +771,6 @@ func (s *Server) TrackBackground() (done func(), ok bool) {
 	return s.inflight.Done, true
 }
 
-// begin opens a telemetry span for req and attaches it to ctx;
-// without a Telemetry hub it returns ctx unchanged and a nil span
-// (every span method is nil-safe).
-func (s *Server) begin(ctx context.Context, req *Request) (context.Context, *telemetry.Span) {
-	if s.Telemetry == nil {
-		return ctx, nil
-	}
-	sp := s.Telemetry.BeginAddr(req.Name(), req.Type().String(), req.Transport, req.Client)
-	return telemetry.ContextWith(ctx, sp), sp
-}
-
 // trackN registers n in-flight queries at once, refusing once a drain
 // has begun — the same mutex-ordering contract as track(), paid once
 // per batch instead of once per packet.
@@ -862,66 +836,34 @@ func (s *Server) serveUDPSingle(sh *socketShard) {
 	}
 }
 
-// udpServeState is one worker's reusable serve machinery: the batched
-// response writer, the scratch request message, and the qname intern
-// table. All of it is reused across packets, so the steady-state serve
-// path allocates nothing for plumbing or parsing.
-type udpServeState struct {
-	w      udpWriter
-	msg    dnswire.Message
-	req    Request
-	intern *dnswire.NameIntern
-}
-
 // udpWorker serves batches from the ingress queue until it is closed
 // and drained. id selects this worker's cache-line-padded counter
 // cells, so nothing on the per-packet path contends with another
 // worker's counters. Each packet's pooled buffer goes back to the pool
-// as soon as it is parsed and served; the batch container (and any
-// buffers an early exit leaves behind) is released after the flush.
+// as soon as it is served; the batch container (and any buffers an
+// early exit leaves behind) is released after the flush.
 func (s *Server) udpWorker(id int) {
 	defer s.wg.Done()
-	st := &udpServeState{intern: dnswire.NewNameIntern(0)}
+	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 	busy := s.ctr.busy.Shard(id)
 	served := s.ctr.served.Shard(id)
-	st.w.sendErrs = s.ctr.sendErrs.Shard(id)
+	w := &udpWriter{sendErrs: s.ctr.sendErrs.Shard(id)}
 	for b := range s.queue {
 		busy.Set(1)
-		st.w.begin(b.shard)
+		w.shard = b.shard
 		for i := 0; i < b.n; i++ {
-			s.handlePacket(st, b.bufs[i], b.addrs[i])
+			if buf, n := serveQuery(s.Handler, s.Telemetry, st, b.bufs[i], b.addrs[i], "udp", maxUDPPayload); buf != nil {
+				w.stash(buf, n, b.addrs[i])
+			}
 			dnswire.PutBuffer(b.bufs[i])
 			b.bufs[i] = nil
 		}
-		st.w.flush()
+		w.flush()
 		served.Add(uint64(b.n))
 		busy.Set(0)
 		s.inflight.Add(-b.n)
 		releaseBatch(b)
 	}
-}
-
-// handlePacket parses and serves one datagram through the worker's
-// reused state. The scratch message is overwritten by the next packet,
-// so handlers must not retain it past ServeDNS — the same contract the
-// wire buffers already carry.
-func (s *Server) handlePacket(st *udpServeState, pkt []byte, raddr netip.AddrPort) {
-	msg := &st.msg
-	if err := msg.UnpackQuery(pkt, st.intern); err != nil {
-		return // not DNS; drop like a real server
-	}
-	// Honour the client's advertised payload size.
-	size := dnswire.MaxUDPSize
-	if opt, ok := msg.OPT(); ok {
-		if adv := int(opt.UDPSize()); adv > size {
-			size = adv
-		}
-	}
-	st.w.beginPacket(raddr, size)
-	st.req = Request{Msg: msg, Client: raddr, Transport: "udp"}
-	ctx, sp := s.begin(context.Background(), &st.req)
-	rcode := ResolveTo(ctx, s.Handler, &st.w, &st.req)
-	s.Telemetry.Finish(sp, rcode.String())
 }
 
 // egressPkt is one packed response waiting in a worker's egress batch:
@@ -933,103 +875,21 @@ type egressPkt struct {
 	raddr netip.AddrPort
 }
 
-// udpWriter writes responses for one batch of UDP queries; each worker
-// owns one. Instead of one sendto per response, completed responses
-// accumulate in out (each in a pooled buffer the writer owns) and
-// leave in one sendmmsg per batch when the worker flushes — back out
-// the sharded socket the queries arrived on. It implements WireWriter
-// so cache replies reach the socket as patched wire bytes,
-// OwnedWireWriter so the cache's patch buffer is handed over instead of
-// copied, and responseTracker so the engine needs no recorder around it.
+// udpWriter is one worker's egress batch. Instead of one sendto per
+// response, the replies serveQuery returns accumulate in out (each in
+// a pooled buffer the writer owns) and leave in one sendmmsg per batch
+// when the worker flushes — back out the sharded socket the queries
+// arrived on.
 type udpWriter struct {
 	shard    *socketShard
-	raddr    netip.AddrPort
-	size     int
-	wrote    bool
 	out      []egressPkt
 	sendErrs *telemetry.CounterCell
 	eio      egressIO
 }
 
-// begin starts a new batch: responses will leave on sh's socket.
-func (w *udpWriter) begin(sh *socketShard) {
-	w.shard = sh
-	w.out = w.out[:0]
-}
-
-// beginPacket starts the next query of the batch.
-func (w *udpWriter) beginPacket(raddr netip.AddrPort, size int) {
-	w.raddr, w.size, w.wrote = raddr, size, false
-}
-
 // stash queues one packed response, taking ownership of its buffer.
-func (w *udpWriter) stash(buf []byte, n int) {
-	w.out = append(w.out, egressPkt{buf: buf, n: n, raddr: w.raddr})
-	w.wrote = true
-}
-
-// Written implements responseTracker.
-func (w *udpWriter) Written() bool { return w.wrote }
-
-// WireSize implements WireWriter.
-func (w *udpWriter) WireSize() int { return w.size }
-
-// WriteWire implements WireWriter: the response is copied into a
-// pooled buffer the writer owns and queued for the batch flush.
-func (w *udpWriter) WriteWire(wire []byte) error {
-	if w.wrote {
-		return nil
-	}
-	if len(wire) > w.size {
-		return fmt.Errorf("dnsserver: %d-byte wire response exceeds %d-byte payload limit", len(wire), w.size)
-	}
-	buf := dnswire.GetBuffer()
-	n := copy(buf, wire)
-	w.stash(buf, n)
-	return nil
-}
-
-// WriteWireOwned implements OwnedWireWriter: like WriteWire, but buf
-// is a pooled buffer whose ownership transfers to the writer, so the
-// cache's patched reply needs no extra copy on its way to the socket.
-func (w *udpWriter) WriteWireOwned(buf []byte, n int) error {
-	if w.wrote || n > w.size {
-		dnswire.PutBuffer(buf)
-		if w.wrote {
-			return nil
-		}
-		return fmt.Errorf("dnsserver: %d-byte wire response exceeds %d-byte payload limit", n, w.size)
-	}
-	w.stash(buf, n)
-	return nil
-}
-
-// WriteMsg implements ResponseWriter: pack into a pooled buffer and
-// queue for the batch flush. A response larger than the client's
-// advertised payload size is truncated with TC set — on a clone, so
-// a message the handler still holds is never mutated here. This is
-// where a cache reply too large for the transport is cut down: the
-// cache hands it over decoded. Only the first write per query is passed
-// through, matching recorder semantics.
-func (w *udpWriter) WriteMsg(m *dnswire.Message) error {
-	if w.wrote {
-		return nil
-	}
-	buf := dnswire.GetBuffer()
-	wire, err := m.AppendPack(buf[:0])
-	if err != nil || len(wire) > w.size {
-		if err == nil {
-			t := m.Clone()
-			t.TruncateTo(w.size)
-			wire, err = t.AppendPack(buf[:0])
-		}
-		if err != nil {
-			dnswire.PutBuffer(buf)
-			return err
-		}
-	}
-	w.stash(buf, len(wire))
-	return nil
+func (w *udpWriter) stash(buf []byte, n int, raddr netip.AddrPort) {
+	w.out = append(w.out, egressPkt{buf: buf, n: n, raddr: raddr})
 }
 
 // flush transmits every queued response of the batch and recycles the
@@ -1108,7 +968,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		timeout = 10 * time.Second
 	}
 	raddr, _ := netip.ParseAddrPort(conn.RemoteAddr().String())
-	w := &tcpWriter{conn: conn}
+	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(timeout))
 		pkt, err := dnswire.ReadTCP(conn)
@@ -1119,76 +979,15 @@ func (s *Server) handleConn(conn net.Conn) {
 			dnswire.PutBuffer(pkt)
 			return // draining: stop accepting
 		}
-		err = s.serveTCPQuery(w, pkt, raddr)
+		buf, n := serveQuery(s.Handler, s.Telemetry, st, pkt, raddr, "tcp", dnswire.MaxMessageSize)
 		dnswire.PutBuffer(pkt)
+		if buf != nil {
+			err = dnswire.WriteTCP(conn, buf[:n])
+			dnswire.PutBuffer(buf)
+		}
 		s.inflight.Done()
-		if err != nil {
-			return
+		if buf == nil || err != nil {
+			return // not DNS, or the stream is broken: hang up
 		}
 	}
-}
-
-// serveTCPQuery resolves one message from a TCP stream and writes the
-// response back on the same connection.
-func (s *Server) serveTCPQuery(w *tcpWriter, pkt []byte, raddr netip.AddrPort) error {
-	msg := new(dnswire.Message)
-	if err := msg.Unpack(pkt); err != nil {
-		return err
-	}
-	w.reset()
-	req := &Request{Msg: msg, Client: raddr, Transport: "tcp"}
-	ctx, sp := s.begin(context.Background(), req)
-	rcode := ResolveTo(ctx, s.Handler, w, req)
-	s.Telemetry.Finish(sp, rcode.String())
-	return w.err
-}
-
-// tcpWriter writes length-prefixed responses for one TCP connection;
-// handleConn owns one and resets it per query. Like udpWriter it
-// implements WireWriter and responseTracker so cache replies go out as
-// patched wire bytes on TCP too.
-type tcpWriter struct {
-	conn  net.Conn
-	wrote bool
-	err   error
-}
-
-func (w *tcpWriter) reset() { w.wrote, w.err = false, nil }
-
-// Written implements responseTracker.
-func (w *tcpWriter) Written() bool { return w.wrote }
-
-// WireSize implements WireWriter; TCP carries any packable message.
-func (w *tcpWriter) WireSize() int { return dnswire.MaxMessageSize }
-
-// WriteWire implements WireWriter.
-func (w *tcpWriter) WriteWire(wire []byte) error {
-	if w.wrote {
-		return nil
-	}
-	if err := dnswire.WriteTCP(w.conn, wire); err != nil {
-		w.err = err
-		return err
-	}
-	w.wrote = true
-	return nil
-}
-
-// WriteMsg implements ResponseWriter.
-func (w *tcpWriter) WriteMsg(m *dnswire.Message) error {
-	if w.wrote {
-		return nil
-	}
-	buf := dnswire.GetBuffer()
-	wire, err := m.AppendPack(buf[:0])
-	if err == nil {
-		err = dnswire.WriteTCP(w.conn, wire)
-	}
-	dnswire.PutBuffer(buf)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	w.wrote = true
-	return nil
 }

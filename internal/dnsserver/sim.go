@@ -1,7 +1,6 @@
 package dnsserver
 
 import (
-	"context"
 	"net/netip"
 	"time"
 
@@ -9,11 +8,13 @@ import (
 	"github.com/meccdn/meccdn/internal/simnet"
 )
 
-// Attach installs handler h as the DNS service of a simnet node.
-// Every delivered datagram is parsed as a DNS message, resolved
-// through the plugin chain (which may itself issue nested upstream
-// exchanges in virtual time), and answered after a processing delay
-// drawn from proc (nil means zero processing time).
+// Attach installs handler h as the DNS service of a simnet node. Every
+// delivered datagram is served by serveQuery — the function the UDP and
+// TCP ingresses serve with — so the chain (which may itself issue
+// nested upstream exchanges in virtual time) runs exactly as it does
+// behind a socket, and the reply is answered after a processing delay
+// drawn from proc (nil means zero processing time). Virtual datagrams
+// are not size-limited, so no reply is truncated.
 //
 // The server is modelled as a single-server queue: each query
 // occupies the processor for its drawn processing time, and arrivals
@@ -24,20 +25,16 @@ import (
 func Attach(node *simnet.Node, h Handler, proc simnet.Sampler) {
 	var busyUntil time.Duration
 	node.SetHandler(simnet.HandlerFunc(func(ctx *simnet.Ctx, dg simnet.Datagram) {
-		msg := new(dnswire.Message)
-		if err := msg.Unpack(dg.Payload); err != nil {
+		// Fresh scratch per datagram: a nested upstream exchange pumps
+		// the event loop re-entrantly, so this node can be handed query
+		// B while query A is still parked inside the chain.
+		client := netip.AddrPortFrom(dg.Client(), 0)
+		buf, n := serveQuery(h, nil, new(serveScratch), dg.Payload, client, "sim", dnswire.MaxMessageSize)
+		if buf == nil {
 			return // not DNS; drop
 		}
-		req := &Request{
-			Msg:       msg,
-			Client:    netip.AddrPortFrom(dg.Client(), 0),
-			Transport: "sim",
-		}
-		resp := Resolve(context.Background(), h, req)
-		wire, err := resp.Pack()
-		if err != nil {
-			return
-		}
+		wire := append([]byte(nil), buf[:n]...) // the network keeps it until delivery
+		dnswire.PutBuffer(buf)
 		var procTime time.Duration
 		if proc != nil {
 			procTime = proc.Sample(ctx.Network().Rand())

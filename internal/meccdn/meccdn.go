@@ -414,6 +414,32 @@ func (s *Site) AnnounceOnce() {
 	s.Mesh.AnnounceOnce()
 }
 
+// newCacheInstance builds one edge cache instance for domain — a new
+// MEC node, the cache server on it, and a fronting Service with a fresh
+// stable cluster IP — and registers it with router.
+func (s *Site) newCacheInstance(router *cdn.Router, nodeName, svcName, domain string, parent netip.Addr) (*cdn.CacheServer, *orchestrator.Service, error) {
+	node := s.tb.AddMEC(nodeName)
+	server := cdn.NewCacheServer(node, cdn.CacheServerConfig{
+		Name:          nodeName,
+		Site:          s.cfg.NamePrefix + "mec",
+		Tier:          cdn.TierEdge,
+		CapacityBytes: s.cfg.CacheCapacity,
+		Parent:        parent,
+		Domains:       []string{domain},
+		ServeDelay:    simnet.Shifted{Base: 200 * time.Microsecond, Jitter: simnet.Uniform{Max: 100 * time.Microsecond}},
+	})
+	svc, err := s.Orch.CreateService(orchestrator.ServiceSpec{
+		Name:      svcName,
+		Namespace: "cdn",
+		Endpoints: []netip.Addr{node.Addr},
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("creating cache service %s: %w", svcName, err)
+	}
+	router.AddServerAdvertise(server, geoip.Location{Name: s.cfg.NamePrefix + "mec"}, svc.ClusterIP)
+	return server, svc, nil
+}
+
 // AddCache scales the site up by one cache instance: a new MEC node,
 // a fronting Service with a fresh stable cluster IP, and registration
 // with the C-DNS. Routing via the consistent-hash ring means only
@@ -423,26 +449,13 @@ func (s *Site) AnnounceOnce() {
 func (s *Site) AddCache() (*cdn.CacheServer, error) {
 	i := s.nextCache
 	s.nextCache++
-	nodeName := fmt.Sprintf("%smec-cache-%d", s.cfg.NamePrefix, i)
-	node := s.tb.AddMEC(nodeName)
-	server := cdn.NewCacheServer(node, cdn.CacheServerConfig{
-		Name:          nodeName,
-		Site:          s.cfg.NamePrefix + "mec",
-		Tier:          cdn.TierEdge,
-		CapacityBytes: s.cfg.CacheCapacity,
-		Parent:        s.cfg.OriginAddr,
-		Domains:       []string{s.cfg.Domain},
-		ServeDelay:    simnet.Shifted{Base: 200 * time.Microsecond, Jitter: simnet.Uniform{Max: 100 * time.Microsecond}},
-	})
-	svc, err := s.Orch.CreateService(orchestrator.ServiceSpec{
-		Name:      fmt.Sprintf("%scache-%d", s.cfg.NamePrefix, i),
-		Namespace: "cdn",
-		Endpoints: []netip.Addr{node.Addr},
-	})
+	server, svc, err := s.newCacheInstance(s.Router,
+		fmt.Sprintf("%smec-cache-%d", s.cfg.NamePrefix, i),
+		fmt.Sprintf("%scache-%d", s.cfg.NamePrefix, i),
+		s.cfg.Domain, s.cfg.OriginAddr)
 	if err != nil {
-		return nil, fmt.Errorf("creating cache service %d: %w", i, err)
+		return nil, err
 	}
-	s.Router.AddServerAdvertise(server, geoip.Location{Name: s.cfg.NamePrefix + "mec"}, svc.ClusterIP)
 	s.Caches = append(s.Caches, server)
 	s.CacheServices = append(s.CacheServices, svc)
 	return server, nil
@@ -494,26 +507,11 @@ func (s *Site) AddDomain(domain string, originAddr netip.Addr, cacheServers int)
 	dep.Router.Policy = s.cfg.Policy
 	dep.Router.Geo = s.cfg.Geo
 	for i := 0; i < cacheServers; i++ {
-		nodeName := fmt.Sprintf("%scache-%d", tag, i)
-		node := s.tb.AddMEC(nodeName)
-		server := cdn.NewCacheServer(node, cdn.CacheServerConfig{
-			Name:          nodeName,
-			Site:          s.cfg.NamePrefix + "mec",
-			Tier:          cdn.TierEdge,
-			CapacityBytes: s.cfg.CacheCapacity,
-			Parent:        originAddr,
-			Domains:       []string{domain},
-			ServeDelay:    simnet.Shifted{Base: 200 * time.Microsecond, Jitter: simnet.Uniform{Max: 100 * time.Microsecond}},
-		})
-		svc, err := s.Orch.CreateService(orchestrator.ServiceSpec{
-			Name:      nodeName,
-			Namespace: "cdn",
-			Endpoints: []netip.Addr{node.Addr},
-		})
+		name := fmt.Sprintf("%scache-%d", tag, i)
+		server, svc, err := s.newCacheInstance(dep.Router, name, name, domain, originAddr)
 		if err != nil {
-			return nil, fmt.Errorf("creating tenant cache service: %w", err)
+			return nil, err
 		}
-		dep.Router.AddServerAdvertise(server, geoip.Location{Name: s.cfg.NamePrefix + "mec"}, svc.ClusterIP)
 		dep.Caches = append(dep.Caches, server)
 		dep.CacheServices = append(dep.CacheServices, svc)
 	}
