@@ -20,8 +20,9 @@
 // that cadence, scored through a hysteresis state machine
 // (-down-after consecutive failures demote, -up-after successes
 // promote), and the forwarders try probe-verified upstreams first.
-// -load-high/-load-low are ingress watermarks on the UDP queue: above
-// the high mark the registry flips its fallback switch (exported as
+// -load-high/-load-low are ingress watermarks on the share of
+// -udp-queue in use (UDP queries waiting on the network): above the
+// high mark the registry flips its fallback switch (exported as
 // meccdn_health_fallback_active) until load stays under the low mark.
 //
 // -cdn-domain embeds the C-DNS request router for one CDN domain.
@@ -87,8 +88,7 @@ func bind(fs *flag.FlagSet, c *dnsd.Config) {
 	fs.IntVar(&c.QlogSample, "qlog-sample", 16, "head-sample 1 in N queries into the query log (<=1 keeps all)")
 	fs.IntVar(&c.QlogCap, "qlog-cap", 1024, "query-log ring capacity; oldest entries are overwritten")
 	fs.DurationVar(&c.Drain, "drain", 5*time.Second, "graceful-drain budget for in-flight queries on shutdown")
-	fs.IntVar(&c.Workers, "workers", 0, "UDP worker goroutines serving the ingress queue (0 means GOMAXPROCS)")
-	fs.IntVar(&c.UDPQueue, "udp-queue", 0, "UDP ingress queue depth; packets beyond it are shed (0 means 4x workers)")
+	fs.IntVar(&c.UDPQueue, "udp-queue", 0, "UDP queries that may wait on the network (upstream exchanges) at once; a query that would wait beyond it is shed (0 means 128x GOMAXPROCS)")
 	fs.IntVar(&c.Sockets, "sockets", 0, "SO_REUSEPORT-sharded UDP ingress sockets (0 means GOMAXPROCS; 1 or unsupported platforms use a single socket)")
 	fs.IntVar(&c.Batch, "batch", 0, "max UDP datagrams moved per syscall via recvmmsg/sendmmsg (0 means 32 on Linux; 1 disables batching; capped at 64; non-Linux always 1)")
 	fs.IntVar(&c.MaxConns, "max-conns", 0, "concurrent TCP connection cap; connections beyond it are closed at accept (0 means 512)")

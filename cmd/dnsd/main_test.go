@@ -62,7 +62,6 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		"-qlog-sample", "27",
 		"-qlog-cap", "28",
 		"-drain", "29s",
-		"-workers", "30",
 		"-udp-queue", "31",
 		"-sockets", "32",
 		"-batch", "33",
@@ -103,7 +102,6 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		QlogSample:       27,
 		QlogCap:          28,
 		Drain:            29 * time.Second,
-		Workers:          30,
 		UDPQueue:         31,
 		Sockets:          32,
 		Batch:            33,

@@ -36,7 +36,7 @@ type Config struct {
 	// unwinds; Shutdown's is its context's, and cmd/dnsd passes this one.
 	Drain time.Duration
 
-	Workers, UDPQueue, Sockets, Batch, MaxConns int
+	UDPQueue, Sockets, Batch, MaxConns int
 
 	ProbeInterval, ProbeTimeout time.Duration
 	DownAfter, UpAfter          int

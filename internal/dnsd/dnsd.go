@@ -155,7 +155,6 @@ func Build(cfg Config) (*Daemon, error) {
 		Addr:       cfg.Listen,
 		Handler:    dnsserver.Chain(d.Plugins...),
 		Telemetry:  d.Hub,
-		Workers:    cfg.Workers,
 		QueueDepth: cfg.UDPQueue,
 		Sockets:    sockets,
 		Batch:      cfg.Batch,
@@ -167,7 +166,7 @@ func Build(cfg Config) (*Daemon, error) {
 
 	if d.Health != nil {
 		// Probe goroutines drain with the server; ingress load is the
-		// UDP queue's fill fraction.
+		// share of -udp-queue taken by queries waiting on the network.
 		d.checker = &health.Checker{
 			Registry:   d.Health,
 			Prober:     &health.DNSProber{Client: client},

@@ -186,7 +186,7 @@ func TestBuildHotPathConfig(t *testing.T) {
 		t.Errorf("cache prefetch/maxStale = %v/%v, want 0.25/1m", d.Cache.PrefetchFrac, d.Cache.MaxStale)
 	}
 	// Prefetches must drain with the server, and -sockets 0 must
-	// follow GOMAXPROCS like -workers does.
+	// follow GOMAXPROCS.
 	if d.Cache.Background != dnsserver.BackgroundTracker(d.Server) {
 		t.Error("cache.Background not wired to the server")
 	}

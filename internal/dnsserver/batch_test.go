@@ -15,13 +15,27 @@ import (
 	"github.com/meccdn/meccdn/internal/vclock"
 )
 
+// waitOdd is a plugin that says it waits for every name with an odd
+// digit in front, so that half the queries are finished — reply sent,
+// served counted — by a goroutine that has given its socket away.
+type waitOdd struct{}
+
+func (waitOdd) Name() string { return "waitodd" }
+func (waitOdd) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
+	if name := r.Name(); (name[1]-'0')%2 == 1 && !r.mayWait() {
+		return dnswire.RcodeServerFailure, errIngressFull
+	}
+	return next.ServeDNS(ctx, w, r)
+}
+
 // TestWorkerCounterAggregationExact pins the sharded-counter contract:
-// with per-socket and per-worker cells instead of shared atomics, the
-// aggregated totals must still be exact — the sum over reader shards
-// equals the number of packets sent, and the sum over worker cells
-// equals the number of responses the clients actually received. Run
-// under -race this also exercises the cells from every goroutine that
-// touches them.
+// with per-socket cells instead of shared atomics, the aggregated
+// totals must still be exact — the sum over the sockets' packet cells
+// equals the number of packets sent, and the sum over their served
+// cells the number of responses the clients actually received, whether
+// the socket's lead sent them or a goroutine that had handed the
+// socket on. Run under -race this also exercises the cells from every
+// goroutine that touches them.
 func TestWorkerCounterAggregationExact(t *testing.T) {
 	zone := NewZone("agg.test.")
 	const names = 8
@@ -32,8 +46,7 @@ func TestWorkerCounterAggregationExact(t *testing.T) {
 	}
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
-		Handler:    Chain(NewZonePlugin(zone)),
-		Workers:    4,
+		Handler:    Chain(waitOdd{}, NewZonePlugin(zone)),
 		Sockets:    2,
 		QueueDepth: 256, // roomy: this test is about counting, not shedding
 	}
@@ -67,8 +80,8 @@ func TestWorkerCounterAggregationExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// served is bumped after the response flush, so the last client can
-	// observe its answer a beat before the counter lands.
+	// served is bumped after the response is sent, so the last client
+	// can observe its answer a beat before the counter lands.
 	const total = clients * iters
 	waitFor(t, 2*time.Second, func() bool { return srv.ServedPackets() == total })
 
@@ -85,6 +98,17 @@ func TestWorkerCounterAggregationExact(t *testing.T) {
 	if batches == 0 || batches > packets {
 		t.Errorf("batches = %d, want in [1, %d]", batches, packets)
 	}
+	perSocket := srv.SocketPackets()
+	if len(perSocket) != srv.NumSockets() {
+		t.Errorf("SocketPackets has %d entries for %d sockets", len(perSocket), srv.NumSockets())
+	}
+	var sum uint64
+	for _, n := range perSocket {
+		sum += n
+	}
+	if sum != total {
+		t.Errorf("per-socket packets %v sum to %d, want %d", perSocket, sum, total)
+	}
 
 	// The new serve-loop families aggregate those cells at scrape time.
 	reg := telemetry.NewRegistry()
@@ -95,6 +119,7 @@ func TestWorkerCounterAggregationExact(t *testing.T) {
 	}
 	for _, family := range []string{
 		"meccdn_dns_udp_packets_total", "meccdn_dns_udp_batches_total", "meccdn_dns_udp_send_errors_total",
+		fmt.Sprintf(`meccdn_dns_udp_socket_packets_total{socket="0"} %d`, perSocket[0]),
 	} {
 		if !strings.Contains(b.String(), family) {
 			t.Errorf("exposition missing %s", family)
@@ -118,8 +143,7 @@ func TestBatchDrainOnShutdown(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(&slowPlugin{delay: 3 * time.Millisecond}, NewZonePlugin(z)),
-		Workers:    1, // serialize so the burst is still queued when Shutdown starts
-		QueueDepth: 64,
+		QueueDepth: 64, // roomy: every query of the burst waits at once
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -144,7 +168,7 @@ func TestBatchDrainOnShutdown(t *testing.T) {
 		}
 	}
 
-	// Let the reader pull the burst into batches, then drain.
+	// Let the socket's loop start on the burst, then drain.
 	waitFor(t, 2*time.Second, func() bool { p, _ := srv.BatchStats(); return p > 0 })
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -152,8 +176,8 @@ func TestBatchDrainOnShutdown(t *testing.T) {
 		t.Fatalf("drain failed: %v", err)
 	}
 
-	// Every response a worker flushed must be readable even though the
-	// server is gone; count them.
+	// Every response sent must be readable even though the server is
+	// gone; count them.
 	responses := 0
 	buf := make([]byte, 2048)
 	for {
@@ -171,10 +195,10 @@ func TestBatchDrainOnShutdown(t *testing.T) {
 		t.Fatal("no packets served before drain")
 	}
 	if uint64(responses) != served {
-		t.Errorf("client read %d responses, server counted %d served; drain lost flushed batches", responses, served)
+		t.Errorf("client read %d responses, server counted %d served; drain lost replies", responses, served)
 	}
-	if served+dropped > packets {
-		t.Errorf("served (%d) + dropped (%d) exceeds packets read (%d)", served, dropped, packets)
+	if served+dropped != packets {
+		t.Errorf("served (%d) + dropped (%d) != packets read (%d)", served, dropped, packets)
 	}
 }
 

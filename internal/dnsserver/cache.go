@@ -521,6 +521,12 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 		return res.rcode, res.err
 	}
 	endLookup("miss")
+	// A miss waits — on the flight it joins, or on whatever the rest of
+	// the chain does to resolve it. Refused, it must neither join nor
+	// lead: a shed leader would hand its failure to every waiter.
+	if !r.mayWait() {
+		return dnswire.RcodeServerFailure, errIngressFull
+	}
 	key := string(kbuf)
 
 	// Singleflight: join an in-flight exchange for this key, or
@@ -708,7 +714,8 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 	sh.mu.Unlock()
 	c.ctr.prefetchIssued.Inc()
 	// The request is cloned because the refresh outlives the serving
-	// goroutine that owns r.
+	// goroutine that owns r — and without r's ingress hook: the refresh
+	// waits on a goroutine of its own, holding no socket.
 	req := &Request{Msg: r.Msg.Clone(), Client: r.Client, Transport: r.Transport}
 	go func() {
 		defer func() {

@@ -298,6 +298,9 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 	if len(ups) == 0 {
 		return dnswire.RcodeServerFailure, fmt.Errorf("forwarding %s: no upstreams configured", r.Name())
 	}
+	if !r.mayWait() { // the exchange below waits on the network
+		return dnswire.RcodeServerFailure, errIngressFull
+	}
 	ctr := f.counters()
 	ctr.queries.Inc()
 	endHop := telemetry.StartHop(ctx, "forward")

@@ -84,24 +84,31 @@ func TestForwardHealthKeepsCooldownLast(t *testing.T) {
 	}
 }
 
+// TestIngressLoad: the load signal is the share of QueueDepth taken by
+// UDP queries waiting on the network, read off a live server whose
+// upstream is held shut.
 func TestIngressLoad(t *testing.T) {
-	s := &Server{}
+	upstream := make(gate)
+	s := &Server{Addr: "127.0.0.1:0", Handler: Chain(upstream), QueueDepth: 4}
 	if got := s.IngressLoad(); got != 0 {
 		t.Fatalf("IngressLoad before Start = %v, want 0", got)
 	}
-	s.queue = make(chan *udpBatch, 4)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer close(upstream)
 	if got := s.IngressLoad(); got != 0 {
-		t.Fatalf("IngressLoad with empty queue = %v, want 0", got)
+		t.Fatalf("IngressLoad with nothing waiting = %v, want 0", got)
 	}
-	s.queue <- &udpBatch{}
-	s.queue <- &udpBatch{}
-	if got := s.IngressLoad(); got != 0.5 {
-		t.Fatalf("IngressLoad at 2/4 = %v, want 0.5", got)
+	f := dialFlow(t, s)
+	for i, want := range []float64{0.25, 0.5, 0.75, 1, 1} { // the fifth is shed
+		f.send("load.test.", uint16(i))
+		waitFor(t, 2*time.Second, func() bool { return s.IngressLoad() == want })
 	}
-	s.queue <- &udpBatch{}
-	s.queue <- &udpBatch{}
+	waitFor(t, 2*time.Second, func() bool { return s.DroppedPackets() == 1 })
 	if got := s.IngressLoad(); got != 1 {
-		t.Fatalf("IngressLoad at capacity = %v, want 1", got)
+		t.Fatalf("IngressLoad at the bound = %v, want 1", got)
 	}
 }
 

@@ -253,10 +253,10 @@ func TestShutdownWaitsForPrefetch(t *testing.T) {
 	cache.PrefetchFrac = 1.0 // every hit is in-window
 	origin := newFakeOrigin(60)
 	srv := &Server{Addr: "127.0.0.1:0", Handler: Chain(cache, origin)}
+	cache.Background = srv // before Start, as dnsd.Build does: the serve goroutines read it
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	cache.Background = srv
 	addr := srv.LocalAddr()
 
 	if _, err := realClient().Query(context.Background(), addr, "drain.test.", dnswire.TypeA); err != nil {

@@ -69,19 +69,13 @@ func (l *LoadShed) Shed() (shed, served uint64) {
 	return sc.Value(), vc.Value()
 }
 
-// RecordShed counts one query shed outside the plugin chain — the
-// server's UDP queue-overflow path — so ingress drops and admission
-// drops share one shed family.
+// RecordShed counts one query shed outside the plugin chain — a UDP
+// query refused a place among those waiting on the network, a TCP
+// connection over MaxConns — so ingress drops and admission drops
+// share one shed family.
 func (l *LoadShed) RecordShed() {
 	sc, _ := l.counters()
 	sc.Inc()
-}
-
-// RecordShedN is RecordShed for a whole shed batch: the batched
-// ingress drops a full recvmmsg batch at a time on queue overflow.
-func (l *LoadShed) RecordShedN(n uint64) {
-	sc, _ := l.counters()
-	sc.Add(n)
 }
 
 // overloaded records one arrival and reports whether it exceeds the

@@ -15,10 +15,10 @@ import (
 // per-packet kernel crossing dominates the serve cost: recvmmsg and
 // sendmmsg move up to a whole batch of datagrams per crossing, so the
 // syscall cost amortizes across the batch instead of repeating per
-// query. The read loop arms a batch of pooled buffers, receives into
-// all of them with one recvmmsg, and hands the filled prefix to the
-// worker pool; workers queue their packed responses and flush them
-// back out the arrival socket with one sendmmsg.
+// query. A socket's lead keeps a batch of pooled buffers armed,
+// receives into all of them with one recvmmsg, serves the filled
+// prefix inline and flushes the replies back out the same socket with
+// one sendmmsg.
 //
 // Everything here sticks to package syscall — no x/sys dependency.
 // SYS_RECVMMSG exists in the stdlib tables on every linux arch;
@@ -102,198 +102,160 @@ func sockaddrToAddrPort(rsa *syscall.RawSockaddrInet6) netip.AddrPort {
 	return netip.AddrPort{}
 }
 
-// ingressIO is one read loop's recvmmsg state: parallel slot arrays
-// sized to the batch, allocated once per reader. bufs holds the pooled
-// buffer armed in each slot; a slot whose buffer moved into a batch is
-// nil until re-armed.
-type ingressIO struct {
-	bufs  [][]byte
+// mmsgSlots is one direction's parallel slot arrays, sized to the
+// batch, allocated and wired together once per socket.
+type mmsgSlots struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
-	n     int
-	err   syscall.Errno
 }
 
-func newIngressIO(batch int) *ingressIO {
-	ing := &ingressIO{
-		bufs:  make([][]byte, batch),
-		hdrs:  make([]mmsghdr, batch),
-		iovs:  make([]syscall.Iovec, batch),
-		names: make([]syscall.RawSockaddrInet6, batch),
+func newMmsgSlots(n int) mmsgSlots {
+	s := mmsgSlots{
+		hdrs:  make([]mmsghdr, n),
+		iovs:  make([]syscall.Iovec, n),
+		names: make([]syscall.RawSockaddrInet6, n),
 	}
-	for i := range ing.hdrs {
-		h := &ing.hdrs[i].hdr
-		h.Name = (*byte)(unsafe.Pointer(&ing.names[i]))
-		h.Iov = &ing.iovs[i]
+	for i := range s.hdrs {
+		h := &s.hdrs[i].hdr
+		h.Name = (*byte)(unsafe.Pointer(&s.names[i]))
+		h.Iov = &s.iovs[i]
 		h.Iovlen = 1
 	}
-	return ing
+	return s
 }
 
-// arm points slot i at buf for the next receive.
-func (ing *ingressIO) arm(i int, buf []byte) {
-	ing.bufs[i] = buf
-	ing.iovs[i].Base = unsafe.SliceData(buf)
-	ing.iovs[i].SetLen(len(buf))
+// point aims slot i at buf[:n].
+func (s *mmsgSlots) point(i int, buf []byte, n int) {
+	s.iovs[i].Base = unsafe.SliceData(buf)
+	s.iovs[i].SetLen(n)
+}
+
+// mmsgIO is one socket's recvmmsg and sendmmsg state, owned by the
+// socket's lead: rx slot i shadows socketShard.in[i], tx slot i
+// socketShard.out[i] during a flush.
+type mmsgIO struct {
+	rx, tx mmsgSlots
+	n      int           // datagrams the last recvmmsg returned
+	errno  syscall.Errno // or why it returned none
+	off    int           // first unsent tx slot
+	end    int
+	txErrs int
+	// The RawConn callbacks, bound once: a per-call method value allocates.
+	readFn, writeFn func(uintptr) bool
+}
+
+func newMmsgIO(batch int) *mmsgIO {
+	m := &mmsgIO{rx: newMmsgSlots(batch), tx: newMmsgSlots(batch)}
+	m.readFn, m.writeFn = m.read, m.write
+	return m
 }
 
 // read is the syscall.RawConn.Read callback: one recvmmsg attempt.
 // Returning false parks the goroutine on the runtime poller until the
 // socket is readable again (or the read deadline fires).
-func (ing *ingressIO) read(fd uintptr) bool {
+func (m *mmsgIO) read(fd uintptr) bool {
 	for {
-		n, errno := recvmmsg(fd, ing.hdrs)
+		n, errno := recvmmsg(fd, m.rx.hdrs)
 		switch errno {
 		case 0:
-			ing.n, ing.err = n, 0
+			m.n = n
 			return true
 		case syscall.EINTR:
 			// retry immediately; the socket may already hold packets
 		case syscall.EAGAIN:
 			return false
 		default:
-			ing.n, ing.err = 0, errno
+			m.errno = errno
 			return true
 		}
 	}
 }
 
-// serveUDPBatched is the batched ingress loop for one sharded socket:
-// up to batch datagrams per recvmmsg, each landing directly in a
-// pooled buffer, the filled prefix handed to the worker pool as one
-// udpBatch. Kernel out-params (Namelen, Flags) are re-armed on every
-// iteration because recvmmsg overwrites them per message.
-func (s *Server) serveUDPBatched(sh *socketShard, batch int) {
-	defer s.wg.Done()
-	defer s.readers.Done() // last reader out closes the queue
-	ing := newIngressIO(batch)
-	readFn := ing.read // bound once: a per-iteration method value allocates
-	release := func() {
-		for i := range ing.bufs {
-			if ing.bufs[i] != nil {
-				dnswire.PutBuffer(ing.bufs[i])
-				ing.bufs[i] = nil
-			}
+// recv fills sh.in[:sh.n] with up to a batch of datagrams from one
+// recvmmsg, each landing directly in its slot's pooled buffer. Slots
+// whose buffer left with a query that gave the socket away are re-armed
+// first, and the kernel's out-params (Namelen, Flags) reset, because
+// recvmmsg overwrites them per message. With block it waits for the
+// socket to become readable; without, it takes what the socket holds
+// now — the drain's last sweep, after the read deadline has passed and
+// RawConn.Read would refuse to run.
+func (sh *socketShard) recv(block bool) error {
+	m := sh.mio
+	for i := range sh.in {
+		if sh.in[i].buf == nil {
+			sh.in[i].buf = dnswire.GetBuffer()
+			m.rx.point(i, sh.in[i].buf, len(sh.in[i].buf))
 		}
+		m.rx.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+		m.rx.hdrs[i].hdr.Flags = 0
 	}
-	for {
-		for i := 0; i < batch; i++ {
-			if ing.bufs[i] == nil {
-				ing.arm(i, dnswire.GetBuffer())
-			}
-			ing.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
-			ing.hdrs[i].hdr.Flags = 0
-		}
-		if err := sh.rc.Read(readFn); err != nil || ing.err != 0 {
-			release()
-			return // closed, draining (deadline), or socket error
-		}
-		n := ing.n
-		if n == 0 {
-			continue
-		}
-		sh.packets.Add(uint64(n))
-		sh.batches.Inc()
-		b := getBatch(sh)
-		for i := 0; i < n; i++ {
-			b.bufs[i] = ing.bufs[i][:int(ing.hdrs[i].n)]
-			b.addrs[i] = sockaddrToAddrPort(&ing.names[i])
-			ing.bufs[i] = nil
-		}
-		b.n = n
-		if !s.dispatch(b) {
-			release()
-			return // draining
-		}
+	sh.n, sh.next, m.n, m.errno = 0, 0, 0, 0
+	var err error
+	if block {
+		err = sh.rc.Read(m.readFn)
+	} else {
+		err = sh.rc.Control(func(fd uintptr) { m.read(fd) })
 	}
-}
-
-// egressIO is one worker's sendmmsg state: slot arrays grown to the
-// largest flush seen, rebuilt from w.out on every flush.
-type egressIO struct {
-	hdrs  []mmsghdr
-	iovs  []syscall.Iovec
-	names []syscall.RawSockaddrInet6
-	off   int // first unsent slot
-	end   int
-	errs  int
-	fn    func(uintptr) bool
-}
-
-func (e *egressIO) ensure(n int) {
-	if cap(e.hdrs) >= n {
-		e.hdrs = e.hdrs[:n]
-		e.iovs = e.iovs[:n]
-		e.names = e.names[:n]
-		return
+	if err == nil && m.errno != 0 {
+		err = m.errno
 	}
-	e.hdrs = make([]mmsghdr, n)
-	e.iovs = make([]syscall.Iovec, n)
-	e.names = make([]syscall.RawSockaddrInet6, n)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < m.n; i++ {
+		sh.in[i].n = int(m.rx.hdrs[i].n)
+		sh.in[i].addr = sockaddrToAddrPort(&m.rx.names[i])
+	}
+	sh.n = m.n
+	return nil
 }
 
-// setSlot points slot i at queued response p. Every pointer is rebound
-// per flush since ensure may have reallocated the arrays.
-func (e *egressIO) setSlot(i int, p *egressPkt) {
-	e.iovs[i].Base = unsafe.SliceData(p.buf)
-	e.iovs[i].SetLen(p.n)
-	h := &e.hdrs[i].hdr
-	h.Name = (*byte)(unsafe.Pointer(&e.names[i]))
-	h.Namelen = putSockaddr(&e.names[i], p.raddr)
-	h.Iov = &e.iovs[i]
-	h.Iovlen = 1
-	h.Flags = 0
-	e.hdrs[i].n = 0
-}
-
-// send is the syscall.RawConn.Write callback: sendmmsg until the whole
+// write is the syscall.RawConn.Write callback: sendmmsg until the whole
 // [off, end) window is out. A datagram the kernel refuses outright is
 // skipped and counted so one bad destination can't wedge the batch;
 // UDP clients retry.
-func (e *egressIO) send(fd uintptr) bool {
-	for e.off < e.end {
-		n, errno := sendmmsg(fd, e.hdrs[e.off:e.end])
+func (m *mmsgIO) write(fd uintptr) bool {
+	for m.off < m.end {
+		n, errno := sendmmsg(fd, m.tx.hdrs[m.off:m.end])
 		switch errno {
 		case 0:
-			e.off += n
+			m.off += n
 		case syscall.EINTR:
 			// retry
 		case syscall.EAGAIN:
 			return false
 		default:
-			e.errs++
-			e.off++
+			m.txErrs++
+			m.off++
 		}
 	}
 	return true
 }
 
-// sendBatch flushes the worker's queued responses with sendmmsg,
-// falling back to the per-packet loop on architectures without a wired
-// syscall number.
-func (w *udpWriter) sendBatch() {
+// sendBatch flushes the stashed replies (never more than a batch: at
+// most one per ingress slot) with sendmmsg, falling back to the
+// per-packet loop on architectures without a wired syscall number.
+func (sh *socketShard) sendBatch() {
 	if sendmmsgTrap == 0 {
-		w.sendLoop()
+		sh.sendLoop()
 		return
 	}
-	e := &w.eio
-	n := len(w.out)
-	e.ensure(n)
-	for i := range w.out {
-		e.setSlot(i, &w.out[i])
+	m := sh.mio
+	for i, p := range sh.out {
+		m.tx.point(i, p.buf, p.n)
+		m.tx.hdrs[i].hdr.Namelen = putSockaddr(&m.tx.names[i], p.addr)
+		m.tx.hdrs[i].hdr.Flags = 0
+		m.tx.hdrs[i].n = 0
 	}
-	e.off, e.end, e.errs = 0, n, 0
-	if e.fn == nil {
-		e.fn = e.send // bound once per worker
+	m.off, m.end, m.txErrs = 0, len(sh.out), 0
+	if err := sh.rc.Write(m.writeFn); err != nil {
+		m.txErrs += m.end - m.off // deadline/close mid-flush: remainder unsent
 	}
-	if err := w.shard.rc.Write(e.fn); err != nil {
-		e.errs += e.end - e.off // deadline/close mid-flush: remainder unsent
+	if m.txErrs > 0 {
+		sh.sendErrs.Add(uint64(m.txErrs))
 	}
-	if e.errs > 0 {
-		w.sendErrs.Add(uint64(e.errs))
-	}
-	for i := range w.out {
-		dnswire.PutBuffer(w.out[i].buf)
+	for _, p := range sh.out {
+		dnswire.PutBuffer(p.buf)
 	}
 }

@@ -2,21 +2,45 @@
 
 package dnsserver
 
-// Non-Linux fallbacks: without recvmmsg/sendmmsg the server always
-// runs the single-datagram ingress loop and the per-packet egress
-// loop. The worker path is identical — batches just hold one packet.
+import (
+	"time"
+
+	"github.com/meccdn/meccdn/internal/dnswire"
+)
+
+// Non-Linux fallbacks: without recvmmsg/sendmmsg a batch is one
+// datagram, filled by one recvfrom and flushed by one sendto. The loop
+// around them is the same.
 
 const (
 	batchingSupported = false
 	defaultBatch      = 1
 )
 
-// egressIO carries no state on the unbatched path.
-type egressIO struct{}
+// mmsgIO carries no state on the unbatched path.
+type mmsgIO struct{}
 
-// sendBatch degrades to one sendto per queued response.
-func (w *udpWriter) sendBatch() { w.sendLoop() }
+func newMmsgIO(int) *mmsgIO { return nil }
 
-// serveUDPBatched never runs here (batchSize collapses to 1), but the
-// symbol must exist for Start; degrade to the single-datagram loop.
-func (s *Server) serveUDPBatched(sh *socketShard, batch int) { s.serveUDPSingle(sh) }
+// sendBatch degrades to one sendto per stashed reply.
+func (sh *socketShard) sendBatch() { sh.sendLoop() }
+
+// recv reads one datagram into slot 0. Without block — the drain's
+// last sweep, past the read deadline — it stands in for a non-blocking
+// read with a deadline a moment away.
+func (sh *socketShard) recv(block bool) error {
+	q := &sh.in[0]
+	if q.buf == nil {
+		q.buf = dnswire.GetBuffer()
+	}
+	sh.n, sh.next = 0, 0
+	if !block {
+		_ = sh.conn.SetReadDeadline(time.Now().Add(time.Millisecond))
+	}
+	n, addr, err := sh.conn.ReadFromUDPAddrPort(q.buf)
+	if err != nil {
+		return err
+	}
+	q.n, q.addr, sh.n = n, addr, 1
+	return nil
+}

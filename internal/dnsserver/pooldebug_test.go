@@ -5,6 +5,7 @@ package dnsserver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"testing"
@@ -21,9 +22,11 @@ func init() { poolOutstanding = dnswire.PoolOutstanding }
 // every UDP serve path that touches pooled buffers — misses (packed
 // once at store, replied from the image), plain and EDNS hits
 // (ownership transfer through WriteWireOwned), and oversized replies
-// (decoded at the cache boundary, clone-truncated in the writer) — then
-// shut the server down and require every checked-out buffer to be back
-// in the pool. A positive delta is a leak on some exit path.
+// (decoded at the cache boundary, clone-truncated in the writer) — and
+// a burst of slow misses, each of which takes its packet buffer out of
+// its ingress slot, gives the socket away mid-batch and sends its own
+// reply; then shut the server down and require every checked-out buffer
+// to be back in the pool. A positive delta is a leak on some exit path.
 func TestServePathPoolBalance(t *testing.T) {
 	zone := NewZone("bal.test.")
 	if err := zone.AddA("www.bal.test.", 300, netip.MustParseAddr("192.0.2.5")); err != nil {
@@ -37,9 +40,8 @@ func TestServePathPoolBalance(t *testing.T) {
 	cache := NewCache(vclock.NewReal())
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
-		Handler:    Chain(cache, NewZonePlugin(zone)),
-		Workers:    2,
-		QueueDepth: 64,
+		Handler:    Chain(cache, &slowPlugin{delay: 20 * time.Millisecond}, NewZonePlugin(zone)),
+		QueueDepth: 4, // the burst below overruns it: shed queries hold buffers too
 	}
 
 	base := dnswire.PoolOutstanding()
@@ -82,6 +84,18 @@ func TestServePathPoolBalance(t *testing.T) {
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Fatalf("expected cache hits, got %+v", st)
 	}
+	const burst = 12
+	for i := 0; i < burst; i++ { // distinct names: no coalescing, every one waits or is shed
+		q := new(dnswire.Message)
+		q.SetQuestion(fmt.Sprintf("m%d.bal.test.", i), dnswire.TypeA)
+		if _, err := conn.Write(mustPack(t, q)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 2*time.Second, func() bool { return srv.ServedPackets()+srv.DroppedPackets() == 24+burst })
+	if srv.DroppedPackets() == 0 || srv.DroppedPackets() == burst {
+		t.Fatalf("burst of %d: %d shed; want some shed and some served by a goroutine that gave the socket away", burst, srv.DroppedPackets())
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -89,8 +103,8 @@ func TestServePathPoolBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reader goroutines release their armed ingress buffers as they
-	// unwind, possibly a beat after Shutdown returns.
+	// The socket loops release their armed ingress buffers as they
+	// end, possibly a beat after Shutdown returns.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if dnswire.PoolOutstanding() <= base {
@@ -322,7 +336,7 @@ func TestRelayPoolBalance(t *testing.T) {
 	stub.Route("fail.test.", servfail, servfail)
 	stub.Route("bad.test.", malformed)
 	stub.Route("dead.test.", deadAddr)
-	ldns := &Server{Addr: "127.0.0.1:0", Handler: Chain(NewCache(vclock.NewReal()), stub), Workers: 2}
+	ldns := &Server{Addr: "127.0.0.1:0", Handler: Chain(NewCache(vclock.NewReal()), stub)}
 	if err := ldns.Start(); err != nil {
 		t.Fatal(err)
 	}

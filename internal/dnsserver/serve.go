@@ -17,15 +17,16 @@ import (
 const maxUDPPayload = 4096
 
 // serveScratch is the parse and reply state serveQuery works in. The
-// socket ingresses reuse one per worker or connection, so the steady
-// state allocates nothing for plumbing or parsing; the scratch message
-// is overwritten by the next query, so handlers must not retain it
-// past ServeDNS — the same contract the wire buffers already carry.
+// socket ingresses reuse one per serve goroutine or connection, so the
+// steady state allocates nothing for plumbing or parsing; the scratch
+// message is overwritten by the next query, so handlers must not retain
+// it past ServeDNS — the same contract the wire buffers already carry.
 type serveScratch struct {
 	msg    dnswire.Message
 	req    Request
 	reply  replyImage
 	intern *dnswire.NameIntern // nil: question names are not interned
+	wait   func() bool         // Request.wait for every query; nil off UDP
 }
 
 // serveQuery owns one query from bytes to bytes, for every ingress:
@@ -53,7 +54,7 @@ func serveQuery(h Handler, hub *telemetry.Hub, st *serveScratch, pkt []byte, cli
 		limit = min(adv, limit)
 	}
 	st.reply = replyImage{limit: limit}
-	st.req = Request{Msg: msg, Client: client, Transport: transport}
+	st.req = Request{Msg: msg, Client: client, Transport: transport, wait: st.wait}
 	ctx := context.Background()
 	var sp *telemetry.Span // nil-safe, like the hub's Finish
 	if hub != nil {

@@ -197,7 +197,6 @@ func TestHandlerNeverSeesReusedBuffer(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(guard, NewZonePlugin(zone)),
-		Workers:    4,
 		QueueDepth: 256, // roomy: this test is about reuse, not shedding
 	}
 	if err := srv.Start(); err != nil {
@@ -242,9 +241,10 @@ func TestHandlerNeverSeesReusedBuffer(t *testing.T) {
 	}
 }
 
-// TestGracefulDrainWaitsForQueued pins the worker-pool drain contract:
-// packets already accepted into the ingress queue when Shutdown begins
-// are still served, because track() runs before enqueue.
+// TestGracefulDrainWaitsForQueued pins the drain contract for queries
+// waiting on the network: every datagram read before Shutdown begins
+// is still served, each waiting query being registered in flight
+// before its goroutine gives the socket away.
 func TestGracefulDrainWaitsForQueued(t *testing.T) {
 	z := NewZone("drain.test.")
 	if err := z.AddA("www.drain.test.", 60, netip.MustParseAddr("192.0.2.77")); err != nil {
@@ -253,8 +253,7 @@ func TestGracefulDrainWaitsForQueued(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(&slowPlugin{delay: 120 * time.Millisecond}, NewZonePlugin(z)),
-		Workers:    1, // serialize: later queries sit in the queue
-		QueueDepth: 8,
+		QueueDepth: 8, // datagrams
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -275,7 +274,7 @@ func TestGracefulDrainWaitsForQueued(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// First query is in the worker, the rest are queued. Drain.
+	// All three are in the slow plugin, off the socket's lead. Drain.
 	time.Sleep(30 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
@@ -289,10 +288,10 @@ func TestGracefulDrainWaitsForQueued(t *testing.T) {
 	}
 }
 
-// TestUDPQueueOverflowSheds pins the overflow contract: with one busy
-// worker and a one-slot queue, a burst must be shed (counted on the
-// server's drop counter and the LoadShed family), never queued without
-// bound.
+// TestUDPQueueOverflowSheds pins the overflow contract: with room for
+// one query waiting on the network, the rest of a burst of them must be
+// shed (counted on the server's drop counter and the LoadShed family),
+// never parked without bound.
 func TestUDPQueueOverflowSheds(t *testing.T) {
 	z := NewZone("flood.test.")
 	if err := z.AddA("www.flood.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
@@ -302,9 +301,7 @@ func TestUDPQueueOverflowSheds(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(&slowPlugin{delay: 100 * time.Millisecond}, NewZonePlugin(z)),
-		Workers:    1,
-		QueueDepth: 1,
-		Batch:      1, // unbatched: recvmmsg would coalesce the burst into one queue slot
+		QueueDepth: 1, // datagram
 		Shed:       shed,
 	}
 	if err := srv.Start(); err != nil {
@@ -330,13 +327,15 @@ func TestUDPQueueOverflowSheds(t *testing.T) {
 		}
 	}
 
-	waitFor(t, 2*time.Second, func() bool { return srv.DroppedPackets() > 0 })
-	dropped := srv.DroppedPackets()
-	if s, _ := shed.Shed(); s != dropped {
-		t.Errorf("loadshed shed counter = %d, server dropped = %d; want equal", s, dropped)
+	waitFor(t, 2*time.Second, func() bool { return srv.DroppedPackets() == 29 })
+	if s, _ := shed.Shed(); s != 29 {
+		t.Errorf("loadshed shed counter = %d, server dropped = 29; want equal", s)
+	}
+	if got := srv.IngressLoad(); got != 1 {
+		t.Errorf("IngressLoad = %v with the one place taken, want 1", got)
 	}
 
-	// The serve-loop families expose the drops and the pool gauges.
+	// The serve-loop families expose the drops and the waiting queries.
 	reg := telemetry.NewRegistry()
 	reg.MustRegister(srv.Collectors()...)
 	var b strings.Builder
@@ -344,7 +343,7 @@ func TestUDPQueueOverflowSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, family := range []string{
-		"meccdn_dns_udp_dropped_total", "meccdn_dns_udp_workers_busy", "meccdn_dns_udp_queue_depth",
+		"meccdn_dns_udp_dropped_total 29", "meccdn_dns_udp_queue_depth 1", "meccdn_dns_udp_recv_errors_total 0",
 	} {
 		if !strings.Contains(b.String(), family) {
 			t.Errorf("exposition missing %s", family)

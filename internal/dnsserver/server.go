@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -50,7 +51,24 @@ type Request struct {
 	Client netip.AddrPort
 	// Transport is "udp", "tcp", or "sim".
 	Transport string
+
+	// wait is the UDP ingress's hand-off hook (udpServe.wait); nil on
+	// TCP, simnet and requests a test builds.
+	wait func() bool
 }
+
+// mayWait is called by a plugin that is about to wait on anything but
+// the CPU — an upstream exchange, another query's flight — before it
+// touches state other queries can see. On the UDP ingress it gives the
+// socket this goroutine is serving to another goroutine, so queries
+// behind this one are not held up by the wait. False means the server
+// already has QueueDepth queries waiting: the plugin returns at once
+// with errIngressFull, no reply is made and the datagram is shed.
+func (r *Request) mayWait() bool { return r.wait == nil || r.wait() }
+
+// errIngressFull is what a plugin returns when mayWait said no;
+// ResolveTo synthesizes no response for it.
+var errIngressFull = errors.New("dnsserver: too many queries waiting on the network")
 
 // Name returns the canonicalized first question name.
 func (r *Request) Name() string { return dnswire.CanonicalName(r.Msg.Question().Name) }
@@ -110,7 +128,10 @@ func (f HandlerFunc) ServeDNS(ctx context.Context, w ResponseWriter, r *Request)
 	return f(ctx, w, r)
 }
 
-// Plugin is one link of a server chain.
+// Plugin is one link of a server chain. The UDP ingress runs the chain
+// on the goroutine that reads the socket, so the rule is: a plugin that
+// waits on anything but the CPU says so first (Request.mayWait, as
+// Forward and Cache do); one that only computes just answers.
 type Plugin interface {
 	// Name identifies the plugin in metrics and errors.
 	Name() string
@@ -207,8 +228,8 @@ func ResolveTo(ctx context.Context, h Handler, w ResponseWriter, req *Request) d
 		t = &recorder{w: w}
 	}
 	rcode, err := h.ServeDNS(ctx, t, req)
-	if t.Written() {
-		return rcode
+	if t.Written() || errors.Is(err, errIngressFull) {
+		return rcode // answered — or shed, and a shed query gets no reply
 	}
 	m := new(dnswire.Message)
 	if err != nil {
@@ -231,19 +252,11 @@ type Server struct {
 	// through the plugin chain via the request context), observes the
 	// client-visible serve duration, and feeds the sampled query log.
 	Telemetry *telemetry.Hub
-	// Workers is the number of UDP worker goroutines pulling packets
-	// off the ingress queue. Zero means GOMAXPROCS. Bounding the
-	// workers (instead of a goroutine per packet) keeps concurrency —
-	// and therefore memory and scheduler load — flat under the paper's
-	// DoS-threshold scenario.
-	Workers int
 	// Sockets is the number of UDP ingress sockets bound to Addr via
-	// SO_REUSEPORT, each with its own read loop feeding the shared
-	// worker pool; the kernel shards inbound datagrams across them by
-	// flow hash, removing the single-read-loop bottleneck on
-	// multi-core hosts. Values <= 1 — and any value on platforms
-	// without SO_REUSEPORT (see reuseport_other.go) — mean the classic
-	// single-socket ingress.
+	// SO_REUSEPORT, each served by its own loop; the kernel shards
+	// inbound datagrams across them by flow hash, so ingress scales with
+	// cores. Values <= 1 — and any value on platforms without
+	// SO_REUSEPORT (see reuseport_other.go) — mean a single socket.
 	Sockets int
 	// MaxConns caps concurrently served TCP connections; accepted
 	// connections beyond the cap are closed immediately and counted in
@@ -251,38 +264,43 @@ type Server struct {
 	// 512. A goroutine per connection is fine; an unbounded number of
 	// them under a SYN-rate attack is not.
 	MaxConns int
-	// QueueDepth is the capacity of the UDP ingress queue between the
-	// read loops and the workers, measured in batches (a batch holds
-	// 1..Batch datagrams). Zero means 4× the worker count. Batches
-	// arriving with the queue full are dropped whole and counted, per
-	// datagram, in meccdn_dns_udp_dropped_total rather than queued
-	// without bound.
+	// QueueDepth bounds, in datagrams, the UDP queries waiting on the
+	// network at once (an upstream exchange, another query's flight),
+	// each on a goroutine of its own. Zero means 128 × GOMAXPROCS. A
+	// query that would have to wait beyond the bound is shed — no reply,
+	// counted in meccdn_dns_udp_dropped_total — while queries that need
+	// only the CPU (cache hits, zones, the C-DNS router) keep being
+	// answered: the paper's DoS-threshold behaviour.
 	QueueDepth int
 	// Batch is the maximum number of datagrams moved per syscall on
-	// the UDP ingress and egress paths. On Linux each read loop fills
-	// up to Batch pooled buffers per recvmmsg and workers flush their
-	// responses with one sendmmsg per batch, back out the socket the
-	// queries arrived on. 0 means 32 on Linux; 1 disables batching
-	// (one recvfrom/sendto per datagram); values above 64 are capped.
-	// Platforms without the batched syscalls always behave as 1.
+	// the UDP ingress and egress paths. On Linux a socket's loop fills
+	// up to Batch pooled buffers per recvmmsg and flushes the replies
+	// with one sendmmsg, back out the socket the queries arrived on.
+	// 0 means 32 on Linux; values above 64 are capped. Platforms
+	// without the batched syscalls always behave as 1.
 	Batch int
-	// Shed, when non-nil, has queue-overflow drops recorded on its
-	// shed counter too, so admission-control drops and ingress drops
-	// surface in one meccdn_dns_loadshed_shed_total family.
+	// Shed, when non-nil, has ingress sheds recorded on its shed
+	// counter too, so admission-control drops and ingress drops surface
+	// in one meccdn_dns_loadshed_shed_total family.
 	Shed *LoadShed
 
 	mu       sync.Mutex
 	udps     []*net.UDPConn
-	shards   []*socketShard
 	tcp      net.Listener
 	conns    map[net.Conn]struct{}
 	started  bool
 	draining bool
 	wg       sync.WaitGroup
-	readers  sync.WaitGroup
 	inflight sync.WaitGroup
 
-	queue       chan *udpBatch
+	// leads carries a socket from the goroutine giving it away to an
+	// idle one. Unbuffered: a send succeeds only if a follower is
+	// parked on it. Closed by the last socket loop to end.
+	leads  chan *socketShard
+	live   atomic.Int32 // socket loops not yet ended
+	parked atomic.Int64 // UDP queries waiting on the network
+	depth  int64        // QueueDepth resolved at Start
+
 	ctr         serveCounters
 	tcpRejected atomic.Uint64
 }
@@ -290,91 +308,61 @@ type Server struct {
 // serveCounters are the serve loop's per-packet counters. Every one
 // of them is touched for every datagram (or batch), so none may be a
 // single atomic word all cores bounce between their caches: each is
-// sharded into cache-line-padded cells, one per reader socket or per
-// worker, and summed only at scrape time.
+// sharded into cache-line-padded cells, one per socket — written by
+// the socket's lead and, once per waited query, by the goroutine that
+// gave the socket away — and summed only at scrape time.
 type serveCounters struct {
-	// Per reader-socket cells.
-	packets *telemetry.ShardedCounter // datagrams accepted off the sockets
-	batches *telemetry.ShardedCounter // read wakeups that yielded >= 1 datagram
-	dropped *telemetry.ShardedCounter // datagrams shed on queue overflow
-	// Per worker cells.
-	served   *telemetry.ShardedCounter // datagrams fully served
+	packets  *telemetry.ShardedCounter // datagrams read off the sockets
+	batches  *telemetry.ShardedCounter // reads that yielded >= 1 datagram
+	dropped  *telemetry.ShardedCounter // datagrams shed at the QueueDepth bound
+	served   *telemetry.ShardedCounter // datagrams served, reply (if any) sent
 	sendErrs *telemetry.ShardedCounter // response transmissions that failed
-	busy     *telemetry.ShardedGauge   // workers currently serving a batch
+	recvErrs *telemetry.ShardedCounter // transient receive errors survived
 }
 
-func newServeCounters(sockets, workers int) serveCounters {
+func newServeCounters(sockets int) serveCounters {
+	c := func(name string) *telemetry.ShardedCounter { return telemetry.NewShardedCounter(name, "", sockets) }
 	return serveCounters{
-		packets:  telemetry.NewShardedCounter("meccdn_dns_udp_packets_total", "", sockets),
-		batches:  telemetry.NewShardedCounter("meccdn_dns_udp_batches_total", "", sockets),
-		dropped:  telemetry.NewShardedCounter("meccdn_dns_udp_dropped_total", "", sockets),
-		served:   telemetry.NewShardedCounter("meccdn_dns_udp_served_total", "", workers),
-		sendErrs: telemetry.NewShardedCounter("meccdn_dns_udp_send_errors_total", "", workers),
-		busy:     telemetry.NewShardedGauge("meccdn_dns_udp_workers_busy", "", workers),
+		packets:  c("meccdn_dns_udp_packets_total"),
+		batches:  c("meccdn_dns_udp_batches_total"),
+		dropped:  c("meccdn_dns_udp_dropped_total"),
+		served:   c("meccdn_dns_udp_served_total"),
+		sendErrs: c("meccdn_dns_udp_send_errors_total"),
+		recvErrs: c("meccdn_dns_udp_recv_errors_total"),
 	}
 }
 
-// socketShard is one UDP ingress socket plus its reader-owned state:
-// the raw descriptor access for batched syscalls and this reader's
-// counter cells, cached so the loop never indexes a shard table per
-// packet.
+// datagram is one UDP packet in a pooled buffer: a query in an ingress
+// slot, or a packed reply stashed for the next flush.
+type datagram struct {
+	buf  []byte
+	n    int
+	addr netip.AddrPort
+}
+
+// socketShard is one UDP ingress socket and everything its lead — the
+// one goroutine currently reading it — owns: the ingress slots and the
+// cursor over them, the replies stashed since the last flush, the
+// batched-syscall state, the question-name intern table and the
+// counter cells. All of it changes hands with the socket.
 type socketShard struct {
-	conn    *net.UDPConn
-	rc      syscall.RawConn
-	packets *telemetry.CounterCell
-	batches *telemetry.CounterCell
-	dropped *telemetry.CounterCell
+	conn *net.UDPConn
+	rc   syscall.RawConn
+
+	in      []datagram // Batch slots; in[next:n] are read and not yet served
+	n, next int
+	out     []datagram // replies to in[:next], not yet sent
+	done    int        // datagrams served since the last flush
+	drained bool       // the final sweep has run; the next fill ends the loop
+	mio     *mmsgIO
+	intern  *dnswire.NameIntern
+
+	packets, batches, dropped, served, sendErrs, recvErrs *telemetry.CounterCell
 }
 
 // maxBatch caps Server.Batch. 64 datagrams per syscall is past the
-// point of diminishing returns for DNS-sized packets, and the cap
-// keeps the per-batch slot arrays small enough to pool.
+// point of diminishing returns for DNS-sized packets.
 const maxBatch = 64
-
-// udpBatch is one group of datagrams handed from a read loop to a
-// worker: up to Batch pooled buffers, each sliced to its datagram,
-// with their source addresses. All packets of a batch arrived on the
-// same socket, so the worker's response flush can go back out that
-// socket in one sendmmsg. Containers are pooled; a batch of one is
-// how the unbatched (non-Linux or Batch=1) ingress rides the same
-// worker code.
-type udpBatch struct {
-	shard *socketShard
-	n     int
-	bufs  [maxBatch][]byte
-	addrs [maxBatch]netip.AddrPort
-}
-
-var batchPool = sync.Pool{New: func() any { return new(udpBatch) }}
-
-func getBatch(sh *socketShard) *udpBatch {
-	b := batchPool.Get().(*udpBatch)
-	b.shard, b.n = sh, 0
-	return b
-}
-
-// releaseBatch returns every buffer the batch still owns, then the
-// container itself, to their pools. Consumers that have already
-// recycled a buffer nil its slot first, so each buffer goes back
-// exactly once no matter which path releases the batch.
-func releaseBatch(b *udpBatch) {
-	for i := 0; i < b.n; i++ {
-		if b.bufs[i] != nil {
-			dnswire.PutBuffer(b.bufs[i])
-			b.bufs[i] = nil
-		}
-	}
-	b.n, b.shard = 0, nil
-	batchPool.Put(b)
-}
-
-// workerCount resolves the configured worker-pool size.
-func (s *Server) workerCount() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // socketCount resolves the configured UDP ingress socket count,
 // collapsing to one socket wherever SO_REUSEPORT can't shard.
@@ -393,56 +381,40 @@ func (s *Server) maxConns() int {
 	return 512
 }
 
+// counters returns the serve counters, which Start builds: before it
+// every field is nil, and a nil ShardedCounter reads 0.
+func (s *Server) counters() serveCounters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctr
+}
+
 // Collectors returns the server's serve-loop metric families for
-// registration on a telemetry.Registry: worker occupancy, ingress
-// queue depth, batching tallies, and the drop counters. The sharded
-// serve counters behind them are built at Start, so every family reads
-// 0 before then — callers may register the collectors first (cmd/dnsd
-// does) and Start later.
+// registration on a telemetry.Registry: queries waiting on the network,
+// batching tallies per server and packets per socket, and the drop and
+// error counters. Every family reads 0 before Start — callers may
+// register the collectors first (cmd/dnsd does) and Start later.
 func (s *Server) Collectors() []telemetry.Collector {
-	sum := func(pick func(serveCounters) *telemetry.ShardedCounter) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			c := pick(s.ctr)
-			s.mu.Unlock()
-			if c == nil {
-				return 0
-			}
-			return float64(c.Value())
-		}
+	sum := func(name, help string, pick func(serveCounters) *telemetry.ShardedCounter) telemetry.Collector {
+		return telemetry.NewCounterFunc(name, help, func() float64 { return float64(pick(s.counters()).Value()) })
 	}
 	return []telemetry.Collector{
-		telemetry.NewGaugeFunc("meccdn_dns_udp_workers_busy",
-			"UDP worker goroutines currently serving a batch.",
-			func() float64 {
-				s.mu.Lock()
-				g := s.ctr.busy
-				s.mu.Unlock()
-				if g == nil {
-					return 0
-				}
-				return float64(g.Value())
-			}),
 		telemetry.NewGaugeFunc("meccdn_dns_udp_queue_depth",
-			"Batches waiting in the UDP ingress queue.",
-			func() float64 {
-				s.mu.Lock()
-				q := s.queue
-				s.mu.Unlock()
-				return float64(len(q))
-			}),
-		telemetry.NewCounterFunc("meccdn_dns_udp_packets_total",
-			"Datagrams accepted off the UDP ingress sockets.",
-			sum(func(c serveCounters) *telemetry.ShardedCounter { return c.packets })),
-		telemetry.NewCounterFunc("meccdn_dns_udp_batches_total",
-			"Read-loop wakeups that yielded at least one datagram; packets_total over batches_total is the achieved batching factor.",
-			sum(func(c serveCounters) *telemetry.ShardedCounter { return c.batches })),
-		telemetry.NewCounterFunc("meccdn_dns_udp_dropped_total",
-			"Datagrams dropped because the UDP ingress queue was full.",
-			sum(func(c serveCounters) *telemetry.ShardedCounter { return c.dropped })),
-		telemetry.NewCounterFunc("meccdn_dns_udp_send_errors_total",
-			"UDP response transmissions that failed at the socket.",
-			sum(func(c serveCounters) *telemetry.ShardedCounter { return c.sendErrs })),
+			"UDP queries waiting on the network (an upstream exchange or another query's flight), bounded by QueueDepth.",
+			func() float64 { return float64(s.parked.Load()) }),
+		sum("meccdn_dns_udp_packets_total", "Datagrams read off the UDP ingress sockets.",
+			func(c serveCounters) *telemetry.ShardedCounter { return c.packets }),
+		telemetry.NewCounterFuncs("meccdn_dns_udp_socket_packets_total",
+			"Datagrams read off each UDP ingress socket; a skewed SO_REUSEPORT flow hash shows here.",
+			"socket", s.SocketPackets),
+		sum("meccdn_dns_udp_batches_total", "Socket reads that yielded at least one datagram; packets_total over batches_total is the achieved batching factor.",
+			func(c serveCounters) *telemetry.ShardedCounter { return c.batches }),
+		sum("meccdn_dns_udp_dropped_total", "Datagrams shed because QueueDepth queries were already waiting on the network.",
+			func(c serveCounters) *telemetry.ShardedCounter { return c.dropped }),
+		sum("meccdn_dns_udp_send_errors_total", "UDP response transmissions that failed at the socket.",
+			func(c serveCounters) *telemetry.ShardedCounter { return c.sendErrs }),
+		sum("meccdn_dns_udp_recv_errors_total", "Transient UDP receive errors (ENOBUFS, ENOMEM, ...) the socket loops survived.",
+			func(c serveCounters) *telemetry.ShardedCounter { return c.recvErrs }),
 		telemetry.NewGaugeFunc("meccdn_dns_udp_sockets",
 			"UDP ingress sockets sharing the listen address via SO_REUSEPORT.",
 			func() float64 { return float64(s.NumSockets()) }),
@@ -452,59 +424,43 @@ func (s *Server) Collectors() []telemetry.Collector {
 	}
 }
 
-// IngressLoad returns the UDP ingress queue occupancy as a fraction
-// in [0, 1]: 0 when idle (or before Start), 1 when the queue is full
-// and arrivals are being shed. This is the load signal fed to the
-// health registry's ingress watermark switch.
+// IngressLoad returns the share of QueueDepth in use as a fraction in
+// [0, 1]: 0 when no UDP query is waiting on the network (or before
+// Start), 1 when the bound is reached and queries that would wait are
+// being shed. This is the load signal fed to the health registry's
+// ingress watermark switch.
 func (s *Server) IngressLoad() float64 {
 	s.mu.Lock()
-	q := s.queue
+	depth := s.depth
 	s.mu.Unlock()
-	if q == nil || cap(q) == 0 {
+	if depth == 0 {
 		return 0
 	}
-	return float64(len(q)) / float64(cap(q))
+	return min(1, float64(s.parked.Load())/float64(depth))
 }
 
-// DroppedPackets returns the number of datagrams shed on queue
-// overflow since Start.
-func (s *Server) DroppedPackets() uint64 {
-	s.mu.Lock()
-	c := s.ctr.dropped
-	s.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Value()
-}
+// DroppedPackets returns the number of datagrams shed at the
+// QueueDepth bound since Start.
+func (s *Server) DroppedPackets() uint64 { return s.counters().dropped.Value() }
 
 // BatchStats returns the ingress batching tallies since Start: packets
-// is the number of datagrams accepted off the sockets, batches the
-// number of read wakeups that produced them. packets over batches is
-// the achieved batching factor — 1.0 on the unbatched path, up to
-// Batch under load on Linux.
+// is the number of datagrams read off the sockets, batches the number
+// of reads that produced them. packets over batches is the achieved
+// batching factor — 1.0 on the unbatched path, up to Batch under load
+// on Linux.
 func (s *Server) BatchStats() (packets, batches uint64) {
-	s.mu.Lock()
-	p, b := s.ctr.packets, s.ctr.batches
-	s.mu.Unlock()
-	if p == nil || b == nil {
-		return 0, 0
-	}
-	return p.Value(), b.Value()
+	c := s.counters()
+	return c.packets.Value(), c.batches.Value()
 }
 
-// ServedPackets returns the number of datagrams fully served (response
-// flushed) by the worker pool since Start, summed over the per-worker
-// counter cells.
-func (s *Server) ServedPackets() uint64 {
-	s.mu.Lock()
-	c := s.ctr.served
-	s.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Value()
-}
+// SocketPackets returns the datagrams read off each ingress socket
+// since Start, in socket order; their sum is BatchStats' packets.
+func (s *Server) SocketPackets() []uint64 { return s.counters().packets.Values() }
+
+// ServedPackets returns the number of datagrams fully served (reply,
+// if any, sent) since Start; with DroppedPackets it accounts for every
+// datagram read.
+func (s *Server) ServedPackets() uint64 { return s.counters().served.Value() }
 
 // batchSize resolves the configured Batch against platform support.
 func (s *Server) batchSize() int {
@@ -552,62 +508,40 @@ func (s *Server) Start() error {
 	if err != nil {
 		return err
 	}
-	s.udps = udps
-	// Bind TCP to whatever port UDP got (supports ":0").
-	s.tcp, err = net.Listen("tcp", udps[0].LocalAddr().String())
+	rcs := make([]syscall.RawConn, len(udps)) // for the batched syscalls
+	for i, u := range udps {
+		if rcs[i], err = u.SyscallConn(); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		// Bind TCP to whatever port UDP got (supports ":0").
+		s.tcp, err = net.Listen("tcp", udps[0].LocalAddr().String())
+	}
 	if err != nil {
 		for _, u := range udps {
 			u.Close()
 		}
-		return fmt.Errorf("listening tcp: %w", err)
+		return fmt.Errorf("listening on %s: %w", udps[0].LocalAddr(), err)
 	}
+	s.udps = udps
 	s.conns = make(map[net.Conn]struct{})
-	workers := s.workerCount()
-	depth := s.QueueDepth
-	if depth <= 0 {
-		depth = 4 * workers
+	s.depth = int64(s.QueueDepth)
+	if s.depth <= 0 {
+		s.depth = 128 * int64(runtime.GOMAXPROCS(0))
 	}
-	s.queue = make(chan *udpBatch, depth)
-	s.ctr = newServeCounters(len(udps), workers)
-	batch := s.batchSize()
-	s.shards = make([]*socketShard, len(udps))
-	for i, conn := range udps {
-		sh := &socketShard{
-			conn:    conn,
-			packets: s.ctr.packets.Shard(i),
-			batches: s.ctr.batches.Shard(i),
-			dropped: s.ctr.dropped.Shard(i),
-		}
-		if batch > 1 {
-			rc, err := conn.SyscallConn()
-			if err != nil {
-				batch = 1 // no raw descriptor access; serve unbatched
-			} else {
-				sh.rc = rc
-			}
-		}
-		s.shards[i] = sh
-	}
+	s.ctr = newServeCounters(len(udps))
+	s.leads = make(chan *socketShard)
+	s.live.Store(int32(len(udps)))
 	s.started = true
-	s.readers.Add(len(udps))
-	s.wg.Add(2 + len(udps) + workers)
-	for i := 0; i < workers; i++ {
-		go s.udpWorker(i)
+	// Every socket loop counts as in flight until it ends, so a drain
+	// waits for what the loops have read, and a query that gives its
+	// socket away registers itself while that count is still held.
+	s.inflight.Add(len(udps))
+	s.wg.Add(1 + len(udps))
+	for i, conn := range udps {
+		go s.serveUDP(s.newShard(i, conn, rcs[i]))
 	}
-	for _, sh := range s.shards {
-		if batch > 1 {
-			go s.serveUDPBatched(sh, batch)
-		} else {
-			go s.serveUDPSingle(sh)
-		}
-	}
-	// The queue closes once every sharded read loop has exited, so the
-	// workers drain whatever any socket accepted, then stop.
-	go func() {
-		defer s.wg.Done()
-		s.readers.Wait()
-		close(s.queue)
-	}()
 	go s.serveTCP()
 	return nil
 }
@@ -672,9 +606,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	udps, tcp := s.udps, s.tcp
 	s.mu.Unlock()
 
-	// Stop the intake: no new TCP connections, and unblock every UDP
-	// read loop via an immediate deadline. The UDP sockets themselves
-	// must stay open so in-flight handlers can still write responses.
+	// Stop the intake: no new TCP connections, and an immediate deadline
+	// sends every UDP socket loop into its final sweep. The UDP sockets
+	// themselves stay open so that what was read is still answered.
 	tcp.Close()
 	for _, u := range udps {
 		_ = u.SetReadDeadline(time.Now())
@@ -771,157 +705,211 @@ func (s *Server) TrackBackground() (done func(), ok bool) {
 	return s.inflight.Done, true
 }
 
-// trackN registers n in-flight queries at once, refusing once a drain
-// has begun — the same mutex-ordering contract as track(), paid once
-// per batch instead of once per packet.
-func (s *Server) trackN(n int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
+// newShard wraps ingress socket i in the state its lead works in.
+func (s *Server) newShard(i int, conn *net.UDPConn, rc syscall.RawConn) *socketShard {
+	batch := s.batchSize()
+	return &socketShard{
+		conn: conn, rc: rc,
+		in:     make([]datagram, batch),
+		out:    make([]datagram, 0, batch),
+		mio:    newMmsgIO(batch),
+		intern: dnswire.NewNameIntern(0),
+
+		packets: s.ctr.packets.Shard(i), batches: s.ctr.batches.Shard(i), dropped: s.ctr.dropped.Shard(i),
+		served: s.ctr.served.Shard(i), sendErrs: s.ctr.sendErrs.Shard(i), recvErrs: s.ctr.recvErrs.Shard(i),
 	}
-	s.inflight.Add(n)
-	return true
 }
 
-// dispatch hands a filled batch to the worker pool, consuming it
-// either way. It returns false when the server is draining and the
-// read loop should exit. Dispatch happens after trackN so a graceful
-// Shutdown waits for packets already accepted into the queue, not just
-// those a worker has picked up. On queue overflow the whole batch is
-// shed immediately — bounded delay beats unbounded backlog for a
-// protocol whose clients retry.
-func (s *Server) dispatch(b *udpBatch) bool {
-	n := b.n
-	if !s.trackN(n) {
-		releaseBatch(b)
-		return false
-	}
-	select {
-	case s.queue <- b:
-	default:
-		b.shard.dropped.Add(uint64(n))
-		if s.Shed != nil {
-			s.Shed.RecordShedN(uint64(n))
-		}
-		s.inflight.Add(-n)
-		releaseBatch(b)
-	}
-	return true
+// udpServe is one UDP serve goroutine. It leads one socket at a time:
+// fill a batch, run serveQuery on every datagram inline, flush the
+// replies, repeat — a query answered from the CPU alone (a cache hit,
+// a zone, the C-DNS router) meets no channel and no other goroutine
+// between its recvmmsg and its sendmmsg. The first time a query has to
+// wait on the network (wait, reached through Request.mayWait) the
+// goroutine gives the socket to another one, finishes that query on
+// its own and then follows: parks on Server.leads until some lead
+// gives a socket away in turn. So there is a goroutine per socket and
+// one per waiting query, idle ones are reused before any is started,
+// and a slow upstream never stands between a socket and its cache
+// hits.
+type udpServe struct {
+	s    *Server
+	st   serveScratch
+	sh   *socketShard // the socket being led; nil once given away
+	pkt  []byte       // the query's packet, taken out of its slot by wait
+	shed bool         // wait refused the query now in serveQuery
 }
 
-// serveUDPSingle is the unbatched ingress loop for one sharded socket:
-// one recvfrom per datagram, each wrapped in a batch of one so the
-// worker path is identical to the batched ingress. It serves
-// Batch <= 1 and every platform without recvmmsg. With Sockets > 1
-// several of these run concurrently, one per SO_REUSEPORT socket, so
-// ingress scales with cores instead of serializing on a single reader.
-func (s *Server) serveUDPSingle(sh *socketShard) {
+// serveUDP runs one serve goroutine, starting as the lead of sh, until
+// every socket loop has ended.
+func (s *Server) serveUDP(sh *socketShard) {
 	defer s.wg.Done()
-	defer s.readers.Done() // last reader out closes the queue
+	g := &udpServe{s: s}
+	g.st.wait = g.wait // bound once: a per-query method value would allocate
+	for ok := true; ok; sh, ok = <-s.leads {
+		g.lead(sh)
+	}
+}
+
+// lead serves sh — first what its previous lead left unserved — until
+// the socket is given away or ends.
+func (g *udpServe) lead(sh *socketShard) {
+	s := g.s
+	g.sh, g.st.intern = sh, sh.intern
 	for {
-		buf := dnswire.GetBuffer()
-		n, raddr, err := sh.conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			dnswire.PutBuffer(buf)
-			return // closed or draining
+		for sh.next < sh.n {
+			q := &sh.in[sh.next]
+			sh.next++
+			from := q.addr // the slot is the next lead's once wait has run
+			buf, n := serveQuery(s.Handler, s.Telemetry, &g.st, q.buf[:q.n], from, "udp", maxUDPPayload)
+			switch {
+			case g.shed: // ResolveTo wrote nothing
+				g.shed = false
+				sh.dropped.Inc()
+				if s.Shed != nil {
+					s.Shed.RecordShed()
+				}
+			case g.sh == nil:
+				if buf != nil {
+					sh.send(buf, n, from)
+				}
+				dnswire.PutBuffer(g.pkt)
+				g.pkt = nil
+				sh.served.Inc()
+				s.parked.Add(-1)
+				s.inflight.Done()
+				return
+			default:
+				if buf != nil {
+					sh.out = append(sh.out, datagram{buf, n, from})
+				}
+				sh.done++
+			}
 		}
-		sh.packets.Inc()
-		sh.batches.Inc()
-		b := getBatch(sh)
-		b.bufs[0], b.addrs[0], b.n = buf[:n], raddr, 1
-		if !s.dispatch(b) {
+		sh.flush()
+		if !sh.fill() {
+			sh.release()
+			if s.live.Add(-1) == 0 {
+				close(s.leads) // no lead is left to send on it
+			}
+			s.inflight.Done()
 			return
 		}
 	}
 }
 
-// udpWorker serves batches from the ingress queue until it is closed
-// and drained. id selects this worker's cache-line-padded counter
-// cells, so nothing on the per-packet path contends with another
-// worker's counters. Each packet's pooled buffer goes back to the pool
-// as soon as it is served; the batch container (and any buffers an
-// early exit leaves behind) is released after the flush.
-func (s *Server) udpWorker(id int) {
-	defer s.wg.Done()
-	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
-	busy := s.ctr.busy.Shard(id)
-	served := s.ctr.served.Shard(id)
-	w := &udpWriter{sendErrs: s.ctr.sendErrs.Shard(id)}
-	for b := range s.queue {
-		busy.Set(1)
-		w.shard = b.shard
-		for i := 0; i < b.n; i++ {
-			if buf, n := serveQuery(s.Handler, s.Telemetry, st, b.bufs[i], b.addrs[i], "udp", maxUDPPayload); buf != nil {
-				w.stash(buf, n, b.addrs[i])
-			}
-			dnswire.PutBuffer(b.bufs[i])
-			b.bufs[i] = nil
-		}
-		w.flush()
-		served.Add(uint64(b.n))
-		busy.Set(0)
-		s.inflight.Add(-b.n)
-		releaseBatch(b)
+// wait is the Request.mayWait hook: the query this goroutine is
+// serving is about to wait on the network. The replies stashed so far
+// leave first, then the socket — slots, cursor and all — goes to an
+// idle goroutine, or a new one if none is parked on leads; the query's
+// own packet stays behind with this goroutine, which will send its
+// reply itself. At QueueDepth waiting queries the answer is no, and
+// nothing has changed hands.
+func (g *udpServe) wait() bool {
+	sh, s := g.sh, g.s
+	if sh == nil || g.shed {
+		return !g.shed // asked before in this query: the answer stands
 	}
-}
-
-// egressPkt is one packed response waiting in a worker's egress batch:
-// a pooled buffer the writer owns, the packed length, and where it
-// goes.
-type egressPkt struct {
-	buf   []byte
-	n     int
-	raddr netip.AddrPort
-}
-
-// udpWriter is one worker's egress batch. Instead of one sendto per
-// response, the replies serveQuery returns accumulate in out (each in
-// a pooled buffer the writer owns) and leave in one sendmmsg per batch
-// when the worker flushes — back out the sharded socket the queries
-// arrived on.
-type udpWriter struct {
-	shard    *socketShard
-	out      []egressPkt
-	sendErrs *telemetry.CounterCell
-	eio      egressIO
-}
-
-// stash queues one packed response, taking ownership of its buffer.
-func (w *udpWriter) stash(buf []byte, n int, raddr netip.AddrPort) {
-	w.out = append(w.out, egressPkt{buf: buf, n: n, raddr: raddr})
-}
-
-// flush transmits every queued response of the batch and recycles the
-// buffers. A batch of one goes out as a plain sendto; failures count
-// on the worker's send-error cell (UDP gives the client its retry
-// either way).
-func (w *udpWriter) flush() {
-	switch len(w.out) {
-	case 0:
-		return
-	case 1:
-		p := &w.out[0]
-		if _, err := w.shard.conn.WriteToUDPAddrPort(p.buf[:p.n], p.raddr); err != nil {
-			w.sendErrs.Inc()
-		}
-		dnswire.PutBuffer(p.buf)
+	if s.parked.Add(1) > s.depth {
+		s.parked.Add(-1)
+		g.shed = true
+		return false
+	}
+	sh.flush()
+	q := &sh.in[sh.next-1]
+	g.pkt, q.buf = q.buf, nil
+	g.sh = nil
+	s.inflight.Add(1)
+	select {
+	case s.leads <- sh:
 	default:
-		w.sendBatch()
+		s.wg.Add(1)
+		go s.serveUDP(sh)
 	}
-	w.out = w.out[:0]
+	return true
 }
 
-// sendLoop is the portable egress fallback: one sendto per queued
-// response. It backs flush on platforms without sendmmsg and on Linux
-// architectures whose sendmmsg syscall number isn't wired up.
-func (w *udpWriter) sendLoop() {
-	for i := range w.out {
-		p := &w.out[i]
-		if _, err := w.shard.conn.WriteToUDPAddrPort(p.buf[:p.n], p.raddr); err != nil {
-			w.sendErrs.Inc()
+// recvErrPause is how long a socket loop stands back after a transient
+// receive error, so that a persistent one cannot spin a core.
+const recvErrPause = 5 * time.Millisecond
+
+// recvTerminal reports whether a receive error ends a socket's loop.
+// Only two do: the socket was closed, or the read deadline Shutdown
+// sets has passed. Anything else — ENOBUFS or ENOMEM under memory
+// pressure, say — is counted and survived: a DNS server must not go
+// deaf for the life of the process over one failed read.
+func recvTerminal(err error) bool {
+	return errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// fill blocks until the socket yields a batch into sh.in and reports
+// whether it did; false ends the loop. When the drain deadline fires,
+// the socket gets one last non-blocking sweep, so that what clients
+// sent before Shutdown and the kernel still holds is answered too.
+func (sh *socketShard) fill() bool {
+	for !sh.drained {
+		err := sh.recv(true)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			sh.drained = true
+			err = sh.recv(false)
 		}
-		dnswire.PutBuffer(p.buf)
+		switch {
+		case err == nil && sh.n > 0:
+			sh.packets.Add(uint64(sh.n))
+			sh.batches.Inc()
+			return true
+		case err == nil:
+		case recvTerminal(err):
+			return false
+		default:
+			sh.recvErrs.Inc()
+			time.Sleep(recvErrPause)
+		}
+	}
+	return false
+}
+
+// release returns the buffers armed in the ingress slots to the pool,
+// when the loop ends.
+func (sh *socketShard) release() {
+	for i := range sh.in {
+		dnswire.PutBuffer(sh.in[i].buf)
+		sh.in[i].buf = nil
+	}
+}
+
+// send transmits one reply with a plain sendto and recycles its buffer;
+// failures count on the socket's send-error cell (UDP gives the client
+// its retry either way). Any goroutine may call it: a query that gave
+// the socket away replies through it beside the lead's flushes.
+func (sh *socketShard) send(buf []byte, n int, to netip.AddrPort) {
+	if _, err := sh.conn.WriteToUDPAddrPort(buf[:n], to); err != nil {
+		sh.sendErrs.Inc()
+	}
+	dnswire.PutBuffer(buf)
+}
+
+// flush transmits the stashed replies — several in one sendmmsg where
+// there is one — and credits the datagrams served since the last flush.
+func (sh *socketShard) flush() {
+	if len(sh.out) == 1 {
+		sh.send(sh.out[0].buf, sh.out[0].n, sh.out[0].addr)
+	} else if len(sh.out) > 1 {
+		sh.sendBatch()
+	}
+	sh.out = sh.out[:0]
+	if sh.done > 0 {
+		sh.served.Add(uint64(sh.done))
+		sh.done = 0
+	}
+}
+
+// sendLoop is the portable egress: one sendto per stashed reply. It
+// backs flush on platforms without sendmmsg and on Linux architectures
+// whose sendmmsg syscall number isn't wired up.
+func (sh *socketShard) sendLoop() {
+	for _, p := range sh.out {
+		sh.send(p.buf, p.n, p.addr)
 	}
 }
 

@@ -262,11 +262,15 @@ func TestTelemetryParallelResolves(t *testing.T) {
 }
 
 // slowPlugin delays every query, simulating a resolution in flight
-// while the server drains.
+// while the server drains. It waits on something other than the CPU,
+// so like Forward it says so first.
 type slowPlugin struct{ delay time.Duration }
 
 func (p *slowPlugin) Name() string { return "slow" }
 func (p *slowPlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
+	if !r.mayWait() {
+		return dnswire.RcodeServerFailure, errIngressFull
+	}
 	time.Sleep(p.delay)
 	return next.ServeDNS(ctx, w, r)
 }

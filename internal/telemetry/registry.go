@@ -201,6 +201,31 @@ func (f *FuncMetric) writeSamples(b *strings.Builder) {
 	b.WriteByte('\n')
 }
 
+// FuncsMetric adapts a snapshot function returning one value per index
+// into a counter family with one sample per index, labelled by it —
+// the per-shard view of values a FuncMetric exposes summed.
+type FuncsMetric struct {
+	name, help, label string
+	fn                func() []uint64
+}
+
+// NewCounterFuncs returns a counter family whose sample i, labelled
+// label="i", is fn()[i] at scrape time; each must be monotonic.
+func NewCounterFuncs(name, help, label string, fn func() []uint64) *FuncsMetric {
+	return &FuncsMetric{name: name, help: help, label: label, fn: fn}
+}
+
+// MetricName implements Collector.
+func (f *FuncsMetric) MetricName() string { return f.name }
+
+func (f *FuncsMetric) metricHelp() string { return f.help }
+func (f *FuncsMetric) metricType() string { return "counter" }
+func (f *FuncsMetric) writeSamples(b *strings.Builder) {
+	for i, v := range f.fn() {
+		fmt.Fprintf(b, "%s{%s=\"%d\"} %d\n", f.name, f.label, i, v)
+	}
+}
+
 // CounterVec is a counter family partitioned by label values, e.g.
 // queries by qtype or responses by rcode. Children are created on
 // first use and live forever (label cardinality here is protocol

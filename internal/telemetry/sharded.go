@@ -62,13 +62,28 @@ func (c *ShardedCounter) Shards() int { return len(c.cells) }
 
 // Value returns the sum across all cells. Each cell is read with one
 // atomic load, so the sum is a consistent-enough snapshot for metrics
-// (exact once the writers have quiesced).
+// (exact once the writers have quiesced). A nil counter reads 0.
 func (c *ShardedCounter) Value() uint64 {
 	var total uint64
-	for i := range c.cells {
-		total += c.cells[i].v.Load()
+	if c != nil {
+		for i := range c.cells {
+			total += c.cells[i].v.Load()
+		}
 	}
 	return total
+}
+
+// Values returns each cell's count, in shard order; nil for a nil
+// counter.
+func (c *ShardedCounter) Values() []uint64 {
+	if c == nil {
+		return nil
+	}
+	vals := make([]uint64, len(c.cells))
+	for i := range c.cells {
+		vals[i] = c.cells[i].v.Load()
+	}
+	return vals
 }
 
 // MetricName implements Collector.
