@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build test race vet bench mutexprofile experiments examples cover clean
+.PHONY: all ci build test race vet bench bench-smoke mutexprofile experiments examples cover clean
 
 all: vet test race build
 
@@ -13,7 +13,11 @@ all: vet test race build
 # packet-buffer packages (the upstream client's exchange buffers and
 # the relayed reply image included), the overload contract (hits do not
 # wait behind upstream exchanges; read == served + shed, exactly) at 1,
-# 2 and 4 cores, bounded differential-fuzz passes
+# 2 and 4 cores, the recycled-span hazard (a hedged exchange's
+# straggler must not reach the query its span serves next) 20 times
+# under the race detector and the telemetry-on hit's allocation budget,
+# each at 1, 2 and 4 cores,
+# bounded differential-fuzz passes
 # over the LPM lookup, the cache's reply patch, the one query→reply
 # function every ingress serves with, the walk that lets a reply be
 # relayed undecoded and the name codec, a serve-path benchmark smoke
@@ -26,7 +30,8 @@ all: vet test race build
 # plain ring, a small-N X9 run checking mesh peer steering still
 # serves flash-crowd misses from sibling MECs, and a build and vet of
 # the benchmark module, which compiles against internal/... but is a
-# module of its own (its tests wait for ROADMAP item 6b).
+# module of its own (its tests wait for ROADMAP item 6b), and
+# bench-smoke.
 ci:
 	gofmt -l . | (! grep .) || (echo "gofmt needed" && exit 1)
 	GOOS=linux $(GO) vet ./...
@@ -36,6 +41,8 @@ ci:
 	$(GO) test -race ./...
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/
 	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestServeQueryAllocs' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzServeQuery -fuzztime 5s ./internal/dnsserver/
@@ -46,6 +53,17 @@ ci:
 	$(GO) run ./cmd/experiments -x loadbalance -ues 20000 -requests 1000
 	$(GO) run ./cmd/experiments -x mesh -requests 200
 	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+	$(MAKE) bench-smoke
+
+# The repository benchmark run the way BENCHMARK.json's command runs it:
+# benchmark/run.sh builds it from this checkout, then each workload runs
+# for one second, untraced and traced, writing to the gitignored
+# benchmark/out/. A run that fails, or a reply that fails verification,
+# fails the target.
+bench-smoke:
+	for w in hit-plain hit-ecs route-miss zipf-mix; do \
+		bash benchmark/run.sh --workload $$w --seconds 1 || exit 1; \
+	done
 
 build:
 	$(GO) build ./...

@@ -536,13 +536,13 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 		return dnswire.RcodeSuccess, nil
 	}
 
-	endHop := telemetry.StartHop(ctx, "cdn-router")
+	hop := telemetry.StartHop(ctx, "cdn-router")
 	if rt.Health != nil && rt.Parent.IsValid() && rt.Health.FallbackActive() {
 		// Ingress-load switch: the MEC site is above its high
 		// watermark, so answer from the fallback path (the paper's DoS
 		// mechanism) until load has dwelled under the low watermark.
 		routed.Inc("load_fallback")
-		endHop("load-fallback")
+		hop.End("load-fallback")
 		return rt.writeReferral(w, r)
 	}
 	client := rt.clientInfo(r)
@@ -558,7 +558,7 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 			// Geo-aware fallback: the mapped PoP is dead, so delegate
 			// to the nearest healthy peer MEC instead of answering it.
 			routed.Inc("peer_fallback")
-			endHop("peer-fallback")
+			hop.End("peer-fallback")
 			return rt.writeReferralTo(w, r, popRef)
 		}
 		scope = popScope
@@ -568,7 +568,7 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 	switch {
 	case addr.IsValid():
 		routed.Inc("selected")
-		endHop("subnet-route")
+		hop.End("subnet-route")
 	default:
 		selected, peer, steered := rt.RoutePeer(qname, client)
 		switch {
@@ -578,23 +578,23 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 			// mechanics as the cross-tier escalation, just pointed at
 			// the peer's C-DNS instead of the parent's.
 			routed.Inc("peer")
-			endHop("peer:" + peer.Name)
+			hop.End(peer.Target)
 			return rt.writeReferralTo(w, r, peer.Addr)
 		case selected != nil:
 			addr = selected.Answer()
 			routed.Inc("selected")
-			endHop(selected.Server.Name)
+			hop.End(selected.Server.Name)
 		case rt.Parent.IsValid():
 			// Cross-tier referral: "C-DNS simply returns the address of
 			// another C-DNS running at a different CDN tier" (§3 P2).
 			// Encoded as a proper DNS referral so clients and resolvers
 			// can chase it: NS in authority, glue in additional.
 			routed.Inc("referral")
-			endHop("referral")
+			hop.End("referral")
 			return rt.writeReferral(w, r)
 		default:
 			routed.Inc("failed")
-			endHop("failed")
+			hop.End("failed")
 			m := new(dnswire.Message)
 			m.SetRcode(r.Msg, dnswire.RcodeServerFailure)
 			_ = w.WriteMsg(m)

@@ -191,14 +191,14 @@ func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, upstream s
 
 	var lastErr error
 	for n := 0; n <= c.Retries; n++ {
-		endHop := sp.StartHop("upstream")
+		hop := sp.StartHop("upstream")
 		attempt.begin(timeout)
 		img, rcode, err := c.exchangeOnce(attempt, server, wire, false)
 		if err == nil {
-			endHop(upstream)
+			hop.End(upstream)
 			return img, rcode, nil
 		}
-		endHop(upstream + " err attempt=" + strconv.Itoa(n))
+		hop.End(upstream + " err attempt=" + strconv.Itoa(n))
 		lastErr = err
 		if ctx.Err() != nil {
 			break

@@ -501,7 +501,7 @@ type lookupResult struct {
 // ServeDNS implements Plugin.
 func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
 	var kb [cacheKeyBuf]byte
-	endLookup := telemetry.StartHop(ctx, "cache")
+	lookup := telemetry.StartHop(ctx, "cache")
 	now := c.Clock.Now()
 	var kbuf []byte
 	var sh *cacheShard
@@ -514,13 +514,13 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 		res = c.serveHit(sh, kbuf, now, w, r, true)
 	}
 	if res.hit {
-		endLookup("hit")
+		lookup.End("hit")
 		if res.refresh != nil {
 			c.spawnPrefetch(res.refresh, sh, string(kbuf), r, next)
 		}
 		return res.rcode, res.err
 	}
-	endLookup("miss")
+	lookup.End("miss")
 	// A miss waits — on the flight it joins, or on whatever the rest of
 	// the chain does to resolve it. Refused, it must neither join nor
 	// lead: a shed leader would hand its failure to every waiter.
@@ -535,12 +535,12 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 	if f, ok := sh.flights[key]; ok {
 		c.ctr.coalesced.Inc()
 		sh.mu.Unlock()
-		endWait := telemetry.StartHop(ctx, "coalesce")
+		wait := telemetry.StartHop(ctx, "coalesce")
 		select {
 		case <-f.done:
-			endWait("shared")
+			wait.End("shared")
 		case <-ctx.Done():
-			endWait("canceled")
+			wait.End("canceled")
 			return dnswire.RcodeServerFailure, ctx.Err()
 		}
 		if f.ent == nil {

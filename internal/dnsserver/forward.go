@@ -42,6 +42,7 @@ type ForwardStats struct {
 type upstreamEntry struct {
 	addr      netip.AddrPort
 	name      string
+	hedgeNote string // the forward hop's note when this entry wins as the hedge
 	fails     atomic.Int32
 	downUntil atomic.Int64 // vclock nanoseconds; 0 = not cooling
 }
@@ -193,7 +194,7 @@ func (f *Forward) set() *upstreamSet {
 		clock:    clock,
 	}
 	for _, up := range next.addrs {
-		e := &upstreamEntry{addr: up, name: up.String()}
+		e := &upstreamEntry{addr: up, name: up.String(), hedgeNote: "hedge:" + up.String()}
 		if s != nil {
 			if i := slices.Index(s.addrs, up); i >= 0 {
 				e = s.entries[i] // carry health across rebuilds
@@ -303,7 +304,7 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 	}
 	ctr := f.counters()
 	ctr.queries.Inc()
-	endHop := telemetry.StartHop(ctx, "forward")
+	hop := telemetry.StartHop(ctx, "forward")
 
 	var lastErr error
 	var lastImg []byte // the last SERVFAIL/REFUSED verdict, if any
@@ -315,9 +316,9 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 		if ok {
 			if fromHedge {
 				ctr.failovers.Inc() // answered by other than the first upstream
-				endHop("hedge:" + ups[1].name)
+				hop.End(ups[1].hedgeNote)
 			} else {
-				endHop(ups[0].name)
+				hop.End(ups[0].name)
 			}
 			return writeUpstream(w, r, img, rcode)
 		}
@@ -344,19 +345,19 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 		if i > 0 || hedgeFell {
 			ctr.failovers.Inc()
 		}
-		endHop(up.name)
+		hop.End(up.name)
 		return writeUpstream(w, r, img, rcode)
 	}
 	if lastImg != nil {
 		// Every upstream answered with SERVFAIL/REFUSED; relay the
 		// last verdict rather than synthesizing our own.
-		endHop("relayed-failure")
+		hop.End("relayed-failure")
 		return writeUpstream(w, r, lastImg, lastRcode)
 	}
 	if lastErr == nil {
 		lastErr = errors.New("all upstreams failed")
 	}
-	endHop("error")
+	hop.End("error")
 	return dnswire.RcodeServerFailure, fmt.Errorf("forwarding %s: %w", r.Name(), lastErr)
 }
 
@@ -379,9 +380,14 @@ func writeUpstream(w ResponseWriter, r *Request, img []byte, rcode dnswire.Rcode
 // cancels the loser: over real sockets the transport wakes its read at
 // once and closes the socket, so it holds neither a goroutine nor a
 // port until the attempt timeout.
+// The loser may outlive the query, so the exchanges time their hops on
+// a fork of its span, joined into it once the race is decided.
 func (f *Forward) hedgedExchange(ctx context.Context, primary, secondary *upstreamEntry, r *Request) (img []byte, rcode dnswire.Rcode, fromHedge, ok bool) {
+	sp := telemetry.FromContext(ctx)
+	ctx, fork := sp.Fork(ctx)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	defer sp.Join(fork) // before the cancel wakes the loser
 	type result struct {
 		img   []byte
 		rcode dnswire.Rcode

@@ -24,7 +24,8 @@ import (
 
 // scriptTransport is a dnsclient.Transport whose behaviour is scripted
 // per upstream address: an answer address, a failure rcode, a
-// transport error, or a delay (honouring context cancellation).
+// transport error, a delay (honouring context cancellation), or a hold
+// (answering only once the channel is closed, cancelled or not).
 type scriptTransport struct {
 	mu     sync.Mutex
 	calls  map[netip.AddrPort]int
@@ -32,6 +33,7 @@ type scriptTransport struct {
 	rcode  map[netip.AddrPort]dnswire.Rcode
 	fail   map[netip.AddrPort]error
 	delay  map[netip.AddrPort]time.Duration
+	hold   map[netip.AddrPort]chan struct{}
 }
 
 func newScriptTransport() *scriptTransport {
@@ -41,6 +43,7 @@ func newScriptTransport() *scriptTransport {
 		rcode:  make(map[netip.AddrPort]dnswire.Rcode),
 		fail:   make(map[netip.AddrPort]error),
 		delay:  make(map[netip.AddrPort]time.Duration),
+		hold:   make(map[netip.AddrPort]chan struct{}),
 	}
 }
 
@@ -57,8 +60,12 @@ func (t *scriptTransport) Exchange(ctx context.Context, server netip.AddrPort, q
 	failErr := t.fail[server]
 	rcode := t.rcode[server]
 	addr, hasAnswer := t.answer[server]
+	hold := t.hold[server]
 	t.mu.Unlock()
 
+	if hold != nil {
+		<-hold
+	}
 	if delay > 0 {
 		select {
 		case <-time.After(delay):

@@ -185,6 +185,9 @@ func TestServePathMutexFree(t *testing.T) {
 		netip.MustParseAddrPort("192.0.2.54:53"),
 	}}
 	h := Chain(acl, stub, NewZonePlugin(zone))
+	// The upstream set is built under the forwarder's lock on first use;
+	// build it now, so the readers below see only the steady state.
+	fwd.candidates(nil)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

@@ -504,25 +504,32 @@ func (s *Server) Start() error {
 	if s.Handler == nil {
 		return errors.New("dnsserver: nil handler")
 	}
-	udps, err := s.listenUDP()
-	if err != nil {
-		return err
-	}
-	rcs := make([]syscall.RawConn, len(udps)) // for the batched syscalls
-	for i, u := range udps {
-		if rcs[i], err = u.SyscallConn(); err != nil {
-			break
+	var udps []*net.UDPConn
+	var rcs []syscall.RawConn // for the batched syscalls
+	for try := 0; ; try++ {
+		var err error
+		if udps, err = s.listenUDP(); err != nil {
+			return err
 		}
-	}
-	if err == nil {
-		// Bind TCP to whatever port UDP got (supports ":0").
-		s.tcp, err = net.Listen("tcp", udps[0].LocalAddr().String())
-	}
-	if err != nil {
+		rcs = make([]syscall.RawConn, len(udps))
+		for i, u := range udps {
+			if rcs[i], err = u.SyscallConn(); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			// Bind TCP to whatever port UDP got (supports ":0").
+			if s.tcp, err = net.Listen("tcp", udps[0].LocalAddr().String()); err == nil {
+				break
+			}
+		}
 		for _, u := range udps {
 			u.Close()
 		}
-		return fmt.Errorf("listening on %s: %w", udps[0].LocalAddr(), err)
+		// Port 0: the kernel's UDP pick may be taken for TCP; pick again.
+		if _, port, _ := net.SplitHostPort(s.Addr); port != "0" || !errors.Is(err, syscall.EADDRINUSE) || try == 8 {
+			return fmt.Errorf("listening on %s: %w", udps[0].LocalAddr(), err)
+		}
 	}
 	s.udps = udps
 	s.conns = make(map[net.Conn]struct{})

@@ -3,7 +3,10 @@ package dnsserver
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/netip"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -213,7 +216,7 @@ func TestTelemetryParallelResolves(t *testing.T) {
 				q := new(dnswire.Message)
 				q.SetQuestion(name, dnswire.TypeA)
 				req := &Request{Msg: q, Client: netip.MustParseAddrPort("192.0.2.99:5353"), Transport: "udp"}
-				sp := hub.Begin(req.Name(), req.Type().String(), req.Transport, req.Client.String())
+				sp := hub.BeginAddr(req.Name(), req.Type().String(), req.Transport, req.Client)
 				ctx := telemetry.ContextWith(context.Background(), sp)
 				resp := Resolve(ctx, chain, req)
 				hub.Finish(sp, resp.Rcode.String())
@@ -258,6 +261,159 @@ func TestTelemetryParallelResolves(t *testing.T) {
 		if !strings.Contains(b.String(), family) {
 			t.Errorf("exposition missing %s", family)
 		}
+	}
+}
+
+// TestServeQueryAllocs pins what a cache hit costs with telemetry on,
+// served the way dnsd assembles it: a hub in front of Metrics → Cache.
+// Opening, timing and finishing the span allocates nothing, so an
+// unsampled OPT-less hit makes no allocation at all; an ECS hit pays
+// only UnpackQuery's OPT record (3); a query sampled into the log pays
+// its rendered client address and its hop records (2). Under the race
+// detector sync.Pool drops a share of what it is handed on purpose, so
+// there the counts are logged, not held to.
+func TestServeQueryAllocs(t *testing.T) {
+	hub := telemetry.NewHub(vclock.NewReal())
+	hub.Log = telemetry.NewQueryLog(1024)
+	hub.SampleEvery = math.MaxInt // only the hub's first query is sampled
+	chain := Chain(NewMetrics(), NewCache(vclock.NewReal()), pluginize(ecsAnswerHandler("192.0.2.9", 24)))
+	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
+	client := netip.MustParseAddrPort("198.51.100.7:4242")
+	serve := func(pkt []byte) {
+		buf, _ := serveQuery(chain, hub, st, pkt, client, "udp", maxUDPPayload)
+		if buf == nil {
+			t.Fatal("no reply")
+		}
+		dnswire.PutBuffer(buf)
+	}
+	pack := func(r *Request) []byte {
+		wire, err := r.Msg.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	plain, ecs := pack(queryFor("alloc.test.")), pack(ecsQueryFor("alloc.test.", "10.1.2.0/24"))
+	serve(plain) // the misses that fill the cache
+	serve(ecs)
+
+	for _, c := range []struct {
+		name        string
+		pkt         []byte
+		sampleEvery int
+		max         float64
+	}{
+		{"plain hit", plain, math.MaxInt, 0},
+		{"ECS hit", ecs, math.MaxInt, 3},
+		{"sampled plain hit", plain, 1, 2},
+	} {
+		hub.SampleEvery = c.sampleEvery
+		got := testing.AllocsPerRun(100, func() { serve(c.pkt) })
+		switch {
+		case raceDetector():
+			t.Logf("%s: %v allocs per query under the race detector", c.name, got)
+		case got > c.max:
+			t.Errorf("%s: %v allocs per query, want <= %v", c.name, got, c.max)
+		}
+	}
+	if added, _ := hub.Log.Stats(); added < 100 {
+		t.Errorf("query log took %d records, want every sampled query", added)
+	}
+}
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestHedgeStragglerCannotReachNextQuery: the losing exchange of a
+// hedged pair outlives its query, and once the query has finished its
+// span serves the next one. The straggler's upstream hop must not land
+// there, while the finished query's record keeps the winning hop that
+// classifies it as upstream. Run with -race: the straggler must not
+// touch the recycled span or the context inside it either.
+func TestHedgeStragglerCannotReachNextQuery(t *testing.T) {
+	hub := telemetry.NewHub(vclock.NewReal())
+	hub.SampleEvery = 1
+	client := netip.MustParseAddrPort("198.51.100.7:4242")
+	pack := func(name string) []byte {
+		wire, err := queryFor(name).Msg.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
+	serve := func(h Handler, name string) {
+		buf, _ := serveQuery(h, hub, st, pack(name), client, "udp", maxUDPPayload)
+		if buf == nil {
+			t.Fatalf("%s: no reply", name)
+		}
+		dnswire.PutBuffer(buf)
+	}
+
+	// The pool does not promise the next query the same span (and under
+	// -race drops some on purpose), so repeat until it was reused.
+	reused := false
+	for round := 0; round < 20 && !reused; round++ {
+		tr := newScriptTransport()
+		tr.answer[upA] = netip.MustParseAddr("203.0.113.1")
+		tr.answer[upB] = netip.MustParseAddr("203.0.113.2")
+		release := make(chan struct{})
+		tr.hold[upA] = release
+		fwd := Chain(&Forward{
+			Upstreams:  []netip.AddrPort{upA, upB},
+			Client:     scriptClient(tr),
+			Clock:      &vclock.Fixed{},
+			HedgeDelay: time.Millisecond,
+		})
+		before := runtime.NumGoroutine()
+
+		var first *telemetry.Span
+		serve(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+			first = telemetry.FromContext(ctx)
+			return fwd.ServeDNS(ctx, w, r)
+		}), "hedged.test.")
+		// The primary is still held; it answers while the next query,
+		// likely on the same span, is in flight.
+		serve(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+			reused = telemetry.FromContext(ctx) == first
+			close(release)
+			waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= before })
+			return answerHandler("192.0.2.1").ServeDNS(ctx, w, r)
+		}), "next.test.")
+
+		recs := hub.Log.Drain()
+		if len(recs) != 2 {
+			t.Fatalf("round %d: %d records, want 2", round, len(recs))
+		}
+		hedged, next := recs[0], recs[1]
+		want := []telemetry.HopRecord{
+			{Layer: "upstream", Note: upB.String()},
+			{Layer: "forward", Note: "hedge:" + upB.String()},
+		}
+		if hedged.Path != telemetry.PathUpstream || len(hedged.Hops) != len(want) {
+			t.Fatalf("round %d: hedged query path %q, hops %+v; want upstream with %+v", round, hedged.Path, hedged.Hops, want)
+		}
+		for i, h := range hedged.Hops {
+			if h.Layer != want[i].Layer || h.Note != want[i].Note {
+				t.Errorf("round %d: hedged query hop %d = %+v, want %+v", round, i, h, want[i])
+			}
+		}
+		if next.Path != telemetry.PathEdge || len(next.Hops) != 0 {
+			t.Fatalf("round %d (span reused: %v): next query path %q, hops %+v; want edge and none",
+				round, reused, next.Path, next.Hops)
+		}
+	}
+	if !reused {
+		t.Error("no round reused the finished query's span")
 	}
 }
 

@@ -703,12 +703,12 @@ func (p *ZonePlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request,
 	if z == nil {
 		return next.ServeDNS(ctx, w, r)
 	}
-	endHop := telemetry.StartHop(ctx, "zone")
+	hop := telemetry.StartHop(ctx, "zone")
 	// One view load per query: the answer, authority, and serial all
 	// come from the same snapshot even if a writer publishes mid-query.
 	view := z.View()
 	result, answers, authority := view.Lookup(r.Name(), r.Type())
-	endHop(z.Origin)
+	hop.End(z.Origin)
 	m := new(dnswire.Message)
 	m.SetReply(r.Msg)
 	m.Authoritative = true

@@ -379,7 +379,7 @@ func (a *Agent) publishLocked() {
 	for name, rec := range a.recv {
 		cell := a.cells[name]
 		if cell == nil {
-			cell = &peerCell{}
+			cell = &peerCell{target: peerTarget(name)}
 			a.cells[name] = cell
 		}
 		e := peerEntry{
@@ -394,10 +394,10 @@ func (a *Agent) publishLocked() {
 		}
 		e.ok = rec.addr.IsValid() && now-rec.updated <= a.cfg.StaleAfter && rec.load < a.cfg.PeerLoadMax
 		if a.cfg.Health != nil && a.registered[name] {
-			rank, ewma := a.cfg.Health.Rank(peerTarget(name))
+			rank, ewma := a.cfg.Health.Rank(cell.target)
 			ranks[name] = rank
 			e.ewma = ewma
-			if routable, _ := a.cfg.Health.Eligible(peerTarget(name)); !routable {
+			if routable, _ := a.cfg.Health.Eligible(cell.target); !routable {
 				e.ok = false
 			}
 		}

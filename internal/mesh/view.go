@@ -8,12 +8,14 @@ import (
 )
 
 // peerCell is one peer's decayed steering-load counter, cache-line
-// padded like the hash ring's load cells. Cells are allocated once
-// per peer and shared by every view revision that includes the peer,
-// so counts survive republishes.
+// padded like the hash ring's load cells, beside the peer's health
+// target rendered once. Cells are allocated once per peer and shared
+// by every view revision that includes the peer, so counts survive
+// republishes.
 type peerCell struct {
-	n atomic.Int64
-	_ [56]byte
+	n      atomic.Int64
+	target string // peerTarget(name)
+	_      [40]byte
 }
 
 // peerEntry is one peer's slot in an immutable view revision. The
@@ -45,6 +47,9 @@ var emptyViewState = &viewState{}
 type PeerHit struct {
 	// Name is the peer site's name.
 	Name string
+	// Target is "peer:"+Name, the peer's health-registry target and the
+	// note on a steered query's router hop, rendered once per peer.
+	Target string
 	// Addr is the peer's announced steering address (its C-DNS); the
 	// router answers with a referral to it.
 	Addr netip.Addr
@@ -115,7 +120,7 @@ func (v *View) Lookup(key string) (PeerHit, bool) {
 			v.capRejects.Add(1)
 			continue
 		}
-		return PeerHit{Name: p.name, Addr: p.addr}, true
+		return PeerHit{Name: p.name, Target: p.cell.target, Addr: p.addr}, true
 	}
 	return PeerHit{}, false
 }
@@ -143,7 +148,8 @@ func (v *View) Nearest() (PeerHit, bool) {
 	if len(s.peers) == 0 || !s.peers[0].ok {
 		return PeerHit{}, false
 	}
-	return PeerHit{Name: s.peers[0].name, Addr: s.peers[0].addr}, true
+	p := &s.peers[0]
+	return PeerHit{Name: p.name, Target: p.cell.target, Addr: p.addr}, true
 }
 
 // recordLoad charges one steered miss to the named peer's cell.

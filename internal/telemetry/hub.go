@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +44,8 @@ type Hub struct {
 	// Path counts finished queries by resolution path.
 	Path *CounterVec
 
-	n atomic.Uint64
+	n     atomic.Uint64
+	spans sync.Pool // finished spans, for BeginAddr to reuse
 }
 
 // NewHub builds a hub with a fresh registry, a 1024-entry query log,
@@ -77,53 +79,55 @@ func (h *Hub) sampleNext() bool {
 	return h.n.Add(1)%uint64(h.SampleEvery) == 1
 }
 
-// Begin opens a span for one query and returns it; attach it to the
-// request context with ContextWith. Nil-hub safe (returns nil).
-func (h *Hub) Begin(name, qtype, transport, client string) *Span {
-	if h == nil {
-		return nil
-	}
-	sp := NewSpan(h.Clock, name, qtype)
-	sp.transport = transport
-	sp.client = client
-	sp.sampled = h.sampleNext()
-	return sp
-}
-
-// BeginAddr is Begin for callers that have the client address as a
-// netip.AddrPort: the address is stored as-is and rendered to a string
-// only if the query is sampled into the log, so the per-query serve
-// path skips the String() allocation entirely.
+// BeginAddr opens a span for one query, drawn from the hub's pool, and
+// returns it; attach it to the request context with ContextWith. The
+// client address is rendered only if the query is sampled into the
+// log. Nil-hub safe (returns nil).
 func (h *Hub) BeginAddr(name, qtype, transport string, client netip.AddrPort) *Span {
 	if h == nil {
 		return nil
 	}
-	sp := NewSpan(h.Clock, name, qtype)
-	sp.transport = transport
-	sp.clientAddr = client
+	sp, _ := h.spans.Get().(*Span)
+	if sp == nil {
+		sp = NewSpan(h.Clock, "", "")
+	}
+	sp.name, sp.qtype, sp.transport, sp.client = name, qtype, transport, client
 	sp.sampled = h.sampleNext()
+	sp.start = sp.clock.Now()
 	return sp
 }
 
 // Finish ends the span with the response rcode, classifies its
 // resolution path, feeds the histogram and path counter, and — when
-// the span was head-sampled — appends a record to the query log.
-// Nil-hub and nil-span safe.
+// the span was head-sampled — appends a record to the query log. The
+// span then goes back to the hub's pool: the caller must not touch it,
+// or the context carrying it, again. Nil-hub and nil-span safe.
 func (h *Hub) Finish(sp *Span, rcode string) {
 	if h == nil || sp == nil {
 		return
 	}
-	path := ClassifyPath(sp.Hops(), rcode)
-	sp.End(path)
+	logged := h.Log != nil && sp.sampled
+	var rec Record
+	sp.mu.Lock()
+	path := ClassifyPath(sp.hops, rcode)
+	sp.endLocked(path)
+	total := sp.end - sp.start
+	if logged {
+		rec = sp.recordLocked(rcode, path, time.Now())
+	}
+	sp.gen.Add(1) // a hop still open is dropped by its End
+	sp.hops, sp.outcome, sp.ended = sp.hopsBuf[:0], "", false
+	sp.mu.Unlock()
 	if h.ServeDuration != nil {
-		h.ServeDuration.Observe(sp.Total())
+		h.ServeDuration.Observe(total)
 	}
 	if h.Path != nil {
 		h.Path.Inc1(path)
 	}
-	if h.Log != nil && sp.Sampled() {
-		h.Log.Add(RecordFromSpan(sp, rcode, path, time.Now()))
+	if logged {
+		h.Log.Add(rec)
 	}
+	h.spans.Put(sp)
 }
 
 // ClassifyPath maps a span's hops and final rcode onto the Fig 5

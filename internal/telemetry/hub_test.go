@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -34,11 +35,13 @@ func TestHubFinishFeedsInstrumentsAndLog(t *testing.T) {
 	h := NewHub(clk)
 	h.SampleEvery = 1
 
-	sp := h.Begin("q.example.", "A", "udp", "127.0.0.1:9999")
-	end := sp.StartHop("cache")
+	sp := h.BeginAddr("q.example.", "A", "udp", netip.MustParseAddrPort("127.0.0.1:9999"))
+	hop := sp.StartHop("cache")
 	clk.Advance(time.Millisecond)
-	end("hit")
+	hop.End("hit")
 	h.Finish(sp, "NOERROR")
+	// sp is the hub's again: what Finish saw is in the instruments and
+	// the log.
 
 	if h.ServeDuration.Count() != 1 || h.ServeDuration.Sum() != time.Millisecond {
 		t.Errorf("histogram = %d obs / %v", h.ServeDuration.Count(), h.ServeDuration.Sum())
@@ -48,10 +51,11 @@ func TestHubFinishFeedsInstrumentsAndLog(t *testing.T) {
 	}
 	recs := h.Log.Drain()
 	if len(recs) != 1 || recs[0].Path != PathCacheHit || recs[0].Client != "127.0.0.1:9999" || recs[0].Transport != "udp" {
-		t.Errorf("log = %+v", recs)
+		t.Fatalf("log = %+v", recs)
 	}
-	if sp.Outcome() != PathCacheHit {
-		t.Errorf("outcome = %q", sp.Outcome())
+	if r := recs[0]; r.Name != "q.example." || r.Type != "A" || r.Rcode != "NOERROR" || r.DurUS != 1000 ||
+		len(r.Hops) != 1 || r.Hops[0] != (HopRecord{Layer: "cache", Note: "hit", DurUS: 1000}) {
+		t.Errorf("record = %+v", r)
 	}
 }
 
@@ -60,7 +64,7 @@ func TestHubHeadSampling(t *testing.T) {
 	h.SampleEvery = 4
 	sampled := 0
 	for i := 0; i < 40; i++ {
-		sp := h.Begin("q.", "A", "udp", "c")
+		sp := h.BeginAddr("q.", "A", "udp", netip.AddrPort{})
 		if sp.Sampled() {
 			sampled++
 		}
@@ -79,7 +83,7 @@ func TestHubHeadSampling(t *testing.T) {
 
 func TestNilHubSafe(t *testing.T) {
 	var h *Hub
-	sp := h.Begin("q.", "A", "udp", "c")
+	sp := h.BeginAddr("q.", "A", "udp", netip.AddrPort{})
 	if sp != nil {
 		t.Error("nil hub returned a span")
 	}

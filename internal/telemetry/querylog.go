@@ -113,23 +113,29 @@ func (l *QueryLog) WriteJSONL(w io.Writer) error {
 // RecordFromSpan renders an ended span (plus its response rcode and
 // classified path) into a log record stamped with the wall time now.
 func RecordFromSpan(sp *Span, rcode, path string, now time.Time) Record {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return sp.recordLocked(rcode, path, now)
+}
+
+// recordLocked is RecordFromSpan under the span lock: the hops are
+// rendered straight into a slice of their exact length.
+func (s *Span) recordLocked(rcode, path string, now time.Time) Record {
 	rec := Record{
 		Time:      now,
-		Name:      sp.Name(),
-		Type:      sp.Type(),
-		Client:    sp.Client(),
-		Transport: sp.transport,
+		Name:      s.name,
+		Type:      s.qtype,
+		Transport: s.transport,
 		Rcode:     rcode,
 		Path:      path,
-		DurUS:     sp.Total().Microseconds(),
+		DurUS:     s.totalLocked().Microseconds(),
 	}
-	for _, h := range sp.Hops() {
-		rec.Hops = append(rec.Hops, HopRecord{
-			Layer:   h.Layer,
-			Note:    h.Note,
-			StartUS: h.Start.Microseconds(),
-			DurUS:   h.Dur.Microseconds(),
-		})
+	if s.client.IsValid() {
+		rec.Client = s.client.String()
+	}
+	rec.Hops = make([]HopRecord, len(s.hops))
+	for i, h := range s.hops {
+		rec.Hops[i] = HopRecord{Layer: h.Layer, Note: h.Note, StartUS: h.Start.Microseconds(), DurUS: h.Dur.Microseconds()}
 	}
 	return rec
 }

@@ -80,9 +80,9 @@ func TestWriteJSONL(t *testing.T) {
 func TestRecordFromSpan(t *testing.T) {
 	clk := &vclock.Fixed{}
 	sp := NewSpan(clk, "v.cdn.example.", "A")
-	end := sp.StartHop("cache")
+	hop := sp.StartHop("cache")
 	clk.Advance(250 * time.Microsecond)
-	end("hit")
+	hop.End("hit")
 	sp.End(PathCacheHit)
 
 	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)

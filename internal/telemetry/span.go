@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/meccdn/meccdn/internal/vclock"
@@ -18,23 +19,23 @@ import (
 //
 // A span is created at the socket layer when a query arrives,
 // propagated through the plugin chain via context.Context, annotated
-// by each layer it crosses, and ended when the response is written.
-// All methods are nil-safe so instrumentation points need no guards:
-// a query served without telemetry carries a nil span and every
-// annotation is a no-op.
+// by each layer it crosses, and ended when the response is written. A
+// Hub's span then serves a later query, so work that can outlive its
+// query runs on a Fork. All methods are nil-safe so instrumentation
+// points need no guards: a query served without telemetry carries a
+// nil span and every annotation is a no-op.
 type Span struct {
-	clock vclock.Clock
+	clock vclock.Clock // kept when the span is reused
+	node  spanCtx      // the context ContextWith returns
 
-	// Immutable query identity, set at creation. client holds the
-	// rendered address when the span was begun with Begin; spans begun
-	// with BeginAddr store clientAddr instead and render it only when a
-	// sampled query reaches the log, keeping the unsampled fast path
-	// free of the String() allocation.
-	name, qtype, transport, client string
-	clientAddr                     netip.AddrPort
-	sampled                        bool
+	// Query identity, set when the span is opened. The client address
+	// is rendered only when a sampled query reaches the log.
+	name, qtype, transport string
+	client                 netip.AddrPort
+	sampled                bool
+	start                  time.Duration
 
-	start time.Duration
+	gen atomic.Uint64 // queries finished on the span; see HopTimer.End
 
 	mu      sync.Mutex
 	hops    []Hop
@@ -48,15 +49,17 @@ type Span struct {
 	hopsBuf [8]Hop
 }
 
-// Client renders the span's client address.
-func (s *Span) Client() string {
-	if s == nil {
-		return ""
+// spanCtx carries a span as the one value it adds to its parent.
+type spanCtx struct {
+	context.Context
+	sp *Span
+}
+
+func (c *spanCtx) Value(key any) any {
+	if _, ok := key.(spanKey); ok {
+		return c.sp
 	}
-	if s.client != "" || !s.clientAddr.IsValid() {
-		return s.client
-	}
-	return s.clientAddr.String()
+	return c.Context.Value(key)
 }
 
 // Hop is one timed crossing of an instrumented layer. Start is an
@@ -81,12 +84,19 @@ func NewSpan(clock vclock.Clock, name, qtype string) *Span {
 	if clock == nil {
 		clock = vclock.NewReal()
 	}
-	return &Span{clock: clock, name: name, qtype: qtype, start: clock.Now()}
+	s := &Span{clock: clock, name: name, qtype: qtype, start: clock.Now()}
+	s.node.sp, s.hops = s, s.hopsBuf[:0]
+	return s
 }
 
-// ContextWith returns ctx carrying sp.
+// ContextWith returns ctx carrying sp, in a context node inside sp: it
+// allocates nothing and, like the span, is the query's until Finish.
 func ContextWith(ctx context.Context, sp *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, sp)
+	if sp == nil {
+		return ctx
+	}
+	sp.node.Context = ctx
+	return &sp.node
 }
 
 // FromContext returns the span carried by ctx, or nil.
@@ -95,27 +105,36 @@ func FromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// StartHop opens a timed hop on the span and returns the function
-// that closes it with a note. Safe on a nil span (returns a no-op).
-func (s *Span) StartHop(layer string) func(note string) {
+// HopTimer is an open hop. It is a value, so timing a layer allocates
+// nothing; the zero HopTimer, from a nil span, closes as a no-op.
+type HopTimer struct {
+	s     *Span
+	layer string
+	begin time.Duration
+	gen   uint64
+}
+
+// StartHop opens a timed hop on the span. Safe on a nil span.
+func (s *Span) StartHop(layer string) HopTimer {
 	if s == nil {
-		return func(string) {}
+		return HopTimer{}
 	}
-	begin := s.clock.Now()
-	return func(note string) {
-		end := s.clock.Now()
-		s.mu.Lock()
-		if s.hops == nil {
-			s.hops = s.hopsBuf[:0]
-		}
-		s.hops = append(s.hops, Hop{
-			Layer: layer,
-			Note:  note,
-			Start: begin - s.start,
-			Dur:   end - begin,
-		})
-		s.mu.Unlock()
+	return HopTimer{s: s, layer: layer, begin: s.clock.Now(), gen: s.gen.Load()}
+}
+
+// End closes the hop with a note. A hop whose span has finished its
+// query since is dropped, never recorded in the span's next query.
+func (t HopTimer) End(note string) {
+	s := t.s
+	if s == nil {
+		return
 	}
+	end := s.clock.Now()
+	s.mu.Lock()
+	if s.gen.Load() == t.gen {
+		s.hops = append(s.hops, Hop{Layer: t.layer, Note: note, Start: t.begin - s.start, Dur: end - t.begin})
+	}
+	s.mu.Unlock()
 }
 
 // Annotate records a zero-duration point hop. Safe on a nil span.
@@ -125,11 +144,37 @@ func (s *Span) Annotate(layer, note string) {
 	}
 	now := s.clock.Now()
 	s.mu.Lock()
-	if s.hops == nil {
-		s.hops = s.hopsBuf[:0]
-	}
 	s.hops = append(s.hops, Hop{Layer: layer, Note: note, Start: now - s.start})
 	s.mu.Unlock()
+}
+
+// Fork opens a child of s (same clock, same start) for work that may
+// outlive the query, and returns ctx re-rooted on it: given the context
+// ContextWith made for s, the result does not lead back to s, which can
+// then serve its next query. On a nil span Fork returns ctx and nil.
+func (s *Span) Fork(ctx context.Context) (context.Context, *Span) {
+	if s == nil {
+		return ctx, nil
+	}
+	if ctx == context.Context(&s.node) {
+		ctx = s.node.Context
+	}
+	child := NewSpan(s.clock, s.name, s.qtype)
+	child.start = s.start
+	return ContextWith(ctx, child), child
+}
+
+// Join appends the hops child has recorded so far to s; what child
+// records later stays there. Safe on nil spans.
+func (s *Span) Join(child *Span) {
+	if s == nil || child == nil {
+		return
+	}
+	child.mu.Lock()
+	s.mu.Lock()
+	s.hops = append(s.hops, child.hops...)
+	s.mu.Unlock()
+	child.mu.Unlock()
 }
 
 // End closes the span with an outcome; only the first End takes
@@ -139,12 +184,16 @@ func (s *Span) End(outcome string) {
 		return
 	}
 	s.mu.Lock()
+	s.endLocked(outcome)
+	s.mu.Unlock()
+}
+
+func (s *Span) endLocked(outcome string) {
 	if !s.ended {
 		s.ended = true
 		s.end = s.clock.Now()
 		s.outcome = outcome
 	}
-	s.mu.Unlock()
 }
 
 // Total returns the span duration: end−start once ended, elapsed so
@@ -155,6 +204,10 @@ func (s *Span) Total() time.Duration {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.totalLocked()
+}
+
+func (s *Span) totalLocked() time.Duration {
 	if s.ended {
 		return s.end - s.start
 	}
@@ -179,22 +232,6 @@ func (s *Span) Outcome() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.outcome
-}
-
-// Name returns the query name the span was started for.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Type returns the query type label.
-func (s *Span) Type() string {
-	if s == nil {
-		return ""
-	}
-	return s.qtype
 }
 
 // Sampled reports whether this span was head-sampled into the query
@@ -267,9 +304,9 @@ func (s *Span) Breakdown() []BreakdownEntry {
 	return out
 }
 
-// StartHop opens a timed hop on the span carried by ctx; a no-op
-// closer is returned when ctx carries none.
-func StartHop(ctx context.Context, layer string) func(note string) {
+// StartHop opens a timed hop on the span carried by ctx; the timer is
+// a no-op when ctx carries none.
+func StartHop(ctx context.Context, layer string) HopTimer {
 	return FromContext(ctx).StartHop(layer)
 }
 

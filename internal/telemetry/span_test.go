@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -20,20 +21,20 @@ func TestBreakdownNested(t *testing.T) {
 	sp := NewSpan(clk, "q.example.", "A")
 
 	clk.Advance(ms(1))
-	endForward := sp.StartHop("forward")
+	forward := sp.StartHop("forward")
 
 	clk.Advance(ms(1)) // t=2
-	endUp1 := sp.StartHop("upstream")
+	up1 := sp.StartHop("upstream")
 	clk.Advance(ms(3)) // t=5
-	endUp1("10.0.0.1:53")
+	up1.End("10.0.0.1:53")
 
 	clk.Advance(ms(1)) // t=6
-	endUp2 := sp.StartHop("upstream")
+	up2 := sp.StartHop("upstream")
 	clk.Advance(ms(2)) // t=8
-	endUp2("10.0.0.2:53")
+	up2.End("10.0.0.2:53")
 
 	clk.Advance(ms(1)) // t=9
-	endForward("10.0.0.2:53")
+	forward.End("10.0.0.2:53")
 
 	clk.Advance(ms(1)) // t=10
 	sp.End("upstream")
@@ -69,11 +70,11 @@ func TestBreakdownNested(t *testing.T) {
 func TestBreakdownIdenticalIntervals(t *testing.T) {
 	clk := &vclock.Fixed{}
 	sp := NewSpan(clk, "q.example.", "A")
-	end1 := sp.StartHop("cache")
-	end2 := sp.StartHop("coalesce")
+	cache := sp.StartHop("cache")
+	coalesce := sp.StartHop("coalesce")
 	clk.Advance(ms(4))
-	end1("miss")
-	end2("shared")
+	cache.End("miss")
+	coalesce.End("shared")
 	clk.Advance(ms(1))
 	sp.End("upstream")
 
@@ -106,7 +107,7 @@ func TestSpanEndIdempotent(t *testing.T) {
 // chain runs un-instrumented (simnet, tests) with exactly that.
 func TestNilSpanSafe(t *testing.T) {
 	var sp *Span
-	sp.StartHop("cache")("hit")
+	sp.StartHop("cache").End("hit")
 	sp.Annotate("x", "y")
 	sp.End("done")
 	if sp.Total() != 0 || sp.Hops() != nil || sp.Outcome() != "" || sp.Sampled() {
@@ -117,7 +118,7 @@ func TestNilSpanSafe(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	StartHop(ctx, "cache")("hit")
+	StartHop(ctx, "cache").End("hit")
 	Annotate(ctx, "x", "y")
 	if FromContext(ctx) != nil {
 		t.Error("empty context carried a span")
@@ -130,8 +131,7 @@ func TestContextRoundTrip(t *testing.T) {
 	if FromContext(ctx) != sp {
 		t.Error("span lost in context")
 	}
-	end := StartHop(ctx, "zone")
-	end("example.org.")
+	StartHop(ctx, "zone").End("example.org.")
 	if hops := sp.Hops(); len(hops) != 1 || hops[0].Layer != "zone" || hops[0].Note != "example.org." {
 		t.Errorf("hops = %+v", sp.Hops())
 	}
@@ -147,7 +147,7 @@ func TestSpanConcurrentHops(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				sp.StartHop("upstream")("addr")
+				sp.StartHop("upstream").End("addr")
 				sp.Annotate("note", "x")
 				_ = sp.Breakdown()
 			}
@@ -157,5 +157,53 @@ func TestSpanConcurrentHops(t *testing.T) {
 	sp.End("upstream")
 	if len(sp.Hops()) != 8*100*2 {
 		t.Errorf("hops = %d, want %d", len(sp.Hops()), 8*100*2)
+	}
+}
+
+// TestLateHopDroppedAfterFinish: a hop still open when its query
+// finishes belongs to a generation that is over. Closing it later must
+// not record it in the span, which the hub may have handed to another
+// query by then.
+func TestLateHopDroppedAfterFinish(t *testing.T) {
+	h := NewHub(&vclock.Fixed{})
+	sp := h.BeginAddr("a.", "A", "udp", netip.AddrPort{})
+	late := sp.StartHop("upstream")
+	h.Finish(sp, "NOERROR")
+	late.End("straggler")
+	if hops := sp.Hops(); len(hops) != 0 {
+		t.Errorf("finished span recorded a late hop: %+v", hops)
+	}
+	sp.StartHop("cache").End("hit") // the span's next generation records
+	if hops := sp.Hops(); len(hops) != 1 || hops[0].Note != "hit" {
+		t.Errorf("hops = %+v, want the one hit", hops)
+	}
+}
+
+// TestForkJoin: a fork shares its parent's clock and start, its context
+// leads back to the fork alone, and Join copies in what the fork holds
+// by then — nothing it records afterwards.
+func TestForkJoin(t *testing.T) {
+	clk := &vclock.Fixed{}
+	sp := NewSpan(clk, "q.", "A")
+	parent := context.Background()
+	ctx, fork := sp.Fork(ContextWith(parent, sp))
+	if FromContext(ctx) != fork {
+		t.Fatal("fork context does not carry the fork")
+	}
+	if node, ok := ctx.(*spanCtx); !ok || node.Context != parent {
+		t.Fatalf("fork context is not re-rooted on the query's parent: %#v", ctx)
+	}
+	clk.Advance(ms(1))
+	won := StartHop(ctx, "upstream")
+	late := StartHop(ctx, "upstream")
+	clk.Advance(ms(2))
+	won.End("b")
+	sp.Join(fork)
+	late.End("a")
+	if hops := sp.Hops(); len(hops) != 1 || hops[0] != (Hop{Layer: "upstream", Note: "b", Start: ms(1), Dur: ms(2)}) {
+		t.Errorf("joined hops = %+v, want the one closed before Join", hops)
+	}
+	if _, none := (*Span)(nil).Fork(parent); none != nil {
+		t.Error("nil span forked")
 	}
 }
