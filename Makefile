@@ -11,16 +11,19 @@ all: vet test race build
 # Linux and for the portable fallback), a full build, the test suite
 # under the race detector, the pool-ownership checker over the
 # packet-buffer packages (the upstream client's exchange buffers and
-# the relayed reply image included), the overload contract (hits do not
+# the relayed reply image included, and the C-DNS router's reply writer
+# over its fuzz seeds), the overload contract (hits do not
 # wait behind upstream exchanges; read == served + shed, exactly) at 1,
 # 2 and 4 cores, the recycled-span hazard (a hedged exchange's
 # straggler must not reach the query its span serves next) 20 times
-# under the race detector and the telemetry-on hit's allocation budget,
-# each at 1, 2 and 4 cores,
+# under the race detector and the allocation pins — the telemetry-on
+# hit, the query parse, the router's answer, the P2 hop's budget — each
+# at 1, 2 and 4 cores,
 # bounded differential-fuzz passes
 # over the LPM lookup, the cache's reply patch, the one query→reply
 # function every ingress serves with, the walk that lets a reply be
-# relayed undecoded and the name codec, a serve-path benchmark smoke
+# relayed undecoded, the name codec and the router's bytes-written
+# reply, a serve-path benchmark smoke
 # run that catches hit-path and stub-exchange regressions without
 # waiting for a full bench sweep (the two benchmarks that cross the UDP
 # ingress at 1, 2 and 4 cores and long enough to overrun a bounded
@@ -36,18 +39,22 @@ ci:
 	gofmt -l . | (! grep .) || (echo "gofmt needed" && exit 1)
 	GOOS=linux $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
-	GOOS=linux $(GO) vet -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/
+	GOOS=linux $(GO) vet -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/
+	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/
 	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestServeQueryAllocs' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestUnpackQueryNoAllocOnRepeat|TestAppendReplyIsRouterVector' -cpu 1,2,4 ./internal/dnswire/
+	$(GO) test -run 'TestRouterAnswerAllocs' -cpu 1,2,4 ./internal/cdn/
+	$(GO) test -run 'TestStubExchangeAllocBudget' -cpu 1,2,4 .
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzServeQuery -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzResponseWalk -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzNameUnpack -fuzztime 5s ./internal/dnswire/
+	$(GO) test -run xxx -fuzz FuzzRouterReply -fuzztime 5s ./internal/cdn/
 	$(GO) test -run xxx -bench='ServeUDPHit|StubExchange' -cpu 1,2,4 -benchtime=20000x -benchmem .
 	$(GO) test -run xxx -bench='RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .
 	$(GO) run ./cmd/experiments -x loadbalance -ues 20000 -requests 1000

@@ -527,13 +527,7 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 		// The CDN domain exists but we only publish A records.
 		routed.Inc("nodata")
 		telemetry.Annotate(ctx, "cdn-router", "nodata")
-		m := new(dnswire.Message)
-		m.SetReply(r.Msg)
-		m.Authoritative = true
-		if err := w.WriteMsg(m); err != nil {
-			return dnswire.RcodeServerFailure, err
-		}
-		return dnswire.RcodeSuccess, nil
+		return rt.reply(w, r, dnswire.RcodeSuccess, netip.Addr{}, 0)
 	}
 
 	hop := telemetry.StartHop(ctx, "cdn-router")
@@ -543,14 +537,12 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 		// mechanism) until load has dwelled under the low watermark.
 		routed.Inc("load_fallback")
 		hop.End("load-fallback")
-		return rt.writeReferral(w, r)
+		return rt.writeReferralTo(w, r, rt.Parent)
 	}
 	client := rt.clientInfo(r)
 
 	// Subnet→PoP table first: with a table installed the disclosed
-	// subnet picks the edge directly, and the answer's scope is exactly
-	// the matched route length. scope stays -1 when no table is set
-	// (legacy echo: scope = source).
+	// subnet picks the edge directly; scope stays -1 without one.
 	var addr netip.Addr
 	scope := -1
 	if popAddr, popRef, popScope, tabled := rt.subnetRoute(client); tabled {
@@ -591,59 +583,52 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 			// can chase it: NS in authority, glue in additional.
 			routed.Inc("referral")
 			hop.End("referral")
-			return rt.writeReferral(w, r)
+			return rt.writeReferralTo(w, r, rt.Parent)
 		default:
 			routed.Inc("failed")
 			hop.End("failed")
-			m := new(dnswire.Message)
-			m.SetRcode(r.Msg, dnswire.RcodeServerFailure)
-			_ = w.WriteMsg(m)
-			return dnswire.RcodeServerFailure, nil
+			return rt.reply(w, r, dnswire.RcodeServerFailure, netip.Addr{}, 0)
 		}
 	}
+	return rt.reply(w, r, dnswire.RcodeSuccess, addr, scope)
+}
 
+// reply answers r with rcode — an A record for addr when it is valid,
+// else NODATA or SERVFAIL — as bytes in a pooled buffer, handed on
+// through dnsserver.WriteImage. An A record echoes ECS with the scope it
+// depended on (RFC 7871 §7.2.1): the matched route length on a table
+// hit, 0 when the table did not discriminate, and without a table
+// (scope < 0) the source length — geo policy may have used it all.
+func (rt *Router) reply(w dnsserver.ResponseWriter, r *dnsserver.Request, rcode dnswire.Rcode, addr netip.Addr, scope int) (dnswire.Rcode, error) {
+	var echo *dnswire.ECSOption
+	if ecs, ok := r.Msg.ECS(); ok && addr.IsValid() {
+		scoped := *ecs
+		scoped.ScopePrefix = ecs.SourcePrefix
+		if scope >= 0 {
+			scoped.ScopePrefix = uint8(scope)
+		}
+		echo = &scoped
+	}
 	ttl := rt.TTL
 	if ttl == 0 {
 		ttl = 30
 	}
-	m := new(dnswire.Message)
-	m.SetReply(r.Msg)
-	m.Authoritative = true
-	m.Answers = []dnswire.RR{&dnswire.A{
-		Hdr:  dnswire.RRHeader{Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: ttl},
-		Addr: addr,
-	}}
-	if ecs, ok := r.Msg.ECS(); ok {
-		opt := m.SetEDNS(dnswire.DefaultEDNSSize)
-		scoped := *ecs
-		if scope >= 0 {
-			// RFC 7871 §7.2.1: scope = how much of the address the
-			// answer actually depended on — the matched route length on
-			// a table hit, 0 when the table did not discriminate.
-			scoped.ScopePrefix = uint8(scope)
-		} else {
-			// No table: policy routing may have used the full disclosed
-			// prefix (geo distance), so keep the historical full echo.
-			scoped.ScopePrefix = ecs.SourcePrefix
-		}
-		opt.Options = append(opt.Options, &scoped)
-	}
-	if err := w.WriteMsg(m); err != nil {
+	buf := dnswire.GetBuffer()
+	wire, err := dnswire.AppendReply(buf[:0], r.Msg, rcode == dnswire.RcodeSuccess, rcode, addr, ttl, echo)
+	if err != nil {
+		dnswire.PutBuffer(buf)
 		return dnswire.RcodeServerFailure, err
 	}
-	return dnswire.RcodeSuccess, nil
+	if err := dnsserver.WriteImage(w, buf, len(wire)); err != nil {
+		return dnswire.RcodeServerFailure, err
+	}
+	return rcode, nil
 }
 
 // ReferralNS is the owner label used for cross-tier C-DNS referrals:
 // the NS target is "<ReferralNS>.<cdn domain>" with a glue A record
 // carrying the parent router's address.
 const ReferralNS = "cdns-next-tier"
-
-// writeReferral answers with a delegation pointing at the parent-tier
-// C-DNS.
-func (rt *Router) writeReferral(w dnsserver.ResponseWriter, r *dnsserver.Request) (dnswire.Rcode, error) {
-	return rt.writeReferralTo(w, r, rt.Parent)
-}
 
 // writeReferralTo answers with a delegation pointing at another C-DNS
 // — the parent tier or a mesh peer site.
@@ -659,6 +644,9 @@ func (rt *Router) writeReferralTo(w dnsserver.ResponseWriter, r *dnsserver.Reque
 		Hdr:  dnswire.RRHeader{Name: nsName, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30},
 		Addr: next,
 	}}
+	if _, ok := r.Msg.OPT(); ok {
+		m.SetEDNS(dnswire.DefaultEDNSSize) // RFC 6891 §7
+	}
 	if err := w.WriteMsg(m); err != nil {
 		return dnswire.RcodeServerFailure, err
 	}
@@ -666,7 +654,7 @@ func (rt *Router) writeReferralTo(w dnsserver.ResponseWriter, r *dnsserver.Reque
 }
 
 // Referral extracts the next-tier C-DNS address from a response, if
-// it is a cross-tier referral produced by writeReferral.
+// it is a cross-tier referral produced by writeReferralTo.
 func Referral(m *dnswire.Message) (netip.Addr, bool) {
 	if len(m.Answers) > 0 {
 		return netip.Addr{}, false
@@ -753,10 +741,11 @@ func (rt *Router) selectLocal(key string, client ClientInfo) *ServerInfo {
 	if replicas <= 0 {
 		replicas = 2
 	}
-	// Candidate scratch lives on the stack: the ring walk appends into
-	// a fixed backing array (append spills to the heap only past
-	// smallOwners candidates), keeping the no-spill Route allocation-
-	// free through candidate selection.
+	// The ring walk appends candidates into fixed backing arrays, one
+	// allocation each: they escape through the Policy interface call
+	// below, so a ring-routed query pays these two and no more (one the
+	// subnet table answers never gets here). The owner names stay on
+	// the stack.
 	var prefArr, degArr [smallOwners]*ServerInfo
 	preferred, degraded := prefArr[:0], degArr[:0]
 	consider := func(name string) {

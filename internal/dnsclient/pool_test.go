@@ -51,8 +51,11 @@ func (u *fakeUpstream) stop() {
 	<-u.done
 }
 
+// send writes wire to the client. A write the test's end overtook — the
+// second of a duplicated reply, say — finds the socket closed; that is
+// not a failure.
 func (u *fakeUpstream) send(t *testing.T, to netip.AddrPort, wire []byte) {
-	if _, err := u.conn.WriteToUDPAddrPort(wire, to); err != nil {
+	if _, err := u.conn.WriteToUDPAddrPort(wire, to); err != nil && !errors.Is(err, net.ErrClosed) {
 		t.Errorf("upstream write: %v", err)
 	}
 }

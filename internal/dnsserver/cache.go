@@ -588,7 +588,7 @@ func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string,
 	}
 	// Relay what the chain wrote, uncached: it came with an error, or it
 	// is an image the cache cannot patch.
-	if werr := writeImage(w, rec.buf, rec.n); werr != nil && err == nil {
+	if werr := WriteImage(w, rec.buf, rec.n); werr != nil && err == nil {
 		return dnswire.RcodeServerFailure, werr
 	}
 	return rcode, err
@@ -803,7 +803,7 @@ func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w Respon
 // when stale), and the RFC 7871 §7.2.1 ECS echo. The result decodes to
 // what decoding the image, editing the message and repacking it would
 // give — and, for an image Pack wrote, is that byte for byte (the
-// FuzzHitPatch invariants) — at none of the cost. writeImage sends it.
+// FuzzHitPatch invariants) — at none of the cost. WriteImage sends it.
 func (c *Cache) reply(w ResponseWriter, r *Request, ent *cacheEntry, age uint32, stale bool) (dnswire.Rcode, error) {
 	buf := dnswire.GetBuffer()
 	n := copy(buf, ent.wire)
@@ -821,34 +821,10 @@ func (c *Cache) reply(w ResponseWriter, r *Request, ent *cacheEntry, age uint32,
 			return dnswire.RcodeServerFailure, err
 		}
 	}
-	if err := writeImage(w, buf, n); err != nil {
+	if err := WriteImage(w, buf, n); err != nil {
 		return dnswire.RcodeServerFailure, err
 	}
 	return ent.rcode, nil
-}
-
-// writeImage hands w the response image buf[:n] and the pooled buffer
-// it is in. A WireWriter takes the bytes as they are (an
-// OwnedWireWriter the buffer itself, saving the last copy before the
-// socket). A writer that cannot take bytes — and any image larger than
-// the transport carries, so that truncation stays the writer's
-// business — gets it decoded, here and only here, through WriteMsg.
-func writeImage(w ResponseWriter, buf []byte, n int) error {
-	if ww, ok := w.(WireWriter); ok && n <= ww.WireSize() {
-		if ow, ok := w.(OwnedWireWriter); ok {
-			return ow.WriteWireOwned(buf, n)
-		}
-		err := ww.WriteWire(buf[:n])
-		dnswire.PutBuffer(buf)
-		return err
-	}
-	msg := new(dnswire.Message)
-	err := msg.Unpack(buf[:n])
-	dnswire.PutBuffer(buf)
-	if err != nil {
-		return err
-	}
-	return w.WriteMsg(msg)
 }
 
 // String summarizes the cache for debugging.

@@ -364,10 +364,10 @@ func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 // writeUpstream relays an upstream response — img and rcode as the
 // client's Exchange returned them, the buffer now this side's — to the
 // client under the client's query ID: the image as it arrived, decoded
-// only if the writer cannot take bytes (writeImage).
+// only if the writer cannot take bytes (WriteImage).
 func writeUpstream(w ResponseWriter, r *Request, img []byte, rcode dnswire.Rcode) (dnswire.Rcode, error) {
 	dnswire.PatchID(img, r.Msg.ID)
-	if err := writeImage(w, img, len(img)); err != nil {
+	if err := WriteImage(w, img, len(img)); err != nil {
 		return dnswire.RcodeServerFailure, err
 	}
 	return rcode, nil

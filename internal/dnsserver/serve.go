@@ -19,8 +19,9 @@ const maxUDPPayload = 4096
 // serveScratch is the parse and reply state serveQuery works in. The
 // socket ingresses reuse one per serve goroutine or connection, so the
 // steady state allocates nothing for plumbing or parsing; the scratch
-// message is overwritten by the next query, so handlers must not retain
-// it past ServeDNS — the same contract the wire buffers already carry.
+// message is overwritten by the next query, OPT and ECS option in place,
+// so handlers must not retain it or its records past ServeDNS — the same
+// contract the wire buffers carry; a prefetch or hedge runs on a Clone.
 type serveScratch struct {
 	msg    dnswire.Message
 	req    Request
@@ -72,8 +73,8 @@ func serveQuery(h Handler, hub *telemetry.Hub, st *serveScratch, pkt []byte, cli
 // pooled buffer whoever reads buf then owns: taken over as it is from a
 // plugin that relays one (Cache.reply, Stub, Forward), packed here —
 // the one time an answer is packed — from a plugin that builds a
-// Message (Zone, the C-DNS router). An image above limit is refused, so
-// that writeImage hands it over decoded and WriteMsg cuts it down.
+// Message (Zone, a C-DNS referral). An image above limit is refused, so
+// that WriteImage hands it over decoded and WriteMsg cuts it down.
 type replyImage struct {
 	buf   []byte // nil until written
 	n     int
@@ -130,4 +131,28 @@ func (w *replyImage) WriteMsg(m *dnswire.Message) error {
 	}
 	w.buf, w.n = buf, len(wire)
 	return nil
+}
+
+// WriteImage hands w the response image buf[:n] and the pooled buffer
+// it is in (Cache, Forward, the C-DNS router). A WireWriter takes the
+// bytes as they are (an OwnedWireWriter the buffer itself, saving the
+// last copy before the socket). A writer that cannot take bytes — and
+// any image larger than the transport carries, so that truncation stays
+// the writer's business — gets it decoded, here and only here.
+func WriteImage(w ResponseWriter, buf []byte, n int) error {
+	if ww, ok := w.(WireWriter); ok && n <= ww.WireSize() {
+		if ow, ok := w.(OwnedWireWriter); ok {
+			return ow.WriteWireOwned(buf, n)
+		}
+		err := ww.WriteWire(buf[:n])
+		dnswire.PutBuffer(buf)
+		return err
+	}
+	msg := new(dnswire.Message)
+	err := msg.Unpack(buf[:n])
+	dnswire.PutBuffer(buf)
+	if err != nil {
+		return err
+	}
+	return w.WriteMsg(msg)
 }

@@ -120,7 +120,11 @@ func (r *OPT) packData(b []byte, _ *compressor) ([]byte, error) {
 
 func (r *OPT) unpackData(msg []byte, off, rdlen int) error {
 	end := off + rdlen
-	r.Options = nil
+	var spare *ECSOption // the first ECS option of an OPT UnpackQuery reuses
+	if cap(r.Options) > 0 {
+		spare, _ = r.Options[:1][0].(*ECSOption)
+	}
+	r.Options = r.Options[:0]
 	for off < end {
 		if off+4 > end {
 			return ErrBadRdata
@@ -132,8 +136,10 @@ func (r *OPT) unpackData(msg []byte, off, rdlen int) error {
 			return ErrBadRdata
 		}
 		var o EDNSOption
-		switch code {
-		case OptionCodeECS:
+		switch {
+		case code == OptionCodeECS && spare != nil:
+			o, spare = spare, nil
+		case code == OptionCodeECS:
 			o = new(ECSOption)
 		default:
 			o = &GenericOption{OptCode: code}

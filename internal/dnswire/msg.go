@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net/netip"
 	"strings"
 )
 
@@ -226,6 +227,73 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	return b, nil
 }
 
+// AppendReply appends to b, which must be empty, the reply to q that
+// Pack gives for SetRcode(q, rcode) with AA set to aa, plus an A record
+// for the question with ttl and addr when addr is valid and — when q
+// carries an OPT, as RFC 6891 §7 requires — an OPT advertising
+// DefaultEDNSSize that holds echo when echo is not nil. No Message,
+// record or compressor is built: the A record's owner is the pointer to
+// offset 12 Pack's compressor writes. This is the C-DNS router's reply.
+func AppendReply(b []byte, q *Message, aa bool, rcode Rcode, addr netip.Addr, ttl uint32, echo *ECSOption) ([]byte, error) {
+	_, edns := q.OPT()
+	switch {
+	case len(b) != 0:
+		return nil, fmt.Errorf("dnswire: AppendReply requires an empty buffer, got %d bytes", len(b))
+	case rcode > 0xF && !edns:
+		return nil, fmt.Errorf("dnswire: rcode %s requires an OPT record", rcode)
+	case addr.IsValid() && !addr.Is4() && !addr.Is4In6():
+		return nil, fmt.Errorf("%w: A record address %v is not IPv4", ErrBadRdata, addr)
+	}
+	flags := uint16(flagQR) | uint16(q.Opcode&0xF)<<11 | uint16(rcode&0xF)
+	if aa {
+		flags |= flagAA
+	}
+	if q.RecursionDesired {
+		flags |= flagRD
+	}
+	b = binary.BigEndian.AppendUint16(b, q.ID)
+	b = binary.BigEndian.AppendUint16(b, flags)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // the counts, each set as its record is written
+	owner := []byte{0}                    // the root, unless the question names another
+	if len(q.Questions) > 0 {
+		qn := q.Questions[0]
+		var err error
+		if b, err = packName(b, qn.Name, nil); err != nil { // the first name never compresses
+			return nil, fmt.Errorf("packing question %q: %w", qn.Name, err)
+		}
+		if len(b) > 13 {
+			owner = []byte{0xC0, 12}
+		}
+		b = binary.BigEndian.AppendUint16(b, uint16(qn.Type))
+		b = binary.BigEndian.AppendUint16(b, uint16(qn.Class))
+		b[5] = 1
+	}
+	if addr.IsValid() {
+		a4 := addr.As4()
+		b = append(append(b, owner...), 0, byte(TypeA), 0, byte(ClassINET))
+		b = binary.BigEndian.AppendUint32(b, ttl)
+		b = append(b, 0, 4, a4[0], a4[1], a4[2], a4[3])
+		b[7] = 1
+	}
+	if edns {
+		b = append(b, 0, 0, byte(TypeOPT), DefaultEDNSSize>>8, DefaultEDNSSize&0xFF) // root, type, payload size
+		b = binary.BigEndian.AppendUint32(b, uint32(rcode>>4)<<24)
+		rdlen := len(b)
+		b = append(b, 0, 0)
+		if echo != nil {
+			b = append(b, 0, byte(OptionCodeECS), 0, 0)
+			var err error
+			if b, err = echo.packOption(b); err != nil {
+				return nil, err
+			}
+			binary.BigEndian.PutUint16(b[rdlen+4:], uint16(len(b)-rdlen-6))
+		}
+		binary.BigEndian.PutUint16(b[rdlen:], uint16(len(b)-rdlen-2))
+		b[11] = 1
+	}
+	return b, nil
+}
+
 // Unpack parses wire-format data into m, replacing its contents.
 func (m *Message) Unpack(data []byte) error {
 	if len(data) < 12 {
@@ -273,7 +341,7 @@ func (m *Message) Unpack(data []byte) error {
 		var rrs []RR
 		for i := 0; i < n; i++ {
 			var rr RR
-			rr, off, err = unpackRR(data, off)
+			rr, off, err = unpackRR(data, off, nil)
 			if err != nil {
 				return nil, fmt.Errorf("unpacking %s record %d: %w", name, i, err)
 			}

@@ -219,7 +219,13 @@ func unpackName(msg []byte, off int) (string, int, error) {
 		return "", 0, err
 	}
 	var text [4 * maxNameWire]byte // room for every octet as \DDD
-	b := text[:0]
+	return string(appendName(text[:0], msg, off)), next, nil
+}
+
+// appendName appends to b the presentation form of the name at off,
+// which scanName has passed.
+func appendName(b, msg []byte, off int) []byte {
+	start := len(b)
 	for msg[off] != 0 {
 		if c := msg[off]; c >= 0xC0 {
 			off = int(c&0x3F)<<8 | int(msg[off+1])
@@ -239,8 +245,8 @@ func unpackName(msg []byte, off int) (string, int, error) {
 		b = append(b, '.')
 		off = end
 	}
-	if len(b) == 0 {
-		return ".", next, nil
+	if len(b) == start {
+		b = append(b, '.')
 	}
-	return string(b), next, nil
+	return b
 }

@@ -386,9 +386,8 @@ func TestCompressorTableBound(t *testing.T) {
 
 // TestNameCodecAllocs is the name codec's allocation budget: growing
 // the buffer, once, to pack into a nil one (none into one with room),
-// one string to unpack, and three for a whole Pack of the reply shape
-// the C-DNS router sends — output buffer, compressor table, nothing per
-// name.
+// one string to unpack, and three for a whole Pack of the router-reply
+// vector — output buffer, compressor table, nothing per name.
 func TestNameCodecAllocs(t *testing.T) {
 	const name = `video.demo1.my\.cdn.ciab.test.`
 	wire, err := packName(nil, name, nil)

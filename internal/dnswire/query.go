@@ -9,8 +9,9 @@ import (
 // through the label escaper, which is correct for arbitrary messages
 // but costs ~10 allocations for the one-question query that is every
 // real client packet. UnpackQuery keeps the same wire semantics while
-// reusing the caller's Message storage and interning question names,
-// so parsing a repeat of a hot query allocates nothing.
+// reusing the caller's Message storage, OPT and ECS option included,
+// and interning question names, so parsing a repeat of a hot query
+// allocates nothing.
 
 // NameIntern is a bounded wire-name → presentation-name table used by
 // UnpackQuery to avoid re-decoding (and re-allocating) the qname of
@@ -38,20 +39,20 @@ func NewNameIntern(max int) *NameIntern {
 	return &NameIntern{names: make(map[string]string, 64), max: max}
 }
 
-func (t *NameIntern) put(wire []byte, name string) {
+func (t *NameIntern) put(wire, name string) {
 	if len(t.names) >= t.max {
 		clear(t.names)
 	}
-	t.names[string(wire)] = name
+	t.names[wire] = name
 }
 
 // UnpackQuery parses wire-format data into m like Unpack, replacing
-// m's contents but reusing its section storage, with question names
-// interned through tbl (which may be nil). It is intended for the
-// server read loops, where m is a per-worker scratch message: a
-// message parsed this way must not be retained past the request,
-// because the next packet overwrites it. The name strings themselves
-// are permanent and safe to retain.
+// m's contents but reusing its storage, with question names interned
+// through tbl (which may be nil). It is intended for the server read
+// loops, where m is a per-worker scratch message: a message parsed this
+// way must not be retained past the request, because the next packet
+// overwrites it, its OPT record and ECS option in place: Clone what must
+// outlive the request. The name strings are permanent and safe to keep.
 //
 // The reuse fast path covers the shape of every real client query —
 // one question, empty answer/authority sections, at most one
@@ -92,7 +93,7 @@ func (m *Message) UnpackQuery(data []byte, tbl *NameIntern) error {
 			return m.Unpack(data)
 		}
 		off += 1 + int(c)
-		if off-12 > maxNameWire {
+		if off-12 >= maxNameWire { // scanName's bound: the labels fill 255 octets
 			return ErrNameTooLong
 		}
 	}
@@ -106,12 +107,12 @@ func (m *Message) UnpackQuery(data []byte, tbl *NameIntern) error {
 		name = tbl.names[string(wireName)] // no alloc: map probe by converted key
 	}
 	if name == "" {
-		var err error
-		if name, _, err = unpackName(data, 12); err != nil {
-			return err
-		}
+		// A name never seen costs one string, the intern key + the name.
+		var text [5 * maxNameWire]byte // the key, then every octet as \DDD
+		both := string(appendName(append(text[:0], wireName...), data, 12))
+		name = both[len(wireName):]
 		if tbl != nil {
-			tbl.put(wireName, name)
+			tbl.put(both[:len(wireName)], name)
 		}
 	}
 
@@ -137,7 +138,11 @@ func (m *Message) UnpackQuery(data []byte, tbl *NameIntern) error {
 	off += 4
 
 	if ar == 1 {
-		rr, end, err := unpackRR(data, off)
+		var spare *OPT // the last query's: the record, its options and ECS are reused
+		if cap(m.Additionals) > 0 {
+			spare, _ = m.Additionals[:1][0].(*OPT)
+		}
+		rr, end, err := unpackRR(data, off, spare)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,8 @@ package dnswire
 import (
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -25,21 +27,58 @@ func packQuery(t *testing.T, build func(*Message)) []byte {
 
 // TestUnpackQueryMatchesUnpack is the differential contract: for any
 // input, UnpackQuery must produce exactly the Message Unpack does —
-// same fields on success, an error whenever Unpack errors.
+// same fields on success, an error whenever Unpack errors. The corpus
+// runs back to back on one scratch message, in both orders, the way a
+// serve loop parses: whatever the last query left in the OPT, its
+// option slice or its ECS option must not survive into this one.
 func TestUnpackQueryMatchesUnpack(t *testing.T) {
-	inputs := map[string][]byte{
-		"plain A query": packQuery(t, nil),
-		"EDNS query": packQuery(t, func(m *Message) {
-			m.SetEDNS(1232)
-		}),
-		"root qname": packQuery(t, func(m *Message) {
+	ecs := func(prefix string) *ECSOption { return NewECSOption(netip.MustParsePrefix(prefix)) }
+	cookie := &GenericOption{OptCode: OptionCodeCookie, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	withOptions := func(opts ...EDNSOption) []byte {
+		return packQuery(t, func(m *Message) {
+			m.SetEDNS(1232).Options = opts
+		})
+	}
+	label63 := strings.Repeat("a", 63) + "."
+	name255 := packQuery(t, func(m *Message) {
+		m.Questions[0].Name = label63 + label63 + label63 + strings.Repeat("b", 61) + "."
+	})
+	inputs := []struct {
+		name string
+		wire []byte
+	}{
+		{"plain A query", packQuery(t, nil)},
+		{"ECS v4", withOptions(ecs("10.1.2.0/24"))},
+		{"EDNS query", withOptions()},
+		{"ECS v6", withOptions(ecs("2001:db8:1::/48"))},
+		{"no OPT", packQuery(t, nil)},
+		{"cookie only", withOptions(cookie)},
+		{"ECS + cookie", withOptions(cookie, ecs("192.0.2.0/26"))},
+		{"two ECS", withOptions(ecs("10.9.0.0/16"), ecs("10.8.0.0/16"))},
+		{"ECS scope set", withOptions(&ECSOption{Family: 1, SourcePrefix: 20, ScopePrefix: 9, Address: netip.MustParseAddr("10.3.16.0")})},
+		{"bad ECS", withOptions(&GenericOption{OptCode: OptionCodeECS, Data: []byte{0, 1, 24}})},
+		{"DO bit, BADVERS bits", packQuery(t, func(m *Message) {
+			m.SetEDNS(4096).Hdr.TTL = 1<<24 | 1<<15
+		})},
+		{"root qname", packQuery(t, func(m *Message) {
 			m.SetQuestion(".", TypeNS)
-		}),
-		"CD+non-RD flags": packQuery(t, func(m *Message) {
+		})},
+		{"CD+non-RD flags", packQuery(t, func(m *Message) {
 			m.RecursionDesired = false
 			m.CheckingDisabled = true
-		}),
-		"response with answers": func() []byte {
+		})},
+		{"mixed case and escapes", packQuery(t, func(m *Message) {
+			m.Questions[0].Name = `Obj\.1\\x\000\255.CDN.test.`
+		})},
+		// 255 octets is the most a name may have; 256 is one too many.
+		{"255-octet name", name255},
+		{"256-octet name", func() []byte {
+			at := 12 + 3*64 // the last label's length octet
+			w := slices.Insert(slices.Clone(name255), at+1, 'b')
+			w[at]++
+			return w
+		}()},
+		{"response with answers", func() []byte {
 			m := new(Message)
 			m.SetQuestion("a.example.org.", TypeA)
 			m.Response = true
@@ -49,45 +88,53 @@ func TestUnpackQueryMatchesUnpack(t *testing.T) {
 				t.Fatal(err)
 			}
 			return wire
-		}(),
-		"short header":     {0x12, 0x34, 0x01},
-		"empty":            {},
-		"truncated qname":  append(packQuery(t, nil)[:14], 0x3F),
-		"trailing garbage": append(packQuery(t, nil), 0xAA),
+		}()},
+		{"short header", []byte{0x12, 0x34, 0x01}},
+		{"empty", []byte{}},
+		{"truncated qname", append(packQuery(t, nil)[:14], 0x3F)},
+		{"trailing garbage", append(packQuery(t, nil), 0xAA)},
+		{"ECS again", withOptions(ecs("10.1.3.0/24"))},
 	}
-	for name, wire := range inputs {
-		t.Run(name, func(t *testing.T) {
-			var want, got Message
-			wantErr := want.Unpack(wire)
-			gotErr := got.UnpackQuery(wire, NewNameIntern(0))
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("Unpack err = %v, UnpackQuery err = %v", wantErr, gotErr)
+	// canon is a deep copy of m with empty slices nil: reuse keeps
+	// zero-length slices where Unpack leaves nil.
+	canon := func(m *Message) *Message {
+		c := m.Clone()
+		for _, s := range []*[]RR{&c.Answers, &c.Authorities, &c.Additionals} {
+			if len(*s) == 0 {
+				*s = nil
 			}
-			if wantErr != nil {
-				return
+		}
+		for _, rr := range c.Additionals {
+			if opt, ok := rr.(*OPT); ok && len(opt.Options) == 0 {
+				opt.Options = nil
 			}
-			// Normalize empty-vs-nil sections: reuse keeps zero-length
-			// slices where Unpack leaves nil.
-			norm := func(m *Message) {
-				if len(m.Questions) == 0 {
-					m.Questions = nil
-				}
-				if len(m.Answers) == 0 {
-					m.Answers = nil
-				}
-				if len(m.Authorities) == 0 {
-					m.Authorities = nil
-				}
-				if len(m.Additionals) == 0 {
-					m.Additionals = nil
-				}
+		}
+		return c
+	}
+	for _, reverse := range []bool{false, true} {
+		var got Message
+		tbl := NewNameIntern(0)
+		for i := range inputs {
+			in, name := inputs[i], inputs[i].name
+			if reverse {
+				in = inputs[len(inputs)-1-i]
+				name = in.name + " (reverse order)"
 			}
-			norm(&want)
-			norm(&got)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("UnpackQuery mismatch:\n got %+v\nwant %+v", got, want)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				var want Message
+				wantErr := want.Unpack(in.wire)
+				gotErr := got.UnpackQuery(in.wire, tbl)
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("Unpack err = %v, UnpackQuery err = %v", wantErr, gotErr)
+				}
+				if wantErr != nil {
+					return
+				}
+				if g, w := canon(&got), canon(&want); !reflect.DeepEqual(g, w) {
+					t.Fatalf("UnpackQuery mismatch:\n got %v\nwant %v", g, w)
+				}
+			})
+		}
 	}
 }
 
@@ -158,27 +205,55 @@ func TestUnpackQueryInternsNames(t *testing.T) {
 func TestNameInternBounded(t *testing.T) {
 	tbl := NewNameIntern(4)
 	for i := 0; i < 10; i++ {
-		tbl.put([]byte{byte(i)}, "x.")
+		tbl.put(string(rune(i)), "x.")
 	}
 	if len(tbl.names) > 4 {
 		t.Fatalf("intern table grew to %d entries, bound is 4", len(tbl.names))
 	}
 }
 
+// TestUnpackQueryNoAllocOnRepeat: a repeat of a seen name allocates
+// nothing, with or without an OPT and an ECS option, and in a stream
+// that alternates them (the scratch keeps its ECS option through an
+// OPT-only query); a name never seen costs its one string.
 func TestUnpackQueryNoAllocOnRepeat(t *testing.T) {
-	wire := packQuery(t, nil)
+	ecs := packQuery(t, func(m *Message) {
+		m.SetEDNS(1232).Options = []EDNSOption{NewECSOption(netip.MustParsePrefix("10.1.2.0/24"))}
+	})
+	optOnly := packQuery(t, func(m *Message) { m.SetEDNS(1232) })
 	tbl := NewNameIntern(0)
 	var m Message
-	if err := m.UnpackQuery(wire, tbl); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		wires [][]byte
+	}{
+		{"plain", [][]byte{packQuery(t, nil)}},
+		{"ECS", [][]byte{ecs}},
+		{"ECS, OPT-only, ECS", [][]byte{ecs, optOnly, ecs}},
+	} {
+		parse := func() {
+			for _, wire := range c.wires {
+				if err := m.UnpackQuery(wire, tbl); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		parse()
+		if allocs := testing.AllocsPerRun(1000, parse); allocs != 0 {
+			t.Errorf("%s: UnpackQuery allocates %.1f per repeat parse, want 0", c.name, allocs)
+		}
 	}
+	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		wire := ecs
+		wire[13], wire[14], wire[15] = byte(i), byte(i>>8), byte(i>>16) // a new first label
 		if err := m.UnpackQuery(wire, tbl); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("UnpackQuery allocates %.1f per repeat parse, want 0", allocs)
+	if allocs != 1 {
+		t.Errorf("UnpackQuery allocates %.1f per never-seen name, want 1", allocs)
 	}
 }
 

@@ -60,8 +60,9 @@ func packRR(b []byte, rr RR, c *compressor) ([]byte, error) {
 }
 
 // unpackRR decodes one resource record starting at off and returns it
-// together with the offset just past the record.
-func unpackRR(msg []byte, off int) (RR, int, error) {
+// together with the offset just past the record; an OPT record into
+// spare, when given, reusing its storage (UnpackQuery's scratch).
+func unpackRR(msg []byte, off int, spare *OPT) (RR, int, error) {
 	name, off, err := unpackName(msg, off)
 	if err != nil {
 		return nil, 0, err
@@ -80,7 +81,10 @@ func unpackRR(msg []byte, off int) (RR, int, error) {
 	if off+rdlen > len(msg) {
 		return nil, 0, ErrBufferTooSmall
 	}
-	rr := newRR(h.Type)
+	var rr RR = spare
+	if h.Type != TypeOPT || spare == nil {
+		rr = newRR(h.Type)
+	}
 	*rr.Header() = h
 	if err := rr.unpackData(msg, off, rdlen); err != nil {
 		return nil, 0, fmt.Errorf("unpacking %s record %q: %w", h.Type, h.Name, err)

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -153,24 +154,12 @@ func routerReply() *Message {
 	return m
 }
 
-// TestPackVectors holds Pack to the bytes captured before the name
-// codec was rewritten.
-func TestPackVectors(t *testing.T) {
-	const path = "testdata/pack_vectors.txt"
-	if *updateVectors {
-		var sb strings.Builder
-		for _, v := range packVectors() {
-			wire, err := v.msg.Pack()
-			if err != nil {
-				t.Fatalf("%s: %v", v.name, err)
-			}
-			fmt.Fprintf(&sb, "%s %s\n", v.name, hex.EncodeToString(wire))
-		}
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f, err := os.Open(path)
+const vectorsPath = "testdata/pack_vectors.txt"
+
+// loadVectors reads the captured vectors: name → hex of the wire.
+func loadVectors(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(vectorsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +174,26 @@ func TestPackVectors(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// TestPackVectors holds Pack to the bytes captured before the name
+// codec was rewritten.
+func TestPackVectors(t *testing.T) {
+	if *updateVectors {
+		var sb strings.Builder
+		for _, v := range packVectors() {
+			wire, err := v.msg.Pack()
+			if err != nil {
+				t.Fatalf("%s: %v", v.name, err)
+			}
+			fmt.Fprintf(&sb, "%s %s\n", v.name, hex.EncodeToString(wire))
+		}
+		if err := os.WriteFile(vectorsPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := loadVectors(t)
 	vs := packVectors()
 	if len(want) != len(vs) {
 		t.Fatalf("%d captured vectors, %d in the corpus", len(want), len(vs))
@@ -197,6 +206,94 @@ func TestPackVectors(t *testing.T) {
 		}
 		if got := hex.EncodeToString(wire); got != want[v.name] {
 			t.Errorf("%s: Pack changed\n got %s\nwant %s", v.name, got, want[v.name])
+		}
+	}
+}
+
+// TestAppendReplyIsRouterVector: AppendReply writes the captured bytes
+// of the router-reply vector from its query, into a buffer with room
+// without allocating.
+func TestAppendReplyIsRouterVector(t *testing.T) {
+	want := routerReply()
+	q := new(Message)
+	q.SetQuestion(want.Questions[0].Name, TypeA)
+	q.ID = want.ID
+	echo, _ := want.ECS()
+	q.SetEDNS(1232).Options = []EDNSOption{&ECSOption{Family: 1, SourcePrefix: 24, Address: echo.Address}}
+	a := want.Answers[0].(*A)
+	buf := make([]byte, 0, 512)
+	reply := func() []byte {
+		wire, err := AppendReply(buf, q, true, RcodeSuccess, a.Addr, a.Hdr.TTL, echo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	if got := hex.EncodeToString(reply()); got != loadVectors(t)["router-reply"] {
+		t.Errorf("AppendReply differs from the captured router reply\n got %s\nwant %s", got, loadVectors(t)["router-reply"])
+	}
+	if allocs := testing.AllocsPerRun(100, func() { reply() }); allocs != 0 {
+		t.Errorf("AppendReply allocates %v times, want 0", allocs)
+	}
+}
+
+// TestAppendReplyMatchesPack: AppendReply's bytes are Pack's for the
+// message it describes, across the shapes that choose its layout —
+// question or none, root or not, answer or none, OPT or none, an echo
+// in it or none, an extended rcode — and Pack's errors are its errors.
+func TestAppendReplyMatchesPack(t *testing.T) {
+	v4, v6 := netip.MustParseAddr("203.0.113.7"), netip.MustParseAddr("2001:db8::7")
+	echo4 := &ECSOption{Family: 1, SourcePrefix: 22, ScopePrefix: 16, Address: netip.MustParseAddr("10.3.4.0")}
+	echo6 := &ECSOption{Family: 2, SourcePrefix: 56, ScopePrefix: 64, Address: netip.MustParseAddr("2001:db8:1:200::")}
+	query := func(name string, edns bool) *Message {
+		q := new(Message)
+		q.ID, q.Opcode, q.RecursionDesired, q.CheckingDisabled = 0xBEEF, OpcodeQuery, true, true
+		if name != "" {
+			q.Questions = []Question{{Name: name, Type: TypeA, Class: ClassINET}}
+		}
+		if edns {
+			q.SetEDNS(4096)
+		}
+		return q
+	}
+	for _, c := range []struct {
+		name  string
+		q     *Message
+		aa    bool
+		rcode Rcode
+		addr  netip.Addr
+		echo  *ECSOption
+	}{
+		{"A", query("obj.cdn.test.", false), true, RcodeSuccess, v4, nil},
+		{"A, mixed case", query(`Obj.CDN\.x.test`, true), true, RcodeSuccess, v4, nil},
+		{"A + ECS v4", query("obj.cdn.test.", true), true, RcodeSuccess, v4, echo4},
+		{"A + ECS v6", query("obj.cdn.test.", true), true, RcodeSuccess, v4, echo6},
+		{"NODATA + OPT", query("obj.cdn.test.", true), true, RcodeSuccess, netip.Addr{}, nil},
+		{"SERVFAIL", query("obj.cdn.test.", false), false, RcodeServerFailure, netip.Addr{}, nil},
+		{"BADVERS", query("obj.cdn.test.", true), false, RcodeBadVers, netip.Addr{}, nil},
+		{"BADVERS without OPT", query("obj.cdn.test.", false), false, RcodeBadVers, netip.Addr{}, nil},
+		{"root question", query(".", true), true, RcodeSuccess, v4, echo4},
+		{"no question", query("", false), true, RcodeSuccess, v4, nil},
+		{"AAAA address", query("obj.cdn.test.", false), true, RcodeSuccess, v6, nil},
+		{"bad name", query("a..b.", false), true, RcodeSuccess, v4, nil},
+		{"bad echo", query("obj.cdn.test.", true), true, RcodeSuccess, v4, &ECSOption{Family: 3}},
+	} {
+		m := new(Message).SetRcode(c.q, c.rcode)
+		m.Authoritative = c.aa
+		if c.addr.IsValid() {
+			m.Answers = []RR{&A{Hdr: RRHeader{Name: CanonicalName(c.q.Question().Name), Type: TypeA, Class: ClassINET, TTL: 300}, Addr: c.addr}}
+		}
+		if _, ok := c.q.OPT(); ok {
+			if opt := m.SetEDNS(DefaultEDNSSize); c.echo != nil {
+				opt.Options = []EDNSOption{c.echo}
+			}
+		}
+		want, wantErr := m.Pack()
+		got, gotErr := AppendReply(nil, c.q, c.aa, c.rcode, c.addr, 300, c.echo)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Errorf("%s: Pack err %v, AppendReply err %v", c.name, wantErr, gotErr)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendReply\n% x\nPack\n% x", c.name, got, want)
 		}
 	}
 }
