@@ -12,7 +12,9 @@ all: vet test race build
 # under the race detector, the pool-ownership checker over the
 # packet-buffer packages (the upstream client's exchange buffers and
 # the relayed reply image included, and the C-DNS router's reply writer
-# over its fuzz seeds), the overload contract (hits do not
+# over its fuzz seeds) and over every package whose tests drive chains
+# through Resolve or a simulated site, each query of which checks out a
+# pooled reply buffer too, the overload contract (hits do not
 # wait behind upstream exchanges; read == served + shed, exactly) at 1,
 # 2 and 4 cores, the recycled-span hazard (a hedged exchange's
 # straggler must not reach the query its span serves next) 20 times
@@ -39,10 +41,10 @@ ci:
 	gofmt -l . | (! grep .) || (echo "gofmt needed" && exit 1)
 	GOOS=linux $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
-	GOOS=linux $(GO) vet -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/
+	GOOS=linux $(GO) vet -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/ ./internal/meccdn/ ./internal/resolver/ .
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/
+	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/ ./internal/meccdn/ ./internal/resolver/ .
 	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestServeQueryAllocs' -cpu 1,2,4 ./internal/dnsserver/

@@ -80,7 +80,8 @@ type (
 	DNSPlugin = dnsserver.Plugin
 	// DNSRequest is one inbound query with connection metadata.
 	DNSRequest = dnsserver.Request
-	// ResponseWriter sends the response for one request.
+	// ResponseWriter takes the response to one request, the first one
+	// written, and reports whether there has been one.
 	ResponseWriter = dnsserver.ResponseWriter
 	// Zone is an in-memory authoritative zone.
 	Zone = dnsserver.Zone

@@ -59,10 +59,6 @@ func (w *imageWriter) WriteMsg(*dnswire.Message) error {
 }
 func (w *imageWriter) Written() bool { return w.buf != nil }
 func (w *imageWriter) WireSize() int { return dnswire.MaxMessageSize }
-func (w *imageWriter) WriteWire(wire []byte) error {
-	buf := dnswire.GetBuffer()
-	return w.WriteWireOwned(buf, copy(buf, wire))
-}
 func (w *imageWriter) WriteWireOwned(buf []byte, n int) error {
 	w.buf, w.n = buf, n
 	return nil

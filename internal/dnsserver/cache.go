@@ -658,13 +658,6 @@ func (c *Cache) store(r *Request, image []byte) *cacheEntry {
 	return ent
 }
 
-// discardWriter swallows a prefetch's response: the refreshed answer
-// matters only through the store() side effect.
-type discardWriter struct{}
-
-// WriteMsg implements ResponseWriter.
-func (discardWriter) WriteMsg(*dnswire.Message) error { return nil }
-
 // spawnPrefetch launches the refresh-ahead re-resolve for a hit whose
 // TTL has entered the prefetch window. The hit itself has already
 // been served; the refresh runs on a background goroutine, bounded by
@@ -724,7 +717,11 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 				done()
 			}
 		}()
-		rcode, err := c.fill(context.Background(), sh, f, key, discardWriter{}, req, next, nil)
+		// The refreshed answer matters only through store(): the reply
+		// fill writes is dropped as the bytes it is, never decoded.
+		reply := replyImage{limit: dnswire.MaxMessageSize}
+		rcode, err := c.fill(context.Background(), sh, f, key, &reply, req, next, nil)
+		dnswire.PutBuffer(reply.buf)
 		if err != nil || failoverRcode(rcode) {
 			// The refresh failed; unlatch so a later hit retries
 			// (bounded by the semaphore if the upstream stays down).

@@ -131,15 +131,15 @@ func fuzzQuery(id uint16, rd, cd bool, mode, source uint8, addr []byte) *Request
 		})
 	}
 	req := &Request{Msg: q, Client: netip.MustParseAddrPort("198.51.100.7:4242"), Transport: "test"}
-	normalizeQueryECS(req) // as Resolve/ResolveTo do before any plugin runs
+	normalizeQueryECS(req) // as ResolveTo does before any plugin runs
 	return req
 }
 
 // FuzzHitPatch is the differential test of the one stored form. An
 // arbitrary well-formed response is stored twice — the image as it
 // arrived, which is what Stub and Forward relay, and its decode → Pack,
-// which is what the recorder keeps of a chain that answered with a
-// Message — and for a query with any ID, RD/CD and OPT/ECS shape:
+// which is what a miss's replyImage keeps of a chain that answered with
+// a Message — and for a query with any ID, RD/CD and OPT/ECS shape:
 //
 //   - both entries carry the key, rcode and lifetime the decoded message
 //     dictates (the effectiveTTL oracle);
@@ -246,7 +246,7 @@ func FuzzHitPatch(f *testing.F) {
 						c, sink.msg != nil, sink.wire, want)
 				}
 				// The decode boundary hands over that same image.
-				rec := &recorder{}
+				rec := &msgWriter{}
 				if _, err := cache.reply(rec, req, packed, c.age, c.stale); err != nil {
 					t.Fatalf("%+v: reply to a message writer failed: %v", c, err)
 				}

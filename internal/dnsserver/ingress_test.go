@@ -12,6 +12,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -184,7 +185,9 @@ func dialIngress(t *testing.T, transport string, addr netip.AddrPort) func(query
 // UDP socket, a server's TCP listener, and an Attached simnet node —
 // and requires the reply bytes to be identical: there is one
 // query→reply path, so a figure measured in the simulator ran the code
-// the daemon serves with.
+// the daemon serves with. A fourth instance is driven through Resolve,
+// the way the tests drive chains, and its replies must decode to what
+// the UDP leg's bytes decode to: a test's answer is the daemon's.
 func TestIngressesAgree(t *testing.T) {
 	type ingress struct {
 		name string
@@ -214,6 +217,9 @@ func TestIngressesAgree(t *testing.T) {
 		return reply, err
 	}})
 
+	resolveSite := newAgreeSite(t)
+	resolveClient := netip.MustParseAddrPort("127.0.0.1:5300")
+
 	for i, step := range agreeScript {
 		q := new(dnswire.Message)
 		step.query(q)
@@ -240,6 +246,19 @@ func TestIngressesAgree(t *testing.T) {
 			} else if !bytes.Equal(reply, first) {
 				t.Errorf("%s: %s answers differently from %s:\n% x\n% x", step.name, in.name, ingresses[0].name, reply, first)
 			}
+		}
+
+		resolveSite.clock.Advance(step.advance)
+		if step.down {
+			resolveSite.upstream.Store(false)
+		}
+		var want dnswire.Message
+		if err := want.Unpack(first); err != nil {
+			t.Fatal(err)
+		}
+		got := Resolve(context.Background(), resolveSite.chain, &Request{Msg: q, Client: resolveClient, Transport: "udp"})
+		if !reflect.DeepEqual(got, &want) {
+			t.Errorf("%s: Resolve answers differently from %s:\n%v\n%v", step.name, ingresses[0].name, got, &want)
 		}
 	}
 }
@@ -396,7 +415,7 @@ func FuzzServeQuery(f *testing.F) {
 		replied := 0
 		limits := []int{dnswire.MaxUDPSize, maxUDPPayload, dnswire.MaxMessageSize}
 		for _, limit := range limits {
-			buf, n := serveQuery(chain, nil, st, data, client, "fuzz", limit)
+			buf, n := serveQuery(context.Background(), chain, nil, st, data, client, "fuzz", limit)
 			if buf == nil {
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,23 +126,23 @@ type ownedSink struct {
 }
 
 func (s *ownedSink) WriteWireOwned(buf []byte, n int) error {
-	defer dnswire.PutBuffer(buf)
 	if s.failing {
+		dnswire.PutBuffer(buf)
 		return errors.New("sink refuses")
 	}
-	return s.WriteWire(buf[:n])
+	return s.wireSink.WriteWireOwned(buf, n)
 }
 
 // TestReplyPoolBalance drives every exit of the cache's one reply
-// routine — WriteWire, WriteWireOwned (accepting and refusing), the
-// decode boundary for a message writer and for an oversized reply, and
+// routine — WriteWireOwned (accepting and refusing), the decode
+// boundary for a message writer and for an oversized reply, and
 // the ECS echo failing — and requires each pooled patch buffer to have
 // been returned exactly once (a second return panics under this tag).
 func TestReplyPoolBalance(t *testing.T) {
 	cache := NewCache(&vclock.Fixed{})
 	h := Chain(cache, pluginize(ecsAnswerHandler("192.0.2.9", 16)))
 	base := dnswire.PoolOutstanding()
-	Resolve(context.Background(), h, ecsQueryFor("pool.test.", "10.1.1.0/24")) // store + decode boundary
+	Resolve(context.Background(), h, ecsQueryFor("pool.test.", "10.1.1.0/24")) // the miss: store
 
 	badECS := ecsQueryFor("pool.test.", "10.1.3.0/24")
 	for _, tc := range []struct {
@@ -150,10 +151,9 @@ func TestReplyPoolBalance(t *testing.T) {
 		req     *Request
 		wantErr bool
 	}{
-		{"WriteWire", &wireSink{}, ecsQueryFor("pool.test.", "10.1.2.0/24"), false},
 		{"WriteWireOwned", &ownedSink{}, ecsQueryFor("pool.test.", "10.1.2.0/25"), false},
 		{"WriteWireOwned refusing", &ownedSink{failing: true}, ecsQueryFor("pool.test.", "10.1.2.0/24"), true},
-		{"message writer", &recorder{}, ecsQueryFor("pool.test.", "10.1.2.0/23"), false},
+		{"message writer", &msgWriter{}, ecsQueryFor("pool.test.", "10.1.2.0/23"), false},
 		{"oversized", &wireSink{size: 20}, ecsQueryFor("pool.test.", "10.1.2.0/24"), false},
 		{"echo fails", &wireSink{}, badECS, true},
 	} {
@@ -169,8 +169,99 @@ func TestReplyPoolBalance(t *testing.T) {
 			t.Errorf("%s: %d pooled buffers outstanding, want %d", tc.name, out, base)
 		}
 	}
-	if st := cache.Stats(); st.Hits != 6 {
-		t.Errorf("hits = %d, want every case served from the cache (6)", st.Hits)
+	if st := cache.Stats(); st.Hits != 5 {
+		t.Errorf("hits = %d, want every case served from the cache (5)", st.Hits)
+	}
+}
+
+// shedPlugin drops every query for shed.test. the way an ingress at its
+// QueueDepth bound does: no reply at all.
+type shedPlugin struct{}
+
+func (shedPlugin) Name() string { return "shed" }
+func (shedPlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
+	if dnswire.IsSubdomain("shed.test.", r.Name()) {
+		return dnswire.RcodeServerFailure, errIngressFull
+	}
+	return next.ServeDNS(ctx, w, r)
+}
+
+// backgroundWait is a BackgroundTracker whose Wait returns once every
+// refresh it admitted has finished.
+type backgroundWait struct{ sync.WaitGroup }
+
+func (b *backgroundWait) TrackBackground() (func(), bool) {
+	b.Add(1)
+	return b.Done, true
+}
+
+// TestResolvePoolBalance drives Resolve — pack, serveQuery, decode —
+// through every way a chain can end: a miss the cache stores, a hit, an
+// answer relayed from an upstream in the transport's pooled buffer, the
+// REFUSED fallthrough, a query dropped without a reply, and a
+// refresh-ahead prefetch, whose reply is dropped as the bytes it is.
+// After each, every pooled buffer must be back (a second return panics
+// under this tag).
+func TestResolvePoolBalance(t *testing.T) {
+	clock := &vclock.Fixed{}
+	cache := NewCache(clock)
+	cache.PrefetchFrac = 0.5
+	var bg backgroundWait
+	cache.Background = &bg
+	zone := NewZone("zone.test.")
+	if err := zone.AddA("www.zone.test.", 10, netip.MustParseAddr("192.0.2.80")); err != nil {
+		t.Fatal(err)
+	}
+	stub := NewStub(&dnsclient.Client{Timeout: time.Second, Transport: transportFunc(func(query []byte) ([]byte, error) {
+		var q dnswire.Message
+		if err := q.Unpack(query); err != nil {
+			return nil, err
+		}
+		m := new(dnswire.Message)
+		m.SetReply(&q)
+		m.Answers = []dnswire.RR{&dnswire.A{
+			Hdr:  dnswire.RRHeader{Name: q.Question().Name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
+			Addr: netip.MustParseAddr("198.51.100.7"),
+		}}
+		buf := dnswire.GetBuffer() // a transport hands its reply over in a pooled buffer
+		wire, err := m.AppendPack(buf[:0])
+		if err != nil {
+			dnswire.PutBuffer(buf)
+		}
+		return wire, err
+	})})
+	stub.Route("relay.test.", netip.MustParseAddrPort("192.0.2.53:53"))
+	h := Chain(cache, shedPlugin{}, stub, NewZonePlugin(zone))
+
+	base := dnswire.PoolOutstanding()
+	for _, tc := range []struct {
+		name, qname string
+		advance     time.Duration
+		dropped     bool
+		want        dnswire.Rcode
+	}{
+		{name: "miss", qname: "www.zone.test."},
+		{name: "hit", qname: "www.zone.test."},
+		{name: "relayed", qname: "a.relay.test."},
+		{name: "REFUSED fallthrough", qname: "www.elsewhere.example.", want: dnswire.RcodeRefused},
+		{name: "dropped", qname: "x.shed.test.", dropped: true},
+		{name: "hit in the refresh window", qname: "www.zone.test.", advance: 6 * time.Second},
+	} {
+		clock.Advance(tc.advance)
+		resp := Resolve(context.Background(), h, queryFor(tc.qname))
+		bg.Wait() // the prefetch, if one was spawned, has stored its refresh
+		switch {
+		case tc.dropped && resp != nil:
+			t.Errorf("%s: replied %v, want no reply", tc.name, resp.Rcode)
+		case !tc.dropped && (resp == nil || resp.Rcode != tc.want):
+			t.Errorf("%s: reply %v, want %v", tc.name, resp, tc.want)
+		}
+		if out := dnswire.PoolOutstanding(); out != base {
+			t.Errorf("%s: %d pooled buffers outstanding, want %d", tc.name, out, base)
+		}
+	}
+	if st := cache.Stats(); st.Hits != 2 || st.PrefetchIssued != 1 {
+		t.Errorf("hits = %d, prefetches = %d; want 2 and 1", st.Hits, st.PrefetchIssued)
 	}
 }
 
@@ -291,8 +382,8 @@ func TestExchangePoolBalance(t *testing.T) {
 }
 
 // TestRelayPoolBalance follows the upstream reply's buffer through the
-// relay path, where it changes owner twice — transport → the cache's
-// recorder → the socket writer — on every exit: a stored answer, an
+// relay path, where it changes owner twice — transport → the miss's
+// replyImage → the socket writer — on every exit: a stored answer, an
 // answer too large for the client (decoded and truncated by the
 // writer), a SERVFAIL verdict relayed as the last resort (kept while
 // the second upstream is tried, then relayed uncached), a malformed

@@ -59,7 +59,7 @@ func TestPrefetchKeepsItsOwnECS(t *testing.T) {
 	h := Chain(cache, pluginize(backend))
 	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 	serve := func(pkt []byte) {
-		buf, _ := serveQuery(h, nil, st, pkt, reuseClient, "udp", maxUDPPayload)
+		buf, _ := serveQuery(context.Background(), h, nil, st, pkt, reuseClient, "udp", maxUDPPayload)
 		if buf == nil {
 			t.Fatal("no reply")
 		}
@@ -127,7 +127,7 @@ func TestHedgedLoserKeepsItsOwnECS(t *testing.T) {
 		HedgeDelay: time.Millisecond,
 	})
 	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
-	buf, _ := serveQuery(fwd, nil, st, packECSQuery(t, "hedge.test.", ownSubnet), reuseClient, "udp", maxUDPPayload)
+	buf, _ := serveQuery(context.Background(), fwd, nil, st, packECSQuery(t, "hedge.test.", ownSubnet), reuseClient, "udp", maxUDPPayload)
 	if buf == nil {
 		t.Fatal("no reply")
 	}

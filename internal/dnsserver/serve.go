@@ -30,19 +30,19 @@ type serveScratch struct {
 	wait   func() bool         // Request.wait for every query; nil off UDP
 }
 
-// serveQuery owns one query from bytes to bytes, for every ingress:
-// parse pkt into st, open the telemetry span (hub may be nil), run the
-// chain through ResolveTo, and hand back the reply as one wire image,
-// buf[:n], in a pooled buffer the caller now owns. buf is nil when
-// there is nothing to send: pkt was not DNS, or no reply could be
-// packed.
+// serveQuery owns one query from bytes to bytes, for every ingress and
+// for Resolve: parse pkt into st, open the telemetry span (hub may be
+// nil) under ctx, run the chain through ResolveTo, and hand back the
+// reply as one wire image, buf[:n], in a pooled buffer the caller now
+// owns. buf is nil when there is nothing to send: pkt was not DNS, the
+// query was shed, or no reply could be packed.
 //
 // limit is the largest reply the transport carries. Below
 // MaxMessageSize it is a datagram ceiling, and the reply is further
 // held to the payload size the query advertised — 512 without an OPT;
 // a larger answer leaves truncated, TC set. A stream or a virtual
 // datagram passes MaxMessageSize and gets every reply whole.
-func serveQuery(h Handler, hub *telemetry.Hub, st *serveScratch, pkt []byte, client netip.AddrPort, transport string, limit int) (buf []byte, n int) {
+func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScratch, pkt []byte, client netip.AddrPort, transport string, limit int) (buf []byte, n int) {
 	msg := &st.msg
 	if err := msg.UnpackQuery(pkt, st.intern); err != nil {
 		return nil, 0 // not DNS; drop like a real server
@@ -56,7 +56,6 @@ func serveQuery(h Handler, hub *telemetry.Hub, st *serveScratch, pkt []byte, cli
 	}
 	st.reply = replyImage{limit: limit}
 	st.req = Request{Msg: msg, Client: client, Transport: transport, wait: st.wait}
-	ctx := context.Background()
 	var sp *telemetry.Span // nil-safe, like the hub's Finish
 	if hub != nil {
 		sp = hub.BeginAddr(st.req.Name(), st.req.Type().String(), transport, client)
@@ -68,12 +67,12 @@ func serveQuery(h Handler, hub *telemetry.Hub, st *serveScratch, pkt []byte, cli
 }
 
 // replyImage is the one ResponseWriter the chain is run against, by the
-// three ingresses (through serveQuery) and by a cache miss (Cache.fill)
-// alike. It keeps the first response written as a wire image in a
-// pooled buffer whoever reads buf then owns: taken over as it is from a
-// plugin that relays one (Cache.reply, Stub, Forward), packed here —
-// the one time an answer is packed — from a plugin that builds a
-// Message (Zone, a C-DNS referral). An image above limit is refused, so
+// three ingresses and Resolve (through serveQuery), by a cache miss
+// (Cache.fill) and by a prefetch alike. It keeps the first response
+// written as a wire image in a pooled buffer whoever reads buf then
+// owns: taken over as it is from a plugin that relays one (Cache.reply,
+// Stub, Forward), packed here — the one time an answer is packed — from
+// a plugin that builds a Message (Zone, a C-DNS referral). An image above limit is refused, so
 // that WriteImage hands it over decoded and WriteMsg cuts it down.
 type replyImage struct {
 	buf   []byte // nil until written
@@ -81,10 +80,10 @@ type replyImage struct {
 	limit int
 }
 
-// Written implements responseTracker.
+// Written implements ResponseWriter.
 func (w *replyImage) Written() bool { return w.buf != nil }
 
-// WireSize implements WireWriter.
+// WireSize implements OwnedWireWriter.
 func (w *replyImage) WireSize() int { return w.limit }
 
 // WriteWireOwned implements OwnedWireWriter: buf becomes the reply, so
@@ -100,13 +99,6 @@ func (w *replyImage) WriteWireOwned(buf []byte, n int) error {
 		w.buf, w.n = buf, n
 	}
 	return nil
-}
-
-// WriteWire implements WireWriter: the response is copied into a pooled
-// buffer, since the caller keeps wire.
-func (w *replyImage) WriteWire(wire []byte) error {
-	buf := dnswire.GetBuffer()
-	return w.WriteWireOwned(buf, copy(buf, wire))
 }
 
 // WriteMsg implements ResponseWriter: pack into a pooled buffer. A
@@ -134,19 +126,14 @@ func (w *replyImage) WriteMsg(m *dnswire.Message) error {
 }
 
 // WriteImage hands w the response image buf[:n] and the pooled buffer
-// it is in (Cache, Forward, the C-DNS router). A WireWriter takes the
-// bytes as they are (an OwnedWireWriter the buffer itself, saving the
-// last copy before the socket). A writer that cannot take bytes — and
-// any image larger than the transport carries, so that truncation stays
-// the writer's business — gets it decoded, here and only here.
+// it is in (Cache, Forward, the C-DNS router). An OwnedWireWriter takes
+// the buffer itself, saving the last copy before the socket. A writer
+// that cannot take bytes — and any image larger than the transport
+// carries, so that truncation stays the writer's business — gets it
+// decoded, here and only here.
 func WriteImage(w ResponseWriter, buf []byte, n int) error {
-	if ww, ok := w.(WireWriter); ok && n <= ww.WireSize() {
-		if ow, ok := w.(OwnedWireWriter); ok {
-			return ow.WriteWireOwned(buf, n)
-		}
-		err := ww.WriteWire(buf[:n])
-		dnswire.PutBuffer(buf)
-		return err
+	if ow, ok := w.(OwnedWireWriter); ok && n <= ow.WireSize() {
+		return ow.WriteWireOwned(buf, n)
 	}
 	msg := new(dnswire.Message)
 	err := msg.Unpack(buf[:n])

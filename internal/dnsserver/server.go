@@ -76,40 +76,33 @@ func (r *Request) Name() string { return dnswire.CanonicalName(r.Msg.Question().
 // Type returns the first question type.
 func (r *Request) Type() dnswire.Type { return r.Msg.Question().Type }
 
-// ResponseWriter sends the response for one request.
+// ResponseWriter takes the response to one request. The first response
+// written is the reply; a writer ignores later ones. Written reports
+// whether there has been one, which is what lets ResolveTo synthesize a
+// response only when the chain wrote none.
 type ResponseWriter interface {
 	WriteMsg(*dnswire.Message) error
+	Written() bool
 }
 
-// WireWriter is an optional ResponseWriter extension for writers that
-// can transmit a pre-packed response without decoding it. Every reply
-// the cache emits is its stored wire image patched in place —
-// transaction ID, the request-mirrored flag bits, the TTLs, the ECS
-// echo — and a WireWriter receives those bytes as they are; any other
-// writer receives them decoded, through WriteMsg.
-type WireWriter interface {
+// OwnedWireWriter is a ResponseWriter that takes a response as bytes:
+// the pooled buffer a packed reply is in, handed over instead of
+// decoded. Every reply the cache emits is its stored wire image patched
+// in place — transaction ID, the request-mirrored flag bits, the TTLs,
+// the ECS echo — inside such a buffer, and WriteImage passes it on as
+// it is, so a hit reaches the socket without a copy or a decode. The
+// ingresses' replyImage is one; any other writer is handed the response
+// decoded, through WriteMsg.
+type OwnedWireWriter interface {
 	ResponseWriter
 	// WireSize returns the largest packed response the transport can
 	// carry as-is: the client's advertised EDNS payload size on UDP
 	// (at most maxUDPPayload), MaxMessageSize on TCP and simnet. Larger
 	// responses go through WriteMsg so truncation applies.
 	WireSize() int
-	// WriteWire transmits a packed response verbatim. The writer must
-	// not retain wire after returning; callers typically recycle it.
-	WriteWire(wire []byte) error
-}
-
-// OwnedWireWriter is an optional WireWriter extension for writers that
-// can take ownership of a dnswire pooled buffer instead of copying out
-// of it. The cache patches the stored wire image inside a pooled
-// buffer anyway; handing that buffer over saves the last copy
-// between the cache and the socket. The writer becomes responsible for
-// returning buf to the pool.
-type OwnedWireWriter interface {
-	WireWriter
 	// WriteWireOwned transmits buf[:n], a pooled buffer from
 	// dnswire.GetBuffer whose ownership transfers to the writer —
-	// even on error.
+	// even on error. The writer returns it to the pool.
 	WriteWireOwned(buf []byte, n int) error
 }
 
@@ -154,48 +147,28 @@ func Chain(plugins ...Plugin) Handler {
 	return h
 }
 
-// responseTracker is a ResponseWriter that knows whether it has been
-// written to, which is what lets ResolveTo synthesize a response only
-// when the chain wrote none.
-type responseTracker interface {
-	ResponseWriter
-	Written() bool
-}
-
-// recorder is the Message-capturing responseTracker: it keeps the
-// first response written (later writes from confused plugins are
-// dropped) and passes it on to w when there is one. ResolveTo wraps a
-// writer that cannot say whether it was written in it; Resolve and the
-// tests use it bare, as the double of a writer that cannot take bytes.
-type recorder struct {
-	w       ResponseWriter
-	written bool
-	msg     *dnswire.Message
-}
-
-// WriteMsg implements ResponseWriter.
-func (rec *recorder) WriteMsg(m *dnswire.Message) error {
-	if rec.written {
-		return nil
-	}
-	rec.written = true
-	rec.msg = m
-	if rec.w == nil {
-		return nil
-	}
-	return rec.w.WriteMsg(m)
-}
-
-// Written implements responseTracker.
-func (rec *recorder) Written() bool { return rec.written }
-
-// Resolve is ResolveTo into a recorder, returning the response as a
-// Message: the convenience tests drive a chain with. Nothing that
-// serves calls it — every ingress goes through serveQuery.
+// Resolve serves req.Msg as an ingress would and returns the reply
+// decoded: the query is packed, run through serveQuery — the function
+// every ingress serves with — at MaxMessageSize, as from req.Client over
+// req.Transport, and the reply image is decoded here, at the caller's
+// boundary. It returns nil when there is no reply: the query does not
+// pack or parse, or the chain dropped it. It is how tests drive a
+// chain; nothing that serves calls it.
 func Resolve(ctx context.Context, h Handler, req *Request) *dnswire.Message {
-	rec := &recorder{}
-	ResolveTo(ctx, h, rec, req)
-	return rec.msg
+	query, err := req.Msg.Pack()
+	if err != nil {
+		return nil
+	}
+	buf, n := serveQuery(ctx, h, nil, new(serveScratch), query, req.Client, req.Transport, dnswire.MaxMessageSize)
+	if buf == nil {
+		return nil
+	}
+	defer dnswire.PutBuffer(buf)
+	m := new(dnswire.Message)
+	if err := m.Unpack(buf[:n]); err != nil {
+		return nil
+	}
+	return m
 }
 
 // normalizeQueryECS enforces the RFC 7871 §6 query-side invariants on
@@ -216,19 +189,14 @@ func normalizeQueryECS(req *Request) {
 // error) when no plugin answered. It returns the rcode of the response
 // that was written.
 //
-// It never materializes the response: a writer that implements
-// WireWriter (the ingresses' replyImage does) receives cached and
-// relayed answers as patched wire bytes, which is what keeps a hit in
-// the serve loop allocation-free. A writer that is not a
-// responseTracker is served through a recorder, as a Message-only one.
+// It never materializes the response: an OwnedWireWriter (the
+// ingresses' replyImage) receives cached and relayed answers as patched
+// wire bytes, which is what keeps a hit in the serve loop
+// allocation-free.
 func ResolveTo(ctx context.Context, h Handler, w ResponseWriter, req *Request) dnswire.Rcode {
 	normalizeQueryECS(req)
-	t, ok := w.(responseTracker)
-	if !ok {
-		t = &recorder{w: w}
-	}
-	rcode, err := h.ServeDNS(ctx, t, req)
-	if t.Written() || errors.Is(err, errIngressFull) {
+	rcode, err := h.ServeDNS(ctx, w, req)
+	if w.Written() || errors.Is(err, errIngressFull) {
 		return rcode // answered — or shed, and a shed query gets no reply
 	}
 	m := new(dnswire.Message)
@@ -236,7 +204,7 @@ func ResolveTo(ctx context.Context, h Handler, w ResponseWriter, req *Request) d
 		rcode = dnswire.RcodeServerFailure
 	}
 	m.SetRcode(req.Msg, rcode)
-	_ = t.WriteMsg(m)
+	_ = w.WriteMsg(m)
 	return m.Rcode
 }
 
@@ -768,7 +736,7 @@ func (g *udpServe) lead(sh *socketShard) {
 			q := &sh.in[sh.next]
 			sh.next++
 			from := q.addr // the slot is the next lead's once wait has run
-			buf, n := serveQuery(s.Handler, s.Telemetry, &g.st, q.buf[:q.n], from, "udp", maxUDPPayload)
+			buf, n := serveQuery(context.Background(), s.Handler, s.Telemetry, &g.st, q.buf[:q.n], from, "udp", maxUDPPayload)
 			switch {
 			case g.shed: // ResolveTo wrote nothing
 				g.shed = false
@@ -974,7 +942,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			dnswire.PutBuffer(pkt)
 			return // draining: stop accepting
 		}
-		buf, n := serveQuery(s.Handler, s.Telemetry, st, pkt, raddr, "tcp", dnswire.MaxMessageSize)
+		buf, n := serveQuery(context.Background(), s.Handler, s.Telemetry, st, pkt, raddr, "tcp", dnswire.MaxMessageSize)
 		dnswire.PutBuffer(pkt)
 		if buf != nil {
 			err = dnswire.WriteTCP(conn, buf[:n])

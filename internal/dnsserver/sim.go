@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"context"
 	"net/netip"
 	"time"
 
@@ -29,7 +30,7 @@ func Attach(node *simnet.Node, h Handler, proc simnet.Sampler) {
 		// the event loop re-entrantly, so this node can be handed query
 		// B while query A is still parked inside the chain.
 		client := netip.AddrPortFrom(dg.Client(), 0)
-		buf, n := serveQuery(h, nil, new(serveScratch), dg.Payload, client, "sim", dnswire.MaxMessageSize)
+		buf, n := serveQuery(context.Background(), h, nil, new(serveScratch), dg.Payload, client, "sim", dnswire.MaxMessageSize)
 		if buf == nil {
 			return // not DNS; drop
 		}

@@ -281,7 +281,7 @@ func TestServeQueryAllocs(t *testing.T) {
 	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 	client := netip.MustParseAddrPort("198.51.100.7:4242")
 	serve := func(pkt []byte) {
-		buf, _ := serveQuery(chain, hub, st, pkt, client, "udp", maxUDPPayload)
+		buf, _ := serveQuery(context.Background(), chain, hub, st, pkt, client, "udp", maxUDPPayload)
 		if buf == nil {
 			t.Fatal("no reply")
 		}
@@ -353,7 +353,7 @@ func TestHedgeStragglerCannotReachNextQuery(t *testing.T) {
 	}
 	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 	serve := func(h Handler, name string) {
-		buf, _ := serveQuery(h, hub, st, pack(name), client, "udp", maxUDPPayload)
+		buf, _ := serveQuery(context.Background(), h, hub, st, pack(name), client, "udp", maxUDPPayload)
 		if buf == nil {
 			t.Fatalf("%s: no reply", name)
 		}

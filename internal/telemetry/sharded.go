@@ -97,63 +97,3 @@ func (c *ShardedCounter) writeSamples(b *strings.Builder) {
 	b.WriteString(strconv.FormatUint(c.Value(), 10))
 	b.WriteByte('\n')
 }
-
-// GaugeCell is one worker's slice of a ShardedGauge.
-type GaugeCell struct {
-	v atomic.Int64
-	_ [cellPad - 8]byte
-}
-
-// Set stores v.
-func (g *GaugeCell) Set(v int64) { g.v.Store(v) }
-
-// Add increments by n (negative to decrement).
-func (g *GaugeCell) Add(n int64) { g.v.Add(n) }
-
-// Value returns this cell's value.
-func (g *GaugeCell) Value() int64 { return g.v.Load() }
-
-// ShardedGauge is an instantaneous value summed across per-worker
-// cells — e.g. "workers busy" as each worker's own 0/1 flag.
-type ShardedGauge struct {
-	name, help string
-	cells      []GaugeCell
-}
-
-// NewShardedGauge returns a sharded gauge with one cell per shard;
-// shards < 1 is treated as 1.
-func NewShardedGauge(name, help string, shards int) *ShardedGauge {
-	if shards < 1 {
-		shards = 1
-	}
-	return &ShardedGauge{name: name, help: help, cells: make([]GaugeCell, shards)}
-}
-
-// Shard returns cell i (modulo the shard count).
-func (g *ShardedGauge) Shard(i int) *GaugeCell {
-	return &g.cells[i%len(g.cells)]
-}
-
-// Shards returns the number of cells.
-func (g *ShardedGauge) Shards() int { return len(g.cells) }
-
-// Value returns the sum across all cells.
-func (g *ShardedGauge) Value() int64 {
-	var total int64
-	for i := range g.cells {
-		total += g.cells[i].v.Load()
-	}
-	return total
-}
-
-// MetricName implements Collector.
-func (g *ShardedGauge) MetricName() string { return g.name }
-
-func (g *ShardedGauge) metricHelp() string { return g.help }
-func (g *ShardedGauge) metricType() string { return "gauge" }
-func (g *ShardedGauge) writeSamples(b *strings.Builder) {
-	b.WriteString(g.name)
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatInt(g.Value(), 10))
-	b.WriteByte('\n')
-}

@@ -41,25 +41,11 @@ func TestShardedCounterShardModulo(t *testing.T) {
 	}
 }
 
-func TestShardedGaugeSum(t *testing.T) {
-	g := NewShardedGauge("test_busy", "help", 3)
-	g.Shard(0).Set(1)
-	g.Shard(1).Set(1)
-	g.Shard(2).Add(1)
-	g.Shard(2).Add(-1)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("Value() = %d, want 2", got)
-	}
-}
-
 func TestShardedCellsArePadded(t *testing.T) {
 	// Each cell must occupy at least a cache line (we pad to two) so
 	// two workers' cells never false-share.
 	if sz := unsafe.Sizeof(CounterCell{}); sz < 64 || sz%64 != 0 {
 		t.Fatalf("CounterCell is %d bytes; want a multiple of 64, at least 64", sz)
-	}
-	if sz := unsafe.Sizeof(GaugeCell{}); sz < 64 || sz%64 != 0 {
-		t.Fatalf("GaugeCell is %d bytes; want a multiple of 64, at least 64", sz)
 	}
 	c := NewShardedCounter("test_pad_total", "help", 2)
 	d := uintptr(unsafe.Pointer(c.Shard(1))) - uintptr(unsafe.Pointer(c.Shard(0)))
@@ -71,11 +57,9 @@ func TestShardedCellsArePadded(t *testing.T) {
 func TestShardedExposition(t *testing.T) {
 	reg := NewRegistry()
 	c := NewShardedCounter("test_exp_total", "a sharded counter", 4)
-	g := NewShardedGauge("test_exp_busy", "a sharded gauge", 4)
-	reg.MustRegister(c, g)
+	reg.MustRegister(c)
 	c.Shard(0).Inc()
 	c.Shard(3).Add(2)
-	g.Shard(1).Set(5)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -83,7 +67,6 @@ func TestShardedExposition(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE test_exp_total counter", "test_exp_total 3",
-		"# TYPE test_exp_busy gauge", "test_exp_busy 5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
