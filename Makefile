@@ -35,8 +35,9 @@ all: vet test race build
 # plain ring, a small-N X9 run checking mesh peer steering still
 # serves flash-crowd misses from sibling MECs, and a build and vet of
 # the benchmark module, which compiles against internal/... but is a
-# module of its own (its tests wait for ROADMAP item 6b), and
-# bench-smoke.
+# module of its own (its tests wait for ROADMAP item 6b), bench-smoke,
+# and every example run to completion: the examples are what the root
+# facade exports (TestFacadeHasUsers), so they must keep working.
 ci:
 	gofmt -l . | (! grep .) || (echo "gofmt needed" && exit 1)
 	GOOS=linux $(GO) vet ./...
@@ -63,6 +64,7 @@ ci:
 	$(GO) run ./cmd/experiments -x mesh -requests 200
 	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	$(MAKE) bench-smoke
+	$(MAKE) examples
 
 # The repository benchmark run the way BENCHMARK.json's command runs it:
 # benchmark/run.sh builds it from this checkout, then each workload runs
@@ -90,7 +92,7 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Smoke-check that the serve path takes no zone/stub/ACL/router locks:
+# Smoke-check that the serve path takes no zone/stub/router locks:
 # mutex-profile the read plane under writer churn and fail on any
 # read-path frame in the profile.
 mutexprofile:

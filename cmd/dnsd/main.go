@@ -54,11 +54,11 @@
 // queries, then prints the session's stats.
 //
 // SIGHUP (or POST /reload) re-parses every -zone file and the -routes
-// file and atomically swaps the serving snapshots: zones keep their
-// identity (so IXFR delta journals accumulate across reloads, with
-// the SOA serial adopted from the file when it advanced, else bumped)
-// and not a single in-flight query is dropped or blocked — readers
-// finish on the old snapshot while new queries see the new one.
+// file and atomically swaps the serving snapshots: a zone whose file
+// changed publishes a new revision (the SOA serial adopted from the
+// file when it advanced, else bumped), an unchanged one publishes
+// nothing, and not a single in-flight query is dropped or blocked —
+// readers finish on the old snapshot while new queries see the new one.
 package main
 
 import (

@@ -44,9 +44,9 @@ func Example() {
 	// edge-contained: true
 }
 
-// ExampleZone builds an authoritative zone and serves it through a
-// plugin chain, entirely in memory.
-func ExampleZone() {
+// ExampleNewZone builds an authoritative zone and looks a name up in
+// it, entirely in memory.
+func ExampleNewZone() {
 	zone := meccdn.NewZone("mycdn.ciab.test.")
 	_ = zone.AddCNAME("video.demo1.mycdn.ciab.test.", 300, "edge1.mycdn.ciab.test.")
 	res, answers, _ := zone.Lookup("video.demo1.mycdn.ciab.test.", meccdn.TypeCNAME)

@@ -4,88 +4,9 @@ import (
 	"github.com/meccdn/meccdn/internal/experiments"
 )
 
-// Experiment result and configuration types; see DESIGN.md §4 for the
+// Fig5Config parameterizes RunFigure5; see DESIGN.md §4 for the
 // experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
-type (
-	// Fig2Config parameterizes RunFigure2.
-	Fig2Config = experiments.Fig2Config
-	// Fig2Result is the Figure 2 latency grid.
-	Fig2Result = experiments.Fig2Result
-	// Fig3Config parameterizes RunFigure3.
-	Fig3Config = experiments.Fig3Config
-	// Fig3Result is the Figure 3 response-distribution set.
-	Fig3Result = experiments.Fig3Result
-	// Fig5Config parameterizes RunFigure5 and RunECS.
-	Fig5Config = experiments.Fig5Config
-	// Fig5Result is the Figure 5 deployment comparison.
-	Fig5Result = experiments.Fig5Result
-	// ECSResult is the §4 ECS comparison.
-	ECSResult = experiments.ECSResult
-	// FallbackResult compares UE resolution policies (X1).
-	FallbackResult = experiments.FallbackResult
-	// DisaggregationResult quantifies Observation 2 (X2).
-	DisaggregationResult = experiments.DisaggregationResult
-	// IPReuseResult counts public-IP demand (X4).
-	IPReuseResult = experiments.IPReuseResult
-	// ECSRouteResult compares subnet-routing accuracy with and
-	// without ECS through a recursive resolver (X7).
-	ECSRouteResult = experiments.ECSRouteResult
-	// LoadShedResult records the DoS-threshold ramp (X5).
-	LoadShedResult = experiments.LoadShedResult
-	// SweepConfig parameterizes RunBudgetSweep.
-	SweepConfig = experiments.SweepConfig
-	// SweepResult locates the C-DNS distance budget crossover (X6).
-	SweepResult = experiments.SweepResult
-)
-
-// RunFigure2 regenerates the Figure 2 DNS-latency study.
-func RunFigure2(cfg Fig2Config) (*Fig2Result, error) { return experiments.Figure2(cfg) }
-
-// RunFigure3 regenerates the Figure 3 response-distribution study.
-func RunFigure3(cfg Fig3Config) (*Fig3Result, error) { return experiments.Figure3(cfg) }
+type Fig5Config = experiments.Fig5Config
 
 // RunFigure5 regenerates the Figure 5 deployment comparison.
-func RunFigure5(cfg Fig5Config) (*Fig5Result, error) { return experiments.Figure5(cfg) }
-
-// RunECS regenerates the §4 EDNS-Client-Subnet comparison.
-func RunECS(cfg Fig5Config) (*ECSResult, error) { return experiments.ECS(cfg) }
-
-// RunFallback regenerates the X1 resolution-policy comparison.
-func RunFallback(seed int64, runs int) (*FallbackResult, error) {
-	return experiments.Fallback(seed, runs)
-}
-
-// RunDisaggregation regenerates the X2 cache-miss experiment.
-func RunDisaggregation(seed int64, objects, requests int) (*DisaggregationResult, error) {
-	return experiments.Disaggregation(seed, objects, requests)
-}
-
-// RunIPReuse regenerates the X4 public-IP accounting.
-func RunIPReuse(seed int64, customers int) (*IPReuseResult, error) {
-	return experiments.IPReuse(seed, customers)
-}
-
-// RunECSRouting regenerates the X7 subnet-routing accuracy comparison.
-// Zero clients/pops pick the defaults (24 clients, 4 PoPs).
-func RunECSRouting(seed int64, clients, pops int) (*ECSRouteResult, error) {
-	return experiments.ECSRouting(seed, clients, pops)
-}
-
-// RunLoadShed regenerates the X5 ingress-threshold ramp.
-func RunLoadShed(seed int64, threshold int, steps []int) (*LoadShedResult, error) {
-	return experiments.LoadShed(seed, threshold, steps)
-}
-
-// RunBudgetSweep regenerates the X6 C-DNS distance sweep.
-func RunBudgetSweep(cfg SweepConfig) (*SweepResult, error) {
-	return experiments.BudgetSweep(cfg)
-}
-
-// PaperTable1 returns the Table 1 website/domain rows.
-var PaperTable1 = experiments.Table1
-
-// RenderTable1 prints Table 1.
-var RenderTable1 = experiments.RenderTable1
-
-// RenderTable2 prints Table 2.
-var RenderTable2 = experiments.RenderTable2
+func RunFigure5(cfg Fig5Config) (*experiments.Fig5Result, error) { return experiments.Figure5(cfg) }

@@ -1,9 +1,21 @@
 package meccdn_test
 
-// Facade coverage: every helper the public API exposes does what its
-// internal counterpart does.
+// Facade coverage: the helpers the public API exposes do what their
+// internal counterparts do, and the facade is what its programs use —
+// every exported name of the root package must be reached as
+// meccdn.<Name> by an example, a command or the root's integration and
+// example tests. A name nothing uses is deleted, not kept for a
+// hypothetical caller.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -11,33 +23,65 @@ import (
 	meccdn "github.com/meccdn/meccdn"
 )
 
-func TestFacadeNameHelpers(t *testing.T) {
-	if meccdn.CanonicalName("Video.CDN.Test") != "video.cdn.test." {
-		t.Error("CanonicalName")
+func TestFacadeHasUsers(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !meccdn.IsSubdomain("cdn.test.", "video.cdn.test.") {
-		t.Error("IsSubdomain")
+	var names []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				names = append(names, exportedNames(decl)...)
+			}
+		}
 	}
-	if meccdn.IsSubdomain("cdn.test.", "other.test.") {
-		t.Error("IsSubdomain false positive")
+	if len(names) == 0 {
+		t.Fatal("no exported names found in the root package")
+	}
+
+	var users strings.Builder
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			users.Write(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{"integration_test.go", "example_test.go"} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		users.Write(b)
+	}
+	src := users.String()
+
+	var unused []string
+	for _, name := range names {
+		if !regexp.MustCompile(`\bmeccdn\.` + name + `\b`).MatchString(src) {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d exported names have no user in examples/, cmd/, integration_test.go or example_test.go: %s",
+			len(unused), strings.Join(unused, ", "))
 	}
 }
 
 func TestFacadeConstructors(t *testing.T) {
-	if meccdn.NewDNSCache(meccdn.RealClock()) == nil {
-		t.Error("NewDNSCache")
-	}
-	if meccdn.NewStub(&meccdn.Client{}) == nil {
-		t.Error("NewStub")
-	}
-	if meccdn.NewACL() == nil {
-		t.Error("NewACL")
-	}
 	if meccdn.NewDNSMetrics() == nil {
 		t.Error("NewDNSMetrics")
-	}
-	if meccdn.NewGeoDB() == nil {
-		t.Error("NewGeoDB")
 	}
 	if meccdn.NewRouter("d.test.") == nil {
 		t.Error("NewRouter")
@@ -45,91 +89,49 @@ func TestFacadeConstructors(t *testing.T) {
 	if meccdn.NewCatalog("d.test.") == nil || meccdn.NewOrigin() == nil {
 		t.Error("catalog/origin")
 	}
-	if len(meccdn.AllRoles()) != 7 {
-		t.Error("AllRoles")
-	}
-	owners := meccdn.PerformanceOwners([]meccdn.Entity{
-		{Name: "X", Roles: []meccdn.Role{meccdn.RoleDNSProvider}},
-		{Name: "Y", Roles: []meccdn.Role{meccdn.RoleWebProvider}},
-	})
-	if len(owners) != 1 || owners[0].Name != "X" {
-		t.Errorf("PerformanceOwners = %v", owners)
-	}
-	if !strings.Contains(meccdn.RenderTable1(), "Airbnb") {
-		t.Error("RenderTable1")
-	}
-	reg := meccdn.NewHealthRegistry(meccdn.HealthConfig{DownAfter: 1, UpAfter: 1})
-	if reg == nil {
-		t.Fatal("NewHealthRegistry")
-	}
-	reg.Add("c0", "10.0.0.1")
-	if st, ok := reg.State("c0"); !ok || st != meccdn.HealthProbing {
-		t.Errorf("new target state = %v, want probing", st)
-	}
-	reg.ReportSuccess("c0", time.Millisecond)
-	if st, _ := reg.State("c0"); st != meccdn.HealthHealthy {
-		t.Errorf("state after success = %v, want healthy", st)
-	}
-	if !strings.Contains(meccdn.RenderTable2(), "MEC Provider") {
-		t.Error("RenderTable2")
-	}
-	if len(meccdn.PaperTable1()) != 5 {
-		t.Error("PaperTable1")
-	}
-}
-
-func TestFacadeExperimentRunners(t *testing.T) {
-	if _, err := meccdn.RunFigure2(meccdn.Fig2Config{Seed: 1, Runs: 12}); err != nil {
-		t.Error(err)
-	}
-	if _, err := meccdn.RunFigure3(meccdn.Fig3Config{Seed: 1, Queries: 30}); err != nil {
-		t.Error(err)
-	}
-	if _, err := meccdn.RunECS(meccdn.Fig5Config{Seed: 1, Runs: 4}); err != nil {
-		t.Error(err)
-	}
-	if _, err := meccdn.RunFallback(1, 4); err != nil {
-		t.Error(err)
-	}
-	if _, err := meccdn.RunDisaggregation(1, 100, 300); err != nil {
-		t.Error(err)
-	}
-	if _, err := meccdn.RunIPReuse(1, 3); err != nil {
-		t.Error(err)
-	}
-	if _, err := meccdn.RunLoadShed(1, 20, []int{10, 60}); err != nil {
-		t.Error(err)
-	}
-	sweep, err := meccdn.RunBudgetSweep(meccdn.SweepConfig{
-		Seed: 1, Runs: 4,
-		Distances: []time.Duration{time.Millisecond, 20 * time.Millisecond},
-	})
-	if err != nil {
-		t.Error(err)
-	} else if sweep.Crossover == 0 {
-		t.Error("sweep found no crossover at 20ms")
-	}
 }
 
 func TestFacadeMobilityAndSamplers(t *testing.T) {
 	tb := meccdn.NewTestbed(meccdn.TestbedConfig{Seed: 9, BaseStations: 2})
-	mm := meccdn.NewMobilityManager(tb.Net, meccdn.Constant(time.Millisecond), 0)
-	if mm == nil {
+	if meccdn.NewMobilityManager(tb.Net, meccdn.Constant(time.Millisecond), 0) == nil {
 		t.Fatal("NewMobilityManager")
 	}
 	if meccdn.ENB(1) != "enb1" {
 		t.Error("ENB")
 	}
-	orch, err := meccdn.NewOrchestrator(meccdn.OrchestratorConfig{Net: tb.Net, FabricNode: meccdn.NodePGW})
-	if err != nil || orch == nil {
-		t.Fatalf("NewOrchestrator: %v", err)
-	}
 	node := tb.AddMEC("extra")
-	cache := meccdn.NewCacheServer(node, meccdn.CacheServerConfig{Name: "extra", CapacityBytes: 1})
-	if cache == nil {
+	if meccdn.NewCacheServer(node, meccdn.CacheServerConfig{Name: "extra", CapacityBytes: 1}) == nil {
 		t.Error("NewCacheServer")
 	}
-	if meccdn.TierEdge.String() != "edge" || meccdn.TierMid.String() != "mid" || meccdn.TierFar.String() != "far" {
+	if meccdn.TierEdge.String() != "edge" || meccdn.TierMid.String() != "mid" {
 		t.Error("tier aliases")
 	}
+}
+
+// exportedNames lists the exported top-level names one declaration
+// introduces; methods are part of their type.
+func exportedNames(decl ast.Decl) []string {
+	var out []string
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil && d.Name.IsExported() {
+			out = append(out, d.Name.Name)
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				if s.Name.IsExported() {
+					out = append(out, s.Name.Name)
+				}
+			case *ast.ValueSpec:
+				for _, n := range s.Names {
+					if n.IsExported() {
+						out = append(out, n.Name)
+					}
+				}
+			}
+		}
+	}
+	return out
 }

@@ -113,14 +113,11 @@ func (c *Client) Query(ctx context.Context, server netip.AddrPort, name string, 
 	return c.Do(ctx, server, q)
 }
 
-// Do is Exchange for a caller that wants the response decoded.
+// Do is Exchange for a caller that wants the response decoded. The
+// image's buffer is recycled (a foreign slice is unaffected: PutBuffer
+// drops it).
 func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
-	return unpack(c.Exchange(ctx, server, "", q))
-}
-
-// unpack decodes the image an exchange returned and recycles its
-// buffer (a foreign slice is unaffected: PutBuffer drops it).
-func unpack(img []byte, _ dnswire.Rcode, err error) (*dnswire.Message, error) {
+	img, _, err := c.Exchange(ctx, server, "", q)
 	if err != nil {
 		return nil, err
 	}
@@ -206,64 +203,6 @@ func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, upstream s
 	}
 	return nil, 0, fmt.Errorf("%w: query %s %s to %v: %v",
 		ErrAllAttemptsFail, q.Question().Name, q.Question().Type, server, lastErr)
-}
-
-// Transfer performs a zone transfer (AXFR) over the stream transport
-// and returns the zone's records in transfer order (SOA first and
-// last). The server may refuse (ACL, unknown zone); that surfaces as
-// a response with RcodeRefused and no records.
-func (c *Client) Transfer(ctx context.Context, server netip.AddrPort, zone string) ([]dnswire.RR, error) {
-	q := new(dnswire.Message)
-	q.SetQuestion(zone, dnswire.TypeAXFR)
-	return c.transfer(ctx, server, q, "transferring")
-}
-
-// TransferFrom performs an incremental zone transfer (IXFR, RFC 1995)
-// over the stream transport: the query carries the caller's current
-// SOA serial in the authority section, and the server answers with
-// either the revision deltas since that serial, a lone SOA (caller is
-// already current), or a full AXFR-style record set when its delta
-// journal no longer reaches that far back. The raw answer records are
-// returned for dnsserver.ApplyTransfer to classify and apply.
-func (c *Client) TransferFrom(ctx context.Context, server netip.AddrPort, zone string, serial uint32) ([]dnswire.RR, error) {
-	q := new(dnswire.Message)
-	q.SetQuestion(zone, dnswire.TypeIXFR)
-	// RFC 1995 §3: the client's current SOA rides in the authority
-	// section; only the serial field is meaningful to the server.
-	q.Authorities = []dnswire.RR{&dnswire.SOA{
-		Hdr:    dnswire.RRHeader{Name: dnswire.CanonicalName(zone), Type: dnswire.TypeSOA, Class: dnswire.ClassINET},
-		Serial: serial,
-	}}
-	return c.transfer(ctx, server, q, "incremental transfer of")
-}
-
-// transfer sends q, a transfer question, in one exchange over the
-// stream transport and returns the answer section of a NOERROR reply;
-// what names the operation in the error of any other outcome.
-func (c *Client) transfer(ctx context.Context, server netip.AddrPort, q *dnswire.Message, what string) ([]dnswire.RR, error) {
-	if c.Transport == nil {
-		return nil, errors.New("dnsclient: no transport configured")
-	}
-	q.RecursionDesired = false
-	q.ID = c.newID()
-	wire, err := q.Pack()
-	if err != nil {
-		return nil, err
-	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	resp, err := unpack(c.exchangeOnce(ctx, server, wire, true))
-	if err == nil && resp.Rcode != dnswire.RcodeSuccess {
-		err = errors.New(resp.Rcode.String())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s %s from %v: %w", what, q.Question().Name, server, err)
-	}
-	return resp.Answers, nil
 }
 
 const qrBit, tcBit = 0x80, 0x02 // in a packed header's third octet

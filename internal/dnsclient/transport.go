@@ -40,8 +40,7 @@ const (
 // read, and is closed on timeout, cancellation or any socket error, so
 // a late reply can never reach another exchange. Expired sockets are
 // closed when the pool is next touched; there is no background
-// goroutine. TCP (truncation fallback, zone transfers) dials per
-// exchange.
+// goroutine. TCP (the truncation fallback) dials per exchange.
 type NetTransport struct {
 	// Dialer, if non-nil, overrides the default dialer (useful for
 	// binding to a source address).

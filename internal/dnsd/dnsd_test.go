@@ -392,7 +392,8 @@ func TestReloadUnderLoad(t *testing.T) {
 
 // TestReloadIsAllOrNothing: a file that does not parse leaves every
 // zone, the reload's swap counters and the cache as they were; once it
-// is fixed, every zone swaps and the cache is flushed.
+// is fixed, every zone swaps and the cache is flushed; reloading the
+// same files again swaps nothing.
 func TestReloadIsAllOrNothing(t *testing.T) {
 	pathA := tempFile(t, "a.zone", zoneText("1", "192.0.2.1"))
 	pathB := tempFile(t, "b.zone", zoneText("1", "192.0.2.2"))
@@ -436,6 +437,18 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	}
 	if n := d.Cache.Stats().Entries; n != 0 {
 		t.Errorf("cache entries after reload = %d, want 0 (flushed)", n)
+	}
+
+	// Unchanged files: the reload succeeds and swaps nothing.
+	viewA := zoneA.View()
+	if err := d.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if zoneA.View() != viewA || zoneA.Serial() != 7 || zoneB.Serial() != 9 {
+		t.Errorf("unchanged reload republished: serials %d/%d, want 7/9", zoneA.Serial(), zoneB.Serial())
+	}
+	if d.zoneSwaps.Value() != 2 || d.reloads.Value("ok") != 2 {
+		t.Errorf("zone swaps / ok reloads = %d/%d after an unchanged reload, want 2/2", d.zoneSwaps.Value(), d.reloads.Value("ok"))
 	}
 }
 

@@ -19,7 +19,8 @@ func (d *Daemon) reloadable() bool { return len(d.zones) > 0 || d.cfg.Routes != 
 // Reload re-reads every -zone file and the -routes file and publishes
 // the new snapshots in place. Serving never pauses: in-flight queries
 // finish on the old snapshots, new ones see the new, and a zone keeps
-// its identity (so its IXFR delta journal accumulates). It is all or
+// its identity; a zone file whose contents did not change publishes
+// nothing and is not counted as a swap. It is all or
 // nothing: every file is parsed first, and one that does not parse
 // leaves every zone, the route table and the cache as they were. Only
 // then are the snapshots swapped and the cache flushed — answers
@@ -55,8 +56,9 @@ func (d *Daemon) reload() error {
 	}
 
 	for i, zone := range d.zones {
-		zone.Replace(parsed[i])
-		d.zoneSwaps.Inc()
+		if zone.Replace(parsed[i]) {
+			d.zoneSwaps.Inc()
+		}
 	}
 	if table != nil {
 		d.Router.SetRoutes(table)

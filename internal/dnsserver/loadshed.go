@@ -69,15 +69,6 @@ func (l *LoadShed) Shed() (shed, served uint64) {
 	return sc.Value(), vc.Value()
 }
 
-// RecordShed counts one query shed outside the plugin chain — a UDP
-// query refused a place among those waiting on the network, a TCP
-// connection over MaxConns — so ingress drops and admission drops
-// share one shed family.
-func (l *LoadShed) RecordShed() {
-	sc, _ := l.counters()
-	sc.Inc()
-}
-
 // overloaded records one arrival and reports whether it exceeds the
 // token-bucket budget.
 func (l *LoadShed) overloaded() bool {

@@ -25,10 +25,7 @@ func TestZoneReloadUnderLoad(t *testing.T) {
 	if err := zone.AddA("www.live.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
 		t.Fatal(err)
 	}
-	acl := NewACL()
-	acl.Deny(netip.MustParsePrefix("203.0.113.0/24"))
-	acl.BlockDomain("blocked.example.")
-	h := Chain(acl, NewZonePlugin(zone))
+	h := Chain(NewZonePlugin(zone))
 
 	// published is the serial of the most recently swapped-in snapshot;
 	// stored only after Update returns, so any reader that loads it is
@@ -105,17 +102,15 @@ func TestZoneReloadUnderLoad(t *testing.T) {
 	}
 }
 
-// TestStubACLChurnUnderLoad swaps stub routes and ACL rules while
-// queries run; the race detector is the assertion, plus nothing may
-// block or fail.
-func TestStubACLChurnUnderLoad(t *testing.T) {
+// TestStubChurnUnderLoad swaps stub routes while queries run; the race
+// detector is the assertion, plus nothing may block or fail.
+func TestStubChurnUnderLoad(t *testing.T) {
 	zone := NewZone("live.test.")
 	if err := zone.AddA("www.live.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
 		t.Fatal(err)
 	}
-	acl := NewACL()
 	stub := NewStub(nil)
-	h := Chain(acl, stub, NewZonePlugin(zone))
+	h := Chain(stub, NewZonePlugin(zone))
 
 	var stop atomic.Bool
 	var dropped atomic.Uint64
@@ -139,12 +134,11 @@ func TestStubACLChurnUnderLoad(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		stub.Route(fmt.Sprintf("r%d.example.", i%16), up)
 		stub.Unroute(fmt.Sprintf("r%d.example.", (i+8)%16))
-		acl.Deny(netip.MustParsePrefix(fmt.Sprintf("203.0.%d.0/24", i%250)))
 	}
 	stop.Store(true)
 	wg.Wait()
 	if n := dropped.Load(); n != 0 {
-		t.Errorf("%d queries failed during stub/ACL churn", n)
+		t.Errorf("%d queries failed during stub churn", n)
 	}
 }
 
@@ -155,7 +149,6 @@ var forbiddenMutexFrames = []string{
 	"(*ZoneView).Lookup",
 	"(*ZonePlugin).ServeDNS",
 	"(*Stub).match",
-	"(*ACL).permitted",
 	"(*Forward).candidates",
 	"(*Forward).recordFailure",
 	"(*Forward).recordSuccess",
@@ -164,8 +157,8 @@ var forbiddenMutexFrames = []string{
 // TestServePathMutexFree is the mutex-profile smoke test behind
 // `make mutexprofile`: with mutex profiling at fraction 1 and writers
 // churning every snapshot as hard as they can, running the serve path
-// concurrently must record zero contention events in any zone, stub,
-// ACL, or forward read-path frame. If a lock creeps back into one of
+// concurrently must record zero contention events in any zone, stub
+// or forward read-path frame. If a lock creeps back into one of
 // those functions, the writer churn makes it contend and the frame
 // shows up here.
 func TestServePathMutexFree(t *testing.T) {
@@ -176,15 +169,13 @@ func TestServePathMutexFree(t *testing.T) {
 	if err := zone.AddA("www.live.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
 		t.Fatal(err)
 	}
-	acl := NewACL()
-	acl.Deny(netip.MustParsePrefix("203.0.113.0/24"))
 	stub := NewStub(nil)
 	stub.Route("elsewhere.example.", netip.MustParseAddrPort("192.0.2.53:53"))
 	fwd := &Forward{Upstreams: []netip.AddrPort{
 		netip.MustParseAddrPort("192.0.2.53:53"),
 		netip.MustParseAddrPort("192.0.2.54:53"),
 	}}
-	h := Chain(acl, stub, NewZonePlugin(zone))
+	h := Chain(stub, NewZonePlugin(zone))
 	// The upstream set is built under the forwarder's lock on first use;
 	// build it now, so the readers below see only the steady state.
 	fwd.candidates(nil)
@@ -214,7 +205,6 @@ func TestServePathMutexFree(t *testing.T) {
 			return b.AddA("www.live.test.", 60, netip.AddrFrom4([4]byte{192, 0, 2, byte(1 + i%250)}))
 		})
 		stub.Route(fmt.Sprintf("churn%d.example.", i%8), netip.MustParseAddrPort("192.0.2.53:53"))
-		acl.Deny(netip.MustParsePrefix(fmt.Sprintf("198.51.%d.0/24", i%250)))
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -20,7 +20,6 @@ func TestPluginNames(t *testing.T) {
 		"ecs":      &ECS{},
 		"loadshed": &LoadShed{},
 		"metrics":  NewMetrics(),
-		"acl":      NewACL(),
 	}
 	for want, p := range plugins {
 		if p.Name() != want {

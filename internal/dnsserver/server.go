@@ -228,9 +228,9 @@ type Server struct {
 	Sockets int
 	// MaxConns caps concurrently served TCP connections; accepted
 	// connections beyond the cap are closed immediately and counted in
-	// meccdn_dns_tcp_rejected_total (and on Shed when set). Zero means
-	// 512. A goroutine per connection is fine; an unbounded number of
-	// them under a SYN-rate attack is not.
+	// meccdn_dns_tcp_rejected_total. Zero means 512. A goroutine per
+	// connection is fine; an unbounded number of them under a SYN-rate
+	// attack is not.
 	MaxConns int
 	// QueueDepth bounds, in datagrams, the UDP queries waiting on the
 	// network at once (an upstream exchange, another query's flight),
@@ -247,10 +247,6 @@ type Server struct {
 	// 0 means 32 on Linux; values above 64 are capped. Platforms
 	// without the batched syscalls always behave as 1.
 	Batch int
-	// Shed, when non-nil, has ingress sheds recorded on its shed
-	// counter too, so admission-control drops and ingress drops surface
-	// in one meccdn_dns_loadshed_shed_total family.
-	Shed *LoadShed
 
 	mu       sync.Mutex
 	udps     []*net.UDPConn
@@ -741,9 +737,6 @@ func (g *udpServe) lead(sh *socketShard) {
 			case g.shed: // ResolveTo wrote nothing
 				g.shed = false
 				sh.dropped.Inc()
-				if s.Shed != nil {
-					s.Shed.RecordShed()
-				}
 			case g.sh == nil:
 				if buf != nil {
 					sh.send(buf, n, from)
@@ -907,9 +900,6 @@ func (s *Server) serveTCP() {
 			// accept — a connection held open while others starve is
 			// worse than a fast close the client can retry over UDP.
 			s.tcpRejected.Add(1)
-			if s.Shed != nil {
-				s.Shed.RecordShed()
-			}
 			conn.Close()
 			continue
 		}

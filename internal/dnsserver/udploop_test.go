@@ -231,12 +231,10 @@ func TestShedContract(t *testing.T) {
 	// four are shed, the hits between them all answered.
 	t.Run("overload", func(t *testing.T) {
 		upstream := make(gate)
-		shed := &LoadShed{}
 		srv := &Server{
 			Addr:       "127.0.0.1:0",
 			Handler:    Chain(NewCache(vclock.NewReal()), hitZone(t), upstream),
 			QueueDepth: 4,
-			Shed:       shed,
 		}
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
@@ -283,9 +281,6 @@ func TestShedContract(t *testing.T) {
 		served, dropped := srv.ServedPackets(), srv.DroppedPackets()
 		if packets != 1+2*rounds || served != 1+rounds+4 || dropped != rounds-4 {
 			t.Errorf("read %d, served %d, shed %d; want %d, %d, %d", packets, served, dropped, 1+2*rounds, 1+rounds+4, rounds-4)
-		}
-		if s, _ := shed.Shed(); s != dropped {
-			t.Errorf("loadshed family counts %d shed, the server %d", s, dropped)
 		}
 		if got := srv.IngressLoad(); got != 0 {
 			t.Errorf("IngressLoad = %v after the drain, want 0", got)

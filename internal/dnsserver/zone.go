@@ -16,22 +16,6 @@ import (
 	"github.com/meccdn/meccdn/internal/telemetry"
 )
 
-// maxZoneDeltas bounds the per-zone IXFR journal. A secondary whose
-// serial has fallen further behind than the journal reaches gets a
-// full transfer instead (RFC 1995 §4 allows the fallback), so the
-// bound trades incremental coverage for memory, never correctness.
-const maxZoneDeltas = 256
-
-// ZoneDelta is one published zone revision: the change set that took
-// the zone from FromSOA.Serial to ToSOA.Serial. Del and Add hold the
-// non-SOA records removed and added by the revision (the SOA change
-// itself is carried by the two SOA records, exactly the framing the
-// IXFR wire format wants).
-type ZoneDelta struct {
-	FromSOA, ToSOA *dnswire.SOA
-	Del, Add       []dnswire.RR
-}
-
 // ZoneView is one immutable snapshot of a zone's record set. Readers
 // obtain a view with Zone.View and use it without locking: nothing
 // reachable from a published view is ever mutated. Writers build the
@@ -43,9 +27,6 @@ type ZoneView struct {
 	soa    *dnswire.SOA
 	// rrs maps canonical owner name → type → records.
 	rrs map[string]map[dnswire.Type][]dnswire.RR
-	// deltas is the bounded journal of revisions ending at this view,
-	// oldest first and serial-contiguous; the IXFR responder walks it.
-	deltas []ZoneDelta
 }
 
 // SOA returns the view's SOA record. Callers must not mutate it.
@@ -75,11 +56,10 @@ func (v *ZoneView) Names() []string {
 // carrying the SOA.
 //
 // The record set lives in an immutable ZoneView published through an
-// atomic pointer: Lookup and the transfer paths never take a lock, and
-// mutations (Add/Remove/Update/Replace) copy-on-write off the current
-// view, bump the SOA serial, and publish the next view — so a zone can
-// be rebuilt while serving with zero blocked or dropped queries. Each
-// publish records a ZoneDelta for IXFR propagation.
+// atomic pointer: Lookup never takes a lock, and mutations
+// (Add/Remove/Update/Replace) copy-on-write off the current view, bump
+// the SOA serial, and publish the next view — so a zone can be rebuilt
+// while serving with zero blocked or dropped queries.
 type Zone struct {
 	// Origin is the canonical apex name.
 	Origin string
@@ -111,9 +91,8 @@ func NewZone(origin string) *Zone {
 }
 
 // View returns the current immutable snapshot. The returned view is
-// safe for concurrent use and stays coherent (records, SOA serial, and
-// IXFR journal all from one publish) for as long as the caller holds
-// it.
+// safe for concurrent use and stays coherent (records and SOA serial
+// from one publish) for as long as the caller holds it.
 func (z *Zone) View() *ZoneView { return z.view.Load() }
 
 // SOA returns the zone's current SOA record.
@@ -167,7 +146,7 @@ func (z *Zone) Remove(name string, t dnswire.Type) bool {
 // Update applies a batch of mutations atomically: fn works on a
 // ZoneBuilder seeded with the current view, and if it returns nil and
 // changed anything, the result is published as one new revision — one
-// serial bump, one IXFR delta — visible to readers all at once.
+// serial bump — visible to readers all at once.
 // Concurrent Updates serialize; readers are never blocked.
 func (z *Zone) Update(fn func(*ZoneBuilder) error) error {
 	z.wmu.Lock()
@@ -184,41 +163,35 @@ func (z *Zone) Update(fn func(*ZoneBuilder) error) error {
 }
 
 // Replace swaps the zone's entire record set for the contents of from
-// (typically a freshly parsed zone file), publishing the difference as
-// one revision. The new serial is from's when it is ahead of the
-// current one, and current+1 otherwise — so a reload with an unchanged
-// file serial still advances, and secondaries notice. Queries in
-// flight keep the old view; new queries see the new one.
-func (z *Zone) Replace(from *Zone) {
-	z.ReplaceView(from.View())
-}
-
-// ReplaceView is Replace for an already-extracted view.
-func (z *Zone) ReplaceView(nv *ZoneView) {
+// (typically a freshly parsed zone file) and reports whether it
+// published a new view. Contents equal to the current view's — the
+// same records, and the same SOA apart from its serial — publish
+// nothing, so reloading an unchanged file leaves the zone as it was.
+// Otherwise the new serial is from's when it is ahead of the current
+// one (RFC 1982), and current+1 when it is not, so a changed file with
+// a stale serial still advances. Queries in flight keep the old view;
+// new queries see the new one.
+func (z *Zone) Replace(from *Zone) bool {
+	nv := from.View()
 	z.wmu.Lock()
 	defer z.wmu.Unlock()
 	old := z.view.Load()
-	del, add := diffRecords(old, nv)
 	soa := nv.soa.Clone().(*dnswire.SOA)
 	soa.Hdr.Name = z.Origin
-	if !serialAdvanced(old.Serial(), soa.Serial) {
-		soa.Serial = old.Serial() + 1
+	serial := soa.Serial
+	soa.Serial = old.Serial() // compared with the serial aside
+	if soa.String() == old.soa.String() && sameRecords(old, nv) {
+		return false
 	}
-	if len(del) == 0 && len(add) == 0 && soa.String() == old.soa.String() {
-		return // byte-identical reload: nothing to publish
+	soa.Serial = old.Serial() + 1
+	if serialAdvanced(old.Serial(), serial) {
+		soa.Serial = serial
 	}
 	rrs := cloneRRMap(nv.rrs)
 	rrs[z.Origin] = cloneByType(rrs[z.Origin])
 	rrs[z.Origin][dnswire.TypeSOA] = []dnswire.RR{soa}
-	v := &ZoneView{
-		Origin: z.Origin,
-		soa:    soa,
-		rrs:    rrs,
-		deltas: appendDelta(old, ZoneDelta{
-			FromSOA: old.soa, ToSOA: soa, Del: del, Add: add,
-		}),
-	}
-	z.view.Store(v)
+	z.view.Store(&ZoneView{Origin: z.Origin, soa: soa, rrs: rrs})
+	return true
 }
 
 // serialAdvanced reports whether b is ahead of a in RFC 1982 serial
@@ -227,53 +200,19 @@ func serialAdvanced(a, b uint32) bool {
 	return b != a && (b-a) < 1<<31
 }
 
-// appendDelta extends old's journal with d, keeping it bounded.
-func appendDelta(old *ZoneView, d ZoneDelta) []ZoneDelta {
-	deltas := old.deltas
-	if len(deltas) >= maxZoneDeltas {
-		deltas = deltas[len(deltas)-maxZoneDeltas+1:]
+// sameRecords reports whether two views hold the same non-SOA records,
+// compared by presentation form (owner, TTL, class, type, rdata) and
+// regardless of order.
+func sameRecords(a, b *ZoneView) bool {
+	count := make(map[string]int)
+	eachRR(a, func(rr dnswire.RR) { count[rr.String()]++ })
+	eachRR(b, func(rr dnswire.RR) { count[rr.String()]-- })
+	for _, n := range count {
+		if n != 0 {
+			return false
+		}
 	}
-	out := make([]ZoneDelta, 0, len(deltas)+1)
-	out = append(out, deltas...)
-	return append(out, d)
-}
-
-// diffRecords computes the non-SOA record difference between two
-// views, keyed by full presentation form (owner, TTL, class, type,
-// rdata).
-func diffRecords(old, nv *ZoneView) (del, add []dnswire.RR) {
-	type slot struct {
-		rr    dnswire.RR
-		count int
-	}
-	index := make(map[string]*slot)
-	eachRR(old, func(rr dnswire.RR) {
-		k := rr.String()
-		if s := index[k]; s != nil {
-			s.count++
-		} else {
-			index[k] = &slot{rr: rr, count: 1}
-		}
-	})
-	eachRR(nv, func(rr dnswire.RR) {
-		k := rr.String()
-		if s := index[k]; s != nil && s.count > 0 {
-			s.count--
-			return
-		}
-		add = append(add, rr.Clone())
-	})
-	// Deterministic order: walk old again so deletions come out in the
-	// old view's iteration-independent (sorted) order.
-	seen := make(map[string]int)
-	eachRRSorted(old, func(rr dnswire.RR) {
-		k := rr.String()
-		if s := index[k]; s != nil && seen[k] < s.count {
-			seen[k]++
-			del = append(del, rr.Clone())
-		}
-	})
-	return del, add
+	return true
 }
 
 // eachRR visits every non-SOA record of a view.
@@ -284,26 +223,6 @@ func eachRR(v *ZoneView, fn func(dnswire.RR)) {
 				continue
 			}
 			for _, rr := range rrs {
-				fn(rr)
-			}
-		}
-	}
-}
-
-// eachRRSorted is eachRR in sorted owner/type order.
-func eachRRSorted(v *ZoneView, fn func(dnswire.RR)) {
-	for _, name := range v.Names() {
-		byType := v.rrs[name]
-		types := make([]int, 0, len(byType))
-		for t := range byType {
-			types = append(types, int(t))
-		}
-		sort.Ints(types)
-		for _, t := range types {
-			if dnswire.Type(t) == dnswire.TypeSOA {
-				continue
-			}
-			for _, rr := range byType[dnswire.Type(t)] {
 				fn(rr)
 			}
 		}
@@ -337,11 +256,10 @@ type ZoneBuilder struct {
 	origin string
 	rrs    map[string]map[dnswire.Type][]dnswire.RR
 	// touched marks owners whose type map is already a private copy.
-	touched  map[string]bool
-	soa      *dnswire.SOA
-	soaSet   bool
-	del, add []dnswire.RR
-	dirty    bool
+	touched map[string]bool
+	soa     *dnswire.SOA
+	soaSet  bool
+	dirty   bool
 }
 
 func newZoneBuilder(base *ZoneView) *ZoneBuilder {
@@ -394,7 +312,6 @@ func (b *ZoneBuilder) Add(rr dnswire.RR) error {
 	next := make([]dnswire.RR, len(rrs), len(rrs)+1)
 	copy(next, rrs)
 	byType[t] = append(next, rr)
-	b.add = append(b.add, rr.Clone())
 	b.dirty = true
 	return nil
 }
@@ -415,12 +332,8 @@ func (b *ZoneBuilder) Remove(name string, t dnswire.Type) bool {
 	if !ok {
 		return false
 	}
-	rrs, ok := byType[t]
-	if !ok {
+	if _, ok := byType[t]; !ok {
 		return false
-	}
-	for _, rr := range rrs {
-		b.del = append(b.del, rr.Clone())
 	}
 	byType = b.owner(owner)
 	delete(byType, t)
@@ -429,41 +342,6 @@ func (b *ZoneBuilder) Remove(name string, t dnswire.Type) bool {
 	}
 	b.dirty = true
 	return true
-}
-
-// RemoveRR deletes the single record equal to rr (full presentation
-// form match); it reports whether anything was removed. This is the
-// record-granular removal IXFR application needs.
-func (b *ZoneBuilder) RemoveRR(rr dnswire.RR) bool {
-	owner := dnswire.CanonicalName(rr.Header().Name)
-	byType, ok := b.rrs[owner]
-	if !ok {
-		return false
-	}
-	t := rr.Header().Type
-	rrs := byType[t]
-	want := rr.String()
-	for i, have := range rrs {
-		if have.String() != want {
-			continue
-		}
-		byType = b.owner(owner)
-		next := make([]dnswire.RR, 0, len(rrs)-1)
-		next = append(next, rrs[:i]...)
-		next = append(next, rrs[i+1:]...)
-		if len(next) == 0 {
-			delete(byType, t)
-		} else {
-			byType[t] = next
-		}
-		if len(byType) == 0 {
-			delete(b.rrs, owner)
-		}
-		b.del = append(b.del, have.Clone())
-		b.dirty = true
-		return true
-	}
-	return false
 }
 
 // build publishes the accumulated mutations as the next view. The
@@ -481,14 +359,7 @@ func (b *ZoneBuilder) build(base *ZoneView) (*ZoneView, bool) {
 	byType := cloneByType(b.rrs[b.origin])
 	byType[dnswire.TypeSOA] = []dnswire.RR{soa}
 	b.rrs[b.origin] = byType
-	return &ZoneView{
-		Origin: b.origin,
-		soa:    soa,
-		rrs:    b.rrs,
-		deltas: appendDelta(base, ZoneDelta{
-			FromSOA: base.soa, ToSOA: soa, Del: b.del, Add: b.add,
-		}),
-	}, true
+	return &ZoneView{Origin: b.origin, soa: soa, rrs: b.rrs}, true
 }
 
 // LookupResult classifies a zone lookup.

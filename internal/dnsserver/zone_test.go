@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -160,6 +161,113 @@ func TestZoneRemove(t *testing.T) {
 	}
 	if z.Remove("ghost.mycdn.ciab.test.", dnswire.TypeA) {
 		t.Error("Remove of missing name returned true")
+	}
+}
+
+// TestZoneUpdateIsOneRevision: a batch of mutations publishes one view
+// with one serial bump; a batch that fails or changes nothing publishes
+// none; an explicit SOA's serial is adopted verbatim.
+func TestZoneUpdateIsOneRevision(t *testing.T) {
+	z := testZone(t)
+	before, serial := z.View(), z.Serial()
+	if err := z.Update(func(b *ZoneBuilder) error {
+		b.Remove("edge1.mycdn.ciab.test.", dnswire.TypeA)
+		if err := b.AddA("edge1.mycdn.ciab.test.", 60, netip.MustParseAddr("10.96.0.13")); err != nil {
+			return err
+		}
+		return b.AddA("new.mycdn.ciab.test.", 60, netip.MustParseAddr("10.96.0.14"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := z.Serial(); got != serial+1 {
+		t.Errorf("serial after one batch = %d, want %d", got, serial+1)
+	}
+	if res, ans, _ := before.Lookup("new.mycdn.ciab.test.", dnswire.TypeA); res != LookupNXDomain || ans != nil {
+		t.Error("the batch changed a view published before it")
+	}
+	if _, ans, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA); len(ans) != 1 || ans[0].(*dnswire.A).Addr != netip.MustParseAddr("10.96.0.13") {
+		t.Errorf("edge1 A after the batch = %v, want 10.96.0.13 alone", ans)
+	}
+	if res, _, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeTXT); res != LookupSuccess {
+		t.Error("the batch lost a record it did not touch")
+	}
+
+	published := z.View()
+	if err := z.Update(func(b *ZoneBuilder) error {
+		b.Remove("new.mycdn.ciab.test.", dnswire.TypeA)
+		return b.AddA("elsewhere.example.", 60, netip.MustParseAddr("192.0.2.1"))
+	}); err == nil {
+		t.Error("a batch with an out-of-zone record succeeded")
+	}
+	if err := z.Update(func(*ZoneBuilder) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if z.View() != published {
+		t.Error("a failed or empty batch published a view")
+	}
+
+	soa := z.SOA().Clone().(*dnswire.SOA)
+	soa.Serial = 2020110401
+	z.SetSOA(soa)
+	if got := z.Serial(); got != 2020110401 {
+		t.Errorf("serial after SetSOA = %d, want 2020110401", got)
+	}
+}
+
+// TestZoneReplace: Replace publishes only when the records, or the SOA
+// apart from its serial, differ; the new serial is the incoming one
+// when it is ahead in RFC 1982 arithmetic and current+1 otherwise.
+func TestZoneReplace(t *testing.T) {
+	const (
+		www  = "www 60 IN A 192.0.2.1\n"
+		www2 = "www 60 IN A 192.0.2.2\n"
+		max  = 1<<32 - 1
+	)
+	zoneText := func(serial uint32, refresh int, records string) string {
+		return fmt.Sprintf("@ 60 IN SOA ns hostmaster %d %d 60 60 60\n", serial, refresh) + records
+	}
+	for _, tc := range []struct {
+		name      string
+		cur, from string
+		published bool
+		serial    uint32
+	}{
+		{"identical", zoneText(5, 60, www), zoneText(5, 60, www), false, 5},
+		{"identical, stale serial", zoneText(5, 60, www), zoneText(3, 60, www), false, 5},
+		{"identical, advanced serial", zoneText(5, 60, www), zoneText(9, 60, www), false, 5},
+		{"same records in another order", zoneText(5, 60, www+www2), zoneText(5, 60, www2+www), false, 5},
+		{"changed records, same serial", zoneText(5, 60, www), zoneText(5, 60, www2), true, 6},
+		{"changed records, stale serial", zoneText(5, 60, www), zoneText(3, 60, www2), true, 6},
+		{"changed records, advanced serial", zoneText(5, 60, www), zoneText(9, 60, www2), true, 9},
+		{"changed SOA field", zoneText(5, 60, www), zoneText(5, 120, www), true, 6},
+		{"wrap: ahead across zero", zoneText(max, 60, www), zoneText(2, 60, www2), true, 2},
+		{"wrap: behind across zero", zoneText(2, 60, www), zoneText(max, 60, www2), true, 3},
+		{"wrap: current+1 is zero", zoneText(max, 60, www), zoneText(max, 60, www2), true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parse := func(text string) *Zone {
+				z, err := ParseZone("r.test.", strings.NewReader(text))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return z
+			}
+			z := parse(tc.cur)
+			before := z.View()
+			from := parse(tc.from)
+			if got := z.Replace(from); got != tc.published {
+				t.Errorf("Replace = %v, want %v", got, tc.published)
+			}
+			if (z.View() != before) != tc.published {
+				t.Errorf("view replaced = %v, want %v", z.View() != before, tc.published)
+			}
+			if got := z.Serial(); got != tc.serial {
+				t.Errorf("serial = %d, want %d", got, tc.serial)
+			}
+			if !sameRecords(z.View(), from.View()) {
+				t.Error("records after Replace differ from the incoming zone's")
+			}
+		})
 	}
 }
 

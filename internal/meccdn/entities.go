@@ -50,37 +50,3 @@ func (r Role) Duty() string {
 	}
 	return ""
 }
-
-// Entity is one participant in the ecosystem. As the paper notes, a
-// single entity can subsume several roles — Verizon acts as cellular,
-// DNS, and CDN provider at once — which is exactly what obscures "who
-// owns performance".
-type Entity struct {
-	Name  string
-	Roles []Role
-}
-
-// HasRole reports whether the entity plays r.
-func (e Entity) HasRole(r Role) bool {
-	for _, have := range e.Roles {
-		if have == r {
-			return true
-		}
-	}
-	return false
-}
-
-// PerformanceOwners returns the entities that influence the DNS → CDN
-// resolution path: every entity holding a DNS, CDN, broker, or MEC
-// role. When more than one entity shares those roles, accountability
-// is fragmented — the paper's "invisible performance owners".
-func PerformanceOwners(entities []Entity) []Entity {
-	var owners []Entity
-	for _, e := range entities {
-		if e.HasRole(RoleDNSProvider) || e.HasRole(RoleCDNProvider) ||
-			e.HasRole(RoleCDNBroker) || e.HasRole(RoleMECProvider) {
-			owners = append(owners, e)
-		}
-	}
-	return owners
-}

@@ -248,18 +248,6 @@ func TestEntitiesTable2(t *testing.T) {
 			t.Errorf("role %d missing table row", r)
 		}
 	}
-	verizon := Entity{Name: "Verizon", Roles: []Role{RoleCellularProvider, RoleDNSProvider, RoleCDNProvider}}
-	if !verizon.HasRole(RoleDNSProvider) || verizon.HasRole(RoleCDNBroker) {
-		t.Error("HasRole")
-	}
-	owners := PerformanceOwners([]Entity{
-		verizon,
-		{Name: "PureWeb", Roles: []Role{RoleWebProvider}},
-		{Name: "EdgeCo", Roles: []Role{RoleMECProvider}},
-	})
-	if len(owners) != 2 {
-		t.Errorf("owners = %v", owners)
-	}
 	if Role(99).String() != "role(99)" || Role(99).Duty() != "" {
 		t.Error("unknown role")
 	}

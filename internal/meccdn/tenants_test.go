@@ -1,16 +1,10 @@
 package meccdn
 
 import (
-	"context"
-	"net/netip"
 	"testing"
 	"time"
 
 	"github.com/meccdn/meccdn/internal/cdn"
-	"github.com/meccdn/meccdn/internal/dnsclient"
-	"github.com/meccdn/meccdn/internal/dnsserver"
-	"github.com/meccdn/meccdn/internal/dnswire"
-	"github.com/meccdn/meccdn/internal/orchestrator"
 )
 
 const tenantDomain = "othercdn.example."
@@ -66,50 +60,6 @@ func TestMultiTenantSite(t *testing.T) {
 	if _, err := d.site.AddDomain(testDomain, d.tb.Net.Node("origin").Addr, 1); err == nil {
 		t.Error("primary domain accepted as tenant")
 	}
-}
-
-// TestPublicZoneReplication slaves the site's public namespace to the
-// provider L-DNS over a real zone transfer, the replication step a
-// provider needs to answer MEC names itself during MEC DNS outages.
-func TestPublicZoneReplication(t *testing.T) {
-	d := deploy(t, 42, nil)
-	// Put something in the public zone (a non-CDN MEC app).
-	if _, err := d.site.Orch.CreateService(orchestratorSpec("mec-app", "apps", "app.mec.example.")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Serve transfers of the public zone from a MEC node.
-	zp := dnsserver.NewZonePlugin(d.site.PublicZone)
-	axfrNode := d.tb.AddMEC("axfr-endpoint")
-	dnsserver.Attach(axfrNode, dnsserver.Chain(dnsserver.NewAXFR(zp), zp), nil)
-
-	// The provider pulls the zone over the virtual network.
-	provClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{
-		Endpoint: d.tb.Net.Node("provider-ldns").Endpoint()}}
-	provClient.SetRand(d.tb.Net.Rand())
-	rrs, err := provClient.Transfer(context.Background(),
-		netip.AddrPortFrom(axfrNode.Addr, 53), "mec.example.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	secondary, err := dnsserver.ZoneFromTransfer(rrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, ans, _ := secondary.Lookup("app.mec.example.", dnswire.TypeA)
-	if res != dnsserver.LookupSuccess || len(ans) != 1 {
-		t.Errorf("replicated lookup: %v %v", res, ans)
-	}
-	// The replicated answer is the same cluster IP the primary serves.
-	wantRes, wantAns, _ := d.site.PublicZone.Lookup("app.mec.example.", dnswire.TypeA)
-	if wantRes != dnsserver.LookupSuccess ||
-		ans[0].(*dnswire.A).Addr != wantAns[0].(*dnswire.A).Addr {
-		t.Error("secondary diverges from primary")
-	}
-}
-
-func orchestratorSpec(name, ns, public string) orchestrator.ServiceSpec {
-	return orchestrator.ServiceSpec{Name: name, Namespace: ns, PublicName: public}
 }
 
 func TestRemoveDomain(t *testing.T) {

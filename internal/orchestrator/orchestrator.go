@@ -1,9 +1,9 @@
 // Package orchestrator reimplements the slice of Kubernetes the
 // paper's prototype relies on: Services with stable cluster IPs and
-// round-robin endpoint proxying (kube-proxy), Deployments that scale
-// instances up and down, and a service registry that feeds the
-// split-namespace DNS zones — the orchestrator's "dedicated, internal
-// DNS" that the MEC-CDN design re-purposes for public CDN resolution.
+// round-robin endpoint proxying (kube-proxy), and a service registry
+// that feeds the split-namespace DNS zones — the orchestrator's
+// "dedicated, internal DNS" that the MEC-CDN design re-purposes for
+// public CDN resolution.
 //
 // The cluster-IP indirection is also the paper's public-IP reuse
 // mechanism (§3/§5): every MEC-CDN customer domain resolves to a
@@ -310,66 +310,4 @@ func (s *Service) Stats() (forwarded, failed uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.forwarded, s.failed
-}
-
-// Deployment manages N instances of a workload behind a Service,
-// scaling by calling the Create/Destroy hooks — in this repository the
-// hooks spin CDN cache servers up and down on fresh simnet nodes.
-type Deployment struct {
-	Name string
-	// Create builds instance i and returns its address.
-	Create func(i int) (netip.Addr, error)
-	// Destroy tears instance i down (optional).
-	Destroy func(i int, addr netip.Addr)
-	// Service receives endpoint updates (optional).
-	Service *Service
-
-	mu        sync.Mutex
-	instances []netip.Addr
-}
-
-// Scale adjusts the replica count, creating or destroying instances.
-func (d *Deployment) Scale(replicas int) error {
-	if replicas < 0 {
-		return fmt.Errorf("orchestrator: negative replicas")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(d.instances) < replicas {
-		i := len(d.instances)
-		addr, err := d.Create(i)
-		if err != nil {
-			return fmt.Errorf("scaling %s up to %d: %w", d.Name, replicas, err)
-		}
-		d.instances = append(d.instances, addr)
-		if d.Service != nil {
-			d.Service.AddEndpoint(addr)
-		}
-	}
-	for len(d.instances) > replicas {
-		i := len(d.instances) - 1
-		addr := d.instances[i]
-		d.instances = d.instances[:i]
-		if d.Service != nil {
-			d.Service.RemoveEndpoint(addr)
-		}
-		if d.Destroy != nil {
-			d.Destroy(i, addr)
-		}
-	}
-	return nil
-}
-
-// Replicas returns the current instance count.
-func (d *Deployment) Replicas() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.instances)
-}
-
-// Instances returns a copy of the instance addresses.
-func (d *Deployment) Instances() []netip.Addr {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]netip.Addr(nil), d.instances...)
 }

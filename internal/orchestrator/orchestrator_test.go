@@ -198,42 +198,6 @@ func TestDeleteService(t *testing.T) {
 	}
 }
 
-func TestDeploymentScaling(t *testing.T) {
-	n, o := newCluster(t, 7)
-	svc, err := o.CreateService(ServiceSpec{Name: "caches"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	created, destroyed := 0, 0
-	dep := &Deployment{
-		Name: "edge-caches",
-		Create: func(i int) (netip.Addr, error) {
-			created++
-			return addBackend(t, n, fmt.Sprintf("cache-%d", i), fmt.Sprintf("cache-%d", i)), nil
-		},
-		Destroy: func(i int, addr netip.Addr) { destroyed++ },
-		Service: svc,
-	}
-	if err := dep.Scale(3); err != nil {
-		t.Fatal(err)
-	}
-	if dep.Replicas() != 3 || created != 3 || len(svc.Endpoints()) != 3 {
-		t.Fatalf("after scale-up: replicas=%d created=%d eps=%d", dep.Replicas(), created, len(svc.Endpoints()))
-	}
-	if err := dep.Scale(1); err != nil {
-		t.Fatal(err)
-	}
-	if dep.Replicas() != 1 || destroyed != 2 || len(svc.Endpoints()) != 1 {
-		t.Fatalf("after scale-down: replicas=%d destroyed=%d eps=%d", dep.Replicas(), destroyed, len(svc.Endpoints()))
-	}
-	if err := dep.Scale(-1); err == nil {
-		t.Error("negative scale accepted")
-	}
-	if got := len(dep.Instances()); got != 1 {
-		t.Errorf("instances = %d", got)
-	}
-}
-
 func TestPublicIPReport(t *testing.T) {
 	_, o := newCluster(t, 8)
 	with, without := o.PublicIPReport()

@@ -6,7 +6,7 @@
 // head-sampled structured query log in the spirit of dnstap.
 //
 // Everything here is stdlib-only. Hot-path instruments (Counter,
-// Gauge, Histogram) are single atomic operations; exposition and log
+// Histogram) are single atomic operations; exposition and log
 // draining take locks only on the slow, operator-facing path.
 package telemetry
 
@@ -135,38 +135,6 @@ func (c *Counter) writeSamples(b *strings.Builder) {
 	b.WriteString(c.name)
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatUint(c.v.Load(), 10))
-	b.WriteByte('\n')
-}
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// NewGauge returns a gauge family with a single unlabelled series.
-func NewGauge(name, help string) *Gauge {
-	return &Gauge{name: name, help: help}
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add increments by n (negative to decrement).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// MetricName implements Collector.
-func (g *Gauge) MetricName() string { return g.name }
-
-func (g *Gauge) metricHelp() string { return g.help }
-func (g *Gauge) metricType() string { return "gauge" }
-func (g *Gauge) writeSamples(b *strings.Builder) {
-	b.WriteString(g.name)
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatInt(g.v.Load(), 10))
 	b.WriteByte('\n')
 }
 

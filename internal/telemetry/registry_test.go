@@ -16,9 +16,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	c := NewCounter("test_requests_total", "Requests handled.")
 	c.Add(3)
 
-	g := NewGauge("test_inflight", "In-flight requests.")
-	g.Set(2)
-
 	f := NewGaugeFunc("test_entries", "Entries right now.", func() float64 { return 7 })
 
 	v := NewCounterVec("test_responses_total", "Responses by rcode.", "rcode")
@@ -31,7 +28,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	h.Observe(50 * time.Millisecond)
 	h.Observe(time.Second)
 
-	reg.MustRegister(c, g, f, v, h)
+	reg.MustRegister(c, f, v, h)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -40,9 +37,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	want := `# HELP test_entries Entries right now.
 # TYPE test_entries gauge
 test_entries 7
-# HELP test_inflight In-flight requests.
-# TYPE test_inflight gauge
-test_inflight 2
 # HELP test_latency_seconds Latency.
 # TYPE test_latency_seconds histogram
 test_latency_seconds_bucket{le="0.01"} 1
@@ -183,10 +177,9 @@ func TestHistogramQuantile(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCounter("conc_total", "h")
-	g := NewGauge("conc_gauge", "h")
 	v := NewCounterVec("conc_vec_total", "h", "l")
 	h := NewHistogram("conc_seconds", "h")
-	reg.MustRegister(c, g, v, h)
+	reg.MustRegister(c, v, h)
 
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
@@ -197,7 +190,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
 				v.Inc(labels[i%len(labels)])
 				h.Observe(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
