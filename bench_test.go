@@ -266,8 +266,7 @@ func BenchmarkRouterPolicyLeastLoaded(b *testing.B) { benchmarkRouterPolicy(b, c
 
 // BenchmarkRouterWithRegistry measures the Route hot path with the
 // health registry attached: candidate filtering consults the
-// hysteresis state machine (and the load switch guards ServeDNS)
-// instead of only the static healthy flag. Contrast with
+// hysteresis state machine instead of only the static healthy flag. Contrast with
 // BenchmarkRouterPolicyAvailability, the registry-free baseline.
 func BenchmarkRouterWithRegistry(b *testing.B) {
 	b.ReportAllocs()

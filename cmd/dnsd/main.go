@@ -20,10 +20,6 @@
 // that cadence, scored through a hysteresis state machine
 // (-down-after consecutive failures demote, -up-after successes
 // promote), and the forwarders try probe-verified upstreams first.
-// -load-high/-load-low are ingress watermarks on the share of
-// -udp-queue in use (UDP queries waiting on the network): above the
-// high mark the registry flips its fallback switch (exported as
-// meccdn_health_fallback_active) until load stays under the low mark.
 //
 // -cdn-domain embeds the C-DNS request router for one CDN domain.
 // -routes loads its subnet→PoP table ("prefix popID" per line, #
@@ -56,8 +52,9 @@
 // SIGHUP (or POST /reload) re-parses every -zone file and the -routes
 // file and atomically swaps the serving snapshots: a zone whose file
 // changed publishes a new revision (the SOA serial adopted from the
-// file when it advanced, else bumped), an unchanged one publishes
-// nothing, and not a single in-flight query is dropped or blocked —
+// file when it advanced, else bumped), an unchanged zone or routes file
+// publishes nothing, the response cache is flushed only when something
+// was published, and not a single in-flight query is dropped or blocked —
 // readers finish on the old snapshot while new queries see the new one.
 package main
 
@@ -90,7 +87,6 @@ func bind(fs *flag.FlagSet, c *dnsd.Config) {
 	fs.DurationVar(&c.Drain, "drain", 5*time.Second, "graceful-drain budget for in-flight queries on shutdown")
 	fs.IntVar(&c.UDPQueue, "udp-queue", 0, "UDP queries that may wait on the network (upstream exchanges) at once; a query that would wait beyond it is shed (0 means 128x GOMAXPROCS)")
 	fs.IntVar(&c.Sockets, "sockets", 0, "SO_REUSEPORT-sharded UDP ingress sockets (0 means GOMAXPROCS; 1 or unsupported platforms use a single socket)")
-	fs.IntVar(&c.Batch, "batch", 0, "max UDP datagrams moved per syscall via recvmmsg/sendmmsg (0 means 32 on Linux; 1 disables batching; capped at 64; non-Linux always 1)")
 	fs.IntVar(&c.MaxConns, "max-conns", 0, "concurrent TCP connection cap; connections beyond it are closed at accept (0 means 512)")
 	fs.Float64Var(&c.PrefetchFrac, "prefetch-frac", 0.1, "refresh-ahead window as a fraction of TTL: hits in the last frac of their lifetime trigger an async re-resolve (0 disables)")
 	fs.DurationVar(&c.MaxStale, "max-stale", time.Hour, "RFC 8767 serve-stale window: on upstream failure, expired entries this recent are served with a clamped 30s TTL (0 disables)")
@@ -98,8 +94,6 @@ func bind(fs *flag.FlagSet, c *dnsd.Config) {
 	fs.DurationVar(&c.ProbeTimeout, "probe-timeout", 0, "per-probe timeout (0 means half the interval, capped at 2s)")
 	fs.IntVar(&c.DownAfter, "down-after", 3, "consecutive probe failures before an upstream is marked down")
 	fs.IntVar(&c.UpAfter, "up-after", 2, "consecutive probe successes before a down upstream recovers")
-	fs.Float64Var(&c.LoadHigh, "load-high", 0, "ingress-load high watermark in [0,1] flipping the fallback switch (0 disables)")
-	fs.Float64Var(&c.LoadLow, "load-low", 0, "ingress-load low watermark; routing restores after load stays below it (0 means half of -load-high)")
 	fs.StringVar(&c.CDNDomain, "cdn-domain", "", "CDN domain served by the embedded C-DNS request router (empty disables)")
 	fs.StringVar(&c.Routes, "routes", "", "subnet→PoP routes file for the C-DNS router, one \"prefix popID\" per line; requires -cdn-domain")
 	fs.BoolVar(&c.RingBounded, "ring-bounded", false, "bounded-load routing: cap each CDN cache at -ring-load-factor times the mean load, spilling hot keys to the next ring owner with capacity; requires -cdn-domain")

@@ -64,7 +64,6 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		"-drain", "29s",
 		"-udp-queue", "31",
 		"-sockets", "32",
-		"-batch", "33",
 		"-max-conns", "34",
 		"-prefetch-frac", "0.35",
 		"-max-stale", "36m",
@@ -72,8 +71,6 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		"-probe-timeout", "38ms",
 		"-down-after", "39",
 		"-up-after", "40",
-		"-load-high", "0.41",
-		"-load-low", "0.42",
 		"-cdn-domain", "cdn43.test.",
 		"-routes", "/etc/routes44",
 		"-ring-bounded",
@@ -104,7 +101,6 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		Drain:            29 * time.Second,
 		UDPQueue:         31,
 		Sockets:          32,
-		Batch:            33,
 		MaxConns:         34,
 		PrefetchFrac:     0.35,
 		MaxStale:         36 * time.Minute,
@@ -112,8 +108,6 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		ProbeTimeout:     38 * time.Millisecond,
 		DownAfter:        39,
 		UpAfter:          40,
-		LoadHigh:         0.41,
-		LoadLow:          0.42,
 		CDNDomain:        "cdn43.test.",
 		Routes:           "/etc/routes44",
 		RingBounded:      true,

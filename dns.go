@@ -76,11 +76,11 @@ func AttachDNS(node *Node, h dnsserver.Handler, proc simnet.Sampler) { dnsserver
 // component's Collectors() registers on one.
 func NewTelemetryRegistry() *telemetry.Registry { return telemetry.NewRegistry() }
 
-// Health control plane: active probers scoring targets, a per-target
-// hysteresis state machine, and the ingress-load fallback switch.
+// Health control plane: active probers scoring targets and a
+// per-target hysteresis state machine.
 type (
 	// HealthConfig parameterizes a health registry: probe cadence,
-	// demotion/promotion thresholds, dwell times, and load watermarks.
+	// demotion/promotion thresholds and dwell times.
 	HealthConfig = health.Config
 	// HealthState is one target's hysteresis state.
 	HealthState = health.State

@@ -3,17 +3,13 @@
 // The paper's MEC-CDN answers DNS queries with edge cache addresses,
 // which makes cache liveness a DNS-correctness problem: a stale
 // answer points a UE at a dead instance. This example deploys a site
-// with the health registry enabled and walks through its three
+// with the health registry enabled and walks through its two
 // mechanisms:
 //
 //  1. probing admission — new caches join the hash ring only after
 //     their first successful probe;
 //  2. failure demotion — a cache killed mid-run stops answering
-//     probes and is demoted out of routing within one probe interval;
-//  3. the ingress-load switch — a synthetic flood pushes load over
-//     the high watermark, flipping resolution to the parent-tier
-//     C-DNS (the paper's DoS fallback) until load stays under the low
-//     watermark for the dwell period.
+//     probes and is demoted out of routing within one probe interval.
 package main
 
 import (
@@ -39,23 +35,8 @@ func main() {
 	origin.AddCatalog(catalog)
 	meccdn.NewOriginServer(originNode, origin, meccdn.Constant(2*time.Millisecond))
 
-	// Mid tier alongside the core: the fallback C-DNS the load switch
-	// diverts to, with its own warmed cache.
-	midCacheNode := tb.AddLAN("mid-cache")
-	midCache := meccdn.NewCacheServer(midCacheNode, meccdn.CacheServerConfig{
-		Name: "mid-cache", Tier: meccdn.TierMid, CapacityBytes: 64 << 20,
-		Parent: originNode.Addr, Domains: []string{domain},
-	})
-	midCache.Warm(meccdn.Content{Name: object, Size: 1 << 20})
-	midRouter := meccdn.NewRouter(domain)
-	midRouter.AddServer(midCache, meccdn.Location{Name: "mid"})
-	midCDNS := tb.AddLAN("mid-cdns")
-	meccdn.AttachDNS(midCDNS, meccdn.Chain(midRouter), meccdn.Constant(time.Millisecond))
-
 	// Edge site with the health control plane on: demote after a
-	// single failed probe, readmit after one success, and divert to
-	// the mid tier above 80% ingress load until it stays under 40%
-	// for 2s.
+	// single failed probe, readmit after one success.
 	site, err := meccdn.DeploySite(tb, meccdn.SiteConfig{
 		Domain:       domain,
 		CacheServers: 2,
@@ -65,15 +46,11 @@ func main() {
 			DownAfter:     1,
 			UpAfter:       1,
 			MinDwell:      -1,
-			LoadHigh:      0.8,
-			LoadLow:       0.4,
-			LoadDwell:     2 * time.Second,
 		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	site.Router.Parent = midCDNS.Addr
 	site.Health.OnTransition(func(name string, from, to meccdn.HealthState) {
 		fmt.Printf("  [health] %-12s %s -> %s\n", name, from, to)
 	})
@@ -114,33 +91,4 @@ func main() {
 	}
 	fmt.Printf("post-demote -> %-14s via %-10s in %v (survivor)\n\n", after.Resolve.Addr,
 		after.Resolve.Source, after.Resolve.RTT)
-
-	// --- 3) Ingress-load switch under a synthetic flood --------------
-	fmt.Println("synthetic ingress flood pushes the UDP queue to 95%:")
-	site.Health.ReportLoad(0.95)
-	fmt.Printf("  fallback_active=%v switches=%d\n", site.Health.FallbackActive(), site.Health.Switches())
-	net.Clock.RunUntil(net.Now() + time.Minute) // expire the cached answer
-	flood, err := ue.Resolve(object)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("under flood -> %-14s via %-10s in %v (diverted to the mid tier)\n",
-		flood.Addr, flood.Source, flood.RTT)
-
-	fmt.Println("flood subsides to 20%, but routing holds through the dwell:")
-	site.Health.ReportLoad(0.2)
-	net.Clock.RunUntil(net.Now() + time.Second)
-	site.Health.ReportLoad(0.2)
-	fmt.Printf("  after 1s: fallback_active=%v\n", site.Health.FallbackActive())
-	net.Clock.RunUntil(net.Now() + 2*time.Second)
-	site.Health.ReportLoad(0.2)
-	fmt.Printf("  after 3s: fallback_active=%v switches=%d\n", site.Health.FallbackActive(), site.Health.Switches())
-
-	net.Clock.RunUntil(net.Now() + time.Minute) // expire the flood-era answer
-	restored, err := ue.Resolve(object)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("restored    -> %-14s via %-10s in %v (MEC-local again)\n",
-		restored.Addr, restored.Source, restored.RTT)
 }

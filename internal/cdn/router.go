@@ -166,10 +166,9 @@ type Router struct {
 	Parent netip.Addr
 	// Health, when set (via UseHealth), replaces blind trust in the
 	// server's own flag: candidates must be routable per the probe-fed
-	// registry, a new server joins the hash ring only after its first
-	// successful probe, and the registry's ingress-load switch diverts
-	// queries to the parent tier. Nil preserves the historical
-	// behaviour (CacheServer.Healthy alone).
+	// registry and a new server joins the hash ring only after its
+	// first successful probe. Nil preserves the historical behaviour
+	// (CacheServer.Healthy alone).
 	Health *health.Registry
 
 	// state is the immutable server/PoP registry snapshot, published
@@ -249,7 +248,7 @@ type popTarget struct {
 func (rt *Router) counters() *telemetry.CounterVec {
 	rt.ctrOnce.Do(func() {
 		rt.routed = telemetry.NewCounterVec("meccdn_cdn_routed_total",
-			"C-DNS routing decisions by result (selected, peer, referral, load_fallback, peer_fallback, failed, nodata).", "result")
+			"C-DNS routing decisions by result (selected, peer, referral, peer_fallback, failed, nodata).", "result")
 		rt.routeCtr = telemetry.NewCounterVec("meccdn_route_lookups_total",
 			"Subnet→PoP table lookups by result: hit (route matched and answered), miss (no covering route), unmapped (route matched a PoP with no usable target and no healthy mesh peer to fall back to).", "result")
 	})
@@ -419,9 +418,8 @@ func NewRouter(domain string) *Router {
 // candidate selection consults the registry's probe-fed verdicts
 // (layered with each server's own flag), newly added servers start in
 // the probing state and enter the hash ring only on their first
-// successful probe, a server demoted to down leaves the ring, and the
-// registry's ingress-load watermark switch diverts queries to the
-// parent tier. Call before AddServer.
+// successful probe, and a server demoted to down leaves the ring. Call
+// before AddServer.
 func (rt *Router) UseHealth(reg *health.Registry) {
 	rt.wmu.Lock()
 	rt.Health = reg
@@ -531,14 +529,6 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 	}
 
 	hop := telemetry.StartHop(ctx, "cdn-router")
-	if rt.Health != nil && rt.Parent.IsValid() && rt.Health.FallbackActive() {
-		// Ingress-load switch: the MEC site is above its high
-		// watermark, so answer from the fallback path (the paper's DoS
-		// mechanism) until load has dwelled under the low watermark.
-		routed.Inc("load_fallback")
-		hop.End("load-fallback")
-		return rt.writeReferralTo(w, r, rt.Parent)
-	}
 	client := rt.clientInfo(r)
 
 	// Subnet→PoP table first: with a table installed the disclosed

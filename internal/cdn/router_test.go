@@ -16,15 +16,14 @@ import (
 )
 
 // routerFixture is a router over three edge cache servers. When built
-// with health (buildHealthFixture), reg/checker/clock drive the probe
-// control plane in virtual time.
+// with health (buildHealthFixture), reg/checker drive the probe control
+// plane in virtual time.
 type routerFixture struct {
 	net     *simnet.Network
 	router  *Router
 	servers []*CacheServer
 	reg     *health.Registry
 	checker *health.Checker
-	clock   *vclock.Fixed
 }
 
 func buildRouterFixture(t *testing.T, seed int64) *routerFixture {
@@ -34,20 +33,16 @@ func buildRouterFixture(t *testing.T, seed int64) *routerFixture {
 
 // buildHealthFixture builds the same topology with a probe-fed health
 // registry attached; servers are registered but not yet admitted (no
-// probe has run). mutate tweaks the health config before use.
-func buildHealthFixture(t *testing.T, seed int64, mutate func(*health.Config)) *routerFixture {
+// probe has run).
+func buildHealthFixture(t *testing.T, seed int64) *routerFixture {
 	t.Helper()
-	cfg := &health.Config{
+	return buildFixture(t, seed, &health.Config{
 		ProbeInterval: time.Second,
 		DownAfter:     3,
 		UpAfter:       2,
-		MinDwell:      -1, // tests advance the clock explicitly where dwell matters
+		MinDwell:      -1, // dwell would hold back the soft transitions tests drive
 		Clock:         &vclock.Fixed{},
-	}
-	if mutate != nil {
-		mutate(cfg)
-	}
-	return buildFixture(t, seed, cfg)
+	})
 }
 
 func buildFixture(t *testing.T, seed int64, hc *health.Config) *routerFixture {
@@ -57,7 +52,6 @@ func buildFixture(t *testing.T, seed int64, hc *health.Config) *routerFixture {
 	rt := NewRouter("mycdn.ciab.test.")
 	fx := &routerFixture{net: n, router: rt}
 	if hc != nil {
-		fx.clock, _ = hc.Clock.(*vclock.Fixed)
 		fx.reg = health.New(*hc)
 		rt.UseHealth(fx.reg)
 		fx.checker = &health.Checker{
@@ -83,6 +77,14 @@ func buildFixture(t *testing.T, seed int64, hc *health.Config) *routerFixture {
 func (fx *routerFixture) probe(t *testing.T) {
 	t.Helper()
 	fx.checker.RunOnce(context.Background())
+}
+
+// down demotes the named server through the registry's state machine:
+// DownAfter consecutive failed probes.
+func (fx *routerFixture) down(name string) {
+	for i := 0; i < fx.reg.Config().DownAfter; i++ {
+		fx.reg.ReportFailure(name)
+	}
 }
 
 func routerQuery(t *testing.T, rt *Router, qname string, client string) *dnswire.Message {
@@ -147,11 +149,11 @@ func TestRouterNoDataForNonA(t *testing.T) {
 }
 
 func TestRouterSkipsUnhealthy(t *testing.T) {
-	fx := buildHealthFixture(t, 5, nil)
+	fx := buildHealthFixture(t, 5)
 	fx.probe(t)
 	key := "video.y.mycdn.ciab.test."
 	primary := fx.router.Route(key, ClientInfo{})
-	fx.reg.SetOverride(primary.Server.Name, false)
+	fx.down(primary.Server.Name)
 	second := fx.router.Route(key, ClientInfo{})
 	if second == nil {
 		t.Fatal("no server after failure")
@@ -162,10 +164,10 @@ func TestRouterSkipsUnhealthy(t *testing.T) {
 }
 
 func TestRouterAllDownFallsBackToParent(t *testing.T) {
-	fx := buildHealthFixture(t, 6, nil)
+	fx := buildHealthFixture(t, 6)
 	fx.probe(t)
 	for _, s := range fx.servers {
-		fx.reg.SetOverride(s.Name, false)
+		fx.down(s.Name)
 	}
 	parent := netip.MustParseAddr("203.0.113.200")
 	fx.router.Parent = parent
@@ -196,10 +198,10 @@ func TestReferralDetection(t *testing.T) {
 }
 
 func TestRouterAllDownNoParentServfails(t *testing.T) {
-	fx := buildHealthFixture(t, 7, nil)
+	fx := buildHealthFixture(t, 7)
 	fx.probe(t)
 	for _, s := range fx.servers {
-		fx.reg.SetOverride(s.Name, false)
+		fx.down(s.Name)
 	}
 	resp := routerQuery(t, fx.router, "video.demo1.mycdn.ciab.test.", "")
 	if resp.Rcode != dnswire.RcodeServerFailure {
@@ -208,7 +210,7 @@ func TestRouterAllDownNoParentServfails(t *testing.T) {
 }
 
 func TestRouterProbingJoinsRingAfterFirstSuccess(t *testing.T) {
-	fx := buildHealthFixture(t, 50, nil)
+	fx := buildHealthFixture(t, 50)
 	// Registered but never probed: not routable, not in the ring.
 	if got := fx.router.Ring.Members(); len(got) != 0 {
 		t.Fatalf("unprobed servers already in the ring: %v", got)
@@ -229,7 +231,7 @@ func TestRouterProbingJoinsRingAfterFirstSuccess(t *testing.T) {
 // stops answering probes is demoted to down and removed from routing
 // within DownAfter probe sweeps.
 func TestRouterDemotesDeadCache(t *testing.T) {
-	fx := buildHealthFixture(t, 51, nil)
+	fx := buildHealthFixture(t, 51)
 	fx.probe(t)
 	key := "video.kill.mycdn.ciab.test."
 	victim := fx.router.Route(key, ClientInfo{}).Server
@@ -279,7 +281,7 @@ func TestRouterDemotesDeadCache(t *testing.T) {
 // TestRouterAllDegradedServesBestEffort: a server set that is degraded
 // but not down keeps serving rather than failing over to the parent.
 func TestRouterAllDegradedServesBestEffort(t *testing.T) {
-	fx := buildHealthFixture(t, 52, nil)
+	fx := buildHealthFixture(t, 52)
 	fx.probe(t)
 	for _, s := range fx.servers {
 		fx.reg.ReportFailure(s.Name) // one failure, dwell disabled: degraded
@@ -301,7 +303,7 @@ func TestRouterAllDegradedServesBestEffort(t *testing.T) {
 // healthy non-owner only when no healthy owner exists; here we degrade
 // the primary and check the healthy replica wins.
 func TestRouterPrefersHealthyOverDegraded(t *testing.T) {
-	fx := buildHealthFixture(t, 53, nil)
+	fx := buildHealthFixture(t, 53)
 	fx.probe(t)
 	key := "video.pref.mycdn.ciab.test."
 	primary := fx.router.Route(key, ClientInfo{}).Server
@@ -318,54 +320,11 @@ func TestRouterPrefersHealthyOverDegraded(t *testing.T) {
 	}
 }
 
-// TestRouterLoadFallback: ingress load above the high watermark
-// diverts queries to the parent tier; sustained low load past the
-// dwell restores MEC-local answers.
-func TestRouterLoadFallback(t *testing.T) {
-	fx := buildHealthFixture(t, 54, func(c *health.Config) {
-		c.LoadHigh = 0.8
-		c.LoadLow = 0.4
-		c.LoadDwell = 2 * time.Second
-	})
-	fx.probe(t)
-	fx.router.Parent = netip.MustParseAddr("203.0.113.200")
-
-	resp := routerQuery(t, fx.router, "video.load.mycdn.ciab.test.", "")
-	if _, ok := Referral(resp); ok {
-		t.Fatal("referral under normal load")
-	}
-	fx.reg.ReportLoad(0.9)
-	if got := fx.reg.Switches(); got != 1 {
-		t.Fatalf("switches counter = %d, want 1", got)
-	}
-	resp = routerQuery(t, fx.router, "video.load.mycdn.ciab.test.", "")
-	if got, ok := Referral(resp); !ok || got != fx.router.Parent {
-		t.Fatalf("query under flood not diverted to parent: %v (%v)", got, ok)
-	}
-	// Load drops under the low watermark; the switch holds until the
-	// dwell has elapsed.
-	fx.reg.ReportLoad(0.2)
-	fx.clock.Advance(time.Second)
-	fx.reg.ReportLoad(0.2)
-	if resp = routerQuery(t, fx.router, "video.load.mycdn.ciab.test.", ""); !fx.reg.FallbackActive() {
-		t.Fatal("switch reset before the dwell elapsed")
-	}
-	fx.clock.Advance(2 * time.Second)
-	fx.reg.ReportLoad(0.2)
-	resp = routerQuery(t, fx.router, "video.load.mycdn.ciab.test.", "")
-	if _, ok := Referral(resp); ok {
-		t.Fatal("still diverted after load dwelled under the low watermark")
-	}
-	if resp.Rcode != dnswire.RcodeSuccess || len(resp.Answers) != 1 {
-		t.Fatalf("local answer not restored: rcode=%v answers=%v", resp.Rcode, resp.Answers)
-	}
-}
-
 // TestRouterSetHealthyStillProbeVisible: the legacy data-plane flag is
 // not bypassed by the registry — a server with the flag off refuses
 // probes, so the control plane demotes it too.
 func TestRouterSetHealthyStillProbeVisible(t *testing.T) {
-	fx := buildHealthFixture(t, 55, nil)
+	fx := buildHealthFixture(t, 55)
 	fx.probe(t)
 	victim := fx.servers[1]
 	victim.SetHealthy(false)

@@ -184,9 +184,7 @@ func (s *CacheServer) Healthy() bool {
 // SetHealthy flips the health flag (failure injection). This is the
 // data-plane chaos layer: a server with the flag off refuses content
 // requests and health probes alike, so an attached health.Registry
-// observes the failure and demotes it. For a control-plane override
-// that pins routing without touching the server, use the registry's
-// SetOverride instead.
+// observes the failure and demotes it.
 func (s *CacheServer) SetHealthy(up bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

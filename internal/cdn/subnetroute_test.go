@@ -119,7 +119,7 @@ func TestSubnetRouteWithoutECSUsesSourceAddress(t *testing.T) {
 }
 
 func TestSubnetRouteBoundServerFollowsHealth(t *testing.T) {
-	fx := buildHealthFixture(t, 25, nil)
+	fx := buildHealthFixture(t, 25)
 	fx.probe(t)
 	fx.router.SetRoutes(routeTable(t, map[string]lpm.PoP{"10.1.0.0/16": 1}))
 	fx.router.BindPoP(1, "cache-1")
@@ -132,7 +132,7 @@ func TestSubnetRouteBoundServerFollowsHealth(t *testing.T) {
 
 	// Health pulls the bound server: the static address takes over, the
 	// route itself keeps answering.
-	fx.reg.SetOverride("cache-1", false)
+	fx.down("cache-1")
 	resp = subnetQuery(t, fx.router, "video.e.mycdn.ciab.test.", "10.1.1.0/24")
 	if got := resp.Answers[0].(*dnswire.A).Addr; got != netip.MustParseAddr("203.0.113.7") {
 		t.Errorf("answer = %v, want static fallback while cache-1 is down", got)
@@ -140,11 +140,11 @@ func TestSubnetRouteBoundServerFollowsHealth(t *testing.T) {
 }
 
 func TestSubnetRouteBoundServerDownNoFallbackGoesPolicy(t *testing.T) {
-	fx := buildHealthFixture(t, 26, nil)
+	fx := buildHealthFixture(t, 26)
 	fx.probe(t)
 	fx.router.SetRoutes(routeTable(t, map[string]lpm.PoP{"10.1.0.0/16": 1}))
 	fx.router.BindPoP(1, "cache-0") // no static fallback
-	fx.reg.SetOverride("cache-0", false)
+	fx.down("cache-0")
 
 	resp := subnetQuery(t, fx.router, "video.f.mycdn.ciab.test.", "10.1.1.0/24")
 	if len(resp.Answers) != 1 {

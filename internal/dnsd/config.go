@@ -36,11 +36,10 @@ type Config struct {
 	// unwinds; Shutdown's is its context's, and cmd/dnsd passes this one.
 	Drain time.Duration
 
-	UDPQueue, Sockets, Batch, MaxConns int
+	UDPQueue, Sockets, MaxConns int
 
 	ProbeInterval, ProbeTimeout time.Duration
 	DownAfter, UpAfter          int
-	LoadHigh, LoadLow           float64
 
 	CDNDomain, Routes string
 	RingBounded       bool

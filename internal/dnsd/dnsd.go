@@ -157,7 +157,6 @@ func Build(cfg Config) (*Daemon, error) {
 		Telemetry:  d.Hub,
 		QueueDepth: cfg.UDPQueue,
 		Sockets:    sockets,
-		Batch:      cfg.Batch,
 		MaxConns:   cfg.MaxConns,
 	}
 	families = append(families, d.Server.Collectors()...)
@@ -165,13 +164,11 @@ func Build(cfg Config) (*Daemon, error) {
 	d.Cache.Background = d.Server
 
 	if d.Health != nil {
-		// Probe goroutines drain with the server; ingress load is the
-		// share of -udp-queue taken by queries waiting on the network.
+		// Probe goroutines drain with the server.
 		d.checker = &health.Checker{
 			Registry:   d.Health,
 			Prober:     &health.DNSProber{Client: client},
 			Background: d.Server,
-			Load:       d.Server.IngressLoad,
 		}
 		if d.Router != nil {
 			// Halve the ring's per-cache load counters each probe
@@ -217,8 +214,6 @@ func newHealth(cfg Config, forwardTo []netip.AddrPort) *health.Registry {
 		ProbeTimeout:  cfg.ProbeTimeout,
 		DownAfter:     cfg.DownAfter,
 		UpAfter:       cfg.UpAfter,
-		LoadHigh:      cfg.LoadHigh,
-		LoadLow:       cfg.LoadLow,
 	})
 	add := func(addrs []netip.AddrPort) {
 		for _, a := range addrs {

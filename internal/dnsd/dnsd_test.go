@@ -208,7 +208,6 @@ func TestBuildHealthConfig(t *testing.T) {
 		ProbeInterval: 250 * time.Millisecond,
 		DownAfter:     2,
 		UpAfter:       1,
-		LoadHigh:      0.8,
 	})
 	if d.Health == nil || d.checker == nil {
 		t.Fatal("health registry/checker not built")
@@ -217,7 +216,7 @@ func TestBuildHealthConfig(t *testing.T) {
 		t.Errorf("probe targets = %d, want 3 (deduplicated union)", got)
 	}
 	hc := d.Health.Config()
-	if hc.ProbeInterval != 250*time.Millisecond || hc.DownAfter != 2 || hc.UpAfter != 1 || hc.LoadHigh != 0.8 {
+	if hc.ProbeInterval != 250*time.Millisecond || hc.DownAfter != 2 || hc.UpAfter != 1 {
 		t.Errorf("health config = %+v", hc)
 	}
 	if d.Forward.Health != d.Health {
@@ -397,7 +396,11 @@ func TestReloadUnderLoad(t *testing.T) {
 func TestReloadIsAllOrNothing(t *testing.T) {
 	pathA := tempFile(t, "a.zone", zoneText("1", "192.0.2.1"))
 	pathB := tempFile(t, "b.zone", zoneText("1", "192.0.2.2"))
-	d := build(t, Config{Listen: loopback, Zones: []ZoneFile{{"a.test.", pathA}, {"b.test.", pathB}}})
+	routes := tempFile(t, "routes.txt", "10.0.0.0/8 1\n")
+	d := build(t, Config{
+		Listen: loopback, Zones: []ZoneFile{{"a.test.", pathA}, {"b.test.", pathB}},
+		CDNDomain: "cdn.test.", Routes: routes,
+	})
 	start(t, d)
 	zoneA, zoneB := d.zones[0], d.zones[1]
 	lookup(t, d, "www.a.test.") // one cached answer, so a flush is observable
@@ -405,8 +408,9 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 		t.Fatalf("cache entries before reload = %d, want 1", n)
 	}
 
-	// First file advanced, second corrupt.
+	// First file and the routes advanced, second corrupt.
 	writeFile(t, pathA, zoneText("7", "192.0.2.11"))
+	writeFile(t, routes, "10.0.0.0/8 2\n")
 	writeFile(t, pathB, "not a zone file ???")
 	if err := d.Reload(); err == nil {
 		t.Fatal("reload with a corrupt file succeeded")
@@ -417,14 +421,14 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	if got := d.reloads.Value("error"); got != 1 {
 		t.Errorf(`meccdn_reload_total{result="error"} = %d, want 1`, got)
 	}
-	if d.zoneSwaps.Value() != 0 {
-		t.Errorf("zone swaps after failed reload = %d, want 0", d.zoneSwaps.Value())
+	if d.zoneSwaps.Value() != 0 || d.routeSwaps.Value() != 0 {
+		t.Errorf("zone/route swaps after failed reload = %d/%d, want 0/0", d.zoneSwaps.Value(), d.routeSwaps.Value())
 	}
 	if n := d.Cache.Stats().Entries; n != 1 {
 		t.Errorf("cache entries after failed reload = %d, want 1 (untouched)", n)
 	}
 
-	// Fixed: both swap, the cache is flushed.
+	// Fixed: both zones and the routes swap, the cache is flushed.
 	writeFile(t, pathB, zoneText("9", "192.0.2.12"))
 	if err := d.Reload(); err != nil {
 		t.Fatal(err)
@@ -432,23 +436,31 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	if zoneA.Serial() != 7 || zoneB.Serial() != 9 {
 		t.Errorf("serials after reload = %d/%d, want 7/9", zoneA.Serial(), zoneB.Serial())
 	}
-	if d.zoneSwaps.Value() != 2 || d.reloads.Value("ok") != 1 {
-		t.Errorf("zone swaps / ok reloads = %d/%d, want 2/1", d.zoneSwaps.Value(), d.reloads.Value("ok"))
+	if d.zoneSwaps.Value() != 2 || d.routeSwaps.Value() != 1 || d.reloads.Value("ok") != 1 {
+		t.Errorf("zone/route swaps / ok reloads = %d/%d/%d, want 2/1/1", d.zoneSwaps.Value(), d.routeSwaps.Value(), d.reloads.Value("ok"))
 	}
 	if n := d.Cache.Stats().Entries; n != 0 {
 		t.Errorf("cache entries after reload = %d, want 0 (flushed)", n)
 	}
 
-	// Unchanged files: the reload succeeds and swaps nothing.
-	viewA := zoneA.View()
+	// Unchanged files: the reload succeeds, swaps nothing and keeps
+	// the cache.
+	viewA, table := zoneA.View(), d.Router.Routes()
+	lookup(t, d, "www.a.test.")
 	if err := d.Reload(); err != nil {
 		t.Fatal(err)
 	}
 	if zoneA.View() != viewA || zoneA.Serial() != 7 || zoneB.Serial() != 9 {
 		t.Errorf("unchanged reload republished: serials %d/%d, want 7/9", zoneA.Serial(), zoneB.Serial())
 	}
-	if d.zoneSwaps.Value() != 2 || d.reloads.Value("ok") != 2 {
-		t.Errorf("zone swaps / ok reloads = %d/%d after an unchanged reload, want 2/2", d.zoneSwaps.Value(), d.reloads.Value("ok"))
+	if d.zoneSwaps.Value() != 2 || d.routeSwaps.Value() != 1 || d.reloads.Value("ok") != 2 {
+		t.Errorf("zone/route swaps / ok reloads = %d/%d/%d after an unchanged reload, want 2/1/2", d.zoneSwaps.Value(), d.routeSwaps.Value(), d.reloads.Value("ok"))
+	}
+	if d.Router.Routes() != table {
+		t.Error("unchanged reload republished the route table")
+	}
+	if n := d.Cache.Stats().Entries; n != 1 {
+		t.Errorf("cache entries after an unchanged reload = %d, want 1 (kept)", n)
 	}
 }
 
@@ -496,18 +508,21 @@ func TestMeshGossipBetweenDaemons(t *testing.T) {
 // TestStubUpstreamsAreProbeOrdered: with probing on, a stub route's
 // upstreams are ordered by the health registry like the main
 // forwarder's. Two live upstreams answer the same name differently;
-// with the first forced down the query must go to the second. (The
+// with the first demoted to down the query must go to the second. (The
 // registry used to be attached to the Stub after its routes had
 // copied a nil one.)
 func TestStubUpstreamsAreProbeOrdered(t *testing.T) {
 	first, second := upstream(t, "cdn.test.", "192.0.2.1"), upstream(t, "cdn.test.", "192.0.2.2")
 	d := build(t, Config{
 		Listen:        loopback,
-		ProbeInterval: time.Hour, // never fires here: the override below is the only verdict
+		ProbeInterval: time.Hour, // never fires here: the failures below are the only verdict
 		Stubs:         []StubRoute{{"cdn.test.", []netip.AddrPort{first, second}}},
 	})
-	if !d.Health.SetOverride(first.String(), false) {
+	if _, ok := d.Health.State(first.String()); !ok {
 		t.Fatalf("stub upstream %v is not a probe target", first)
+	}
+	for i := 0; i < d.Health.Config().DownAfter; i++ {
+		d.Health.ReportFailure(first.String())
 	}
 	start(t, d)
 	wantAnswer(t, d, "www.cdn.test.", "192.0.2.2")

@@ -19,12 +19,12 @@ func (d *Daemon) reloadable() bool { return len(d.zones) > 0 || d.cfg.Routes != 
 // Reload re-reads every -zone file and the -routes file and publishes
 // the new snapshots in place. Serving never pauses: in-flight queries
 // finish on the old snapshots, new ones see the new, and a zone keeps
-// its identity; a zone file whose contents did not change publishes
-// nothing and is not counted as a swap. It is all or
+// its identity; a zone or routes file whose contents did not change
+// publishes nothing and is not counted as a swap. It is all or
 // nothing: every file is parsed first, and one that does not parse
 // leaves every zone, the route table and the cache as they were. Only
-// then are the snapshots swapped and the cache flushed — answers
-// cached before the swap may cite replaced records.
+// then are the changed snapshots swapped and, if any was, the cache
+// flushed — answers cached before the swap may cite replaced records.
 func (d *Daemon) Reload() error {
 	if !d.reloadable() {
 		return ErrNothingReloadable
@@ -55,16 +55,21 @@ func (d *Daemon) reload() error {
 		}
 	}
 
+	swapped := false
 	for i, zone := range d.zones {
 		if zone.Replace(parsed[i]) {
 			d.zoneSwaps.Inc()
+			swapped = true
 		}
 	}
-	if table != nil {
+	if table != nil && !table.Equal(d.Router.Routes()) {
 		d.Router.SetRoutes(table)
 		d.routeSwaps.Inc()
+		swapped = true
 	}
-	d.Cache.Flush()
+	if swapped {
+		d.Cache.Flush()
+	}
 	return nil
 }
 

@@ -25,10 +25,8 @@ import (
 // sendmmsg's number is supplied per-arch by the mmsg_sendnum_*.go
 // files (0 means "not wired up", degrading egress to a sendto loop).
 
-const (
-	batchingSupported = true
-	defaultBatch      = 32
-)
+// defaultBatch is the most datagrams one recvmmsg or sendmmsg moves.
+const defaultBatch = 32
 
 // mmsghdr mirrors the kernel's struct mmsghdr. Go's natural trailing
 // padding after the uint32 matches the C layout on both 64-bit

@@ -12,10 +12,8 @@ import (
 // datagram, filled by one recvfrom and flushed by one sendto. The loop
 // around them is the same.
 
-const (
-	batchingSupported = false
-	defaultBatch      = 1
-)
+// defaultBatch is one: each read and write moves a single datagram.
+const defaultBatch = 1
 
 // mmsgIO carries no state on the unbatched path.
 type mmsgIO struct{}

@@ -240,13 +240,6 @@ type Server struct {
 	// only the CPU (cache hits, zones, the C-DNS router) keep being
 	// answered: the paper's DoS-threshold behaviour.
 	QueueDepth int
-	// Batch is the maximum number of datagrams moved per syscall on
-	// the UDP ingress and egress paths. On Linux a socket's loop fills
-	// up to Batch pooled buffers per recvmmsg and flushes the replies
-	// with one sendmmsg, back out the socket the queries arrived on.
-	// 0 means 32 on Linux; values above 64 are capped. Platforms
-	// without the batched syscalls always behave as 1.
-	Batch int
 
 	mu       sync.Mutex
 	udps     []*net.UDPConn
@@ -313,7 +306,7 @@ type socketShard struct {
 	conn *net.UDPConn
 	rc   syscall.RawConn
 
-	in      []datagram // Batch slots; in[next:n] are read and not yet served
+	in      []datagram // defaultBatch slots; in[next:n] are read and not yet served
 	n, next int
 	out     []datagram // replies to in[:next], not yet sent
 	done    int        // datagrams served since the last flush
@@ -323,10 +316,6 @@ type socketShard struct {
 
 	packets, batches, dropped, served, sendErrs, recvErrs *telemetry.CounterCell
 }
-
-// maxBatch caps Server.Batch. 64 datagrams per syscall is past the
-// point of diminishing returns for DNS-sized packets.
-const maxBatch = 64
 
 // socketCount resolves the configured UDP ingress socket count,
 // collapsing to one socket wherever SO_REUSEPORT can't shard.
@@ -391,8 +380,8 @@ func (s *Server) Collectors() []telemetry.Collector {
 // IngressLoad returns the share of QueueDepth in use as a fraction in
 // [0, 1]: 0 when no UDP query is waiting on the network (or before
 // Start), 1 when the bound is reached and queries that would wait are
-// being shed. This is the load signal fed to the health registry's
-// ingress watermark switch.
+// being shed. The mesh agent announces it to peer MECs as this site's
+// load.
 func (s *Server) IngressLoad() float64 {
 	s.mu.Lock()
 	depth := s.depth
@@ -410,8 +399,8 @@ func (s *Server) DroppedPackets() uint64 { return s.counters().dropped.Value() }
 // BatchStats returns the ingress batching tallies since Start: packets
 // is the number of datagrams read off the sockets, batches the number
 // of reads that produced them. packets over batches is the achieved
-// batching factor — 1.0 on the unbatched path, up to Batch under load
-// on Linux.
+// batching factor — 1.0 on the unbatched path, up to defaultBatch
+// under load on Linux.
 func (s *Server) BatchStats() (packets, batches uint64) {
 	c := s.counters()
 	return c.packets.Value(), c.batches.Value()
@@ -425,24 +414,6 @@ func (s *Server) SocketPackets() []uint64 { return s.counters().packets.Values()
 // if any, sent) since Start; with DroppedPackets it accounts for every
 // datagram read.
 func (s *Server) ServedPackets() uint64 { return s.counters().served.Value() }
-
-// batchSize resolves the configured Batch against platform support.
-func (s *Server) batchSize() int {
-	if !batchingSupported {
-		return 1
-	}
-	b := s.Batch
-	if b == 0 {
-		b = defaultBatch
-	}
-	if b < 1 {
-		b = 1
-	}
-	if b > maxBatch {
-		b = maxBatch
-	}
-	return b
-}
 
 // RejectedConns returns the number of TCP connections refused at the
 // MaxConns cap since Start.
@@ -678,12 +649,11 @@ func (s *Server) TrackBackground() (done func(), ok bool) {
 
 // newShard wraps ingress socket i in the state its lead works in.
 func (s *Server) newShard(i int, conn *net.UDPConn, rc syscall.RawConn) *socketShard {
-	batch := s.batchSize()
 	return &socketShard{
 		conn: conn, rc: rc,
-		in:     make([]datagram, batch),
-		out:    make([]datagram, 0, batch),
-		mio:    newMmsgIO(batch),
+		in:     make([]datagram, defaultBatch),
+		out:    make([]datagram, 0, defaultBatch),
+		mio:    newMmsgIO(defaultBatch),
 		intern: dnswire.NewNameIntern(0),
 
 		packets: s.ctr.packets.Shard(i), batches: s.ctr.batches.Shard(i), dropped: s.ctr.dropped.Shard(i),

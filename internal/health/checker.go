@@ -15,12 +15,6 @@ type Prober interface {
 	Probe(ctx context.Context, t TargetID) error
 }
 
-// ProberFunc adapts a function to the Prober interface.
-type ProberFunc func(ctx context.Context, t TargetID) error
-
-// Probe implements Prober.
-func (f ProberFunc) Probe(ctx context.Context, t TargetID) error { return f(ctx, t) }
-
 // BackgroundTracker is the graceful-drain scope probes run under. It
 // is structurally identical to dnsserver.BackgroundTracker (declared
 // locally so health sits below dnsserver in the import graph);
@@ -45,11 +39,8 @@ type Checker struct {
 	// the sweep is skipped, so no probe outlives the process's
 	// in-flight window.
 	Background BackgroundTracker
-	// Load, when set, is sampled once per sweep and fed to
-	// Registry.ReportLoad, driving the ingress watermark switch.
-	Load func() float64
-	// OnSweep, when set, runs once per sweep after the load sample —
-	// the hook the C-DNS router uses to decay its hash-ring load
+	// OnSweep, when set, runs once per sweep before the probes — the
+	// hook the C-DNS router uses to decay its hash-ring load
 	// counters in step with the probe cadence, so the bounded-load
 	// cap tracks a recent-traffic window.
 	OnSweep func()
@@ -125,8 +116,7 @@ func (c *Checker) nextInterval() time.Duration {
 	return d
 }
 
-// sweep probes every registered target concurrently and samples the
-// ingress load once.
+// sweep probes every registered target concurrently.
 func (c *Checker) sweep(stop <-chan struct{}) {
 	if c.Background != nil {
 		release, ok := c.Background.TrackBackground()
@@ -134,9 +124,6 @@ func (c *Checker) sweep(stop <-chan struct{}) {
 			return // draining; no new probes
 		}
 		defer release()
-	}
-	if c.Load != nil {
-		c.Registry.ReportLoad(c.Load())
 	}
 	if c.OnSweep != nil {
 		c.OnSweep()
@@ -165,14 +152,11 @@ func (c *Checker) sweep(stop <-chan struct{}) {
 	wg.Wait()
 }
 
-// RunOnce performs one sequential probe sweep plus a load sample on
-// the caller's goroutine. This is the virtual-time entry point: under
+// RunOnce performs one sequential probe sweep on the caller's
+// goroutine. This is the virtual-time entry point: under
 // simnet each Probe advances the virtual clock through the simulated
 // exchange, so the sweep is deterministic and replayable.
 func (c *Checker) RunOnce(ctx context.Context) {
-	if c.Load != nil {
-		c.Registry.ReportLoad(c.Load())
-	}
 	if c.OnSweep != nil {
 		c.OnSweep()
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -59,17 +58,6 @@ func TestRunOnceSweepsAllTargets(t *testing.T) {
 	wantState(t, r, "bad", StateDown)
 	if p.count("good") != 3 || p.count("bad") != 3 {
 		t.Fatalf("probe counts = %d/%d, want 3/3", p.count("good"), p.count("bad"))
-	}
-}
-
-func TestRunOnceReportsLoad(t *testing.T) {
-	r, _ := newTestRegistry(t, func(c *Config) { c.LoadHigh = 0.8 })
-	var load atomic.Value
-	load.Store(0.9)
-	c := &Checker{Registry: r, Load: func() float64 { return load.Load().(float64) }}
-	c.RunOnce(context.Background())
-	if !r.FallbackActive() {
-		t.Fatal("sweep must feed the load sample into the watermark switch")
 	}
 }
 

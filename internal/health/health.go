@@ -1,18 +1,14 @@
 // Package health is the MEC-CDN control plane's view of what is
 // alive: active probers score cache instances and DNS upstreams, a
 // per-target hysteresis state machine turns raw probe results into
-// stable routing decisions, and an ingress-load watermark switch
-// implements the paper's DoS mechanism — when MEC ingress load
-// crosses the high watermark, routing flips to the fallback path
-// (provider L-DNS or parent tier) and only returns once load has
-// stayed under the low watermark for a dwell period.
+// stable routing decisions.
 //
 // The pieces compose but do not require each other:
 //
 //   - Registry holds targets and their states. It is time-driven but
 //     passive: callers feed it probe outcomes (ReportSuccess /
-//     ReportFailure) and ingress load samples (ReportLoad), and read
-//     back routing verdicts (Routable, Eligible, FallbackActive).
+//     ReportFailure) and read back routing verdicts (Routable,
+//     Eligible, Rank).
 //     Under simnet the experiment loop drives it in virtual time;
 //     under a live server the Checker drives it from goroutines.
 //   - Checker is the active prober: a jittered periodic loop that
@@ -88,8 +84,7 @@ func (s State) String() string {
 func (s State) Routable() bool { return s == StateHealthy || s == StateDegraded }
 
 // Config parameterizes a Registry and its Checker. The zero value
-// gets sensible defaults from withDefaults; watermark switching is
-// disabled unless LoadHigh > 0.
+// gets sensible defaults from withDefaults.
 type Config struct {
 	// ProbeInterval is the nominal time between probe sweeps; the
 	// Checker jitters each sweep by ±Jitter of this. 0 means 1s.
@@ -116,20 +111,8 @@ type Config struct {
 	// latency score (0 < alpha ≤ 1). 0 means 0.2.
 	EWMAAlpha float64
 
-	// LoadHigh is the ingress-load high watermark: a ReportLoad at or
-	// above it flips routing to the fallback path. 0 disables the
-	// switch.
-	LoadHigh float64
-	// LoadLow is the low watermark: load must stay below it for
-	// LoadDwell before MEC-local routing is restored. 0 means
-	// LoadHigh/2.
-	LoadLow float64
-	// LoadDwell is how long load must remain under LoadLow before the
-	// switch resets. 0 means 2×ProbeInterval.
-	LoadDwell time.Duration
-
-	// Clock supplies time for dwell and load accounting. Nil means a
-	// wall clock; use the simnet clock in experiments.
+	// Clock supplies time for dwell accounting. Nil means a wall
+	// clock; use the simnet clock in experiments.
 	Clock vclock.Clock
 }
 
@@ -164,12 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
 		c.EWMAAlpha = 0.2
-	}
-	if c.LoadHigh > 0 && c.LoadLow <= 0 {
-		c.LoadLow = c.LoadHigh / 2
-	}
-	if c.LoadDwell <= 0 {
-		c.LoadDwell = 2 * c.ProbeInterval
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()

@@ -18,10 +18,6 @@ type target struct {
 	probes     uint64 // total probes reported
 	failures   uint64 // total failed probes
 	ewma       time.Duration
-	lastRTT    time.Duration
-	// override, when non-nil, pins the routing verdict regardless of
-	// state — the test/chaos layer SetHealthy used to be.
-	override *bool
 }
 
 // TargetID names one registered target and its probe address.
@@ -42,22 +38,17 @@ type TargetStatus struct {
 	Probes     uint64        `json:"probes"`
 	Failures   uint64        `json:"failures"`
 	EWMA       time.Duration `json:"ewma_latency"`
-	Override   *bool         `json:"override,omitempty"`
 }
 
 // Status is the registry snapshot served at /health.
 type Status struct {
-	Targets  []TargetStatus `json:"targets"`
-	Load     float64        `json:"ingress_load"`
-	Fallback bool           `json:"fallback_active"`
-	Switches uint64         `json:"switches_total"`
+	Targets []TargetStatus `json:"targets"`
 }
 
 // Registry is the health control plane's source of truth: target
-// states, probe scores, the chaos-override layer, and the
-// ingress-load watermark switch. All methods are safe for concurrent
-// use; transition listeners are invoked without the registry lock
-// held, so they may call back into the registry.
+// states and probe scores. All methods are safe for concurrent use;
+// transition listeners are invoked without the registry lock held, so
+// they may call back into the registry.
 type Registry struct {
 	cfg Config
 
@@ -65,34 +56,25 @@ type Registry struct {
 	targets   map[string]*target
 	listeners []func(name string, from, to State)
 
-	// Load watermark switch state.
-	load       float64
-	fallback   bool
-	belowSince time.Duration // -1 when not below LoadLow
-
 	// Instruments. Built once in New; Collectors hands them to a
 	// telemetry.Registry.
 	probes      *telemetry.CounterVec // result=success|failure
 	transitions *telemetry.CounterVec // target, to
 	states      *telemetry.GaugeVec   // state
-	switches    *telemetry.CounterVec // direction=to_fallback|to_local
 	probeRTT    *telemetry.Histogram
 }
 
 // New returns an empty registry with cfg's zero fields defaulted.
 func New(cfg Config) *Registry {
 	return &Registry{
-		cfg:        cfg.withDefaults(),
-		targets:    make(map[string]*target),
-		belowSince: -1,
+		cfg:     cfg.withDefaults(),
+		targets: make(map[string]*target),
 		probes: telemetry.NewCounterVec("meccdn_health_probes_total",
 			"Active health probes by outcome.", "result"),
 		transitions: telemetry.NewCounterVec("meccdn_health_transitions_total",
 			"Target state-machine transitions by target and new state.", "target", "to"),
 		states: telemetry.NewGaugeVec("meccdn_health_targets",
 			"Registered targets by current state.", "state"),
-		switches: telemetry.NewCounterVec("meccdn_health_switches_total",
-			"Ingress-load watermark switches by direction.", "direction"),
 		probeRTT: telemetry.NewHistogram("meccdn_health_probe_rtt_seconds",
 			"Round-trip time of successful health probes."),
 	}
@@ -105,17 +87,7 @@ func (r *Registry) Config() Config { return r.cfg }
 // Collectors returns the registry's metric families for registration
 // on a telemetry.Registry.
 func (r *Registry) Collectors() []telemetry.Collector {
-	return []telemetry.Collector{
-		r.probes, r.transitions, r.states, r.switches, r.probeRTT,
-		telemetry.NewGaugeFunc("meccdn_health_fallback_active",
-			"1 while the ingress-load switch routes to the fallback path.",
-			func() float64 {
-				if r.FallbackActive() {
-					return 1
-				}
-				return 0
-			}),
-	}
+	return []telemetry.Collector{r.probes, r.transitions, r.states, r.probeRTT}
 }
 
 // Add registers a probe target in the probing state. It is not
@@ -167,8 +139,8 @@ func (r *Registry) State(name string) (State, bool) {
 }
 
 // Routable reports whether traffic may be routed to the target. An
-// override wins over the state machine; an unknown target is routable
-// (the registry only vetoes what it tracks).
+// unknown target is routable (the registry only vetoes what it
+// tracks).
 func (r *Registry) Routable(name string) bool {
 	ok, _ := r.Eligible(name)
 	return ok
@@ -184,34 +156,7 @@ func (r *Registry) Eligible(name string) (routable, degraded bool) {
 	if !ok {
 		return true, false
 	}
-	if t.override != nil {
-		return *t.override, false
-	}
 	return t.state.Routable(), t.state == StateDegraded
-}
-
-// SetOverride pins the target's routing verdict regardless of probe
-// state: the explicit test/chaos API layered over the state machine
-// (what flipping CacheServer.SetHealthy used to express). It reports
-// whether the target is registered.
-func (r *Registry) SetOverride(name string, up bool) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.targets[name]
-	if !ok {
-		return false
-	}
-	t.override = &up
-	return true
-}
-
-// ClearOverride returns the target to state-machine verdicts.
-func (r *Registry) ClearOverride(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t, ok := r.targets[name]; ok {
-		t.override = nil
-	}
 }
 
 // OnTransition subscribes fn to state transitions. Listeners run
@@ -248,7 +193,6 @@ func (r *Registry) report(name string, ok bool, rtt time.Duration) {
 		r.probeRTT.Observe(rtt)
 		t.consecOK++
 		t.consecFail = 0
-		t.lastRTT = rtt
 		if t.ewma == 0 {
 			t.ewma = rtt
 		} else {
@@ -319,13 +263,7 @@ func (r *Registry) nextStateLocked(t *target, now time.Duration) State {
 // rank orders states for upstream scoring: untracked targets slot in
 // just after healthy ones (no evidence against them), and anything
 // not routable goes last.
-func stateRank(s State, tracked bool, override *bool) int {
-	if override != nil {
-		if *override {
-			return 0
-		}
-		return 5
-	}
+func stateRank(s State, tracked bool) int {
 	if !tracked {
 		return 1
 	}
@@ -349,99 +287,29 @@ func (r *Registry) Rank(name string) (rank int, ewma time.Duration) {
 	defer r.mu.Unlock()
 	t, ok := r.targets[name]
 	if !ok {
-		return stateRank(StateProbing, false, nil), 0
+		return stateRank(StateProbing, false), 0
 	}
-	return stateRank(t.state, true, t.override), t.ewma
+	return stateRank(t.state, true), t.ewma
 }
-
-// EWMALatency returns the target's smoothed probe RTT; ok=false when
-// the target is unknown or has never succeeded a probe.
-func (r *Registry) EWMALatency(name string) (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, known := r.targets[name]
-	if !known || t.ewma == 0 {
-		return 0, false
-	}
-	return t.ewma, true
-}
-
-// ReportLoad feeds one ingress-load sample (any monotone measure of
-// MEC ingress pressure: queue occupancy fraction, QPS, …) into the
-// watermark switch. Crossing LoadHigh flips routing to the fallback
-// path immediately; the switch resets only once samples have stayed
-// under LoadLow for LoadDwell — so recovery requires continued
-// reporting, which the Checker provides every sweep.
-func (r *Registry) ReportLoad(load float64) {
-	if r.cfg.LoadHigh <= 0 {
-		return
-	}
-	now := r.cfg.Clock.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.load = load
-	if !r.fallback {
-		if load >= r.cfg.LoadHigh {
-			r.fallback = true
-			r.belowSince = -1
-			r.switches.Inc("to_fallback")
-		}
-		return
-	}
-	if load >= r.cfg.LoadLow {
-		r.belowSince = -1
-		return
-	}
-	if r.belowSince < 0 {
-		r.belowSince = now
-		return
-	}
-	if now-r.belowSince >= r.cfg.LoadDwell {
-		r.fallback = false
-		r.belowSince = -1
-		r.switches.Inc("to_local")
-	}
-}
-
-// FallbackActive reports whether the ingress-load switch currently
-// routes to the fallback path.
-func (r *Registry) FallbackActive() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fallback
-}
-
-// Switches returns the total watermark switches in both directions.
-func (r *Registry) Switches() uint64 { return r.switches.Sum() }
 
 // Snapshot renders the registry for the /health admin view.
 func (r *Registry) Snapshot() Status {
 	now := r.cfg.Clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := Status{
-		Targets:  make([]TargetStatus, 0, len(r.targets)),
-		Load:     r.load,
-		Fallback: r.fallback,
-		Switches: r.switches.Sum(),
-	}
+	st := Status{Targets: make([]TargetStatus, 0, len(r.targets))}
 	for _, t := range r.targets {
-		routable := t.state.Routable()
-		if t.override != nil {
-			routable = *t.override
-		}
 		st.Targets = append(st.Targets, TargetStatus{
 			Name:       t.name,
 			Addr:       t.addr,
 			State:      t.state.String(),
-			Routable:   routable,
+			Routable:   t.state.Routable(),
 			InStateFor: now - t.since,
 			ConsecFail: t.consecFail,
 			ConsecOK:   t.consecOK,
 			Probes:     t.probes,
 			Failures:   t.failures,
 			EWMA:       t.ewma,
-			Override:   t.override,
 		})
 	}
 	sort.Slice(st.Targets, func(i, j int) bool { return st.Targets[i].Name < st.Targets[j].Name })

@@ -222,34 +222,6 @@ func TestNoFlapUnderAlternatingResults(t *testing.T) {
 	wantState(t, r, "c", StateHealthy)
 }
 
-func TestOverrideWinsOverStateMachine(t *testing.T) {
-	r, _ := newTestRegistry(t, nil)
-	r.Add("c", "10.0.0.1:53")
-	r.ReportSuccess("c", time.Millisecond)
-	if !r.SetOverride("c", false) {
-		t.Fatal("SetOverride on a registered target returned false")
-	}
-	if r.Routable("c") {
-		t.Fatal("override=false must veto a healthy target")
-	}
-	r.ClearOverride("c")
-	if !r.Routable("c") {
-		t.Fatal("clearing the override must restore the state verdict")
-	}
-	// Override=true resurrects even a down target.
-	for i := 0; i < 3; i++ {
-		r.ReportFailure("c")
-	}
-	wantState(t, r, "c", StateDown)
-	r.SetOverride("c", true)
-	if !r.Routable("c") {
-		t.Fatal("override=true must force a down target routable")
-	}
-	if r.SetOverride("nope", true) {
-		t.Fatal("SetOverride on an unknown target must return false")
-	}
-}
-
 func TestUnknownTargetIsRoutable(t *testing.T) {
 	r, _ := newTestRegistry(t, nil)
 	if !r.Routable("never-registered") {
@@ -297,7 +269,7 @@ func TestRemoveAndReAdd(t *testing.T) {
 
 func TestRankOrdering(t *testing.T) {
 	r, clk := newTestRegistry(t, nil)
-	for _, n := range []string{"healthy", "degraded", "probing", "down", "pinned-up", "pinned-down"} {
+	for _, n := range []string{"healthy", "degraded", "probing", "down"} {
 		r.Add(n, "10.0.0.1:53")
 	}
 	mk := func(name string, to State) {
@@ -318,94 +290,31 @@ func TestRankOrdering(t *testing.T) {
 	mk("healthy", StateHealthy)
 	mk("degraded", StateDegraded)
 	mk("down", StateDown)
-	mk("pinned-up", StateDown)
-	r.SetOverride("pinned-up", true)
-	mk("pinned-down", StateHealthy)
-	r.SetOverride("pinned-down", false)
 
 	rank := func(name string) int { k, _ := r.Rank(name); return k }
-	order := []string{"healthy", "unknown", "degraded", "probing", "down", "pinned-down"}
+	order := []string{"healthy", "unknown", "degraded", "probing", "down"}
 	for i := 1; i < len(order); i++ {
 		if rank(order[i-1]) >= rank(order[i]) {
 			t.Fatalf("rank(%s)=%d not better than rank(%s)=%d",
 				order[i-1], rank(order[i-1]), order[i], rank(order[i]))
 		}
 	}
-	if rank("pinned-up") != rank("healthy") {
-		t.Fatalf("override=true must rank with healthy, got %d", rank("pinned-up"))
-	}
 }
 
 func TestEWMALatency(t *testing.T) {
 	r, _ := newTestRegistry(t, func(c *Config) { c.EWMAAlpha = 0.5 })
 	r.Add("c", "10.0.0.1:53")
-	if _, ok := r.EWMALatency("c"); ok {
-		t.Fatal("EWMA before any success must be unknown")
+	ewma := func() time.Duration { _, e := r.Rank("c"); return e }
+	if got := ewma(); got != 0 {
+		t.Fatalf("EWMA before any success = %v, want 0 (unknown)", got)
 	}
 	r.ReportSuccess("c", 10*time.Millisecond)
-	if got, _ := r.EWMALatency("c"); got != 10*time.Millisecond {
+	if got := ewma(); got != 10*time.Millisecond {
 		t.Fatalf("first sample must seed the EWMA, got %v", got)
 	}
 	r.ReportSuccess("c", 20*time.Millisecond)
-	if got, _ := r.EWMALatency("c"); got != 15*time.Millisecond {
+	if got := ewma(); got != 15*time.Millisecond {
 		t.Fatalf("EWMA(0.5) after 10ms,20ms = %v, want 15ms", got)
-	}
-}
-
-func TestLoadWatermarkSwitch(t *testing.T) {
-	r, clk := newTestRegistry(t, func(c *Config) {
-		c.LoadHigh = 0.8
-		c.LoadLow = 0.4
-		c.LoadDwell = 2 * time.Second
-	})
-	if r.FallbackActive() {
-		t.Fatal("switch must start in MEC-local mode")
-	}
-	r.ReportLoad(0.79)
-	if r.FallbackActive() {
-		t.Fatal("load under the high watermark must not flip the switch")
-	}
-	r.ReportLoad(0.8)
-	if !r.FallbackActive() {
-		t.Fatal("load at the high watermark must flip to fallback")
-	}
-	if got := r.Switches(); got != 1 {
-		t.Fatalf("switches counter = %d, want 1", got)
-	}
-	// Load between low and high keeps fallback active.
-	r.ReportLoad(0.5)
-	if !r.FallbackActive() {
-		t.Fatal("fallback must hold until load drops below the LOW watermark")
-	}
-	// Below low, but the dwell has not elapsed yet.
-	r.ReportLoad(0.3)
-	clk.Advance(time.Second)
-	r.ReportLoad(0.3)
-	if !r.FallbackActive() {
-		t.Fatal("recovery before the dwell elapses")
-	}
-	// A spike back above low resets the dwell timer.
-	r.ReportLoad(0.5)
-	clk.Advance(2 * time.Second)
-	r.ReportLoad(0.3)
-	if !r.FallbackActive() {
-		t.Fatal("the dwell must restart after load re-crossed the low watermark")
-	}
-	clk.Advance(2 * time.Second)
-	r.ReportLoad(0.3)
-	if r.FallbackActive() {
-		t.Fatal("sustained low load past the dwell must restore MEC-local routing")
-	}
-	if got := r.Switches(); got != 2 {
-		t.Fatalf("switches counter = %d, want 2 (one each direction)", got)
-	}
-}
-
-func TestLoadSwitchDisabledByDefault(t *testing.T) {
-	r, _ := newTestRegistry(t, nil) // LoadHigh zero
-	r.ReportLoad(1000)
-	if r.FallbackActive() {
-		t.Fatal("watermark switch must be inert when LoadHigh is unset")
 	}
 }
 
@@ -456,7 +365,6 @@ func TestSnapshotAndExposition(t *testing.T) {
 		`meccdn_health_targets{state="healthy"} 1`,
 		`meccdn_health_targets{state="probing"} 1`,
 		`meccdn_health_transitions_total{target="a",to="healthy"} 1`,
-		`meccdn_health_fallback_active 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -481,9 +389,5 @@ func TestConfigDefaults(t *testing.T) {
 	neg := Config{MinDwell: -1, Jitter: -1}.withDefaults()
 	if neg.MinDwell != 0 || neg.Jitter != 0 {
 		t.Fatalf("negative MinDwell/Jitter must disable, got %v/%v", neg.MinDwell, neg.Jitter)
-	}
-	lw := Config{LoadHigh: 0.9}.withDefaults()
-	if lw.LoadLow != 0.45 {
-		t.Fatalf("LoadLow default = %v, want LoadHigh/2", lw.LoadLow)
 	}
 }

@@ -20,6 +20,7 @@ package lpm
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -313,6 +314,18 @@ func (t *Table) RowsV4() int { return t.rows4 }
 
 // RowsV6 returns the number of IPv6 routes loaded.
 func (t *Table) RowsV6() int { return t.rows6 }
+
+// Equal reports whether t and u route every address alike and were
+// built from as many rows per family: their sorted span arrays match,
+// whatever order the rows were added in. A nil table equals only nil.
+func (t *Table) Equal(u *Table) bool {
+	if t == nil || u == nil {
+		return t == u
+	}
+	return t.rows4 == u.rows4 && t.rows6 == u.rows6 &&
+		slices.Equal(t.v4start, u.v4start) && slices.Equal(t.v4pop, u.v4pop) && slices.Equal(t.v4bits, u.v4bits) &&
+		slices.Equal(t.v6start, u.v6start) && slices.Equal(t.v6pop, u.v6pop) && slices.Equal(t.v6bits, u.v6bits)
+}
 
 // Spans returns the number of flattened intervals the table stores —
 // the working-set size a lookup binary-searches over.

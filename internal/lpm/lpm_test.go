@@ -195,6 +195,45 @@ func TestDifferentialRandom(t *testing.T) {
 	}
 }
 
+// TestTableEqual: the same rows added in another order build an equal
+// table; one changed PoP, or one row fewer, does not.
+func TestTableEqual(t *testing.T) {
+	rows := []struct {
+		prefix string
+		pop    PoP
+	}{
+		{"10.0.0.0/8", 1}, {"10.1.0.0/16", 2}, {"10.1.7.0/24", 3},
+		{"192.0.2.0/24", 4}, {"2001:db8::/32", 5}, {"2001:db8:1::/48", 6},
+	}
+	build := func(order []int, change int) *Table {
+		b := NewBuilder()
+		for _, i := range order {
+			pop := rows[i].pop
+			if i == change {
+				pop += 10
+			}
+			mustAdd(t, b, rows[i].prefix, pop)
+		}
+		return b.Build()
+	}
+	base := build([]int{0, 1, 2, 3, 4, 5}, -1)
+	if other := build([]int{5, 2, 3, 0, 4, 1}, -1); !base.Equal(other) || !other.Equal(base) {
+		t.Error("the same rows in another insertion order are not Equal")
+	}
+	for i := range rows {
+		if base.Equal(build([]int{0, 1, 2, 3, 4, 5}, i)) {
+			t.Errorf("table with %s's PoP changed is Equal", rows[i].prefix)
+		}
+	}
+	if base.Equal(build([]int{0, 1, 2, 3, 4}, -1)) {
+		t.Error("table missing a row is Equal")
+	}
+	var none *Table
+	if base.Equal(none) || none.Equal(base) || !none.Equal(nil) {
+		t.Error("nil tables: only nil equals nil")
+	}
+}
+
 func TestParseRoutes(t *testing.T) {
 	const text = `
 # subnet            PoP

@@ -275,12 +275,6 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 					c.Cache().Each(func(content cdn.Content) { add(content.Name) })
 				}
 			},
-			Load: func() float64 {
-				if site.Health != nil {
-					return site.Health.Snapshot().Load
-				}
-				return 0
-			},
 		})
 		site.Mesh.BindSimnet(site.meshNode)
 		site.Router.UseMesh(site.Mesh.View())

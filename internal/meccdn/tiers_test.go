@@ -137,11 +137,11 @@ func TestSiteScaling(t *testing.T) {
 	}
 }
 
-// TestCacheFailureResilience drains the cache instance the router is
+// TestCacheFailureResilience kills the cache instance the router is
 // steering a name to and verifies the site keeps serving from the
 // survivor — the availability property the health checks buy. The
-// drain goes through the registry's explicit override API, the
-// control-plane analogue of the data-plane SetHealthy kill switch.
+// kill is the data-plane SetHealthy switch; DownAfter probe sweeps
+// demote the victim out of routing.
 func TestCacheFailureResilience(t *testing.T) {
 	d := deploy(t, 34, func(c *SiteConfig) {
 		c.Health = &health.Config{DownAfter: 2, UpAfter: 1, MinDwell: -1}
@@ -166,8 +166,11 @@ func TestCacheFailureResilience(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no ring owner among caches")
 	}
-	if !d.site.Health.SetOverride(victim.Name, false) {
-		t.Fatalf("victim %s not registered with the health registry", victim.Name)
+	victim.SetHealthy(false)
+	d.site.ProbeOnce()
+	d.site.ProbeOnce() // DownAfter = 2
+	if st, _ := d.site.Health.State(victim.Name); st != health.StateDown {
+		t.Fatalf("victim %s state = %v after two failed sweeps, want down", victim.Name, st)
 	}
 	// Expire the cached DNS answer so the router re-selects.
 	d.tb.Net.Clock.RunUntil(d.tb.Net.Now() + time.Minute)

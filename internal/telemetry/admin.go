@@ -35,7 +35,7 @@ type Admin struct {
 	Healthy func() bool
 	// Health backs /health with a JSON-serializable snapshot; nil
 	// returns 404. Wire it to a health.Registry's Snapshot so
-	// operators can read target states and the watermark switch.
+	// operators can read target states and probe scores.
 	Health func() any
 	// Routes backs /routes with a JSON-serializable summary of the
 	// subnet→PoP routing table; nil returns 404.

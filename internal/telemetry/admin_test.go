@@ -33,7 +33,7 @@ func TestAdminEndpoints(t *testing.T) {
 	healthy := true
 	a := &Admin{Registry: reg, Log: log, Healthy: func() bool { return healthy },
 		Health: func() any {
-			return map[string]any{"fallback_active": true}
+			return map[string]any{"routable": true}
 		},
 		Routes: func() any {
 			return map[string]any{"rows": 3}
@@ -72,7 +72,7 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 
 	code, body, hdr = getBody(t, ts, "/health")
-	if code != http.StatusOK || !strings.Contains(body, `"fallback_active": true`) {
+	if code != http.StatusOK || !strings.Contains(body, `"routable": true`) {
 		t.Errorf("/health = %d %q", code, body)
 	}
 	if ct := hdr.Get("Content-Type"); ct != "application/json" {
