@@ -260,7 +260,6 @@ func BenchmarkRouterPolicyAvailability(b *testing.B) {
 	b.ReportAllocs()
 	benchmarkRouterPolicy(b, cdn.AvailabilityFirst{})
 }
-func BenchmarkRouterPolicyGeo(b *testing.B)         { benchmarkRouterPolicy(b, cdn.GeoNearest{}) }
 func BenchmarkRouterPolicyRoundRobin(b *testing.B)  { benchmarkRouterPolicy(b, &cdn.RoundRobin{}) }
 func BenchmarkRouterPolicyLeastLoaded(b *testing.B) { benchmarkRouterPolicy(b, cdn.LeastLoaded{}) }
 
@@ -323,8 +322,7 @@ func BenchmarkRingOwners(b *testing.B) {
 			b.Fatal("short owner walk")
 		}
 		// Router.Route records the routing decision in both plain and
-		// bounded modes (so a live -ring-bounded flip starts with warm
-		// counters); charge it to both benchmarks for a fair delta.
+		// bounded modes; charge it to both benchmarks for a fair delta.
 		ring.RecordLoad(owners[0])
 		if i%256 == 255 {
 			ring.DecayLoads(0.5)

@@ -96,8 +96,6 @@ func bind(fs *flag.FlagSet, c *dnsd.Config) {
 	fs.IntVar(&c.UpAfter, "up-after", 2, "consecutive probe successes before a down upstream recovers")
 	fs.StringVar(&c.CDNDomain, "cdn-domain", "", "CDN domain served by the embedded C-DNS request router (empty disables)")
 	fs.StringVar(&c.Routes, "routes", "", "subnet→PoP routes file for the C-DNS router, one \"prefix popID\" per line; requires -cdn-domain")
-	fs.BoolVar(&c.RingBounded, "ring-bounded", false, "bounded-load routing: cap each CDN cache at -ring-load-factor times the mean load, spilling hot keys to the next ring owner with capacity; requires -cdn-domain")
-	fs.Float64Var(&c.RingLoadFactor, "ring-load-factor", 1.25, "bounded-load cap as a multiple of the mean per-cache load (must be > 1); requires -cdn-domain")
 	fs.StringVar(&c.Mesh, "mesh", "", "UDP listen address for federated-mesh ANNOUNCE/DIGEST gossip (empty disables); requires -cdn-domain")
 	fs.StringVar(&c.MeshName, "mesh-name", "", "site name announced to mesh peers (default: hostname); requires -mesh")
 	fs.DurationVar(&c.AnnounceInterval, "announce-interval", 2*time.Second, "mesh announce cadence; requires -mesh")

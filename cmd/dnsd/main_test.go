@@ -73,8 +73,6 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		"-up-after", "40",
 		"-cdn-domain", "cdn43.test.",
 		"-routes", "/etc/routes44",
-		"-ring-bounded",
-		"-ring-load-factor", "1.46",
 		"-mesh", "127.0.0.1:7047",
 		"-mesh-name", "site48",
 		"-announce-interval", "49s",
@@ -110,8 +108,6 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		UpAfter:          40,
 		CDNDomain:        "cdn43.test.",
 		Routes:           "/etc/routes44",
-		RingBounded:      true,
-		RingLoadFactor:   1.46,
 		Mesh:             "127.0.0.1:7047",
 		MeshName:         "site48",
 		AnnounceInterval: 49 * time.Second,

@@ -43,7 +43,7 @@ func main() {
 			Domain:     domain,
 			NamePrefix: prefix,
 			OriginAddr: originNode.Addr,
-			Mesh:       &meccdn.MeshOptions{},
+			Mesh:       true,
 		})
 		if err != nil {
 			log.Fatal(err)

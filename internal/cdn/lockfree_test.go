@@ -115,7 +115,6 @@ func TestRouterServePathMutexFree(t *testing.T) {
 		rt.AddServer(churn, geoip.Location{X: 500, Name: "churn"})
 		rt.RemoveServer("churn")
 		rt.MapPoP(lpm.PoP(1), netip.AddrFrom4([4]byte{192, 0, 2, byte(1 + i%250)}))
-		rt.BindPoP(lpm.PoP(2), fmt.Sprintf("cache-%d", i%3))
 		announce(uint32(i + 2))
 		agent.DecayLoads(0.5)
 	}

@@ -23,7 +23,7 @@ type PoP = lpm.PoP
 // ServerInfo is the router's view of one cache server.
 type ServerInfo struct {
 	Server *CacheServer
-	// Location places the server for geo policies.
+	// Location is where AddServer placed the server; no policy reads it.
 	Location geoip.Location
 	// Advertise, when valid, is the address published in DNS answers
 	// instead of the server's own — a k8s Service cluster IP in the
@@ -43,10 +43,8 @@ func (si *ServerInfo) Answer() netip.Addr {
 // apparent address (often a gateway, not the end client) and, when
 // ECS is present, the disclosed client subnet.
 type ClientInfo struct {
-	Addr     netip.Addr
-	ECS      netip.Prefix
-	Location geoip.Location
-	Located  bool
+	Addr netip.Addr
+	ECS  netip.Prefix
 }
 
 // SelectionPolicy picks one cache server among candidates. Candidates
@@ -80,28 +78,6 @@ func (AvailabilityFirst) Select(candidates []*ServerInfo, key string, _ ClientIn
 	}
 	if have != nil {
 		return have
-	}
-	return best
-}
-
-// GeoNearest picks the server closest to the client's location,
-// falling back to least-loaded when the client cannot be located.
-type GeoNearest struct{}
-
-// Name implements SelectionPolicy.
-func (GeoNearest) Name() string { return "geo-nearest" }
-
-// Select implements SelectionPolicy.
-func (GeoNearest) Select(candidates []*ServerInfo, key string, client ClientInfo) *ServerInfo {
-	if !client.Located {
-		return AvailabilityFirst{}.Select(candidates, key, client)
-	}
-	best := candidates[0]
-	bestDist := client.Location.DistanceTo(best.Location)
-	for _, c := range candidates[1:] {
-		if d := client.Location.DistanceTo(c.Location); d < bestDist {
-			best, bestDist = c, d
-		}
 	}
 	return best
 }
@@ -150,8 +126,6 @@ type Router struct {
 	// Policy selects among candidate servers; nil means
 	// AvailabilityFirst.
 	Policy SelectionPolicy
-	// Geo locates clients for geo policies; optional.
-	Geo *geoip.DB
 	// TTL for answers; CDN routers use short TTLs to keep routing
 	// responsive. Zero means 30.
 	TTL uint32
@@ -176,7 +150,7 @@ type Router struct {
 	// it once per query and never lock.
 	state atomic.Pointer[routerState]
 	// wmu serializes registry writers (AddServer, RemoveServer,
-	// MapPoP, BindPoP, health transitions); readers never take it.
+	// MapPoP, health transitions); readers never take it.
 	wmu sync.Mutex
 
 	// subnets is the ECS-driven subnet→PoP routing table, consulted
@@ -197,12 +171,12 @@ type Router struct {
 }
 
 // routerState is one immutable revision of the router's registry: the
-// cache servers and the PoP→target bindings. Writers copy, mutate the
-// copy, and publish; the maps in a published state are never written
-// again.
+// cache servers and the PoP→answer-address map. Writers copy, mutate
+// the copy, and publish; the maps in a published state are never
+// written again.
 type routerState struct {
 	servers map[string]*ServerInfo
-	pops    map[lpm.PoP]popTarget
+	pops    map[lpm.PoP]netip.Addr
 }
 
 // emptyRouterState backs routers built as plain struct literals.
@@ -222,7 +196,7 @@ func (rt *Router) updateState(fn func(*routerState)) {
 	old := rt.snapshot()
 	next := &routerState{
 		servers: make(map[string]*ServerInfo, len(old.servers)+1),
-		pops:    make(map[lpm.PoP]popTarget, len(old.pops)+1),
+		pops:    make(map[lpm.PoP]netip.Addr, len(old.pops)+1),
 	}
 	for n, s := range old.servers {
 		next.servers[n] = s
@@ -234,15 +208,6 @@ func (rt *Router) updateState(fn func(*routerState)) {
 	rt.state.Store(next)
 }
 
-// popTarget is where a PoP's traffic goes: a registered cache server
-// (health-gated, answering with its advertise address) and/or a static
-// answer address used directly — dnsd's standalone mode — and as the
-// fallback when the bound server is unregistered or unroutable.
-type popTarget struct {
-	addr   netip.Addr
-	server string
-}
-
 // counters lazily builds the routing counters, so Router keeps working
 // as a plain struct literal.
 func (rt *Router) counters() *telemetry.CounterVec {
@@ -250,7 +215,7 @@ func (rt *Router) counters() *telemetry.CounterVec {
 		rt.routed = telemetry.NewCounterVec("meccdn_cdn_routed_total",
 			"C-DNS routing decisions by result (selected, peer, referral, peer_fallback, failed, nodata).", "result")
 		rt.routeCtr = telemetry.NewCounterVec("meccdn_route_lookups_total",
-			"Subnet→PoP table lookups by result: hit (route matched and answered), miss (no covering route), unmapped (route matched a PoP with no usable target and no healthy mesh peer to fall back to).", "result")
+			"Subnet→PoP table lookups by result: hit (route matched and answered), miss (no covering route), peer_fallback (route matched a PoP with no address and a healthy mesh peer took the client), unmapped (route matched a PoP with no address and no healthy mesh peer to fall back to).", "result")
 	})
 	return rt.routed
 }
@@ -308,43 +273,23 @@ func (rt *Router) Routes() *lpm.Table { return rt.subnets.Load() }
 func (rt *Router) MapPoP(pop lpm.PoP, addr netip.Addr) {
 	rt.wmu.Lock()
 	defer rt.wmu.Unlock()
-	rt.updateState(func(s *routerState) {
-		tgt := s.pops[pop]
-		tgt.addr = addr
-		s.pops[pop] = tgt
-	})
-}
-
-// BindPoP routes pop's traffic to a registered cache server by name:
-// the answer follows the server's advertise address and its health
-// verdict. A PoP may carry both a binding and a MapPoP address; the
-// static address serves as fallback while the server is unregistered
-// or unroutable.
-func (rt *Router) BindPoP(pop lpm.PoP, server string) {
-	rt.wmu.Lock()
-	defer rt.wmu.Unlock()
-	rt.updateState(func(s *routerState) {
-		tgt := s.pops[pop]
-		tgt.server = server
-		s.pops[pop] = tgt
-	})
+	rt.updateState(func(s *routerState) { s.pops[pop] = addr })
 }
 
 // subnetRoute consults the subnet→PoP table for the client's
 // ECS-disclosed subnet (or, absent ECS, the resolver source address —
 // the very conflation the paper faults plain DNS for, kept only as the
 // fallback signal). It returns the answer address (invalid when the
-// table missed or the PoP had no usable target), a peer-referral
-// address (valid when the mapped PoP was dead but a healthy mesh peer
-// can take the client instead — the geo-aware fallback), the ECS scope
-// to stamp, and whether a table is installed at all.
+// table missed or the PoP has no address), a peer-referral address
+// (valid when the mapped PoP was dead but a healthy mesh peer can take
+// the client instead), the ECS scope to stamp, and whether a table is
+// installed at all.
 //
 // Scope semantics (RFC 7871): a route hit discriminated the client at
 // exactly the matched prefix length, so that is the scope; a miss (or
 // an unmapped PoP) means the table did not discriminate — scope 0, the
 // answer is as good for any subnet. Without a table the router stays
-// on its historical echo (scope = source), since policy routing may
-// still have used the full disclosed address for geo distance.
+// on its historical echo (scope = source).
 func (rt *Router) subnetRoute(client ClientInfo) (addr, peerRef netip.Addr, scope int, tabled bool) {
 	table := rt.subnets.Load()
 	if table == nil {
@@ -359,12 +304,11 @@ func (rt *Router) subnetRoute(client ClientInfo) (addr, peerRef netip.Addr, scop
 		rt.routeCtr.Inc("miss")
 		return netip.Addr{}, netip.Addr{}, 0, true
 	}
-	addr, ok = rt.popAnswer(pop)
+	addr, ok = rt.snapshot().pops[pop]
 	if !ok {
-		// Geo-aware fallback: the LPM route named a PoP but nothing
-		// behind it is usable (bound server down, no static address).
-		// Rather than answering a dead edge, hand the client to the
-		// nearest healthy peer MEC from the mesh view.
+		// The LPM route named a PoP with no address. Rather than
+		// answering a dead edge, hand the client to the nearest healthy
+		// peer MEC from the mesh view.
 		if v := rt.peers.Load(); v != nil {
 			if hit, hitOK := v.Nearest(); hitOK && hit.Addr.IsValid() {
 				rt.routeCtr.Inc("peer_fallback")
@@ -376,34 +320,6 @@ func (rt *Router) subnetRoute(client ClientInfo) (addr, peerRef netip.Addr, scop
 	}
 	rt.routeCtr.Inc("hit")
 	return addr, netip.Addr{}, bits, true
-}
-
-// popAnswer resolves a PoP to the address to publish. A bound server
-// wins while it is registered, flagged healthy, and — with a health
-// registry attached — routable per the probe verdicts; otherwise the
-// static MapPoP address, if any, takes over. Lock-free: one snapshot
-// load.
-func (rt *Router) popAnswer(pop lpm.PoP) (netip.Addr, bool) {
-	st := rt.snapshot()
-	tgt, ok := st.pops[pop]
-	if !ok {
-		return netip.Addr{}, false
-	}
-	if tgt.server != "" {
-		if s := st.servers[tgt.server]; s != nil && s.Server.Healthy() {
-			routable := true
-			if rt.Health != nil {
-				routable, _ = rt.Health.Eligible(tgt.server)
-			}
-			if routable {
-				return s.Answer(), true
-			}
-		}
-	}
-	if tgt.addr.IsValid() {
-		return tgt.addr, true
-	}
-	return netip.Addr{}, false
 }
 
 // NewRouter returns a router for domain.
@@ -537,7 +453,7 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 	scope := -1
 	if popAddr, popRef, popScope, tabled := rt.subnetRoute(client); tabled {
 		if popRef.IsValid() {
-			// Geo-aware fallback: the mapped PoP is dead, so delegate
+			// Peer fallback: the mapped PoP is dead, so delegate
 			// to the nearest healthy peer MEC instead of answering it.
 			routed.Inc("peer_fallback")
 			hop.End("peer-fallback")
@@ -588,7 +504,7 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 // through dnsserver.WriteImage. An A record echoes ECS with the scope it
 // depended on (RFC 7871 §7.2.1): the matched route length on a table
 // hit, 0 when the table did not discriminate, and without a table
-// (scope < 0) the source length — geo policy may have used it all.
+// (scope < 0) the source length.
 func (rt *Router) reply(w dnsserver.ResponseWriter, r *dnsserver.Request, rcode dnswire.Rcode, addr netip.Addr, scope int) (dnswire.Rcode, error) {
 	var echo *dnswire.ECSOption
 	if ecs, ok := r.Msg.ECS(); ok && addr.IsValid() {
@@ -789,16 +705,8 @@ func (rt *Router) selectLocal(key string, client ClientInfo) *ServerInfo {
 // clientInfo assembles what the router knows about the requester.
 func (rt *Router) clientInfo(r *dnsserver.Request) ClientInfo {
 	info := ClientInfo{Addr: r.Client.Addr()}
-	lookupAddr := info.Addr
 	if ecs, ok := r.Msg.ECS(); ok {
 		info.ECS = ecs.Prefix()
-		lookupAddr = ecs.Address
-	}
-	if rt.Geo != nil && lookupAddr.IsValid() {
-		if loc, ok := rt.Geo.Lookup(lookupAddr); ok {
-			info.Location = loc
-			info.Located = true
-		}
 	}
 	return info
 }

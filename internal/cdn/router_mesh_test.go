@@ -106,9 +106,7 @@ func TestPoPPeerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.router.SetRoutes(b.Build())
-	// PoP 7 is bound to a server that was never registered and has no
-	// static address — a dead PoP.
-	fx.router.BindPoP(lpm.PoP(7), "no-such-server")
+	// PoP 7 has no address: a dead PoP.
 
 	// Without a mesh the route is unmapped and falls to local policy.
 	resp := routerQuery(t, fx.router, "video.demo.mycdn.ciab.test.", "198.51.100.9:5300")

@@ -364,42 +364,6 @@ func TestAvailabilityFirstPrefersContentHolder(t *testing.T) {
 	}
 }
 
-func TestGeoNearestUsesECS(t *testing.T) {
-	fx := buildRouterFixture(t, 10)
-	fx.router.Policy = GeoNearest{}
-	fx.router.Replicas = 3
-	db := geoip.New()
-	db.Register(netip.MustParsePrefix("198.51.100.0/24"), geoip.Location{X: 205, Name: "near-cache-2"})
-	fx.router.Geo = db
-
-	q := new(dnswire.Message)
-	q.SetQuestion("geo.mycdn.ciab.test.", dnswire.TypeA)
-	opt := q.SetEDNS(1232)
-	opt.Options = append(opt.Options, dnswire.NewECSOption(netip.MustParsePrefix("198.51.100.0/24")))
-	resp := dnsserver.Resolve(context.Background(), dnsserver.Chain(fx.router),
-		&dnsserver.Request{Msg: q, Client: netip.MustParseAddrPort("10.0.0.1:53")})
-	if len(resp.Answers) != 1 {
-		t.Fatalf("answers = %v", resp.Answers)
-	}
-	// cache-2 is at X=200, nearest to the ECS-disclosed location 205.
-	if got := resp.Answers[0].(*dnswire.A).Addr; got != fx.servers[2].Addr() {
-		t.Errorf("geo policy picked %v, want cache-2 (%v)", got, fx.servers[2].Addr())
-	}
-	ecs, ok := resp.ECS()
-	if !ok || ecs.ScopePrefix != 24 {
-		t.Errorf("response ECS = %+v", ecs)
-	}
-}
-
-func TestGeoNearestFallsBackWithoutLocation(t *testing.T) {
-	fx := buildRouterFixture(t, 11)
-	fx.router.Policy = GeoNearest{}
-	sel := fx.router.Route("k.mycdn.ciab.test.", ClientInfo{})
-	if sel == nil {
-		t.Fatal("no selection without geo data")
-	}
-}
-
 func TestRoundRobinCycles(t *testing.T) {
 	fx := buildRouterFixture(t, 12)
 	rr := &RoundRobin{}
@@ -437,7 +401,7 @@ func TestLeastLoadedPolicy(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	for _, p := range []SelectionPolicy{AvailabilityFirst{}, GeoNearest{}, &RoundRobin{}, LeastLoaded{}} {
+	for _, p := range []SelectionPolicy{AvailabilityFirst{}, &RoundRobin{}, LeastLoaded{}} {
 		if p.Name() == "" {
 			t.Errorf("%T has empty name", p)
 		}

@@ -99,15 +99,15 @@ type CacheServer struct {
 
 	// ServeDelay is the per-request processing time; nil means zero.
 	ServeDelay simnet.Sampler
-	// TransferRate in bytes per second; 0 means instantaneous.
-	TransferRate int64
 
 	mu      sync.Mutex
 	healthy bool
 	// recent holds request timestamps inside the load window.
 	recent []time.Duration
-	window time.Duration
 }
+
+// loadWindow is the sliding window Load counts requests over.
+const loadWindow = time.Second
 
 // CacheServerConfig configures NewCacheServer.
 type CacheServerConfig struct {
@@ -122,36 +122,24 @@ type CacheServerConfig struct {
 	Domains []string
 	// ServeDelay samples per-request processing time.
 	ServeDelay simnet.Sampler
-	// TransferRate, when non-zero, models serialization delay: a
-	// served object of S bytes adds S/TransferRate seconds to the
-	// response (bytes per second).
-	TransferRate int64
-	// LoadWindow is the sliding window for load accounting; zero
-	// means 1s.
-	LoadWindow time.Duration
 }
 
 // NewCacheServer creates a cache server and installs its handler on
 // node.
 func NewCacheServer(node *simnet.Node, cfg CacheServerConfig) *CacheServer {
 	s := &CacheServer{
-		Name:         cfg.Name,
-		Site:         cfg.Site,
-		Tier:         cfg.Tier,
-		node:         node,
-		cache:        NewLRU(cfg.CapacityBytes),
-		parent:       cfg.Parent,
-		domain:       make(map[string]bool, len(cfg.Domains)),
-		ServeDelay:   cfg.ServeDelay,
-		TransferRate: cfg.TransferRate,
-		healthy:      true,
-		window:       cfg.LoadWindow,
+		Name:       cfg.Name,
+		Site:       cfg.Site,
+		Tier:       cfg.Tier,
+		node:       node,
+		cache:      NewLRU(cfg.CapacityBytes),
+		parent:     cfg.Parent,
+		domain:     make(map[string]bool, len(cfg.Domains)),
+		ServeDelay: cfg.ServeDelay,
+		healthy:    true,
 	}
 	if s.Name == "" {
 		s.Name = node.Name
-	}
-	if s.window <= 0 {
-		s.window = time.Second
 	}
 	for _, d := range cfg.Domains {
 		s.domain[canonicalDomain(d)] = true
@@ -201,7 +189,7 @@ func (s *CacheServer) Load() int {
 
 func (s *CacheServer) prune(now time.Duration) {
 	cut := 0
-	for cut < len(s.recent) && now-s.recent[cut] > s.window {
+	for cut < len(s.recent) && now-s.recent[cut] > loadWindow {
 		cut++
 	}
 	s.recent = s.recent[cut:]
@@ -232,17 +220,13 @@ func (s *CacheServer) handle(ctx *simnet.Ctx, dg simnet.Datagram) {
 		return
 	}
 	fields := strings.Fields(string(dg.Payload))
-	replySized := func(msg string, size int64) {
+	reply := func(msg string) {
 		var delay time.Duration
 		if s.ServeDelay != nil {
 			delay = s.ServeDelay.Sample(ctx.Network().Rand())
 		}
-		if s.TransferRate > 0 && size > 0 {
-			delay += time.Duration(size * int64(time.Second) / s.TransferRate)
-		}
 		ctx.Reply([]byte(msg), delay)
 	}
-	reply := func(msg string) { replySized(msg, 0) }
 	if len(fields) == 1 && fields[0] == "PING" {
 		// Health probe: answered before load accounting so probes never
 		// skew the load window, and gated on the health flag so failure
@@ -279,7 +263,7 @@ func (s *CacheServer) handle(ctx *simnet.Ctx, dg simnet.Datagram) {
 		return
 	}
 	if obj, ok := s.cache.Get(name); ok {
-		replySized(fmt.Sprintf("HIT %d", obj.Size), obj.Size)
+		reply(fmt.Sprintf("HIT %d", obj.Size))
 		return
 	}
 	if !s.parent.IsValid() {
@@ -293,7 +277,7 @@ func (s *CacheServer) handle(ctx *simnet.Ctx, dg simnet.Datagram) {
 		return
 	}
 	s.cache.Put(Content{Name: name, Size: res.Size})
-	replySized(fmt.Sprintf("FILLED %d", res.Size), res.Size)
+	reply(fmt.Sprintf("FILLED %d", res.Size))
 }
 
 // OriginServer exposes an Origin store as a simnet content service.

@@ -118,47 +118,6 @@ func TestSubnetRouteWithoutECSUsesSourceAddress(t *testing.T) {
 	}
 }
 
-func TestSubnetRouteBoundServerFollowsHealth(t *testing.T) {
-	fx := buildHealthFixture(t, 25)
-	fx.probe(t)
-	fx.router.SetRoutes(routeTable(t, map[string]lpm.PoP{"10.1.0.0/16": 1}))
-	fx.router.BindPoP(1, "cache-1")
-	fx.router.MapPoP(1, netip.MustParseAddr("203.0.113.7")) // static fallback
-
-	resp := subnetQuery(t, fx.router, "video.e.mycdn.ciab.test.", "10.1.1.0/24")
-	if got := resp.Answers[0].(*dnswire.A).Addr; got != fx.servers[1].Addr() {
-		t.Fatalf("answer = %v, want bound cache-1 (%v)", got, fx.servers[1].Addr())
-	}
-
-	// Health pulls the bound server: the static address takes over, the
-	// route itself keeps answering.
-	fx.down("cache-1")
-	resp = subnetQuery(t, fx.router, "video.e.mycdn.ciab.test.", "10.1.1.0/24")
-	if got := resp.Answers[0].(*dnswire.A).Addr; got != netip.MustParseAddr("203.0.113.7") {
-		t.Errorf("answer = %v, want static fallback while cache-1 is down", got)
-	}
-}
-
-func TestSubnetRouteBoundServerDownNoFallbackGoesPolicy(t *testing.T) {
-	fx := buildHealthFixture(t, 26)
-	fx.probe(t)
-	fx.router.SetRoutes(routeTable(t, map[string]lpm.PoP{"10.1.0.0/16": 1}))
-	fx.router.BindPoP(1, "cache-0") // no static fallback
-	fx.down("cache-0")
-
-	resp := subnetQuery(t, fx.router, "video.f.mycdn.ciab.test.", "10.1.1.0/24")
-	if len(resp.Answers) != 1 {
-		t.Fatalf("answers = %v", resp.Answers)
-	}
-	got := resp.Answers[0].(*dnswire.A).Addr
-	if got == fx.servers[0].Addr() {
-		t.Error("answered with the down bound server")
-	}
-	if ecs, _ := resp.ECS(); ecs == nil || ecs.ScopePrefix != 0 {
-		t.Errorf("ECS = %+v, want scope 0 when the route could not answer", ecs)
-	}
-}
-
 func TestSubnetRouteReloadSwapsTable(t *testing.T) {
 	fx := buildRouterFixture(t, 27)
 	fx.router.MapPoP(1, netip.MustParseAddr("203.0.113.1"))

@@ -42,10 +42,6 @@ const (
 // closed when the pool is next touched; there is no background
 // goroutine. TCP (the truncation fallback) dials per exchange.
 type NetTransport struct {
-	// Dialer, if non-nil, overrides the default dialer (useful for
-	// binding to a source address).
-	Dialer *net.Dialer
-
 	mu   sync.Mutex
 	idle map[netip.AddrPort][]udpSocket // per upstream, most recently used last
 
@@ -157,10 +153,7 @@ func (t *NetTransport) Exchange(ctx context.Context, server netip.AddrPort, quer
 }
 
 func (t *NetTransport) dial(ctx context.Context, network string, server netip.AddrPort) (net.Conn, error) {
-	d := t.Dialer
-	if d == nil {
-		d = &net.Dialer{}
-	}
+	var d net.Dialer
 	conn, err := d.DialContext(ctx, network, server.String())
 	if err != nil {
 		return nil, fmt.Errorf("dialing %s %v: %w", network, server, err)

@@ -42,8 +42,6 @@ type Config struct {
 	DownAfter, UpAfter          int
 
 	CDNDomain, Routes string
-	RingBounded       bool
-	RingLoadFactor    float64
 
 	Mesh, MeshName   string
 	AnnounceInterval time.Duration
@@ -146,14 +144,10 @@ func (c *Config) validate() error {
 	switch {
 	case c.CDNDomain == "" && (c.Routes != "" || len(c.PoPs) > 0):
 		return errors.New("-routes and -pop require -cdn-domain")
-	case c.CDNDomain == "" && c.RingBounded:
-		return errors.New("-ring-bounded requires -cdn-domain")
 	case c.CDNDomain == "" && c.Mesh != "":
 		return errors.New("-mesh requires -cdn-domain")
 	case c.Mesh == "" && len(c.Peers) > 0:
 		return errors.New("-peers requires -mesh")
-	case c.RingBounded && c.RingLoadFactor <= 1:
-		return fmt.Errorf("-ring-load-factor must be > 1, got %v", c.RingLoadFactor)
 	}
 	return nil
 }

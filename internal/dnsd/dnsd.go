@@ -117,8 +117,6 @@ func Build(cfg Config) (*Daemon, error) {
 	}
 	if cfg.CDNDomain != "" {
 		d.Router = cdn.NewRouter(cfg.CDNDomain)
-		d.Router.Ring.Bounded = cfg.RingBounded
-		d.Router.Ring.LoadFactor = cfg.RingLoadFactor
 		for _, p := range cfg.PoPs {
 			d.Router.MapPoP(p.ID, p.Addr)
 		}
@@ -169,12 +167,6 @@ func Build(cfg Config) (*Daemon, error) {
 			Registry:   d.Health,
 			Prober:     &health.DNSProber{Client: client},
 			Background: d.Server,
-		}
-		if d.Router != nil {
-			// Halve the ring's per-cache load counters each probe
-			// sweep so the bounded-load cap tracks a recent-traffic
-			// window at the same cadence the health view refreshes.
-			d.checker.OnSweep = func() { d.Router.Ring.DecayLoads(0.5) }
 		}
 	}
 	if cfg.Mesh != "" {
@@ -337,13 +329,9 @@ func (d *Daemon) Describe() []string {
 		say("authoritative for %s (%d names)", zone.Origin, len(zone.Names()))
 	}
 	if d.Router != nil {
-		domain := dnswire.CanonicalName(d.cfg.CDNDomain)
-		if d.cfg.RingBounded {
-			say("bounded-load routing for %s: cap %.2fx mean", domain, d.cfg.RingLoadFactor)
-		}
 		if t := d.Router.Routes(); t != nil {
 			say("subnet routing for %s: %d routes (%d v4, %d v6), %d PoPs mapped",
-				domain, t.Rows(), t.RowsV4(), t.RowsV6(), len(d.cfg.PoPs))
+				dnswire.CanonicalName(d.cfg.CDNDomain), t.Rows(), t.RowsV4(), t.RowsV6(), len(d.cfg.PoPs))
 		}
 	}
 	if d.Forward != nil {

@@ -244,15 +244,13 @@ func TestBuildHealthConfig(t *testing.T) {
 func TestBuildRejects(t *testing.T) {
 	pop := []PoPAddr{{1, netip.MustParseAddr("192.0.2.1")}}
 	for name, cfg := range map[string]Config{
-		"missing zone file":                {Zones: []ZoneFile{{"z.test.", "/no/such/file"}}},
-		"bad -forward":                     {Forward: "notanaddr"},
-		"-routes without -cdn-domain":      {Routes: "whatever"},
-		"-pop without -cdn-domain":         {PoPs: pop},
-		"missing routes file":              {CDNDomain: "d.test.", Routes: "/no/such/file"},
-		"-ring-bounded without cdn-domain": {RingBounded: true},
-		"-ring-load-factor 1.0":            {CDNDomain: "d.test.", RingBounded: true, RingLoadFactor: 1.0},
-		"-mesh without -cdn-domain":        {Mesh: loopback},
-		"-peers without -mesh":             {Peers: []mesh.Peer{{Name: "b", Addr: "127.0.0.1:9953"}}},
+		"missing zone file":           {Zones: []ZoneFile{{"z.test.", "/no/such/file"}}},
+		"bad -forward":                {Forward: "notanaddr"},
+		"-routes without -cdn-domain": {Routes: "whatever"},
+		"-pop without -cdn-domain":    {PoPs: pop},
+		"missing routes file":         {CDNDomain: "d.test.", Routes: "/no/such/file"},
+		"-mesh without -cdn-domain":   {Mesh: loopback},
+		"-peers without -mesh":        {Peers: []mesh.Peer{{Name: "b", Addr: "127.0.0.1:9953"}}},
 	} {
 		cfg.Listen = ":0"
 		if _, err := Build(cfg); err == nil {
@@ -279,35 +277,6 @@ func TestBuildCDNRouter(t *testing.T) {
 	// A real UDP query from loopback: no ECS, so the router falls back
 	// to the source address, which the routes file maps to PoP 1.
 	wantAnswer(t, d, "video.mycdn.dnsd.test.", "192.0.2.201")
-}
-
-func TestBuildRingFlags(t *testing.T) {
-	d := build(t, Config{Listen: loopback, CDNDomain: "mycdn.dnsd.test.", RingBounded: true, RingLoadFactor: 1.5})
-	if !d.Router.Ring.Bounded {
-		t.Error("-ring-bounded not plumbed into the ring")
-	}
-	if d.Router.Ring.LoadFactor != 1.5 {
-		t.Errorf("-ring-load-factor = %v, want 1.5", d.Router.Ring.LoadFactor)
-	}
-	// With probing enabled too, the sweep hook decays the ring loads.
-	d2 := build(t, Config{
-		Listen:         loopback,
-		Forward:        "192.0.2.10:53",
-		ProbeInterval:  time.Second,
-		CDNDomain:      "mycdn.dnsd.test.",
-		RingBounded:    true,
-		RingLoadFactor: 1.25,
-	})
-	if d2.checker == nil || d2.checker.OnSweep == nil {
-		t.Fatal("ring decay not hooked to the probe sweep")
-	}
-	d2.Router.Ring.Add("cache-x")
-	d2.Router.Ring.RecordLoad("cache-x")
-	d2.Router.Ring.RecordLoad("cache-x")
-	d2.checker.OnSweep()
-	if got := d2.Router.Ring.Load("cache-x"); got != 1 {
-		t.Errorf("load after one sweep = %d, want 1 (decay 0.5)", got)
-	}
 }
 
 // TestReloadUnderLoad drives the online-reload path end to end: zone
@@ -560,19 +529,16 @@ func TestStartFailureUnwinds(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	d := build(t, Config{
-		Listen:         loopback,
-		Forward:        "192.0.2.10:53",
-		Stubs:          []StubRoute{{"CDN.test", addrPorts("192.0.2.11:53")}},
-		ProbeInterval:  time.Second,
-		DownAfter:      3,
-		UpAfter:        2,
-		CDNDomain:      "mycdn.test",
-		RingBounded:    true,
-		RingLoadFactor: 1.5,
+		Listen:        loopback,
+		Forward:       "192.0.2.10:53",
+		Stubs:         []StubRoute{{"CDN.test", addrPorts("192.0.2.11:53")}},
+		ProbeInterval: time.Second,
+		DownAfter:     3,
+		UpAfter:       2,
+		CDNDomain:     "mycdn.test",
 	})
 	want := []string{
 		"stub-domain cdn.test. -> [192.0.2.11:53]",
-		"bounded-load routing for mycdn.test.: cap 1.50x mean",
 		"forwarding unmatched names to [192.0.2.10:53]",
 		"health probing 2 upstreams every 1s (down after 3 failures, up after 2 successes)",
 	}

@@ -87,9 +87,6 @@ type Forward struct {
 	Upstreams []netip.AddrPort
 	// Client performs the exchanges; required.
 	Client *dnsclient.Client
-	// Match, when non-empty, limits forwarding to names under this
-	// domain; others fall through to the next plugin.
-	Match string
 	// Clock supplies time for health cooldown accounting. Nil means a
 	// wall clock (initialized on first use). Use the simnet clock in
 	// experiments so cooldowns run in virtual time.
@@ -288,9 +285,6 @@ func (f *Forward) recordSuccess(e *upstreamEntry) {
 
 // ServeDNS implements Plugin.
 func (f *Forward) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
-	if f.Match != "" && !dnswire.IsSubdomain(f.Match, r.Name()) {
-		return next.ServeDNS(ctx, w, r)
-	}
 	if f.Client == nil {
 		return dnswire.RcodeServerFailure, errors.New("dnsserver: forward has no client")
 	}

@@ -596,7 +596,7 @@ func TestClientDoLeavesQueryUntouched(t *testing.T) {
 // fixed-window reset did.
 func TestLoadShedBurstStraddlingWindow(t *testing.T) {
 	clock := &vclock.Fixed{}
-	ls := &LoadShed{Clock: clock, Window: time.Second, MaxQueries: 10}
+	ls := &LoadShed{Clock: clock, MaxQueries: 10}
 	backend := &countingPlugin{h: answerHandler("192.0.2.1")}
 	h := Chain(ls, backend)
 

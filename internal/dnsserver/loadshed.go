@@ -17,17 +17,15 @@ import (
 // attack amplifier on the vRAN.
 //
 // Admission is a token bucket holding MaxQueries tokens refilled at
-// MaxQueries per Window, so a burst straddling a window boundary can
+// MaxQueries per second, so a burst straddling a second boundary can
 // never admit more than one bucket's worth — the failure mode of a
 // hard fixed-window reset.
 type LoadShed struct {
 	// Clock supplies time. Nil means a wall clock, initialized on
 	// first use.
 	Clock vclock.Clock
-	// Window is the refill period for a full bucket. Zero means 1s.
-	Window time.Duration
 	// MaxQueries is the bucket capacity (and the refill amount per
-	// Window). Zero disables shedding.
+	// shedWindow). Zero disables shedding.
 	MaxQueries int
 	// Fallback, when non-nil, handles shed queries (e.g. a Forward to
 	// the provider L-DNS). When nil, shed queries are REFUSED.
@@ -41,6 +39,9 @@ type LoadShed struct {
 	ctrOnce      sync.Once
 	shed, served *telemetry.Counter
 }
+
+// shedWindow is the refill period for a full bucket.
+const shedWindow = time.Second
 
 // Name implements Plugin.
 func (l *LoadShed) Name() string { return "loadshed" }
@@ -81,17 +82,13 @@ func (l *LoadShed) overloaded() bool {
 	if l.Clock == nil {
 		l.Clock = vclock.NewReal()
 	}
-	window := l.Window
-	if window <= 0 {
-		window = time.Second
-	}
 	now := l.Clock.Now()
 	max := float64(l.MaxQueries)
 	if !l.primed {
 		l.tokens = max
 		l.primed = true
 	} else {
-		l.tokens += float64(now-l.last) / float64(window) * max
+		l.tokens += float64(now-l.last) / float64(shedWindow) * max
 		if l.tokens > max {
 			l.tokens = max
 		}

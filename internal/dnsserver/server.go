@@ -208,14 +208,15 @@ func ResolveTo(ctx context.Context, h Handler, w ResponseWriter, req *Request) d
 	return m.Rcode
 }
 
+// tcpReadTimeout bounds each read on a TCP connection.
+const tcpReadTimeout = 10 * time.Second
+
 // Server serves a Handler over real UDP and TCP sockets.
 type Server struct {
 	// Addr is the listen address, e.g. "127.0.0.1:5353".
 	Addr string
 	// Handler answers the queries.
 	Handler Handler
-	// ReadTimeout bounds TCP reads. Zero means 10s.
-	ReadTimeout time.Duration
 	// Telemetry, when non-nil, opens a span for every query (carried
 	// through the plugin chain via the request context), observes the
 	// client-visible serve duration, and feeds the sampled query log.
@@ -886,14 +887,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	timeout := s.ReadTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	raddr, _ := netip.ParseAddrPort(conn.RemoteAddr().String())
 	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(timeout))
+		_ = conn.SetReadDeadline(time.Now().Add(tcpReadTimeout))
 		pkt, err := dnswire.ReadTCP(conn)
 		if err != nil {
 			return

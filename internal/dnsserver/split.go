@@ -43,18 +43,15 @@ func (s *Split) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, _ Ha
 // ECS attaches an EDNS Client Subnet option derived from the querying
 // address to requests that lack one (the resolver-side behaviour of
 // RFC 7871 §6), so downstream authoritative servers — the C-DNS — can
-// select a cache near the client. PrefixV4/PrefixV6 control how much
-// of the address is disclosed.
-type ECS struct {
-	// PrefixV4 is the IPv4 source prefix length; 0 means 24.
-	PrefixV4 int
-	// PrefixV6 is the IPv6 source prefix length; 0 means 56.
-	PrefixV6 int
-	// Override, when valid, is used instead of the client address.
-	// A cellular L-DNS behind a P-GW would set this to the gateway's
-	// public prefix — the very localization error the paper measures.
-	Override netip.Prefix
-}
+// select a cache near the client. It discloses an IPv4 client's /24
+// and an IPv6 client's /56.
+type ECS struct{}
+
+// Source prefix lengths the ECS plugin discloses.
+const (
+	ecsPrefixV4 = 24
+	ecsPrefixV6 = 56
+)
 
 // Name implements Plugin.
 func (e *ECS) Name() string { return "ecs" }
@@ -72,21 +69,12 @@ func (e *ECS) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next H
 }
 
 func (e *ECS) clientPrefix(addr netip.Addr) (netip.Prefix, bool) {
-	if e.Override.IsValid() {
-		return e.Override, true
-	}
 	if !addr.IsValid() {
 		return netip.Prefix{}, false
 	}
-	bits := e.PrefixV4
-	if bits == 0 {
-		bits = 24
-	}
+	bits := ecsPrefixV4
 	if addr.Is6() && !addr.Is4In6() {
-		bits = e.PrefixV6
-		if bits == 0 {
-			bits = 56
-		}
+		bits = ecsPrefixV6
 	}
 	p, err := addr.Prefix(bits)
 	if err != nil {

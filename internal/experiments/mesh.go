@@ -111,7 +111,7 @@ func meshArmRun(cfg *MeshConfig, meshed bool) (MeshArm, error) {
 			Domain:     domain,
 			NamePrefix: fmt.Sprintf("s%d-", i),
 			OriginAddr: originNode.Addr,
-			Mesh:       &meccdn.MeshOptions{},
+			Mesh:       true,
 		})
 		if err != nil {
 			return arm, err
@@ -154,16 +154,7 @@ func meshArmRun(cfg *MeshConfig, meshed bool) (MeshArm, error) {
 		}
 		for i := 0; i < cfg.RequestsPerTick; i++ {
 			seg := segs[lo+rng.Intn(newest-lo)]
-			// The air interface loses ~0.1% of datagrams; like a real
-			// player, retransmit a dropped request a couple of times.
-			var fr *meccdn.FetchResult
-			var err error
-			for attempt := 0; attempt < 3; attempt++ {
-				fr, err = ue.ResolveAndFetch(domain, seg.Name)
-				if err == nil {
-					break
-				}
-			}
+			fr, err := ue.ResolveAndFetch(domain, seg.Name)
 			if err != nil {
 				return arm, fmt.Errorf("x9 %s tick %d: %w", arm.Mode, tick, err)
 			}

@@ -1,118 +1,13 @@
-// Package geoip is a CIDR-to-location database with deliberately
-// imperfect accuracy, modelling the GeoIP lookups CDN routers use to
-// localize clients. The paper's §1 notes that CDN servers see the
-// public gateway's IP rather than the end client's, and that GeoIP
-// placement of those gateways has limited accuracy — both effects are
-// reproducible here: register the gateway prefix at the gateway's
-// location (not the client's) and set Accuracy below 1.
+// Package geoip holds the location a C-DNS router records for each
+// cache server it registers. No routing policy reads it: clients are
+// mapped by the subnet their resolver discloses (ECS) through the
+// router's subnet→PoP table, not by a GeoIP lookup.
 package geoip
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"net/netip"
-	"sort"
-	"sync"
-)
-
 // Location is a point on a simple 2-D plane (units are arbitrary
-// "map kilometres"); good enough for nearest-site comparisons.
+// "map kilometres").
 type Location struct {
 	X, Y float64
-	// Name labels the location in output (e.g. "atlanta-campus").
+	// Name labels the location (e.g. "atlanta-campus").
 	Name string
-}
-
-// DistanceTo returns the Euclidean distance between two locations.
-func (l Location) DistanceTo(o Location) float64 {
-	dx, dy := l.X-o.X, l.Y-o.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// String returns the location's label or coordinates.
-func (l Location) String() string {
-	if l.Name != "" {
-		return l.Name
-	}
-	return fmt.Sprintf("(%.1f,%.1f)", l.X, l.Y)
-}
-
-// DB maps address prefixes to locations.
-type DB struct {
-	// Accuracy in [0,1] is the probability a lookup returns the true
-	// registered location; misses return a location perturbed by up
-	// to MaxError. 1 (or an unset rng) means always exact.
-	Accuracy float64
-	// MaxError is the perturbation radius for inaccurate lookups.
-	// Zero means 500 map-km.
-	MaxError float64
-
-	mu      sync.RWMutex
-	entries []entry // sorted by prefix bits, most specific first
-	rng     *rand.Rand
-}
-
-type entry struct {
-	prefix netip.Prefix
-	loc    Location
-}
-
-// New returns an empty, fully accurate database.
-func New() *DB { return &DB{Accuracy: 1} }
-
-// SetRand installs the RNG used for inaccuracy simulation.
-func (db *DB) SetRand(rng *rand.Rand) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.rng = rng
-}
-
-// Register maps a prefix to a location. More-specific prefixes win on
-// lookup, matching real GeoIP feed behaviour.
-func (db *DB) Register(prefix netip.Prefix, loc Location) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.entries = append(db.entries, entry{prefix: prefix.Masked(), loc: loc})
-	sort.SliceStable(db.entries, func(i, j int) bool {
-		return db.entries[i].prefix.Bits() > db.entries[j].prefix.Bits()
-	})
-}
-
-// Lookup returns the location registered for the longest prefix
-// containing addr. The second result reports whether any prefix
-// matched. With Accuracy < 1, the returned location may be perturbed.
-func (db *DB) Lookup(addr netip.Addr) (Location, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for _, e := range db.entries {
-		if e.prefix.Contains(addr) {
-			return db.maybePerturb(e.loc), true
-		}
-	}
-	return Location{}, false
-}
-
-func (db *DB) maybePerturb(loc Location) Location {
-	if db.Accuracy >= 1 || db.rng == nil || db.rng.Float64() < db.Accuracy {
-		return loc
-	}
-	maxErr := db.MaxError
-	if maxErr == 0 {
-		maxErr = 500
-	}
-	angle := db.rng.Float64() * 2 * math.Pi
-	dist := db.rng.Float64() * maxErr
-	return Location{
-		X:    loc.X + dist*math.Cos(angle),
-		Y:    loc.Y + dist*math.Sin(angle),
-		Name: loc.Name + "~",
-	}
-}
-
-// Len returns the number of registered prefixes.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
 }

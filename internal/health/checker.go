@@ -39,11 +39,6 @@ type Checker struct {
 	// the sweep is skipped, so no probe outlives the process's
 	// in-flight window.
 	Background BackgroundTracker
-	// OnSweep, when set, runs once per sweep before the probes — the
-	// hook the C-DNS router uses to decay its hash-ring load
-	// counters in step with the probe cadence, so the bounded-load
-	// cap tracks a recent-traffic window.
-	OnSweep func()
 
 	mu   sync.Mutex
 	rng  *rand.Rand
@@ -125,9 +120,6 @@ func (c *Checker) sweep(stop <-chan struct{}) {
 		}
 		defer release()
 	}
-	if c.OnSweep != nil {
-		c.OnSweep()
-	}
 	targets := c.Registry.Targets()
 	if len(targets) == 0 || c.Prober == nil {
 		return
@@ -157,9 +149,6 @@ func (c *Checker) sweep(stop <-chan struct{}) {
 // simnet each Probe advances the virtual clock through the simulated
 // exchange, so the sweep is deterministic and replayable.
 func (c *Checker) RunOnce(ctx context.Context) {
-	if c.OnSweep != nil {
-		c.OnSweep()
-	}
 	if c.Prober == nil {
 		return
 	}

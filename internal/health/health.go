@@ -107,14 +107,15 @@ type Config struct {
 	// demotion to down is exempt. 0 means ProbeInterval; negative
 	// disables dwell entirely.
 	MinDwell time.Duration
-	// EWMAAlpha weighs the newest probe RTT in the target's smoothed
-	// latency score (0 < alpha ≤ 1). 0 means 0.2.
-	EWMAAlpha float64
 
 	// Clock supplies time for dwell accounting. Nil means a wall
 	// clock; use the simnet clock in experiments.
 	Clock vclock.Clock
 }
+
+// ewmaAlpha weighs the newest probe RTT in a target's smoothed latency
+// score.
+const ewmaAlpha = 0.2
 
 // withDefaults resolves zero fields to their documented defaults.
 func (c Config) withDefaults() Config {
@@ -144,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinDwell < 0 {
 		c.MinDwell = 0
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.2
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()

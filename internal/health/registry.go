@@ -196,8 +196,7 @@ func (r *Registry) report(name string, ok bool, rtt time.Duration) {
 		if t.ewma == 0 {
 			t.ewma = rtt
 		} else {
-			a := r.cfg.EWMAAlpha
-			t.ewma = time.Duration(a*float64(rtt) + (1-a)*float64(t.ewma))
+			t.ewma = time.Duration(ewmaAlpha*float64(rtt) + (1-ewmaAlpha)*float64(t.ewma))
 		}
 	} else {
 		r.probes.Inc("failure")

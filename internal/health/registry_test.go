@@ -302,7 +302,7 @@ func TestRankOrdering(t *testing.T) {
 }
 
 func TestEWMALatency(t *testing.T) {
-	r, _ := newTestRegistry(t, func(c *Config) { c.EWMAAlpha = 0.5 })
+	r, _ := newTestRegistry(t, nil)
 	r.Add("c", "10.0.0.1:53")
 	ewma := func() time.Duration { _, e := r.Rank("c"); return e }
 	if got := ewma(); got != 0 {
@@ -313,8 +313,8 @@ func TestEWMALatency(t *testing.T) {
 		t.Fatalf("first sample must seed the EWMA, got %v", got)
 	}
 	r.ReportSuccess("c", 20*time.Millisecond)
-	if got := ewma(); got != 15*time.Millisecond {
-		t.Fatalf("EWMA(0.5) after 10ms,20ms = %v, want 15ms", got)
+	if got := ewma(); got != 12*time.Millisecond {
+		t.Fatalf("EWMA(0.2) after 10ms,20ms = %v, want 12ms", got)
 	}
 }
 

@@ -26,48 +26,6 @@ type AirProfile struct {
 	Delay simnet.Sampler
 	// Loss is the probability a datagram is lost on the air hop.
 	Loss float64
-	// GrantDelay, when non-zero, models LTE uplink scheduling: after
-	// IdleThreshold without uplink traffic the UE must go through the
-	// scheduling-request cycle before transmitting, adding GrantDelay
-	// to the first packet. Part of the "delay incurred in the
-	// wireless network itself [and] the RAN software stack" of §2
-	// Observation 1.
-	GrantDelay time.Duration
-	// IdleThreshold is the inactivity window after which a grant is
-	// needed again; zero with GrantDelay set means 40ms.
-	IdleThreshold time.Duration
-}
-
-// GrantAware wraps an uplink delay sampler with the scheduling-request
-// cycle: the first transmission after an idle period pays GrantDelay.
-type GrantAware struct {
-	// Clock supplies virtual time; required.
-	Clock *simnet.Clock
-	// Inner is the underlying air delay.
-	Inner simnet.Sampler
-	// GrantDelay is the extra first-packet cost.
-	GrantDelay time.Duration
-	// IdleThreshold is the inactivity window; zero means 40ms.
-	IdleThreshold time.Duration
-
-	lastSend time.Duration
-	started  bool
-}
-
-// Sample implements simnet.Sampler.
-func (g *GrantAware) Sample(rng *rand.Rand) time.Duration {
-	d := g.Inner.Sample(rng)
-	idle := g.IdleThreshold
-	if idle <= 0 {
-		idle = 40 * time.Millisecond
-	}
-	now := g.Clock.Now()
-	if !g.started || now-g.lastSend > idle {
-		d += g.GrantDelay
-	}
-	g.started = true
-	g.lastSend = now
-	return d
 }
 
 // LTE4G is calibrated to the paper's testbed: ~10 ms one-way with
@@ -99,12 +57,6 @@ type Config struct {
 	// BaseStations is the number of eNBs; 0 means 1. All share the
 	// one EPC, like the paper's single-core distributed deployment.
 	BaseStations int
-	// BackhaulDelay is the per-hop eNB→S-GW→P-GW latency; zero means
-	// 500µs (containerized functions on a collocated cluster).
-	BackhaulDelay simnet.Sampler
-	// MECDelay is the P-GW→MEC-service latency (k8s pod network);
-	// zero means 150µs.
-	MECDelay simnet.Sampler
 	// LANDelay is the P-GW→LAN latency (same building, outside the
 	// cluster); zero means 1.5ms.
 	LANDelay simnet.Sampler
@@ -112,6 +64,14 @@ type Config struct {
 	// zero means ~20ms with a heavy tail.
 	WANDelay simnet.Sampler
 }
+
+const (
+	// backhaulDelay is the per-hop eNB→S-GW→P-GW latency
+	// (containerized functions on a collocated cluster).
+	backhaulDelay = simnet.Constant(500 * time.Microsecond)
+	// MECDelay is the P-GW→MEC-service latency (k8s pod network).
+	MECDelay = simnet.Constant(150 * time.Microsecond)
+)
 
 // Node names used by the testbed. Base stations are "enb0", "enb1"…
 const (
@@ -142,12 +102,6 @@ func New(cfg Config) *Testbed {
 	if cfg.BaseStations <= 0 {
 		cfg.BaseStations = 1
 	}
-	if cfg.BackhaulDelay == nil {
-		cfg.BackhaulDelay = simnet.Constant(500 * time.Microsecond)
-	}
-	if cfg.MECDelay == nil {
-		cfg.MECDelay = simnet.Constant(150 * time.Microsecond)
-	}
 	if cfg.LANDelay == nil {
 		cfg.LANDelay = simnet.Shifted{Base: 1200 * time.Microsecond, Jitter: simnet.Uniform{Max: 600 * time.Microsecond}}
 	}
@@ -158,34 +112,23 @@ func New(cfg Config) *Testbed {
 	n.AddNode(NodeUE)
 	n.AddNode(NodeSGW)
 	n.AddNode(NodePGW)
-	n.AddLink(NodeSGW, NodePGW, cfg.BackhaulDelay, 0)
+	n.AddLink(NodeSGW, NodePGW, backhaulDelay, 0)
 	tb := &Testbed{Net: n, Cfg: cfg}
 	for i := 0; i < cfg.BaseStations; i++ {
 		n.AddNode(ENB(i))
-		n.AddLink(ENB(i), NodeSGW, cfg.BackhaulDelay, 0)
+		n.AddLink(ENB(i), NodeSGW, backhaulDelay, 0)
 	}
 	tb.AttachUE(0)
 	return tb
 }
 
 // AttachUE connects the UE's radio bearer to base station i,
-// detaching it from any previous one. When the air profile models
-// uplink grants, the UE→eNB direction carries the grant-aware delay
-// while the downlink stays grant-free, like real LTE scheduling.
+// detaching it from any previous one.
 func (tb *Testbed) AttachUE(i int) {
 	if tb.Net.HasLink(NodeUE, ENB(tb.attachedENB)) {
 		tb.Net.RemoveLink(NodeUE, ENB(tb.attachedENB))
 	}
-	up := tb.Cfg.Air.Delay
-	if tb.Cfg.Air.GrantDelay > 0 {
-		up = &GrantAware{
-			Clock:         tb.Net.Clock,
-			Inner:         tb.Cfg.Air.Delay,
-			GrantDelay:    tb.Cfg.Air.GrantDelay,
-			IdleThreshold: tb.Cfg.Air.IdleThreshold,
-		}
-	}
-	tb.Net.AddDirectedLink(NodeUE, ENB(i), up, tb.Cfg.Air.Loss)
+	tb.Net.AddDirectedLink(NodeUE, ENB(i), tb.Cfg.Air.Delay, tb.Cfg.Air.Loss)
 	tb.Net.AddDirectedLink(ENB(i), NodeUE, tb.Cfg.Air.Delay, tb.Cfg.Air.Loss)
 	tb.attachedENB = i
 }
@@ -197,7 +140,7 @@ func (tb *Testbed) AttachedENB() int { return tb.attachedENB }
 // reachable from the P-GW over the pod network (local breakout).
 func (tb *Testbed) AddMEC(name string) *simnet.Node {
 	node := tb.Net.AddNode(name)
-	tb.Net.AddLink(NodePGW, name, tb.Cfg.MECDelay, 0)
+	tb.Net.AddLink(NodePGW, name, MECDelay, 0)
 	return node
 }
 

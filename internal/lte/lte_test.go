@@ -126,40 +126,6 @@ func TestWANDelayScale(t *testing.T) {
 	}
 }
 
-func TestUplinkGrantDelay(t *testing.T) {
-	air := LTE4G()
-	air.Loss = 0
-	air.Delay = simnet.Constant(10 * time.Millisecond)
-	air.GrantDelay = 5 * time.Millisecond
-	air.IdleThreshold = 40 * time.Millisecond
-	tb := New(Config{Seed: 6, Air: air, BackhaulDelay: simnet.Constant(0)})
-	tb.AddMEC("svc")
-	tb.Net.Node("svc").SetHandler(echo(0))
-	ep := tb.Net.Node(NodeUE).Endpoint()
-	dst := tb.Net.Node("svc").Addr
-
-	rtt := func() time.Duration {
-		_, d, err := ep.Exchange(dst, []byte("x"), time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	// First packet after boot pays the grant.
-	first := rtt()
-	// Back-to-back packet does not.
-	second := rtt()
-	if first-second != 5*time.Millisecond {
-		t.Errorf("grant delta = %v, want 5ms (first %v, second %v)", first-second, first, second)
-	}
-	// After going idle the grant is paid again.
-	tb.Net.Clock.RunUntil(tb.Net.Now() + 500*time.Millisecond)
-	third := rtt()
-	if third != first {
-		t.Errorf("post-idle rtt = %v, want %v", third, first)
-	}
-}
-
 func TestAirProfileNames(t *testing.T) {
 	if LTE4G().Name != "4g-lte" || NR5G().Name != "5g-nr" {
 		t.Error("profile names")

@@ -38,43 +38,18 @@ import (
 	"github.com/meccdn/meccdn/internal/simnet"
 )
 
-// MeshOptions parameterizes the site's federated-mesh agent.
-type MeshOptions struct {
-	// AnnounceInterval is the gossip cadence; zero means 2s. In
-	// virtual-time experiments drive rounds with Site.AnnounceOnce
-	// instead of the wall-clock loop.
-	AnnounceInterval time.Duration
-	// DigestBits / DigestHashes size the content digest; zero means
-	// the mesh defaults (8192 bits / 4 hashes).
-	DigestBits   int
-	DigestHashes int
-	// LoadFactor is the bounded-load factor over peer steering; ≤1
-	// means 1.25.
-	LoadFactor float64
-	// StaleAfter drops peers whose last announce is older; zero means
-	// 3× the announce interval.
-	StaleAfter time.Duration
-}
-
 // SiteConfig parameterizes DeploySite.
 type SiteConfig struct {
 	// Domain is the CDN domain deployed at this MEC site, e.g.
 	// "mycdn.ciab.test.". Required.
 	Domain string
-	// PublicDomain is the MEC public namespace for non-CDN MEC apps;
-	// "" means "mec.example.".
-	PublicDomain string
 	// CacheServers is the number of edge cache instances; 0 means 2.
 	CacheServers int
-	// CacheCapacity is each instance's byte budget; 0 means 64 MiB.
-	CacheCapacity int64
 	// OriginAddr, when valid, is where cache misses are filled from.
 	OriginAddr netip.Addr
 	// Policy selects cache servers at the C-DNS; nil means
 	// availability-first.
 	Policy cdn.SelectionPolicy
-	// Geo, when non-nil, localizes clients for geo policies.
-	Geo *geoip.DB
 	// ProviderLDNS is the mobile network's own L-DNS; used as the
 	// load-shed fallback and for non-MEC names.
 	ProviderLDNS netip.AddrPort
@@ -84,9 +59,6 @@ type SiteConfig struct {
 	// EnableECS attaches EDNS Client Subnet at the L-DNS when
 	// forwarding to the C-DNS (the paper's §4 ECS experiment).
 	EnableECS bool
-	// ECSProcessing is the extra per-query processing cost ECS adds
-	// at each DNS hop; zero means 60µs.
-	ECSProcessing time.Duration
 	// LDNSProcessing is CoreDNS's per-query processing time; nil
 	// means ~300µs.
 	LDNSProcessing simnet.Sampler
@@ -102,12 +74,23 @@ type SiteConfig struct {
 	// testbed's virtual clock. Nil keeps the legacy instantly-routable
 	// behavior.
 	Health *health.Config
-	// Mesh, when non-nil, deploys a federated-mesh agent at the site:
-	// it gossips the cache fleet's content digest to peer sites (wire
-	// them with PeerWith or ConnectMesh) and the C-DNS steers local
-	// misses to eligible peers before the parent tier.
-	Mesh *MeshOptions
+	// Mesh deploys a federated-mesh agent at the site: it gossips the
+	// cache fleet's content digest to peer sites (wire them with
+	// PeerWith or ConnectMesh; drive rounds with AnnounceOnce) and the
+	// C-DNS steers local misses to eligible peers before the parent
+	// tier.
+	Mesh bool
 }
+
+const (
+	// publicDomain is the MEC public namespace for non-CDN MEC apps.
+	publicDomain = "mec.example."
+	// cacheCapacity is each cache instance's byte budget.
+	cacheCapacity = 64 << 20
+	// ecsProcessing is the extra per-query processing cost ECS adds at
+	// each DNS hop.
+	ecsProcessing = 60 * time.Microsecond
+)
 
 // Site is a deployed MEC-CDN edge site.
 type Site struct {
@@ -170,15 +153,8 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 		return nil, fmt.Errorf("meccdn: SiteConfig.Domain is required")
 	}
 	cfg.Domain = dnswire.CanonicalName(cfg.Domain)
-	if cfg.PublicDomain == "" {
-		cfg.PublicDomain = "mec.example."
-	}
-	cfg.PublicDomain = dnswire.CanonicalName(cfg.PublicDomain)
 	if cfg.CacheServers <= 0 {
 		cfg.CacheServers = 2
-	}
-	if cfg.CacheCapacity <= 0 {
-		cfg.CacheCapacity = 64 << 20
 	}
 	if cfg.LDNSProcessing == nil {
 		cfg.LDNSProcessing = simnet.Shifted{Base: 250 * time.Microsecond, Jitter: simnet.Uniform{Max: 100 * time.Microsecond}}
@@ -186,16 +162,13 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 	if cfg.CDNSProcessing == nil {
 		cfg.CDNSProcessing = simnet.Shifted{Base: 600 * time.Microsecond, Jitter: simnet.Uniform{Max: 200 * time.Microsecond}}
 	}
-	if cfg.ECSProcessing == 0 {
-		cfg.ECSProcessing = 60 * time.Microsecond
-	}
 
 	prefix := cfg.NamePrefix
 	net := tb.Net
 	orch, err := orchestrator.New(orchestrator.Config{
 		Net:        net,
 		FabricNode: lte.NodePGW,
-		PodDelay:   tb.Cfg.MECDelay,
+		PodDelay:   lte.MECDelay,
 	})
 	if err != nil {
 		return nil, err
@@ -203,14 +176,13 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 	site := &Site{Orch: orch, cfg: cfg, tb: tb}
 
 	// Public namespace zone, fed by the orchestrator.
-	site.PublicZone = dnsserver.NewZone(cfg.PublicDomain)
+	site.PublicZone = dnsserver.NewZone(publicDomain)
 	orch.SetPublicZone(site.PublicZone)
 
 	// Edge cache instances, each on its own MEC node, each fronted by
 	// a Service so DNS answers carry cluster IPs only.
 	site.Router = cdn.NewRouter(cfg.Domain)
 	site.Router.Policy = cfg.Policy
-	site.Router.Geo = cfg.Geo
 	if cfg.Health != nil {
 		hc := *cfg.Health
 		if hc.Clock == nil {
@@ -232,7 +204,7 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 	cdnsNode := tb.AddMEC(prefix + "mec-cdns")
 	cdnsProc := cfg.CDNSProcessing
 	if cfg.EnableECS {
-		cdnsProc = simnet.Shifted{Base: cfg.ECSProcessing, Jitter: cdnsProc}
+		cdnsProc = simnet.Shifted{Base: ecsProcessing, Jitter: cdnsProc}
 	}
 	dnsserver.Attach(cdnsNode, dnsserver.Chain(site.Router), cdnsProc)
 	if site.Health != nil {
@@ -258,18 +230,13 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 	// the C-DNS miss path to peers. The announce answer address is the
 	// site's C-DNS cluster IP, so a steered client lands on the peer
 	// site's Traffic Router and gets that site's own cache selection.
-	if cfg.Mesh != nil {
+	if cfg.Mesh {
 		site.meshNode = tb.AddMEC(prefix + "mec-mesh")
 		site.Mesh = mesh.NewAgent(mesh.Config{
-			Site:             prefix + "mec",
-			AnswerAddr:       site.CDNS.Addr().String(),
-			AnnounceInterval: cfg.Mesh.AnnounceInterval,
-			DigestBits:       cfg.Mesh.DigestBits,
-			DigestHashes:     cfg.Mesh.DigestHashes,
-			LoadFactor:       cfg.Mesh.LoadFactor,
-			StaleAfter:       cfg.Mesh.StaleAfter,
-			Clock:            net.Clock,
-			Health:           site.Health,
+			Site:       prefix + "mec",
+			AnswerAddr: site.CDNS.Addr().String(),
+			Clock:      net.Clock,
+			Health:     site.Health,
 			Source: func(add func(string)) {
 				for _, c := range site.Caches {
 					c.Cache().Each(func(content cdn.Content) { add(content.Name) })
@@ -311,7 +278,6 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 		site.Shed = &dnsserver.LoadShed{
 			Clock:      net.Clock,
 			MaxQueries: cfg.MaxIngressQPS,
-			Window:     time.Second,
 		}
 		if cfg.ProviderLDNS.IsValid() {
 			site.Shed.Fallback = dnsserver.Chain(providerForward())
@@ -327,15 +293,14 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 		public.Forward = providerForward()
 	}
 
-	clusterCIDR := netip.MustParsePrefix("10.96.0.0/16")
 	split := &dnsserver.Split{
-		IsInternal: func(a netip.Addr) bool { return clusterCIDR.Contains(a) },
+		IsInternal: orch.InCluster,
 		Internal:   dnsserver.Chain(dnsserver.NewZonePlugin(orch.InternalZone())),
 		Public:     dnsserver.Chain(public.Plugins()...),
 	}
 	ldnsProc := cfg.LDNSProcessing
 	if cfg.EnableECS {
-		ldnsProc = simnet.Shifted{Base: cfg.ECSProcessing, Jitter: ldnsProc}
+		ldnsProc = simnet.Shifted{Base: ecsProcessing, Jitter: ldnsProc}
 	}
 	dnsserver.Attach(ldnsNode, dnsserver.Chain(split), ldnsProc)
 	ldnsSvc, err := orch.CreateService(orchestrator.ServiceSpec{
@@ -417,7 +382,7 @@ func (s *Site) newCacheInstance(router *cdn.Router, nodeName, svcName, domain st
 		Name:          nodeName,
 		Site:          s.cfg.NamePrefix + "mec",
 		Tier:          cdn.TierEdge,
-		CapacityBytes: s.cfg.CacheCapacity,
+		CapacityBytes: cacheCapacity,
 		Parent:        parent,
 		Domains:       []string{domain},
 		ServeDelay:    simnet.Shifted{Base: 200 * time.Microsecond, Jitter: simnet.Uniform{Max: 100 * time.Microsecond}},
@@ -499,7 +464,6 @@ func (s *Site) AddDomain(domain string, originAddr netip.Addr, cacheServers int)
 
 	dep := &DomainDeployment{Domain: domain, Router: cdn.NewRouter(domain)}
 	dep.Router.Policy = s.cfg.Policy
-	dep.Router.Geo = s.cfg.Geo
 	for i := 0; i < cacheServers; i++ {
 		name := fmt.Sprintf("%scache-%d", tag, i)
 		server, svc, err := s.newCacheInstance(dep.Router, name, name, domain, originAddr)

@@ -26,7 +26,7 @@ func twoSiteMesh(t *testing.T, seed int64) (*lte.Testbed, *Site, *Site) {
 	siteA, err := DeploySite(tb, SiteConfig{
 		Domain:     testDomain,
 		NamePrefix: "a-",
-		Mesh:       &MeshOptions{},
+		Mesh:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func twoSiteMesh(t *testing.T, seed int64) (*lte.Testbed, *Site, *Site) {
 		Domain:     testDomain,
 		NamePrefix: "b-",
 		OriginAddr: originNode.Addr,
-		Mesh:       &MeshOptions{},
+		Mesh:       true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -208,9 +208,25 @@ type FetchResult struct {
 	Total time.Duration
 }
 
+// fetchAttempts is how many times ResolveAndFetch runs the whole flow
+// before it gives up.
+const fetchAttempts = 3
+
 // ResolveAndFetch performs the full Figure 4 flow from the UE: DNS
 // resolution of name, then a content fetch from the answered address.
-func (c *UEClient) ResolveAndFetch(domain, name string) (*FetchResult, error) {
+// The air interface loses ~0.1% of datagrams; like a real player, the
+// UE starts a failed flow over, up to fetchAttempts times. A result's
+// latencies are those of the attempt that succeeded.
+func (c *UEClient) ResolveAndFetch(domain, name string) (fr *FetchResult, err error) {
+	for attempt := 0; attempt < fetchAttempts; attempt++ {
+		if fr, err = c.resolveAndFetch(domain, name); err == nil {
+			break
+		}
+	}
+	return fr, err
+}
+
+func (c *UEClient) resolveAndFetch(domain, name string) (*FetchResult, error) {
 	res, err := c.Resolve(name)
 	if err != nil {
 		return nil, err

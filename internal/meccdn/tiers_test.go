@@ -186,23 +186,3 @@ func TestCacheFailureResilience(t *testing.T) {
 		t.Error("router still points at the dead instance")
 	}
 }
-
-func TestTransferRateModel(t *testing.T) {
-	n := simnet.New(33)
-	n.AddNode("client")
-	n.AddNode("cache")
-	n.AddLink("client", "cache", simnet.Constant(time.Millisecond), 0)
-	server := cdn.NewCacheServer(n.Node("cache"), cdn.CacheServerConfig{
-		Name: "cache", CapacityBytes: 1 << 30,
-		TransferRate: 10 << 20, // 10 MiB/s
-	})
-	server.Warm(cdn.Content{Name: "big", Size: 5 << 20}) // 5 MiB → 500ms
-	res, err := cdn.Fetch(n.Node("client").Endpoint(), server.Addr(), "any.", "big", 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1ms + 500ms serialization + 1ms.
-	if res.RTT < 500*time.Millisecond || res.RTT > 510*time.Millisecond {
-		t.Errorf("rtt = %v, want ≈502ms", res.RTT)
-	}
-}

@@ -39,22 +39,9 @@ type Config struct {
 	// Peers seeds the announce targets; AddPeer extends them later.
 	Peers []Peer
 	// AnnounceInterval is the gossip cadence for Start; zero means 2s.
+	// A peer stays steerable for staleAfterIntervals of it after its
+	// last applied announce.
 	AnnounceInterval time.Duration
-	// AnnounceTimeout bounds one announce exchange; zero means 2s.
-	AnnounceTimeout time.Duration
-	// DigestBits and DigestHashes size the content digest; zero means
-	// DefaultDigestBits / DefaultDigestHashes.
-	DigestBits   int
-	DigestHashes int
-	// StaleAfter is how long a peer's last applied announce keeps it
-	// steerable; zero means 3× the announce interval.
-	StaleAfter time.Duration
-	// LoadFactor is the bounded-load factor c over peer steering
-	// cells; values ≤ 1 mean 1.25.
-	LoadFactor float64
-	// PeerLoadMax drops peers whose self-reported ingress load meets
-	// or exceeds it from steering; zero means 0.9.
-	PeerLoadMax float64
 	// Health, when non-nil, folds per-peer failure detection into the
 	// registry: configured peers are registered as "peer:<name>"
 	// targets, every announce exchange reports as a probe, and a peer
@@ -75,6 +62,21 @@ type Config struct {
 	// summary; nil reports 0.
 	Load func() float64
 }
+
+const (
+	// announceTimeout bounds one announce exchange.
+	announceTimeout = 2 * time.Second
+	// staleAfterIntervals is how many announce intervals a peer's last
+	// applied announce keeps it steerable.
+	staleAfterIntervals = 3
+	// loadFactor is the bounded-load factor c over peer steering cells:
+	// no peer absorbs more than ⌈c·(total+1)/peers⌉ steered misses per
+	// decay window, so a flash crowd cannot stampede one sibling.
+	loadFactor = 1.25
+	// peerLoadMax drops a peer whose self-reported ingress load meets
+	// or exceeds it from steering.
+	peerLoadMax = 0.9
+)
 
 // peerRecord is the writer-side state for one announcing site.
 type peerRecord struct {
@@ -126,19 +128,6 @@ func NewAgent(cfg Config) *Agent {
 	if cfg.AnnounceInterval <= 0 {
 		cfg.AnnounceInterval = 2 * time.Second
 	}
-	if cfg.AnnounceTimeout <= 0 {
-		cfg.AnnounceTimeout = 2 * time.Second
-	}
-	cfg.DigestBits, cfg.DigestHashes = clampDigestParams(cfg.DigestBits, cfg.DigestHashes)
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.AnnounceInterval
-	}
-	if cfg.LoadFactor <= 1 {
-		cfg.LoadFactor = 1.25
-	}
-	if cfg.PeerLoadMax <= 0 || cfg.PeerLoadMax > 1 {
-		cfg.PeerLoadMax = 0.9
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.NewReal()
 	}
@@ -150,7 +139,6 @@ func NewAgent(cfg Config) *Agent {
 		announces: telemetry.NewCounterVec("meccdn_mesh_announces_total",
 			"Mesh announce events by result: ok/send_error/bad_ack (outgoing), applied/stale/malformed/bad_verb (incoming).", "result"),
 	}
-	a.view.loadFactor = cfg.LoadFactor
 	if cfg.Health != nil {
 		cfg.Health.OnTransition(func(name string, _, _ health.State) {
 			// A peer's health verdict changed: republish so the serve
@@ -246,7 +234,7 @@ func (a *Agent) PeerNames() []string {
 // freshness and health verdicts are re-evaluated. Virtual-time
 // callers drive this directly; Start wraps it in a wall-clock loop.
 func (a *Agent) AnnounceOnce() {
-	d := NewDigest(a.cfg.DigestBits, a.cfg.DigestHashes)
+	d := NewDigest(DefaultDigestBits, DefaultDigestHashes)
 	if a.cfg.Source != nil {
 		a.cfg.Source(d.Add)
 	}
@@ -274,7 +262,7 @@ func (a *Agent) AnnounceOnce() {
 			break
 		}
 		start := a.cfg.Clock.Now()
-		resp, err := tr.Exchange(p.Addr, payload, a.cfg.AnnounceTimeout)
+		resp, err := tr.Exchange(p.Addr, payload, announceTimeout)
 		switch {
 		case err != nil:
 			a.announces.Inc("send_error")
@@ -392,7 +380,7 @@ func (a *Agent) publishLocked() {
 			updated: rec.updated,
 			cell:    cell,
 		}
-		e.ok = rec.addr.IsValid() && now-rec.updated <= a.cfg.StaleAfter && rec.load < a.cfg.PeerLoadMax
+		e.ok = rec.addr.IsValid() && now-rec.updated <= staleAfterIntervals*a.cfg.AnnounceInterval && rec.load < peerLoadMax
 		if a.cfg.Health != nil && a.registered[name] {
 			rank, ewma := a.cfg.Health.Rank(cell.target)
 			ranks[name] = rank
@@ -536,8 +524,8 @@ func (a *Agent) Snapshot() Status {
 	st := Status{
 		Site:         a.cfg.Site,
 		Generation:   a.gen.Load(),
-		DigestBits:   a.cfg.DigestBits,
-		DigestHashes: a.cfg.DigestHashes,
+		DigestBits:   DefaultDigestBits,
+		DigestHashes: DefaultDigestHashes,
 		Configured:   a.PeerNames(),
 		PeerHits:     a.view.PeerHits(),
 		PeerMisses:   a.view.PeerMisses(),

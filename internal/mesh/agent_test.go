@@ -136,7 +136,7 @@ func TestFreshnessExpiry(t *testing.T) {
 	if _, ok := a.View().Lookup("seg-0001"); !ok {
 		t.Fatal("fresh announce not steerable")
 	}
-	// Past StaleAfter (3× interval) the peer must leave the steering
+	// Past staleAfterIntervals (3× interval) the peer must leave the steering
 	// set at the next republish, even with no further datagrams.
 	clk.Advance(4 * time.Second)
 	a.AnnounceOnce() // no transport: republish only
@@ -187,7 +187,7 @@ func TestPeerFailureDetection(t *testing.T) {
 }
 
 func TestBoundedLoadCapsSteering(t *testing.T) {
-	a := NewAgent(Config{Site: "site-a", Clock: &vclock.Fixed{}, LoadFactor: 1.25})
+	a := NewAgent(Config{Site: "site-a", Clock: &vclock.Fixed{}})
 	bitmap, k := testBitmap("seg-hot")
 	ann1, _ := EncodeAnnounce("site-b", "10.0.0.2", 1, 1, 0, k, bitmap)
 	ann2, _ := EncodeAnnounce("site-c", "10.0.0.3", 1, 0, 0, k, make([]byte, len(bitmap)))

@@ -62,12 +62,6 @@ type PeerHit struct {
 type View struct {
 	state atomic.Pointer[viewState]
 
-	// loadFactor is the bounded-load factor c over the peers' steering
-	// cells: no peer absorbs more than ⌈c·(total+1)/peers⌉ steered
-	// misses per decay window, so a flash crowd cannot stampede one
-	// sibling. Set once by the Agent before publishing.
-	loadFactor float64
-
 	// total mirrors the sum of the current peers' cells, so the cap
 	// check reads one counter.
 	total atomic.Int64
@@ -105,7 +99,7 @@ func (v *View) Lookup(key string) (PeerHit, bool) {
 		return PeerHit{}, false
 	}
 	h1, h2 := digestHash(key)
-	capLoad := capacity(v.loadFactor, v.total.Load(), len(s.peers))
+	capLoad := capacity(loadFactor, v.total.Load(), len(s.peers))
 	for i := range s.peers {
 		p := &s.peers[i]
 		if !p.ok {
@@ -141,8 +135,7 @@ func (v *View) Steer(key string) (PeerHit, bool) {
 }
 
 // Nearest returns the healthiest eligible peer regardless of content
-// — the geo-aware PoP fallback target when the LPM-mapped PoP is
-// down. Lock-free.
+// — the fallback target when the LPM-mapped PoP is down. Lock-free.
 func (v *View) Nearest() (PeerHit, bool) {
 	s := v.snapshot()
 	if len(s.peers) == 0 || !s.peers[0].ok {

@@ -29,15 +29,15 @@ type Config struct {
 	// FabricNode is the node the pod network hangs off (typically the
 	// P-GW or a dedicated switch node); required.
 	FabricNode string
-	// ClusterCIDR is the service IP range; zero value means
-	// 10.96.0.0/16 like a stock kubeadm cluster.
-	ClusterCIDR netip.Prefix
-	// ClusterDomain is the internal DNS suffix; "" means
-	// "cluster.local.".
-	ClusterDomain string
 	// PodDelay is the pod-network per-hop latency; nil means 100µs.
 	PodDelay simnet.Sampler
 }
+
+// clusterCIDR is the service IP range, a stock kubeadm cluster's.
+var clusterCIDR = netip.MustParsePrefix("10.96.0.0/16")
+
+// clusterDomain is the internal DNS suffix.
+const clusterDomain = "cluster.local."
 
 // Orchestrator is the cluster control plane.
 type Orchestrator struct {
@@ -60,20 +60,13 @@ func New(cfg Config) (*Orchestrator, error) {
 	if cfg.Net.Node(cfg.FabricNode) == nil {
 		return nil, fmt.Errorf("orchestrator: fabric node %q does not exist", cfg.FabricNode)
 	}
-	if !cfg.ClusterCIDR.IsValid() {
-		cfg.ClusterCIDR = netip.MustParsePrefix("10.96.0.0/16")
-	}
-	if cfg.ClusterDomain == "" {
-		cfg.ClusterDomain = "cluster.local."
-	}
-	cfg.ClusterDomain = dnswire.CanonicalName(cfg.ClusterDomain)
 	if cfg.PodDelay == nil {
 		cfg.PodDelay = simnet.Constant(100 * time.Microsecond)
 	}
 	return &Orchestrator{
 		cfg:          cfg,
 		services:     make(map[string]*Service),
-		internalZone: dnsserver.NewZone(cfg.ClusterDomain),
+		internalZone: dnsserver.NewZone(clusterDomain),
 		publicNames:  make(map[string]string),
 		nextIP:       1, // skip network address
 	}, nil
@@ -82,6 +75,10 @@ func New(cfg Config) (*Orchestrator, error) {
 // InternalZone is the VNF service-discovery namespace: every service
 // is visible here as <name>.<namespace>.svc.<cluster-domain>.
 func (o *Orchestrator) InternalZone() *dnsserver.Zone { return o.internalZone }
+
+// InCluster reports whether addr is inside the cluster's service IP
+// range: a client the split-namespace DNS serves the internal view.
+func (o *Orchestrator) InCluster(addr netip.Addr) bool { return clusterCIDR.Contains(addr) }
 
 // SetPublicZone installs the publicly visible namespace zone; public
 // services are registered into it under their public FQDNs. The zone
@@ -155,7 +152,7 @@ func (o *Orchestrator) CreateService(spec ServiceSpec) (*Service, error) {
 	node.SetHandler(simnet.HandlerFunc(svc.proxy))
 	o.services[key] = svc
 
-	fqdn := spec.Name + "." + spec.Namespace + ".svc." + o.cfg.ClusterDomain
+	fqdn := spec.Name + "." + spec.Namespace + ".svc." + clusterDomain
 	if err := o.internalZone.AddA(fqdn, 30, ip); err != nil {
 		return nil, fmt.Errorf("registering %s: %w", fqdn, err)
 	}
@@ -184,7 +181,7 @@ func (o *Orchestrator) DeleteService(namespace, name string) error {
 	}
 	delete(o.services, key)
 	svc.node.SetHandler(nil)
-	fqdn := name + "." + namespace + ".svc." + o.cfg.ClusterDomain
+	fqdn := name + "." + namespace + ".svc." + clusterDomain
 	o.internalZone.Remove(fqdn, dnswire.TypeA)
 	for pub, k := range o.publicNames {
 		if k == key {
@@ -231,10 +228,10 @@ func (o *Orchestrator) PublicIPReport() (withReuse, withoutReuse int) {
 }
 
 func (o *Orchestrator) allocateIPLocked() (netip.Addr, error) {
-	base := o.cfg.ClusterCIDR.Masked().Addr().As4()
+	base := clusterCIDR.Masked().Addr().As4()
 	for ; o.nextIP < 1<<16; o.nextIP++ {
 		candidate := netip.AddrFrom4([4]byte{base[0], base[1], byte(o.nextIP >> 8), byte(o.nextIP)})
-		if !o.cfg.ClusterCIDR.Contains(candidate) {
+		if !clusterCIDR.Contains(candidate) {
 			break
 		}
 		if o.cfg.Net.NodeByAddr(candidate) == nil {
@@ -242,7 +239,7 @@ func (o *Orchestrator) allocateIPLocked() (netip.Addr, error) {
 			return candidate, nil
 		}
 	}
-	return netip.Addr{}, fmt.Errorf("orchestrator: cluster CIDR %v exhausted", o.cfg.ClusterCIDR)
+	return netip.Addr{}, fmt.Errorf("orchestrator: cluster CIDR %v exhausted", clusterCIDR)
 }
 
 // proxy forwards a datagram to one endpoint (round-robin) and relays

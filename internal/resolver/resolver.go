@@ -29,9 +29,11 @@ var (
 )
 
 const (
-	defaultMaxReferrals = 16
-	defaultMaxCNAME     = 8
-	defaultNSTTL        = time.Hour
+	// maxReferrals bounds the referral walk.
+	maxReferrals = 16
+	// maxCNAME bounds alias chains.
+	maxCNAME     = 8
+	defaultNSTTL = time.Hour
 )
 
 // Resolver performs iterative resolution.
@@ -42,10 +44,6 @@ type Resolver struct {
 	Client *dnsclient.Client
 	// Clock drives delegation-cache expiry; required.
 	Clock vclock.Clock
-	// MaxReferrals bounds the referral walk; 0 means 16.
-	MaxReferrals int
-	// MaxCNAME bounds alias chains; 0 means 8.
-	MaxCNAME int
 	// ForwardECS forwards the client's EDNS Client Subnet option on
 	// upstream content queries (RFC 7871 forwarding-recursive
 	// behavior). Off by default, the resolver behaves like the many
@@ -113,10 +111,6 @@ func (r *Resolver) resolve(ctx context.Context, qname string, qtype dnswire.Type
 	qname = dnswire.CanonicalName(qname)
 	original := dnswire.Question{Name: qname, Type: qtype, Class: dnswire.ClassINET}
 	var chain []dnswire.RR
-	maxCNAME := r.MaxCNAME
-	if maxCNAME <= 0 {
-		maxCNAME = defaultMaxCNAME
-	}
 	for hop := 0; ; hop++ {
 		resp, err := r.resolveOne(ctx, qname, qtype, 0, ecs)
 		if err != nil {
@@ -161,10 +155,6 @@ func (r *Resolver) resolveOne(ctx context.Context, qname string, qtype dnswire.T
 	servers := r.bestServers(qname)
 	if len(servers) == 0 {
 		return nil, ErrNoServers
-	}
-	maxReferrals := r.MaxReferrals
-	if maxReferrals <= 0 {
-		maxReferrals = defaultMaxReferrals
 	}
 	for step := 0; step < maxReferrals; step++ {
 		resp, err := r.queryAny(ctx, servers, qname, qtype, ecs)

@@ -45,8 +45,6 @@ type (
 	SiteConfig = meccdn.SiteConfig
 	// UEClient is the end-user resolver stub with pluggable policy.
 	UEClient = meccdn.UEClient
-	// MeshOptions enables the mesh agent on a deployed Site.
-	MeshOptions = meccdn.MeshOptions
 )
 
 // Multicast queries the MEC DNS and the provider L-DNS at once and
@@ -104,8 +102,6 @@ func NewRouter(domain string) *cdn.Router { return cdn.NewRouter(domain) }
 type (
 	// AvailabilityFirst prefers servers already holding the content.
 	AvailabilityFirst = cdn.AvailabilityFirst
-	// GeoNearest picks the server closest to the located client.
-	GeoNearest = cdn.GeoNearest
 	// RoundRobin cycles through candidates (the disaggregating
 	// baseline).
 	RoundRobin = cdn.RoundRobin
