@@ -19,10 +19,11 @@ all: vet test race build
 # 2 and 4 cores, the recycled-span hazard (a hedged exchange's
 # straggler must not reach the query its span serves next) 20 times
 # under the race detector and the allocation pins — the telemetry-on
-# hit, the query parse, the router's answer, the P2 hop's budget — each
-# at 1, 2 and 4 cores,
+# hit, the query parse, the router's answer, the P2 hop's budget, the
+# cache's store — each at 1, 2 and 4 cores,
 # bounded differential-fuzz passes
-# over the LPM lookup, the cache's reply patch, the one query→reply
+# over the LPM lookup, the cache's SIEVE eviction against a reference
+# SIEVE, the cache's reply patch, the one query→reply
 # function every ingress serves with, the walk that lets a reply be
 # relayed undecoded, the name codec and the router's bytes-written
 # reply, a serve-path benchmark smoke
@@ -48,12 +49,13 @@ ci:
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/ ./internal/meccdn/ ./internal/resolver/ .
 	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery' -cpu 1,2,4 ./internal/dnsserver/
-	$(GO) test -run 'TestServeQueryAllocs' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestUnpackQueryNoAllocOnRepeat|TestAppendReplyIsRouterVector' -cpu 1,2,4 ./internal/dnswire/
 	$(GO) test -run 'TestRouterAnswerAllocs' -cpu 1,2,4 ./internal/cdn/
 	$(GO) test -run 'TestStubExchangeAllocBudget' -cpu 1,2,4 .
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
+	$(GO) test -run xxx -fuzz FuzzCacheEviction -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzServeQuery -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzResponseWalk -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzNameUnpack -fuzztime 5s ./internal/dnswire/

@@ -1,7 +1,6 @@
 package dnsserver
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	mathbits "math/bits"
@@ -46,7 +45,7 @@ type CacheStats struct {
 }
 
 // Cache is a TTL-honouring response cache with RFC 2308 negative
-// caching and LRU eviction. Responses are keyed by question and, for
+// caching and SIEVE eviction. Responses are keyed by question and, for
 // ECS queries, by the *answer's* scope-masked subnet (RFC 7871
 // §7.3.1): an authority that tailors to /16 granularity costs one
 // entry per /16, not one per disclosed /24 — so the
@@ -55,11 +54,14 @@ type CacheStats struct {
 // clients disclose.
 //
 // The cache is sharded by key hash: each shard has its own mutex and
-// LRU list, so concurrent queries for different names never contend
-// on one lock. Concurrent misses for the *same* key are coalesced
-// with a singleflight flight per key: one query becomes the leader
-// and performs the upstream exchange, the rest wait and share its
-// answer, so M concurrent misses cost one upstream query.
+// SIEVE queue, so concurrent queries for different names never contend
+// on one lock. A hit only sets its entry's visited bit, and eviction
+// passes over visited entries, so a stream of never-repeated names
+// evicts its own kind instead of the hot set. Concurrent misses for the
+// *same* key are coalesced with a singleflight flight per key: one
+// query becomes the leader and performs the upstream exchange, the rest
+// wait and share its answer, so M concurrent misses cost one upstream
+// query.
 type Cache struct {
 	// Clock supplies time; required. Use the simnet clock in
 	// experiments and vclock.NewReal() on live servers.
@@ -68,7 +70,8 @@ type Cache struct {
 	MaxEntries int
 	// Shards is the number of independent shards; 0 means 16. The
 	// count is reduced automatically so every shard holds at least 64
-	// entries, which keeps LRU eviction near-exact for small caches.
+	// entries, which keeps per-shard eviction close to a global policy
+	// for small caches.
 	Shards int
 	// PrefetchFrac enables refresh-ahead prefetch: a hit whose
 	// remaining TTL is at or below this fraction of its stored
@@ -130,17 +133,66 @@ type cacheCounters struct {
 	prefetchIssued, prefetchCoalesced, prefetchDropped, staleServes *telemetry.Counter
 }
 
-// cacheShard is one independently locked slice of the key space.
+// cacheShard is one independently locked slice of the key space. Its
+// entries live in a slab, slots[1:], linked in insertion order into a
+// ring through the sentinel slots[0], whose next is the newest entry
+// (the head) and prev the oldest (the tail); free slots chain through
+// next from free. Index 0 means none for hand and free.
 type cacheShard struct {
-	mu      sync.Mutex
-	items   map[string]*list.Element
-	lru     *list.List
-	max     int
-	ctr     *cacheCounters
-	flights map[string]*flight
+	mu         sync.Mutex
+	items      map[string]int32
+	slots      []cacheSlot
+	hand, free int32
+	max        int
+	ctr        *cacheCounters
+	flights    map[string]*flight
 	// Per-lookup effectiveness counters, guarded by mu (see
 	// cacheCounters). Summed across shards at scrape time.
 	hits, misses, negHits, expired, evictions uint64
+}
+
+// cacheSlot is one slab slot; prev is the newer neighbour, next the
+// older one (or, on a free slot, the next free slot).
+type cacheSlot struct {
+	ent        *cacheEntry
+	prev, next int32
+	visited    bool
+}
+
+// reset empties the shard; the slab grows on demand up to max slots.
+func (sh *cacheShard) reset() {
+	sh.items, sh.slots = make(map[string]int32), make([]cacheSlot, 1)
+	sh.hand, sh.free = 0, 0
+}
+
+// remove unlinks slot i, drops its key and frees the slot. A hand
+// resting on it moves to its newer neighbour.
+func (sh *cacheShard) remove(i int32) {
+	s := &sh.slots[i]
+	if sh.hand == i {
+		sh.hand = s.prev
+	}
+	sh.slots[s.prev].next, sh.slots[s.next].prev = s.next, s.prev
+	delete(sh.items, s.ent.key)
+	*s = cacheSlot{next: sh.free}
+	sh.free = i
+}
+
+// evict removes the SIEVE victim: the hand, starting where it last
+// stopped (or at the tail), walks toward the head and round to the
+// tail again, clearing visited bits, and evicts the first unvisited
+// slot; remove leaves the hand at the victim's newer neighbour.
+func (sh *cacheShard) evict() {
+	i := sh.hand
+	for i == 0 || sh.slots[i].visited {
+		sh.slots[i].visited = false
+		if i = sh.slots[i].prev; i == 0 {
+			i = sh.slots[0].prev
+		}
+	}
+	sh.hand = i
+	sh.remove(i)
+	sh.evictions++
 }
 
 // flight is one in-progress upstream exchange that concurrent misses
@@ -206,25 +258,22 @@ func (c *Cache) init() {
 		if n <= 0 {
 			n = 16
 		}
-		// Keep shards big enough that per-shard LRU approximates the
-		// global LRU; tiny caches collapse to a single shard.
+		// Keep shards big enough that per-shard eviction approximates
+		// a global policy; tiny caches collapse to a single shard.
 		const minPerShard = 64
 		for n > 1 && max/n < minPerShard {
 			n /= 2
 		}
-		perShard := max / n
-		if max%n != 0 {
-			perShard++
-		}
+		// The first max%n shards take one entry more, so the shards sum
+		// to exactly max.
 		c.shards = make([]*cacheShard, n)
 		for i := range c.shards {
-			c.shards[i] = &cacheShard{
-				items:   make(map[string]*list.Element),
-				lru:     list.New(),
-				max:     perShard,
-				ctr:     &c.ctr,
-				flights: make(map[string]*flight),
+			sh := &cacheShard{max: max / n, ctr: &c.ctr, flights: make(map[string]*flight)}
+			if i < max%n {
+				sh.max++
 			}
+			sh.reset()
+			c.shards[i] = sh
 		}
 	})
 }
@@ -259,7 +308,7 @@ func (c *Cache) Collectors() []telemetry.Collector {
 			"Cache lookups that found an entry past its TTL.",
 			shardSum(func(sh *cacheShard) uint64 { return sh.expired })),
 		telemetry.NewCounterFunc("meccdn_dns_cache_evictions_total",
-			"Entries evicted by per-shard LRU pressure.",
+			"Entries evicted by per-shard SIEVE pressure.",
 			shardSum(func(sh *cacheShard) uint64 { return sh.evictions })),
 		c.ctr.coalesced,
 		c.ctr.prefetchIssued, c.ctr.prefetchCoalesced,
@@ -299,7 +348,7 @@ func (c *Cache) Stats() CacheStats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		s.Entries += sh.lru.Len()
+		s.Entries += len(sh.items)
 		s.Hits += sh.hits
 		s.Misses += sh.misses
 		s.NegativeHits += sh.negHits
@@ -315,8 +364,7 @@ func (c *Cache) Flush() {
 	c.init()
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.items = make(map[string]*list.Element)
-		sh.lru.Init()
+		sh.reset()
 		sh.mu.Unlock()
 	}
 }
@@ -643,18 +691,26 @@ func (c *Cache) store(r *Request, image []byte) *cacheEntry {
 	sh := c.shardOf(kbuf)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.items[ent.key]; ok {
-		el.Value = ent
-		sh.lru.MoveToFront(el)
+	if i, ok := sh.items[ent.key]; ok {
+		// A refill: the query that missed is an access to the key.
+		sh.slots[i].ent, sh.slots[i].visited = ent, true
 		return ent
 	}
-	for sh.lru.Len() >= sh.max {
-		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		delete(sh.items, oldest.Value.(*cacheEntry).key)
-		sh.evictions++
+	for len(sh.items) >= sh.max {
+		sh.evict()
 	}
-	sh.items[ent.key] = sh.lru.PushFront(ent)
+	i := sh.free
+	if i != 0 {
+		sh.free = sh.slots[i].next
+	} else {
+		i = int32(len(sh.slots))
+		sh.slots = append(sh.slots, cacheSlot{})
+	}
+	// New entries go in at the head, unvisited.
+	head := sh.slots[0].next
+	sh.slots[i] = cacheSlot{ent: ent, next: head}
+	sh.slots[head].prev, sh.slots[0].next = i, i
+	sh.items[ent.key] = i
 	return ent
 }
 
@@ -731,9 +787,9 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 }
 
 // serveHit looks key up and, on a live entry, replies from it and
-// returns a hit result. Only the map/LRU bookkeeping runs under the
-// shard lock; replying runs outside it, which is safe because stored
-// entries are immutable — store replaces whole entries and every
+// returns a hit result. Only the map lookup and the visited bit run
+// under the shard lock; replying runs outside it, which is safe because
+// stored entries are immutable — store replaces whole entries and every
 // reader patches its own copy.
 //
 // Hits whose remaining TTL has entered the PrefetchFrac window carry
@@ -747,7 +803,7 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 // credited here, on the shard that actually served.
 func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w ResponseWriter, r *Request, count bool) lookupResult {
 	sh.mu.Lock()
-	el, ok := sh.items[string(key)] // no alloc: map lookup by converted key
+	i, ok := sh.items[string(key)] // no alloc: map lookup by converted key
 	if !ok {
 		if count {
 			sh.misses++
@@ -755,7 +811,8 @@ func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w Respon
 		sh.mu.Unlock()
 		return lookupResult{}
 	}
-	ent := el.Value.(*cacheEntry)
+	slot := &sh.slots[i]
+	ent := slot.ent
 	if now >= ent.expires {
 		if c.MaxStale > 0 && now < ent.expires+c.MaxStale {
 			// Keep the expired entry: it is the serve-stale fallback
@@ -767,15 +824,16 @@ func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w Respon
 			sh.mu.Unlock()
 			return lookupResult{stale: ent}
 		}
-		sh.lru.Remove(el)
-		delete(sh.items, string(key))
+		sh.remove(i)
 		if count {
 			sh.expired++
 		}
 		sh.mu.Unlock()
 		return lookupResult{}
 	}
-	sh.lru.MoveToFront(el)
+	if !slot.visited { // a hot slot's line is not dirtied on every hit
+		slot.visited = true
+	}
 	sh.hits++
 	if ent.negative {
 		sh.negHits++

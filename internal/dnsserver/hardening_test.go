@@ -548,8 +548,9 @@ func TestCacheExpiredNotDoubleCounted(t *testing.T) {
 	}
 }
 
-// TestCacheShardAutoSizing: tiny caches collapse to one shard so LRU
-// stays exact; big caches keep the configured shard count.
+// TestCacheShardAutoSizing: tiny caches collapse to one shard so
+// eviction follows one SIEVE queue; big caches keep the configured
+// shard count.
 func TestCacheShardAutoSizing(t *testing.T) {
 	small := NewCache(&vclock.Fixed{})
 	small.MaxEntries = 4

@@ -144,7 +144,7 @@ func TestCacheECSFragmentation(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
+func TestCacheSIEVEEviction(t *testing.T) {
 	clock := &vclock.Fixed{}
 	cache := NewCache(clock)
 	cache.MaxEntries = 4
@@ -154,7 +154,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	for _, n := range names {
 		Resolve(context.Background(), h, queryFor(n))
 	}
-	// "a.t." should have been evicted.
+	// Nothing was visited, so "a.t.", the oldest, should have been
+	// evicted.
 	Resolve(context.Background(), h, queryFor("a.t."))
 	if backend.hits != 6 {
 		t.Errorf("backend hits = %d, want 6 (a.t. evicted)", backend.hits)
@@ -163,6 +164,22 @@ func TestCacheLRUEviction(t *testing.T) {
 	// re-stored at capacity.
 	if s := cache.Stats(); s.Evictions != 2 {
 		t.Errorf("evictions = %d", s.Evictions)
+	}
+
+	// A visited entry survives an insert at capacity; the unvisited one
+	// beside it goes in its place.
+	cache.Flush()
+	for _, n := range []string{"w.t.", "x.t.", "y.t.", "z.t.", "w.t.", "v.t."} {
+		Resolve(context.Background(), h, queryFor(n))
+	}
+	before := backend.hits
+	Resolve(context.Background(), h, queryFor("w.t."))
+	if backend.hits != before {
+		t.Error("w.t. was visited but evicted")
+	}
+	Resolve(context.Background(), h, queryFor("x.t."))
+	if backend.hits != before+1 {
+		t.Error("x.t. was not visited but survived")
 	}
 }
 
