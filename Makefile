@@ -6,39 +6,34 @@ GO ?= go
 
 all: vet test race build
 
-# The gate a commit must pass: static checks (gofmt, and vet on both
-# supported platforms, so the build-tagged mmsg files are vetted for
-# Linux and for the portable fallback), a full build, the test suite
-# under the race detector, the pool-ownership checker over the
-# packet-buffer packages (the upstream client's exchange buffers and
-# the relayed reply image included, and the C-DNS router's reply writer
-# over its fuzz seeds) and over every package whose tests drive chains
-# through Resolve or a simulated site, each query of which checks out a
-# pooled reply buffer too, the overload contract (hits do not
-# wait behind upstream exchanges; read == served + shed, exactly) at 1,
-# 2 and 4 cores, the recycled-span hazard (a hedged exchange's
-# straggler must not reach the query its span serves next) 20 times
-# under the race detector and the allocation pins — the telemetry-on
-# hit, the query parse, the router's answer, the P2 hop's budget, the
-# cache's store — each at 1, 2 and 4 cores,
-# bounded differential-fuzz passes
-# over the LPM lookup, the cache's SIEVE eviction against a reference
-# SIEVE, the cache's reply patch, the one query→reply
-# function every ingress serves with, the walk that lets a reply be
-# relayed undecoded, the name codec and the router's bytes-written
-# reply, a serve-path benchmark smoke
-# run that catches hit-path and stub-exchange regressions without
-# waiting for a full bench sweep (the two benchmarks that cross the UDP
-# ingress at 1, 2 and 4 cores and long enough to overrun a bounded
-# queue: at 100x one width the windowed hit benchmark's i/o timeout at
-# -cpu 2 went unseen for five PRs),
-# a small-N X8 sweep checking the bounded-load ring still beats the
-# plain ring, a small-N X9 run checking mesh peer steering still
-# serves flash-crowd misses from sibling MECs, and a build and vet of
-# the benchmark module, which compiles against internal/... but is a
-# module of its own (its tests wait for ROADMAP item 6b), bench-smoke,
-# and every example run to completion: the examples are what the root
-# facade exports (TestFacadeHasUsers), so they must keep working.
+# The gate a commit must pass, one line per step:
+#  - gofmt
+#  - vet for Linux (the build-tagged recvmmsg/sendmmsg files)
+#  - vet for darwin (their portable fallback)
+#  - vet the pool-ownership checker's packages under -tags pooldebug
+#  - build everything
+#  - the test suite under the race detector
+#  - the pool-ownership checker over every package that checks out packet buffers
+#  - the overload contract (hits never wait behind upstreams; read == served + shed) at 1, 2, 4 cores
+#  - the recycled-span hazard (a hedge straggler reaching the next query), 20 times under -race
+#  - allocation pins: the telemetry-on hit and the cache's store
+#  - allocation pins: the query parse and the router's reply vector
+#  - allocation pin: the router's answer
+#  - allocation budget: the P2 hop
+#  - fuzz: LPM lookup against its linear-scan twin
+#  - fuzz: the cache's reply patch
+#  - fuzz: SIEVE eviction against a reference SIEVE
+#  - fuzz: serveQuery, the one query-to-reply function every ingress uses
+#  - fuzz: the walk that lets a reply be relayed undecoded
+#  - fuzz: the name codec
+#  - fuzz: the router's bytes-written reply against its Message oracle
+#  - serve-path bench smoke across the UDP ingress at 1, 2, 4 cores (catches a bounded-queue timeout)
+#  - router, LPM and ring bench smoke
+#  - small-N X8: the bounded-load ring beats the plain ring
+#  - small-N X9: mesh peer steering serves flash-crowd misses from siblings
+#  - build and vet the benchmark module (a module of its own over internal/...)
+#  - bench-smoke: every benchmark workload, untraced and traced
+#  - every example runs to completion (they are what the root facade exports)
 ci:
 	gofmt -l . | (! grep .) || (echo "gofmt needed" && exit 1)
 	GOOS=linux $(GO) vet ./...

@@ -166,9 +166,27 @@ type Router struct {
 	peers atomic.Pointer[mesh.View]
 
 	ctrOnce  sync.Once
-	routed   *telemetry.CounterVec
-	routeCtr *telemetry.CounterVec
+	routed   *telemetry.Family // by routed* cell
+	routeCtr *telemetry.Family // by lookup* cell
 }
+
+// Cells of meccdn_cdn_routed_total.
+const (
+	routedSelected = iota
+	routedPeer
+	routedReferral
+	routedPeerFallback
+	routedFailed
+	routedNodata
+)
+
+// Cells of meccdn_route_lookups_total.
+const (
+	lookupHit = iota
+	lookupMiss
+	lookupPeerFallback
+	lookupUnmapped
+)
 
 // routerState is one immutable revision of the router's registry: the
 // cache servers and the PoP→answer-address map. Writers copy, mutate
@@ -210,12 +228,14 @@ func (rt *Router) updateState(fn func(*routerState)) {
 
 // counters lazily builds the routing counters, so Router keeps working
 // as a plain struct literal.
-func (rt *Router) counters() *telemetry.CounterVec {
+func (rt *Router) counters() *telemetry.Family {
 	rt.ctrOnce.Do(func() {
-		rt.routed = telemetry.NewCounterVec("meccdn_cdn_routed_total",
-			"C-DNS routing decisions by result (selected, peer, referral, peer_fallback, failed, nodata).", "result")
-		rt.routeCtr = telemetry.NewCounterVec("meccdn_route_lookups_total",
-			"Subnet→PoP table lookups by result: hit (route matched and answered), miss (no covering route), peer_fallback (route matched a PoP with no address and a healthy mesh peer took the client), unmapped (route matched a PoP with no address and no healthy mesh peer to fall back to).", "result")
+		rt.routed = telemetry.NewCounters("meccdn_cdn_routed_total",
+			"C-DNS routing decisions by result (selected, peer, referral, peer_fallback, failed, nodata).", "result",
+			"selected", "peer", "referral", "peer_fallback", "failed", "nodata")
+		rt.routeCtr = telemetry.NewCounters("meccdn_route_lookups_total",
+			"Subnet→PoP table lookups by result: hit (route matched and answered), miss (no covering route), peer_fallback (route matched a PoP with no address and a healthy mesh peer took the client), unmapped (route matched a PoP with no address and no healthy mesh peer to fall back to).", "result",
+			"hit", "miss", "peer_fallback", "unmapped")
 	})
 	return rt.routed
 }
@@ -301,7 +321,7 @@ func (rt *Router) subnetRoute(client ClientInfo) (addr, peerRef netip.Addr, scop
 	}
 	pop, bits, ok := table.Lookup(lookupAddr)
 	if !ok {
-		rt.routeCtr.Inc("miss")
+		rt.routeCtr.Inc(lookupMiss)
 		return netip.Addr{}, netip.Addr{}, 0, true
 	}
 	addr, ok = rt.snapshot().pops[pop]
@@ -311,14 +331,14 @@ func (rt *Router) subnetRoute(client ClientInfo) (addr, peerRef netip.Addr, scop
 		// peer MEC from the mesh view.
 		if v := rt.peers.Load(); v != nil {
 			if hit, hitOK := v.Nearest(); hitOK && hit.Addr.IsValid() {
-				rt.routeCtr.Inc("peer_fallback")
+				rt.routeCtr.Inc(lookupPeerFallback)
 				return netip.Addr{}, hit.Addr, 0, true
 			}
 		}
-		rt.routeCtr.Inc("unmapped")
+		rt.routeCtr.Inc(lookupUnmapped)
 		return netip.Addr{}, netip.Addr{}, 0, true
 	}
-	rt.routeCtr.Inc("hit")
+	rt.routeCtr.Inc(lookupHit)
 	return addr, netip.Addr{}, bits, true
 }
 
@@ -439,7 +459,7 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 	routed := rt.counters()
 	if r.Type() != dnswire.TypeA && r.Type() != dnswire.TypeANY {
 		// The CDN domain exists but we only publish A records.
-		routed.Inc("nodata")
+		routed.Inc(routedNodata)
 		telemetry.Annotate(ctx, "cdn-router", "nodata")
 		return rt.reply(w, r, dnswire.RcodeSuccess, netip.Addr{}, 0)
 	}
@@ -455,7 +475,7 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 		if popRef.IsValid() {
 			// Peer fallback: the mapped PoP is dead, so delegate
 			// to the nearest healthy peer MEC instead of answering it.
-			routed.Inc("peer_fallback")
+			routed.Inc(routedPeerFallback)
 			hop.End("peer-fallback")
 			return rt.writeReferralTo(w, r, popRef)
 		}
@@ -465,7 +485,7 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 
 	switch {
 	case addr.IsValid():
-		routed.Inc("selected")
+		routed.Inc(routedSelected)
 		hop.End("subnet-route")
 	default:
 		selected, peer, steered := rt.RoutePeer(qname, client)
@@ -475,23 +495,23 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 			// object, so delegate the client there — same referral
 			// mechanics as the cross-tier escalation, just pointed at
 			// the peer's C-DNS instead of the parent's.
-			routed.Inc("peer")
+			routed.Inc(routedPeer)
 			hop.End(peer.Target)
 			return rt.writeReferralTo(w, r, peer.Addr)
 		case selected != nil:
 			addr = selected.Answer()
-			routed.Inc("selected")
+			routed.Inc(routedSelected)
 			hop.End(selected.Server.Name)
 		case rt.Parent.IsValid():
 			// Cross-tier referral: "C-DNS simply returns the address of
 			// another C-DNS running at a different CDN tier" (§3 P2).
 			// Encoded as a proper DNS referral so clients and resolvers
 			// can chase it: NS in authority, glue in additional.
-			routed.Inc("referral")
+			routed.Inc(routedReferral)
 			hop.End("referral")
 			return rt.writeReferralTo(w, r, rt.Parent)
 		default:
-			routed.Inc("failed")
+			routed.Inc(routedFailed)
 			hop.End("failed")
 			return rt.reply(w, r, dnswire.RcodeServerFailure, netip.Addr{}, 0)
 		}

@@ -46,8 +46,15 @@ type NetTransport struct {
 	idle map[netip.AddrPort][]udpSocket // per upstream, most recently used last
 
 	ctrOnce sync.Once
-	sockets *telemetry.CounterVec
+	sockets *telemetry.Family
 }
+
+// Cells of the socket counter family.
+const (
+	socketDialed = iota
+	socketReused
+	socketDiscarded
+)
 
 // udpSocket is a connected UDP socket and the time it was dialed.
 type udpSocket struct {
@@ -70,10 +77,11 @@ type SocketStats struct {
 
 // counters lazily builds the socket counter family, so NetTransport
 // keeps working as a plain struct literal.
-func (t *NetTransport) counters() *telemetry.CounterVec {
+func (t *NetTransport) counters() *telemetry.Family {
 	t.ctrOnce.Do(func() {
-		t.sockets = telemetry.NewCounterVec("meccdn_dns_upstream_sockets_total",
-			"Upstream UDP sockets dialed, reused from the idle pool, and discarded (closed).", "result")
+		t.sockets = telemetry.NewCounters("meccdn_dns_upstream_sockets_total",
+			"Upstream UDP sockets dialed, reused from the idle pool, and discarded (closed).", "result",
+			"dialed", "reused", "discarded")
 	})
 	return t.sockets
 }
@@ -93,9 +101,9 @@ func (t *NetTransport) Collectors() []telemetry.Collector {
 func (t *NetTransport) Stats() SocketStats {
 	c := t.counters()
 	return SocketStats{
-		Dialed:    c.Value("dialed"),
-		Reused:    c.Value("reused"),
-		Discarded: c.Value("discarded"),
+		Dialed:    c.Value(socketDialed),
+		Reused:    c.Value(socketReused),
+		Discarded: c.Value(socketDiscarded),
 		Idle:      t.idleCount(),
 	}
 }
@@ -190,7 +198,7 @@ func (t *NetTransport) take(ctx context.Context, server netip.AddrPort) (udpSock
 		if !s.expired(now) {
 			t.idle[server] = stack
 			t.mu.Unlock()
-			t.counters().Inc1("reused")
+			t.counters().Inc(socketReused)
 			return s, nil
 		}
 		t.discard(s)
@@ -220,7 +228,7 @@ func (t *NetTransport) take(ctx context.Context, server netip.AddrPort) (udpSock
 	if err != nil {
 		return udpSocket{}, err
 	}
-	t.counters().Inc1("dialed")
+	t.counters().Inc(socketDialed)
 	return udpSocket{conn: conn, born: now}, nil
 }
 
@@ -247,7 +255,7 @@ func (t *NetTransport) yield(server netip.AddrPort, s udpSocket) {
 
 func (t *NetTransport) discard(s udpSocket) {
 	s.conn.Close()
-	t.counters().Inc1("discarded")
+	t.counters().Inc(socketDiscarded)
 }
 
 // aLongTimeAgo is a deadline in the past: setting it fails a blocked

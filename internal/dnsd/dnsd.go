@@ -45,7 +45,7 @@ type Daemon struct {
 	// Reload state (reload.go).
 	reloadMu   sync.Mutex        // one reload at a time (SIGHUP vs /reload)
 	zones      []*dnsserver.Zone // parallel to cfg.Zones, whose files Reload re-reads
-	reloads    *telemetry.CounterVec
+	reloads    *telemetry.Family // by reloadOK, reloadError
 	zoneSwaps  *telemetry.Counter
 	routeSwaps *telemetry.Counter
 }
@@ -176,8 +176,8 @@ func Build(cfg Config) (*Daemon, error) {
 		admin.Mesh = func() any { return d.Mesh.Snapshot() }
 	}
 	if d.reloadable() {
-		d.reloads = telemetry.NewCounterVec("meccdn_reload_total",
-			"Online reloads (SIGHUP or admin /reload) by result.", "result")
+		d.reloads = telemetry.NewCounters("meccdn_reload_total",
+			"Online reloads (SIGHUP or admin /reload) by result.", "result", "ok", "error")
 		d.zoneSwaps = telemetry.NewCounter("meccdn_reload_zone_swaps_total",
 			"Zone snapshots republished by online reloads.")
 		d.routeSwaps = telemetry.NewCounter("meccdn_reload_route_swaps_total",

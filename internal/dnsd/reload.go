@@ -16,6 +16,12 @@ var ErrNothingReloadable = errors.New("nothing reloadable (no -zone/-routes file
 
 func (d *Daemon) reloadable() bool { return len(d.zones) > 0 || d.cfg.Routes != "" }
 
+// Cells of meccdn_reload_total.
+const (
+	reloadOK = iota
+	reloadError
+)
+
 // Reload re-reads every -zone file and the -routes file and publishes
 // the new snapshots in place. Serving never pauses: in-flight queries
 // finish on the old snapshots, new ones see the new, and a zone keeps
@@ -32,10 +38,10 @@ func (d *Daemon) Reload() error {
 	d.reloadMu.Lock()
 	defer d.reloadMu.Unlock()
 	if err := d.reload(); err != nil {
-		d.reloads.Inc("error")
+		d.reloads.Inc(reloadError)
 		return err
 	}
-	d.reloads.Inc("ok")
+	d.reloads.Inc(reloadOK)
 	return nil
 }
 

@@ -117,10 +117,13 @@ func TestWorkerCounterAggregationExact(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, family := range []string{
-		"meccdn_dns_udp_packets_total", "meccdn_dns_udp_batches_total", "meccdn_dns_udp_send_errors_total",
-		fmt.Sprintf(`meccdn_dns_udp_socket_packets_total{socket="0"} %d`, perSocket[0]),
-	} {
+	families := []string{"meccdn_dns_udp_packets_total", "meccdn_dns_udp_batches_total", "meccdn_dns_udp_send_errors_total"}
+	for i, n := range perSocket {
+		if n > 0 { // a counter family prints only what it has counted
+			families = append(families, fmt.Sprintf(`meccdn_dns_udp_socket_packets_total{socket="%d"} %d`, i, n))
+		}
+	}
+	for _, family := range families {
 		if !strings.Contains(b.String(), family) {
 			t.Errorf("exposition missing %s", family)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	mathbits "math/bits"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -375,12 +376,16 @@ func (c *Cache) Flush() {
 // identity) and at store.
 const cacheKeyBuf = 288
 
-// appendBaseKey appends the ECS-independent part of r's cache key.
+// appendBaseKey appends the ECS-independent part of r's cache key:
+// the name and the type as Type.String renders it, without the
+// allocations String makes for a type dnswire does not name.
 func appendBaseKey(b []byte, r *Request) []byte {
 	b = append(b, r.Name()...)
 	b = append(b, '|')
-	b = append(b, r.Type().String()...)
-	return b
+	if name, ok := qtypeLabels.named(uint16(r.Type())); ok {
+		return append(b, name...)
+	}
+	return strconv.AppendUint(append(b, "TYPE"...), uint64(r.Type()), 10)
 }
 
 // ecsFamilyBits resolves an ECS option to its address width in bits.

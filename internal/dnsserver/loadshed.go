@@ -132,9 +132,53 @@ type Metrics struct {
 	Clock vclock.Clock
 
 	ctrOnce  sync.Once
-	queries  *telemetry.CounterVec
-	rcodes   *telemetry.CounterVec
+	queries  *telemetry.Family // by qtypeLabels
+	rcodes   *telemetry.Family // by rcodeLabels
 	duration *telemetry.Histogram
+}
+
+// enumLabels are the label values of a family counting a protocol
+// enum the client or an upstream chooses: one per value dnswire names,
+// then "other" for every value it does not, so no query can mint a
+// series.
+type enumLabels struct {
+	names []string // names[i] labels cell i; "other" is last
+	cell  []uint8  // cell[v] for v below len(cell)
+}
+
+var (
+	qtypeLabels = newEnumLabels(dnswire.NamedTypes())
+	rcodeLabels = newEnumLabels(dnswire.NamedRcodes())
+)
+
+func newEnumLabels[T interface {
+	~uint16
+	String() string
+}](named []T) enumLabels {
+	e := enumLabels{cell: make([]uint8, int(named[len(named)-1])+1)}
+	for v := range e.cell {
+		e.cell[v] = uint8(len(named))
+	}
+	for i, v := range named {
+		e.cell[v] = uint8(i)
+		e.names = append(e.names, v.String())
+	}
+	e.names = append(e.names, "other")
+	return e
+}
+
+// of returns v's cell.
+func (e enumLabels) of(v uint16) int {
+	if int(v) < len(e.cell) {
+		return int(e.cell[v])
+	}
+	return len(e.names) - 1
+}
+
+// named returns v's name and whether dnswire knows it.
+func (e enumLabels) named(v uint16) (string, bool) {
+	i := e.of(v)
+	return e.names[i], i < len(e.names)-1
 }
 
 // wallClock times queries for every Metrics without a Clock of its
@@ -150,10 +194,10 @@ func NewMetrics() *Metrics {
 
 // instruments lazily builds the telemetry families, so Metrics also
 // works as a plain struct literal.
-func (m *Metrics) instruments() (queries, rcodes *telemetry.CounterVec, duration *telemetry.Histogram) {
+func (m *Metrics) instruments() (queries, rcodes *telemetry.Family, duration *telemetry.Histogram) {
 	m.ctrOnce.Do(func() {
-		m.queries = telemetry.NewCounterVec("meccdn_dns_queries_total", "Queries served, by question type.", "type")
-		m.rcodes = telemetry.NewCounterVec("meccdn_dns_responses_total", "Responses produced, by response code.", "rcode")
+		m.queries = telemetry.NewCounters("meccdn_dns_queries_total", "Queries served, by question type.", "type", qtypeLabels.names...)
+		m.rcodes = telemetry.NewCounters("meccdn_dns_responses_total", "Responses produced, by response code.", "rcode", rcodeLabels.names...)
 		m.duration = telemetry.NewHistogram("meccdn_dns_handler_duration_seconds", "Plugin-chain ServeDNS duration per query.")
 	})
 	return m.queries, m.rcodes, m.duration
@@ -181,11 +225,8 @@ func (m *Metrics) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 	rcode, err := next.ServeDNS(ctx, w, r)
 	elapsed := clock.Now() - start
 
-	// Inc1 avoids the variadic []string allocation Inc pays per call;
-	// Type/Rcode String() return static strings for known values, so
-	// this pair is allocation-free on the hot path.
-	queries.Inc1(r.Type().String())
-	rcodes.Inc1(rcode.String())
+	queries.Inc(qtypeLabels.of(uint16(r.Type())))
+	rcodes.Inc(rcodeLabels.of(uint16(rcode)))
 	duration.Observe(elapsed)
 	return rcode, err
 }
@@ -196,16 +237,18 @@ func (m *Metrics) Total() uint64 {
 	return rcodes.Sum()
 }
 
-// CountByRcode returns the count for one response code.
+// CountByRcode returns the count for one response code; a code dnswire
+// does not name reads the count of every such code.
 func (m *Metrics) CountByRcode(rc dnswire.Rcode) uint64 {
 	_, rcodes, _ := m.instruments()
-	return rcodes.Value(rc.String())
+	return rcodes.Value(rcodeLabels.of(uint16(rc)))
 }
 
-// CountByType returns the count for one query type.
+// CountByType returns the count for one query type; a type dnswire
+// does not name reads the count of every such type.
 func (m *Metrics) CountByType(t dnswire.Type) uint64 {
 	queries, _, _ := m.instruments()
-	return queries.Value(t.String())
+	return queries.Value(qtypeLabels.of(uint16(t)))
 }
 
 // Duration returns the ServeDNS duration histogram, for summaries

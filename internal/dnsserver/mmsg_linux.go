@@ -251,7 +251,7 @@ func (sh *socketShard) sendBatch() {
 		m.txErrs += m.end - m.off // deadline/close mid-flush: remainder unsent
 	}
 	if m.txErrs > 0 {
-		sh.sendErrs.Add(uint64(m.txErrs))
+		sh.ctr.sendErrs.Add(sh.id, uint64(m.txErrs))
 	}
 	for _, p := range sh.out {
 		dnswire.PutBuffer(p.buf)

@@ -4,12 +4,14 @@ import (
 	"context"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/meccdn/meccdn/internal/dnsclient"
 	"github.com/meccdn/meccdn/internal/dnswire"
 	"github.com/meccdn/meccdn/internal/simnet"
+	"github.com/meccdn/meccdn/internal/telemetry"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
 
@@ -429,5 +431,49 @@ func TestMetricsPlugin(t *testing.T) {
 	}
 	if m.CountByRcode(dnswire.RcodeSuccess) != 2 {
 		t.Errorf("NOERROR count = %d", m.CountByRcode(dnswire.RcodeSuccess))
+	}
+}
+
+// TestMetricsHostileLabels: qtypes are the client's choice and rcodes
+// the upstream's, so neither may mint a series. A thousand distinct
+// unknown qtypes, answered with rcodes above BADVERS, must land in the
+// "other" series of both families.
+func TestMetricsHostileLabels(t *testing.T) {
+	m := NewMetrics()
+	reg := telemetry.NewRegistry()
+	reg.MustRegister(m.Collectors()...)
+	const n = 1000
+	h := Chain(m, pluginize(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		rc := dnswire.RcodeBadVers + 1 + dnswire.Rcode(r.Type())%n
+		reply := new(dnswire.Message)
+		reply.SetRcode(r.Msg, rc)
+		reply.SetEDNS(dnswire.DefaultEDNSSize)
+		return rc, w.WriteMsg(reply)
+	})))
+	for i := 0; i < n; i++ {
+		q := queryFor("hostile.test.")
+		q.Msg.Questions[0].Type = dnswire.Type(1024 + i)
+		Resolve(context.Background(), h, q)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		family, label string
+		named         int
+	}{
+		{"meccdn_dns_queries_total", "type", len(dnswire.NamedTypes())},
+		{"meccdn_dns_responses_total", "rcode", len(dnswire.NamedRcodes())},
+	} {
+		if series := strings.Count(b.String(), "\n"+c.family+"{"); series > c.named+1 {
+			t.Errorf("%s has %d series, want at most %d", c.family, series, c.named+1)
+		}
+		if want := c.family + "{" + c.label + `="other"} 1000`; !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %s", want)
+		}
+	}
+	if got := m.CountByType(dnswire.Type(4000)); got != n {
+		t.Errorf("unknown-type count = %d, want %d", got, n)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"net/netip"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -259,34 +260,44 @@ type Server struct {
 	parked atomic.Int64 // UDP queries waiting on the network
 	depth  int64        // QueueDepth resolved at Start
 
+	ctrOnce     sync.Once
 	ctr         serveCounters
 	tcpRejected atomic.Uint64
 }
 
 // serveCounters are the serve loop's per-packet counters. Every one
 // of them is touched for every datagram (or batch), so none may be a
-// single atomic word all cores bounce between their caches: each is
-// sharded into cache-line-padded cells, one per socket — written by
-// the socket's lead and, once per waited query, by the goroutine that
-// gave the socket away — and summed only at scrape time.
+// single atomic word all cores bounce between their caches: each has a
+// cache-line-padded cell per socket — written by the socket's lead
+// and, once per waited query, by the goroutine that gave the socket
+// away — summed only at scrape time.
 type serveCounters struct {
-	packets  *telemetry.ShardedCounter // datagrams read off the sockets
-	batches  *telemetry.ShardedCounter // reads that yielded >= 1 datagram
-	dropped  *telemetry.ShardedCounter // datagrams shed at the QueueDepth bound
-	served   *telemetry.ShardedCounter // datagrams served, reply (if any) sent
-	sendErrs *telemetry.ShardedCounter // response transmissions that failed
-	recvErrs *telemetry.ShardedCounter // transient receive errors survived
+	packets  *telemetry.Family // datagrams read off each socket, labelled by socket
+	batches  *telemetry.Family // reads that yielded >= 1 datagram
+	dropped  *telemetry.Family // datagrams shed at the QueueDepth bound
+	served   *telemetry.Family // datagrams served, reply (if any) sent
+	sendErrs *telemetry.Family // response transmissions that failed
+	recvErrs *telemetry.Family // transient receive errors survived
 }
 
 func newServeCounters(sockets int) serveCounters {
-	c := func(name string) *telemetry.ShardedCounter { return telemetry.NewShardedCounter(name, "", sockets) }
+	ids := make([]string, sockets)
+	for i := range ids {
+		ids[i] = strconv.Itoa(i)
+	}
+	c := func(name, help string) *telemetry.Family { return telemetry.NewCounterCells(name, help, sockets) }
 	return serveCounters{
-		packets:  c("meccdn_dns_udp_packets_total"),
-		batches:  c("meccdn_dns_udp_batches_total"),
-		dropped:  c("meccdn_dns_udp_dropped_total"),
-		served:   c("meccdn_dns_udp_served_total"),
-		sendErrs: c("meccdn_dns_udp_send_errors_total"),
-		recvErrs: c("meccdn_dns_udp_recv_errors_total"),
+		packets: telemetry.NewCounters("meccdn_dns_udp_socket_packets_total",
+			"Datagrams read off each UDP ingress socket; a skewed SO_REUSEPORT flow hash shows here.", "socket", ids...),
+		batches: c("meccdn_dns_udp_batches_total",
+			"Socket reads that yielded at least one datagram; packets_total over batches_total is the achieved batching factor."),
+		dropped: c("meccdn_dns_udp_dropped_total",
+			"Datagrams shed because QueueDepth queries were already waiting on the network."),
+		served: c("meccdn_dns_udp_served_total", "Datagrams served, the reply (if any) sent."),
+		sendErrs: c("meccdn_dns_udp_send_errors_total",
+			"UDP response transmissions that failed at the socket."),
+		recvErrs: c("meccdn_dns_udp_recv_errors_total",
+			"Transient UDP receive errors (ENOBUFS, ENOMEM, ...) the socket loops survived."),
 	}
 }
 
@@ -315,7 +326,8 @@ type socketShard struct {
 	mio     *mmsgIO
 	intern  *dnswire.NameIntern
 
-	packets, batches, dropped, served, sendErrs, recvErrs *telemetry.CounterCell
+	ctr *serveCounters
+	id  int // this socket's cell in every counter
 }
 
 // socketCount resolves the configured UDP ingress socket count,
@@ -335,12 +347,11 @@ func (s *Server) maxConns() int {
 	return 512
 }
 
-// counters returns the serve counters, which Start builds: before it
-// every field is nil, and a nil ShardedCounter reads 0.
-func (s *Server) counters() serveCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctr
+// counters returns the serve counters, built on first use with a cell
+// per socket Start will bind.
+func (s *Server) counters() *serveCounters {
+	s.ctrOnce.Do(func() { s.ctr = newServeCounters(s.socketCount()) })
+	return &s.ctr
 }
 
 // Collectors returns the server's serve-loop metric families for
@@ -349,26 +360,14 @@ func (s *Server) counters() serveCounters {
 // error counters. Every family reads 0 before Start — callers may
 // register the collectors first (cmd/dnsd does) and Start later.
 func (s *Server) Collectors() []telemetry.Collector {
-	sum := func(name, help string, pick func(serveCounters) *telemetry.ShardedCounter) telemetry.Collector {
-		return telemetry.NewCounterFunc(name, help, func() float64 { return float64(pick(s.counters()).Value()) })
-	}
+	c := s.counters()
 	return []telemetry.Collector{
 		telemetry.NewGaugeFunc("meccdn_dns_udp_queue_depth",
 			"UDP queries waiting on the network (an upstream exchange or another query's flight), bounded by QueueDepth.",
 			func() float64 { return float64(s.parked.Load()) }),
-		sum("meccdn_dns_udp_packets_total", "Datagrams read off the UDP ingress sockets.",
-			func(c serveCounters) *telemetry.ShardedCounter { return c.packets }),
-		telemetry.NewCounterFuncs("meccdn_dns_udp_socket_packets_total",
-			"Datagrams read off each UDP ingress socket; a skewed SO_REUSEPORT flow hash shows here.",
-			"socket", s.SocketPackets),
-		sum("meccdn_dns_udp_batches_total", "Socket reads that yielded at least one datagram; packets_total over batches_total is the achieved batching factor.",
-			func(c serveCounters) *telemetry.ShardedCounter { return c.batches }),
-		sum("meccdn_dns_udp_dropped_total", "Datagrams shed because QueueDepth queries were already waiting on the network.",
-			func(c serveCounters) *telemetry.ShardedCounter { return c.dropped }),
-		sum("meccdn_dns_udp_send_errors_total", "UDP response transmissions that failed at the socket.",
-			func(c serveCounters) *telemetry.ShardedCounter { return c.sendErrs }),
-		sum("meccdn_dns_udp_recv_errors_total", "Transient UDP receive errors (ENOBUFS, ENOMEM, ...) the socket loops survived.",
-			func(c serveCounters) *telemetry.ShardedCounter { return c.recvErrs }),
+		telemetry.NewCounterFunc("meccdn_dns_udp_packets_total", "Datagrams read off the UDP ingress sockets.",
+			func() float64 { return float64(c.packets.Sum()) }),
+		c.packets, c.batches, c.dropped, c.sendErrs, c.recvErrs,
 		telemetry.NewGaugeFunc("meccdn_dns_udp_sockets",
 			"UDP ingress sockets sharing the listen address via SO_REUSEPORT.",
 			func() float64 { return float64(s.NumSockets()) }),
@@ -395,7 +394,7 @@ func (s *Server) IngressLoad() float64 {
 
 // DroppedPackets returns the number of datagrams shed at the
 // QueueDepth bound since Start.
-func (s *Server) DroppedPackets() uint64 { return s.counters().dropped.Value() }
+func (s *Server) DroppedPackets() uint64 { return s.counters().dropped.Sum() }
 
 // BatchStats returns the ingress batching tallies since Start: packets
 // is the number of datagrams read off the sockets, batches the number
@@ -404,7 +403,7 @@ func (s *Server) DroppedPackets() uint64 { return s.counters().dropped.Value() }
 // under load on Linux.
 func (s *Server) BatchStats() (packets, batches uint64) {
 	c := s.counters()
-	return c.packets.Value(), c.batches.Value()
+	return c.packets.Sum(), c.batches.Sum()
 }
 
 // SocketPackets returns the datagrams read off each ingress socket
@@ -414,7 +413,7 @@ func (s *Server) SocketPackets() []uint64 { return s.counters().packets.Values()
 // ServedPackets returns the number of datagrams fully served (reply,
 // if any, sent) since Start; with DroppedPackets it accounts for every
 // datagram read.
-func (s *Server) ServedPackets() uint64 { return s.counters().served.Value() }
+func (s *Server) ServedPackets() uint64 { return s.counters().served.Sum() }
 
 // RejectedConns returns the number of TCP connections refused at the
 // MaxConns cap since Start.
@@ -473,7 +472,6 @@ func (s *Server) Start() error {
 	if s.depth <= 0 {
 		s.depth = 128 * int64(runtime.GOMAXPROCS(0))
 	}
-	s.ctr = newServeCounters(len(udps))
 	s.leads = make(chan *socketShard)
 	s.live.Store(int32(len(udps)))
 	s.started = true
@@ -657,8 +655,7 @@ func (s *Server) newShard(i int, conn *net.UDPConn, rc syscall.RawConn) *socketS
 		mio:    newMmsgIO(defaultBatch),
 		intern: dnswire.NewNameIntern(0),
 
-		packets: s.ctr.packets.Shard(i), batches: s.ctr.batches.Shard(i), dropped: s.ctr.dropped.Shard(i),
-		served: s.ctr.served.Shard(i), sendErrs: s.ctr.sendErrs.Shard(i), recvErrs: s.ctr.recvErrs.Shard(i),
+		ctr: s.counters(), id: i,
 	}
 }
 
@@ -707,14 +704,14 @@ func (g *udpServe) lead(sh *socketShard) {
 			switch {
 			case g.shed: // ResolveTo wrote nothing
 				g.shed = false
-				sh.dropped.Inc()
+				sh.ctr.dropped.Inc(sh.id)
 			case g.sh == nil:
 				if buf != nil {
 					sh.send(buf, n, from)
 				}
 				dnswire.PutBuffer(g.pkt)
 				g.pkt = nil
-				sh.served.Inc()
+				sh.ctr.served.Inc(sh.id)
 				s.parked.Add(-1)
 				s.inflight.Done()
 				return
@@ -794,14 +791,14 @@ func (sh *socketShard) fill() bool {
 		}
 		switch {
 		case err == nil && sh.n > 0:
-			sh.packets.Add(uint64(sh.n))
-			sh.batches.Inc()
+			sh.ctr.packets.Add(sh.id, uint64(sh.n))
+			sh.ctr.batches.Inc(sh.id)
 			return true
 		case err == nil:
 		case recvTerminal(err):
 			return false
 		default:
-			sh.recvErrs.Inc()
+			sh.ctr.recvErrs.Inc(sh.id)
 			time.Sleep(recvErrPause)
 		}
 	}
@@ -823,7 +820,7 @@ func (sh *socketShard) release() {
 // the socket away replies through it beside the lead's flushes.
 func (sh *socketShard) send(buf []byte, n int, to netip.AddrPort) {
 	if _, err := sh.conn.WriteToUDPAddrPort(buf[:n], to); err != nil {
-		sh.sendErrs.Inc()
+		sh.ctr.sendErrs.Inc(sh.id)
 	}
 	dnswire.PutBuffer(buf)
 }
@@ -838,7 +835,7 @@ func (sh *socketShard) flush() {
 	}
 	sh.out = sh.out[:0]
 	if sh.done > 0 {
-		sh.served.Add(uint64(sh.done))
+		sh.ctr.served.Add(sh.id, uint64(sh.done))
 		sh.done = 0
 	}
 }

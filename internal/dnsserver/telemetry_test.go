@@ -114,8 +114,14 @@ func TestSpanMatchesClientLatency(t *testing.T) {
 	if hub.ServeDuration.Count() != 2 {
 		t.Errorf("serve histogram count = %d", hub.ServeDuration.Count())
 	}
-	if hub.Path.Value(telemetry.PathUpstream) != 1 || hub.Path.Value(telemetry.PathCacheHit) != 1 {
-		t.Errorf("path counts = %v", hub.Path.Snapshot())
+	var b strings.Builder
+	if err := hub.Registry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{telemetry.PathUpstream, telemetry.PathCacheHit} {
+		if want := `meccdn_dns_resolution_path_total{path="` + path + `"} 1`; !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %s:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -294,9 +300,12 @@ func TestServeQueryAllocs(t *testing.T) {
 		}
 		return wire
 	}
-	plain, ecs := pack(queryFor("alloc.test.")), pack(ecsQueryFor("alloc.test.", "10.1.2.0/24"))
+	unknown := queryFor("alloc.test.")
+	unknown.Msg.Questions[0].Type = 4242 // a type dnswire does not name
+	plain, ecs, other := pack(queryFor("alloc.test.")), pack(ecsQueryFor("alloc.test.", "10.1.2.0/24")), pack(unknown)
 	serve(plain) // the misses that fill the cache
 	serve(ecs)
+	serve(other)
 
 	for _, c := range []struct {
 		name        string
@@ -307,6 +316,9 @@ func TestServeQueryAllocs(t *testing.T) {
 		{"plain hit", plain, math.MaxInt, 0},
 		{"ECS hit", ecs, math.MaxInt, 0},
 		{"sampled plain hit", plain, 1, 2},
+		// The span's qtype is Type.String(), which formats an
+		// unnamed type; the cache key and the counters do not.
+		{"unknown-type hit", other, math.MaxInt, 2},
 	} {
 		hub.SampleEvery = c.sampleEvery
 		got := testing.AllocsPerRun(100, func() { serve(c.pkt) })

@@ -20,6 +20,7 @@ package dnswire
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -70,6 +71,9 @@ func (t Type) String() string {
 	}
 	return fmt.Sprintf("TYPE%d", uint16(t))
 }
+
+// NamedTypes returns the types String knows by name, ascending.
+func NamedTypes() []Type { return sortedKeys(typeNames) }
 
 // Class is a DNS class. Only IN is used in practice; ANY appears in
 // queries and NONE in dynamic update.
@@ -155,6 +159,19 @@ func (r Rcode) String() string {
 		return s
 	}
 	return fmt.Sprintf("RCODE%d", uint16(r))
+}
+
+// NamedRcodes returns the response codes String knows by name,
+// ascending.
+func NamedRcodes() []Rcode { return sortedKeys(rcodeNames) }
+
+func sortedKeys[K Type | Rcode](m map[K]string) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // MaxUDPSize is the conventional maximum DNS payload carried over UDP

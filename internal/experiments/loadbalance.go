@@ -450,21 +450,3 @@ func (r *LoadBalanceResult) Render() string {
 	b.WriteString("spread is within-site max/mean cache load per tick; the bounded ring holds it near c while the plain ring hot-spots under the flash crowd.")
 	return b.String()
 }
-
-// CSV renders X8 as scenario,ring,p50_ms,p99_ms,max_ms,mean_spread,
-// peak_spread,overloaded_frac,spills rows.
-func (r *LoadBalanceResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("scenario,ring,p50_ms,p99_ms,max_ms,mean_spread,peak_spread,overloaded_frac,spills\n")
-	for _, sc := range r.Scenarios {
-		for _, a := range sc.Arms {
-			fmt.Fprintf(&b, "%s,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f,%d\n",
-				sc.Name, a.Ring,
-				float64(a.P50)/float64(time.Millisecond),
-				float64(a.P99)/float64(time.Millisecond),
-				float64(a.Max)/float64(time.Millisecond),
-				a.MeanSpread, a.PeakSpread, a.OverloadedFrac, a.Spills)
-		}
-	}
-	return b.String()
-}

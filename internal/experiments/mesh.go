@@ -228,17 +228,3 @@ func (r *MeshResult) Render() string {
 	b.WriteString("share is the fraction of hot-site misses served by a sibling MEC instead of the parent tier.")
 	return b.String()
 }
-
-// CSV renders X9 as mode,requests,local_hits,sibling_hits,
-// sibling_fills,parent_fills,sibling_share,p50_ms,p99_ms rows.
-func (r *MeshResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("mode,requests,local_hits,sibling_hits,sibling_fills,parent_fills,sibling_share,p50_ms,p99_ms\n")
-	for _, a := range r.Arms {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%d,%d,%.4f,%.3f,%.3f\n",
-			a.Mode, a.Requests, a.LocalHits, a.SiblingHits, a.SiblingFills, a.ParentFills,
-			a.SiblingShare,
-			float64(a.P50)/float64(time.Millisecond), float64(a.P99)/float64(time.Millisecond))
-	}
-	return b.String()
-}

@@ -36,9 +36,6 @@ func TestMeshExperiment(t *testing.T) {
 	if r := res.Render(); r == "" {
 		t.Error("empty render")
 	}
-	if c := res.CSV(); c == "" {
-		t.Error("empty csv")
-	}
 }
 
 func TestMeshExperimentRejectsOneSite(t *testing.T) {

@@ -159,14 +159,3 @@ func (r *SweepResult) Render() string {
 	}
 	return b.String()
 }
-
-// CSV renders the sweep machine-readably.
-func (r *SweepResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("oneway_ms,total_ms,resolver_ms,fits_budget\n")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%.3f,%.3f,%.3f,%t\n",
-			stats.Ms(p.OneWay), stats.Ms(p.Total), stats.Ms(p.Resolver), p.FitsBudget)
-	}
-	return b.String()
-}

@@ -65,17 +65,16 @@ const (
 	StateDown
 )
 
+// stateNames labels each State in metrics and the /health view; the
+// state families' cell s counts State s.
+var stateNames = []string{
+	StateProbing: "probing", StateHealthy: "healthy", StateDegraded: "degraded", StateDown: "down",
+}
+
 // String returns the state label used in metrics and the /health view.
 func (s State) String() string {
-	switch s {
-	case StateProbing:
-		return "probing"
-	case StateHealthy:
-		return "healthy"
-	case StateDegraded:
-		return "degraded"
-	case StateDown:
-		return "down"
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("state(%d)", int(s))
 }

@@ -10,14 +10,15 @@ import (
 
 // target is one probed entity's live scorecard.
 type target struct {
-	name, addr string
-	state      State
-	since      time.Duration // state entry time
-	consecFail int
-	consecOK   int
-	probes     uint64 // total probes reported
-	failures   uint64 // total failed probes
-	ewma       time.Duration
+	name, addr  string
+	state       State
+	since       time.Duration // state entry time
+	consecFail  int
+	consecOK    int
+	probes      uint64 // total probes reported
+	failures    uint64 // total failed probes
+	transitions uint64 // state changes since Add
+	ewma        time.Duration
 }
 
 // TargetID names one registered target and its probe address.
@@ -28,16 +29,17 @@ type TargetID struct {
 
 // TargetStatus is one target's row in the /health admin view.
 type TargetStatus struct {
-	Name       string        `json:"name"`
-	Addr       string        `json:"addr,omitempty"`
-	State      string        `json:"state"`
-	Routable   bool          `json:"routable"`
-	InStateFor time.Duration `json:"in_state_for"`
-	ConsecFail int           `json:"consecutive_failures"`
-	ConsecOK   int           `json:"consecutive_successes"`
-	Probes     uint64        `json:"probes"`
-	Failures   uint64        `json:"failures"`
-	EWMA       time.Duration `json:"ewma_latency"`
+	Name        string        `json:"name"`
+	Addr        string        `json:"addr,omitempty"`
+	State       string        `json:"state"`
+	Routable    bool          `json:"routable"`
+	InStateFor  time.Duration `json:"in_state_for"`
+	ConsecFail  int           `json:"consecutive_failures"`
+	ConsecOK    int           `json:"consecutive_successes"`
+	Probes      uint64        `json:"probes"`
+	Failures    uint64        `json:"failures"`
+	Transitions uint64        `json:"transitions"`
+	EWMA        time.Duration `json:"ewma_latency"`
 }
 
 // Status is the registry snapshot served at /health.
@@ -58,23 +60,29 @@ type Registry struct {
 
 	// Instruments. Built once in New; Collectors hands them to a
 	// telemetry.Registry.
-	probes      *telemetry.CounterVec // result=success|failure
-	transitions *telemetry.CounterVec // target, to
-	states      *telemetry.GaugeVec   // state
+	probes      *telemetry.Family // by probeSuccess, probeFailure
+	transitions *telemetry.Family // by the State entered
+	states      *telemetry.Family // by State
 	probeRTT    *telemetry.Histogram
 }
+
+// Cells of meccdn_health_probes_total.
+const (
+	probeSuccess = iota
+	probeFailure
+)
 
 // New returns an empty registry with cfg's zero fields defaulted.
 func New(cfg Config) *Registry {
 	return &Registry{
 		cfg:     cfg.withDefaults(),
 		targets: make(map[string]*target),
-		probes: telemetry.NewCounterVec("meccdn_health_probes_total",
-			"Active health probes by outcome.", "result"),
-		transitions: telemetry.NewCounterVec("meccdn_health_transitions_total",
-			"Target state-machine transitions by target and new state.", "target", "to"),
-		states: telemetry.NewGaugeVec("meccdn_health_targets",
-			"Registered targets by current state.", "state"),
+		probes: telemetry.NewCounters("meccdn_health_probes_total",
+			"Active health probes by outcome.", "result", "success", "failure"),
+		transitions: telemetry.NewCounters("meccdn_health_transitions_total",
+			"Target state-machine transitions by new state; /health counts each target's.", "to", stateNames...),
+		states: telemetry.NewGauges("meccdn_health_targets",
+			"Registered targets by current state.", "state", stateNames...),
 		probeRTT: telemetry.NewHistogram("meccdn_health_probe_rtt_seconds",
 			"Round-trip time of successful health probes."),
 	}
@@ -101,7 +109,7 @@ func (r *Registry) Add(name, addr string) {
 		return
 	}
 	r.targets[name] = &target{name: name, addr: addr, state: StateProbing, since: r.cfg.Clock.Now()}
-	r.states.Add(1, StateProbing.String())
+	r.states.Inc(int(StateProbing))
 }
 
 // Remove deregisters a target.
@@ -109,7 +117,7 @@ func (r *Registry) Remove(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t, ok := r.targets[name]; ok {
-		r.states.Add(-1, t.state.String())
+		r.states.Dec(int(t.state))
 		delete(r.targets, name)
 	}
 }
@@ -189,7 +197,7 @@ func (r *Registry) report(name string, ok bool, rtt time.Duration) {
 	}
 	t.probes++
 	if ok {
-		r.probes.Inc("success")
+		r.probes.Inc(probeSuccess)
 		r.probeRTT.Observe(rtt)
 		t.consecOK++
 		t.consecFail = 0
@@ -199,7 +207,7 @@ func (r *Registry) report(name string, ok bool, rtt time.Duration) {
 			t.ewma = time.Duration(ewmaAlpha*float64(rtt) + (1-ewmaAlpha)*float64(t.ewma))
 		}
 	} else {
-		r.probes.Inc("failure")
+		r.probes.Inc(probeFailure)
 		t.failures++
 		t.consecFail++
 		t.consecOK = 0
@@ -210,9 +218,10 @@ func (r *Registry) report(name string, ok bool, rtt time.Duration) {
 	if to != from {
 		t.state = to
 		t.since = now
-		r.states.Add(-1, from.String())
-		r.states.Add(1, to.String())
-		r.transitions.Inc(name, to.String())
+		t.transitions++
+		r.states.Dec(int(from))
+		r.states.Inc(int(to))
+		r.transitions.Inc(int(to))
 		listeners = r.listeners
 	}
 	r.mu.Unlock()
@@ -299,16 +308,17 @@ func (r *Registry) Snapshot() Status {
 	st := Status{Targets: make([]TargetStatus, 0, len(r.targets))}
 	for _, t := range r.targets {
 		st.Targets = append(st.Targets, TargetStatus{
-			Name:       t.name,
-			Addr:       t.addr,
-			State:      t.state.String(),
-			Routable:   t.state.Routable(),
-			InStateFor: now - t.since,
-			ConsecFail: t.consecFail,
-			ConsecOK:   t.consecOK,
-			Probes:     t.probes,
-			Failures:   t.failures,
-			EWMA:       t.ewma,
+			Name:        t.name,
+			Addr:        t.addr,
+			State:       t.state.String(),
+			Routable:    t.state.Routable(),
+			InStateFor:  now - t.since,
+			ConsecFail:  t.consecFail,
+			ConsecOK:    t.consecOK,
+			Probes:      t.probes,
+			Failures:    t.failures,
+			Transitions: t.transitions,
+			EWMA:        t.ewma,
 		})
 	}
 	sort.Slice(st.Targets, func(i, j int) bool { return st.Targets[i].Name < st.Targets[j].Name })

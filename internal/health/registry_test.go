@@ -353,6 +353,9 @@ func TestSnapshotAndExposition(t *testing.T) {
 	if snap.Targets[1].ConsecFail != 1 {
 		t.Fatalf("b consecutive failures = %d, want 1", snap.Targets[1].ConsecFail)
 	}
+	if snap.Targets[0].Transitions != 1 || snap.Targets[1].Transitions != 0 {
+		t.Fatalf("transitions = %d, %d, want 1, 0", snap.Targets[0].Transitions, snap.Targets[1].Transitions)
+	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -364,7 +367,8 @@ func TestSnapshotAndExposition(t *testing.T) {
 		`meccdn_health_probes_total{result="failure"} 1`,
 		`meccdn_health_targets{state="healthy"} 1`,
 		`meccdn_health_targets{state="probing"} 1`,
-		`meccdn_health_transitions_total{target="a",to="healthy"} 1`,
+		`meccdn_health_targets{state="down"} 0`,
+		`meccdn_health_transitions_total{to="healthy"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)

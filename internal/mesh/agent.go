@@ -89,6 +89,19 @@ type peerRecord struct {
 	updated  time.Duration
 }
 
+// Cells of meccdn_mesh_announces_total: outgoing announces, then
+// incoming ones.
+const (
+	announceOK = iota
+	announceSendError
+	announceBadAck
+	announceEncodeError
+	announceApplied
+	announceStale
+	announceMalformed
+	announceBadVerb
+)
+
 // Agent runs one site's half of the mesh: it announces the local
 // content digest to configured peers, applies announces it receives,
 // and publishes the resulting peer table as a lock-free View.
@@ -108,7 +121,7 @@ type Agent struct {
 	cells      map[string]*peerCell
 	registered map[string]bool // peer names in the health registry
 
-	announces *telemetry.CounterVec
+	announces *telemetry.Family // by announce* cell
 
 	runMu sync.Mutex
 	stop  chan struct{}
@@ -136,8 +149,9 @@ func NewAgent(cfg Config) *Agent {
 		recv:       make(map[string]*peerRecord),
 		cells:      make(map[string]*peerCell),
 		registered: make(map[string]bool),
-		announces: telemetry.NewCounterVec("meccdn_mesh_announces_total",
-			"Mesh announce events by result: ok/send_error/bad_ack (outgoing), applied/stale/malformed/bad_verb (incoming).", "result"),
+		announces: telemetry.NewCounters("meccdn_mesh_announces_total",
+			"Mesh announce events by result: ok/send_error/bad_ack (outgoing), applied/stale/malformed/bad_verb (incoming).", "result",
+			"ok", "send_error", "bad_ack", "encode_error", "applied", "stale", "malformed", "bad_verb"),
 	}
 	if cfg.Health != nil {
 		cfg.Health.OnTransition(func(name string, _, _ health.State) {
@@ -247,7 +261,7 @@ func (a *Agent) AnnounceOnce() {
 	gen := a.gen.Add(1)
 	payload, err := EncodeAnnounce(a.cfg.Site, a.cfg.AnswerAddr, gen, d.Entries(), load, d.Hashes(), bitmap)
 	if err != nil {
-		a.announces.Inc("encode_error")
+		a.announces.Inc(announceEncodeError)
 		return
 	}
 
@@ -265,15 +279,15 @@ func (a *Agent) AnnounceOnce() {
 		resp, err := tr.Exchange(p.Addr, payload, announceTimeout)
 		switch {
 		case err != nil:
-			a.announces.Inc("send_error")
+			a.announces.Inc(announceSendError)
 			a.reportPeer(p.Name, false, 0)
 		default:
 			if _, ok := DecodeDigestAck(resp); !ok {
-				a.announces.Inc("bad_ack")
+				a.announces.Inc(announceBadAck)
 				a.reportPeer(p.Name, false, 0)
 				continue
 			}
-			a.announces.Inc("ok")
+			a.announces.Inc(announceOK)
 			a.reportPeer(p.Name, true, a.cfg.Clock.Now()-start)
 		}
 	}
@@ -305,12 +319,12 @@ func (a *Agent) HandleDatagram(payload []byte) []byte {
 	if len(payload) >= len(AnnouncePrefix) && string(payload[:len(AnnouncePrefix)]) == AnnouncePrefix {
 		ann, err := DecodeAnnounce(payload)
 		if err != nil {
-			a.announces.Inc("malformed")
+			a.announces.Inc(announceMalformed)
 			return []byte("ERR malformed-announce")
 		}
 		return a.applyAnnounce(ann)
 	}
-	a.announces.Inc("bad_verb")
+	a.announces.Inc(announceBadVerb)
 	return []byte("ERR bad-request")
 }
 
@@ -322,14 +336,14 @@ func (a *Agent) HandleDatagram(payload []byte) []byte {
 // protocol: a missed round converges on the next.
 func (a *Agent) applyAnnounce(ann Announce) []byte {
 	if ann.Site == a.cfg.Site {
-		a.announces.Inc("bad_verb")
+		a.announces.Inc(announceBadVerb)
 		return []byte("ERR self-announce")
 	}
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	rec := a.recv[ann.Site]
 	if rec != nil && rec.genValid && !genNewer(ann.Gen, rec.gen) {
-		a.announces.Inc("stale")
+		a.announces.Inc(announceStale)
 		return EncodeDigestAck(rec.gen)
 	}
 	if rec == nil {
@@ -351,7 +365,7 @@ func (a *Agent) applyAnnounce(ann Announce) []byte {
 	rec.entries = ann.Entries
 	rec.load = ann.Load
 	rec.updated = a.cfg.Clock.Now()
-	a.announces.Inc("applied")
+	a.announces.Inc(announceApplied)
 	a.publishLocked()
 	return EncodeDigestAck(ann.Gen)
 }

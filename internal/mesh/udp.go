@@ -82,7 +82,7 @@ func (a *Agent) ServeUDP(conn net.PacketConn) error {
 			return err
 		}
 		if n > maxDatagram {
-			a.announces.Inc("malformed")
+			a.announces.Inc(announceMalformed)
 			continue
 		}
 		resp := a.HandleDatagram(buf[:n])

@@ -21,6 +21,20 @@ const (
 	PathError    = "error"
 )
 
+// Indices of the resolution paths in Hub.Path.
+const (
+	pathCacheHit = iota
+	pathEdge
+	pathUpstream
+	pathRefused
+	pathError
+)
+
+var pathNames = []string{
+	pathCacheHit: PathCacheHit, pathEdge: PathEdge, pathUpstream: PathUpstream,
+	pathRefused: PathRefused, pathError: PathError,
+}
+
 // Hub ties the per-query instruments together for one server: it
 // starts and finishes spans, feeds the serve-duration histogram and
 // resolution-path counter, and head-samples finished spans into the
@@ -42,7 +56,7 @@ type Hub struct {
 	// ServeDuration observes every query's span total.
 	ServeDuration *Histogram
 	// Path counts finished queries by resolution path.
-	Path *CounterVec
+	Path *Family
 
 	n     atomic.Uint64
 	spans sync.Pool // finished spans, for BeginAddr to reuse
@@ -61,8 +75,8 @@ func NewHub(clock vclock.Clock) *Hub {
 		Log:      NewQueryLog(0),
 		ServeDuration: NewHistogram("meccdn_dns_serve_duration_seconds",
 			"Client-observed DNS serve time from packet in to response written."),
-		Path: NewCounterVec("meccdn_dns_resolution_path_total",
-			"Finished queries by resolution path (cache-hit, edge, upstream, refused, error).", "path"),
+		Path: NewCounters("meccdn_dns_resolution_path_total",
+			"Finished queries by resolution path (cache-hit, edge, upstream, refused, error).", "path", pathNames...),
 	}
 	h.Registry.MustRegister(h.ServeDuration, h.Path)
 	return h
@@ -109,7 +123,8 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 	logged := h.Log != nil && sp.sampled
 	var rec Record
 	sp.mu.Lock()
-	path := ClassifyPath(sp.hops, rcode)
+	p := classifyPath(sp.hops, rcode)
+	path := pathNames[p]
 	sp.endLocked(path)
 	total := sp.end - sp.start
 	if logged {
@@ -122,7 +137,7 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 		h.ServeDuration.Observe(total)
 	}
 	if h.Path != nil {
-		h.Path.Inc1(path)
+		h.Path.Inc(p)
 	}
 	if logged {
 		h.Log.Add(rec)
@@ -130,15 +145,15 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 	h.spans.Put(sp)
 }
 
-// ClassifyPath maps a span's hops and final rcode onto the Fig 5
-// resolution-path categories.
-func ClassifyPath(hops []Hop, rcode string) string {
+// classifyPath maps a span's hops and final rcode onto the Fig 5
+// resolution-path categories, as an index of pathNames.
+func classifyPath(hops []Hop, rcode string) int {
 	upstream := false
 	for _, hop := range hops {
 		switch hop.Layer {
 		case "cache":
 			if hop.Note == "hit" {
-				return PathCacheHit
+				return pathCacheHit
 			}
 		case "coalesce":
 			// A coalesced waiter shared another query's upstream
@@ -150,12 +165,12 @@ func ClassifyPath(hops []Hop, rcode string) string {
 	}
 	switch {
 	case upstream:
-		return PathUpstream
+		return pathUpstream
 	case rcode == "REFUSED":
-		return PathRefused
+		return pathRefused
 	case rcode == "SERVFAIL":
-		return PathError
+		return pathError
 	default:
-		return PathEdge
+		return pathEdge
 	}
 }

@@ -24,8 +24,8 @@ func TestClassifyPath(t *testing.T) {
 		{"servfail", []Hop{{Layer: "cache", Note: "miss"}}, "SERVFAIL", PathError},
 	}
 	for _, c := range cases {
-		if got := ClassifyPath(c.hops, c.rcode); got != c.want {
-			t.Errorf("%s: ClassifyPath = %q, want %q", c.name, got, c.want)
+		if got := pathNames[classifyPath(c.hops, c.rcode)]; got != c.want {
+			t.Errorf("%s: classifyPath = %q, want %q", c.name, got, c.want)
 		}
 	}
 }
@@ -46,8 +46,8 @@ func TestHubFinishFeedsInstrumentsAndLog(t *testing.T) {
 	if h.ServeDuration.Count() != 1 || h.ServeDuration.Sum() != time.Millisecond {
 		t.Errorf("histogram = %d obs / %v", h.ServeDuration.Count(), h.ServeDuration.Sum())
 	}
-	if h.Path.Value(PathCacheHit) != 1 {
-		t.Errorf("path counts = %v", h.Path.Snapshot())
+	if h.Path.Value(pathCacheHit) != 1 {
+		t.Errorf("path counts = %v", h.Path.Values())
 	}
 	recs := h.Log.Drain()
 	if len(recs) != 1 || recs[0].Path != PathCacheHit || recs[0].Client != "127.0.0.1:9999" || recs[0].Transport != "udp" {

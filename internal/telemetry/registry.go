@@ -6,7 +6,7 @@
 // head-sampled structured query log in the spirit of dnstap.
 //
 // Everything here is stdlib-only. Hot-path instruments (Counter,
-// Histogram) are single atomic operations; exposition and log
+// Family, Histogram) are single atomic operations; exposition and log
 // draining take locks only on the slow, operator-facing path.
 package telemetry
 
@@ -169,276 +169,123 @@ func (f *FuncMetric) writeSamples(b *strings.Builder) {
 	b.WriteByte('\n')
 }
 
-// FuncsMetric adapts a snapshot function returning one value per index
-// into a counter family with one sample per index, labelled by it —
-// the per-shard view of values a FuncMetric exposes summed.
-type FuncsMetric struct {
-	name, help, label string
-	fn                func() []uint64
+// cellPad is the size of one Family cell: two typical cache lines, so
+// two cells' counts are never on one line and the adjacent-line
+// prefetcher on x86 does not pair them either.
+const cellPad = 128
+
+// cell is one padded series of a Family.
+type cell struct {
+	v atomic.Uint64
+	_ [cellPad - 8]byte
 }
 
-// NewCounterFuncs returns a counter family whose sample i, labelled
-// label="i", is fn()[i] at scrape time; each must be monotonic.
-func NewCounterFuncs(name, help, label string, fn func() []uint64) *FuncsMetric {
-	return &FuncsMetric{name: name, help: help, label: label, fn: fn}
+// Family is a counter or gauge family whose label values are fixed when
+// it is built: cell i holds the series labelled values[i], so an
+// increment is one atomic add on a cache line of its own — no lock, no
+// map, and no series a caller can mint. Call sites name their values
+// once as index constants.
+//
+// A counter family exposes only the values it has counted and a gauge
+// family every value, both sorted by value. An unlabelled family
+// (NewCounterCells) exposes the sum of its cells: one logical counter
+// that several workers increment, each in its own cell.
+type Family struct {
+	name, help, typ string
+	label           string   // "" for an unlabelled family
+	values          []string // values[i] labels cells[i]
+	order           []int    // cell indices sorted by value
+	cells           []cell
 }
 
-// MetricName implements Collector.
-func (f *FuncsMetric) MetricName() string { return f.name }
-
-func (f *FuncsMetric) metricHelp() string { return f.help }
-func (f *FuncsMetric) metricType() string { return "counter" }
-func (f *FuncsMetric) writeSamples(b *strings.Builder) {
-	for i, v := range f.fn() {
-		fmt.Fprintf(b, "%s{%s=\"%d\"} %d\n", f.name, f.label, i, v)
+func newFamily(typ, name, help, label string, values []string) *Family {
+	order := make([]int, len(values))
+	for i := range order {
+		order[i] = i
 	}
+	sort.SliceStable(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
+	return &Family{name: name, help: help, typ: typ, label: label,
+		values: values, order: order, cells: make([]cell, len(values))}
 }
 
-// CounterVec is a counter family partitioned by label values, e.g.
-// queries by qtype or responses by rcode. Children are created on
-// first use and live forever (label cardinality here is protocol
-// enums, not user input).
-type CounterVec struct {
-	name, help string
-	labels     []string
-	mu         sync.RWMutex
-	children   map[string]*vecChild
+// NewCounters returns a counter family with one series per label value.
+func NewCounters(name, help, label string, values ...string) *Family {
+	return newFamily("counter", name, help, label, values)
 }
 
-type vecChild struct {
-	values []string
-	v      atomic.Uint64
+// NewGauges returns a gauge family with one series per label value.
+func NewGauges(name, help, label string, values ...string) *Family {
+	return newFamily("gauge", name, help, label, values)
 }
 
-// NewCounterVec returns a labelled counter family.
-func NewCounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{
-		name:     name,
-		help:     help,
-		labels:   labels,
-		children: make(map[string]*vecChild),
+// NewCounterCells returns an unlabelled counter family of n cells (at
+// least one) whose one series is their sum.
+func NewCounterCells(name, help string, n int) *Family {
+	return newFamily("counter", name, help, "", make([]string, max(n, 1)))
+}
+
+// Inc adds one to cell i.
+func (f *Family) Inc(i int) { f.cells[i].v.Add(1) }
+
+// Add adds n to cell i.
+func (f *Family) Add(i int, n uint64) { f.cells[i].v.Add(n) }
+
+// Dec subtracts one from cell i of a gauge family.
+func (f *Family) Dec(i int) { f.cells[i].v.Add(^uint64(0)) }
+
+// Value returns cell i.
+func (f *Family) Value(i int) uint64 { return f.cells[i].v.Load() }
+
+// Values returns every cell, in index order. Each is one atomic load,
+// so the set is exact once the writers have quiesced.
+func (f *Family) Values() []uint64 {
+	vals := make([]uint64, len(f.cells))
+	for i := range f.cells {
+		vals[i] = f.cells[i].v.Load()
 	}
+	return vals
 }
 
-func vecKey(values []string) string { return strings.Join(values, "\x1f") }
-
-func (v *CounterVec) child(values []string) *vecChild {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("telemetry: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	key := vecKey(values)
-	v.mu.RLock()
-	ch := v.children[key]
-	v.mu.RUnlock()
-	if ch != nil {
-		return ch
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if ch = v.children[key]; ch == nil {
-		ch = &vecChild{values: append([]string(nil), values...)}
-		v.children[key] = ch
-	}
-	return ch
-}
-
-// Inc adds one to the series for the given label values.
-func (v *CounterVec) Inc(values ...string) { v.child(values).v.Add(1) }
-
-// Add increments the series for the given label values by n.
-func (v *CounterVec) Add(n uint64, values ...string) { v.child(values).v.Add(n) }
-
-// Inc1 is Inc for single-label families. The variadic Inc builds a
-// []string per call; on the per-packet path (queries by qtype,
-// responses by rcode) that is one heap allocation per packet, so the
-// serve loop uses this form, which looks the child up by the bare
-// value and allocates only on first use of a new series.
-func (v *CounterVec) Inc1(value string) { v.child1(value).v.Add(1) }
-
-// child1 is child for single-label families: the map key of a
-// one-element label set is the bare value (strings.Join of one
-// element), so the common lookup needs no slice and no join.
-func (v *CounterVec) child1(value string) *vecChild {
-	v.mu.RLock()
-	ch := v.children[value]
-	v.mu.RUnlock()
-	if ch != nil {
-		return ch
-	}
-	return v.child([]string{value})
-}
-
-// Value returns the count for the given label values (0 if the series
-// was never incremented).
-func (v *CounterVec) Value(values ...string) uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if ch := v.children[vecKey(values)]; ch != nil {
-		return ch.v.Load()
-	}
-	return 0
-}
-
-// Sum returns the total across all series.
-func (v *CounterVec) Sum() uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
+// Sum returns the total across all cells.
+func (f *Family) Sum() uint64 {
 	var total uint64
-	for _, ch := range v.children {
-		total += ch.v.Load()
+	for i := range f.cells {
+		total += f.cells[i].v.Load()
 	}
 	return total
 }
 
-// Snapshot returns the current series as a map keyed by the joined
-// label values (single-label vecs key by the bare value).
-func (v *CounterVec) Snapshot() map[string]uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]uint64, len(v.children))
-	for _, ch := range v.children {
-		out[strings.Join(ch.values, ",")] = ch.v.Load()
-	}
-	return out
-}
-
 // MetricName implements Collector.
-func (v *CounterVec) MetricName() string { return v.name }
+func (f *Family) MetricName() string { return f.name }
 
-func (v *CounterVec) metricHelp() string { return v.help }
-func (v *CounterVec) metricType() string { return "counter" }
-func (v *CounterVec) writeSamples(b *strings.Builder) {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
+func (f *Family) metricHelp() string { return f.help }
+func (f *Family) metricType() string { return f.typ }
+func (f *Family) writeSamples(b *strings.Builder) {
+	if f.label == "" {
+		b.WriteString(f.name)
+		b.WriteByte(' ')
+		b.WriteString(strconv.FormatUint(f.Sum(), 10))
+		b.WriteByte('\n')
+		return
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ch := v.children[k]
-		b.WriteString(v.name)
-		b.WriteByte('{')
-		for i, lbl := range v.labels {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(lbl)
-			b.WriteString(`="`)
-			b.WriteString(escapeLabel(ch.values[i]))
-			b.WriteByte('"')
+	for _, i := range f.order {
+		v := f.cells[i].v.Load()
+		if v == 0 && f.typ == "counter" {
+			continue
 		}
-		b.WriteString("} ")
-		b.WriteString(strconv.FormatUint(ch.v.Load(), 10))
+		b.WriteString(f.name)
+		b.WriteByte('{')
+		b.WriteString(f.label)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabel(f.values[i]))
+		b.WriteString(`"} `)
+		if f.typ == "gauge" {
+			b.WriteString(strconv.FormatInt(int64(v), 10))
+		} else {
+			b.WriteString(strconv.FormatUint(v, 10))
+		}
 		b.WriteByte('\n')
 	}
-	v.mu.RUnlock()
-}
-
-// GaugeVec is a gauge family partitioned by label values, e.g.
-// health targets by state. Children are created on first use and live
-// forever, like CounterVec.
-type GaugeVec struct {
-	name, help string
-	labels     []string
-	mu         sync.RWMutex
-	children   map[string]*gaugeChild
-}
-
-type gaugeChild struct {
-	values []string
-	v      atomic.Int64
-}
-
-// NewGaugeVec returns a labelled gauge family.
-func NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{
-		name:     name,
-		help:     help,
-		labels:   labels,
-		children: make(map[string]*gaugeChild),
-	}
-}
-
-func (v *GaugeVec) child(values []string) *gaugeChild {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("telemetry: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	key := vecKey(values)
-	v.mu.RLock()
-	ch := v.children[key]
-	v.mu.RUnlock()
-	if ch != nil {
-		return ch
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if ch = v.children[key]; ch == nil {
-		ch = &gaugeChild{values: append([]string(nil), values...)}
-		v.children[key] = ch
-	}
-	return ch
-}
-
-// Set stores n in the series for the given label values.
-func (v *GaugeVec) Set(n int64, values ...string) { v.child(values).v.Store(n) }
-
-// Add increments the series for the given label values by n (negative
-// to decrement).
-func (v *GaugeVec) Add(n int64, values ...string) { v.child(values).v.Add(n) }
-
-// Value returns the gauge for the given label values (0 if the series
-// was never touched).
-func (v *GaugeVec) Value(values ...string) int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if ch := v.children[vecKey(values)]; ch != nil {
-		return ch.v.Load()
-	}
-	return 0
-}
-
-// Snapshot returns the current series as a map keyed by the joined
-// label values (single-label vecs key by the bare value).
-func (v *GaugeVec) Snapshot() map[string]int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]int64, len(v.children))
-	for _, ch := range v.children {
-		out[strings.Join(ch.values, ",")] = ch.v.Load()
-	}
-	return out
-}
-
-// MetricName implements Collector.
-func (v *GaugeVec) MetricName() string { return v.name }
-
-func (v *GaugeVec) metricHelp() string { return v.help }
-func (v *GaugeVec) metricType() string { return "gauge" }
-func (v *GaugeVec) writeSamples(b *strings.Builder) {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ch := v.children[k]
-		b.WriteString(v.name)
-		b.WriteByte('{')
-		for i, lbl := range v.labels {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(lbl)
-			b.WriteString(`="`)
-			b.WriteString(escapeLabel(ch.values[i]))
-			b.WriteByte('"')
-		}
-		b.WriteString("} ")
-		b.WriteString(strconv.FormatInt(ch.v.Load(), 10))
-		b.WriteByte('\n')
-	}
-	v.mu.RUnlock()
 }
 
 // DefBuckets are the default latency histogram bounds: 100µs to 5s,

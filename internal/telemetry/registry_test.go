@@ -18,10 +18,10 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 
 	f := NewGaugeFunc("test_entries", "Entries right now.", func() float64 { return 7 })
 
-	v := NewCounterVec("test_responses_total", "Responses by rcode.", "rcode")
-	v.Inc("NOERROR")
-	v.Inc("NOERROR")
-	v.Inc("SERVFAIL")
+	v := NewCounters("test_responses_total", "Responses by rcode.", "rcode", "SERVFAIL", "NXDOMAIN", "NOERROR")
+	v.Inc(2)
+	v.Inc(2)
+	v.Inc(0)
 
 	h := NewHistogram("test_latency_seconds", "Latency.", 10*time.Millisecond, 100*time.Millisecond)
 	h.Observe(5 * time.Millisecond)
@@ -69,8 +69,8 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 
 func TestEscaping(t *testing.T) {
 	reg := NewRegistry()
-	v := NewCounterVec("esc_total", "line one\nline two", "who")
-	v.Inc(`quo"te\slash`)
+	v := NewCounters("esc_total", "line one\nline two", "who", `quo"te\slash`)
+	v.Inc(0)
 	reg.MustRegister(v)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -82,53 +82,6 @@ func TestEscaping(t *testing.T) {
 	}
 	if !strings.Contains(out, `who="quo\"te\\slash"`) {
 		t.Errorf("label not escaped: %q", out)
-	}
-}
-
-func TestCounterVecValueSumSnapshot(t *testing.T) {
-	v := NewCounterVec("vec_total", "h", "a")
-	v.Add(5, "x")
-	v.Inc("y")
-	if v.Value("x") != 5 || v.Value("y") != 1 || v.Value("z") != 0 {
-		t.Errorf("values = %d/%d/%d", v.Value("x"), v.Value("y"), v.Value("z"))
-	}
-	if v.Sum() != 6 {
-		t.Errorf("sum = %d", v.Sum())
-	}
-	snap := v.Snapshot()
-	if snap["x"] != 5 || snap["y"] != 1 || len(snap) != 2 {
-		t.Errorf("snapshot = %v", snap)
-	}
-}
-
-func TestGaugeVecSetAddSnapshot(t *testing.T) {
-	v := NewGaugeVec("gvec", "h", "state")
-	v.Set(3, "healthy")
-	v.Add(2, "healthy")
-	v.Add(1, "down")
-	v.Add(-1, "down")
-	if v.Value("healthy") != 5 || v.Value("down") != 0 || v.Value("never") != 0 {
-		t.Errorf("values = %d/%d/%d", v.Value("healthy"), v.Value("down"), v.Value("never"))
-	}
-	snap := v.Snapshot()
-	if snap["healthy"] != 5 || snap["down"] != 0 || len(snap) != 2 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	reg := NewRegistry()
-	reg.MustRegister(v)
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE gvec gauge",
-		`gvec{state="healthy"} 5`,
-		`gvec{state="down"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -177,20 +130,19 @@ func TestHistogramQuantile(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCounter("conc_total", "h")
-	v := NewCounterVec("conc_vec_total", "h", "l")
+	v := NewCounters("conc_vec_total", "h", "l", "a", "b", "c")
 	h := NewHistogram("conc_seconds", "h")
 	reg.MustRegister(c, v, h)
 
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
-	labels := []string{"a", "b", "c"}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				v.Inc(labels[i%len(labels)])
+				v.Inc(i % 3)
 				h.Observe(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
 					var b strings.Builder
