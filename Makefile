@@ -15,12 +15,15 @@ all: vet test race build
 #  - the test suite under the race detector
 #  - the pool-ownership checker over every package that checks out packet buffers
 #  - the overload contract (hits never wait behind upstreams; read == served + shed) at 1, 2, 4 cores
-#  - the recycled-span hazard (a hedge straggler reaching the next query), 20 times under -race
+#  - the recycled-span hazard (a hedge straggler reaching the next query) and
+#    queries joining a flight at every moment of its leader's life, 20 times under -race
 #  - allocation pins: the telemetry-on hit and the cache's store
-#  - allocation pins: the query parse and the router's reply vector
-#  - allocation pin: the router's answer
+#  - allocation pins: the query parse, the router's reply vector and the query pack
+#  - allocation pin: the router's answer, table- and ring-routed
 #  - allocation budget: the P2 hop
 #  - fuzz: LPM lookup against its linear-scan twin
+#  - fuzz: the routes-file parser against a line-by-line reading into that twin
+#  - fuzz: the mesh ANNOUNCE codec round trip, both ways
 #  - fuzz: the cache's reply patch
 #  - fuzz: SIEVE eviction against a reference SIEVE
 #  - fuzz: serveQuery, the one query-to-reply function every ingress uses
@@ -43,12 +46,14 @@ ci:
 	$(GO) test -race ./...
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/ ./internal/meccdn/ ./internal/resolver/ .
 	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
-	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery|TestSingleflightLateJoiner' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget' -cpu 1,2,4 ./internal/dnsserver/
-	$(GO) test -run 'TestUnpackQueryNoAllocOnRepeat|TestAppendReplyIsRouterVector' -cpu 1,2,4 ./internal/dnswire/
+	$(GO) test -run 'TestUnpackQueryNoAllocOnRepeat|TestAppendReplyIsRouterVector|TestAppendPackAllocs' -cpu 1,2,4 ./internal/dnswire/
 	$(GO) test -run 'TestRouterAnswerAllocs' -cpu 1,2,4 ./internal/cdn/
 	$(GO) test -run 'TestStubExchangeAllocBudget' -cpu 1,2,4 .
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
+	$(GO) test -run xxx -fuzz FuzzParseRoutes -fuzztime 5s ./internal/lpm/
+	$(GO) test -run xxx -fuzz FuzzAnnounceRoundTrip -fuzztime 5s ./internal/mesh/
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzCacheEviction -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzServeQuery -fuzztime 5s ./internal/dnsserver/

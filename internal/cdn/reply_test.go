@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"net/netip"
-	"runtime/debug"
 	"testing"
 
 	"github.com/meccdn/meccdn/internal/dnsserver"
 	"github.com/meccdn/meccdn/internal/dnswire"
+	"github.com/meccdn/meccdn/internal/geoip"
 	"github.com/meccdn/meccdn/internal/lpm"
+	"github.com/meccdn/meccdn/internal/racecheck"
+	"github.com/meccdn/meccdn/internal/simnet"
 )
 
 // poolOutstanding is dnswire.PoolOutstanding under -tags pooldebug
@@ -221,14 +223,22 @@ func TestRouterRepliesCarryOPT(t *testing.T) {
 }
 
 // TestRouterAnswerAllocs: the router answers a table-routed query — ECS
-// or not — and a NODATA into an OwnedWireWriter without allocating.
-// (A ring-routed query pays selectLocal's two, whose candidate arrays
-// escape through the Policy interface.) Under the race detector
-// sync.Pool drops buffers on purpose, so there the counts are logged.
+// or not — a ring-routed one and a NODATA into an OwnedWireWriter
+// without allocating. Under the race detector sync.Pool drops buffers
+// on purpose, so there the counts are logged.
 func TestRouterAnswerAllocs(t *testing.T) {
 	rt := NewRouter("cdn.test.")
 	rt.SetRoutes(routeTable(t, map[string]lpm.PoP{"10.0.0.0/8": 1, "198.51.100.0/24": 1}))
 	rt.MapPoP(1, netip.MustParseAddr("203.0.113.1"))
+	// A subnet no route covers is routed over the ring of these two.
+	n := simnet.New(1)
+	for _, name := range []string{"cache-0", "cache-1"} {
+		n.AddNode(name)
+		rt.AddServer(NewCacheServer(n.Node(name), CacheServerConfig{
+			Name: name, Site: "mec-1", Tier: TierEdge, CapacityBytes: 1 << 20,
+			Domains: []string{"cdn.test."},
+		}), geoip.Location{Name: name})
+	}
 	chain := dnsserver.Chain(rt)
 	var msg dnswire.Message // the scratch an ingress parses into
 	var req dnsserver.Request
@@ -241,6 +251,7 @@ func TestRouterAnswerAllocs(t *testing.T) {
 	}{
 		{"A, ECS", fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 2, 24, []byte{10, 1, 2}), 1},
 		{"A, OPT-less", fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 0, 0, nil), 1},
+		{"A, ring-routed", fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 2, 24, []byte{192, 0, 2}), 1},
 		{"NODATA", fuzzQuery([]byte("obj"), 28, 0, 1, true, false, 1, 0, nil), 0},
 	} {
 		var w imageWriter
@@ -260,22 +271,10 @@ func TestRouterAnswerAllocs(t *testing.T) {
 		serve()
 		got := testing.AllocsPerRun(200, serve)
 		switch {
-		case raceDetector():
+		case racecheck.Enabled:
 			t.Logf("%s: %v allocs per query under the race detector", c.name, got)
 		case got != 0:
 			t.Errorf("%s: %v allocs per query, want 0", c.name, got)
 		}
 	}
-}
-
-// raceDetector reports whether the test binary was built with -race.
-func raceDetector() bool {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" {
-				return s.Value == "true"
-			}
-		}
-	}
-	return false
 }

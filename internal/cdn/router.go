@@ -667,11 +667,9 @@ func (rt *Router) selectLocal(key string, client ClientInfo) *ServerInfo {
 	if replicas <= 0 {
 		replicas = 2
 	}
-	// The ring walk appends candidates into fixed backing arrays, one
-	// allocation each: they escape through the Policy interface call
-	// below, so a ring-routed query pays these two and no more (one the
-	// subnet table answers never gets here). The owner names stay on
-	// the stack.
+	// The ring walk appends candidates into fixed backing arrays on the
+	// stack, and the owner names stay there too: selectPolicy hands the
+	// arrays to the built-in policies only through their concrete types.
 	var prefArr, degArr [smallOwners]*ServerInfo
 	preferred, degraded := prefArr[:0], degArr[:0]
 	consider := func(name string) {
@@ -715,11 +713,26 @@ func (rt *Router) selectLocal(key string, client ClientInfo) *ServerInfo {
 	if len(candidates) == 0 {
 		return nil
 	}
-	policy := rt.Policy
-	if policy == nil {
-		policy = AvailabilityFirst{}
+	return selectPolicy(rt.Policy, candidates, key, client)
+}
+
+// selectPolicy calls policy, nil meaning AvailabilityFirst. The three
+// built-in policies are called through their concrete types, which
+// keep no reference to candidates, so the caller's stack arrays stay
+// on the stack. Any other policy is an interface call the compiler
+// cannot see through, and gets a copy of the candidates on the heap.
+func selectPolicy(policy SelectionPolicy, candidates []*ServerInfo, key string, client ClientInfo) *ServerInfo {
+	switch p := policy.(type) {
+	case nil:
+		return AvailabilityFirst{}.Select(candidates, key, client)
+	case AvailabilityFirst:
+		return p.Select(candidates, key, client)
+	case *RoundRobin:
+		return p.Select(candidates, key, client)
+	case LeastLoaded:
+		return p.Select(candidates, key, client)
 	}
-	return policy.Select(candidates, key, client)
+	return policy.Select(append([]*ServerInfo(nil), candidates...), key, client)
 }
 
 // clientInfo assembles what the router knows about the requester.

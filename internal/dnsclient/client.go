@@ -37,12 +37,12 @@ var (
 // for NetTransport it selects the socket type, for SimTransport it is
 // ignored (the virtual network has no 512-byte limit).
 //
-// The context's deadline is the attempt's time limit and is the
-// transport's to enforce (NetTransport sets it on the socket); the
-// client starts no timer of its own, so Done reports only the caller's
-// cancellation.
+// deadline is the attempt's time limit, zero for none, and is the
+// transport's to enforce (NetTransport sets it on the socket). The
+// client passes it as a value and starts no timer of its own, so ctx
+// carries only the caller's cancellation.
 type Transport interface {
-	Exchange(ctx context.Context, server netip.AddrPort, query []byte, tcp bool) ([]byte, error)
+	Exchange(ctx context.Context, deadline time.Time, server netip.AddrPort, query []byte, tcp bool) ([]byte, error)
 }
 
 // Client performs DNS exchanges with retries and TCP fallback.
@@ -86,23 +86,14 @@ func (c *Client) newID() uint16 {
 	return uint16(rng.Intn(1 << 16))
 }
 
-// attemptCtx is the caller's context carrying one attempt's deadline
-// for the transport to enforce. Unlike context.WithTimeout it starts
-// no timer: cancellation is still the caller's alone.
-type attemptCtx struct {
-	context.Context
-	deadline time.Time
-}
-
-func (a *attemptCtx) Deadline() (time.Time, bool) { return a.deadline, true }
-
-// begin starts an attempt lasting at most timeout, within any deadline
-// the caller's context already has.
-func (a *attemptCtx) begin(timeout time.Duration) {
-	a.deadline = time.Now().Add(timeout)
-	if d, ok := a.Context.Deadline(); ok && d.Before(a.deadline) {
-		a.deadline = d
+// attemptDeadline is when an attempt starting now ends: timeout from
+// now, or the caller's own deadline if that comes first.
+func attemptDeadline(ctx context.Context, timeout time.Duration) time.Time {
+	deadline := time.Now().Add(timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		return d
 	}
+	return deadline
 }
 
 // Query is a convenience wrapper building a recursion-desired question
@@ -184,13 +175,11 @@ func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, upstream s
 	if sp != nil && upstream == "" {
 		upstream = server.String()
 	}
-	attempt := &attemptCtx{Context: ctx}
 
 	var lastErr error
 	for n := 0; n <= c.Retries; n++ {
 		hop := sp.StartHop("upstream")
-		attempt.begin(timeout)
-		img, rcode, err := c.exchangeOnce(attempt, server, wire, false)
+		img, rcode, err := c.exchangeOnce(ctx, attemptDeadline(ctx, timeout), server, wire, false)
 		if err == nil {
 			hop.End(upstream)
 			return img, rcode, nil
@@ -209,8 +198,8 @@ const qrBit, tcBit = 0x80, 0x02 // in a packed header's third octet
 
 // exchangeOnce is one attempt: query out, reply image back, checked. A
 // truncated UDP reply is retried over TCP on its header bit alone.
-func (c *Client) exchangeOnce(ctx context.Context, server netip.AddrPort, query []byte, tcp bool) ([]byte, dnswire.Rcode, error) {
-	raw, err := c.Transport.Exchange(ctx, server, query, tcp)
+func (c *Client) exchangeOnce(ctx context.Context, deadline time.Time, server netip.AddrPort, query []byte, tcp bool) ([]byte, dnswire.Rcode, error) {
+	raw, err := c.Transport.Exchange(ctx, deadline, server, query, tcp)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -220,7 +209,7 @@ func (c *Client) exchangeOnce(ctx context.Context, server netip.AddrPort, query 
 	}
 	if raw[2]&tcBit != 0 && !tcp && !c.DisableTCPFallback {
 		dnswire.PutBuffer(raw)
-		return c.exchangeOnce(ctx, server, query, true)
+		return c.exchangeOnce(ctx, deadline, server, query, true)
 	}
 	var ttls [8]int // keeps the offsets, the cache's business, off the heap
 	img, err := dnswire.PatchOffsets(raw, ttls[:0])

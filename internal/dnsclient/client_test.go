@@ -19,7 +19,7 @@ type fakeTransport struct {
 	tcp   int
 }
 
-func (f *fakeTransport) Exchange(_ context.Context, _ netip.AddrPort, query []byte, tcp bool) ([]byte, error) {
+func (f *fakeTransport) Exchange(_ context.Context, _ time.Time, _ netip.AddrPort, query []byte, tcp bool) ([]byte, error) {
 	f.calls++
 	if tcp {
 		f.tcp++

@@ -218,7 +218,7 @@ func TestPoolSocketAgeLimit(t *testing.T) {
 	wantStats(t, tr, SocketStats{Dialed: 3, Discarded: 2, Idle: 1})
 
 	// yield: a socket that expired during its exchange is not kept.
-	s, err := tr.take(context.Background(), b.addr)
+	s, err := tr.take(context.Background(), time.Time{}, b.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

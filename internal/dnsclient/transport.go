@@ -133,11 +133,11 @@ func (t *NetTransport) Close() error {
 	return nil
 }
 
-// Exchange implements Transport. The context's deadline bounds the
-// exchange, and cancelling the context ends it at once.
-func (t *NetTransport) Exchange(ctx context.Context, server netip.AddrPort, query []byte, tcp bool) ([]byte, error) {
+// Exchange implements Transport. deadline bounds the exchange, and
+// cancelling the context ends it at once.
+func (t *NetTransport) Exchange(ctx context.Context, deadline time.Time, server netip.AddrPort, query []byte, tcp bool) ([]byte, error) {
 	if tcp {
-		return t.exchangeTCP(ctx, server, query)
+		return t.exchangeTCP(ctx, deadline, server, query)
 	}
 	if len(query) < 12 {
 		return nil, errors.New("dnsclient: query is shorter than a DNS header")
@@ -145,11 +145,11 @@ func (t *NetTransport) Exchange(ctx context.Context, server netip.AddrPort, quer
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := t.take(ctx, server)
+	s, err := t.take(ctx, deadline, server)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := roundTrip(ctx, s.conn, query)
+	resp, err := roundTrip(ctx, deadline, s.conn, query)
 	if err != nil {
 		// The query may still be answered; closing the socket is what
 		// keeps that reply away from every later exchange.
@@ -160,8 +160,8 @@ func (t *NetTransport) Exchange(ctx context.Context, server netip.AddrPort, quer
 	return resp, nil
 }
 
-func (t *NetTransport) dial(ctx context.Context, network string, server netip.AddrPort) (net.Conn, error) {
-	var d net.Dialer
+func (t *NetTransport) dial(ctx context.Context, deadline time.Time, network string, server netip.AddrPort) (net.Conn, error) {
+	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, network, server.String())
 	if err != nil {
 		return nil, fmt.Errorf("dialing %s %v: %w", network, server, err)
@@ -169,13 +169,13 @@ func (t *NetTransport) dial(ctx context.Context, network string, server netip.Ad
 	return conn, nil
 }
 
-func (t *NetTransport) exchangeTCP(ctx context.Context, server netip.AddrPort, query []byte) ([]byte, error) {
-	conn, err := t.dial(ctx, "tcp", server)
+func (t *NetTransport) exchangeTCP(ctx context.Context, deadline time.Time, server netip.AddrPort, query []byte) ([]byte, error) {
+	conn, err := t.dial(ctx, deadline, "tcp", server)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
+	if !deadline.IsZero() {
 		if err := conn.SetDeadline(deadline); err != nil {
 			return nil, err
 		}
@@ -187,7 +187,7 @@ func (t *NetTransport) exchangeTCP(ctx context.Context, server netip.AddrPort, q
 }
 
 // take returns an idle socket connected to server, or dials one.
-func (t *NetTransport) take(ctx context.Context, server netip.AddrPort) (udpSocket, error) {
+func (t *NetTransport) take(ctx context.Context, deadline time.Time, server netip.AddrPort) (udpSocket, error) {
 	now := time.Now()
 	t.mu.Lock()
 	stack := t.idle[server]
@@ -224,7 +224,7 @@ func (t *NetTransport) take(ctx context.Context, server netip.AddrPort) (udpSock
 	}
 	t.mu.Unlock()
 
-	conn, err := t.dial(ctx, "udp", server)
+	conn, err := t.dial(ctx, deadline, "udp", server)
 	if err != nil {
 		return udpSocket{}, err
 	}
@@ -270,9 +270,8 @@ var aLongTimeAgo = time.Unix(1, 0)
 // buffer the caller recycles. On any error — the deadline, a
 // cancelled ctx, a socket error such as ECONNREFUSED — the query may
 // still be outstanding and conn must not be reused.
-func roundTrip(ctx context.Context, conn net.Conn, query []byte) ([]byte, error) {
-	// A zero deadline (ctx has none) clears the previous exchange's.
-	deadline, _ := ctx.Deadline()
+func roundTrip(ctx context.Context, deadline time.Time, conn net.Conn, query []byte) ([]byte, error) {
+	// A zero deadline (none) clears the previous exchange's.
 	if err := conn.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
@@ -322,10 +321,10 @@ type SimTransport struct {
 	Timeout time.Duration
 }
 
-// Exchange implements Transport. The tcp flag and context deadline are
+// Exchange implements Transport. The tcp flag and deadline are
 // ignored: virtual datagrams are not size-limited and timeouts are
 // virtual-time by construction.
-func (t *SimTransport) Exchange(_ context.Context, server netip.AddrPort, query []byte, _ bool) ([]byte, error) {
+func (t *SimTransport) Exchange(_ context.Context, _ time.Time, server netip.AddrPort, query []byte, _ bool) ([]byte, error) {
 	timeout := t.Timeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second

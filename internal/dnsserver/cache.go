@@ -197,9 +197,16 @@ func (sh *cacheShard) evict() {
 }
 
 // flight is one in-progress upstream exchange that concurrent misses
-// for the same key wait on.
+// for the same key wait on. It holds the leader's reply image too, so
+// the flight is the one allocation a miss makes for its exchange.
 type flight struct {
+	// done is made by the first query to join the flight, under the
+	// shard lock, and closed by the leader once the flight is out of the
+	// table; a flight nobody joins never makes one.
 	done chan struct{}
+	// rec is what the chain wrote for the leader's request, kept whole;
+	// reply cuts it to the client's size.
+	rec replyImage
 	// ent is the answer the leader obtained — fresh, or (stale set) an
 	// expired entry served per RFC 8767; nil when the leader failed, in
 	// which case waiters relay rcode and err.
@@ -580,17 +587,20 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 	if !r.mayWait() {
 		return dnswire.RcodeServerFailure, errIngressFull
 	}
-	key := string(kbuf)
 
 	// Singleflight: join an in-flight exchange for this key, or
 	// become the leader of a new one.
 	sh.mu.Lock()
-	if f, ok := sh.flights[key]; ok {
+	if f, ok := sh.flights[string(kbuf)]; ok {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		done := f.done
 		c.ctr.coalesced.Inc()
 		sh.mu.Unlock()
 		wait := telemetry.StartHop(ctx, "coalesce")
 		select {
-		case <-f.done:
+		case <-done:
 			wait.End("shared")
 		case <-ctx.Done():
 			wait.End("canceled")
@@ -601,7 +611,8 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 		}
 		return c.reply(w, r, f.ent, 0, f.stale)
 	}
-	f := &flight{done: make(chan struct{})}
+	key := string(kbuf)
+	f := new(flight)
 	sh.flights[key] = f
 	sh.mu.Unlock()
 	return c.fill(ctx, sh, f, key, w, r, next, res.stale)
@@ -614,12 +625,13 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 // entry still in its RFC 8767 window, the stale answer is served —
 // better a recently-true answer than a SERVFAIL, for a bounded window.
 func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string, w ResponseWriter, r *Request, next Handler, stale *cacheEntry) (dnswire.Rcode, error) {
-	rec := replyImage{limit: dnswire.MaxMessageSize} // kept whole; reply cuts it to the client's size
-	rcode, err := next.ServeDNS(ctx, &rec, r)
+	rec := &f.rec
+	rec.limit = dnswire.MaxMessageSize
+	rcode, err := next.ServeDNS(ctx, rec, r)
 	answered := err == nil && rec.buf != nil
 	var fresh *cacheEntry
 	if answered {
-		fresh = c.store(r, rec.buf[:rec.n])
+		fresh = c.store(r, rec.buf[:rec.n], key)
 	}
 	if stale != nil && (!answered || fresh != nil && failoverRcode(fresh.rcode)) {
 		c.ctr.staleServes.Inc()
@@ -630,8 +642,11 @@ func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string,
 	f.rcode, f.err = rcode, err
 	sh.mu.Lock()
 	delete(sh.flights, key)
+	done := f.done
 	sh.mu.Unlock()
-	close(f.done)
+	if done != nil {
+		close(done)
+	}
 	if f.ent != nil {
 		dnswire.PutBuffer(rec.buf)
 		return c.reply(w, r, f.ent, 0, f.stale)
@@ -659,14 +674,16 @@ func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string,
 // where every sibling /24 finds it, instead of fragmenting into 256
 // identical entries. The key is always derived here, never taken from
 // the lookup: a refresh of a /16 entry may come back scoped /24, and
-// must not land under the /16 key.
+// must not land under the /16 key. Only when the derived key has the
+// same bytes as flightKey, the key the miss resolved under, does the
+// entry share that string instead of making its own.
 //
 // Rcode, lifetime, scope and patch positions all come from one walk over
 // the bytes, dnswire.PatchOffsets; nothing is decoded. A response with
 // no cacheable lifetime (server failures among them) is returned as an
 // entry but not inserted (coalesced waiters still need it); store
 // returns nil for an image the walk refuses.
-func (c *Cache) store(r *Request, image []byte) *cacheEntry {
+func (c *Cache) store(r *Request, image []byte, flightKey string) *cacheEntry {
 	ent := new(cacheEntry)
 	img, err := dnswire.PatchOffsets(image, ent.ttlBuf[:0])
 	if err != nil {
@@ -692,7 +709,11 @@ func (c *Cache) store(r *Request, image []byte) *cacheEntry {
 		c.markScope(famBits, scope)
 		kbuf = appendECSKey(kbuf, ecs, scope, famBits)
 	}
-	ent.key = string(kbuf)
+	if string(kbuf) == flightKey {
+		ent.key = flightKey
+	} else {
+		ent.key = string(kbuf)
+	}
 	sh := c.shardOf(kbuf)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -763,7 +784,7 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 		}
 		return
 	}
-	f := &flight{done: make(chan struct{})}
+	f := new(flight)
 	sh.flights[key] = f
 	sh.mu.Unlock()
 	c.ctr.prefetchIssued.Inc()
@@ -858,7 +879,8 @@ func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w Respon
 // reply is the one way a cached response leaves the cache — live hit,
 // RFC 8767 stale answer, coalesced waiter, and the leader's own fresh
 // fill alike. The stored wire image is copied into a pooled buffer and
-// restamped for r in place: transaction ID, the RD/CD mirror bits, the
+// restamped for r in place: transaction ID, the question name's letter
+// case (the image keeps the first asker's), the RD/CD mirror bits, the
 // TTLs (aged by the seconds spent in cache, or clamped down to staleTTL
 // when stale), and the RFC 7871 §7.2.1 ECS echo. The result decodes to
 // what decoding the image, editing the message and repacking it would
@@ -868,6 +890,7 @@ func (c *Cache) reply(w ResponseWriter, r *Request, ent *cacheEntry, age uint32,
 	buf := dnswire.GetBuffer()
 	n := copy(buf, ent.wire)
 	dnswire.PatchID(buf[:n], r.Msg.ID)
+	dnswire.PatchQuestionCase(buf[:n], r.Msg.Question().Name)
 	dnswire.PatchReplyBits(buf[:n], r.Msg.RecursionDesired, r.Msg.CheckingDisabled)
 	if stale {
 		dnswire.ClampTTLs(buf[:n], ent.ttlOffs, staleTTL)

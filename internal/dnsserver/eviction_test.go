@@ -18,7 +18,7 @@ func TestCacheMaxEntriesIsABound(t *testing.T) {
 	cache := NewCache(&vclock.Fixed{})
 	cache.MaxEntries = 1001 // 8 shards of 125, one left over
 	for i := 0; i < 20000; i++ {
-		if cache.store(queryFor(fmt.Sprintf("n%d.bound.test.", i)), image) == nil {
+		if cache.store(queryFor(fmt.Sprintf("n%d.bound.test.", i)), image, "") == nil {
 			t.Fatal("store refused the image")
 		}
 	}
@@ -177,7 +177,7 @@ func FuzzCacheEviction(f *testing.F) {
 			key := appendBaseKey(nil, req)
 			switch op >> 5 {
 			case 0, 1, 2:
-				if cache.store(req, image) == nil {
+				if cache.store(req, image, "") == nil {
 					t.Fatal("store refused the image")
 				}
 				ref.store(string(key), clock.Now()+30*time.Second) // the image's TTL

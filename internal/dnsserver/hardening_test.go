@@ -53,7 +53,7 @@ func (t *scriptTransport) callCount(server netip.AddrPort) int {
 	return t.calls[server]
 }
 
-func (t *scriptTransport) Exchange(ctx context.Context, server netip.AddrPort, query []byte, tcp bool) ([]byte, error) {
+func (t *scriptTransport) Exchange(ctx context.Context, _ time.Time, server netip.AddrPort, query []byte, tcp bool) ([]byte, error) {
 	t.mu.Lock()
 	t.calls[server]++
 	delay := t.delay[server]
@@ -473,6 +473,147 @@ func TestSingleflightLeaderFailurePropagates(t *testing.T) {
 	}
 	if n := backendCalls.Load(); n != 1 {
 		t.Errorf("backend calls = %d, want 1", n)
+	}
+}
+
+// gateClock is a test clock whose next reading, once armed, parks the
+// goroutine taking it until the test lets it go. Armed just before the
+// backend answers, it parks the leader of a flight inside store — after
+// its exchange, before the entry is in and the flight is out of the
+// table — so the test can send queries into that window.
+type gateClock struct {
+	now    atomic.Int64
+	armed  atomic.Bool
+	parked chan struct{}
+	unpark chan struct{}
+}
+
+func newGateClock() *gateClock {
+	return &gateClock{parked: make(chan struct{}, 1), unpark: make(chan struct{}, 1)}
+}
+
+func (c *gateClock) Now() time.Duration {
+	if c.armed.CompareAndSwap(true, false) {
+		c.parked <- struct{}{}
+		<-c.unpark
+	}
+	return time.Duration(c.now.Load())
+}
+
+// TestSingleflightLateJoiner: a flight's channel is made only by the
+// first query to join it, so joining has to work at every moment of the
+// leader's life — while it waits on the upstream, and while it is inside
+// store, where the flight has no channel unless an earlier joiner made
+// one — and a flight nobody joins must finish without one. Each flight
+// is one upstream exchange, every query gets the answer, and nothing
+// hangs. A query that misses while a refresh-ahead prefetch is in
+// flight joins that flight the same way.
+func TestSingleflightLateJoiner(t *testing.T) {
+	var calls atomic.Int64
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var hold atomic.Bool
+	backend := HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		calls.Add(1)
+		if hold.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+		return answerHandler("192.0.2.77").ServeDNS(ctx, w, r)
+	})
+	clock := newGateClock()
+	cache := NewCache(clock)
+	cache.PrefetchFrac = 0.5
+	h := Chain(cache, pluginize(backend))
+
+	var wg sync.WaitGroup
+	results := make(chan *dnswire.Message, 64) // above the 21 queries asked, so no answer waits to be taken
+	ask := func(name string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results <- Resolve(context.Background(), h, queryFor(name))
+		}()
+	}
+	waitCoalesced := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for cache.Stats().Coalesced < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d queries joined a flight", cache.Stats().Coalesced, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitAll := func(want int) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a query hangs")
+		}
+		for i := 0; i < want; i++ {
+			resp := <-results
+			if len(resp.Answers) != 1 || resp.Answers[0].(*dnswire.A).Addr.String() != "192.0.2.77" {
+				t.Fatalf("query got %v (rcode %v), not the flight's answer", resp.Answers, resp.Rcode)
+			}
+		}
+	}
+
+	var joined uint64
+	for i, c := range []struct{ early, late int }{{0, 0}, {0, 3}, {3, 0}, {2, 2}} {
+		name := fmt.Sprintf("late-%d.test.", i)
+		hold.Store(true)
+		ask(name) // the leader
+		<-entered
+		for j := 0; j < c.early; j++ {
+			ask(name)
+		}
+		joined += uint64(c.early)
+		waitCoalesced(joined)
+		clock.armed.Store(true) // the leader's store takes the next reading
+		hold.Store(false)
+		release <- struct{}{}
+		<-clock.parked
+		for j := 0; j < c.late; j++ {
+			ask(name)
+		}
+		joined += uint64(c.late)
+		waitCoalesced(joined)
+		clock.unpark <- struct{}{}
+		waitAll(1 + c.early + c.late)
+		ask(name) // after the flight: a hit
+		waitAll(1)
+		if got, want := calls.Load(), int64(i+1); got != want {
+			t.Fatalf("flight %+v: %d upstream exchanges in all, want %d", c, got, want)
+		}
+	}
+
+	// A prefetch's flight. The refresh starts at a hit in the last half
+	// of the 30 s TTL and is held at the upstream; the entry then
+	// expires, and the next query misses and joins the refresh.
+	ask("pf.test.")
+	waitAll(1)
+	clock.now.Add(int64(20 * time.Second))
+	hold.Store(true)
+	ask("pf.test.") // the hit that starts the refresh
+	waitAll(1)
+	<-entered
+	clock.now.Add(int64(20 * time.Second))
+	ask("pf.test.")
+	joined++
+	waitCoalesced(joined)
+	hold.Store(false)
+	release <- struct{}{}
+	waitAll(1)
+	st := cache.Stats()
+	if got, want := calls.Load(), int64(4+2); got != want || st.PrefetchIssued != 1 {
+		t.Fatalf("%d upstream exchanges and %d prefetches; want %d and 1", got, st.PrefetchIssued, want)
+	}
+	if st.Coalesced != joined {
+		t.Errorf("coalesced = %d, want %d", st.Coalesced, joined)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,15 +35,18 @@ func patchECSEcho(msg, q *dnswire.Message) {
 }
 
 // oracleReply is the reference reply to q from a stored response image:
-// decode it, restamp ID and the RD/CD mirror bits, rewrite the ECS
-// echo, age every non-OPT TTL (or, stale, clamp it down to staleTTL),
-// and repack.
+// decode it, restamp ID, the question's spelling and the RD/CD mirror
+// bits, rewrite the ECS echo, age every non-OPT TTL (or, stale, clamp it
+// down to staleTTL), and repack.
 func oracleReply(stored []byte, q *dnswire.Message, age uint32, stale bool) ([]byte, error) {
 	var msg dnswire.Message
 	if err := msg.Unpack(stored); err != nil {
 		return nil, err
 	}
 	msg.ID = q.ID
+	if len(msg.Questions) > 0 && strings.EqualFold(msg.Questions[0].Name, q.Question().Name) {
+		msg.Questions[0].Name = q.Question().Name
+	}
 	msg.RecursionDesired = q.RecursionDesired
 	msg.CheckingDisabled = q.CheckingDisabled
 	patchECSEcho(&msg, q)
@@ -107,12 +111,21 @@ func upstreamImage(t *testing.T, h Handler, req *Request) []byte {
 	return wire
 }
 
-// fuzzQuery builds the query side of one FuzzHitPatch case. mode picks
-// no OPT, OPT only, ECS over IPv4 or ECS over IPv6; source is reduced to
-// the family's width, so 0 and non-octet-aligned lengths all occur.
+// fuzzQuery builds the query side of one FuzzHitPatch case. The bits
+// of id also pick which letters of the name are upper case, as a 0x20
+// client's would be. mode picks no OPT, OPT only, ECS over IPv4 or ECS
+// over IPv6; source is reduced to the family's width, so 0 and
+// non-octet-aligned lengths all occur.
 func fuzzQuery(id uint16, rd, cd bool, mode, source uint8, addr []byte) *Request {
 	q := new(dnswire.Message)
 	q.SetQuestion("fuzz.test.", dnswire.TypeA)
+	name := []byte(q.Questions[0].Name)
+	for i, c := range name {
+		if id>>i&1 == 1 && 'a' <= c && c <= 'z' {
+			name[i] = c - 'a' + 'A'
+		}
+	}
+	q.Questions[0].Name = string(name)
 	q.ID, q.RecursionDesired, q.CheckingDisabled = id, rd, cd
 	var a16 [16]byte
 	copy(a16[:], addr)
@@ -205,10 +218,10 @@ func FuzzHitPatch(f *testing.F) {
 		}
 		req := fuzzQuery(id, rd, cd, mode, source, addr)
 		cache := NewCache(&vclock.Fixed{})
-		arrived := cache.store(req, data)
+		arrived := cache.store(req, data, "")
 		var packed *cacheEntry
 		if wire, err := resp.Pack(); err == nil {
-			packed = cache.store(req, wire)
+			packed = cache.store(req, wire, "")
 		}
 		for _, ent := range []*cacheEntry{arrived, packed} {
 			if ent == nil {
@@ -269,6 +282,49 @@ func FuzzHitPatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCacheEchoesQuestionCase: a reply from the cache spells the
+// question as its own query did, not as the query that filled the entry
+// did. A client that randomizes the letter case of its names (DNS 0x20,
+// e.g. Unbound's use-caps-for-id) drops a reply whose question differs
+// from its query's by a single octet.
+func TestCacheEchoesQuestionCase(t *testing.T) {
+	zone := NewZone("example.test.")
+	if err := zone.AddA("www.example.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache(&vclock.Fixed{})
+	chain := Chain(cache, NewZonePlugin(zone))
+	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
+	client := netip.MustParseAddrPort("198.51.100.7:4242")
+	for i, name := range []string{"WwW.example.test.", "www.example.test.", "wWw.EXAMPLE.test.", "WwW.example.test."} {
+		for _, build := range []func(*dnswire.Message){plainQuery(name), ecsQuery(name, "10.1.2.0/24")} {
+			q := new(dnswire.Message)
+			build(q)
+			q.ID, q.Questions[0].Name = uint16(i), name // SetQuestion lower-cases
+			pkt, err := q.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, n := serveQuery(context.Background(), chain, nil, st, pkt, client, "udp", maxUDPPayload)
+			if buf == nil {
+				t.Fatalf("%s: no reply", name)
+			}
+			end := 12 + len(name) + 1 // the question name, never compressed
+			if n < end || !bytes.Equal(buf[12:end], pkt[12:end]) {
+				t.Errorf("%s: reply's question is %q, the query's %q", name, buf[12:min(n, end)], pkt[12:end])
+			}
+			var resp dnswire.Message
+			if err := resp.Unpack(buf[:n]); err != nil || len(resp.Answers) != 1 {
+				t.Fatalf("%s: reply %v, %d answers", name, err, len(resp.Answers))
+			}
+			dnswire.PutBuffer(buf)
+		}
+	}
+	if st := cache.Stats(); st.Hits != 6 || st.Misses != 2 {
+		t.Errorf("cache stats %+v: want the first plain and ECS query to miss and the rest to hit", st)
+	}
 }
 
 // TestECSHitAllocatesLikePlainHit pins the point of the single serve

@@ -38,7 +38,7 @@ func (c *stepClock) Advance(d time.Duration) { c.now.Add(int64(d)) }
 // same upstream serves a chain behind a socket and one inside a simnet.
 type transportFunc func(query []byte) ([]byte, error)
 
-func (f transportFunc) Exchange(_ context.Context, _ netip.AddrPort, query []byte, _ bool) ([]byte, error) {
+func (f transportFunc) Exchange(_ context.Context, _ time.Time, _ netip.AddrPort, query []byte, _ bool) ([]byte, error) {
 	return f(query)
 }
 

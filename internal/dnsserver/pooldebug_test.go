@@ -361,7 +361,8 @@ func TestExchangePoolBalance(t *testing.T) {
 			timeout = 2 * time.Second
 		}
 		ctx, cancel := tc.ctx(timeout)
-		resp, err := tr.Exchange(ctx, tc.server, tc.query, false)
+		deadline, _ := ctx.Deadline()
+		resp, err := tr.Exchange(ctx, deadline, tc.server, tc.query, false)
 		cancel()
 		if (err == nil) != tc.wantOK {
 			t.Errorf("%s: err = %v, want success: %v", tc.name, err, tc.wantOK)

@@ -226,23 +226,44 @@ func TestMalformedUpstreamImageIsNotRelayed(t *testing.T) {
 
 // TestStoreAllocBudget: storing a one-answer image costs the entry, its
 // copy of the image and its key — nothing is decoded, the TTL offsets
-// ride in the entry, and the entry takes a slot of the shard's slab.
+// ride in the entry, and the entry takes a slot of the shard's slab. A
+// miss's store, whose answer keys it where the miss resolved it, shares
+// the flight's key string and costs two.
 func TestStoreAllocBudget(t *testing.T) {
 	req := ecsQueryFor("alloc.test.", "10.1.2.0/24")
 	image := upstreamImage(t, ecsAnswerHandler("192.0.2.9", 24), req)
 	cache := NewCache(&vclock.Fixed{})
 	cache.MaxEntries = 64
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		ecs, _ := req.Msg.ECS() // a new subnet, so a new key, each run
-		ecs.Address = netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
-		i++
-		if cache.store(req, image) == nil {
-			t.Fatal("store refused the image")
+	for _, c := range []struct {
+		name      string
+		flightKey bool
+		budget    float64
+	}{{"a key of its own", false, 3}, {"the flight's key", true, 2}} {
+		keys := make([]string, 1001) // AllocsPerRun's warm-up run takes one
+		for i := range keys {
+			ecs, _ := req.Msg.ECS()
+			ecs.Address = netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
+			var kb [cacheKeyBuf]byte
+			keys[i] = string(appendECSKey(appendBaseKey(kb[:0], req), ecs, 24, 32))
 		}
-	})
-	if allocs > 3 {
-		t.Errorf("store allocates %v times per one-answer image, budget 3", allocs)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			ecs, _ := req.Msg.ECS() // a new subnet, so a new key, each run
+			ecs.Address = netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
+			flightKey := ""
+			if c.flightKey {
+				flightKey = keys[i]
+			}
+			i++
+			if ent := cache.store(req, image, flightKey); ent == nil {
+				t.Fatal("store refused the image")
+			} else if c.flightKey && ent.key != flightKey {
+				t.Fatalf("stored under %q, the flight resolved %q", ent.key, flightKey)
+			}
+		})
+		if allocs > c.budget {
+			t.Errorf("%s: store allocates %v times per one-answer image, budget %v", c.name, allocs, c.budget)
+		}
 	}
 	if st := cache.Stats(); st.Entries != 64 || st.Evictions == 0 {
 		t.Errorf("cache stats %+v: the run should have filled the cache and evicted", st)

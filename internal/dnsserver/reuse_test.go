@@ -93,7 +93,7 @@ type heldTransport struct {
 	sent map[netip.AddrPort]chan netip.Prefix
 }
 
-func (h *heldTransport) Exchange(_ context.Context, server netip.AddrPort, query []byte, _ bool) ([]byte, error) {
+func (h *heldTransport) Exchange(_ context.Context, _ time.Time, server netip.AddrPort, query []byte, _ bool) ([]byte, error) {
 	var q dnswire.Message
 	if err := q.Unpack(query); err != nil {
 		return nil, err

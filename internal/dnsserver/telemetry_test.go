@@ -6,13 +6,13 @@ import (
 	"math"
 	"net/netip"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/meccdn/meccdn/internal/dnswire"
+	"github.com/meccdn/meccdn/internal/racecheck"
 	"github.com/meccdn/meccdn/internal/telemetry"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
@@ -323,7 +323,7 @@ func TestServeQueryAllocs(t *testing.T) {
 		hub.SampleEvery = c.sampleEvery
 		got := testing.AllocsPerRun(100, func() { serve(c.pkt) })
 		switch {
-		case raceDetector():
+		case racecheck.Enabled:
 			t.Logf("%s: %v allocs per query under the race detector", c.name, got)
 		case got > c.max:
 			t.Errorf("%s: %v allocs per query, want <= %v", c.name, got, c.max)
@@ -332,18 +332,6 @@ func TestServeQueryAllocs(t *testing.T) {
 	if added, _ := hub.Log.Stats(); added < 100 {
 		t.Errorf("query log took %d records, want every sampled query", added)
 	}
-}
-
-// raceDetector reports whether the test binary was built with -race.
-func raceDetector() bool {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" {
-				return s.Value == "true"
-			}
-		}
-	}
-	return false
 }
 
 // TestHedgeStragglerCannotReachNextQuery: the losing exchange of a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
+	"sync"
 )
 
 // Errors returned by message packing and unpacking.
@@ -157,6 +158,9 @@ func (m *Message) Pack() ([]byte, error) {
 	return m.AppendPack(make([]byte, 0, 128))
 }
 
+// compressorPool recycles AppendPack's name-compression tables.
+var compressorPool = sync.Pool{New: func() any { return new(compressor) }}
+
 // AppendPack serializes m, appending to b (which must be empty or
 // freshly positioned at a message boundary: compression offsets are
 // relative to the start of b's unused capacity region only when b is
@@ -205,7 +209,11 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Authorities)))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Additionals)))
 
-	c := new(compressor)
+	// The compressor escapes through packRR's interface calls, so it is
+	// pooled rather than allocated per message.
+	c := compressorPool.Get().(*compressor)
+	c.n = 0
+	defer compressorPool.Put(c)
 	var err error
 	for _, q := range m.Questions {
 		if b, err = packName(b, q.Name, c); err != nil {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/meccdn/meccdn/internal/racecheck"
 )
 
 func mustAddr(t *testing.T, s string) netip.Addr {
@@ -349,5 +351,29 @@ func TestAppendPackRequiresEmptyBuffer(t *testing.T) {
 	}
 	if cap(out) != cap(buf) {
 		t.Log("note: buffer grew; acceptable but unexpected for a small query")
+	}
+}
+
+// TestAppendPackAllocs: packing a question + OPT/ECS query, the shape
+// of every query a stub sends upstream, into a pooled buffer allocates
+// nothing: the compressor table AppendPack needs comes from a pool too.
+// Under the race detector sync.Pool drops objects on purpose, so there
+// the count is only logged.
+func TestAppendPackAllocs(t *testing.T) {
+	q := new(Message).SetQuestion("obj-1.cdn.bench.test.", TypeA)
+	q.SetEDNS(1232).Options = []EDNSOption{NewECSOption(netip.MustParsePrefix("10.1.2.0/24"))}
+	pack := func() {
+		buf := GetBuffer()
+		if _, err := q.AppendPack(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		PutBuffer(buf)
+	}
+	pack()
+	switch allocs := testing.AllocsPerRun(1000, pack); {
+	case racecheck.Enabled:
+		t.Logf("AppendPack allocates %v times under the race detector", allocs)
+	case allocs != 0:
+		t.Errorf("AppendPack allocates %v times, want 0", allocs)
 	}
 }

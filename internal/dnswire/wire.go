@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -368,5 +369,27 @@ func PatchReplyBits(wire []byte, rd, cd bool) {
 	wire[3] &^= cdBit
 	if cd {
 		wire[3] |= cdBit
+	}
+}
+
+// PatchQuestionCase spells the question name of a packed message the
+// way name does, when the two are one name ASCII case aside (RFC 4343).
+// A reply must echo its query's question octet for octet: a client
+// that randomizes the case of its names (the "0x20" defence against
+// spoofing) drops one that does not. The question name is the first
+// name in the message, so it is never compressed, and every other name
+// that points at it takes the new spelling too. A name that is not the
+// question's, ASCII case aside, changes nothing.
+func PatchQuestionCase(wire []byte, name string) {
+	if len(wire) < 12 || wire[4]|wire[5] == 0 {
+		return
+	}
+	var nb [maxNameWire + 2]byte
+	want, err := packName(nb[:0], name, nil)
+	if err != nil || 12+len(want) > len(wire) {
+		return
+	}
+	if got := wire[12 : 12+len(want)]; !bytes.Equal(got, want) && EqualFoldASCII(got, want) {
+		copy(got, want)
 	}
 }

@@ -3,6 +3,8 @@ package lpm
 import (
 	"encoding/binary"
 	"net/netip"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -107,4 +109,75 @@ func lastAddr(p netip.Prefix) netip.Addr {
 		a16[i/8] |= 1 << (7 - i%8)
 	}
 	return netip.AddrFrom16(a16)
+}
+
+// FuzzParseRoutes differentially tests the routes-file parser: the same
+// text is read line by line here, as ParseRoutes' doc comment states the
+// format, into a Reference. The parser must accept exactly the texts
+// this reading accepts, and its table must give the reference's PoP and
+// prefix length for every route's first and last address and for
+// addresses taken from the fuzzer's bytes.
+func FuzzParseRoutes(f *testing.F) {
+	f.Add("# subnet PoP\n10.1.0.0/16 1\n10.1.7.0/24 2 # override\n2001:db8::/32 3\n", []byte{10, 1, 7, 9, 10, 1, 8, 9})
+	f.Add("0.0.0.0/0 7\r\n10.0.0.0/8\t9\n", []byte{10, 0, 0, 1})
+	f.Add("::ffff:10.0.0.0/104 4\n10.0.0.0/8 5\n", []byte{10, 2, 3, 4})
+	f.Add("10.0.0.0/8 1 extra\n", []byte{})
+	f.Add("10.0.0.0/8 4294967296\n", []byte{})
+	f.Fuzz(func(t *testing.T, text string, probes []byte) {
+		if len(text) > 64<<10 {
+			return // ParseRoutes' line limit is not the property under test
+		}
+		ref, prefixes, ok := referenceRoutes(text)
+		tab, err := ParseRoutes(strings.NewReader(text))
+		if (err == nil) != ok {
+			t.Fatalf("ParseRoutes(%q) error %v, the line-by-line reading accepts: %v", text, err, ok)
+		}
+		if !ok {
+			return
+		}
+		check := func(addr netip.Addr) {
+			gp, gb, gok := tab.Lookup(addr)
+			wp, wb, wok := ref.Lookup(addr)
+			if gp != wp || gb != wb || gok != wok {
+				t.Fatalf("%q: Lookup(%s) = (%d,%d,%v), reference (%d,%d,%v)", text, addr, gp, gb, gok, wp, wb, wok)
+			}
+		}
+		for _, p := range prefixes {
+			check(p.Masked().Addr())
+			check(lastAddr(p))
+		}
+		for ; len(probes) >= 4; probes = probes[4:] {
+			check(netip.AddrFrom4([4]byte(probes[:4])))
+			if len(probes) >= 16 {
+				check(netip.AddrFrom16([16]byte(probes[:16])))
+			}
+		}
+	})
+}
+
+// referenceRoutes reads routes text into a Reference: each line cut at
+// its first '#', split on white space, and either empty or a prefix and
+// a decimal uint32 PoP. ok is false when a line is neither.
+func referenceRoutes(text string) (ref *Reference, prefixes []netip.Prefix, ok bool) {
+	ref = &Reference{}
+	for _, line := range strings.Split(text, "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		if len(fields) != 2 {
+			return nil, nil, false
+		}
+		p, err := netip.ParsePrefix(fields[0])
+		if err != nil {
+			return nil, nil, false
+		}
+		pop, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil || ref.Add(p, PoP(pop)) != nil {
+			return nil, nil, false
+		}
+		prefixes = append(prefixes, p)
+	}
+	return ref, prefixes, true
 }

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -139,4 +140,51 @@ func TestGenNewer(t *testing.T) {
 			t.Errorf("genNewer(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// bitmapOf is the wire bitmap f was built from.
+func bitmapOf(f Filter) []byte {
+	b := make([]byte, 0, len(f.words)*8)
+	for _, w := range f.words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// FuzzAnnounceRoundTrip holds the ANNOUNCE codec to being one format
+// read two ways. Every payload DecodeAnnounce accepts re-encodes to
+// itself, byte for byte: nothing is accepted that the encoder would not
+// have written, and nothing read is lost. And every field set
+// EncodeAnnounce accepts decodes back to itself, the load included at
+// its wire precision of one permille.
+func FuzzAnnounceRoundTrip(f *testing.F) {
+	bitmap, k := testBitmap("seg-0001", "seg-0002")
+	good, err := EncodeAnnounce("mec-east", "10.1.0.5", 7, 2, 0.42, k, bitmap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good, "mec-east", "10.1.0.5", uint32(7), uint32(2), uint16(420), uint8(k), bitmap)
+	f.Add(good[:len(good)-1], "s", "", uint32(1<<31), uint32(MaxEntries), uint16(1000), uint8(MaxDigestHashes), make([]byte, 8))
+	f.Add([]byte(AnnouncePrefix), "", "x", uint32(0), uint32(MaxEntries+1), uint16(1001), uint8(0), []byte{1})
+	f.Fuzz(func(t *testing.T, payload []byte, site, addr string, gen, entries uint32, permille uint16, k uint8, bitmap []byte) {
+		if a, err := DecodeAnnounce(payload); err == nil {
+			again, err := EncodeAnnounce(a.Site, a.Addr, a.Gen, a.Entries, a.Load, a.Filter.k, bitmapOf(a.Filter))
+			if err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("accepted % x, which re-encodes to % x (%v)", payload, again, err)
+			}
+		}
+		load := float64(permille%1001) / 1000
+		wire, err := EncodeAnnounce(site, addr, gen, int(entries), load, int(k), bitmap)
+		if err != nil {
+			return
+		}
+		a, err := DecodeAnnounce(wire)
+		if err != nil {
+			t.Fatalf("EncodeAnnounce wrote % x, which does not decode: %v", wire, err)
+		}
+		if a.Site != site || a.Addr != addr || a.Gen != gen || a.Entries != int(entries) || a.Load != load ||
+			a.Filter.k != int(k) || !bytes.Equal(bitmapOf(a.Filter), bitmap) {
+			t.Fatalf("decoded %+v from the encoding of (%q, %q, %d, %d, %v, %d, % x)", a, site, addr, gen, entries, load, k, bitmap)
+		}
+	})
 }
