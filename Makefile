@@ -15,9 +15,13 @@ all: vet test race build
 #  - the test suite under the race detector
 #  - the pool-ownership checker over every package that checks out packet buffers
 #  - the overload contract (hits never wait behind upstreams; read == served + shed) at 1, 2, 4 cores
-#  - the recycled-span hazard (a hedge straggler reaching the next query) and
-#    queries joining a flight at every moment of its leader's life, 20 times under -race
-#  - allocation pins: the telemetry-on hit and the cache's store
+#  - the recycled-span hazard (a hedge straggler reaching the next query),
+#    queries joining a flight at every moment of its leader's life, and hits
+#    racing the evictions that reuse their slots, 20 times under -race
+#  - allocation pins: the telemetry-on hit and the cache's store; the cache's
+#    slab (hash collisions, large images, flights and serve-stale outliving
+#    a slot's reuse) and its EDNS (OPT follows the asker, ECS source clamp)
+#  - allocation pin: a sampled query's log record
 #  - allocation pins: the query parse, the router's reply vector and the query pack
 #  - allocation pin: the router's answer, table- and ring-routed
 #  - allocation budget: the P2 hop
@@ -25,6 +29,7 @@ all: vet test race build
 #  - fuzz: the routes-file parser against a line-by-line reading into that twin
 #  - fuzz: the mesh ANNOUNCE codec round trip, both ways
 #  - fuzz: the cache's reply patch
+#  - fuzz: the ECS echo on arbitrary stored images
 #  - fuzz: SIEVE eviction against a reference SIEVE
 #  - fuzz: serveQuery, the one query-to-reply function every ingress uses
 #  - fuzz: the walk that lets a reply be relayed undecoded
@@ -46,8 +51,9 @@ ci:
 	$(GO) test -race ./...
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/ ./internal/meccdn/ ./internal/resolver/ .
 	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
-	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery|TestSingleflightLateJoiner' -cpu 1,2,4 ./internal/dnsserver/
-	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery|TestSingleflightLateJoiner|TestSlabSlotReuseRace' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget|TestSlab|TestFlightAnswerOutlivesEviction|TestServeStaleOwnKeyOnly|TestCacheOPTFollowsAsker|TestECSClampedAtIngress' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestSampledFinishAllocs' -cpu 1,2,4 ./internal/telemetry/
 	$(GO) test -run 'TestUnpackQueryNoAllocOnRepeat|TestAppendReplyIsRouterVector|TestAppendPackAllocs' -cpu 1,2,4 ./internal/dnswire/
 	$(GO) test -run 'TestRouterAnswerAllocs' -cpu 1,2,4 ./internal/cdn/
 	$(GO) test -run 'TestStubExchangeAllocBudget' -cpu 1,2,4 .
@@ -55,6 +61,7 @@ ci:
 	$(GO) test -run xxx -fuzz FuzzParseRoutes -fuzztime 5s ./internal/lpm/
 	$(GO) test -run xxx -fuzz FuzzAnnounceRoundTrip -fuzztime 5s ./internal/mesh/
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
+	$(GO) test -run xxx -fuzz FuzzEchoECS -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzCacheEviction -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzServeQuery -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzResponseWalk -fuzztime 5s ./internal/dnswire/

@@ -528,11 +528,10 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 func (rt *Router) reply(w dnsserver.ResponseWriter, r *dnsserver.Request, rcode dnswire.Rcode, addr netip.Addr, scope int) (dnswire.Rcode, error) {
 	var echo *dnswire.ECSOption
 	if ecs, ok := r.Msg.ECS(); ok && addr.IsValid() {
-		scoped := *ecs
-		scoped.ScopePrefix = ecs.SourcePrefix
-		if scope >= 0 {
-			scoped.ScopePrefix = uint8(scope)
+		if scope < 0 {
+			scope = int(ecs.SourcePrefix)
 		}
+		scoped := ecs.Echo(uint8(scope))
 		echo = &scoped
 	}
 	ttl := rt.TTL

@@ -1,9 +1,11 @@
 package dnsserver
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -138,45 +140,151 @@ type cacheCounters struct {
 // entries live in a slab, slots[1:], linked in insertion order into a
 // ring through the sentinel slots[0], whose next is the newest entry
 // (the head) and prev the oldest (the tail); free slots chain through
-// next from free. Index 0 means none for hand and free.
+// next from free. Index 0 means none for hand, free and chain.
+//
+// The index is keyed by the key's keyhash.Sum64, the hash that already
+// picked the shard: keys sharing a hash chain through cacheSlot.chain
+// and are told apart by their bytes. In-flight exchanges are indexed
+// the same way, and finished flights wait on spare for the next miss.
 type cacheShard struct {
 	mu         sync.Mutex
-	items      map[string]int32
+	index      map[uint64]int32
 	slots      []cacheSlot
 	hand, free int32
-	max        int
+	n, max     int
 	ctr        *cacheCounters
-	flights    map[string]*flight
+	flights    map[uint64]*flight
+	spare      *flight
 	// Per-lookup effectiveness counters, guarded by mu (see
 	// cacheCounters). Summed across shards at scrape time.
 	hits, misses, negHits, expired, evictions uint64
 }
 
-// cacheSlot is one slab slot; prev is the newer neighbour, next the
-// older one (or, on a free slot, the next free slot).
+// slotRetain caps the capacity a free slot keeps for the next store:
+// an entry whose key and image need more allocates a buffer of its own,
+// which leaves with it, so the slab holds at most MaxEntries × slotRetain
+// bytes beyond its live entries.
+const slotRetain = 512
+
+// cacheSlot is one slab slot. It holds its entry by value, in buffers it
+// owns and hands on to the next entry stored in it — so nothing read
+// from a slot outlives the shard lock: once that is released the slot
+// may hold another key, and every reader copies what it needs first.
+// prev is the newer neighbour, next the older one (or, on a free slot,
+// the next free slot).
 type cacheSlot struct {
-	ent        *cacheEntry
-	prev, next int32
-	visited    bool
+	// buf is the key, buf[:klen], then the packed response, the only
+	// stored form of an entry; ttls and at are the patch positions
+	// recorded once at insert. A free slot has klen 0.
+	buf   []byte
+	ttls  []int
+	at    imageAt
+	hash  uint64
+	klen  int32
+	chain int32 // the next slot whose key has the same hash
+	prev  int32
+	next  int32
+	// stored and expires bound the entry's lifetime.
+	stored, expires time.Duration
+	visited         bool
+	negative        bool // NXDOMAIN/NODATA, for the negative-hit counter
+	// refreshing latches once a refresh-ahead prefetch has been spawned
+	// for the entry; a store resets it.
+	refreshing bool
+}
+
+func (s *cacheSlot) key() []byte   { return s.buf[:s.klen] }
+func (s *cacheSlot) image() []byte { return s.buf[s.klen:] }
+
+// stamp copies image into a pooled buffer with the TTLs at ttls aged by
+// age seconds or, stale, clamped down to staleTTL.
+func stamp(image []byte, ttls []int, age uint32, stale bool) ([]byte, int) {
+	buf := dnswire.GetBuffer()
+	n := copy(buf, image)
+	if stale {
+		dnswire.ClampTTLs(buf[:n], ttls, staleTTL)
+	} else {
+		dnswire.AgeTTLs(buf[:n], ttls, age)
+	}
+	return buf, n
+}
+
+// imageAt is what replying from a stored image takes besides its bytes
+// and TTL offsets: where its OPT record and ECS option are, and its
+// rcode.
+type imageAt struct {
+	ecs   dnswire.ECSAt
+	opt   int
+	rcode dnswire.Rcode
 }
 
 // reset empties the shard; the slab grows on demand up to max slots.
 func (sh *cacheShard) reset() {
-	sh.items, sh.slots = make(map[string]int32), make([]cacheSlot, 1)
-	sh.hand, sh.free = 0, 0
+	sh.index, sh.slots = make(map[uint64]int32), make([]cacheSlot, 1)
+	sh.hand, sh.free, sh.n = 0, 0, 0
 }
 
-// remove unlinks slot i, drops its key and frees the slot. A hand
-// resting on it moves to its newer neighbour.
+// find returns the slot holding key, whose hash is h, or 0.
+func (sh *cacheShard) find(h uint64, key []byte) int32 {
+	i := sh.index[h]
+	for i != 0 && !bytes.Equal(sh.slots[i].key(), key) {
+		i = sh.slots[i].chain
+	}
+	return i
+}
+
+// insert takes a slot for a key whose hash is h — a free one, a new one,
+// or, with the shard full, the SIEVE victim's — links it in at the head
+// of the ring, unvisited, and indexes it. The caller writes the key.
+func (sh *cacheShard) insert(h uint64) int32 {
+	for sh.n >= sh.max {
+		sh.evict()
+	}
+	i := sh.free
+	if i != 0 {
+		sh.free = sh.slots[i].next
+	} else {
+		i = int32(len(sh.slots))
+		sh.slots = append(sh.slots, cacheSlot{})
+	}
+	head := sh.slots[0].next
+	s := &sh.slots[i]
+	s.hash, s.chain, s.prev, s.next = h, sh.index[h], 0, head
+	sh.slots[head].prev, sh.slots[0].next = i, i
+	sh.index[h] = i
+	sh.n++
+	return i
+}
+
+// remove unlinks slot i from the ring and from its hash chain and frees
+// it, keeping its buffers for the next store unless they are larger than
+// slotRetain. A hand resting on it moves to its newer neighbour.
 func (sh *cacheShard) remove(i int32) {
 	s := &sh.slots[i]
 	if sh.hand == i {
 		sh.hand = s.prev
 	}
 	sh.slots[s.prev].next, sh.slots[s.next].prev = s.next, s.prev
-	delete(sh.items, s.ent.key)
-	*s = cacheSlot{next: sh.free}
+	if j := sh.index[s.hash]; j != i {
+		for sh.slots[j].chain != i {
+			j = sh.slots[j].chain
+		}
+		sh.slots[j].chain = s.chain
+	} else if s.chain != 0 {
+		sh.index[s.hash] = s.chain
+	} else {
+		delete(sh.index, s.hash)
+	}
+	buf, ttls := s.buf[:0], s.ttls[:0]
+	if cap(buf) > slotRetain {
+		buf = nil
+	}
+	if cap(ttls) > slotRetain/8 { // the same bound in bytes
+		ttls = nil
+	}
+	*s = cacheSlot{buf: buf, ttls: ttls, next: sh.free}
 	sh.free = i
+	sh.n--
 }
 
 // evict removes the SIEVE victim: the hand, starting where it last
@@ -197,44 +305,84 @@ func (sh *cacheShard) evict() {
 }
 
 // flight is one in-progress upstream exchange that concurrent misses
-// for the same key wait on. It holds the leader's reply image too, so
-// the flight is the one allocation a miss makes for its exchange.
+// for the same key wait on. It is taken from its shard's spare list and
+// goes back there when the last of its participants — the leader and
+// every query that joined — leaves, so everything they read is the
+// flight's own: the key, and, once done is closed, the answer. That is
+// a copy, never a slot: the entry the leader stored may be evicted, and
+// its slot reused, before a waiter wakes.
 type flight struct {
+	hash uint64
+	key  [cacheKeyBuf]byte
+	klen int
+	next *flight // the next flight in the index chain, or on spare
+	// refs counts the participants yet to leave, under the shard lock.
+	refs int
 	// done is made by the first query to join the flight, under the
 	// shard lock, and closed by the leader once the flight is out of the
-	// table; a flight nobody joins never makes one.
+	// index; a flight nobody joins never makes one.
 	done chan struct{}
 	// rec is what the chain wrote for the leader's request, kept whole;
-	// reply cuts it to the client's size.
-	rec replyImage
-	// ent is the answer the leader obtained — fresh, or (stale set) an
-	// expired entry served per RFC 8767; nil when the leader failed, in
-	// which case waiters relay rcode and err.
-	ent   *cacheEntry
-	stale bool
-	rcode dnswire.Rcode
-	err   error
+	// ttls backs the walk of it, capacity kept across uses.
+	rec  replyImage
+	ttls []int
+	// answered reports that rec holds an answer to serve — fresh, or an
+	// expired entry's TTL-clamped copy per RFC 8767 — at the patch
+	// positions at, its TTLs final. Otherwise waiters relay rcode and
+	// err.
+	answered bool
+	at       imageAt
+	rcode    dnswire.Rcode
+	err      error
 }
 
-type cacheEntry struct {
-	key string
-	// wire is the packed response, the only stored form of an entry,
-	// and ttlOffs/ecs the patch positions recorded once at insert: the
-	// non-OPT TTL fields and the OPT's ECS option. Every reply is a
-	// copy of wire patched at those positions (see Cache.reply).
-	wire     []byte
-	ttlOffs  []int
-	ttlBuf   [4]int // backs ttlOffs for the usual answer of a few records
-	ecs      dnswire.ECSAt
-	rcode    dnswire.Rcode
-	negative bool // NXDOMAIN/NODATA, for the negative-hit counter
-	stored   time.Duration
-	expires  time.Duration
-	// refreshing latches once a refresh-ahead prefetch has been
-	// spawned for this stored generation; store() replaces the whole
-	// entry, so the flag resets naturally when the refresh lands. It
-	// is the only mutable field of an otherwise immutable entry.
-	refreshing atomic.Bool
+// findFlight returns the flight resolving key, whose hash is h, or nil.
+func (sh *cacheShard) findFlight(h uint64, key []byte) *flight {
+	f := sh.flights[h]
+	for f != nil && !bytes.Equal(f.key[:f.klen], key) {
+		f = f.next
+	}
+	return f
+}
+
+// startFlight indexes a flight for key, whose hash is h, with the caller
+// as its leader and only participant.
+func (sh *cacheShard) startFlight(h uint64, key []byte) *flight {
+	f := sh.spare
+	if f != nil {
+		sh.spare = f.next
+	} else {
+		f = new(flight)
+	}
+	f.hash, f.klen, f.refs, f.next = h, copy(f.key[:], key), 1, sh.flights[h]
+	sh.flights[f.hash] = f
+	return f
+}
+
+// endFlight takes f out of the index: no query joins it any more.
+func (sh *cacheShard) endFlight(f *flight) {
+	if p := sh.flights[f.hash]; p != f {
+		for p.next != f {
+			p = p.next
+		}
+		p.next = f.next
+	} else if f.next != nil {
+		sh.flights[f.hash] = f.next
+	} else {
+		delete(sh.flights, f.hash)
+	}
+	f.next = nil
+}
+
+// leave drops one participant from f; the last one returns its buffer
+// to the pool and the flight to spare.
+func (sh *cacheShard) leave(f *flight) {
+	if f.refs--; f.refs > 0 {
+		return
+	}
+	dnswire.PutBuffer(f.rec.buf)
+	*f = flight{ttls: f.ttls[:0], next: sh.spare}
+	sh.spare = f
 }
 
 // NewCache returns a cache using clock.
@@ -276,7 +424,7 @@ func (c *Cache) init() {
 		// to exactly max.
 		c.shards = make([]*cacheShard, n)
 		for i := range c.shards {
-			sh := &cacheShard{max: max / n, ctr: &c.ctr, flights: make(map[string]*flight)}
+			sh := &cacheShard{max: max / n, ctr: &c.ctr, flights: make(map[uint64]*flight)}
 			if i < max%n {
 				sh.max++
 			}
@@ -330,14 +478,13 @@ func (c *Cache) Collectors() []telemetry.Collector {
 	}
 }
 
-// shardOf returns the shard owning key, taken while still in its stack
-// buffer so the hit path never materializes the key string.
-func (c *Cache) shardOf(key []byte) *cacheShard {
+// locate hashes key, still in its stack buffer, and picks the shard
+// owning it. The hash is taken once: the shard indexes its slots and
+// flights by it too.
+func (c *Cache) locate(key []byte) (uint64, *cacheShard) {
 	c.init()
-	if len(c.shards) == 1 {
-		return c.shards[0]
-	}
-	return c.shards[keyhash.Sum64(key)%uint64(len(c.shards))]
+	h := keyhash.Sum64(key)
+	return h, c.shards[h%uint64(len(c.shards))]
 }
 
 // Name implements Plugin.
@@ -356,7 +503,7 @@ func (c *Cache) Stats() CacheStats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		s.Entries += len(sh.items)
+		s.Entries += sh.n
 		s.Hits += sh.hits
 		s.Misses += sh.misses
 		s.NegativeHits += sh.negHits
@@ -377,10 +524,10 @@ func (c *Cache) Flush() {
 	}
 }
 
-// cacheKeyBuf sizes the stack buffer lookups build their key in; a
-// maximal DNS name (255 octets) plus type and ECS suffixes fits. The
-// key string is materialized only on a miss (as the singleflight
-// identity) and at store.
+// cacheKeyBuf sizes the stack buffer lookups build their key in, and a
+// flight's copy of it; a maximal DNS name (255 octets) plus type and ECS
+// suffixes fits. A key is never a string: the slab and the flights keep
+// its bytes.
 const cacheKeyBuf = 288
 
 // appendBaseKey appends the ECS-independent part of r's cache key:
@@ -476,30 +623,28 @@ func orBit(w *atomic.Uint64, b int) {
 // caller's stack buffer: each one overwrites the previous suffix, so
 // the ladder allocates nothing.
 //
-// It returns the key and shard the caller should resolve under on a
-// miss (the full source-masked key — also the singleflight identity)
-// or the key/shard of the hit, plus the lookup outcome. Counting: a
-// hit is counted by serveHit on the hit's shard; a miss is counted
-// here, once, on the resolve key's shard, keeping the
-// Hits+Misses+Expired == lookups invariant even though one lookup may
-// probe several shards.
-func (c *Cache) serveScoped(kb *[cacheKeyBuf]byte, ecs *dnswire.ECSOption, now time.Duration, w ResponseWriter, r *Request) ([]byte, *cacheShard, lookupResult) {
+// It returns the key the caller should resolve under on a miss (the
+// full source-masked key — also the singleflight identity) or the key
+// of the hit, plus the lookup outcome, and the scope of the
+// longest-scoped expired entry still inside its RFC 8767 window that a
+// miss passed, -1 for none. Counting: a hit is counted
+// by serveHit on the hit's shard; a miss is counted here, once, on the
+// resolve key's shard, keeping the Hits+Misses+Expired == lookups
+// invariant even though one lookup may probe several shards.
+func (c *Cache) serveScoped(kb *[cacheKeyBuf]byte, ecs *dnswire.ECSOption, now time.Duration, w ResponseWriter, r *Request) ([]byte, uint64, *cacheShard, lookupResult, int) {
 	base := appendBaseKey(kb[:0], r)
 	baseLen := len(base)
 	famBits := ecsFamilyBits(ecs)
 	source := min(int(ecs.SourcePrefix), famBits)
-	var stale *cacheEntry
-	probe := func(scope int) ([]byte, *cacheShard, lookupResult, bool) {
+	stale := -1
+	probe := func(scope int) ([]byte, uint64, *cacheShard, lookupResult, bool) {
 		key := appendECSKey(base[:baseLen], ecs, scope, famBits)
-		psh := c.shardOf(key)
-		pres := c.serveHit(psh, key, now, w, r, false)
-		if pres.hit {
-			return key, psh, pres, true
+		h, sh := c.locate(key)
+		res := c.serveHit(sh, h, key, now, w, r, false)
+		if res.stale && stale < 0 {
+			stale = scope // longest-scope stale candidate wins
 		}
-		if pres.stale != nil && stale == nil {
-			stale = pres.stale // longest-scope stale candidate wins
-		}
-		return nil, nil, lookupResult{}, false
+		return key, h, sh, res, res.hit
 	}
 	if famBits == 32 {
 		word := c.scope4.Load()
@@ -508,8 +653,8 @@ func (c *Cache) serveScoped(kb *[cacheKeyBuf]byte, ecs *dnswire.ECSOption, now t
 		}
 		for word != 0 {
 			s := 63 - mathbits.LeadingZeros64(word)
-			if key, sh, res, ok := probe(s); ok {
-				return key, sh, res
+			if key, h, sh, res, ok := probe(s); ok {
+				return key, h, sh, res, -1
 			}
 			word &^= uint64(1) << s
 		}
@@ -525,23 +670,23 @@ func (c *Cache) serveScoped(kb *[cacheKeyBuf]byte, ecs *dnswire.ECSOption, now t
 			}
 			for word != 0 {
 				s := 63 - mathbits.LeadingZeros64(word)
-				if key, sh, res, ok := probe(lo + s); ok {
-					return key, sh, res
+				if key, h, sh, res, ok := probe(lo + s); ok {
+					return key, h, sh, res, -1
 				}
 				word &^= uint64(1) << s
 			}
 		}
 	}
 	qkey := appendECSKey(base, ecs, source, famBits)
-	qsh := c.shardOf(qkey)
-	qsh.mu.Lock()
-	if stale != nil {
-		qsh.expired++
+	h, sh := c.locate(qkey)
+	sh.mu.Lock()
+	if stale >= 0 {
+		sh.expired++
 	} else {
-		qsh.misses++
+		sh.misses++
 	}
-	qsh.mu.Unlock()
-	return qkey, qsh, lookupResult{stale: stale}
+	sh.mu.Unlock()
+	return qkey, h, sh, lookupResult{}, stale
 }
 
 // lookupResult is the outcome of one cache lookup.
@@ -549,13 +694,13 @@ type lookupResult struct {
 	hit   bool
 	rcode dnswire.Rcode
 	err   error
-	// refresh, set on a hit, is the entry whose remaining TTL has
-	// entered the refresh-ahead window; ServeDNS spawns an async
-	// re-resolve for it after the hit has been served.
-	refresh *cacheEntry
-	// stale, set on a miss, is an expired entry still inside the
+	// refresh, set on a hit, reports that the entry's remaining TTL has
+	// entered the refresh-ahead window and its latch was taken: ServeDNS
+	// spawns an async re-resolve for it after the hit has been served.
+	refresh bool
+	// stale, set on a miss, reports an expired entry still inside the
 	// MaxStale window — the RFC 8767 fallback should the refill fail.
-	stale *cacheEntry
+	stale bool
 }
 
 // ServeDNS implements Plugin.
@@ -563,20 +708,24 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 	var kb [cacheKeyBuf]byte
 	lookup := telemetry.StartHop(ctx, "cache")
 	now := c.Clock.Now()
-	var kbuf []byte
+	var key []byte
+	var h uint64
 	var sh *cacheShard
 	var res lookupResult
+	stale := -1
 	if ecs, ok := r.Msg.ECS(); ok {
-		kbuf, sh, res = c.serveScoped(&kb, ecs, now, w, r)
+		key, h, sh, res, stale = c.serveScoped(&kb, ecs, now, w, r)
 	} else {
-		kbuf = appendBaseKey(kb[:0], r)
-		sh = c.shardOf(kbuf)
-		res = c.serveHit(sh, kbuf, now, w, r, true)
+		key = appendBaseKey(kb[:0], r)
+		h, sh = c.locate(key)
+		if res = c.serveHit(sh, h, key, now, w, r, true); res.stale {
+			stale = 0
+		}
 	}
 	if res.hit {
 		lookup.End("hit")
-		if res.refresh != nil {
-			c.spawnPrefetch(res.refresh, sh, string(kbuf), r, next)
+		if res.refresh {
+			c.spawnPrefetch(sh, h, key, r, next)
 		}
 		return res.rcode, res.err
 	}
@@ -591,115 +740,155 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 	// Singleflight: join an in-flight exchange for this key, or
 	// become the leader of a new one.
 	sh.mu.Lock()
-	if f, ok := sh.flights[string(kbuf)]; ok {
+	if f := sh.findFlight(h, key); f != nil {
 		if f.done == nil {
 			f.done = make(chan struct{})
 		}
+		f.refs++
 		done := f.done
 		c.ctr.coalesced.Inc()
 		sh.mu.Unlock()
 		wait := telemetry.StartHop(ctx, "coalesce")
+		var rcode dnswire.Rcode
+		var err error
 		select {
 		case <-done:
 			wait.End("shared")
+			rcode, err = c.replyShared(w, r, f)
 		case <-ctx.Done():
 			wait.End("canceled")
-			return dnswire.RcodeServerFailure, ctx.Err()
+			rcode, err = dnswire.RcodeServerFailure, ctx.Err()
 		}
-		if f.ent == nil {
-			return f.rcode, f.err
-		}
-		return c.reply(w, r, f.ent, 0, f.stale)
+		sh.mu.Lock()
+		sh.leave(f)
+		sh.mu.Unlock()
+		return rcode, err
 	}
-	key := string(kbuf)
-	f := new(flight)
-	sh.flights[key] = f
+	f := sh.startFlight(h, key)
 	sh.mu.Unlock()
-	return c.fill(ctx, sh, f, key, w, r, next, res.stale)
+	return c.fill(ctx, sh, f, w, r, next, stale)
+}
+
+// replyShared replies to a query that joined flight f, once f is done:
+// from a copy of the leader's answer, or with its failure.
+func (c *Cache) replyShared(w ResponseWriter, r *Request, f *flight) (dnswire.Rcode, error) {
+	if !f.answered {
+		return f.rcode, f.err
+	}
+	buf := dnswire.GetBuffer()
+	return c.reply(w, r, buf, copy(buf, f.rec.buf[:f.rec.n]), f.at)
 }
 
 // fill performs the upstream exchange for a miss as the leader of
-// flight f (registered under key in sh), stores the answer, publishes
-// it to coalesced waiters and replies to its own client from the same
-// stored image. When the exchange fails and stale carries an expired
-// entry still in its RFC 8767 window, the stale answer is served —
+// flight f (indexed in sh), stores the answer, publishes it to coalesced
+// waiters and replies to its own client from the same image. When the
+// exchange fails and the lookup passed an expired entry — keyed at
+// scope stale, -1 for none; any scope for a query without ECS — that
+// entry is served if it is still there and in its RFC 8767 window:
 // better a recently-true answer than a SERVFAIL, for a bounded window.
-func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, key string, w ResponseWriter, r *Request, next Handler, stale *cacheEntry) (dnswire.Rcode, error) {
+func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, w ResponseWriter, r *Request, next Handler, stale int) (dnswire.Rcode, error) {
 	rec := &f.rec
 	rec.limit = dnswire.MaxMessageSize
-	rcode, err := next.ServeDNS(ctx, rec, r)
-	answered := err == nil && rec.buf != nil
-	var fresh *cacheEntry
-	if answered {
-		fresh = c.store(r, rec.buf[:rec.n], key)
+	f.rcode, f.err = next.ServeDNS(ctx, rec, r)
+	if f.err == nil && rec.buf != nil {
+		if img, err := dnswire.PatchOffsets(rec.buf[:rec.n], f.ttls[:0]); err == nil {
+			f.ttls, f.answered = img.TTLs, true
+			f.at = imageAt{ecs: img.ECS, opt: img.OPT, rcode: img.Rcode}
+			c.store(r, rec.buf[:rec.n], &img)
+		}
 	}
-	if stale != nil && (!answered || fresh != nil && failoverRcode(fresh.rcode)) {
+	if stale >= 0 && (!f.answered || failoverRcode(f.at.rcode)) && c.loadStale(r, stale, f) {
 		c.ctr.staleServes.Inc()
-		f.ent, f.stale = stale, true
-	} else {
-		f.ent = fresh
 	}
-	f.rcode, f.err = rcode, err
+	// Alone, the leader takes the image over; with waiters it copies it
+	// like they do, and the last to leave recycles the flight.
+	var buf []byte
+	n, at, answered, rcode, err := rec.n, f.at, f.answered, f.rcode, f.err
 	sh.mu.Lock()
-	delete(sh.flights, key)
-	done := f.done
+	sh.endFlight(f)
+	done, alone := f.done, f.refs == 1
+	if alone {
+		buf, rec.buf = rec.buf, nil
+		sh.leave(f)
+	}
 	sh.mu.Unlock()
 	if done != nil {
 		close(done)
 	}
-	if f.ent != nil {
-		dnswire.PutBuffer(rec.buf)
-		return c.reply(w, r, f.ent, 0, f.stale)
+	if !alone {
+		if rec.buf != nil {
+			buf = dnswire.GetBuffer()
+			copy(buf, rec.buf[:n])
+		}
+		sh.mu.Lock()
+		sh.leave(f)
+		sh.mu.Unlock()
 	}
-	if rec.buf == nil {
+	switch {
+	case answered:
+		return c.reply(w, r, buf, n, at)
+	case buf == nil:
 		return rcode, err
 	}
 	// Relay what the chain wrote, uncached: it came with an error, or it
 	// is an image the cache cannot patch.
-	if werr := WriteImage(w, rec.buf, rec.n); werr != nil && err == nil {
+	if werr := WriteImage(w, buf, n); werr != nil && err == nil {
 		return dnswire.RcodeServerFailure, werr
 	}
 	return rcode, err
 }
 
-// store caches image — the answer to r as the chain wrote it; the
-// leader's reply, its waiters' and every later hit are all served from
-// a copy of these bytes — for the lifetime its records give it, under
-// the key the *answer* dictates. For a non-ECS request that is the
-// question. For ECS, RFC 7871 §7.3.1 keying: the response's scope
-// prefix — 0 when the answer carried no ECS option (§7.2.2: such an
-// answer is valid for all addresses), clamped to the disclosed source
-// length — masks the query address into the entry key. A /16-scoped
-// answer to a /24 query is therefore stored once under the /16 key,
-// where every sibling /24 finds it, instead of fragmenting into 256
-// identical entries. The key is always derived here, never taken from
-// the lookup: a refresh of a /16 entry may come back scoped /24, and
-// must not land under the /16 key. Only when the derived key has the
-// same bytes as flightKey, the key the miss resolved under, does the
-// entry share that string instead of making its own.
-//
-// Rcode, lifetime, scope and patch positions all come from one walk over
-// the bytes, dnswire.PatchOffsets; nothing is decoded. A response with
-// no cacheable lifetime (server failures among them) is returned as an
-// entry but not inserted (coalesced waiters still need it); store
-// returns nil for an image the walk refuses.
-func (c *Cache) store(r *Request, image []byte, flightKey string) *cacheEntry {
-	ent := new(cacheEntry)
-	img, err := dnswire.PatchOffsets(image, ent.ttlBuf[:0])
-	if err != nil {
-		return nil
+// loadStale makes the expired entry r's lookup passed — keyed at scope
+// if r carries ECS — f's answer, its TTLs clamped to staleTTL, if it is
+// still inside its RFC 8767 window. The key is built and looked up
+// again: an entry evicted since the lookup, its slot perhaps holding
+// another key now, leaves the failure to be relayed. It reports whether
+// there was an answer.
+func (c *Cache) loadStale(r *Request, scope int, f *flight) bool {
+	var kb [cacheKeyBuf]byte
+	key := appendBaseKey(kb[:0], r)
+	if ecs, ok := r.Msg.ECS(); ok {
+		key = appendECSKey(key, ecs, scope, ecsFamilyBits(ecs))
 	}
+	h, sh := c.locate(key)
+	now := c.Clock.Now()
+	sh.mu.Lock()
+	i := sh.find(h, key)
+	if i == 0 || now >= sh.slots[i].expires+c.MaxStale {
+		sh.mu.Unlock()
+		return false
+	}
+	s := &sh.slots[i]
+	dnswire.PutBuffer(f.rec.buf)
+	f.rec.buf, f.rec.n = stamp(s.image(), s.ttls, 0, true)
+	f.answered, f.at = true, s.at
+	sh.mu.Unlock()
+	return true
+}
+
+// store caches image — the answer to r as the chain wrote it, walked
+// into img — for the lifetime its records give it, under the key the
+// *answer* dictates, copying it into the slot the key takes. For a
+// non-ECS request that is the question. For ECS, RFC 7871 §7.3.1
+// keying: the response's scope prefix — 0 when the answer carried no ECS
+// option (§7.2.2: such an answer is valid for all addresses), clamped to
+// the disclosed source length — masks the query address into the entry
+// key. A /16-scoped answer to a /24 query is therefore stored once under
+// the /16 key, where every sibling /24 finds it, instead of fragmenting
+// into 256 identical entries. The key is always derived here, never
+// taken from the lookup: a refresh of a /16 entry may come back scoped
+// /24, and must not land under the /16 key.
+//
+// A response with no cacheable lifetime (server failures among them) is
+// not stored. A slot freed by eviction keeps its buffers, so storing
+// into a full cache allocates nothing unless the entry outgrows them.
+func (c *Cache) store(r *Request, image []byte, img *dnswire.Image) {
 	var ttl time.Duration
 	if img.Rcode == dnswire.RcodeSuccess || img.Rcode == dnswire.RcodeNameError {
 		ttl = min(time.Duration(img.TTL)*time.Second, maxTTL)
 	}
-	ent.wire = append([]byte(nil), image...)
-	ent.ttlOffs, ent.ecs, ent.rcode = img.TTLs, img.ECS, img.Rcode
-	ent.negative = img.Rcode != dnswire.RcodeSuccess || img.Answers == 0
-	ent.stored = c.Clock.Now()
-	ent.expires = ent.stored + ttl
 	if ttl <= 0 {
-		return ent
+		return
 	}
 	var kb [cacheKeyBuf]byte
 	kbuf := appendBaseKey(kb[:0], r)
@@ -709,56 +898,48 @@ func (c *Cache) store(r *Request, image []byte, flightKey string) *cacheEntry {
 		c.markScope(famBits, scope)
 		kbuf = appendECSKey(kbuf, ecs, scope, famBits)
 	}
-	if string(kbuf) == flightKey {
-		ent.key = flightKey
-	} else {
-		ent.key = string(kbuf)
-	}
-	sh := c.shardOf(kbuf)
+	h, sh := c.locate(kbuf)
+	now := c.Clock.Now()
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if i, ok := sh.items[ent.key]; ok {
-		// A refill: the query that missed is an access to the key.
-		sh.slots[i].ent, sh.slots[i].visited = ent, true
-		return ent
-	}
-	for len(sh.items) >= sh.max {
-		sh.evict()
-	}
-	i := sh.free
+	sh.put(h, kbuf, image, img, now, ttl)
+	sh.mu.Unlock()
+}
+
+// put stores image, walked into img, under key, whose hash is h, for
+// ttl from now: into the slot already holding key — a refill, which
+// counts as an access — or into one insert takes.
+func (sh *cacheShard) put(h uint64, key, image []byte, img *dnswire.Image, now, ttl time.Duration) {
+	i := sh.find(h, key)
 	if i != 0 {
-		sh.free = sh.slots[i].next
+		sh.slots[i].visited = true
 	} else {
-		i = int32(len(sh.slots))
-		sh.slots = append(sh.slots, cacheSlot{})
+		i = sh.insert(h)
 	}
-	// New entries go in at the head, unvisited.
-	head := sh.slots[0].next
-	sh.slots[i] = cacheSlot{ent: ent, next: head}
-	sh.slots[head].prev, sh.slots[0].next = i, i
-	sh.items[ent.key] = i
-	return ent
+	s := &sh.slots[i]
+	s.buf = append(append(slices.Grow(s.buf[:0], len(key)+len(image)), key...), image...)
+	s.klen = int32(len(key))
+	s.ttls = append(s.ttls[:0], img.TTLs...)
+	s.at = imageAt{ecs: img.ECS, opt: img.OPT, rcode: img.Rcode}
+	s.negative = img.Rcode != dnswire.RcodeSuccess || img.Answers == 0
+	s.stored, s.expires = now, now+ttl
+	s.refreshing = false
 }
 
 // spawnPrefetch launches the refresh-ahead re-resolve for a hit whose
-// TTL has entered the prefetch window. The hit itself has already
-// been served; the refresh runs on a background goroutine, bounded by
-// the prefetch semaphore, deduplicated per stored generation (the
-// entry's refreshing latch) and per key (the singleflight table, so a
-// concurrent miss's exchange is shared rather than duplicated), and
+// TTL has entered the prefetch window and whose refresh latch serveHit
+// took. The hit itself has already been served; the refresh runs on a
+// background goroutine, bounded by the prefetch semaphore, deduplicated
+// per stored entry (the latch) and per key (the singleflight index, so
+// a concurrent miss's exchange is shared rather than duplicated), and
 // registered with Background so a graceful drain waits for it.
-func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Request, next Handler) {
-	if !ent.refreshing.CompareAndSwap(false, true) {
-		c.ctr.prefetchCoalesced.Inc()
-		return
-	}
+func (c *Cache) spawnPrefetch(sh *cacheShard, h uint64, key []byte, r *Request, next Handler) {
 	select {
 	case c.prefetchSem <- struct{}{}:
 	default:
 		// Prefetch is an optimization: at the concurrency bound the
 		// entry keeps serving until it actually expires, so shed the
 		// refresh and let a later hit in the window retry.
-		ent.refreshing.Store(false)
+		c.unlatch(sh, h, key)
 		c.ctr.prefetchDropped.Inc()
 		return
 	}
@@ -768,12 +949,12 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 		var ok bool
 		if done, ok = c.Background.TrackBackground(); !ok {
 			release() // draining: no new background resolves
-			ent.refreshing.Store(false)
+			c.unlatch(sh, h, key)
 			return
 		}
 	}
 	sh.mu.Lock()
-	if _, busy := sh.flights[key]; busy {
+	if sh.findFlight(h, key) != nil {
 		// A miss is already resolving this key; its store() refreshes
 		// the entry without our help.
 		sh.mu.Unlock()
@@ -784,14 +965,15 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 		}
 		return
 	}
-	f := new(flight)
-	sh.flights[key] = f
+	f := sh.startFlight(h, key)
 	sh.mu.Unlock()
 	c.ctr.prefetchIssued.Inc()
 	// The request is cloned because the refresh outlives the serving
 	// goroutine that owns r — and without r's ingress hook: the refresh
-	// waits on a goroutine of its own, holding no socket.
+	// waits on a goroutine of its own, holding no socket. The key, in
+	// the caller's stack buffer, is copied for the same reason.
 	req := &Request{Msg: r.Msg.Clone(), Client: r.Client, Transport: r.Transport}
+	own := append([]byte(nil), key...)
 	go func() {
 		defer func() {
 			release()
@@ -802,112 +984,117 @@ func (c *Cache) spawnPrefetch(ent *cacheEntry, sh *cacheShard, key string, r *Re
 		// The refreshed answer matters only through store(): the reply
 		// fill writes is dropped as the bytes it is, never decoded.
 		reply := replyImage{limit: dnswire.MaxMessageSize}
-		rcode, err := c.fill(context.Background(), sh, f, key, &reply, req, next, nil)
+		rcode, err := c.fill(context.Background(), sh, f, &reply, req, next, -1)
 		dnswire.PutBuffer(reply.buf)
 		if err != nil || failoverRcode(rcode) {
 			// The refresh failed; unlatch so a later hit retries
 			// (bounded by the semaphore if the upstream stays down).
-			ent.refreshing.Store(false)
+			c.unlatch(sh, h, own)
 		}
 	}()
 }
 
-// serveHit looks key up and, on a live entry, replies from it and
-// returns a hit result. Only the map lookup and the visited bit run
-// under the shard lock; replying runs outside it, which is safe because
-// stored entries are immutable — store replaces whole entries and every
-// reader patches its own copy.
+// unlatch clears the refresh latch of the entry stored under key, if
+// any; h is its hash and sh its shard.
+func (c *Cache) unlatch(sh *cacheShard, h uint64, key []byte) {
+	sh.mu.Lock()
+	if i := sh.find(h, key); i != 0 {
+		sh.slots[i].refreshing = false
+	}
+	sh.mu.Unlock()
+}
+
+// serveHit looks key up in sh, h being its hash, and, on a live entry, replies from it and returns
+// a hit result. The slot may hold another key once the shard lock is
+// released, so the entry's image is copied into the reply buffer, its
+// TTLs aged, under the lock; the rest of the restamp runs outside it.
 //
-// Hits whose remaining TTL has entered the PrefetchFrac window carry
-// the entry back in lookupResult.refresh; expired entries still inside
-// the MaxStale window are kept in place (the refill's store replaces
-// them) and returned in lookupResult.stale.
+// A hit whose remaining TTL has entered the PrefetchFrac window takes
+// the entry's refresh latch and reports refresh, unless another hit
+// holds it already. An expired entry still inside the MaxStale window
+// is kept in place (the refill's store replaces it) and reported as
+// stale.
 //
 // count gates the miss-side counters (misses, expired): a scoped ECS
 // lookup probes several keys for one logical lookup and counts its
 // overall outcome in serveScoped instead. Hit counters are always
 // credited here, on the shard that actually served.
-func (c *Cache) serveHit(sh *cacheShard, key []byte, now time.Duration, w ResponseWriter, r *Request, count bool) lookupResult {
+func (c *Cache) serveHit(sh *cacheShard, h uint64, key []byte, now time.Duration, w ResponseWriter, r *Request, count bool) lookupResult {
 	sh.mu.Lock()
-	i, ok := sh.items[string(key)] // no alloc: map lookup by converted key
-	if !ok {
+	i := sh.find(h, key)
+	if i == 0 {
 		if count {
 			sh.misses++
 		}
 		sh.mu.Unlock()
 		return lookupResult{}
 	}
-	slot := &sh.slots[i]
-	ent := slot.ent
-	if now >= ent.expires {
-		if c.MaxStale > 0 && now < ent.expires+c.MaxStale {
-			// Keep the expired entry: it is the serve-stale fallback
-			// if the refill fails, and store() replaces it if the
-			// refill succeeds. Still a miss for accounting.
-			if count {
-				sh.expired++
-			}
-			sh.mu.Unlock()
-			return lookupResult{stale: ent}
-		}
-		sh.remove(i)
+	s := &sh.slots[i]
+	if now >= s.expires {
 		if count {
 			sh.expired++
 		}
+		if c.MaxStale > 0 && now < s.expires+c.MaxStale {
+			sh.mu.Unlock()
+			return lookupResult{stale: true}
+		}
+		sh.remove(i)
 		sh.mu.Unlock()
 		return lookupResult{}
 	}
-	if !slot.visited { // a hot slot's line is not dirtied on every hit
-		slot.visited = true
+	if !s.visited { // a hot slot's line is not dirtied on every hit
+		s.visited = true
 	}
 	sh.hits++
-	if ent.negative {
+	if s.negative {
 		sh.negHits++
 	}
-	sh.mu.Unlock()
 	res := lookupResult{hit: true}
-	if frac := c.PrefetchFrac; frac > 0 {
-		life := ent.expires - ent.stored
-		if float64(ent.expires-now) <= frac*float64(life) {
-			res.refresh = ent
+	if frac := c.PrefetchFrac; frac > 0 && float64(s.expires-now) <= frac*float64(s.expires-s.stored) {
+		if s.refreshing {
+			c.ctr.prefetchCoalesced.Inc()
+		} else {
+			s.refreshing, res.refresh = true, true
 		}
 	}
-	res.rcode, res.err = c.reply(w, r, ent, uint32((now-ent.stored)/time.Second), false)
+	buf, n := stamp(s.image(), s.ttls, uint32((now-s.stored)/time.Second), false)
+	at := s.at
+	sh.mu.Unlock()
+	res.rcode, res.err = c.reply(w, r, buf, n, at)
 	return res
 }
 
 // reply is the one way a cached response leaves the cache — live hit,
 // RFC 8767 stale answer, coalesced waiter, and the leader's own fresh
-// fill alike. The stored wire image is copied into a pooled buffer and
-// restamped for r in place: transaction ID, the question name's letter
-// case (the image keeps the first asker's), the RD/CD mirror bits, the
-// TTLs (aged by the seconds spent in cache, or clamped down to staleTTL
-// when stale), and the RFC 7871 §7.2.1 ECS echo. The result decodes to
-// what decoding the image, editing the message and repacking it would
-// give — and, for an image Pack wrote, is that byte for byte (the
-// FuzzHitPatch invariants) — at none of the cost. WriteImage sends it.
-func (c *Cache) reply(w ResponseWriter, r *Request, ent *cacheEntry, age uint32, stale bool) (dnswire.Rcode, error) {
-	buf := dnswire.GetBuffer()
-	n := copy(buf, ent.wire)
+// fill alike. buf[:n] is the stored image, in a pooled buffer the caller
+// hands over with its TTLs already aged or clamped, and at its patch
+// positions; it is restamped for r in place: transaction ID, the
+// question name's letter case (the image keeps the first asker's), the
+// RD/CD mirror bits, an OPT record exactly when r has one (RFC 6891 §7;
+// the image keeps the first asker's choice), and the RFC 7871 §7.2.1 ECS
+// echo. The result decodes to what decoding the image, editing the
+// message and repacking it would give — and, for an image Pack wrote, is
+// that byte for byte (the FuzzHitPatch invariants) — at none of the
+// cost. WriteImage sends it.
+func (c *Cache) reply(w ResponseWriter, r *Request, buf []byte, n int, at imageAt) (dnswire.Rcode, error) {
 	dnswire.PatchID(buf[:n], r.Msg.ID)
 	dnswire.PatchQuestionCase(buf[:n], r.Msg.Question().Name)
 	dnswire.PatchReplyBits(buf[:n], r.Msg.RecursionDesired, r.Msg.CheckingDisabled)
-	if stale {
-		dnswire.ClampTTLs(buf[:n], ent.ttlOffs, staleTTL)
-	} else {
-		dnswire.AgeTTLs(buf[:n], ent.ttlOffs, age)
-	}
-	if qecs, ok := r.Msg.ECS(); ok && ent.ecs != (dnswire.ECSAt{}) {
-		var err error
-		if n, err = dnswire.EchoECS(buf, n, ent.ecs, qecs); err != nil {
-			dnswire.PutBuffer(buf)
-			return dnswire.RcodeServerFailure, err
+	opt, edns := r.Msg.OPT()
+	n, err := dnswire.FollowOPT(buf, n, at.opt, edns)
+	if err == nil && edns && at.ecs != (dnswire.ECSAt{}) {
+		if qecs, ok := opt.ECS(); ok {
+			n, err = dnswire.EchoECS(buf, n, at.ecs, qecs)
 		}
+	}
+	if err != nil {
+		dnswire.PutBuffer(buf)
+		return dnswire.RcodeServerFailure, err
 	}
 	if err := WriteImage(w, buf, n); err != nil {
 		return dnswire.RcodeServerFailure, err
 	}
-	return ent.rcode, nil
+	return at.rcode, nil
 }
 
 // String summarizes the cache for debugging.

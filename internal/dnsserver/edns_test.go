@@ -1,0 +1,139 @@
+package dnsserver
+
+import (
+	"context"
+	"net/netip"
+	"testing"
+
+	"github.com/meccdn/meccdn/internal/dnswire"
+	"github.com/meccdn/meccdn/internal/vclock"
+)
+
+// askWire serves a query for name — with an OPT when edns, and the ECS
+// option ecs when that is not nil — through h as an ingress does, and
+// returns the reply decoded.
+func askWire(t *testing.T, h Handler, name string, edns bool, ecs *dnswire.ECSOption) *dnswire.Message {
+	t.Helper()
+	q := new(dnswire.Message)
+	q.SetQuestion(name, dnswire.TypeA)
+	if edns || ecs != nil {
+		opt := q.SetEDNS(dnswire.DefaultEDNSSize)
+		if ecs != nil {
+			opt.Options = append(opt.Options, ecs)
+		}
+	}
+	pkt, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
+	buf, n := serveQuery(context.Background(), h, nil, st, pkt, netip.MustParseAddrPort("198.51.100.7:4242"), "udp", maxUDPPayload)
+	if buf == nil {
+		t.Fatalf("%s: no reply", name)
+	}
+	defer dnswire.PutBuffer(buf)
+	resp := new(dnswire.Message)
+	if err := resp.Unpack(buf[:n]); err != nil || len(resp.Answers) != 1 {
+		t.Fatalf("%s: reply %v, %d answers", name, err, len(resp.Answers))
+	}
+	return resp
+}
+
+// TestCacheOPTFollowsAsker (RFC 6891 §7): a reply carries an OPT record
+// exactly when its query did. The cache stores one image per key,
+// whichever query filled it, so a hit adds a bare OPT to an image
+// without one, or cuts the image's OPT off, to follow its own asker, in
+// either order; and a zone answers an OPT-only query with an OPT.
+func TestCacheOPTFollowsAsker(t *testing.T) {
+	upstream := HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		m := new(dnswire.Message)
+		m.SetReply(r.Msg)
+		m.Answers = []dnswire.RR{&dnswire.A{
+			Hdr:  dnswire.RRHeader{Name: r.Name(), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30},
+			Addr: netip.MustParseAddr("192.0.2.1"),
+		}}
+		if _, ok := r.Msg.OPT(); ok {
+			m.SetEDNS(dnswire.DefaultEDNSSize)
+		}
+		return m.Rcode, w.WriteMsg(m)
+	})
+	zone := NewZone("zone.test.")
+	if err := zone.AddA("www.zone.test.", 60, netip.MustParseAddr("192.0.2.2")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, qname string
+		backend     Plugin
+	}{
+		{"upstream", "opt.test.", pluginize(upstream)},
+		{"zone", "www.zone.test.", NewZonePlugin(zone)},
+	} {
+		for _, order := range [][]bool{{true, false, true}, {false, true, false}} {
+			cache := NewCache(&vclock.Fixed{})
+			h := Chain(cache, c.backend)
+			for i, edns := range order {
+				resp := askWire(t, h, c.qname, edns, nil)
+				if opt, has := resp.OPT(); has != edns || has && opt.UDPSize() != dnswire.DefaultEDNSSize {
+					t.Errorf("%s, order %v, query %d: OPT in the query %v, in the reply %v", c.name, order, i, edns, has)
+				}
+			}
+			if st := cache.Stats(); st.Misses != 1 || st.Hits != 2 {
+				t.Errorf("%s, order %v: cache stats %+v: one entry should serve both kinds of asker", c.name, order, st)
+			}
+		}
+	}
+}
+
+// TestECSClampedAtIngress (RFC 7871 §7.1.1): a client that discloses
+// more of its address than the resolver itself would is passed on, and
+// cached, at /24 (/56 for IPv6), so two /32s in one /24 share an entry;
+// the reply still echoes the family, source length and address the
+// client sent, with the answer's scope. A shorter source is left alone.
+func TestECSClampedAtIngress(t *testing.T) {
+	var forwarded []netip.Prefix
+	upstream := HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		wire, err := r.Msg.Pack() // what Stub and Forward send on
+		if err != nil {
+			return dnswire.RcodeServerFailure, err
+		}
+		var sent dnswire.Message
+		if err := sent.Unpack(wire); err != nil {
+			return dnswire.RcodeServerFailure, err
+		}
+		if ecs, ok := sent.ECS(); ok {
+			forwarded = append(forwarded, ecs.Prefix())
+		}
+		return ecsAnswerHandler("192.0.2.9", echoSourceScope).ServeDNS(ctx, w, r)
+	})
+	h := Chain(NewCache(&vclock.Fixed{}), pluginize(upstream))
+	for _, c := range []struct {
+		client string
+		scope  uint8
+	}{
+		{"10.1.2.3/32", 24},
+		{"10.1.2.77/32", 24}, // a hit on the /24 entry
+		{"10.1.2.0/24", 24},  // and again
+		{"2001:db8:1:2:3::1/128", 56},
+		{"10.9.0.0/16", 16},
+	} {
+		p := netip.MustParsePrefix(c.client)
+		resp := askWire(t, h, "clamp.test.", true, dnswire.NewECSOption(p))
+		echo, ok := resp.ECS()
+		if !ok || echo.Prefix() != p || echo.ScopePrefix != c.scope || echo.Family != dnswire.NewECSOption(p).Family {
+			t.Errorf("%s: echo %v, want the client's subnet with scope %d", c.client, echo, c.scope)
+		}
+	}
+	want := []netip.Prefix{
+		netip.MustParsePrefix("10.1.2.0/24"),
+		netip.MustParsePrefix("2001:db8:1::/56"),
+		netip.MustParsePrefix("10.9.0.0/16"),
+	}
+	if len(forwarded) != len(want) {
+		t.Fatalf("forwarded %v, want %v", forwarded, want)
+	}
+	for i := range want {
+		if forwarded[i] != want[i] {
+			t.Errorf("forwarded %v, want %v", forwarded, want)
+		}
+	}
+}

@@ -18,7 +18,7 @@ func TestCacheMaxEntriesIsABound(t *testing.T) {
 	cache := NewCache(&vclock.Fixed{})
 	cache.MaxEntries = 1001 // 8 shards of 125, one left over
 	for i := 0; i < 20000; i++ {
-		if cache.store(queryFor(fmt.Sprintf("n%d.bound.test.", i)), image, "") == nil {
+		if !storeImage(cache, queryFor(fmt.Sprintf("n%d.bound.test.", i)), image) {
 			t.Fatal("store refused the image")
 		}
 	}
@@ -112,29 +112,29 @@ func (r *sieveRef) store(key string, expires time.Duration) {
 
 // sieveOrder walks sh's ring from the head and returns its keys, newest
 // first, their visited bits and the key under the hand ("" for none). It
-// fails t on a malformed slab: a broken link, an items index that does
-// not point at a live slot holding its key, or a slot that is not on
-// exactly one of the ring and the free chain.
+// fails t on a malformed slab: a broken link, a slot the index does not
+// reach through its hash chain, a live-entry count that is off, or a
+// slot that is not on exactly one of the ring and the free chain.
 func sieveOrder(t *testing.T, sh *cacheShard) (keys []string, visited []bool, hand string) {
 	t.Helper()
 	seen := make([]bool, len(sh.slots))
 	prev := int32(0)
 	for i := sh.slots[0].next; i != 0; prev, i = i, sh.slots[i].next {
-		s := sh.slots[i]
-		if seen[i] || s.prev != prev || s.ent == nil {
+		s := &sh.slots[i]
+		if seen[i] || s.prev != prev || s.klen == 0 {
 			t.Fatalf("slot %d: revisited, prev %d (want %d) or empty", i, s.prev, prev)
 		}
-		if j, ok := sh.items[s.ent.key]; !ok || j != i {
-			t.Fatalf("slot %d holds %q, which items maps to %d (%v)", i, s.ent.key, j, ok)
+		if j := sh.find(s.hash, s.key()); j != i {
+			t.Fatalf("slot %d holds %q, which the index finds at %d", i, s.key(), j)
 		}
 		seen[i] = true
-		keys, visited = append(keys, s.ent.key), append(visited, s.visited)
+		keys, visited = append(keys, string(s.key())), append(visited, s.visited)
 	}
-	if sh.slots[0].prev != prev || len(keys) != len(sh.items) {
-		t.Fatalf("tail %d, want %d; %d slots on the ring, %d items", sh.slots[0].prev, prev, len(keys), len(sh.items))
+	if sh.slots[0].prev != prev || len(keys) != sh.n {
+		t.Fatalf("tail %d, want %d; %d slots on the ring, %d entries", sh.slots[0].prev, prev, len(keys), sh.n)
 	}
 	for i := sh.free; i != 0; i = sh.slots[i].next {
-		if seen[i] || sh.slots[i].ent != nil {
+		if seen[i] || sh.slots[i].klen != 0 {
 			t.Fatalf("free slot %d is revisited or holds an entry", i)
 		}
 		seen[i] = true
@@ -143,10 +143,10 @@ func sieveOrder(t *testing.T, sh *cacheShard) (keys []string, visited []bool, ha
 		t.Fatalf("slot %d is neither on the ring nor free", i+1)
 	}
 	if sh.hand != 0 {
-		if int(sh.hand) >= len(sh.slots) || sh.slots[sh.hand].ent == nil {
+		if int(sh.hand) >= len(sh.slots) || sh.slots[sh.hand].klen == 0 {
 			t.Fatalf("hand %d is not on the ring", sh.hand)
 		}
-		hand = sh.slots[sh.hand].ent.key
+		hand = string(sh.slots[sh.hand].key())
 	}
 	return keys, visited, hand
 }
@@ -177,12 +177,13 @@ func FuzzCacheEviction(f *testing.F) {
 			key := appendBaseKey(nil, req)
 			switch op >> 5 {
 			case 0, 1, 2:
-				if cache.store(req, image, "") == nil {
+				if !storeImage(cache, req, image) {
 					t.Fatal("store refused the image")
 				}
 				ref.store(string(key), clock.Now()+30*time.Second) // the image's TTL
 			case 3, 4, 5:
-				cache.serveHit(cache.shardOf(key), key, clock.Now(), &wireSink{}, req, true)
+				h, sh := cache.locate(key)
+				cache.serveHit(sh, h, key, clock.Now(), &wireSink{}, req, true)
 				ref.hit(string(key), clock.Now())
 			case 6:
 				clock.Advance(time.Duration(op&31) * time.Second)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -29,9 +30,20 @@ func patchECSEcho(msg, q *dnswire.Message) {
 	if !ok {
 		return
 	}
-	recs.Family = qecs.Family
-	recs.Address = qecs.Address
-	recs.SourcePrefix = qecs.SourcePrefix
+	*recs = qecs.Echo(recs.ScopePrefix) // what the client sent, before ClampSource
+}
+
+// patchOPT gives a decoded cached response an OPT record exactly when
+// the query q has one (RFC 6891 §7): a bare one advertising
+// DefaultEDNSSize if it had none, and none if q has none.
+func patchOPT(msg, q *dnswire.Message) {
+	if _, ok := q.OPT(); ok {
+		if _, has := msg.OPT(); !has {
+			msg.SetEDNS(dnswire.DefaultEDNSSize)
+		}
+		return
+	}
+	msg.Additionals = slices.DeleteFunc(msg.Additionals, func(rr dnswire.RR) bool { return rr.Header().Type == dnswire.TypeOPT })
 }
 
 // oracleReply is the reference reply to q from a stored response image:
@@ -49,6 +61,7 @@ func oracleReply(stored []byte, q *dnswire.Message, age uint32, stale bool) ([]b
 	}
 	msg.RecursionDesired = q.RecursionDesired
 	msg.CheckingDisabled = q.CheckingDisabled
+	patchOPT(&msg, q)
 	patchECSEcho(&msg, q)
 	for _, section := range [][]dnswire.RR{msg.Answers, msg.Authorities, msg.Additionals} {
 		for _, rr := range section {
@@ -109,6 +122,17 @@ func upstreamImage(t *testing.T, h Handler, req *Request) []byte {
 		t.Fatal(err)
 	}
 	return wire
+}
+
+// storeImage stores image as the answer to req, walked as a miss's fill
+// walks it, and reports whether the walk accepted it.
+func storeImage(c *Cache, req *Request, image []byte) bool {
+	img, err := dnswire.PatchOffsets(image, nil)
+	if err != nil {
+		return false
+	}
+	c.store(req, image, &img)
+	return true
 }
 
 // fuzzQuery builds the query side of one FuzzHitPatch case. The bits
@@ -217,22 +241,57 @@ func FuzzHitPatch(f *testing.F) {
 			return
 		}
 		req := fuzzQuery(id, rd, cd, mode, source, addr)
-		cache := NewCache(&vclock.Fixed{})
-		arrived := cache.store(req, data, "")
-		var packed *cacheEntry
-		if wire, err := resp.Pack(); err == nil {
-			packed = cache.store(req, wire, "")
+		// stored is one image as the cache holds it: walked, and stored
+		// into a cache of its own.
+		type stored struct {
+			image []byte
+			img   dnswire.Image
+			key   string
 		}
-		for _, ent := range []*cacheEntry{arrived, packed} {
-			if ent == nil {
-				continue // an ECS-bearing OPT that is not last: never cached
+		walk := func(image []byte) *stored {
+			img, err := dnswire.PatchOffsets(image, nil)
+			if err != nil {
+				return nil // an OPT that is not last: never cached
 			}
-			if life, want := ent.expires-ent.stored, min(effectiveTTL(&resp), maxTTL); ent.rcode != resp.Rcode || life != want {
-				t.Fatalf("stored rcode %v for %v, the message says %v for %v", ent.rcode, life, resp.Rcode, want)
+			cache := NewCache(&vclock.Fixed{})
+			cache.store(req, image, &img)
+			st := &stored{image: image, img: img}
+			life := min(effectiveTTL(&resp), maxTTL)
+			var live []*cacheSlot
+			for _, sh := range cache.shards {
+				for i := range sh.slots[1:] {
+					if s := &sh.slots[1+i]; s.klen != 0 {
+						live = append(live, s)
+					}
+				}
 			}
-			if packed != nil && ent.key != packed.key {
-				t.Fatalf("the arrived image is keyed %q, its repack %q", ent.key, packed.key)
+			switch {
+			case img.Rcode != resp.Rcode:
+				t.Fatalf("walked rcode %v, the message says %v", img.Rcode, resp.Rcode)
+			case life <= 0 && len(live) != 0:
+				t.Fatalf("%d entries stored for a response with no lifetime", len(live))
+			case life > 0 && len(live) != 1:
+				t.Fatalf("%d entries stored, want 1", len(live))
+			case life > 0 && (live[0].expires-live[0].stored != life || live[0].at.rcode != resp.Rcode || !bytes.Equal(live[0].image(), image)):
+				t.Fatalf("stored rcode %v for %v, the message says %v for %v", live[0].at.rcode, live[0].expires-live[0].stored, resp.Rcode, life)
+			case life > 0:
+				st.key = string(live[0].key())
 			}
+			return st
+		}
+		arrived := walk(data)
+		var packed *stored
+		if wire, err := resp.Pack(); err == nil {
+			packed = walk(wire)
+		}
+		if arrived != nil && packed != nil && arrived.key != packed.key {
+			t.Fatalf("the arrived image is keyed %q, its repack %q", arrived.key, packed.key)
+		}
+		cache := NewCache(&vclock.Fixed{})
+		replyFrom := func(w ResponseWriter, st *stored, age uint32, stale bool) error {
+			buf, n := stamp(st.image, st.img.TTLs, age, stale)
+			_, err := cache.reply(w, req, buf, n, imageAt{ecs: st.img.ECS, opt: st.img.OPT, rcode: st.img.Rcode})
+			return err
 		}
 		type replyCase struct {
 			age   uint32
@@ -243,8 +302,8 @@ func FuzzHitPatch(f *testing.F) {
 			var want []byte
 			if packed != nil {
 				var oerr error
-				want, oerr = oracleReply(packed.wire, req.Msg, c.age, c.stale)
-				_, err := cache.reply(sink, req, packed, c.age, c.stale)
+				want, oerr = oracleReply(packed.image, req.Msg, c.age, c.stale)
+				err := replyFrom(sink, packed, c.age, c.stale)
 				if oerr != nil {
 					if err == nil {
 						t.Fatalf("%+v: reply succeeded where the oracle fails: %v", c, oerr)
@@ -260,7 +319,7 @@ func FuzzHitPatch(f *testing.F) {
 				}
 				// The decode boundary hands over that same image.
 				rec := &msgWriter{}
-				if _, err := cache.reply(rec, req, packed, c.age, c.stale); err != nil {
+				if err := replyFrom(rec, packed, c.age, c.stale); err != nil {
 					t.Fatalf("%+v: reply to a message writer failed: %v", c, err)
 				}
 				if got, err := rec.msg.Pack(); err != nil || !bytes.Equal(got, want) {
@@ -270,7 +329,7 @@ func FuzzHitPatch(f *testing.F) {
 			if arrived == nil || want == nil {
 				continue
 			}
-			if _, err := cache.reply(sink, req, arrived, c.age, c.stale); err != nil {
+			if err := replyFrom(sink, arrived, c.age, c.stale); err != nil {
 				t.Fatalf("%+v: reply from the arrived image failed: %v", c, err)
 			}
 			var got dnswire.Message

@@ -224,48 +224,41 @@ func TestMalformedUpstreamImageIsNotRelayed(t *testing.T) {
 	}
 }
 
-// TestStoreAllocBudget: storing a one-answer image costs the entry, its
-// copy of the image and its key — nothing is decoded, the TTL offsets
-// ride in the entry, and the entry takes a slot of the shard's slab. A
-// miss's store, whose answer keys it where the miss resolved it, shares
-// the flight's key string and costs two.
+// TestStoreAllocBudget: storing a one-answer image into a warm slab —
+// the cache full, so every store evicts an entry and takes over its
+// slot, buffers and all — allocates nothing, whether the answer keys the
+// entry as the miss resolved it or under a key of its own. Nothing is
+// decoded, the walk's TTL offsets are the caller's, and no key string is
+// built.
 func TestStoreAllocBudget(t *testing.T) {
 	req := ecsQueryFor("alloc.test.", "10.1.2.0/24")
-	image := upstreamImage(t, ecsAnswerHandler("192.0.2.9", 24), req)
-	cache := NewCache(&vclock.Fixed{})
-	cache.MaxEntries = 64
 	for _, c := range []struct {
-		name      string
-		flightKey bool
-		budget    float64
-	}{{"a key of its own", false, 3}, {"the flight's key", true, 2}} {
-		keys := make([]string, 1001) // AllocsPerRun's warm-up run takes one
-		for i := range keys {
-			ecs, _ := req.Msg.ECS()
-			ecs.Address = netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
-			var kb [cacheKeyBuf]byte
-			keys[i] = string(appendECSKey(appendBaseKey(kb[:0], req), ecs, 24, 32))
+		name  string
+		scope uint8
+	}{{"a key of its own", 16}, {"the flight's key", 24}} {
+		image := upstreamImage(t, ecsAnswerHandler("192.0.2.9", c.scope), req)
+		img, err := dnswire.PatchOffsets(image, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		cache := NewCache(&vclock.Fixed{})
+		cache.MaxEntries = 64
+		ecs, _ := req.Msg.ECS()
 		i := 0
-		allocs := testing.AllocsPerRun(1000, func() {
-			ecs, _ := req.Msg.ECS() // a new subnet, so a new key, each run
-			ecs.Address = netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
-			flightKey := ""
-			if c.flightKey {
-				flightKey = keys[i]
-			}
+		store := func() {
+			// A new subnet, so a new key at either scope, each time.
+			ecs.Address = netip.AddrFrom4([4]byte{byte(10 + i>>8), byte(i), 2, 0})
 			i++
-			if ent := cache.store(req, image, flightKey); ent == nil {
-				t.Fatal("store refused the image")
-			} else if c.flightKey && ent.key != flightKey {
-				t.Fatalf("stored under %q, the flight resolved %q", ent.key, flightKey)
-			}
-		})
-		if allocs > c.budget {
-			t.Errorf("%s: store allocates %v times per one-answer image, budget %v", c.name, allocs, c.budget)
+			cache.store(req, image, &img)
 		}
-	}
-	if st := cache.Stats(); st.Entries != 64 || st.Evictions == 0 {
-		t.Errorf("cache stats %+v: the run should have filled the cache and evicted", st)
+		for i < 4*cache.MaxEntries {
+			store()
+		}
+		if allocs := testing.AllocsPerRun(1000, store); allocs != 0 {
+			t.Errorf("%s: a store into a warm slab allocates %v times, want 0", c.name, allocs)
+		}
+		if st := cache.Stats(); st.Entries != 64 || st.Evictions < 1000 {
+			t.Errorf("%s: cache stats %+v: every store should have evicted", c.name, st)
+		}
 	}
 }

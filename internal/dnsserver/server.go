@@ -174,12 +174,18 @@ func Resolve(ctx context.Context, h Handler, req *Request) *dnswire.Message {
 
 // normalizeQueryECS enforces the RFC 7871 §6 query-side invariants on
 // an inbound request's ECS option — scope zeroed, undisclosed address
-// bits masked — before any plugin sees it. Running in ResolveTo covers
-// every ingress: UDP, TCP, the simnet adapter, and tests.
+// bits masked — and shortens its source to what the ECS plugin itself
+// discloses, /24 or /56 (§7.1.1), before any plugin sees it: the cache
+// keys and the query goes upstream with the clamped subnet, while
+// replies still echo the one the client sent. A client choosing a fresh
+// /32 per query therefore costs no more entries than one per /24.
+// Running in ResolveTo covers every ingress: UDP, TCP, the simnet
+// adapter, and tests.
 func normalizeQueryECS(req *Request) {
 	if opt, ok := req.Msg.OPT(); ok {
 		if ecs, ok := opt.ECS(); ok {
 			ecs.NormalizeQuery()
+			ecs.ClampSource(ecsPrefixV4, ecsPrefixV6)
 		}
 	}
 }

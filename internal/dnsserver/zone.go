@@ -603,16 +603,18 @@ func (p *ZonePlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request,
 			}
 		}
 	}
-	// Echo the client's ECS option per RFC 7871 §7.2.1. Zone data is
-	// static — the same answer goes to every subnet — so the honest
-	// scope is 0: resolvers may serve this answer to all their clients
-	// from one cache entry. Subnet-tailored answers (and their nonzero
-	// scopes) are the CDN router's job, not the zone's.
-	if ecs, ok := r.Msg.ECS(); ok {
+	// A query with an OPT gets one back (RFC 6891 §7), echoing its ECS
+	// option per RFC 7871 §7.2.1. Zone data is static — the same answer
+	// goes to every subnet — so the honest scope is 0: resolvers may
+	// serve this answer to all their clients from one cache entry.
+	// Subnet-tailored answers (and their nonzero scopes) are the CDN
+	// router's job, not the zone's.
+	if _, ok := r.Msg.OPT(); ok {
 		opt := m.SetEDNS(dnswire.DefaultEDNSSize)
-		scoped := *ecs
-		scoped.ScopePrefix = 0
-		opt.Options = append(opt.Options, &scoped)
+		if ecs, ok := r.Msg.ECS(); ok {
+			echo := ecs.Echo(0)
+			opt.Options = append(opt.Options, &echo)
+		}
 	}
 	if err := w.WriteMsg(m); err != nil {
 		return dnswire.RcodeServerFailure, err

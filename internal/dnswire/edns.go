@@ -162,6 +162,11 @@ type ECSOption struct {
 	SourcePrefix uint8
 	ScopePrefix  uint8
 	Address      netip.Addr
+
+	// sentPrefix and sentAddress are what the client sent, kept by
+	// ClampSource for Echo; an invalid sentAddress means not clamped.
+	sentPrefix  uint8
+	sentAddress netip.Addr
 }
 
 // NewECSOption builds a query-side ECS option for the given prefix.
@@ -193,6 +198,41 @@ func (o *ECSOption) Prefix() netip.Prefix {
 func (o *ECSOption) NormalizeQuery() {
 	o.ScopePrefix = 0
 	o.maskAddress()
+}
+
+// ClampSource shortens the option's SOURCE PREFIX-LENGTH to at most v4
+// bits for IPv4 and v6 bits for IPv6, masking the address to match: a
+// resolver passes on no more of a client's subnet than it would
+// disclose itself (RFC 7871 §7.1.1). What the client sent is kept for
+// Echo. Other families are left alone.
+func (o *ECSOption) ClampSource(v4, v6 uint8) {
+	max := v4
+	switch o.Family {
+	case 1:
+	case 2:
+		max = v6
+	default:
+		return
+	}
+	if o.SourcePrefix <= max {
+		return
+	}
+	if !o.sentAddress.IsValid() {
+		o.sentPrefix, o.sentAddress = o.SourcePrefix, o.Address
+	}
+	o.SourcePrefix = max
+	o.maskAddress()
+}
+
+// Echo returns the option a response to this query carries (RFC 7871
+// §7.2.1): FAMILY, SOURCE PREFIX-LENGTH and ADDRESS as the client sent
+// them, before any ClampSource, and the given SCOPE PREFIX-LENGTH.
+func (o *ECSOption) Echo(scope uint8) ECSOption {
+	e := ECSOption{Family: o.Family, SourcePrefix: o.SourcePrefix, ScopePrefix: scope, Address: o.Address}
+	if o.sentAddress.IsValid() {
+		e.SourcePrefix, e.Address = o.sentPrefix, o.sentAddress
+	}
+	return e
 }
 
 // maskAddress zeroes address bits beyond SourcePrefix.
@@ -251,6 +291,7 @@ func (o *ECSOption) unpackOption(data []byte) error {
 	o.Family = binary.BigEndian.Uint16(data)
 	o.SourcePrefix = data[2]
 	o.ScopePrefix = data[3]
+	o.sentPrefix, o.sentAddress = 0, netip.Addr{}
 	addrBytes := data[4:]
 	n := (int(o.SourcePrefix) + 7) / 8
 	if len(addrBytes) != n {

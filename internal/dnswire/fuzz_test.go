@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net/netip"
 	"testing"
 )
 
@@ -242,6 +243,16 @@ func FuzzResponseWalk(f *testing.F) {
 		if img.Scope != scope || (img.ECS != ECSAt{}) != hasECS {
 			t.Fatalf("walk: scope %d at %+v; Unpack: ECS %v, scope %d", img.Scope, img.ECS, hasECS, scope)
 		}
+		if _, hasOPT := m.OPT(); (img.OPT != 0) != hasOPT {
+			t.Fatalf("walk: OPT at %d; Unpack: OPT %v", img.OPT, hasOPT)
+		} else if hasOPT {
+			if end, err := scanName(data, img.OPT); err != nil || Type(binary.BigEndian.Uint16(data[end:])) != TypeOPT {
+				t.Fatalf("walk: no OPT record at %d (%v)", img.OPT, err)
+			}
+			if last := err == nil; last && len(m.Additionals) > 0 && m.Additionals[len(m.Additionals)-1].Header().Type != TypeOPT {
+				t.Fatalf("walk: records follow the OPT, yet no ErrOPTNotLast")
+			}
+		}
 		i := 0
 		for _, section := range [][]RR{m.Answers, m.Authorities, m.Additionals} {
 			for _, rr := range section {
@@ -259,3 +270,113 @@ func FuzzResponseWalk(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEchoECS is the differential test of EchoECS on arbitrary stored
+// images: for any response whose ECS-bearing OPT PatchOffsets locates
+// (the image a cache keeps) and any query option — either family, any
+// source length, clamped by ClampSource or not — the bytes EchoECS
+// makes of the packed response are those Pack makes of the decoded one
+// with its option replaced by what the client sent, the response's
+// scope kept; and where that edit does not pack, EchoECS fails too. On
+// the image as it arrived, whose compression is the sender's, the
+// result decodes and repacks to those same bytes.
+func FuzzEchoECS(f *testing.F) {
+	seed := func(m *Message) []byte {
+		wire, err := m.Pack()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return wire
+	}
+	padded := routerReply()
+	opt, _ := padded.OPT()
+	opt.Options = append([]EDNSOption{&GenericOption{OptCode: OptionCodeCookie, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}},
+		append(opt.Options, &GenericOption{OptCode: OptionCodePadding, Data: make([]byte, 7)})...)
+	v6 := routerReply()
+	ecs, _ := v6.ECS()
+	*ecs = ECSOption{Family: 2, SourcePrefix: 56, ScopePrefix: 48, Address: netip.MustParseAddr("2001:db8:7::")}
+	addr := []byte{10, 1, 2, 255, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 8}
+	for _, wire := range [][]byte{seed(routerReply()), seed(padded), seed(v6)} {
+		for _, src := range []uint8{0, 7, 24, 32, 56, 128} {
+			f.Add(wire, false, src, false, addr)
+			f.Add(wire, true, src, true, addr)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, v6 bool, source uint8, clamp bool, addr []byte) {
+		var arrived Message
+		if err := arrived.Unpack(data); err != nil {
+			return
+		}
+		// The option as the client sent it, normalized, and the query's.
+		var a16 [16]byte
+		copy(a16[:], addr)
+		sent := ECSOption{Family: 1, SourcePrefix: source % 33, Address: netip.AddrFrom4([4]byte(a16[:4]))}
+		if v6 {
+			sent = ECSOption{Family: 2, SourcePrefix: source % 129, Address: netip.AddrFrom16(a16)}
+		}
+		sent.NormalizeQuery()
+		q := sent
+		if clamp {
+			q.ClampSource(24, 56)
+		}
+		// oracle replaces the decoded response's option with sent, scope
+		// kept, and packs it.
+		oracle := func(image []byte) ([]byte, error) {
+			var m Message
+			if err := m.Unpack(image); err != nil {
+				t.Fatalf("an image that unpacked once does not: %v", err)
+			}
+			recs, ok := m.ECS()
+			if !ok {
+				t.Fatal("the walk located an ECS option Unpack does not see")
+			}
+			scope := recs.ScopePrefix
+			*recs = sent
+			recs.ScopePrefix = scope
+			return m.Pack()
+		}
+		echo := func(image []byte) ([]byte, error) {
+			img, err := PatchOffsets(image, nil)
+			if err != nil || img.ECS == (ECSAt{}) {
+				return nil, errNoECS
+			}
+			buf := make([]byte, MaxMessageSize)
+			n, err := EchoECS(buf, copy(buf, image), img.ECS, &q)
+			return buf[:n], err
+		}
+		packed, err := arrived.Pack()
+		if err != nil {
+			return
+		}
+		got, err := echo(packed)
+		if errors.Is(err, errNoECS) {
+			return
+		}
+		want, oerr := oracle(packed)
+		switch {
+		case oerr != nil && err == nil:
+			t.Fatalf("EchoECS succeeds where the edited message does not pack (%v):\n% x", oerr, got)
+		case oerr != nil:
+			return
+		case err != nil:
+			t.Fatalf("EchoECS fails (%v) where the edited message packs:\n% x", err, want)
+		case !bytes.Equal(got, want):
+			t.Fatalf("EchoECS != decode → edit → Pack:\n% x\n% x", got, want)
+		}
+		if got, err = echo(data); errors.Is(err, errNoECS) {
+			return
+		} else if err != nil {
+			t.Fatalf("EchoECS fails on the arrived image (%v) but not on its repack", err)
+		}
+		var m Message
+		if err := m.Unpack(got); err != nil {
+			t.Fatalf("the arrived image, echoed, does not unpack: %v\n% x", err, got)
+		}
+		if repacked, err := m.Pack(); err != nil || !bytes.Equal(repacked, want) {
+			t.Fatalf("the arrived image echoes differently from its repack (%v):\n% x\n% x", err, repacked, want)
+		}
+	})
+}
+
+// errNoECS marks a FuzzEchoECS input without an image EchoECS patches.
+var errNoECS = errors.New("no ECS option to echo")

@@ -74,12 +74,13 @@ func PutBuffer(b []byte) {
 // option's OPTION-CODE. The zero value means there is no such option.
 type ECSAt struct{ RDLen, Opt int }
 
-// ErrOPTNotLast rejects a response whose ECS-bearing OPT record is
-// followed by further records: EchoECS may change the option's length,
-// and bytes after it could hold compression pointers it cannot fix up.
-// PatchOffsets reports it after the whole walk, Image filled in: such a
-// response is well-formed and may be relayed, just not stored.
-var ErrOPTNotLast = errors.New("dnswire: records follow an ECS-bearing OPT")
+// ErrOPTNotLast rejects a response whose OPT record is followed by
+// further records: EchoECS may change the record's length and FollowOPT
+// may cut it off, and bytes after it could hold compression pointers
+// neither can fix up. PatchOffsets reports it after the whole walk,
+// Image filled in: such a response is well-formed and may be relayed,
+// just not stored.
+var ErrOPTNotLast = errors.New("dnswire: records follow an OPT")
 
 // Image is what one walk over a packed response reads off it: where a
 // cache patches every later reply, and what a forwarder or cache would
@@ -91,6 +92,10 @@ type Image struct {
 	// additional section, the one Message.OPT returns.
 	TTLs []int
 	ECS  ECSAt
+	// OPT is the offset of that OPT record, 0 when there is none; it is
+	// the response's last record unless PatchOffsets reports
+	// ErrOPTNotLast.
+	OPT int
 	// Rcode has that OPT's extended bits folded in; Answers is ANCOUNT;
 	// Scope is the ECS option's scope prefix, 0 without the option.
 	Rcode   Rcode
@@ -137,6 +142,7 @@ func PatchOffsets(wire []byte, ttls []int) (Image, error) {
 	}
 	sawOPT, sawSOA, notLast := false, false, false
 	for i, rrs := 0, an+ns+ar; i < rrs; i++ {
+		start := off
 		if off, err = checkName(wire, off, img.TTLs); err != nil {
 			return Image{}, err
 		}
@@ -164,10 +170,10 @@ func PatchOffsets(wire []byte, ttls []int) (Image, error) {
 		case t == TypeOPT && i >= an+ns && !sawOPT:
 			sawOPT = true
 			img.Rcode |= Rcode(ttl>>24) << 4
+			img.OPT, notLast = start, i != rrs-1
 			if ecsOpt != 0 {
 				img.ECS = ECSAt{RDLen: off + 8, Opt: ecsOpt}
 				img.Scope = wire[ecsOpt+7]
-				notLast = i != rrs-1
 			}
 		}
 		off = end
@@ -287,8 +293,7 @@ func checkRdata(wire []byte, off, end int, t Type, ttls []int) (ecsOpt int, err 
 func EchoECS(buf []byte, n int, at ECSAt, q *ECSOption) (int, error) {
 	data := at.Opt + 4
 	old := int(binary.BigEndian.Uint16(buf[at.Opt+2:]))
-	echo := *q
-	echo.ScopePrefix = buf[data+3]
+	echo := q.Echo(buf[data+3])
 	var scratch [20]byte // family, source, scope and at most 16 address octets
 	opt, err := echo.packOption(scratch[:0])
 	if err != nil {
@@ -303,6 +308,40 @@ func EchoECS(buf []byte, n int, at ECSAt, q *ECSOption) (int, error) {
 	binary.BigEndian.PutUint16(buf[at.Opt+2:], uint16(len(opt)))
 	binary.BigEndian.PutUint16(buf[at.RDLen:], uint16(int(binary.BigEndian.Uint16(buf[at.RDLen:]))+delta))
 	return n + delta, nil
+}
+
+// FollowOPT makes the packed response buf[:n] carry an OPT record
+// exactly when the query it answers did (RFC 6891 §7), edns telling
+// whether the query had one. opt is where the response's OPT record
+// starts, Image.OPT, 0 for none, and it must be the response's last
+// record (PatchOffsets reports ErrOPTNotLast otherwise). A response
+// without one gains a bare OPT advertising DefaultEDNSSize; one the
+// query did not ask for is cut off, unless its extended rcode needs it.
+// The new message length is returned. The bytes are those Pack emits
+// for the decoded message with the OPT added or removed.
+func FollowOPT(buf []byte, n, opt int, edns bool) (int, error) {
+	switch {
+	case edns && opt == 0:
+		if n+11 > len(buf) || n < 12 {
+			return 0, fmt.Errorf("dnswire: an OPT grows the message past %d bytes", len(buf))
+		}
+		// The root owner, TYPE OPT, the payload size as CLASS, a zero TTL
+		// (no extended rcode, version 0, no flags) and no RDATA.
+		copy(buf[n:], []byte{0, 0, byte(TypeOPT), DefaultEDNSSize >> 8, DefaultEDNSSize & 0xFF, 0, 0, 0, 0, 0, 0})
+		binary.BigEndian.PutUint16(buf[10:], binary.BigEndian.Uint16(buf[10:])+1)
+		return n + 11, nil
+	case !edns && opt != 0:
+		fixed, err := scanName(buf[:n], opt) // TYPE, CLASS, then the TTL: extended rcode first
+		if err != nil || fixed+4 >= n {
+			return 0, ErrBufferTooSmall
+		}
+		if buf[fixed+4] != 0 {
+			return 0, fmt.Errorf("dnswire: the response's extended rcode needs its OPT record")
+		}
+		binary.BigEndian.PutUint16(buf[10:], binary.BigEndian.Uint16(buf[10:])-1)
+		return opt, nil
+	}
+	return n, nil
 }
 
 // AgeTTLs subtracts age seconds from each TTL field at the given

@@ -120,15 +120,13 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 	if h == nil || sp == nil {
 		return
 	}
-	logged := h.Log != nil && sp.sampled
-	var rec Record
 	sp.mu.Lock()
 	p := classifyPath(sp.hops, rcode)
 	path := pathNames[p]
 	sp.endLocked(path)
 	total := sp.end - sp.start
-	if logged {
-		rec = sp.recordLocked(rcode, path, time.Now())
+	if h.Log != nil && sp.sampled {
+		h.Log.addSpan(sp, rcode, path, time.Now())
 	}
 	sp.gen.Add(1) // a hop still open is dropped by its End
 	sp.hops, sp.outcome, sp.ended = sp.hopsBuf[:0], "", false
@@ -138,9 +136,6 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 	}
 	if h.Path != nil {
 		h.Path.Inc(p)
-	}
-	if logged {
-		h.Log.Add(rec)
 	}
 	h.spans.Put(sp)
 }

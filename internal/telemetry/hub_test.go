@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"net/netip"
 	"testing"
 	"time"
 
+	"github.com/meccdn/meccdn/internal/racecheck"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
 
@@ -88,4 +90,46 @@ func TestNilHubSafe(t *testing.T) {
 		t.Error("nil hub returned a span")
 	}
 	h.Finish(sp, "NOERROR") // must not panic
+}
+
+// TestSampledFinishAllocs: once the ring has gone round, logging a
+// sampled query allocates nothing — its slot keeps the backing array of
+// the hops it held before, and the client address is rendered only when
+// the log is read — and what the log gives back is what RecordFromSpan
+// renders, byte for byte as /querylog writes it.
+func TestSampledFinishAllocs(t *testing.T) {
+	clk := &vclock.Fixed{}
+	h := NewHub(clk)
+	h.SampleEvery = 1
+	h.Log = NewQueryLog(8)
+	client := netip.MustParseAddrPort("198.51.100.7:4242")
+	query := func() {
+		sp := h.BeginAddr("v.cdn.example.", "A", "udp", client)
+		hop := sp.StartHop("cache")
+		clk.Advance(time.Millisecond)
+		hop.End("miss")
+		sp.StartHop("upstream").End("10.0.0.1")
+		h.Finish(sp, "NOERROR")
+	}
+	for i := 0; i < 2*8; i++ {
+		query()
+	}
+	if allocs := testing.AllocsPerRun(1000, query); racecheck.Enabled {
+		t.Logf("a sampled Finish allocates %v times (not checked under -race, whose sync.Pool drops spans)", allocs)
+	} else if allocs != 0 {
+		t.Errorf("a sampled Finish on a warm ring allocates %v times, want 0", allocs)
+	}
+
+	sp := NewSpan(clk, "v.cdn.example.", "A")
+	sp.transport, sp.client = "udp", client
+	sp.start = clk.Now() - time.Millisecond
+	sp.hops = append(sp.hops, Hop{Layer: "cache", Note: "miss", Start: 0, Dur: time.Millisecond}, Hop{Layer: "upstream", Note: "10.0.0.1", Start: time.Millisecond})
+	sp.End(PathUpstream)
+	recs := h.Log.Drain()
+	want := RecordFromSpan(sp, "NOERROR", PathUpstream, recs[len(recs)-1].Time)
+	got, _ := json.Marshal(recs[len(recs)-1])
+	wantJSON, _ := json.Marshal(want)
+	if len(recs) != 8 || string(got) != string(wantJSON) {
+		t.Errorf("%d records; the last is\n%s\nwant\n%s", len(recs), got, wantJSON)
+	}
 }

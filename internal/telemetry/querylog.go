@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -31,16 +32,26 @@ type Record struct {
 }
 
 // QueryLog is a bounded ring of sampled query records. Writers never
-// block and never allocate beyond the record itself: once the ring is
-// full, the oldest record is overwritten and counted as dropped.
-// Draining (the admin /querylog endpoint) empties the ring.
+// block, and a sampled query allocates nothing: each ring slot keeps
+// the backing array of its record's hops for the next record, and a
+// span's client address is kept as it is and rendered only when the log
+// is read. Once the ring is full, the oldest record is overwritten and
+// counted as dropped. Draining (the admin /querylog endpoint) empties
+// the ring.
 type QueryLog struct {
 	mu      sync.Mutex
-	ring    []Record
+	ring    []logSlot
 	next    int
 	full    bool
 	added   uint64
 	dropped uint64
+}
+
+// logSlot is one ring slot: a record whose Client, when client is
+// valid, is still to be rendered from it.
+type logSlot struct {
+	rec    Record
+	client netip.AddrPort
 }
 
 // NewQueryLog returns a log retaining up to capacity records
@@ -49,22 +60,42 @@ func NewQueryLog(capacity int) *QueryLog {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &QueryLog{ring: make([]Record, 0, capacity)}
+	return &QueryLog{ring: make([]logSlot, 0, capacity)}
 }
 
-// Add appends one record, overwriting the oldest when full.
-func (l *QueryLog) Add(rec Record) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// slotLocked returns the slot the next record goes in, overwriting the
+// oldest when full. Its hops keep their backing array.
+func (l *QueryLog) slotLocked() *logSlot {
 	l.added++
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, rec)
-		return
+	if n := len(l.ring); n < cap(l.ring) {
+		l.ring = l.ring[:n+1] // a drained slot's hop array comes back with it
+		return &l.ring[n]
 	}
 	l.full = true
 	l.dropped++
-	l.ring[l.next] = rec
+	slot := &l.ring[l.next]
 	l.next = (l.next + 1) % cap(l.ring)
+	return slot
+}
+
+// Add appends a copy of rec, overwriting the oldest record when full.
+func (l *QueryLog) Add(rec Record) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	slot := l.slotLocked()
+	hops := append(slot.rec.Hops[:0], rec.Hops...)
+	slot.rec, slot.client = rec, netip.AddrPort{}
+	slot.rec.Hops = hops
+}
+
+// addSpan appends the record of an ended span, as RecordFromSpan renders
+// it but with the client left unrendered, with the span lock held.
+func (l *QueryLog) addSpan(s *Span, rcode, path string, now time.Time) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	slot := l.slotLocked()
+	s.fillLocked(&slot.rec, rcode, path, now)
+	slot.client = s.client
 }
 
 // Len returns the number of retained records.
@@ -82,16 +113,27 @@ func (l *QueryLog) Stats() (added, dropped uint64) {
 	return l.added, l.dropped
 }
 
-// Drain returns the retained records oldest-first and empties the log.
+// Drain returns the retained records oldest-first, each with its client
+// rendered and hops of its own, and empties the log.
 func (l *QueryLog) Drain() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Record, 0, len(l.ring))
+	take := func(slots []logSlot) {
+		for _, slot := range slots {
+			rec := slot.rec
+			rec.Hops = append([]HopRecord(nil), slot.rec.Hops...)
+			if slot.client.IsValid() {
+				rec.Client = slot.client.String()
+			}
+			out = append(out, rec)
+		}
+	}
 	if l.full {
-		out = append(out, l.ring[l.next:]...)
-		out = append(out, l.ring[:l.next]...)
+		take(l.ring[l.next:])
+		take(l.ring[:l.next])
 	} else {
-		out = append(out, l.ring...)
+		take(l.ring)
 	}
 	l.ring = l.ring[:0]
 	l.next = 0
@@ -115,13 +157,23 @@ func (l *QueryLog) WriteJSONL(w io.Writer) error {
 func RecordFromSpan(sp *Span, rcode, path string, now time.Time) Record {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	return sp.recordLocked(rcode, path, now)
+	var rec Record
+	sp.fillLocked(&rec, rcode, path, now)
+	if sp.client.IsValid() {
+		rec.Client = sp.client.String()
+	}
+	return rec
 }
 
-// recordLocked is RecordFromSpan under the span lock: the hops are
-// rendered straight into a slice of their exact length.
-func (s *Span) recordLocked(rcode, path string, now time.Time) Record {
-	rec := Record{
+// fillLocked renders the span, under its lock, into rec — all but
+// Client, which is the caller's — appending the hops to rec.Hops' backing
+// array.
+func (s *Span) fillLocked(rec *Record, rcode, path string, now time.Time) {
+	hops := rec.Hops[:0]
+	for _, h := range s.hops {
+		hops = append(hops, HopRecord{Layer: h.Layer, Note: h.Note, StartUS: h.Start.Microseconds(), DurUS: h.Dur.Microseconds()})
+	}
+	*rec = Record{
 		Time:      now,
 		Name:      s.name,
 		Type:      s.qtype,
@@ -129,13 +181,6 @@ func (s *Span) recordLocked(rcode, path string, now time.Time) Record {
 		Rcode:     rcode,
 		Path:      path,
 		DurUS:     s.totalLocked().Microseconds(),
+		Hops:      hops,
 	}
-	if s.client.IsValid() {
-		rec.Client = s.client.String()
-	}
-	rec.Hops = make([]HopRecord, len(s.hops))
-	for i, h := range s.hops {
-		rec.Hops[i] = HopRecord{Layer: h.Layer, Note: h.Note, StartUS: h.Start.Microseconds(), DurUS: h.Dur.Microseconds()}
-	}
-	return rec
 }
