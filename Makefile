@@ -12,7 +12,9 @@ all: vet test race build
 #  - vet for darwin (their portable fallback)
 #  - vet the pool-ownership checker's packages under -tags pooldebug
 #  - build everything
-#  - the test suite under the race detector
+#  - the test suite under the race detector, including the linked-function
+#    check (every internal/ function is linked by a command, an example,
+#    the benchmark or the root test binary)
 #  - the pool-ownership checker over every package that checks out packet buffers
 #  - the overload contract (hits never wait behind upstreams; read == served + shed) at 1, 2, 4 cores
 #  - the recycled-span hazard (a hedge straggler reaching the next query),
@@ -35,6 +37,7 @@ all: vet test race build
 #  - fuzz: the walk that lets a reply be relayed undecoded
 #  - fuzz: the name codec
 #  - fuzz: the router's bytes-written reply against its Message oracle
+#  - fuzz: every record an accepted zone file holds packs and round-trips
 #  - serve-path bench smoke across the UDP ingress at 1, 2, 4 cores (catches a bounded-queue timeout)
 #  - router, LPM and ring bench smoke
 #  - small-N X8: the bounded-load ring beats the plain ring
@@ -67,6 +70,7 @@ ci:
 	$(GO) test -run xxx -fuzz FuzzResponseWalk -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzNameUnpack -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzRouterReply -fuzztime 5s ./internal/cdn/
+	$(GO) test -run xxx -fuzz FuzzParseZone -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -bench='ServeUDPHit|StubExchange' -cpu 1,2,4 -benchtime=20000x -benchmem .
 	$(GO) test -run xxx -bench='RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .
 	$(GO) run ./cmd/experiments -x loadbalance -ues 20000 -requests 1000

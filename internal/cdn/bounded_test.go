@@ -193,8 +193,9 @@ func TestBoundedChurnRace(t *testing.T) {
 	}
 }
 
-// TestOwnersAppendParity: OwnersAppend and Owners return identical
-// candidates, and both parities hold in bounded mode.
+// TestOwnersAppendParity: OwnersAppend returns the same candidates
+// into a caller's array as into a fresh slice, with no member twice,
+// in plain and bounded mode.
 func TestOwnersAppendParity(t *testing.T) {
 	for _, bounded := range []bool{false, true} {
 		ring := NewHashRing()
@@ -209,7 +210,7 @@ func TestOwnersAppendParity(t *testing.T) {
 		for k := 0; k < 200; k++ {
 			key := fmt.Sprintf("key-%d", k)
 			for _, n := range []int{1, 2, 3, 12, 20} {
-				a := ring.Owners(key, n)
+				a := ring.OwnersAppend(nil, key, n)
 				b := ring.OwnersAppend(buf[:0], key, n)
 				if len(a) != len(b) {
 					t.Fatalf("bounded=%v key=%s n=%d: len %d vs %d", bounded, key, n, len(a), len(b))

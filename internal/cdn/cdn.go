@@ -8,7 +8,6 @@ package cdn
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -56,25 +55,6 @@ func (c *Catalog) Get(name string) (Content, bool) {
 	defer c.mu.RUnlock()
 	obj, ok := c.objects[name]
 	return obj, ok
-}
-
-// Names returns all object names, sorted.
-func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.objects))
-	for n := range c.objects {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Len returns the number of published objects.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.objects)
 }
 
 // Origin is the authoritative store: it has every published object of

@@ -83,7 +83,7 @@ type HashRing struct {
 	LoadFactor float64
 
 	state atomic.Pointer[ringState]
-	// wmu serializes Add/Remove; Owners/Members never take it.
+	// wmu serializes Add/Remove; OwnersAppend/Members never take it.
 	wmu sync.Mutex
 	// cells maps every member ever seen to its load cell, so a member
 	// that leaves and rejoins (health flap) keeps its decayed load.
@@ -215,25 +215,11 @@ func (r *HashRing) Owner(key string) string {
 	return owners[0]
 }
 
-// Owners returns up to n distinct members responsible for key, in
-// ring order: the primary first, then the replicas that take over if
-// predecessors fail. Lock-free: one snapshot load per call. Allocates
-// the result slice; the hot path uses OwnersAppend.
-func (r *HashRing) Owners(key string, n int) []string {
-	s := r.snapshot()
-	if len(s.ring) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(s.members) {
-		n = len(s.members)
-	}
-	return r.ownersAppend(s, make([]string, 0, n), key, n)
-}
-
-// OwnersAppend appends up to n distinct owners for key to dst and
-// returns the extended slice — the allocation-free form of Owners:
-// with a caller-provided backing array (and n within smallOwners) it
-// performs zero heap allocations. With Bounded set the first owner is
+// OwnersAppend appends up to n distinct owners for key to dst, in
+// ring order (the primary first, then the replicas that take over if
+// predecessors fail), and returns the extended slice. With a
+// caller-provided backing array (and n within smallOwners) it performs
+// zero heap allocations. With Bounded set the first owner is
 // the first member along the ring with spare capacity; the remaining
 // candidates follow in ring-walk order.
 func (r *HashRing) OwnersAppend(dst []string, key string, n int) []string {

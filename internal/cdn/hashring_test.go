@@ -7,22 +7,22 @@ import (
 
 func TestHashRingOwnersExceedingMembers(t *testing.T) {
 	r := NewHashRing()
-	if got := r.Owners("key", 3); got != nil {
-		t.Fatalf("empty ring Owners = %v, want nil", got)
+	if got := r.OwnersAppend(nil, "key", 3); got != nil {
+		t.Fatalf("empty ring OwnersAppend = %v, want nil", got)
 	}
 	r.Add("a")
 	r.Add("b")
 	for _, n := range []int{2, 3, 100} {
-		got := r.Owners("key", n)
+		got := r.OwnersAppend(nil, "key", n)
 		if len(got) != 2 {
-			t.Fatalf("Owners(key, %d) with 2 members = %v, want both members", n, got)
+			t.Fatalf("OwnersAppend(key, %d) with 2 members = %v, want both members", n, got)
 		}
 		if got[0] == got[1] {
-			t.Fatalf("Owners(key, %d) duplicated a member: %v", n, got)
+			t.Fatalf("OwnersAppend(key, %d) duplicated a member: %v", n, got)
 		}
 	}
-	if got := r.Owners("key", 0); got != nil {
-		t.Fatalf("Owners(key, 0) = %v, want nil", got)
+	if got := r.OwnersAppend(nil, "key", 0); got != nil {
+		t.Fatalf("OwnersAppend(key, 0) = %v, want nil", got)
 	}
 }
 

@@ -88,13 +88,11 @@ func TestRouterServePathMutexFree(t *testing.T) {
 			modulo.Add("cache-0")
 			for i := 0; !stop.Load(); i++ {
 				rt.Route(fmt.Sprintf("key-%d-%d", id, i%32), client)
-				rt.Ring.Owners("key", 2)
 				rt.Ring.OwnersAppend(ownersBuf[:0], "key", 2)
 				rt.Ring.RecordLoad("cache-0")
 				rt.Ring.Load("cache-0")
 				rt.Ring.LoadStats()
 				modulo.Owner(fmt.Sprintf("key-%d", i%8))
-				rt.Servers()
 				rt.PeerLookup(fmt.Sprintf("key-%d", i%32))
 				rt.RoutePeer(fmt.Sprintf("key-%d", i%32), client)
 				rt.Mesh().Nearest()
@@ -113,7 +111,7 @@ func TestRouterServePathMutexFree(t *testing.T) {
 	})
 	for i := 0; i < 300; i++ {
 		rt.AddServer(churn, geoip.Location{X: 500, Name: "churn"})
-		rt.RemoveServer("churn")
+		rt.Ring.Remove("churn")
 		rt.MapPoP(lpm.PoP(1), netip.AddrFrom4([4]byte{192, 0, 2, byte(1 + i%250)}))
 		announce(uint32(i + 2))
 		agent.DecayLoads(0.5)

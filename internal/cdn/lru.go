@@ -13,15 +13,6 @@ type LRUStats struct {
 	UsedBytes    int64
 }
 
-// HitRatio returns hits/(hits+misses), or 0 with no traffic.
-func (s LRUStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // LRU is a byte-budget least-recently-used content cache.
 type LRU struct {
 	mu       sync.Mutex
@@ -121,13 +112,4 @@ func (l *LRU) Each(fn func(Content)) {
 	for e := l.order.Front(); e != nil; e = e.Next() {
 		fn(e.Value.(*lruEntry).content)
 	}
-}
-
-// Flush empties the cache, keeping counters.
-func (l *LRU) Flush() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.items = make(map[string]*list.Element)
-	l.order.Init()
-	l.used = 0
 }

@@ -149,8 +149,8 @@ type Router struct {
 	// via atomic pointer: candidate selection and PoP resolution load
 	// it once per query and never lock.
 	state atomic.Pointer[routerState]
-	// wmu serializes registry writers (AddServer, RemoveServer,
-	// MapPoP, health transitions); readers never take it.
+	// wmu serializes registry writers (AddServer, MapPoP, health
+	// transitions); readers never take it.
 	wmu sync.Mutex
 
 	// subnets is the ECS-driven subnet→PoP routing table, consulted
@@ -421,30 +421,6 @@ func (rt *Router) AddServerAdvertise(s *CacheServer, loc geoip.Location, adverti
 		// Re-registration of a server the registry already vouches for.
 		rt.Ring.Add(s.Name)
 	}
-}
-
-// RemoveServer deregisters a server (scale-down or failure).
-func (rt *Router) RemoveServer(name string) {
-	rt.wmu.Lock()
-	defer rt.wmu.Unlock()
-	rt.updateState(func(st *routerState) {
-		delete(st.servers, name)
-	})
-	rt.Ring.Remove(name)
-	if rt.Health != nil {
-		rt.Health.Remove(name)
-	}
-}
-
-// Servers returns the registered server names, sorted.
-func (rt *Router) Servers() []string {
-	st := rt.snapshot()
-	names := make([]string, 0, len(st.servers))
-	for n := range st.servers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Name implements dnsserver.Plugin.

@@ -336,20 +336,6 @@ func TestRouterSetHealthyStillProbeVisible(t *testing.T) {
 	}
 }
 
-func TestRouterRemoveServer(t *testing.T) {
-	fx := buildRouterFixture(t, 8)
-	fx.router.RemoveServer("cache-1")
-	if got := fx.router.Servers(); len(got) != 2 {
-		t.Fatalf("servers = %v", got)
-	}
-	for i := 0; i < 20; i++ {
-		sel := fx.router.Route(fmt.Sprintf("key-%d.mycdn.ciab.test.", i), ClientInfo{})
-		if sel.Server.Name == "cache-1" {
-			t.Fatal("removed server selected")
-		}
-	}
-}
-
 func TestAvailabilityFirstPrefersContentHolder(t *testing.T) {
 	fx := buildRouterFixture(t, 9)
 	fx.router.Replicas = 3 // all servers are candidates

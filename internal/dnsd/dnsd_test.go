@@ -384,8 +384,8 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	if err := d.Reload(); err == nil {
 		t.Fatal("reload with a corrupt file succeeded")
 	}
-	if zoneA.Serial() != 1 || zoneB.Serial() != 1 {
-		t.Errorf("serials after failed reload = %d/%d, want 1/1: a parse error must swap nothing", zoneA.Serial(), zoneB.Serial())
+	if zoneA.View().Serial() != 1 || zoneB.View().Serial() != 1 {
+		t.Errorf("serials after failed reload = %d/%d, want 1/1: a parse error must swap nothing", zoneA.View().Serial(), zoneB.View().Serial())
 	}
 	if got := d.reloads.Value(reloadError); got != 1 {
 		t.Errorf(`meccdn_reload_total{result="error"} = %d, want 1`, got)
@@ -402,8 +402,8 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	if err := d.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if zoneA.Serial() != 7 || zoneB.Serial() != 9 {
-		t.Errorf("serials after reload = %d/%d, want 7/9", zoneA.Serial(), zoneB.Serial())
+	if zoneA.View().Serial() != 7 || zoneB.View().Serial() != 9 {
+		t.Errorf("serials after reload = %d/%d, want 7/9", zoneA.View().Serial(), zoneB.View().Serial())
 	}
 	if d.zoneSwaps.Value() != 2 || d.routeSwaps.Value() != 1 || d.reloads.Value(reloadOK) != 1 {
 		t.Errorf("zone/route swaps / ok reloads = %d/%d/%d, want 2/1/1", d.zoneSwaps.Value(), d.routeSwaps.Value(), d.reloads.Value(reloadOK))
@@ -419,8 +419,8 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	if err := d.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if zoneA.View() != viewA || zoneA.Serial() != 7 || zoneB.Serial() != 9 {
-		t.Errorf("unchanged reload republished: serials %d/%d, want 7/9", zoneA.Serial(), zoneB.Serial())
+	if zoneA.View() != viewA || zoneA.View().Serial() != 7 || zoneB.View().Serial() != 9 {
+		t.Errorf("unchanged reload republished: serials %d/%d, want 7/9", zoneA.View().Serial(), zoneB.View().Serial())
 	}
 	if d.zoneSwaps.Value() != 2 || d.routeSwaps.Value() != 1 || d.reloads.Value(reloadOK) != 2 {
 		t.Errorf("zone/route swaps / ok reloads = %d/%d/%d after an unchanged reload, want 2/1/2", d.zoneSwaps.Value(), d.routeSwaps.Value(), d.reloads.Value(reloadOK))

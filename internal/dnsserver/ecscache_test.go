@@ -165,7 +165,7 @@ func TestECSWireHitMatchesOracle(t *testing.T) {
 	if resp := Resolve(context.Background(), h, warm); resp.Rcode != dnswire.RcodeSuccess {
 		t.Fatalf("warm rcode = %v", resp.Rcode)
 	}
-	clock.Advance(10 * time.Second)
+	clock.Time += 10 * time.Second
 
 	// Siblings inside the /16 scope, at a shorter, an equal and a longer
 	// source length than the stored echo: the splice shrinks, keeps and
@@ -241,14 +241,14 @@ func TestPrefetchRescopedAnswerKeyedByItsOwnScope(t *testing.T) {
 
 	Resolve(context.Background(), h, ecsQueryFor("rescope.test.", "10.1.1.0/24")) // stored at /16
 	scope.Store(24)
-	clock.Advance(20 * time.Second) // TTL 30: inside the refresh window
+	clock.Time += 20 * time.Second // TTL 30: inside the refresh window
 	Resolve(context.Background(), h, ecsQueryFor("rescope.test.", "10.1.1.0/24"))
 	waitFor(t, 2*time.Second, func() bool { return reached.Load() == 2 && cache.Stats().Entries == 2 })
 
 	// The /16 entry has expired; only 10.1.1.0/24 has a (fresh) entry,
 	// short of its own refresh window (16 s of 30 left), so the hit on it
 	// below spawns no prefetch that could reach the origin behind it.
-	clock.Advance(14 * time.Second)
+	clock.Time += 14 * time.Second
 	resp := Resolve(context.Background(), h, ecsQueryFor("rescope.test.", "10.1.2.0/24"))
 	if got := reached.Load(); got != 3 {
 		t.Errorf("sibling /24 was served the refreshed /24-scoped answer from cache (origin reached %d times, want 3)", got)

@@ -47,18 +47,14 @@ type upstreamEntry struct {
 	downUntil atomic.Int64 // vclock nanoseconds; 0 = not cooling
 }
 
-// upstreamSet is the immutable, atomically published view of the
-// forwarder's upstream list: the configured order, the per-upstream
-// health cells, and the resolved clock. Readers load it once per
-// query; it is rebuilt (preserving health state) only when the
-// Upstreams or Clock fields change.
+// upstreamSet is the forwarder's upstream list as built on first use:
+// the configured order, the per-upstream health cells, and the
+// resolved clock. It never changes after it is built, so readers need
+// no lock.
 type upstreamSet struct {
 	addrs   []netip.AddrPort
 	entries []*upstreamEntry // parallel to addrs
-	// clockSrc is the Forward.Clock value this set was built from
-	// (possibly nil); clock is the resolved, never-nil clock.
-	clockSrc vclock.Clock
-	clock    vclock.Clock
+	clock   vclock.Clock     // never nil
 }
 
 // Forward sends queries to one or more upstream resolvers, trying
@@ -112,10 +108,8 @@ type Forward struct {
 	// cooldown tracking; neither replaces the other.
 	Health *health.Registry
 
-	ups atomic.Pointer[upstreamSet]
-	// wmu serializes upstream-set rebuilds; the serve path never
-	// takes it once the set matches the configured upstreams.
-	wmu sync.Mutex
+	upsOnce sync.Once
+	ups     *upstreamSet
 
 	ctrOnce sync.Once
 	ctr     forwardCounters
@@ -165,42 +159,25 @@ func (f *Forward) Stats() ForwardStats {
 	}
 }
 
-// set returns the published upstream set, rebuilding it first if the
-// Upstreams or Clock fields changed since the last build. The common
-// case — configuration unchanged — is one atomic load plus a short
-// slice comparison, no lock.
+// set returns the upstream set, building it on first use from
+// Upstreams and Clock; later changes to either are not seen.
 func (f *Forward) set() *upstreamSet {
-	s := f.ups.Load()
-	if s != nil && s.clockSrc == f.Clock && slices.Equal(s.addrs, f.Upstreams) {
-		return s
-	}
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	s = f.ups.Load()
-	if s != nil && s.clockSrc == f.Clock && slices.Equal(s.addrs, f.Upstreams) {
-		return s
-	}
-	clock := f.Clock
-	if clock == nil {
-		clock = vclock.NewReal()
-	}
-	next := &upstreamSet{
-		addrs:    append([]netip.AddrPort(nil), f.Upstreams...),
-		entries:  make([]*upstreamEntry, 0, len(f.Upstreams)),
-		clockSrc: f.Clock,
-		clock:    clock,
-	}
-	for _, up := range next.addrs {
-		e := &upstreamEntry{addr: up, name: up.String(), hedgeNote: "hedge:" + up.String()}
-		if s != nil {
-			if i := slices.Index(s.addrs, up); i >= 0 {
-				e = s.entries[i] // carry health across rebuilds
-			}
+	f.upsOnce.Do(func() {
+		clock := f.Clock
+		if clock == nil {
+			clock = vclock.NewReal()
 		}
-		next.entries = append(next.entries, e)
-	}
-	f.ups.Store(next)
-	return next
+		s := &upstreamSet{
+			addrs:   append([]netip.AddrPort(nil), f.Upstreams...),
+			entries: make([]*upstreamEntry, 0, len(f.Upstreams)),
+			clock:   clock,
+		}
+		for _, up := range s.addrs {
+			s.entries = append(s.entries, &upstreamEntry{addr: up, name: up.String(), hedgeNote: "hedge:" + up.String()})
+		}
+		f.ups = s
+	})
+	return f.ups
 }
 
 // failoverRcode reports whether rcode should trigger a try of the
@@ -446,9 +423,8 @@ func (f *Forward) hedgedExchange(ctx context.Context, primary, secondary *upstre
 // stubRoute is one stub domain's upstream set with its persistent
 // forwarder (persistent so upstream health survives across queries).
 type stubRoute struct {
-	upstreams []netip.AddrPort
-	fwd       *Forward
-	labels    int
+	fwd    *Forward
+	labels int
 }
 
 // stubTable is one immutable revision of the stub route table,
@@ -465,13 +441,13 @@ type stubTable struct {
 //	stub := NewStub()
 //	stub.Route("mycdn.ciab.test.", cdnsAddr)
 //
-// Route and Unroute may be called concurrently with query serving (a
+// Route may be called concurrently with query serving (a
 // live reconfiguration): writers copy the route table, mutate the
 // copy, and publish it atomically; the per-query longest-match walk
 // is a single snapshot load with no lock.
 type Stub struct {
 	table atomic.Pointer[stubTable]
-	// wmu serializes Route/Unroute; match never takes it.
+	// wmu serializes Route; match never takes it.
 	wmu sync.Mutex
 	// Client performs the exchanges; required.
 	Client *dnsclient.Client
@@ -511,8 +487,7 @@ func (s *Stub) updateTable(fn func(map[string]*stubRoute)) {
 func (s *Stub) Route(domain string, upstreams ...netip.AddrPort) {
 	domain = dnswire.CanonicalName(domain)
 	rt := &stubRoute{
-		upstreams: upstreams,
-		labels:    dnswire.CountLabels(domain),
+		labels: dnswire.CountLabels(domain),
 		fwd: &Forward{
 			Upstreams:        upstreams,
 			Client:           s.Client,
@@ -524,12 +499,6 @@ func (s *Stub) Route(domain string, upstreams ...netip.AddrPort) {
 		},
 	}
 	s.updateTable(func(routes map[string]*stubRoute) { routes[domain] = rt })
-}
-
-// Unroute removes a stub domain.
-func (s *Stub) Unroute(domain string) {
-	domain = dnswire.CanonicalName(domain)
-	s.updateTable(func(routes map[string]*stubRoute) { delete(routes, domain) })
 }
 
 // Name implements Plugin.

@@ -90,7 +90,7 @@ func TestRefreshAheadKeepsHotNameAnswered(t *testing.T) {
 	// t=9.5s: remaining 0.5s ≤ 0.1 × 10s lifetime — inside the
 	// refresh-ahead window. The hit must return without waiting on the
 	// 200ms origin, with the prefetch running behind it.
-	clock.Advance(9500 * time.Millisecond)
+	clock.Time += 9500 * time.Millisecond
 	start := time.Now()
 	resp := Resolve(context.Background(), h, queryFor("hot.test."))
 	if lat := time.Since(start); lat > 150*time.Millisecond {
@@ -114,7 +114,7 @@ func TestRefreshAheadKeepsHotNameAnswered(t *testing.T) {
 
 	// t=10.5s: past the original expiry. Under a cold cache this is a
 	// miss and an origin round trip; refresh-ahead makes it a hit.
-	clock.Advance(time.Second)
+	clock.Time += time.Second
 	resp = Resolve(context.Background(), h, queryFor("hot.test."))
 	if len(resp.Answers) != 1 || resp.Answers[0].Header().TTL != 9 {
 		t.Errorf("post-expiry answer = %v, want the refreshed record aged to 9s", resp.Answers)
@@ -142,7 +142,7 @@ func TestPrefetchDedupAndBound(t *testing.T) {
 
 	Resolve(context.Background(), h, queryFor("a.dedup.test."))
 	Resolve(context.Background(), h, queryFor("b.dedup.test."))
-	clock.Advance(8 * time.Second) // both entries inside the 50% window
+	clock.Time += 8 * time.Second // both entries inside the 50% window
 
 	release := origin.block()
 	for i := 0; i < 3; i++ {
@@ -179,7 +179,7 @@ func TestServeStaleOnUpstreamFailure(t *testing.T) {
 	origin.failing.Store(true)
 
 	// 100s past expiry, well inside the stale window.
-	clock.Advance(400 * time.Second)
+	clock.Time += 400 * time.Second
 	resp := Resolve(context.Background(), h, queryFor("stale.test."))
 	if resp.Rcode != dnswire.RcodeSuccess || len(resp.Answers) != 1 {
 		t.Fatalf("stale serve: rcode=%v answers=%v, want the cached answer", resp.Rcode, resp.Answers)
@@ -207,7 +207,7 @@ func TestServeStaleOnUpstreamFailure(t *testing.T) {
 	}
 
 	// Past expiry + MaxStale the entry is gone and the failure relays.
-	clock.Advance(2 * time.Hour)
+	clock.Time += 2 * time.Hour
 	resp = Resolve(context.Background(), h, queryFor("stale.test."))
 	if resp.Rcode != dnswire.RcodeServerFailure {
 		t.Errorf("beyond MaxStale: rcode = %v, want SERVFAIL", resp.Rcode)
@@ -233,7 +233,7 @@ func TestServeStaleNeverExtendsShortTTLs(t *testing.T) {
 
 	Resolve(context.Background(), h, queryFor("short.test."))
 	origin.failing.Store(true)
-	clock.Advance(10 * time.Second)
+	clock.Time += 10 * time.Second
 	resp := Resolve(context.Background(), h, queryFor("short.test."))
 	if resp.Rcode != dnswire.RcodeSuccess || len(resp.Answers) != 1 {
 		t.Fatalf("stale serve: rcode=%v answers=%v", resp.Rcode, resp.Answers)

@@ -302,7 +302,7 @@ func TestAttachReentrant(t *testing.T) {
 				replies[node] = ev.Dg.Payload
 			}
 		})
-		if err := n.Node(node).Endpoint().SendAsync(n.Node("ldns").Addr, mustPack(t, q)); err != nil {
+		if err := n.Send(simnet.Datagram{Src: n.Node(node).Addr, Dst: n.Node("ldns").Addr, Payload: mustPack(t, q)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,18 +34,3 @@ func TestCacheString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
-
-func TestZonePluginAccessors(t *testing.T) {
-	p := NewZonePlugin()
-	z := NewZone("acc.test.")
-	p.AddZone(z)
-	if p.Zone("acc.test.") != z {
-		t.Error("Zone accessor")
-	}
-	if p.Zone("ACC.Test") != z {
-		t.Error("Zone accessor not canonicalizing")
-	}
-	if p.Zone("other.test.") != nil {
-		t.Error("unknown zone returned")
-	}
-}

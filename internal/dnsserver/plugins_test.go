@@ -85,7 +85,7 @@ func TestCacheHitAndTTLAging(t *testing.T) {
 	if len(r1.Answers) != 1 || backend.hits != 1 {
 		t.Fatalf("first: answers=%d hits=%d", len(r1.Answers), backend.hits)
 	}
-	clock.Advance(10 * time.Second)
+	clock.Time += 10 * time.Second
 	r2 := Resolve(context.Background(), h, queryFor("cached.test."))
 	if backend.hits != 1 {
 		t.Fatalf("cache miss on second query")
@@ -105,7 +105,7 @@ func TestCacheExpiry(t *testing.T) {
 	backend := &countingPlugin{h: answerHandler("192.0.2.9")}
 	h := Chain(cache, backend)
 	Resolve(context.Background(), h, queryFor("exp.test."))
-	clock.Advance(31 * time.Second) // TTL is 30s
+	clock.Time += 31 * time.Second // TTL is 30s
 	Resolve(context.Background(), h, queryFor("exp.test."))
 	if backend.hits != 2 {
 		t.Errorf("expired entry served from cache")
@@ -276,11 +276,6 @@ func TestStubRoutesSubdomain(t *testing.T) {
 	if other.hits != 1 {
 		t.Error("non-stub query did not fall through")
 	}
-	stub.Unroute("mycdn.ciab.test.")
-	Resolve(context.Background(), h, queryFor("video.mycdn.ciab.test."))
-	if other.hits != 2 {
-		t.Error("unrouted stub domain still intercepted")
-	}
 }
 
 func TestSplitHorizon(t *testing.T) {
@@ -379,7 +374,7 @@ func TestLoadShedThreshold(t *testing.T) {
 		t.Errorf("hits=%d refused=%d", backend.hits, refused)
 	}
 	// Window rolls over: budget resets.
-	clock.Advance(time.Second)
+	clock.Time += time.Second
 	resp := Resolve(context.Background(), h, queryFor("burst.test."))
 	if resp.Rcode == dnswire.RcodeRefused {
 		t.Error("query refused after window reset")

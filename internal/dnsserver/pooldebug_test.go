@@ -247,7 +247,7 @@ func TestResolvePoolBalance(t *testing.T) {
 		{name: "dropped", qname: "x.shed.test.", dropped: true},
 		{name: "hit in the refresh window", qname: "www.zone.test.", advance: 6 * time.Second},
 	} {
-		clock.Advance(tc.advance)
+		clock.Time += tc.advance
 		resp := Resolve(context.Background(), h, queryFor(tc.qname))
 		bg.Wait() // the prefetch, if one was spawned, has stored its refresh
 		switch {

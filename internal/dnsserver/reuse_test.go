@@ -67,9 +67,9 @@ func TestPrefetchKeepsItsOwnECS(t *testing.T) {
 	}
 
 	own := packECSQuery(t, "pf.test.", ownSubnet)
-	serve(own)                      // the miss that stores a 30 s answer
-	clock.Advance(20 * time.Second) // into the refresh-ahead window
-	serve(own)                      // a hit, and the prefetch behind it
+	serve(own)                     // the miss that stores a 30 s answer
+	clock.Time += 20 * time.Second // into the refresh-ahead window
+	serve(own)                     // a hit, and the prefetch behind it
 	serve(packECSQuery(t, "next.test.", nextSubnet))
 	close(release)
 	select {

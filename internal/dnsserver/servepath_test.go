@@ -89,7 +89,7 @@ func TestWireHitMatchesOracle(t *testing.T) {
 	if resp := Resolve(context.Background(), chain, query(1, true)); resp.Rcode != dnswire.RcodeSuccess {
 		t.Fatalf("warm query rcode = %v", resp.Rcode)
 	}
-	clock.Advance(10 * time.Second)
+	clock.Time += 10 * time.Second
 
 	fast := &wireSink{}
 	rcode := ResolveTo(context.Background(), chain, fast, query(0xABCD, true))

@@ -207,10 +207,10 @@ func TestAttachQueuesConcurrentQueries(t *testing.T) {
 			tB = ev.Time
 		}
 	})
-	if err := n.Node("a").Endpoint().SendAsync(n.Node("server").Addr, wire); err != nil {
+	if err := n.Send(simnet.Datagram{Src: n.Node("a").Addr, Dst: n.Node("server").Addr, Payload: wire}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Node("b").Endpoint().SendAsync(n.Node("server").Addr, wire); err != nil {
+	if err := n.Send(simnet.Datagram{Src: n.Node("b").Addr, Dst: n.Node("server").Addr, Payload: wire}); err != nil {
 		t.Fatal(err)
 	}
 	n.Clock.Run()

@@ -249,7 +249,7 @@ func TestServeStaleOwnKeyOnly(t *testing.T) {
 	if resp := Resolve(context.Background(), h, queryFor(name)); !answeredWith(resp, name) {
 		t.Fatalf("fill: %v", resp)
 	}
-	clock.Advance(time.Minute) // past the 30 s TTL, inside MaxStale
+	clock.Time += time.Minute // past the 30 s TTL, inside MaxStale
 	failing.Store(true)
 
 	resp := Resolve(context.Background(), h, queryFor(name))
@@ -318,7 +318,7 @@ func TestSlabLargeImage(t *testing.T) {
 	if slot == 0 || cap(sh.slots[slot].buf) <= slotRetain {
 		t.Fatalf("slot %d: the large entry is not stored whole", slot)
 	}
-	clock.Advance(time.Minute)
+	clock.Time += time.Minute
 	if res := cache.serveHit(sh, kh, key, clock.Now(), &wireSink{}, queryFor(big), true); res.hit || sh.find(kh, key) != 0 {
 		t.Fatal("the expired large entry is still stored")
 	}

@@ -29,9 +29,6 @@ type ZoneView struct {
 	rrs map[string]map[dnswire.Type][]dnswire.RR
 }
 
-// SOA returns the view's SOA record. Callers must not mutate it.
-func (v *ZoneView) SOA() *dnswire.SOA { return v.soa }
-
 // Serial returns the view's SOA serial.
 func (v *ZoneView) Serial() uint32 {
 	if v.soa == nil {
@@ -57,7 +54,7 @@ func (v *ZoneView) Names() []string {
 //
 // The record set lives in an immutable ZoneView published through an
 // atomic pointer: Lookup never takes a lock, and mutations
-// (Add/Remove/Update/Replace) copy-on-write off the current view, bump
+// (Add/Update/Replace) copy-on-write off the current view, bump
 // the SOA serial, and publish the next view — so a zone can be rebuilt
 // while serving with zero blocked or dropped queries.
 type Zone struct {
@@ -95,19 +92,8 @@ func NewZone(origin string) *Zone {
 // from one publish) for as long as the caller holds it.
 func (z *Zone) View() *ZoneView { return z.view.Load() }
 
-// SOA returns the zone's current SOA record.
-func (z *Zone) SOA() *dnswire.SOA { return z.View().soa }
-
-// Serial returns the zone's current SOA serial.
-func (z *Zone) Serial() uint32 { return z.View().Serial() }
-
 // Names returns every owner name in the zone, sorted.
 func (z *Zone) Names() []string { return z.View().Names() }
-
-// SetSOA replaces the zone's SOA record, adopting its serial verbatim.
-func (z *Zone) SetSOA(soa *dnswire.SOA) {
-	z.Update(func(b *ZoneBuilder) error { b.SetSOA(soa); return nil })
-}
 
 // Add inserts a record and publishes a new revision (serial bumped by
 // one). The owner must be within the zone.
@@ -129,18 +115,6 @@ func (z *Zone) AddCNAME(name string, ttl uint32, target string) error {
 		Hdr:    dnswire.RRHeader{Name: name, Type: dnswire.TypeCNAME, Class: dnswire.ClassINET, TTL: ttl},
 		Target: dnswire.CanonicalName(target),
 	})
-}
-
-// Remove deletes all records of type t at name; it reports whether
-// anything was removed. Used by the orchestrator when a service or
-// endpoint disappears.
-func (z *Zone) Remove(name string, t dnswire.Type) bool {
-	removed := false
-	z.Update(func(b *ZoneBuilder) error {
-		removed = b.Remove(name, t)
-		return nil
-	})
-	return removed
 }
 
 // Update applies a batch of mutations atomically: fn works on a
@@ -273,13 +247,10 @@ func newZoneBuilder(base *ZoneView) *ZoneBuilder {
 
 // owner returns a mutable type map for name.
 func (b *ZoneBuilder) owner(name string) map[dnswire.Type][]dnswire.RR {
-	byType := b.rrs[name]
-	// A prior Remove may have deleted a touched owner's entry outright;
-	// byType is nil then, and a fresh private map must be made.
-	if byType != nil && b.touched[name] {
-		return byType
+	if b.touched[name] {
+		return b.rrs[name]
 	}
-	byType = cloneByType(byType)
+	byType := cloneByType(b.rrs[name])
 	b.rrs[name] = byType
 	b.touched[name] = true
 	return byType
@@ -294,13 +265,18 @@ func (b *ZoneBuilder) SetSOA(soa *dnswire.SOA) {
 	b.dirty = true
 }
 
-// Add inserts a record. The owner must be within the zone.
+// Add inserts a record. The owner must be within the zone, and the
+// record must pack: one Pack refuses could never be sent, so every
+// query for its name would answer SERVFAIL.
 func (b *ZoneBuilder) Add(rr dnswire.RR) error {
 	owner := dnswire.CanonicalName(rr.Header().Name)
 	if !dnswire.IsSubdomain(b.origin, owner) {
 		return fmt.Errorf("dnsserver: record %q outside zone %q", owner, b.origin)
 	}
 	rr.Header().Name = owner
+	if _, err := (&dnswire.Message{Answers: []dnswire.RR{rr}}).Pack(); err != nil {
+		return fmt.Errorf("dnsserver: %w", err)
+	}
 	if rr.Header().Type == dnswire.TypeSOA {
 		b.SetSOA(rr.(*dnswire.SOA))
 		return nil
@@ -322,26 +298,6 @@ func (b *ZoneBuilder) AddA(name string, ttl uint32, addr netip.Addr) error {
 		Hdr:  dnswire.RRHeader{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: ttl},
 		Addr: addr,
 	})
-}
-
-// Remove deletes all records of type t at name; it reports whether
-// anything was removed.
-func (b *ZoneBuilder) Remove(name string, t dnswire.Type) bool {
-	owner := dnswire.CanonicalName(name)
-	byType, ok := b.rrs[owner]
-	if !ok {
-		return false
-	}
-	if _, ok := byType[t]; !ok {
-		return false
-	}
-	byType = b.owner(owner)
-	delete(byType, t)
-	if len(byType) == 0 {
-		delete(b.rrs, owner)
-	}
-	b.dirty = true
-	return true
 }
 
 // build publishes the accumulated mutations as the next view. The
@@ -530,26 +486,6 @@ func (p *ZonePlugin) AddZone(z *Zone) {
 	}
 	m[z.Origin] = z
 	p.zones.Store(&m)
-}
-
-// Zone returns the registered zone with the given origin, or nil.
-func (p *ZonePlugin) Zone(origin string) *Zone {
-	return (*p.zones.Load())[dnswire.CanonicalName(origin)]
-}
-
-// Zones returns the registered zones, sorted by origin.
-func (p *ZonePlugin) Zones() []*Zone {
-	m := *p.zones.Load()
-	origins := make([]string, 0, len(m))
-	for o := range m {
-		origins = append(origins, o)
-	}
-	sort.Strings(origins)
-	out := make([]*Zone, len(origins))
-	for i, o := range origins {
-		out[i] = m[o]
-	}
-	return out
 }
 
 // Name implements Plugin.

@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/netip"
@@ -147,31 +148,13 @@ func TestZoneRejectsOutOfZoneRecord(t *testing.T) {
 	}
 }
 
-func TestZoneRemove(t *testing.T) {
-	z := testZone(t)
-	if !z.Remove("edge1.mycdn.ciab.test.", dnswire.TypeA) {
-		t.Fatal("Remove returned false")
-	}
-	res, _, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA)
-	if res != LookupNoData {
-		t.Errorf("after remove res = %v", res)
-	}
-	if z.Remove("edge1.mycdn.ciab.test.", dnswire.TypeA) {
-		t.Error("second Remove returned true")
-	}
-	if z.Remove("ghost.mycdn.ciab.test.", dnswire.TypeA) {
-		t.Error("Remove of missing name returned true")
-	}
-}
-
 // TestZoneUpdateIsOneRevision: a batch of mutations publishes one view
 // with one serial bump; a batch that fails or changes nothing publishes
 // none; an explicit SOA's serial is adopted verbatim.
 func TestZoneUpdateIsOneRevision(t *testing.T) {
 	z := testZone(t)
-	before, serial := z.View(), z.Serial()
+	before, serial := z.View(), z.View().Serial()
 	if err := z.Update(func(b *ZoneBuilder) error {
-		b.Remove("edge1.mycdn.ciab.test.", dnswire.TypeA)
 		if err := b.AddA("edge1.mycdn.ciab.test.", 60, netip.MustParseAddr("10.96.0.13")); err != nil {
 			return err
 		}
@@ -179,14 +162,15 @@ func TestZoneUpdateIsOneRevision(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := z.Serial(); got != serial+1 {
+	if got := z.View().Serial(); got != serial+1 {
 		t.Errorf("serial after one batch = %d, want %d", got, serial+1)
 	}
 	if res, ans, _ := before.Lookup("new.mycdn.ciab.test.", dnswire.TypeA); res != LookupNXDomain || ans != nil {
 		t.Error("the batch changed a view published before it")
 	}
-	if _, ans, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA); len(ans) != 1 || ans[0].(*dnswire.A).Addr != netip.MustParseAddr("10.96.0.13") {
-		t.Errorf("edge1 A after the batch = %v, want 10.96.0.13 alone", ans)
+	_, old, _ := before.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA)
+	if _, ans, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA); len(ans) != len(old)+1 || ans[len(old)].(*dnswire.A).Addr != netip.MustParseAddr("10.96.0.13") {
+		t.Errorf("edge1 A after the batch = %v, want %v then 10.96.0.13", ans, old)
 	}
 	if res, _, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeTXT); res != LookupSuccess {
 		t.Error("the batch lost a record it did not touch")
@@ -194,7 +178,9 @@ func TestZoneUpdateIsOneRevision(t *testing.T) {
 
 	published := z.View()
 	if err := z.Update(func(b *ZoneBuilder) error {
-		b.Remove("new.mycdn.ciab.test.", dnswire.TypeA)
+		if err := b.AddA("newer.mycdn.ciab.test.", 60, netip.MustParseAddr("10.96.0.15")); err != nil {
+			return err
+		}
 		return b.AddA("elsewhere.example.", 60, netip.MustParseAddr("192.0.2.1"))
 	}); err == nil {
 		t.Error("a batch with an out-of-zone record succeeded")
@@ -206,10 +192,12 @@ func TestZoneUpdateIsOneRevision(t *testing.T) {
 		t.Error("a failed or empty batch published a view")
 	}
 
-	soa := z.SOA().Clone().(*dnswire.SOA)
+	soa := z.View().soa.Clone().(*dnswire.SOA)
 	soa.Serial = 2020110401
-	z.SetSOA(soa)
-	if got := z.Serial(); got != 2020110401 {
+	if err := z.Update(func(b *ZoneBuilder) error { b.SetSOA(soa); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := z.View().Serial(); got != 2020110401 {
 		t.Errorf("serial after SetSOA = %d, want 2020110401", got)
 	}
 }
@@ -261,7 +249,7 @@ func TestZoneReplace(t *testing.T) {
 			if (z.View() != before) != tc.published {
 				t.Errorf("view replaced = %v, want %v", z.View() != before, tc.published)
 			}
-			if got := z.Serial(); got != tc.serial {
+			if got := z.View().Serial(); got != tc.serial {
 				t.Errorf("serial = %d, want %d", got, tc.serial)
 			}
 			if !sameRecords(z.View(), from.View()) {
@@ -366,8 +354,8 @@ rev 60 IN PTR edge1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.SOA().Serial != 2020110401 {
-		t.Errorf("SOA serial = %d", z.SOA().Serial)
+	if z.View().Serial() != 2020110401 {
+		t.Errorf("SOA serial = %d", z.View().Serial())
 	}
 	res, ans, _ := z.Lookup("video.demo1.mycdn.ciab.test.", dnswire.TypeA)
 	if res != LookupSuccess || len(ans) != 2 {
@@ -383,6 +371,8 @@ rev 60 IN PTR edge1
 	}
 }
 
+// TestParseZoneErrors: a line that does not parse, or a record that
+// could never be packed into a reply, fails the whole file.
 func TestParseZoneErrors(t *testing.T) {
 	bad := []string{
 		"edge1 60 IN A not-an-ip",
@@ -391,11 +381,20 @@ func TestParseZoneErrors(t *testing.T) {
 		"edge1 60 IN MX ten mx1",
 		"edge1",
 		"edge1 60 IN SRV 1 2 3",
+		"@ 60 IN CNAME a..b.",
+		`txt 60 IN TXT "` + strings.Repeat("x", 300) + `"`,
+		strings.Repeat("x", 70) + " 60 IN A 192.0.2.1",
+		"a..b 60 IN A 192.0.2.1",
 	}
 	for _, line := range bad {
-		if _, err := ParseZone("z.test.", strings.NewReader(line)); err == nil {
+		if _, err := ParseZone("z.test.", strings.NewReader("www 60 IN A 192.0.2.1\n"+line)); err == nil {
 			t.Errorf("ParseZone accepted %q", line)
 		}
+	}
+	limits := strings.Repeat("x", 63) + " 60 IN A 192.0.2.1\n" +
+		`txt 60 IN TXT "` + strings.Repeat("x", 255) + `"`
+	if _, err := ParseZone("z.test.", strings.NewReader(limits)); err != nil {
+		t.Errorf("ParseZone refused a 63-octet label or a 255-octet TXT string: %v", err)
 	}
 }
 
@@ -410,4 +409,36 @@ func TestZoneNames(t *testing.T) {
 			t.Fatal("names not sorted")
 		}
 	}
+}
+
+// FuzzParseZone: whatever zone text ParseZone accepts, every record the
+// zone holds packs into a reply and unpacks to a record that packs to
+// the same bytes — a published zone can answer every name it holds.
+func FuzzParseZone(f *testing.F) {
+	f.Add("@ 60 IN SOA ns hostmaster 2020110401 7200 3600 1209600 60\nwww 60 IN A 192.0.2.1\n")
+	f.Add("alias 300 IN CNAME cdn.elsewhere.example.\nmail MX 10 mx1\n_dns._udp SRV 0 5 53 ns\nsix AAAA fd00::1\nrev PTR www\nsub NS ns.sub\n")
+	f.Add(`txt 60 IN TXT "site=edge1" "" plain` + "\n")
+	f.Add("a\\.b 60 IN A 192.0.2.1\nWWW.Fz.Test. 60 A 192.0.2.2 ; comment\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		z, err := ParseZone("fz.test.", strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		check := func(rr dnswire.RR) {
+			wire, err := (&dnswire.Message{Answers: []dnswire.RR{rr}}).Pack()
+			if err != nil {
+				t.Fatalf("the zone holds %q, which does not pack: %v", rr, err)
+			}
+			var m dnswire.Message
+			if err := m.Unpack(wire); err != nil || len(m.Answers) != 1 {
+				t.Fatalf("%q packs to bytes that do not unpack: %v", rr, err)
+			}
+			again, err := m.Pack()
+			if err != nil || !bytes.Equal(again, wire) {
+				t.Fatalf("%q does not round-trip: %x, then %x (%v)", rr, wire, again, err)
+			}
+		}
+		eachRR(z.View(), check)
+		check(z.View().soa)
+	})
 }

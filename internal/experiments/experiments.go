@@ -6,7 +6,7 @@
 // Index (see DESIGN.md for the full mapping):
 //
 //	Table1        — the five tested CDN domains
-//	Table2        — ecosystem entities and roles
+//	RenderTable2  — ecosystem entities and roles
 //	Figure2       — DNS lookup latency × access network
 //	Figure3       — response distribution across cache-server CIDRs
 //	Figure5       — LTE-testbed DNS latency across six deployments
@@ -52,9 +52,6 @@ func RenderTable1() string {
 	}
 	return b.String()
 }
-
-// Table2 returns the ecosystem entities and roles.
-func Table2() []meccdn.Role { return meccdn.AllRoles() }
 
 // RenderTable2 prints Table 2.
 func RenderTable2() string {

@@ -116,22 +116,3 @@ func TestSiteHealthDemotesDeadCache(t *testing.T) {
 		t.Error("recovered cache not re-admitted to the ring")
 	}
 }
-
-// TestSiteHealthScaleDownRemovesFromRegistry: RemoveCache deregisters
-// the instance from the health registry along with the ring.
-func TestSiteHealthScaleDownRemovesFromRegistry(t *testing.T) {
-	d := deploy(t, 42, func(c *SiteConfig) {
-		c.Health = &health.Config{DownAfter: 2, UpAfter: 1, MinDwell: -1}
-	})
-	d.site.ProbeOnce()
-	last := d.site.Caches[len(d.site.Caches)-1]
-	if err := d.site.RemoveCache(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.site.Health.State(last.Name); ok {
-		t.Fatalf("removed cache %s still in the health registry", last.Name)
-	}
-	if got := len(d.site.Router.Ring.Members()); got != len(d.site.Caches) {
-		t.Fatalf("ring members after scale-down = %d, want %d", got, len(d.site.Caches))
-	}
-}

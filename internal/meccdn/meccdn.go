@@ -129,7 +129,7 @@ type Site struct {
 	meshNode  *simnet.Node
 
 	stub     *dnsserver.Stub
-	tenants  map[string]*DomainDeployment
+	tenants  map[string]bool
 	nextTent int
 }
 
@@ -137,14 +137,11 @@ type Site struct {
 // own C-DNS scope and cache instances, sharing the MEC L-DNS (and so
 // the site's single public ingress IP) with every other tenant.
 type DomainDeployment struct {
-	Domain        string
-	Router        *cdn.Router
-	Caches        []*cdn.CacheServer
-	CacheServices []*orchestrator.Service
+	Domain string
+	Router *cdn.Router
+	Caches []*cdn.CacheServer
 	// CDNS is the tenant router's stable cluster IP.
 	CDNS netip.AddrPort
-
-	cdnsService *orchestrator.Service
 }
 
 // DeploySite builds a complete MEC-CDN edge site on tb.
@@ -420,25 +417,6 @@ func (s *Site) AddCache() (*cdn.CacheServer, error) {
 	return server, nil
 }
 
-// RemoveCache scales the site down by one instance (the most recently
-// added): it is deregistered from the C-DNS (which also drops it from
-// the health registry when one is attached), its Service deleted, and
-// the server marked unhealthy so in-flight routing skips it.
-func (s *Site) RemoveCache() error {
-	if len(s.Caches) == 0 {
-		return fmt.Errorf("meccdn: no cache instances to remove")
-	}
-	i := len(s.Caches) - 1
-	server, svc := s.Caches[i], s.CacheServices[i]
-	s.Caches, s.CacheServices = s.Caches[:i], s.CacheServices[:i]
-	s.Router.RemoveServer(server.Name)
-	server.SetHealthy(false)
-	if err := s.Orch.DeleteService(svc.Namespace, svc.Name); err != nil {
-		return fmt.Errorf("deleting cache service: %w", err)
-	}
-	return nil
-}
-
 // AddDomain deploys another CDN customer's domain at the site: a
 // tenant-scoped C-DNS behind its own cluster IP, cache instances, and
 // a stub-domain route at the shared MEC L-DNS. Every tenant shares
@@ -448,12 +426,12 @@ func (s *Site) RemoveCache() error {
 func (s *Site) AddDomain(domain string, originAddr netip.Addr, cacheServers int) (*DomainDeployment, error) {
 	domain = dnswire.CanonicalName(domain)
 	if s.tenants == nil {
-		s.tenants = make(map[string]*DomainDeployment)
+		s.tenants = make(map[string]bool)
 	}
 	if domain == s.cfg.Domain {
 		return nil, fmt.Errorf("meccdn: %s is the site's primary domain", domain)
 	}
-	if _, exists := s.tenants[domain]; exists {
+	if s.tenants[domain] {
 		return nil, fmt.Errorf("meccdn: domain %s already deployed", domain)
 	}
 	if cacheServers <= 0 {
@@ -466,12 +444,11 @@ func (s *Site) AddDomain(domain string, originAddr netip.Addr, cacheServers int)
 	dep.Router.Policy = s.cfg.Policy
 	for i := 0; i < cacheServers; i++ {
 		name := fmt.Sprintf("%scache-%d", tag, i)
-		server, svc, err := s.newCacheInstance(dep.Router, name, name, domain, originAddr)
+		server, _, err := s.newCacheInstance(dep.Router, name, name, domain, originAddr)
 		if err != nil {
 			return nil, err
 		}
 		dep.Caches = append(dep.Caches, server)
-		dep.CacheServices = append(dep.CacheServices, svc)
 	}
 
 	cdnsNode := s.tb.AddMEC(tag + "cdns")
@@ -485,43 +462,9 @@ func (s *Site) AddDomain(domain string, originAddr netip.Addr, cacheServers int)
 		return nil, fmt.Errorf("creating tenant C-DNS service: %w", err)
 	}
 	dep.CDNS = netip.AddrPortFrom(svc.ClusterIP, 53)
-	dep.cdnsService = svc
 	s.stub.Route(domain, dep.CDNS)
-	s.tenants[domain] = dep
+	s.tenants[domain] = true
 	return dep, nil
-}
-
-// RemoveDomain tears a tenant down: its stub route, services, and
-// C-DNS registration disappear; queries for the domain fall through
-// to the provider path (or REFUSED).
-func (s *Site) RemoveDomain(domain string) error {
-	domain = dnswire.CanonicalName(domain)
-	dep, ok := s.tenants[domain]
-	if !ok {
-		return fmt.Errorf("meccdn: domain %s not deployed", domain)
-	}
-	delete(s.tenants, domain)
-	s.stub.Unroute(domain)
-	for _, server := range dep.Caches {
-		dep.Router.RemoveServer(server.Name)
-		server.SetHealthy(false)
-	}
-	for _, svc := range dep.CacheServices {
-		if err := s.Orch.DeleteService(svc.Namespace, svc.Name); err != nil {
-			return err
-		}
-	}
-	if dep.cdnsService != nil {
-		if err := s.Orch.DeleteService(dep.cdnsService.Namespace, dep.cdnsService.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Tenant returns the deployment for a hosted customer domain, or nil.
-func (s *Site) Tenant(domain string) *DomainDeployment {
-	return s.tenants[dnswire.CanonicalName(domain)]
 }
 
 // Warm preloads content onto the cache instance the router's hash
@@ -538,9 +481,6 @@ func (s *Site) Warm(contents ...cdn.Content) {
 		}
 	}
 }
-
-// Domain returns the site's CDN domain.
-func (s *Site) Domain() string { return s.cfg.Domain }
 
 // HitRatio aggregates the cache instances' hit ratios.
 func (s *Site) HitRatio() float64 {

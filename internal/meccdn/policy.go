@@ -156,11 +156,11 @@ func (c *UEClient) unicast(name string, server netip.AddrPort, source string, ti
 // multicast models the paper's client-side DNS multicast. The two
 // in-flight resolutions are independent — neither resolver's work
 // affects the other's latency — so the race outcome equals taking the
-// faster of the two unicast results. (simnet's Endpoint.Race performs
-// a literal concurrent race, but its reentrant pump serializes deeply
-// nested server-side flows, which would overstate the loser's impact;
-// measuring each leg separately and taking the minimum is the exact
-// model for non-interacting flows.)
+// faster of the two unicast results. (A literal concurrent race on
+// simnet's reentrant pump would serialize deeply nested server-side
+// flows and overstate the loser's impact; measuring each leg
+// separately and taking the minimum is the exact model for
+// non-interacting flows.)
 func (c *UEClient) multicast(name string) (*Result, error) {
 	if !c.MEC.IsValid() || !c.Provider.IsValid() {
 		return nil, errors.New("meccdn: multicast needs both resolvers")

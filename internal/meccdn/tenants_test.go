@@ -2,7 +2,6 @@ package meccdn
 
 import (
 	"testing"
-	"time"
 
 	"github.com/meccdn/meccdn/internal/cdn"
 )
@@ -51,44 +50,10 @@ func TestMultiTenantSite(t *testing.T) {
 		d.site.Router.Route(obj, cdn.ClientInfo{}).Server.Name == owner {
 		t.Error("primary router routed tenant content to tenant server")
 	}
-	if got := d.site.Tenant(tenantDomain); got != dep {
-		t.Error("Tenant lookup failed")
-	}
 	if _, err := d.site.AddDomain(tenantDomain, d.tb.Net.Node("origin").Addr, 1); err == nil {
 		t.Error("duplicate tenant accepted")
 	}
 	if _, err := d.site.AddDomain(testDomain, d.tb.Net.Node("origin").Addr, 1); err == nil {
 		t.Error("primary domain accepted as tenant")
-	}
-}
-
-func TestRemoveDomain(t *testing.T) {
-	d := deploy(t, 41, nil)
-	if _, err := d.site.AddDomain(tenantDomain, d.tb.Net.Node("origin").Addr, 1); err != nil {
-		t.Fatal(err)
-	}
-	before, err := d.ue.Resolve("x." + tenantDomain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !before.Addr.IsValid() {
-		t.Fatal("tenant did not resolve before removal")
-	}
-	if err := d.site.RemoveDomain(tenantDomain); err != nil {
-		t.Fatal(err)
-	}
-	if d.site.Tenant(tenantDomain) != nil {
-		t.Error("tenant still listed")
-	}
-	// Let the L-DNS message cache expire the old answer.
-	d.tb.Net.Clock.RunUntil(d.tb.Net.Now() + time.Minute)
-	// The name now falls through to the provider path, which does
-	// not serve it: no address.
-	after, err := d.ue.Resolve("x." + tenantDomain)
-	if err == nil && after.Addr.IsValid() {
-		t.Errorf("removed tenant still resolves to %v", after.Addr)
-	}
-	if err := d.site.RemoveDomain(tenantDomain); err == nil {
-		t.Error("double removal succeeded")
 	}
 }

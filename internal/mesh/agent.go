@@ -181,9 +181,6 @@ func (a *Agent) Site() string { return a.cfg.Site }
 // View returns the published peer table for the router's miss path.
 func (a *Agent) View() *View { return &a.view }
 
-// Generation returns the last announced generation.
-func (a *Agent) Generation() uint32 { return a.gen.Load() }
-
 // AddPeer registers an announce target (idempotent by name; a new
 // address replaces the old).
 func (a *Agent) AddPeer(p Peer) {

@@ -138,7 +138,7 @@ func TestFreshnessExpiry(t *testing.T) {
 	}
 	// Past staleAfterIntervals (3× interval) the peer must leave the steering
 	// set at the next republish, even with no further datagrams.
-	clk.Advance(4 * time.Second)
+	clk.Time += 4 * time.Second
 	a.AnnounceOnce() // no transport: republish only
 	if _, ok := a.View().Lookup("seg-0001"); ok {
 		t.Fatal("stale peer still steerable")
@@ -221,7 +221,7 @@ func TestEligibleOrderedFirst(t *testing.T) {
 	bitmap, k := testBitmap("seg-0001")
 	stale, _ := EncodeAnnounce("site-old", "10.0.0.8", 1, 1, 0, k, bitmap)
 	a.HandleDatagram(stale)
-	clk.Advance(10 * time.Second)
+	clk.Time += 10 * time.Second
 	fresh, _ := EncodeAnnounce("site-new", "10.0.0.9", 1, 1, 0, k, bitmap)
 	a.HandleDatagram(fresh)
 	hit, ok := a.View().Lookup("seg-0001")
@@ -304,7 +304,7 @@ func TestMeshChurnRace(t *testing.T) {
 			a.DecayLoads(0.5)
 		}
 		if i%11 == 0 {
-			clk.Advance(time.Millisecond)
+			clk.Time += time.Millisecond
 		}
 	}
 	close(stop)

@@ -28,14 +28,16 @@
 // steering view within DownAfter announce intervals.
 package mesh
 
-import "github.com/meccdn/meccdn/internal/keyhash"
+import (
+	"encoding/binary"
 
-// Content digests are counting-Bloom filters: m counters, k probe
-// positions per name via double hashing. The counting form (Digest)
-// supports incremental Add/Remove so a caller may maintain one
-// alongside its cache; the wire form is the flattened bitmap
-// (counter > 0 → bit set), decoded on the receive side into the
-// read-only Filter whose Contains is a handful of word reads — the
+	"github.com/meccdn/meccdn/internal/keyhash"
+)
+
+// Content digests are Bloom filters: m bits, k probe positions per
+// name via double hashing. A site builds a fresh Digest every announce
+// round; the wire form is its bitmap, decoded on the receive side into
+// the read-only Filter whose Contains is a handful of word reads — the
 // shape the lock-free miss path needs. Size is bounded regardless of
 // catalog scale; false positives are tolerated by construction, since
 // steering to a peer that turns out not to hold the object just falls
@@ -66,21 +68,21 @@ func digestHash(name string) (h1, h2 uint64) {
 	return h1, h2
 }
 
-// Digest is a counting Bloom filter over content names. It is the
-// builder side: not safe for concurrent use, and never consulted on
-// the serve path (receivers consult the flattened Filter).
+// Digest is the builder side of a content digest: Add sets bits
+// directly in the words the Filter it announces will read. Not safe
+// for concurrent use, and never consulted on the serve path (receivers
+// consult the decoded Filter).
 type Digest struct {
-	k        int
-	counters []uint8
-	entries  int
+	f       Filter
+	entries int
 }
 
-// NewDigest returns a counting digest with the given bitmap size and
+// NewDigest returns an empty digest with the given bitmap size and
 // probe count, clamped to the supported ranges (bits is rounded up to
 // a multiple of 64). Zero values select the defaults.
 func NewDigest(bits, k int) *Digest {
 	bits, k = clampDigestParams(bits, k)
-	return &Digest{k: k, counters: make([]uint8, bits)}
+	return &Digest{f: Filter{k: k, words: make([]uint64, bits/64)}}
 }
 
 func clampDigestParams(bits, k int) (int, int) {
@@ -103,77 +105,29 @@ func clampDigestParams(bits, k int) (int, int) {
 	return bits, k
 }
 
-// Bits returns the bitmap size m.
-func (d *Digest) Bits() int { return len(d.counters) }
-
 // Hashes returns the probe count k.
-func (d *Digest) Hashes() int { return d.k }
+func (d *Digest) Hashes() int { return d.f.k }
 
-// Entries returns the number of Add calls net of Removes.
+// Entries returns the number of Add calls.
 func (d *Digest) Entries() int { return d.entries }
 
-// Add records name. Counters saturate at 255 and, once saturated,
-// never decrement (the standard counting-Bloom overflow rule: a stuck
-// bit is a false positive, which the protocol tolerates; a wrongly
-// cleared bit would be a false negative, which it does not).
+// Add records name.
 func (d *Digest) Add(name string) {
 	h1, h2 := digestHash(name)
-	m := uint64(len(d.counters))
-	for i := 0; i < d.k; i++ {
-		c := &d.counters[(h1+uint64(i)*h2)%m]
-		if *c < 255 {
-			*c++
-		}
+	m := uint64(len(d.f.words)) * 64
+	for i := 0; i < d.f.k; i++ {
+		bit := (h1 + uint64(i)*h2) % m
+		d.f.words[bit/64] |= 1 << (bit % 64)
 	}
 	d.entries++
 }
 
-// Remove erases one prior Add of name. Removing a name that was never
-// added corrupts the filter (as with any counting Bloom); callers own
-// that invariant.
-func (d *Digest) Remove(name string) {
-	h1, h2 := digestHash(name)
-	m := uint64(len(d.counters))
-	for i := 0; i < d.k; i++ {
-		c := &d.counters[(h1+uint64(i)*h2)%m]
-		if *c > 0 && *c < 255 {
-			*c--
-		}
-	}
-	if d.entries > 0 {
-		d.entries--
-	}
-}
-
-// Contains reports whether name may have been added (false positives
-// possible, false negatives not).
-func (d *Digest) Contains(name string) bool {
-	h1, h2 := digestHash(name)
-	m := uint64(len(d.counters))
-	for i := 0; i < d.k; i++ {
-		if d.counters[(h1+uint64(i)*h2)%m] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset clears every counter, keeping the configured size.
-func (d *Digest) Reset() {
-	for i := range d.counters {
-		d.counters[i] = 0
-	}
-	d.entries = 0
-}
-
-// Bitmap flattens the counters into the wire bitmap: bit j set iff
-// counter j > 0, packed little-endian into len/8 bytes.
+// Bitmap returns the wire bitmap: the filter's words little-endian, so
+// bit j is bit j%8 of byte j/8.
 func (d *Digest) Bitmap() []byte {
-	out := make([]byte, len(d.counters)/8)
-	for i, c := range d.counters {
-		if c > 0 {
-			out[i/8] |= 1 << (i % 8)
-		}
+	out := make([]byte, 0, len(d.f.words)*8)
+	for _, w := range d.f.words {
+		out = binary.LittleEndian.AppendUint64(out, w)
 	}
 	return out
 }
@@ -199,11 +153,7 @@ func FilterFromBitmap(bitmap []byte, k int) (Filter, bool) {
 	}
 	words := make([]uint64, len(bitmap)/8)
 	for i := range words {
-		off := i * 8
-		words[i] = uint64(bitmap[off]) | uint64(bitmap[off+1])<<8 |
-			uint64(bitmap[off+2])<<16 | uint64(bitmap[off+3])<<24 |
-			uint64(bitmap[off+4])<<32 | uint64(bitmap[off+5])<<40 |
-			uint64(bitmap[off+6])<<48 | uint64(bitmap[off+7])<<56
+		words[i] = binary.LittleEndian.Uint64(bitmap[i*8:])
 	}
 	return Filter{k: k, words: words}, true
 }

@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -29,5 +31,24 @@ func TestDigestHashPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(d.Bitmap()); got != "0086202811108400" {
 		t.Errorf("bitmap = %s, want 0086202811108400", got)
+	}
+}
+
+// digestPin1000 is the SHA-256 of the default-size bitmap for
+// seg-0000 … seg-0999.video.cdn.test. Peers decode each other's
+// bitmaps, so the bytes a given name set produces must never change.
+const digestPin1000 = "60ffa1c97cad8f122680af8c3a329f441ccae2a47f4a0603d2ccf5b51f2d57f5"
+
+func TestDigestBitmapPinned(t *testing.T) {
+	d := NewDigest(DefaultDigestBits, DefaultDigestHashes)
+	for i := 0; i < 1000; i++ {
+		d.Add(fmt.Sprintf("seg-%04d.video.cdn.test.", i))
+	}
+	bitmap := d.Bitmap()
+	if len(bitmap) != DefaultDigestBits/8 {
+		t.Fatalf("bitmap is %d bytes, want %d", len(bitmap), DefaultDigestBits/8)
+	}
+	if sum := sha256.Sum256(bitmap); hex.EncodeToString(sum[:]) != digestPin1000 {
+		t.Errorf("bitmap sha256 = %x, want %s", sum, digestPin1000)
 	}
 }

@@ -128,23 +128,6 @@ func (m *Manager) Handoff(ue, toSite string) (netip.AddrPort, error) {
 	return m.Attach(ue, toSite)
 }
 
-// Detach tears down the UE's radio bearer.
-func (m *Manager) Detach(ue string) error {
-	m.mu.Lock()
-	prev := m.attached[ue]
-	var enb string
-	if prev != "" {
-		enb = m.sites[prev].ENB
-	}
-	delete(m.attached, ue)
-	m.mu.Unlock()
-	if prev == "" {
-		return fmt.Errorf("mobility: UE %q not attached", ue)
-	}
-	m.net.RemoveLink(ue, enb)
-	return nil
-}
-
 // AttachedSite returns the UE's current site name, or "".
 func (m *Manager) AttachedSite(ue string) string {
 	m.mu.Lock()

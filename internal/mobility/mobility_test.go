@@ -119,25 +119,6 @@ func TestAttachIdempotent(t *testing.T) {
 	}
 }
 
-func TestDetach(t *testing.T) {
-	n, m := twoSites(t, 5)
-	if _, err := m.Attach("ue", "site-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Detach("ue"); err != nil {
-		t.Fatal(err)
-	}
-	if n.HasLink("ue", "enb-a") {
-		t.Error("bearer survives detach")
-	}
-	if _, ok := m.CurrentDNS("ue"); ok {
-		t.Error("detached UE has DNS")
-	}
-	if err := m.Detach("ue"); err == nil {
-		t.Error("double detach succeeded")
-	}
-}
-
 func TestDuplicateSiteRejected(t *testing.T) {
 	n, m := twoSites(t, 6)
 	err := m.AddSite(Site{Name: "site-a", ENB: "enb-a", DNS: netip.AddrPortFrom(n.Node("dns-a").Addr, 53)})

@@ -13,8 +13,8 @@ package orchestrator
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/meccdn/meccdn/internal/dnsserver"
@@ -95,14 +95,8 @@ type Service struct {
 	Namespace string
 	ClusterIP netip.Addr
 
-	o    *Orchestrator
-	node *simnet.Node
-
-	mu        sync.Mutex
 	endpoints []netip.Addr
-	rr        uint64
-	forwarded uint64
-	failed    uint64
+	rr        atomic.Uint64
 }
 
 // ServiceSpec configures CreateService.
@@ -112,7 +106,7 @@ type ServiceSpec struct {
 	// PublicName, when set, also registers the service in the public
 	// zone under this FQDN (the MEC-CDN exposure path).
 	PublicName string
-	// Endpoints are the initial backend addresses.
+	// Endpoints are the backend addresses.
 	Endpoints []netip.Addr
 }
 
@@ -145,8 +139,6 @@ func (o *Orchestrator) CreateService(spec ServiceSpec) (*Service, error) {
 		Name:      spec.Name,
 		Namespace: spec.Namespace,
 		ClusterIP: ip,
-		o:         o,
-		node:      node,
 		endpoints: append([]netip.Addr(nil), spec.Endpoints...),
 	}
 	node.SetHandler(simnet.HandlerFunc(svc.proxy))
@@ -166,51 +158,6 @@ func (o *Orchestrator) CreateService(spec ServiceSpec) (*Service, error) {
 		}
 	}
 	return svc, nil
-}
-
-// DeleteService removes the service and its DNS records. The proxy
-// node stays in the topology (simnet nodes are permanent) but stops
-// answering, like a torn-down Service whose IP is not yet reused.
-func (o *Orchestrator) DeleteService(namespace, name string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	key := serviceKey(namespace, name)
-	svc, ok := o.services[key]
-	if !ok {
-		return fmt.Errorf("orchestrator: no service %s", key)
-	}
-	delete(o.services, key)
-	svc.node.SetHandler(nil)
-	fqdn := name + "." + namespace + ".svc." + clusterDomain
-	o.internalZone.Remove(fqdn, dnswire.TypeA)
-	for pub, k := range o.publicNames {
-		if k == key {
-			delete(o.publicNames, pub)
-			if o.publicZone != nil {
-				o.publicZone.Remove(pub, dnswire.TypeA)
-			}
-		}
-	}
-	return nil
-}
-
-// Service returns the named service, or nil.
-func (o *Orchestrator) Service(namespace, name string) *Service {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.services[serviceKey(namespace, name)]
-}
-
-// Services lists service keys, sorted.
-func (o *Orchestrator) Services() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	keys := make([]string, 0, len(o.services))
-	for k := range o.services {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // PublicIPReport quantifies the paper's IP-reuse benefit: with the
@@ -245,66 +192,17 @@ func (o *Orchestrator) allocateIPLocked() (netip.Addr, error) {
 // proxy forwards a datagram to one endpoint (round-robin) and relays
 // the reply, like kube-proxy NATing a Service hit.
 func (s *Service) proxy(ctx *simnet.Ctx, dg simnet.Datagram) {
-	s.mu.Lock()
 	if len(s.endpoints) == 0 {
-		s.failed++
-		s.mu.Unlock()
 		return
 	}
-	target := s.endpoints[s.rr%uint64(len(s.endpoints))]
-	s.rr++
-	s.mu.Unlock()
+	target := s.endpoints[(s.rr.Add(1)-1)%uint64(len(s.endpoints))]
 
 	// Forward with the client's address preserved, like kube-proxy
 	// DNAT: the backend (e.g. a split-horizon DNS) must see the real
 	// client, not the service IP.
 	resp, _, err := ctx.Node().Endpoint().ExchangeFrom(target, dg.Payload, 2*time.Second, dg.Client())
-	s.mu.Lock()
 	if err != nil {
-		s.failed++
-		s.mu.Unlock()
 		return
 	}
-	s.forwarded++
-	s.mu.Unlock()
 	ctx.Reply(resp, 0)
-}
-
-// AddEndpoint registers a backend address.
-func (s *Service) AddEndpoint(addr netip.Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.endpoints {
-		if e == addr {
-			return
-		}
-	}
-	s.endpoints = append(s.endpoints, addr)
-}
-
-// RemoveEndpoint deregisters a backend address.
-func (s *Service) RemoveEndpoint(addr netip.Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.endpoints[:0]
-	for _, e := range s.endpoints {
-		if e != addr {
-			kept = append(kept, e)
-		}
-	}
-	s.endpoints = kept
-}
-
-// Endpoints returns a copy of the backend list.
-func (s *Service) Endpoints() []netip.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]netip.Addr(nil), s.endpoints...)
-}
-
-// Stats returns forwarded and failed proxy counts.
-func (s *Service) Stats() (forwarded, failed uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.forwarded, s.failed
 }

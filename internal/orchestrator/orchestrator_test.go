@@ -112,42 +112,6 @@ func TestServiceProxyRoundRobin(t *testing.T) {
 	if seen["from-a"] != 3 || seen["from-b"] != 3 {
 		t.Errorf("round robin distribution = %v", seen)
 	}
-	fwd, failed := svc.Stats()
-	if fwd != 6 || failed != 0 {
-		t.Errorf("stats fwd=%d failed=%d", fwd, failed)
-	}
-}
-
-func TestServiceSurvivesEndpointChange(t *testing.T) {
-	n, o := newCluster(t, 4)
-	a := addBackend(t, n, "backend-a", "from-a")
-	svc, err := o.CreateService(ServiceSpec{Name: "stable", Endpoints: []netip.Addr{a}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ipBefore := svc.ClusterIP
-	client := n.AddNode("client")
-	n.AddLink("fabric", "client", simnet.Constant(time.Millisecond), 0)
-
-	b := addBackend(t, n, "backend-b", "from-b")
-	svc.AddEndpoint(b)
-	svc.AddEndpoint(b) // idempotent
-	svc.RemoveEndpoint(a)
-	if got := svc.Endpoints(); len(got) != 1 || got[0] != b {
-		t.Fatalf("endpoints = %v", got)
-	}
-	// The cluster IP is unchanged — "ensures the C-DNS availability
-	// regardless of any scaling event".
-	if svc.ClusterIP != ipBefore {
-		t.Error("cluster IP changed on scaling")
-	}
-	resp, _, err := client.Endpoint().Exchange(svc.ClusterIP, []byte("hi"), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "from-b" {
-		t.Errorf("resp = %q", resp)
-	}
 }
 
 func TestServiceNoEndpointsDropsTraffic(t *testing.T) {
@@ -160,41 +124,6 @@ func TestServiceNoEndpointsDropsTraffic(t *testing.T) {
 	n.AddLink("fabric", "client", simnet.Constant(time.Millisecond), 0)
 	if _, _, err := client.Endpoint().Exchange(svc.ClusterIP, []byte("hi"), 20*time.Millisecond); err == nil {
 		t.Error("empty service answered")
-	}
-	if _, failed := svc.Stats(); failed != 1 {
-		t.Errorf("failed = %d", failed)
-	}
-}
-
-func TestDeleteService(t *testing.T) {
-	n, o := newCluster(t, 6)
-	pub := dnsserver.NewZone("mec.example.")
-	o.SetPublicZone(pub)
-	a := addBackend(t, n, "backend-a", "x")
-	svc, err := o.CreateService(ServiceSpec{
-		Name: "gone", PublicName: "gone.mec.example.", Endpoints: []netip.Addr{a}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.DeleteService("default", "gone"); err != nil {
-		t.Fatal(err)
-	}
-	if o.Service("default", "gone") != nil {
-		t.Error("service still listed")
-	}
-	if res, _, _ := o.InternalZone().Lookup("gone.default.svc.cluster.local.", dnswire.TypeA); res == dnsserver.LookupSuccess {
-		t.Error("internal record not removed")
-	}
-	if res, _, _ := pub.Lookup("gone.mec.example.", dnswire.TypeA); res == dnsserver.LookupSuccess {
-		t.Error("public record not removed")
-	}
-	client := n.AddNode("client")
-	n.AddLink("fabric", "client", simnet.Constant(time.Millisecond), 0)
-	if _, _, err := client.Endpoint().Exchange(svc.ClusterIP, []byte("hi"), 20*time.Millisecond); err == nil {
-		t.Error("deleted service still answers")
-	}
-	if err := o.DeleteService("default", "gone"); err == nil {
-		t.Error("double delete succeeded")
 	}
 }
 
@@ -215,19 +144,6 @@ func TestPublicIPReport(t *testing.T) {
 	with, without = o.PublicIPReport()
 	if with != 1 || without != 5 {
 		t.Errorf("report = %d/%d, want 1/5", with, without)
-	}
-}
-
-func TestServicesSorted(t *testing.T) {
-	_, o := newCluster(t, 9)
-	for _, name := range []string{"zeta", "alpha"} {
-		if _, err := o.CreateService(ServiceSpec{Name: name}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := o.Services()
-	if len(keys) != 2 || keys[0] != "default/alpha" {
-		t.Errorf("services = %v", keys)
 	}
 }
 

@@ -37,7 +37,7 @@ func lameFixture(t *testing.T) (*Resolver, *simnet.Network) {
 
 func TestLameDelegationSurfacesError(t *testing.T) {
 	r, _ := lameFixture(t)
-	_, err := r.Resolve(context.Background(), "www.lame.test.", dnswire.TypeA)
+	_, err := r.resolve(context.Background(), "www.lame.test.", dnswire.TypeA, nil)
 	if !errors.Is(err, ErrLame) {
 		t.Errorf("err = %v, want ErrLame", err)
 	}
@@ -61,7 +61,7 @@ func TestUnreachableRootTimesOutCleanly(t *testing.T) {
 	client := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: n.Node("ldns").Endpoint(), Timeout: 10 * time.Millisecond}}
 	client.SetRand(rand.New(rand.NewSource(81)))
 	r := New(client, n.Clock, netip.AddrPortFrom(n.Node("root").Addr, 53))
-	if _, err := r.Resolve(context.Background(), "x.test.", dnswire.TypeA); err == nil {
+	if _, err := r.resolve(context.Background(), "x.test.", dnswire.TypeA, nil); err == nil {
 		t.Error("resolution through a black hole succeeded")
 	}
 }

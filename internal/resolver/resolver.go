@@ -96,17 +96,13 @@ func (r *Resolver) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, req
 	return resp.Rcode, nil
 }
 
-// Resolve answers (qname, qtype) by iterative resolution, following
+// resolve answers (qname, qtype) by iterative resolution, following
 // out-of-zone CNAMEs. The returned message aggregates the full alias
 // chain in its answer section, the way a recursive resolver responds.
-func (r *Resolver) Resolve(ctx context.Context, qname string, qtype dnswire.Type) (*dnswire.Message, error) {
-	return r.resolve(ctx, qname, qtype, nil)
-}
-
-// resolve is Resolve with an optional client-subnet disclosure that is
-// forwarded on every content query of the walk (referrals and CNAME
-// hops included — the whole chase is on the client's behalf), but
-// never on infrastructure NS lookups.
+// A non-nil ecs is a client-subnet disclosure forwarded on every
+// content query of the walk (referrals and CNAME hops included — the
+// whole chase is on the client's behalf), but never on infrastructure
+// NS lookups.
 func (r *Resolver) resolve(ctx context.Context, qname string, qtype dnswire.Type, ecs *dnswire.ECSOption) (*dnswire.Message, error) {
 	qname = dnswire.CanonicalName(qname)
 	original := dnswire.Question{Name: qname, Type: qtype, Class: dnswire.ClassINET}
@@ -286,26 +282,4 @@ func (r *Resolver) cacheDelegation(zone string, addrs []netip.AddrPort) {
 		r.nsSets = make(map[string]*nsSet)
 	}
 	r.nsSets[zone] = &nsSet{zone: zone, addrs: addrs, expires: r.Clock.Now() + defaultNSTTL}
-}
-
-// FlushDelegations clears the infrastructure cache.
-func (r *Resolver) FlushDelegations() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nsSets = make(map[string]*nsSet)
-}
-
-// CachedZones lists zones with live cached delegations (for tests and
-// introspection).
-func (r *Resolver) CachedZones() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.Clock.Now()
-	var zones []string
-	for z, set := range r.nsSets {
-		if now < set.expires {
-			zones = append(zones, z)
-		}
-	}
-	return zones
 }

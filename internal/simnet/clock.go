@@ -141,10 +141,6 @@ func (c *Clock) RunWhile(cond func() bool) {
 	}
 }
 
-// Pending returns the number of events waiting to fire, including
-// cancelled ones that have not yet been discarded.
-func (c *Clock) Pending() int { return c.queue.Len() }
-
 func (c *Clock) peekTime() time.Duration {
 	// Skip over cancelled heads without firing anything.
 	for c.queue.Len() > 0 && c.queue[0].cancelled {

@@ -182,57 +182,3 @@ func TestSamplers(t *testing.T) {
 		t.Errorf("Shifted nil jitter = %v", d)
 	}
 }
-
-func TestMixtureSampler(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := Mixture{Components: []Component{
-		{Weight: 0.9, Sampler: Constant(time.Millisecond)},
-		{Weight: 0.1, Sampler: Constant(100 * time.Millisecond)},
-	}}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	fast, slow := 0, 0
-	for i := 0; i < 10000; i++ {
-		switch m.Sample(rng) {
-		case time.Millisecond:
-			fast++
-		case 100 * time.Millisecond:
-			slow++
-		default:
-			t.Fatal("unexpected sample value")
-		}
-	}
-	ratio := float64(slow) / float64(fast+slow)
-	if ratio < 0.07 || ratio > 0.13 {
-		t.Errorf("slow-mode ratio = %.3f, want ≈0.10", ratio)
-	}
-	bad := Mixture{Components: []Component{{Weight: 0, Sampler: Constant(0)}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero-weight mixture validated")
-	}
-	if d := bad.Sample(rng); d != 0 {
-		t.Errorf("degenerate mixture sample = %v", d)
-	}
-}
-
-func TestMixtureDeterminism(t *testing.T) {
-	m := Mixture{Components: []Component{
-		{Weight: 1, Sampler: Uniform{Max: time.Second}},
-		{Weight: 1, Sampler: LogNormal{Median: time.Millisecond, Sigma: 1}},
-	}}
-	sample := func(seed int64) []time.Duration {
-		rng := rand.New(rand.NewSource(seed))
-		out := make([]time.Duration, 100)
-		for i := range out {
-			out[i] = m.Sample(rng)
-		}
-		return out
-	}
-	a, b := sample(42), sample(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed produced different samples")
-		}
-	}
-}

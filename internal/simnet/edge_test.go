@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"net/netip"
 	"testing"
 	"time"
 )
@@ -58,7 +57,7 @@ func TestRemoveLinkInvalidatesRouteCache(t *testing.T) {
 
 func TestClockPendingAndRunWhileEmptyQueue(t *testing.T) {
 	var c Clock
-	if c.Pending() != 0 {
+	if c.queue.Len() != 0 {
 		t.Error("fresh clock has pending events")
 	}
 	ran := false
@@ -67,8 +66,8 @@ func TestClockPendingAndRunWhileEmptyQueue(t *testing.T) {
 		t.Error("RunWhile never evaluated its condition")
 	}
 	timer := c.Schedule(time.Second, func() {})
-	if c.Pending() != 1 {
-		t.Errorf("pending = %d", c.Pending())
+	if c.queue.Len() != 1 {
+		t.Errorf("pending = %d", c.queue.Len())
 	}
 	timer.Cancel()
 	c.RunUntil(2 * time.Second) // must skip the cancelled head
@@ -100,22 +99,6 @@ func TestSendFromUnknownAddress(t *testing.T) {
 	err := n.Send(Datagram{Dst: n.Node("a").Addr})
 	if err == nil {
 		t.Error("send from zero address succeeded")
-	}
-}
-
-func TestRaceSingleDestination(t *testing.T) {
-	n := raceFixture(t)
-	ep := n.Node("client").Endpoint()
-	idx, resp, _, err := ep.Race([]netip.Addr{n.Node("fast").Addr}, []byte("solo"), time.Second)
-	if err != nil || idx != 0 || string(resp) != "fast:solo" {
-		t.Errorf("idx=%d resp=%q err=%v", idx, resp, err)
-	}
-}
-
-func TestMixtureZeroComponents(t *testing.T) {
-	var m Mixture
-	if err := m.Validate(); err == nil {
-		t.Error("empty mixture validated")
 	}
 }
 

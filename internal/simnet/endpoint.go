@@ -7,11 +7,8 @@ import (
 	"time"
 )
 
-// Errors returned by Exchange and Race.
-var (
-	ErrTimeout        = errors.New("simnet: exchange timed out")
-	ErrNoDestinations = errors.New("simnet: race needs at least one destination")
-)
+// ErrTimeout is returned by an Exchange that got no reply in time.
+var ErrTimeout = errors.New("simnet: exchange timed out")
 
 // Ctx is passed to a node's handler for one delivered datagram.
 type Ctx struct {
@@ -119,85 +116,6 @@ func (e *Endpoint) ExchangeFrom(dst netip.Addr, payload []byte, timeout time.Dur
 	p.rtt = n.Now() - start
 	return p.resp.Payload, p.rtt, nil
 }
-
-// Race sends payload to every destination simultaneously and waits
-// for the first reply, the paper's client-side multicast: "have DNS
-// requests be multicast to both MEC DNS and the network's L-DNS".
-// It returns the index of the winning destination, its reply, and the
-// time to first answer. Slower replies are discarded on arrival.
-func (e *Endpoint) Race(dsts []netip.Addr, payload []byte, timeout time.Duration) (int, []byte, time.Duration, error) {
-	return e.RaceFunc(dsts, payload, timeout, nil)
-}
-
-// RaceFunc is Race with an acceptance predicate: replies for which
-// accept returns false are discarded and the race continues — the way
-// a multicasting stub ignores a fast REFUSED from a resolver that
-// does not serve the name while the useful answer is still in flight.
-// A nil accept takes any reply.
-func (e *Endpoint) RaceFunc(dsts []netip.Addr, payload []byte, timeout time.Duration, accept func(i int, resp []byte) bool) (int, []byte, time.Duration, error) {
-	n := e.node.net
-	if n.pending == nil {
-		n.pending = make(map[uint64]*pendingExchange)
-	}
-	if len(dsts) == 0 {
-		return -1, nil, 0, ErrNoDestinations
-	}
-	start := n.Now()
-	ids := make([]uint64, len(dsts))
-	pends := make([]*pendingExchange, len(dsts))
-	for i, dst := range dsts {
-		n.nextExchange++
-		ids[i] = n.nextExchange
-		pends[i] = &pendingExchange{}
-		n.pending[ids[i]] = pends[i]
-		// Unroutable destinations simply never answer, like UDP.
-		_ = n.Send(Datagram{Src: e.node.Addr, Dst: dst, Payload: payload, ExchangeID: ids[i]})
-	}
-	defer func() {
-		for _, id := range ids {
-			delete(n.pending, id)
-		}
-	}()
-	timedOut := false
-	timer := n.Clock.Schedule(timeout, func() { timedOut = true })
-	rejected := make([]bool, len(pends))
-	anyDone := func() int {
-		for i, p := range pends {
-			if p.done && !rejected[i] {
-				if accept != nil && !accept(i, p.resp.Payload) {
-					rejected[i] = true
-					continue
-				}
-				return i
-			}
-		}
-		return -1
-	}
-	winner := -1
-	n.Clock.RunWhile(func() bool {
-		winner = anyDone()
-		return winner < 0 && !timedOut
-	})
-	timer.Cancel()
-	if winner < 0 {
-		winner = anyDone()
-	}
-	if winner >= 0 {
-		return winner, pends[winner].resp.Payload, n.Now() - start, nil
-	}
-	if n.Now() < start+timeout {
-		n.Clock.RunUntil(start + timeout)
-	}
-	return -1, nil, n.Now() - start, ErrTimeout
-}
-
-// SendAsync fires a datagram without waiting for any reply.
-func (e *Endpoint) SendAsync(dst netip.Addr, payload []byte) error {
-	return e.node.net.Send(Datagram{Src: e.node.Addr, Dst: dst, Payload: payload})
-}
-
-// Addr returns the endpoint's bound address.
-func (e *Endpoint) Addr() netip.Addr { return e.node.Addr }
 
 // Network returns the network the endpoint belongs to.
 func (e *Endpoint) Network() *Network { return e.node.net }

@@ -289,7 +289,7 @@ func TestSendAsyncAndUnsolicitedDelivery(t *testing.T) {
 	n.AddLink("a", "b", Constant(time.Millisecond), 0)
 	var got []byte
 	n.Node("b").SetHandler(HandlerFunc(func(ctx *Ctx, dg Datagram) { got = dg.Payload }))
-	if err := n.Node("a").Endpoint().SendAsync(n.Node("b").Addr, []byte("hi")); err != nil {
+	if err := n.Send(Datagram{Src: n.Node("a").Addr, Dst: n.Node("b").Addr, Payload: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
 	n.Clock.Run()
@@ -318,5 +318,19 @@ func TestSelfPath(t *testing.T) {
 	p, err := n.Path("solo", "solo")
 	if err != nil || len(p) != 1 {
 		t.Errorf("self path = %v, %v", p, err)
+	}
+}
+
+func TestDatagramClient(t *testing.T) {
+	n := New(40)
+	a := n.AddNode("a").Addr
+	b := n.AddNode("b").Addr
+	dg := Datagram{Src: a}
+	if dg.Client() != a {
+		t.Error("Client without OrigSrc")
+	}
+	dg.OrigSrc = b
+	if dg.Client() != b {
+		t.Error("Client with OrigSrc")
 	}
 }

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -89,45 +88,4 @@ func (s Shifted) Sample(rng *rand.Rand) time.Duration {
 		d += s.Jitter.Sample(rng)
 	}
 	return d
-}
-
-// Mixture samples from one of several component samplers with the
-// given weights; it models multi-modal latency such as a resolver that
-// usually answers from cache but occasionally recurses.
-type Mixture struct {
-	Components []Component
-}
-
-// Component is one mode of a Mixture.
-type Component struct {
-	Weight  float64
-	Sampler Sampler
-}
-
-// Sample implements Sampler.
-func (m Mixture) Sample(rng *rand.Rand) time.Duration {
-	var total float64
-	for _, c := range m.Components {
-		total += c.Weight
-	}
-	if total <= 0 || len(m.Components) == 0 {
-		return 0
-	}
-	x := rng.Float64() * total
-	for _, c := range m.Components {
-		if x -= c.Weight; x <= 0 {
-			return c.Sampler.Sample(rng)
-		}
-	}
-	return m.Components[len(m.Components)-1].Sampler.Sample(rng)
-}
-
-// Validate checks that the mixture has at least one positive weight.
-func (m Mixture) Validate() error {
-	for _, c := range m.Components {
-		if c.Weight > 0 {
-			return nil
-		}
-	}
-	return fmt.Errorf("simnet: mixture has no positive-weight component")
 }

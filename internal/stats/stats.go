@@ -97,20 +97,6 @@ func (s *Sample) Percentile(p float64) time.Duration {
 	return s.values[lo] + time.Duration(frac*float64(s.values[hi]-s.values[lo]))
 }
 
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() time.Duration {
-	if len(s.values) < 2 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var sum float64
-	for _, v := range s.values {
-		d := float64(v) - mean
-		sum += d * d
-	}
-	return time.Duration(math.Sqrt(sum / float64(len(s.values))))
-}
-
 // TrimmedMean returns the mean of observations between the lo-th and
 // hi-th percentiles inclusive — Figure 2 averages the 8th to 92nd
 // percentile of at least 12 runs.
@@ -193,20 +179,4 @@ func (d *Distribution) Share(category string) float64 {
 		return 0
 	}
 	return float64(d.counts[category]) / float64(d.total)
-}
-
-// Categories returns all categories, sorted by descending share then
-// name.
-func (d *Distribution) Categories() []string {
-	cats := make([]string, 0, len(d.counts))
-	for c := range d.counts {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool {
-		if d.counts[cats[i]] != d.counts[cats[j]] {
-			return d.counts[cats[i]] > d.counts[cats[j]]
-		}
-		return cats[i] < cats[j]
-	})
-	return cats
 }

@@ -25,10 +25,12 @@ func getBody(t *testing.T, ts *httptest.Server, path string) (int, string, http.
 func TestAdminEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCounter("adm_total", "h")
-	c.Add(7)
+	for i := 0; i < 7; i++ {
+		c.Inc()
+	}
 	reg.MustRegister(c)
 	log := NewQueryLog(4)
-	log.Add(Record{Name: "q.example.", Type: "A", Rcode: "NOERROR", Path: PathEdge})
+	log.add(Record{Name: "q.example.", Type: "A", Rcode: "NOERROR", Path: PathEdge})
 
 	healthy := true
 	a := &Admin{Registry: reg, Log: log, Healthy: func() bool { return healthy },

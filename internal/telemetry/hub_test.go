@@ -39,7 +39,7 @@ func TestHubFinishFeedsInstrumentsAndLog(t *testing.T) {
 
 	sp := h.BeginAddr("q.example.", "A", "udp", netip.MustParseAddrPort("127.0.0.1:9999"))
 	hop := sp.StartHop("cache")
-	clk.Advance(time.Millisecond)
+	clk.Time += time.Millisecond
 	hop.End("hit")
 	h.Finish(sp, "NOERROR")
 	// sp is the hub's again: what Finish saw is in the instruments and
@@ -106,7 +106,7 @@ func TestSampledFinishAllocs(t *testing.T) {
 	query := func() {
 		sp := h.BeginAddr("v.cdn.example.", "A", "udp", client)
 		hop := sp.StartHop("cache")
-		clk.Advance(time.Millisecond)
+		clk.Time += time.Millisecond
 		hop.End("miss")
 		sp.StartHop("upstream").End("10.0.0.1")
 		h.Finish(sp, "NOERROR")
@@ -124,7 +124,7 @@ func TestSampledFinishAllocs(t *testing.T) {
 	sp.transport, sp.client = "udp", client
 	sp.start = clk.Now() - time.Millisecond
 	sp.hops = append(sp.hops, Hop{Layer: "cache", Note: "miss", Start: 0, Dur: time.Millisecond}, Hop{Layer: "upstream", Note: "10.0.0.1", Start: time.Millisecond})
-	sp.End(PathUpstream)
+	sp.finish(PathUpstream)
 	recs := h.Log.Drain()
 	want := RecordFromSpan(sp, "NOERROR", PathUpstream, recs[len(recs)-1].Time)
 	got, _ := json.Marshal(recs[len(recs)-1])

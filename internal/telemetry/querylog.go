@@ -78,16 +78,6 @@ func (l *QueryLog) slotLocked() *logSlot {
 	return slot
 }
 
-// Add appends a copy of rec, overwriting the oldest record when full.
-func (l *QueryLog) Add(rec Record) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	slot := l.slotLocked()
-	hops := append(slot.rec.Hops[:0], rec.Hops...)
-	slot.rec, slot.client = rec, netip.AddrPort{}
-	slot.rec.Hops = hops
-}
-
 // addSpan appends the record of an ended span, as RecordFromSpan renders
 // it but with the client left unrendered, with the span lock held.
 func (l *QueryLog) addSpan(s *Span, rcode, path string, now time.Time) {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func rec(i int) Record {
 func TestQueryLogRingWrap(t *testing.T) {
 	l := NewQueryLog(3)
 	for i := 0; i < 5; i++ {
-		l.Add(rec(i))
+		l.add(rec(i))
 	}
 	if l.Len() != 3 {
 		t.Fatalf("len = %d, want 3", l.Len())
@@ -40,7 +41,7 @@ func TestQueryLogRingWrap(t *testing.T) {
 		t.Error("drain did not empty the log")
 	}
 	// The ring must keep working after a post-wrap drain.
-	l.Add(rec(9))
+	l.add(rec(9))
 	if got := l.Drain(); len(got) != 1 || got[0].Name != "q9.example." {
 		t.Errorf("post-drain add = %+v", got)
 	}
@@ -48,8 +49,8 @@ func TestQueryLogRingWrap(t *testing.T) {
 
 func TestQueryLogNoWrapDrain(t *testing.T) {
 	l := NewQueryLog(8)
-	l.Add(rec(0))
-	l.Add(rec(1))
+	l.add(rec(0))
+	l.add(rec(1))
 	out := l.Drain()
 	if len(out) != 2 || out[0].Name != "q0.example." || out[1].Name != "q1.example." {
 		t.Errorf("out = %+v", out)
@@ -58,7 +59,7 @@ func TestQueryLogNoWrapDrain(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	l := NewQueryLog(4)
-	l.Add(Record{Name: "a.example.", Type: "A", Rcode: "NOERROR", Path: PathCacheHit, DurUS: 42,
+	l.add(Record{Name: "a.example.", Type: "A", Rcode: "NOERROR", Path: PathCacheHit, DurUS: 42,
 		Hops: []HopRecord{{Layer: "cache", Note: "hit", DurUS: 40}}})
 	var b strings.Builder
 	if err := l.WriteJSONL(&b); err != nil {
@@ -81,9 +82,9 @@ func TestRecordFromSpan(t *testing.T) {
 	clk := &vclock.Fixed{}
 	sp := NewSpan(clk, "v.cdn.example.", "A")
 	hop := sp.StartHop("cache")
-	clk.Advance(250 * time.Microsecond)
+	clk.Time += 250 * time.Microsecond
 	hop.End("hit")
-	sp.End(PathCacheHit)
+	sp.finish(PathCacheHit)
 
 	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	r := RecordFromSpan(sp, "NOERROR", PathCacheHit, now)
@@ -99,4 +100,14 @@ func TestRecordFromSpan(t *testing.T) {
 	if !r.Time.Equal(now) {
 		t.Errorf("time = %v", r.Time)
 	}
+}
+
+// add appends a copy of rec, overwriting the oldest record when full:
+// a record a test writes directly, where the hub would write a span's.
+func (l *QueryLog) add(rec Record) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	slot := l.slotLocked()
+	slot.rec, slot.client = rec, netip.AddrPort{}
+	slot.rec.Hops = append(slot.rec.Hops[:0], rec.Hops...)
 }

@@ -120,9 +120,6 @@ func NewCounter(name, help string) *Counter {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add increments by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 

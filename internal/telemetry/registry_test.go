@@ -14,7 +14,9 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	reg := NewRegistry()
 
 	c := NewCounter("test_requests_total", "Requests handled.")
-	c.Add(3)
+	for i := 0; i < 3; i++ {
+		c.Inc()
+	}
 
 	f := NewGaugeFunc("test_entries", "Entries right now.", func() float64 { return 7 })
 

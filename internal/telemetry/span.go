@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"net/netip"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,17 +176,6 @@ func (s *Span) Join(child *Span) {
 	child.mu.Unlock()
 }
 
-// End closes the span with an outcome; only the first End takes
-// effect. Safe on a nil span.
-func (s *Span) End(outcome string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.endLocked(outcome)
-	s.mu.Unlock()
-}
-
 func (s *Span) endLocked(outcome string) {
 	if !s.ended {
 		s.ended = true
@@ -237,72 +225,6 @@ func (s *Span) Outcome() string {
 // Sampled reports whether this span was head-sampled into the query
 // log by the Hub that created it.
 func (s *Span) Sampled() bool { return s != nil && s.sampled }
-
-// BreakdownEntry is one layer's exclusive (self) time within a span.
-type BreakdownEntry struct {
-	Layer string
-	Dur   time.Duration
-}
-
-// Breakdown attributes the span's total duration across layers by
-// exclusive time: each hop is charged its own duration minus the
-// durations of hops nested inside it (a forward hop contains its
-// upstream exchanges; the difference is forwarding overhead). Time
-// covered by no hop is returned under the layer "other", so the
-// entries always sum exactly to Total — the invariant the
-// observability tests pin down.
-func (s *Span) Breakdown() []BreakdownEntry {
-	if s == nil {
-		return nil
-	}
-	total := s.Total()
-	hops := s.Hops()
-	sort.Slice(hops, func(i, j int) bool {
-		if hops[i].Start != hops[j].Start {
-			return hops[i].Start < hops[j].Start
-		}
-		return hops[i].Dur > hops[j].Dur
-	})
-
-	// For each hop, find its direct parent: the smallest interval that
-	// fully contains it. Hop counts are single digits, so O(n²) is fine.
-	self := make(map[string]time.Duration)
-	var topCovered time.Duration
-	for i, h := range hops {
-		parent := -1
-		for j, p := range hops {
-			if j == i {
-				continue
-			}
-			if p.Start <= h.Start && p.Start+p.Dur >= h.Start+h.Dur &&
-				!(p.Start == h.Start && p.Dur == h.Dur && j > i) {
-				if parent == -1 || p.Dur < hops[parent].Dur {
-					parent = j
-				}
-			}
-		}
-		if parent == -1 {
-			topCovered += h.Dur
-		} else {
-			self[hops[parent].Layer] -= h.Dur
-		}
-		self[h.Layer] += h.Dur
-	}
-
-	layers := make([]string, 0, len(self))
-	for l := range self {
-		layers = append(layers, l)
-	}
-	sort.Strings(layers)
-	out := make([]BreakdownEntry, 0, len(layers)+1)
-	for _, l := range layers {
-		out = append(out, BreakdownEntry{Layer: l, Dur: self[l]})
-	}
-	if rest := total - topCovered; rest != 0 {
-		out = append(out, BreakdownEntry{Layer: "other", Dur: rest})
-	}
-	return out
-}
 
 // StartHop opens a timed hop on the span carried by ctx; the timer is
 // a no-op when ctx carries none.

@@ -22,13 +22,10 @@ func NewReal() *Real { return &Real{start: time.Now()} }
 // Now implements Clock.
 func (r *Real) Now() time.Duration { return time.Since(r.start) }
 
-// Fixed is a manually-advanced clock for tests.
+// Fixed is a clock that reads Time; tests advance it by adding to Time.
 type Fixed struct {
 	Time time.Duration
 }
 
 // Now implements Clock.
 func (f *Fixed) Now() time.Duration { return f.Time }
-
-// Advance moves the clock forward by d.
-func (f *Fixed) Advance(d time.Duration) { f.Time += d }

@@ -10,8 +10,8 @@ func TestFixedClock(t *testing.T) {
 	if f.Now() != 0 {
 		t.Error("fixed clock not zero")
 	}
-	f.Advance(time.Second)
-	f.Advance(500 * time.Millisecond)
+	f.Time += time.Second
+	f.Time += 500 * time.Millisecond
 	if f.Now() != 1500*time.Millisecond {
 		t.Errorf("now = %v", f.Now())
 	}

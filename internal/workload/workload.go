@@ -1,7 +1,6 @@
-// Package workload generates synthetic request streams: Zipf-skewed
-// content popularity (the standard CDN access model) and per-access
-// client populations, used by the cache-disaggregation and load-shed
-// experiments.
+// Package workload generates synthetic request streams with
+// Zipf-skewed content popularity (the standard CDN access model), used
+// by the cache-disaggregation and load-shed experiments.
 package workload
 
 import (
@@ -13,7 +12,6 @@ import (
 // catalog of n objects: rank-1 content is requested most.
 type ZipfCatalog struct {
 	zipf *rand.Zipf
-	n    int
 }
 
 // NewZipfCatalog creates a generator over n objects with skew s
@@ -29,7 +27,7 @@ func NewZipfCatalog(rng *rand.Rand, s float64, n int) (*ZipfCatalog, error) {
 	if z == nil {
 		return nil, fmt.Errorf("workload: bad zipf parameters s=%v n=%d", s, n)
 	}
-	return &ZipfCatalog{zipf: z, n: n}, nil
+	return &ZipfCatalog{zipf: z}, nil
 }
 
 // Next returns the next content index in [0, n).
@@ -38,29 +36,3 @@ func (z *ZipfCatalog) Next() int { return int(z.zipf.Uint64()) }
 // Name renders index i as a content name with the given prefix,
 // matching cdn.Catalog.PublishN naming.
 func Name(prefix string, i int) string { return fmt.Sprintf("%s-%04d", prefix, i) }
-
-// Stream produces count Zipf-popular content names.
-func (z *ZipfCatalog) Stream(prefix string, count int) []string {
-	out := make([]string, count)
-	for i := range out {
-		out[i] = Name(prefix, z.Next())
-	}
-	return out
-}
-
-// Mixture describes a query mix: a fraction of queries go to MEC
-// content, the rest to arbitrary internet names — the §3 best-effort
-// discussion's workload.
-type Mixture struct {
-	rng *rand.Rand
-	// MECFraction is the probability a query targets MEC content.
-	MECFraction float64
-}
-
-// NewMixture returns a mixture using rng.
-func NewMixture(rng *rand.Rand, mecFraction float64) *Mixture {
-	return &Mixture{rng: rng, MECFraction: mecFraction}
-}
-
-// IsMEC reports whether the next query targets MEC-hosted content.
-func (m *Mixture) IsMEC() bool { return m.rng.Float64() < m.MECFraction }

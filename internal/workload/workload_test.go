@@ -56,30 +56,10 @@ func TestNameAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := z.Stream("vid", 100)
-	if len(stream) != 100 {
-		t.Fatalf("stream length = %d", len(stream))
-	}
-	for _, name := range stream {
-		if len(name) != len("vid-0000") {
+	for i := 0; i < 100; i++ {
+		if name := Name("vid", z.Next()); len(name) != len("vid-0000") {
 			t.Fatalf("bad name %q", name)
 		}
-	}
-}
-
-func TestMixture(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := NewMixture(rng, 0.7)
-	mec := 0
-	const n = 10_000
-	for i := 0; i < n; i++ {
-		if m.IsMEC() {
-			mec++
-		}
-	}
-	share := float64(mec) / n
-	if share < 0.67 || share > 0.73 {
-		t.Errorf("MEC share = %.3f, want ≈0.70", share)
 	}
 }
 
