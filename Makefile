@@ -23,6 +23,9 @@ all: vet test race build
 #  - allocation pins: the telemetry-on hit and the cache's store; the cache's
 #    slab (hash collisions, large images, flights and serve-stale outliving
 #    a slot's reuse) and its EDNS (OPT follows the asker, ECS source clamp)
+#  - allocation pin: every kind of zone answer (answer, CNAME chain, wildcard,
+#    NODATA, NXDOMAIN, referral; no OPT, OPT, ECS) allocates nothing
+#  - allocation pin: a 0x20-cased question is lowered once per query
 #  - allocation pin: a sampled query's log record
 #  - allocation pins: the query parse, the router's reply vector and the query pack
 #  - allocation pin: the router's answer, table- and ring-routed
@@ -38,6 +41,8 @@ all: vet test race build
 #  - fuzz: the name codec
 #  - fuzz: the router's bytes-written reply against its Message oracle
 #  - fuzz: every record an accepted zone file holds packs and round-trips
+#  - fuzz: the zone's bytes-written reply against its Message oracle, at every limit
+#  - fuzz: the cache server's verb parser against a byte-level reference
 #  - serve-path bench smoke across the UDP ingress at 1, 2, 4 cores (catches a bounded-queue timeout)
 #  - router, LPM and ring bench smoke
 #  - small-N X8: the bounded-load ring beats the plain ring
@@ -56,6 +61,8 @@ ci:
 	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery|TestSingleflightLateJoiner|TestSlabSlotReuseRace' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget|TestSlab|TestFlightAnswerOutlivesEviction|TestServeStaleOwnKeyOnly|TestCacheOPTFollowsAsker|TestECSClampedAtIngress' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestZoneAnswerAllocs' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestMixedCaseHitAllocs' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestSampledFinishAllocs' -cpu 1,2,4 ./internal/telemetry/
 	$(GO) test -run 'TestUnpackQueryNoAllocOnRepeat|TestAppendReplyIsRouterVector|TestAppendPackAllocs' -cpu 1,2,4 ./internal/dnswire/
 	$(GO) test -run 'TestRouterAnswerAllocs' -cpu 1,2,4 ./internal/cdn/
@@ -71,6 +78,8 @@ ci:
 	$(GO) test -run xxx -fuzz FuzzNameUnpack -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzRouterReply -fuzztime 5s ./internal/cdn/
 	$(GO) test -run xxx -fuzz FuzzParseZone -fuzztime 5s ./internal/dnsserver/
+	$(GO) test -run xxx -fuzz FuzzZoneReply -fuzztime 5s ./internal/dnsserver/
+	$(GO) test -run xxx -fuzz FuzzCacheServerVerbs -fuzztime 5s ./internal/cdn/
 	$(GO) test -run xxx -bench='ServeUDPHit|StubExchange' -cpu 1,2,4 -benchtime=20000x -benchmem .
 	$(GO) test -run xxx -bench='RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .
 	$(GO) run ./cmd/experiments -x loadbalance -ues 20000 -requests 1000

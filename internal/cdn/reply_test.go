@@ -49,6 +49,27 @@ func oracleReply(r *dnsserver.Request, rcode dnswire.Rcode, addr netip.Addr, sco
 	return m
 }
 
+// oracleReferral is the delegation writeReferralTo writes, built as a
+// Message: the NS in authority, its glue A record in additional, and the
+// OPT a query carrying one gets back.
+func oracleReferral(r *dnsserver.Request, domain string, next netip.Addr) *dnswire.Message {
+	nsName := ReferralNS + "." + domain
+	m := new(dnswire.Message)
+	m.SetReply(r.Msg)
+	m.Authorities = []dnswire.RR{&dnswire.NS{
+		Hdr: dnswire.RRHeader{Name: domain, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 30},
+		NS:  nsName,
+	}}
+	m.Additionals = []dnswire.RR{&dnswire.A{
+		Hdr:  dnswire.RRHeader{Name: nsName, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30},
+		Addr: next,
+	}}
+	if _, ok := r.Msg.OPT(); ok {
+		m.SetEDNS(dnswire.DefaultEDNSSize)
+	}
+	return m
+}
+
 // imageWriter is the ingresses' kind of writer: it takes the reply's
 // pooled buffer, which the test hands back with release.
 type imageWriter struct {
@@ -113,18 +134,20 @@ func fuzzQuery(label []byte, qtype uint16, opcode uint8, id uint16, rd, cd bool,
 	return append(append(b, source, 0), a[:n]...)
 }
 
-// FuzzRouterReply holds the router's bytes path to its oracle: for an
+// FuzzRouterReply holds the router's bytes path to its oracles: for an
 // arbitrary query — any label octets (case, dots, backslashes,
 // unprintables), type, opcode, ID, RD/CD — parsed into a scratch message
-// another query used before, any TTL, each outcome (A, NODATA, SERVFAIL)
-// and ECS none, OPT-only, v4 or v6 at any source and scope, the reply
-// Router.reply writes is the oracle's Pack byte for byte, and it leaves
-// no pooled buffer behind (checked under -tags pooldebug).
+// another query used before, any TTL, each outcome (A, NODATA, SERVFAIL,
+// a referral to any address) and ECS none, OPT-only, v4 or v6 at any
+// source and scope, the reply the router writes is the oracle's Pack
+// byte for byte, and it leaves no pooled buffer behind (checked under
+// -tags pooldebug).
 func FuzzRouterReply(f *testing.F) {
 	f.Add([]byte("obj-1-42"), uint16(1), uint8(0), uint16(0x1234), true, false, uint32(300), uint8(0), uint8(2), uint8(24), int16(24), []byte{10, 3, 7, 0}, []byte{203, 0, 113, 7})
 	f.Add([]byte("Obj.\\x\x00\xff"), uint16(1), uint8(0), uint16(1), false, true, uint32(0), uint8(0), uint8(3), uint8(56), int16(-1), []byte{0x20, 1, 0xd, 0xb8, 1, 2, 3, 4}, []byte{192, 0, 2, 1})
 	f.Add([]byte("v6"), uint16(28), uint8(0), uint16(7), true, false, uint32(30), uint8(1), uint8(1), uint8(0), int16(0), []byte{}, []byte{})
 	f.Add([]byte("down"), uint16(1), uint8(2), uint16(9), true, true, uint32(60), uint8(2), uint8(0), uint8(0), int16(0), []byte{}, []byte{})
+	f.Add([]byte("Peer"), uint16(1), uint8(0), uint16(11), true, false, uint32(30), uint8(3), uint8(2), uint8(24), int16(24), []byte{10, 9, 8}, []byte{198, 51, 100, 2})
 	f.Fuzz(func(t *testing.T, label []byte, qtype uint16, opcode uint8, id uint16, rd, cd bool, ttl uint32, outcome, edns, source uint8, scope int16, ecsAddr, answer []byte) {
 		var msg dnswire.Message
 		intern := dnswire.NewNameIntern(0)
@@ -138,24 +161,33 @@ func FuzzRouterReply(f *testing.F) {
 		}
 		r := &dnsserver.Request{Msg: &msg, Transport: "udp"}
 		rcode, addr := dnswire.RcodeSuccess, netip.Addr{}
-		switch outcome % 3 {
+		var a4 [4]byte
+		copy(a4[:], answer)
+		sc := max(int(scope), -1) % 129
+		rt := &Router{TTL: ttl, Domain: "cdn.test."}
+		var oracle *dnswire.Message
+		var write func(w *imageWriter) (dnswire.Rcode, error)
+		switch outcome % 4 {
 		case 0:
-			var a4 [4]byte
-			copy(a4[:], answer)
 			addr = netip.AddrFrom4(a4)
 		case 2:
 			rcode = dnswire.RcodeServerFailure
+		case 3:
+			oracle = oracleReferral(r, rt.Domain, netip.AddrFrom4(a4))
+			write = func(w *imageWriter) (dnswire.Rcode, error) { return rt.writeReferralTo(w, r, netip.AddrFrom4(a4)) }
 		}
-		sc := max(int(scope), -1) % 129
-		want, err := oracleReply(r, rcode, addr, sc, ttl).Pack()
+		if oracle == nil {
+			oracle = oracleReply(r, rcode, addr, sc, ttl)
+			write = func(w *imageWriter) (dnswire.Rcode, error) { return rt.reply(w, r, rcode, addr, sc) }
+		}
+		want, err := oracle.Pack()
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		base := poolOutstanding()
 		var w imageWriter
-		rt := &Router{TTL: ttl}
-		got, err := rt.reply(&w, r, rcode, addr, sc)
+		got, err := write(&w)
 		if err != nil || got != rcode {
 			t.Fatalf("reply: %v, %v", got, err)
 		}

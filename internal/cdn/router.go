@@ -496,26 +496,39 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 }
 
 // reply answers r with rcode — an A record for addr when it is valid,
-// else NODATA or SERVFAIL — as bytes in a pooled buffer, handed on
-// through dnsserver.WriteImage. An A record echoes ECS with the scope it
-// depended on (RFC 7871 §7.2.1): the matched route length on a table
-// hit, 0 when the table did not discriminate, and without a table
-// (scope < 0) the source length.
+// else NODATA or SERVFAIL — through writeReply. An A record echoes ECS with
+// the scope it depended on (RFC 7871 §7.2.1): the matched route length on
+// a table hit, 0 when the table did not discriminate, and without a
+// table (scope < 0) the source length.
 func (rt *Router) reply(w dnsserver.ResponseWriter, r *dnsserver.Request, rcode dnswire.Rcode, addr netip.Addr, scope int) (dnswire.Rcode, error) {
-	var echo *dnswire.ECSOption
+	reply := dnswire.Reply{Authoritative: rcode == dnswire.RcodeSuccess, Rcode: rcode}
+	var echo dnswire.ECSOption
 	if ecs, ok := r.Msg.ECS(); ok && addr.IsValid() {
 		if scope < 0 {
 			scope = int(ecs.SourcePrefix)
 		}
-		scoped := ecs.Echo(uint8(scope))
-		echo = &scoped
+		echo = ecs.Echo(uint8(scope))
+		reply.Echo = &echo
 	}
-	ttl := rt.TTL
-	if ttl == 0 {
-		ttl = 30
+	var answer [1]dnswire.ReplyRR
+	var a dnswire.A
+	if addr.IsValid() {
+		ttl := rt.TTL
+		if ttl == 0 {
+			ttl = 30
+		}
+		a = dnswire.A{Hdr: dnswire.RRHeader{Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: ttl}, Addr: addr}
+		answer[0] = dnswire.ReplyRR{RR: &a, Owner: r.Name()}
+		reply.Answers = answer[:]
 	}
+	return writeReply(w, r, &reply)
+}
+
+// writeReply writes reply to r with dnswire.AppendReply into a pooled buffer
+// and hands it on through dnsserver.WriteImage.
+func writeReply(w dnsserver.ResponseWriter, r *dnsserver.Request, reply *dnswire.Reply) (dnswire.Rcode, error) {
 	buf := dnswire.GetBuffer()
-	wire, err := dnswire.AppendReply(buf[:0], r.Msg, rcode == dnswire.RcodeSuccess, rcode, addr, ttl, echo)
+	wire, err := dnswire.AppendReply(buf[:0], r.Msg, reply)
 	if err != nil {
 		dnswire.PutBuffer(buf)
 		return dnswire.RcodeServerFailure, err
@@ -523,7 +536,7 @@ func (rt *Router) reply(w dnsserver.ResponseWriter, r *dnsserver.Request, rcode 
 	if err := dnsserver.WriteImage(w, buf, len(wire)); err != nil {
 		return dnswire.RcodeServerFailure, err
 	}
-	return rcode, nil
+	return reply.Rcode, nil
 }
 
 // ReferralNS is the owner label used for cross-tier C-DNS referrals:
@@ -532,26 +545,15 @@ func (rt *Router) reply(w dnsserver.ResponseWriter, r *dnsserver.Request, rcode 
 const ReferralNS = "cdns-next-tier"
 
 // writeReferralTo answers with a delegation pointing at another C-DNS
-// — the parent tier or a mesh peer site.
+// — the parent tier or a mesh peer site: the NS in authority, its glue
+// A record in additional, both on the stack.
 func (rt *Router) writeReferralTo(w dnsserver.ResponseWriter, r *dnsserver.Request, next netip.Addr) (dnswire.Rcode, error) {
 	nsName := ReferralNS + "." + rt.Domain
-	m := new(dnswire.Message)
-	m.SetReply(r.Msg)
-	m.Authorities = []dnswire.RR{&dnswire.NS{
-		Hdr: dnswire.RRHeader{Name: rt.Domain, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 30},
-		NS:  nsName,
-	}}
-	m.Additionals = []dnswire.RR{&dnswire.A{
-		Hdr:  dnswire.RRHeader{Name: nsName, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30},
-		Addr: next,
-	}}
-	if _, ok := r.Msg.OPT(); ok {
-		m.SetEDNS(dnswire.DefaultEDNSSize) // RFC 6891 §7
-	}
-	if err := w.WriteMsg(m); err != nil {
-		return dnswire.RcodeServerFailure, err
-	}
-	return dnswire.RcodeSuccess, nil
+	ns := dnswire.NS{Hdr: dnswire.RRHeader{Name: rt.Domain, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 30}, NS: nsName}
+	glue := dnswire.A{Hdr: dnswire.RRHeader{Name: nsName, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30}, Addr: next}
+	authority := [1]dnswire.ReplyRR{{RR: &ns}}
+	additional := [1]dnswire.ReplyRR{{RR: &glue}}
+	return writeReply(w, r, &dnswire.Reply{Authorities: authority[:], Additionals: additional[:]})
 }
 
 // Referral extracts the next-tier C-DNS address from a response, if

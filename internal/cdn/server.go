@@ -149,11 +149,23 @@ func NewCacheServer(node *simnet.Node, cfg CacheServerConfig) *CacheServer {
 }
 
 func canonicalDomain(d string) string {
-	d = strings.ToLower(d)
-	if !strings.HasSuffix(d, ".") {
-		d += "."
+	b := make([]byte, len(d), len(d)+1)
+	for i := 0; i < len(d); i++ {
+		b[i] = asciiLower(d[i])
 	}
-	return d
+	if len(b) == 0 || b[len(b)-1] != '.' {
+		b = append(b, '.')
+	}
+	return string(b)
+}
+
+// asciiLower lowers an ASCII letter (RFC 4343 case folding) and returns
+// any other octet as it is.
+func asciiLower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // Addr returns the server's network address.
@@ -214,12 +226,56 @@ const (
 	maxFieldLen   = 255
 )
 
+// request is one content-protocol datagram, parsed: "PING", or
+// "GET <domain> <name>" with domain canonicalized.
+type request struct {
+	ping         bool
+	domain, name string
+}
+
+// parseRequest reads payload, at most maxRequestLen octets, as a
+// request; false means "ERR bad-request": anything but PING, or GET with
+// two fields of at most maxFieldLen octets. The protocol is ASCII and is
+// read octet by octet: fields are split at runs of ASCII white space,
+// and nothing is decoded as UTF-8.
+func parseRequest(payload []byte) (request, bool) {
+	var fields [3][]byte
+	n := 0
+	for i := 0; i < len(payload); {
+		if asciiSpace(payload[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(payload) && !asciiSpace(payload[j]) {
+			j++
+		}
+		if n == len(fields) {
+			return request{}, false
+		}
+		fields[n], n, i = payload[i:j], n+1, j
+	}
+	switch {
+	case n == 1 && string(fields[0]) == "PING":
+		return request{ping: true}, true
+	case n == 3 && string(fields[0]) == "GET" && len(fields[1]) <= maxFieldLen && len(fields[2]) <= maxFieldLen:
+		return request{domain: canonicalDomain(string(fields[1])), name: string(fields[2])}, true
+	}
+	return request{}, false
+}
+
+// asciiSpace reports whether c is ASCII white space, as the C locale's
+// isspace has it.
+func asciiSpace(c byte) bool {
+	return c == ' ' || '\t' <= c && c <= '\r'
+}
+
 func (s *CacheServer) handle(ctx *simnet.Ctx, dg simnet.Datagram) {
 	if len(dg.Payload) > maxRequestLen {
 		ctx.Reply([]byte("ERR too-long"), 0)
 		return
 	}
-	fields := strings.Fields(string(dg.Payload))
+	req, ok := parseRequest(dg.Payload)
 	reply := func(msg string) {
 		var delay time.Duration
 		if s.ServeDelay != nil {
@@ -227,7 +283,11 @@ func (s *CacheServer) handle(ctx *simnet.Ctx, dg simnet.Datagram) {
 		}
 		ctx.Reply([]byte(msg), delay)
 	}
-	if len(fields) == 1 && fields[0] == "PING" {
+	if !ok {
+		reply("ERR bad-request")
+		return
+	}
+	if req.ping {
 		// Health probe: answered before load accounting so probes never
 		// skew the load window, and gated on the health flag so failure
 		// injection (SetHealthy) is visible to the prober, not just to
@@ -242,13 +302,7 @@ func (s *CacheServer) handle(ctx *simnet.Ctx, dg simnet.Datagram) {
 		}
 		return
 	}
-	if len(fields) != 3 || fields[0] != "GET" ||
-		len(fields[1]) == 0 || len(fields[1]) > maxFieldLen ||
-		len(fields[2]) == 0 || len(fields[2]) > maxFieldLen {
-		reply("ERR bad-request")
-		return
-	}
-	domain, name := canonicalDomain(fields[1]), fields[2]
+	domain, name := req.domain, req.name
 
 	s.mu.Lock()
 	now := ctx.Now()
@@ -303,7 +357,7 @@ func (s *OriginServer) handle(ctx *simnet.Ctx, dg simnet.Datagram) {
 		ctx.Reply([]byte("ERR too-long"), 0)
 		return
 	}
-	fields := strings.Fields(string(dg.Payload))
+	req, ok := parseRequest(dg.Payload)
 	reply := func(msg string) {
 		var delay time.Duration
 		if s.ServeDelay != nil {
@@ -311,14 +365,12 @@ func (s *OriginServer) handle(ctx *simnet.Ctx, dg simnet.Datagram) {
 		}
 		ctx.Reply([]byte(msg), delay)
 	}
-	if len(fields) != 3 || fields[0] != "GET" ||
-		len(fields[1]) == 0 || len(fields[1]) > maxFieldLen ||
-		len(fields[2]) == 0 || len(fields[2]) > maxFieldLen {
+	if !ok || req.ping { // an origin is not health-probed
 		reply("ERR bad-request")
 		return
 	}
-	obj, ok := s.origin.Fetch(canonicalDomain(fields[1]), fields[2])
-	if !ok {
+	obj, found := s.origin.Fetch(req.domain, req.name)
+	if !found {
 		reply("NOTFOUND")
 		return
 	}

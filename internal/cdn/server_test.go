@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -250,4 +251,94 @@ func TestCatalogAndOrigin(t *testing.T) {
 	if _, ok := o.Fetch("nope.test.", "x"); ok {
 		t.Error("origin served unknown domain")
 	}
+}
+
+// referenceVerbReply is the content protocol read octet by octet, apart
+// from the server's parser: the reply a cache server that is healthy or
+// not, serves the domains in served, holds the objects in cached and has
+// no parent owes payload.
+func referenceVerbReply(payload []byte, healthy bool, served map[string]bool, cached map[string]int64) string {
+	if len(payload) > 512 {
+		return "ERR too-long"
+	}
+	var fields []string
+	var field []byte
+	for _, c := range append(payload, ' ') {
+		switch c {
+		case ' ', '\t', '\n', '\v', '\f', '\r':
+			if len(field) > 0 {
+				fields = append(fields, string(field))
+			}
+			field = field[:0]
+		default:
+			field = append(field, c)
+		}
+	}
+	switch {
+	case len(fields) == 1 && fields[0] == "PING" && healthy:
+		return "PONG"
+	case len(fields) == 1 && fields[0] == "PING":
+		return "ERR unavailable"
+	case len(fields) != 3 || fields[0] != "GET" || len(fields[1]) > 255 || len(fields[2]) > 255:
+		return "ERR bad-request"
+	}
+	domain := []byte(fields[1])
+	for i, c := range domain {
+		if 'A' <= c && c <= 'Z' {
+			domain[i] = c | 0x20
+		}
+	}
+	if domain[len(domain)-1] != '.' {
+		domain = append(domain, '.')
+	}
+	size, hit := cached[fields[2]]
+	switch {
+	case !healthy || !served[string(domain)]:
+		return "ERR unavailable"
+	case hit:
+		return "HIT " + strconv.FormatInt(size, 10)
+	}
+	return "NOTFOUND"
+}
+
+// FuzzCacheServerVerbs holds the cache server's verb parser to
+// referenceVerbReply: every datagram, whatever its octets, gets exactly
+// one reply, and it is the one the reference reads off the bytes —
+// ERR too-long past 512 octets, ERR bad-request for anything but PING
+// and a well-formed GET, and for those PONG, HIT, NOTFOUND or
+// ERR unavailable as the server's health, domains and cache have it.
+func FuzzCacheServerVerbs(f *testing.F) {
+	for _, p := range []string{
+		"PING", " PING\r\n", "PING PING", "ping",
+		"GET mycdn.ciab.test. video-1", "GET MyCDN.CIAB.test video-1", "GET\tmycdn.ciab.test.\nvideo-2\n",
+		"GET other.test. video-1", "GET mycdn.ciab.test.", "GET a b c", "GET\xc2\xa0mycdn.ciab.test. video-1",
+		"GET mycdn.ciab.tes\xe2\x84\xaa. video-1", "GET mycdn.ciab.test. " + strings.Repeat("v", 256),
+		strings.Repeat(" ", 513), "\x00\x01ANNOUNCE",
+	} {
+		f.Add([]byte(p), true)
+		f.Add([]byte(p), false)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, healthy bool) {
+		n := simnet.New(1)
+		client, edge := n.AddNode("client"), n.AddNode("edge")
+		n.AddLink("client", "edge", simnet.Constant(time.Millisecond), 0)
+		srv := NewCacheServer(edge, CacheServerConfig{
+			Name: "edge-1", Site: "mec-1", Tier: TierEdge, CapacityBytes: 1 << 20,
+			Domains: []string{"mycdn.ciab.test."},
+		})
+		srv.Warm(Content{Name: "video-1", Size: 1000})
+		srv.SetHealthy(healthy)
+		extra := 0
+		client.SetHandler(simnet.HandlerFunc(func(*simnet.Ctx, simnet.Datagram) { extra++ }))
+
+		want := referenceVerbReply(payload, healthy, map[string]bool{"mycdn.ciab.test.": true}, map[string]int64{"video-1": 1000})
+		got, _, err := client.Endpoint().Exchange(edge.Addr, payload, time.Second)
+		if err != nil {
+			t.Fatalf("%q: %v", payload, err)
+		}
+		n.Clock.Run()
+		if string(got) != want || extra != 0 {
+			t.Fatalf("%q: reply %q and %d more, want %q alone", payload, got, extra, want)
+		}
+	})
 }

@@ -70,10 +70,11 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 // three ingresses and Resolve (through serveQuery), by a cache miss
 // (Cache.fill) and by a prefetch alike. It keeps the first response
 // written as a wire image in a pooled buffer whoever reads buf then
-// owns: taken over as it is from a plugin that relays one (Cache.reply,
-// Stub, Forward), packed here — the one time an answer is packed — from
-// a plugin that builds a Message (Zone, a C-DNS referral). An image above limit is refused, so
-// that WriteImage hands it over decoded and WriteMsg cuts it down.
+// owns: taken over as it is from a plugin that relays or writes one
+// (Cache.reply, Stub, Forward, Zone, the C-DNS router), packed here from
+// a Message (the reply ResolveTo synthesizes, one WriteImage decoded). An
+// image above limit is refused, so that WriteImage hands it over decoded
+// and WriteMsg cuts it down.
 type replyImage struct {
 	buf   []byte // nil until written
 	n     int

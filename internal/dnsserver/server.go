@@ -56,6 +56,11 @@ type Request struct {
 	// wait is the UDP ingress's hand-off hook (udpServe.wait); nil on
 	// TCP, simnet and requests a test builds.
 	wait func() bool
+	// name is Name's result, filled by its first call: a mixed-case
+	// question is lowered once, however many plugins ask. A Request is
+	// never pointed at another question (serveQuery makes a new one for
+	// each query), so the name cannot go stale.
+	name string
 }
 
 // mayWait is called by a plugin that is about to wait on anything but
@@ -72,7 +77,12 @@ func (r *Request) mayWait() bool { return r.wait == nil || r.wait() }
 var errIngressFull = errors.New("dnsserver: too many queries waiting on the network")
 
 // Name returns the canonicalized first question name.
-func (r *Request) Name() string { return dnswire.CanonicalName(r.Msg.Question().Name) }
+func (r *Request) Name() string {
+	if r.name == "" {
+		r.name = dnswire.CanonicalName(r.Msg.Question().Name)
+	}
+	return r.name
+}
 
 // Type returns the first question type.
 func (r *Request) Type() dnswire.Type { return r.Msg.Question().Type }

@@ -339,6 +339,45 @@ func TestServeQueryAllocs(t *testing.T) {
 	}
 }
 
+// TestMixedCaseHitAllocs: a 0x20-cased question (letters in mixed case,
+// as resolvers send to defeat spoofing) is lowered once per query, in
+// Request.Name, however many layers ask for the name: a repeated cache
+// hit for AlLoC.TeSt. with telemetry on allocates that one copy, where
+// alloc.test. allocates nothing.
+func TestMixedCaseHitAllocs(t *testing.T) {
+	hub := telemetry.NewHub(vclock.NewReal())
+	hub.SampleEvery = math.MaxInt
+	chain := Chain(NewMetrics(), NewCache(vclock.NewReal()), pluginize(ecsAnswerHandler("192.0.2.9", 24)))
+	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
+	client := netip.MustParseAddrPort("198.51.100.7:4242")
+	for _, c := range []struct {
+		name string
+		max  float64
+	}{{"alloc.test.", 0}, {"AlLoC.TeSt.", 1}} {
+		q := new(dnswire.Message)
+		q.Questions = []dnswire.Question{{Name: c.name, Type: dnswire.TypeA, Class: dnswire.ClassINET}}
+		pkt, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve := func() {
+			buf, _ := serveQuery(context.Background(), chain, hub, st, pkt, client, "udp", maxUDPPayload)
+			if buf == nil {
+				t.Fatal("no reply")
+			}
+			dnswire.PutBuffer(buf)
+		}
+		serve() // the miss that fills the cache
+		got := testing.AllocsPerRun(100, serve)
+		switch {
+		case racecheck.Enabled:
+			t.Logf("%s: %v allocs per hit under the race detector", c.name, got)
+		case got > c.max:
+			t.Errorf("%s: %v allocs per hit, want <= %v", c.name, got, c.max)
+		}
+	}
+}
+
 // TestHedgeStragglerCannotReachNextQuery: the losing exchange of a
 // hedged pair outlives its query, and once the query has finished its
 // span serves the next one. The straggler's upstream hop must not land

@@ -331,61 +331,55 @@ const (
 
 // Lookup resolves (qname, qtype) against the zone's current view; see
 // ZoneView.Lookup. Lock-free.
-func (z *Zone) Lookup(qname string, qtype dnswire.Type) (LookupResult, []dnswire.RR, []dnswire.RR) {
-	return z.View().Lookup(qname, qtype)
+func (z *Zone) Lookup(qname string, qtype dnswire.Type) (LookupResult, []dnswire.ReplyRR, []dnswire.ReplyRR) {
+	return z.View().Lookup(qname, qtype, nil)
 }
 
 // Lookup resolves (qname, qtype) within the view, following in-zone
 // CNAME chains. It returns the result class, the answer records, and
-// the authority records (SOA for negative answers, NS for referrals).
-func (v *ZoneView) Lookup(qname string, qtype dnswire.Type) (LookupResult, []dnswire.RR, []dnswire.RR) {
+// the authority records (SOA for negative answers; for a referral the
+// NS set, then its glue). Both lists are appended to buf, which a
+// caller passes with room on its stack; the records in them are the
+// view's own, shared and read-only, and a wildcard's are reported under
+// the name they answer for as ReplyRR.Owner.
+func (v *ZoneView) Lookup(qname string, qtype dnswire.Type, buf []dnswire.ReplyRR) (LookupResult, []dnswire.ReplyRR, []dnswire.ReplyRR) {
 	qname = dnswire.CanonicalName(qname)
-	var answers []dnswire.RR
-	seen := map[string]bool{}
-	for {
-		if seen[qname] {
-			break // CNAME loop inside the zone; return what we have
-		}
-		seen[qname] = true
-
+	answers := buf[len(buf):]
+	for !answered(answers, qname) { // else a CNAME loop inside the zone: return what we have
 		// Delegation check: an NS set at a name strictly between the
 		// apex and qname (or at qname itself when qtype != NS at apex)
 		// produces a referral.
 		if deleg := v.findDelegation(qname); deleg != "" {
-			nsSet := cloneRRs(v.rrs[deleg][dnswire.TypeNS])
-			var glue []dnswire.RR
+			nsSet := v.rrs[deleg][dnswire.TypeNS]
+			authority := appendRRs(answers[len(answers):], nsSet, "")
 			for _, ns := range nsSet {
-				target := dnswire.CanonicalName(ns.(*dnswire.NS).NS)
-				if byType, ok := v.rrs[target]; ok {
-					glue = append(glue, cloneRRs(byType[dnswire.TypeA])...)
-					glue = append(glue, cloneRRs(byType[dnswire.TypeAAAA])...)
+				if byType, ok := v.rrs[dnswire.CanonicalName(ns.(*dnswire.NS).NS)]; ok {
+					authority = appendRRs(authority, byType[dnswire.TypeA], "")
+					authority = appendRRs(authority, byType[dnswire.TypeAAAA], "")
 				}
 			}
-			return LookupDelegation, answers, append(nsSet, glue...)
+			return LookupDelegation, answers[:len(answers):len(answers)], authority
 		}
 
+		owner := "" // the records' own, unless a wildcard answers
 		byType, ok := v.rrs[qname]
 		if !ok {
-			// Wildcard synthesis.
-			if wc := v.findWildcard(qname); wc != nil {
-				byType = wc
-			} else {
+			if byType = v.findWildcard(qname); byType == nil {
 				if len(answers) > 0 {
 					// CNAME chain left the populated namespace.
 					return LookupSuccess, answers, nil
 				}
-				return LookupNXDomain, nil, v.negativeAuthority()
+				return LookupNXDomain, nil, v.negativeAuthority(answers)
 			}
+			owner = qname
 		}
 		if rrs, ok := byType[qtype]; ok && len(rrs) > 0 {
-			answers = append(answers, synthesize(cloneRRs(rrs), qname)...)
-			return LookupSuccess, answers, nil
+			return LookupSuccess, appendRRs(answers, rrs, owner), nil
 		}
 		if cn, ok := byType[dnswire.TypeCNAME]; ok && len(cn) > 0 && qtype != dnswire.TypeCNAME {
-			rec := synthesize(cloneRRs(cn[:1]), qname)[0].(*dnswire.CNAME)
-			answers = append(answers, rec)
-			target := dnswire.CanonicalName(rec.Target)
-			if !dnswire.IsSubdomain(v.Origin, target) {
+			answers = appendRRs(answers, cn[:1], owner)
+			target := dnswire.CanonicalName(cn[0].(*dnswire.CNAME).Target)
+			if !inZone(v.Origin, target) {
 				// Chain leaves the zone: the resolver continues it.
 				return LookupSuccess, answers, nil
 			}
@@ -395,18 +389,44 @@ func (v *ZoneView) Lookup(qname string, qtype dnswire.Type) (LookupResult, []dns
 		if len(answers) > 0 {
 			return LookupSuccess, answers, nil
 		}
-		return LookupNoData, nil, v.negativeAuthority()
+		return LookupNoData, nil, v.negativeAuthority(answers)
 	}
 	return LookupSuccess, answers, nil
+}
+
+// answered reports whether a CNAME chain's answers already hold a
+// record for name: following it again would go round a loop.
+func answered(answers []dnswire.ReplyRR, name string) bool {
+	for _, rr := range answers {
+		if rr.Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// appendRRs appends rrs to to, each under owner.
+func appendRRs(to []dnswire.ReplyRR, rrs []dnswire.RR, owner string) []dnswire.ReplyRR {
+	for _, rr := range rrs {
+		to = append(to, dnswire.ReplyRR{RR: rr, Owner: owner})
+	}
+	return to
+}
+
+// inZone reports whether name is origin or below it: dnswire.IsSubdomain
+// for names already canonical, which it does not canonicalize again.
+func inZone(origin, name string) bool {
+	if origin == "." || name == origin {
+		return true
+	}
+	n := len(name) - len(origin)
+	return n > 0 && name[n-1] == '.' && name[n:] == origin
 }
 
 // findDelegation returns the closest enclosing owner of qname that
 // holds an NS set below the apex, or "".
 func (v *ZoneView) findDelegation(qname string) string {
-	for name := qname; name != "." && dnswire.IsSubdomain(v.Origin, name); name = dnswire.Parent(name) {
-		if name == v.Origin {
-			break
-		}
+	for name := qname; name != "." && name != v.Origin && inZone(v.Origin, name); name = dnswire.Parent(name) {
 		if byType, ok := v.rrs[name]; ok {
 			if _, hasNS := byType[dnswire.TypeNS]; hasNS {
 				return name
@@ -416,10 +436,13 @@ func (v *ZoneView) findDelegation(qname string) string {
 	return ""
 }
 
-// findWildcard looks for "*.<parent>" owners covering qname.
+// findWildcard looks for "*.<parent>" owners covering qname. The probe
+// key is built on the stack.
 func (v *ZoneView) findWildcard(qname string) map[dnswire.Type][]dnswire.RR {
-	for name := dnswire.Parent(qname); dnswire.IsSubdomain(v.Origin, name); name = dnswire.Parent(name) {
-		if byType, ok := v.rrs["*."+strings.TrimPrefix(name, ".")]; ok {
+	var key [2 + 4*255]byte // room for every octet of a name as \DDD
+	for name := dnswire.Parent(qname); inZone(v.Origin, name); name = dnswire.Parent(name) {
+		k := append(append(key[:0], "*."...), strings.TrimPrefix(name, ".")...)
+		if byType, ok := v.rrs[string(k)]; ok {
 			return byType
 		}
 		if name == v.Origin || name == "." {
@@ -429,29 +452,12 @@ func (v *ZoneView) findWildcard(qname string) map[dnswire.Type][]dnswire.RR {
 	return nil
 }
 
-// synthesize rewrites wildcard-owned records to the query name.
-func synthesize(rrs []dnswire.RR, qname string) []dnswire.RR {
-	for _, rr := range rrs {
-		if strings.HasPrefix(rr.Header().Name, "*.") {
-			rr.Header().Name = qname
-		}
-	}
-	return rrs
-}
-
-func (v *ZoneView) negativeAuthority() []dnswire.RR {
+// negativeAuthority appends the SOA a negative answer carries to buf.
+func (v *ZoneView) negativeAuthority(buf []dnswire.ReplyRR) []dnswire.ReplyRR {
 	if v.soa == nil {
 		return nil
 	}
-	return []dnswire.RR{v.soa.Clone()}
-}
-
-func cloneRRs(rrs []dnswire.RR) []dnswire.RR {
-	out := make([]dnswire.RR, len(rrs))
-	for i, rr := range rrs {
-		out[i] = rr.Clone()
-	}
-	return out
+	return append(buf, dnswire.ReplyRR{RR: v.soa})
 }
 
 // ZonePlugin serves authoritative answers from a set of zones,
@@ -491,53 +497,52 @@ func (p *ZonePlugin) AddZone(z *Zone) {
 // Name implements Plugin.
 func (p *ZonePlugin) Name() string { return "zone" }
 
-// match finds the longest registered origin enclosing qname.
+// match finds the longest registered origin enclosing qname, which is
+// canonical: of two origins that both enclose it the longer is the
+// deeper.
 func (p *ZonePlugin) match(qname string) *Zone {
 	var best *Zone
 	for origin, z := range *p.zones.Load() {
-		if dnswire.IsSubdomain(origin, qname) {
-			if best == nil || dnswire.CountLabels(origin) > dnswire.CountLabels(best.Origin) {
-				best = z
-			}
+		if inZone(origin, qname) && (best == nil || len(origin) > len(best.Origin)) {
+			best = z
 		}
 	}
 	return best
 }
 
-// ServeDNS implements Plugin.
+// zoneAnswerRoom is the stack room ServeDNS gives a lookup: an answer of
+// this many records, or a referral with its glue, is written without
+// allocating.
+const zoneAnswerRoom = 16
+
+// ServeDNS implements Plugin. The reply is written straight into a
+// pooled buffer with dnswire.AppendReply, from the view's own records,
+// and handed on through WriteImage, which truncates one too large for
+// the transport.
 func (p *ZonePlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
-	z := p.match(r.Name())
+	qname := r.Name()
+	z := p.match(qname)
 	if z == nil {
 		return next.ServeDNS(ctx, w, r)
 	}
 	hop := telemetry.StartHop(ctx, "zone")
 	// One view load per query: the answer, authority, and serial all
 	// come from the same snapshot even if a writer publishes mid-query.
-	view := z.View()
-	result, answers, authority := view.Lookup(r.Name(), r.Type())
+	var room [zoneAnswerRoom]dnswire.ReplyRR
+	result, answers, authority := z.View().Lookup(qname, r.Type(), room[:0])
 	hop.End(z.Origin)
-	m := new(dnswire.Message)
-	m.SetReply(r.Msg)
-	m.Authoritative = true
+	reply := dnswire.Reply{Authoritative: true, Answers: answers, Authorities: authority}
 	switch result {
-	case LookupSuccess:
-		m.Answers = answers
-	case LookupNoData:
-		m.Authorities = authority
 	case LookupNXDomain:
-		m.Rcode = dnswire.RcodeNameError
-		m.Authorities = authority
+		reply.Rcode = dnswire.RcodeNameError
 	case LookupDelegation:
-		m.Authoritative = false
-		m.Answers = answers
 		// Referral: NS in authority, glue in additional.
-		for _, rr := range authority {
-			if rr.Header().Type == dnswire.TypeNS {
-				m.Authorities = append(m.Authorities, rr)
-			} else {
-				m.Additionals = append(m.Additionals, rr)
-			}
+		reply.Authoritative = false
+		ns := 0
+		for ns < len(authority) && authority[ns].RR.Header().Type == dnswire.TypeNS {
+			ns++
 		}
+		reply.Authorities, reply.Additionals = authority[:ns], authority[ns:]
 	}
 	// A query with an OPT gets one back (RFC 6891 §7), echoing its ECS
 	// option per RFC 7871 §7.2.1. Zone data is static — the same answer
@@ -545,17 +550,21 @@ func (p *ZonePlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request,
 	// serve this answer to all their clients from one cache entry.
 	// Subnet-tailored answers (and their nonzero scopes) are the CDN
 	// router's job, not the zone's.
-	if _, ok := r.Msg.OPT(); ok {
-		opt := m.SetEDNS(dnswire.DefaultEDNSSize)
-		if ecs, ok := r.Msg.ECS(); ok {
-			echo := ecs.Echo(0)
-			opt.Options = append(opt.Options, &echo)
-		}
+	var echo dnswire.ECSOption
+	if ecs, ok := r.Msg.ECS(); ok {
+		echo = ecs.Echo(0)
+		reply.Echo = &echo
 	}
-	if err := w.WriteMsg(m); err != nil {
+	buf := dnswire.GetBuffer()
+	wire, err := dnswire.AppendReply(buf[:0], r.Msg, &reply)
+	if err != nil {
+		dnswire.PutBuffer(buf)
 		return dnswire.RcodeServerFailure, err
 	}
-	return m.Rcode, nil
+	if err := WriteImage(w, buf, len(wire)); err != nil {
+		return dnswire.RcodeServerFailure, err
+	}
+	return reply.Rcode, nil
 }
 
 // ParseZone reads a minimal zone-file dialect: one record per line,

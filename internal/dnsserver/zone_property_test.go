@@ -59,7 +59,7 @@ func TestZoneAddedRecordsAlwaysFound(t *testing.T) {
 			}
 			found := false
 			for _, rr := range answers {
-				if a, ok := rr.(*dnswire.A); ok && a.Addr == addr {
+				if a, ok := rr.RR.(*dnswire.A); ok && a.Addr == addr {
 					found = true
 				}
 			}

@@ -58,8 +58,8 @@ func TestZoneLookupCNAMEChase(t *testing.T) {
 	if len(ans) != 3 {
 		t.Fatalf("answers = %d: %v", len(ans), ans)
 	}
-	if ans[0].Header().Type != dnswire.TypeCNAME {
-		t.Errorf("first answer type = %v", ans[0].Header().Type)
+	if ans[0].RR.Header().Type != dnswire.TypeCNAME {
+		t.Errorf("first answer type = %v", ans[0].RR.Header().Type)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestZoneLookupExternalCNAME(t *testing.T) {
 	if res != LookupSuccess || len(ans) != 1 {
 		t.Fatalf("res=%v answers=%d", res, len(ans))
 	}
-	cn, ok := ans[0].(*dnswire.CNAME)
+	cn, ok := ans[0].RR.(*dnswire.CNAME)
 	if !ok || cn.Target != "cdn.elsewhere.example." {
 		t.Errorf("answer = %v", ans[0])
 	}
@@ -89,7 +89,7 @@ func TestZoneLookupNXDomain(t *testing.T) {
 	if res != LookupNXDomain {
 		t.Fatalf("res = %v", res)
 	}
-	if len(auth) != 1 || auth[0].Header().Type != dnswire.TypeSOA {
+	if len(auth) != 1 || auth[0].RR.Header().Type != dnswire.TypeSOA {
 		t.Errorf("authority = %v", auth)
 	}
 }
@@ -100,7 +100,7 @@ func TestZoneLookupNoData(t *testing.T) {
 	if res != LookupNoData {
 		t.Fatalf("res = %v", res)
 	}
-	if len(auth) != 1 || auth[0].Header().Type != dnswire.TypeSOA {
+	if len(auth) != 1 || auth[0].RR.Header().Type != dnswire.TypeSOA {
 		t.Errorf("authority = %v", auth)
 	}
 }
@@ -111,12 +111,15 @@ func TestZoneLookupWildcard(t *testing.T) {
 	if res != LookupSuccess || len(ans) != 1 {
 		t.Fatalf("res=%v answers=%v", res, ans)
 	}
-	if ans[0].Header().Name != "anything.wild.mycdn.ciab.test." {
-		t.Errorf("wildcard owner not synthesized: %q", ans[0].Header().Name)
+	if ans[0].Name() != "anything.wild.mycdn.ciab.test." {
+		t.Errorf("wildcard owner not synthesized: %q", ans[0].Name())
+	}
+	if ans[0].RR.Header().Name != "*.wild.mycdn.ciab.test." {
+		t.Errorf("the view's wildcard record was renamed to %q", ans[0].RR.Header().Name)
 	}
 	// The stored wildcard record must not be mutated by synthesis.
 	res2, ans2, _ := z.Lookup("other.wild.mycdn.ciab.test.", dnswire.TypeA)
-	if res2 != LookupSuccess || ans2[0].Header().Name != "other.wild.mycdn.ciab.test." {
+	if res2 != LookupSuccess || ans2[0].Name() != "other.wild.mycdn.ciab.test." {
 		t.Errorf("second wildcard lookup = %v %v", res2, ans2)
 	}
 }
@@ -129,7 +132,7 @@ func TestZoneLookupDelegation(t *testing.T) {
 	}
 	var ns, glue int
 	for _, rr := range auth {
-		switch rr.Header().Type {
+		switch rr.RR.Header().Type {
 		case dnswire.TypeNS:
 			ns++
 		case dnswire.TypeA:
@@ -165,11 +168,11 @@ func TestZoneUpdateIsOneRevision(t *testing.T) {
 	if got := z.View().Serial(); got != serial+1 {
 		t.Errorf("serial after one batch = %d, want %d", got, serial+1)
 	}
-	if res, ans, _ := before.Lookup("new.mycdn.ciab.test.", dnswire.TypeA); res != LookupNXDomain || ans != nil {
+	if res, ans, _ := before.Lookup("new.mycdn.ciab.test.", dnswire.TypeA, nil); res != LookupNXDomain || ans != nil {
 		t.Error("the batch changed a view published before it")
 	}
-	_, old, _ := before.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA)
-	if _, ans, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA); len(ans) != len(old)+1 || ans[len(old)].(*dnswire.A).Addr != netip.MustParseAddr("10.96.0.13") {
+	_, old, _ := before.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA, nil)
+	if _, ans, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA); len(ans) != len(old)+1 || ans[len(old)].RR.(*dnswire.A).Addr != netip.MustParseAddr("10.96.0.13") {
 		t.Errorf("edge1 A after the batch = %v, want %v then 10.96.0.13", ans, old)
 	}
 	if res, _, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeTXT); res != LookupSuccess {
@@ -362,11 +365,11 @@ rev 60 IN PTR edge1
 		t.Fatalf("parsed zone lookup: res=%v ans=%v", res, ans)
 	}
 	res, ans, _ = z.Lookup("mail.mycdn.ciab.test.", dnswire.TypeMX)
-	if res != LookupSuccess || ans[0].(*dnswire.MX).MX != "mx1.mycdn.ciab.test." {
+	if res != LookupSuccess || ans[0].RR.(*dnswire.MX).MX != "mx1.mycdn.ciab.test." {
 		t.Errorf("MX = %v", ans)
 	}
 	res, ans, _ = z.Lookup("_dns._udp.mycdn.ciab.test.", dnswire.TypeSRV)
-	if res != LookupSuccess || ans[0].(*dnswire.SRV).Port != 53 {
+	if res != LookupSuccess || ans[0].RR.(*dnswire.SRV).Port != 53 {
 		t.Errorf("SRV = %v", ans)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
 	"strings"
-	"sync"
 )
 
 // Errors returned by message packing and unpacking.
@@ -158,9 +156,6 @@ func (m *Message) Pack() ([]byte, error) {
 	return m.AppendPack(make([]byte, 0, 128))
 }
 
-// compressorPool recycles AppendPack's name-compression tables.
-var compressorPool = sync.Pool{New: func() any { return new(compressor) }}
-
 // AppendPack serializes m, appending to b (which must be empty or
 // freshly positioned at a message boundary: compression offsets are
 // relative to the start of b's unused capacity region only when b is
@@ -209,14 +204,10 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Authorities)))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Additionals)))
 
-	// The compressor escapes through packRR's interface calls, so it is
-	// pooled rather than allocated per message.
-	c := compressorPool.Get().(*compressor)
-	c.n = 0
-	defer compressorPool.Put(c)
+	var c compressor
 	var err error
 	for _, q := range m.Questions {
-		if b, err = packName(b, q.Name, c); err != nil {
+		if b, err = packName(b, q.Name, &c); err != nil {
 			return nil, fmt.Errorf("packing question %q: %w", q.Name, err)
 		}
 		b = binary.BigEndian.AppendUint16(b, uint16(q.Type))
@@ -224,7 +215,7 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	}
 	for _, section := range [][]RR{m.Answers, m.Authorities, m.Additionals} {
 		for _, rr := range section {
-			if b, err = packRR(b, rr, c); err != nil {
+			if b, err = packRR(b, rr, "", &c); err != nil {
 				return nil, err
 			}
 		}
@@ -235,25 +226,56 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// AppendReply appends to b, which must be empty, the reply to q that
-// Pack gives for SetRcode(q, rcode) with AA set to aa, plus an A record
-// for the question with ttl and addr when addr is valid and — when q
-// carries an OPT, as RFC 6891 §7 requires — an OPT advertising
-// DefaultEDNSSize that holds echo when echo is not nil. No Message,
-// record or compressor is built: the A record's owner is the pointer to
-// offset 12 Pack's compressor writes. This is the C-DNS router's reply.
-func AppendReply(b []byte, q *Message, aa bool, rcode Rcode, addr netip.Addr, ttl uint32, echo *ECSOption) ([]byte, error) {
+// A ReplyRR is one record AppendReply writes: RR under Owner, or under
+// its own name when Owner is empty. RR is only read, so it may be a
+// record other replies share, such as a zone view's, with Owner the name
+// a wildcard answers for.
+type ReplyRR struct {
+	RR    RR
+	Owner string
+}
+
+// Name returns the owner the record is written under.
+func (r ReplyRR) Name() string {
+	if r.Owner != "" {
+		return r.Owner
+	}
+	return r.RR.Header().Name
+}
+
+// Reply is what a reply adds to the query it answers: AA, the rcode,
+// the three record sections, and the ECS option the OPT echoes.
+type Reply struct {
+	Authoritative bool
+	Rcode         Rcode
+
+	Answers     []ReplyRR
+	Authorities []ReplyRR
+	Additionals []ReplyRR
+
+	// Echo is the ECS option of the OPT a query carrying one gets back;
+	// nil writes that OPT without options.
+	Echo *ECSOption
+}
+
+// AppendReply appends to b, which must be empty, the reply r to q: the
+// bytes Pack gives for SetRcode(q, r.Rcode) with AA, the three sections
+// and — when q carries an OPT, as RFC 6891 §7 requires — an OPT
+// advertising DefaultEDNSSize that holds r.Echo when it is not nil,
+// after the other additionals. No Message, record or OPT is built; the
+// records are read where they are and written once, names compressed
+// the way Pack compresses them. This is every authored reply of the
+// serve path: the zone's and the C-DNS router's.
+func AppendReply(b []byte, q *Message, r *Reply) ([]byte, error) {
 	_, edns := q.OPT()
 	switch {
 	case len(b) != 0:
 		return nil, fmt.Errorf("dnswire: AppendReply requires an empty buffer, got %d bytes", len(b))
-	case rcode > 0xF && !edns:
-		return nil, fmt.Errorf("dnswire: rcode %s requires an OPT record", rcode)
-	case addr.IsValid() && !addr.Is4() && !addr.Is4In6():
-		return nil, fmt.Errorf("%w: A record address %v is not IPv4", ErrBadRdata, addr)
+	case r.Rcode > 0xF && !edns:
+		return nil, fmt.Errorf("dnswire: rcode %s requires an OPT record", r.Rcode)
 	}
-	flags := uint16(flagQR) | uint16(q.Opcode&0xF)<<11 | uint16(rcode&0xF)
-	if aa {
+	flags := uint16(flagQR) | uint16(q.Opcode&0xF)<<11 | uint16(r.Rcode&0xF)
+	if r.Authoritative {
 		flags |= flagAA
 	}
 	if q.RecursionDesired {
@@ -261,43 +283,43 @@ func AppendReply(b []byte, q *Message, aa bool, rcode Rcode, addr netip.Addr, tt
 	}
 	b = binary.BigEndian.AppendUint16(b, q.ID)
 	b = binary.BigEndian.AppendUint16(b, flags)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // the counts, each set as its record is written
-	owner := []byte{0}                    // the root, unless the question names another
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // the counts, each set once its section is written
+	var c compressor
+	var err error
 	if len(q.Questions) > 0 {
 		qn := q.Questions[0]
-		var err error
-		if b, err = packName(b, qn.Name, nil); err != nil { // the first name never compresses
+		if b, err = packName(b, qn.Name, &c); err != nil {
 			return nil, fmt.Errorf("packing question %q: %w", qn.Name, err)
-		}
-		if len(b) > 13 {
-			owner = []byte{0xC0, 12}
 		}
 		b = binary.BigEndian.AppendUint16(b, uint16(qn.Type))
 		b = binary.BigEndian.AppendUint16(b, uint16(qn.Class))
 		b[5] = 1
 	}
-	if addr.IsValid() {
-		a4 := addr.As4()
-		b = append(append(b, owner...), 0, byte(TypeA), 0, byte(ClassINET))
-		b = binary.BigEndian.AppendUint32(b, ttl)
-		b = append(b, 0, 4, a4[0], a4[1], a4[2], a4[3])
-		b[7] = 1
+	for i, section := range [...][]ReplyRR{r.Answers, r.Authorities, r.Additionals} {
+		for _, rr := range section {
+			if b, err = packRR(b, rr.RR, rr.Owner, &c); err != nil {
+				return nil, err
+			}
+		}
+		binary.BigEndian.PutUint16(b[6+2*i:], uint16(len(section)))
 	}
 	if edns {
 		b = append(b, 0, 0, byte(TypeOPT), DefaultEDNSSize>>8, DefaultEDNSSize&0xFF) // root, type, payload size
-		b = binary.BigEndian.AppendUint32(b, uint32(rcode>>4)<<24)
+		b = binary.BigEndian.AppendUint32(b, uint32(r.Rcode>>4)<<24)
 		rdlen := len(b)
 		b = append(b, 0, 0)
-		if echo != nil {
+		if r.Echo != nil {
 			b = append(b, 0, byte(OptionCodeECS), 0, 0)
-			var err error
-			if b, err = echo.packOption(b); err != nil {
+			if b, err = r.Echo.packOption(b); err != nil {
 				return nil, err
 			}
 			binary.BigEndian.PutUint16(b[rdlen+4:], uint16(len(b)-rdlen-6))
 		}
 		binary.BigEndian.PutUint16(b[rdlen:], uint16(len(b)-rdlen-2))
-		b[11] = 1
+		binary.BigEndian.PutUint16(b[10:], uint16(len(r.Additionals)+1))
+	}
+	if len(b) > MaxMessageSize {
+		return nil, fmt.Errorf("dnswire: packed message is %d bytes, max %d", len(b), MaxMessageSize)
 	}
 	return b, nil
 }

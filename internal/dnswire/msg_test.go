@@ -356,7 +356,7 @@ func TestAppendPackRequiresEmptyBuffer(t *testing.T) {
 
 // TestAppendPackAllocs: packing a question + OPT/ECS query, the shape
 // of every query a stub sends upstream, into a pooled buffer allocates
-// nothing: the compressor table AppendPack needs comes from a pool too.
+// nothing: the compressor table AppendPack needs is on its stack.
 // Under the race detector sync.Pool drops objects on purpose, so there
 // the count is only logged.
 func TestAppendPackAllocs(t *testing.T) {

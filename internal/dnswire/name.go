@@ -80,10 +80,13 @@ func EqualFoldASCII(a, b []byte) bool {
 }
 
 // unescape decodes the escape whose backslash is name[i], \DDD or a
-// backslashed octet, and returns the octet and its last index.
+// backslashed octet, and returns the octet and its last index. Its
+// errors quote name with strconv.Quote, as %q would, so that name does
+// not escape: a record AppendReply writes from its caller's stack stays
+// there.
 func unescape(name string, i int) (byte, int, error) {
 	if i+1 >= len(name) {
-		return 0, 0, fmt.Errorf("dnswire: dangling escape in %q", name)
+		return 0, 0, fmt.Errorf("dnswire: dangling escape in %s", strconv.Quote(name))
 	}
 	if d := name[i+1]; d < '0' || d > '9' {
 		return d, i + 1, nil
@@ -94,7 +97,7 @@ func unescape(name string, i int) (byte, int, error) {
 			return byte(v), i + 3, nil
 		}
 	}
-	return 0, 0, fmt.Errorf("dnswire: bad \\DDD escape in %q", name)
+	return 0, 0, fmt.Errorf("dnswire: bad \\DDD escape in %s", strconv.Quote(name))
 }
 
 // packName appends the wire encoding of name to b, using and updating

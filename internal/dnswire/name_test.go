@@ -387,7 +387,7 @@ func TestCompressorTableBound(t *testing.T) {
 // TestNameCodecAllocs is the name codec's allocation budget: growing
 // the buffer, once, to pack into a nil one (none into one with room),
 // one string to unpack, and one for a whole Pack of the router-reply
-// vector — its output buffer; the compressor table is pooled, and
+// vector — its output buffer; the compressor table is on the stack, and
 // nothing is allocated per name.
 func TestNameCodecAllocs(t *testing.T) {
 	const name = `video.demo1.my\.cdn.ciab.test.`

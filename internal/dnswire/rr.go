@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"strconv"
 	"strings"
 )
 
@@ -34,22 +35,33 @@ func headerString(h *RRHeader) string {
 	return fmt.Sprintf("%s\t%d\t%s\t%s", h.Name, h.TTL, h.Class, h.Type)
 }
 
-// packRR appends the full wire form of rr (header + rdata) to b.
-func packRR(b []byte, rr RR, c *compressor) ([]byte, error) {
-	h := rr.Header()
+// packRR appends the full wire form of rr (header + rdata) to b, its
+// owner written as owner when that is not empty. No method is called
+// through the RR interface, which would move every record passed here
+// to the heap, and the errors quote the owner with strconv.Quote rather
+// than %q for the same reason: a reply's record can live on its
+// writer's stack.
+func packRR(b []byte, rr RR, owner string, c *compressor) ([]byte, error) {
+	h := rrHeader(rr)
+	if h == nil {
+		return nil, fmt.Errorf("%w: record type outside this package", ErrBadRdata)
+	}
+	if owner == "" {
+		owner = h.Name
+	}
 	var err error
-	b, err = packName(b, h.Name, c)
+	b, err = packName(b, owner, c)
 	if err != nil {
-		return nil, fmt.Errorf("packing owner of %s record %q: %w", h.Type, h.Name, err)
+		return nil, fmt.Errorf("packing owner of %s record %s: %w", h.Type, strconv.Quote(owner), err)
 	}
 	b = binary.BigEndian.AppendUint16(b, uint16(h.Type))
 	b = binary.BigEndian.AppendUint16(b, uint16(h.Class))
 	b = binary.BigEndian.AppendUint32(b, h.TTL)
 	lenAt := len(b)
 	b = append(b, 0, 0) // rdlength placeholder
-	b, err = rr.packData(b, c)
+	b, err = packRdata(b, rr, c)
 	if err != nil {
-		return nil, fmt.Errorf("packing rdata of %s record %q: %w", h.Type, h.Name, err)
+		return nil, fmt.Errorf("packing rdata of %s record %s: %w", h.Type, strconv.Quote(owner), err)
 	}
 	rdlen := len(b) - lenAt - 2
 	if rdlen > 0xFFFF {
@@ -57,6 +69,65 @@ func packRR(b []byte, rr RR, c *compressor) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint16(b[lenAt:], uint16(rdlen))
 	return b, nil
+}
+
+// rrHeader is rr.Header() for packRR, nil for a type this package does
+// not define.
+func rrHeader(rr RR) *RRHeader {
+	switch r := rr.(type) {
+	case *A:
+		return &r.Hdr
+	case *AAAA:
+		return &r.Hdr
+	case *CNAME:
+		return &r.Hdr
+	case *NS:
+		return &r.Hdr
+	case *PTR:
+		return &r.Hdr
+	case *SOA:
+		return &r.Hdr
+	case *MX:
+		return &r.Hdr
+	case *TXT:
+		return &r.Hdr
+	case *SRV:
+		return &r.Hdr
+	case *Generic:
+		return &r.Hdr
+	case *OPT:
+		return &r.Hdr
+	}
+	return nil
+}
+
+// packRdata is rr.packData for packRR.
+func packRdata(b []byte, rr RR, c *compressor) ([]byte, error) {
+	switch r := rr.(type) {
+	case *A:
+		return r.packData(b, c)
+	case *AAAA:
+		return r.packData(b, c)
+	case *CNAME:
+		return r.packData(b, c)
+	case *NS:
+		return r.packData(b, c)
+	case *PTR:
+		return r.packData(b, c)
+	case *SOA:
+		return r.packData(b, c)
+	case *MX:
+		return r.packData(b, c)
+	case *TXT:
+		return r.packData(b, c)
+	case *SRV:
+		return r.packData(b, c)
+	case *Generic:
+		return r.packData(b, c)
+	case *OPT:
+		return r.packData(b, c)
+	}
+	return nil, ErrBadRdata
 }
 
 // unpackRR decodes one resource record starting at off and returns it
@@ -145,7 +216,8 @@ func (r *A) Clone() RR { c := *r; return &c }
 
 func (r *A) packData(b []byte, _ *compressor) ([]byte, error) {
 	if !r.Addr.Is4() && !r.Addr.Is4In6() {
-		return nil, fmt.Errorf("%w: A record address %v is not IPv4", ErrBadRdata, r.Addr)
+		// String, not %v, so that r does not escape (see packRR).
+		return nil, fmt.Errorf("%w: A record address %s is not IPv4", ErrBadRdata, r.Addr.String())
 	}
 	a4 := r.Addr.As4()
 	return append(b, a4[:]...), nil
@@ -176,7 +248,8 @@ func (r *AAAA) Clone() RR { c := *r; return &c }
 
 func (r *AAAA) packData(b []byte, _ *compressor) ([]byte, error) {
 	if !r.Addr.Is6() || r.Addr.Is4In6() {
-		return nil, fmt.Errorf("%w: AAAA record address %v is not IPv6", ErrBadRdata, r.Addr)
+		// String, not %v, so that r does not escape (see packRR).
+		return nil, fmt.Errorf("%w: AAAA record address %s is not IPv6", ErrBadRdata, r.Addr.String())
 	}
 	a16 := r.Addr.As16()
 	return append(b, a16[:]...), nil

@@ -212,7 +212,7 @@ func TestPackVectors(t *testing.T) {
 
 // TestAppendReplyIsRouterVector: AppendReply writes the captured bytes
 // of the router-reply vector from its query, into a buffer with room
-// without allocating.
+// and with the answer on the stack, without allocating.
 func TestAppendReplyIsRouterVector(t *testing.T) {
 	want := routerReply()
 	q := new(Message)
@@ -220,10 +220,12 @@ func TestAppendReplyIsRouterVector(t *testing.T) {
 	q.ID = want.ID
 	echo, _ := want.ECS()
 	q.SetEDNS(1232).Options = []EDNSOption{&ECSOption{Family: 1, SourcePrefix: 24, Address: echo.Address}}
-	a := want.Answers[0].(*A)
+	wantA := want.Answers[0].(*A)
 	buf := make([]byte, 0, 512)
 	reply := func() []byte {
-		wire, err := AppendReply(buf, q, true, RcodeSuccess, a.Addr, a.Hdr.TTL, echo)
+		a := A{Hdr: RRHeader{Type: TypeA, Class: ClassINET, TTL: wantA.Hdr.TTL}, Addr: wantA.Addr}
+		answer := [1]ReplyRR{{RR: &a, Owner: q.Questions[0].Name}}
+		wire, err := AppendReply(buf, q, &Reply{Authoritative: true, Answers: answer[:], Echo: echo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +241,9 @@ func TestAppendReplyIsRouterVector(t *testing.T) {
 
 // TestAppendReplyMatchesPack: AppendReply's bytes are Pack's for the
 // message it describes, across the shapes that choose its layout —
-// question or none, root or not, answer or none, OPT or none, an echo
-// in it or none, an extended rcode — and Pack's errors are its errors.
+// question or none, root or not, records in each section or none, owners
+// overridden or not, OPT or none, an echo in it or none, an extended
+// rcode — and Pack's errors are its errors.
 func TestAppendReplyMatchesPack(t *testing.T) {
 	v4, v6 := netip.MustParseAddr("203.0.113.7"), netip.MustParseAddr("2001:db8::7")
 	echo4 := &ECSOption{Family: 1, SourcePrefix: 22, ScopePrefix: 16, Address: netip.MustParseAddr("10.3.4.0")}
@@ -256,40 +259,64 @@ func TestAppendReplyMatchesPack(t *testing.T) {
 		}
 		return q
 	}
+	hdr := func(name string, t Type) RRHeader { return RRHeader{Name: name, Type: t, Class: ClassINET, TTL: 300} }
+	a := func(owner string, addr netip.Addr) []ReplyRR {
+		return []ReplyRR{{RR: &A{Hdr: hdr("", TypeA), Addr: addr}, Owner: owner}}
+	}
+	chain := []ReplyRR{
+		{RR: &CNAME{Hdr: hdr("*.cdn.test.", TypeCNAME), Target: "edge.cdn.test."}, Owner: "obj.cdn.test."},
+		{RR: &A{Hdr: hdr("edge.cdn.test.", TypeA), Addr: v4}},
+		{RR: &A{Hdr: hdr("EDGE.cdn.test.", TypeA), Addr: netip.MustParseAddr("203.0.113.8")}},
+	}
+	soa := []ReplyRR{{RR: &SOA{Hdr: hdr("cdn.test.", TypeSOA), NS: "ns.cdn.test.", Mbox: "hostmaster.cdn.test.", Serial: 7, MinTTL: 60}}}
+	ns := []ReplyRR{{RR: &NS{Hdr: hdr("child.cdn.test.", TypeNS), NS: "ns.child.cdn.test."}}}
+	glue := []ReplyRR{
+		{RR: &A{Hdr: hdr("ns.child.cdn.test.", TypeA), Addr: v4}},
+		{RR: &AAAA{Hdr: hdr("ns.child.cdn.test.", TypeAAAA), Addr: v6}},
+	}
 	for _, c := range []struct {
 		name  string
 		q     *Message
-		aa    bool
-		rcode Rcode
-		addr  netip.Addr
-		echo  *ECSOption
+		reply Reply
 	}{
-		{"A", query("obj.cdn.test.", false), true, RcodeSuccess, v4, nil},
-		{"A, mixed case", query(`Obj.CDN\.x.test`, true), true, RcodeSuccess, v4, nil},
-		{"A + ECS v4", query("obj.cdn.test.", true), true, RcodeSuccess, v4, echo4},
-		{"A + ECS v6", query("obj.cdn.test.", true), true, RcodeSuccess, v4, echo6},
-		{"NODATA + OPT", query("obj.cdn.test.", true), true, RcodeSuccess, netip.Addr{}, nil},
-		{"SERVFAIL", query("obj.cdn.test.", false), false, RcodeServerFailure, netip.Addr{}, nil},
-		{"BADVERS", query("obj.cdn.test.", true), false, RcodeBadVers, netip.Addr{}, nil},
-		{"BADVERS without OPT", query("obj.cdn.test.", false), false, RcodeBadVers, netip.Addr{}, nil},
-		{"root question", query(".", true), true, RcodeSuccess, v4, echo4},
-		{"no question", query("", false), true, RcodeSuccess, v4, nil},
-		{"AAAA address", query("obj.cdn.test.", false), true, RcodeSuccess, v6, nil},
-		{"bad name", query("a..b.", false), true, RcodeSuccess, v4, nil},
-		{"bad echo", query("obj.cdn.test.", true), true, RcodeSuccess, v4, &ECSOption{Family: 3}},
+		{"A", query("obj.cdn.test.", false), Reply{Authoritative: true, Answers: a("obj.cdn.test.", v4)}},
+		{"A, mixed case", query(`Obj.CDN\.x.test`, true), Reply{Authoritative: true, Answers: a(`obj.cdn\.x.test.`, v4)}},
+		{"A + ECS v4", query("obj.cdn.test.", true), Reply{Authoritative: true, Answers: a("obj.cdn.test.", v4), Echo: echo4}},
+		{"A + ECS v6", query("obj.cdn.test.", true), Reply{Authoritative: true, Answers: a("obj.cdn.test.", v4), Echo: echo6}},
+		{"NODATA + OPT", query("obj.cdn.test.", true), Reply{Authoritative: true}},
+		{"SERVFAIL", query("obj.cdn.test.", false), Reply{Rcode: RcodeServerFailure}},
+		{"BADVERS", query("obj.cdn.test.", true), Reply{Rcode: RcodeBadVers}},
+		{"BADVERS without OPT", query("obj.cdn.test.", false), Reply{Rcode: RcodeBadVers}},
+		{"root question", query(".", true), Reply{Authoritative: true, Answers: a(".", v4), Echo: echo4}},
+		{"no question", query("", false), Reply{Authoritative: true, Answers: a("", v4)}},
+		{"AAAA address", query("obj.cdn.test.", false), Reply{Authoritative: true, Answers: a("obj.cdn.test.", v6)}},
+		{"bad name", query("a..b.", false), Reply{Authoritative: true, Answers: a("a..b.", v4)}},
+		{"bad owner", query("obj.cdn.test.", false), Reply{Authoritative: true, Answers: a("x..y.", v4)}},
+		{"bad echo", query("obj.cdn.test.", true), Reply{Authoritative: true, Answers: a("obj.cdn.test.", v4), Echo: &ECSOption{Family: 3}}},
+		{"wildcard CNAME chain", query("OBJ.cdn.test.", true), Reply{Authoritative: true, Answers: chain, Echo: echo4}},
+		{"NXDOMAIN", query("nope.cdn.test.", true), Reply{Authoritative: true, Rcode: RcodeNameError, Authorities: soa}},
+		{"referral with glue", query("x.child.cdn.test.", true), Reply{Authorities: ns, Additionals: glue}},
+		{"answer, authority and additional", query("obj.cdn.test.", false), Reply{Answers: chain, Authorities: ns, Additionals: glue}},
 	} {
-		m := new(Message).SetRcode(c.q, c.rcode)
-		m.Authoritative = c.aa
-		if c.addr.IsValid() {
-			m.Answers = []RR{&A{Hdr: RRHeader{Name: CanonicalName(c.q.Question().Name), Type: TypeA, Class: ClassINET, TTL: 300}, Addr: c.addr}}
+		m := new(Message).SetRcode(c.q, c.reply.Rcode)
+		m.Authoritative = c.reply.Authoritative
+		for _, s := range []struct {
+			to   *[]RR
+			from []ReplyRR
+		}{{&m.Answers, c.reply.Answers}, {&m.Authorities, c.reply.Authorities}, {&m.Additionals, c.reply.Additionals}} {
+			for _, rr := range s.from {
+				cp := rr.RR.Clone()
+				cp.Header().Name = rr.Name()
+				*s.to = append(*s.to, cp)
+			}
 		}
 		if _, ok := c.q.OPT(); ok {
-			if opt := m.SetEDNS(DefaultEDNSSize); c.echo != nil {
-				opt.Options = []EDNSOption{c.echo}
+			if opt := m.SetEDNS(DefaultEDNSSize); c.reply.Echo != nil {
+				opt.Options = []EDNSOption{c.reply.Echo}
 			}
 		}
 		want, wantErr := m.Pack()
-		got, gotErr := AppendReply(nil, c.q, c.aa, c.rcode, c.addr, 300, c.echo)
+		got, gotErr := AppendReply(nil, c.q, &c.reply)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Errorf("%s: Pack err %v, AppendReply err %v", c.name, wantErr, gotErr)
 		} else if !bytes.Equal(got, want) {

@@ -88,7 +88,7 @@ func mustA(t *testing.T, z *dnsserver.Zone, name string) netip.Addr {
 	if len(ans) == 0 {
 		t.Fatalf("no A for %s", name)
 	}
-	return ans[0].(*dnswire.A).Addr
+	return ans[0].RR.(*dnswire.A).Addr
 }
 
 func TestServiceProxyRoundRobin(t *testing.T) {
