@@ -26,6 +26,8 @@ all: vet test race build
 #  - allocation pin: every kind of zone answer (answer, CNAME chain, wildcard,
 #    NODATA, NXDOMAIN, referral; no OPT, OPT, ECS) allocates nothing
 #  - allocation pin: a 0x20-cased question is lowered once per query
+#  - allocation pin: a reply cut to 512 bytes (zone answer or cache hit, 40 and
+#    200 records) costs no more than the same reply whole, and the cut allocates nothing
 #  - allocation pin: a sampled query's log record
 #  - allocation pins: the query parse, the router's reply vector and the query pack
 #  - allocation pin: the router's answer, table- and ring-routed
@@ -42,6 +44,7 @@ all: vet test race build
 #  - fuzz: the router's bytes-written reply against its Message oracle
 #  - fuzz: every record an accepted zone file holds packs and round-trips
 #  - fuzz: the zone's bytes-written reply against its Message oracle, at every limit
+#  - fuzz: the in-place cut of an oversized reply against decode → truncate → Pack
 #  - fuzz: the cache server's verb parser against a byte-level reference
 #  - serve-path bench smoke across the UDP ingress at 1, 2, 4 cores (catches a bounded-queue timeout)
 #  - router, LPM and ring bench smoke
@@ -63,6 +66,7 @@ ci:
 	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget|TestSlab|TestFlightAnswerOutlivesEviction|TestServeStaleOwnKeyOnly|TestCacheOPTFollowsAsker|TestECSClampedAtIngress' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestZoneAnswerAllocs' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestMixedCaseHitAllocs' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run TestTruncatedReplyAllocs -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestSampledFinishAllocs' -cpu 1,2,4 ./internal/telemetry/
 	$(GO) test -run 'TestUnpackQueryNoAllocOnRepeat|TestAppendReplyIsRouterVector|TestAppendPackAllocs' -cpu 1,2,4 ./internal/dnswire/
 	$(GO) test -run 'TestRouterAnswerAllocs' -cpu 1,2,4 ./internal/cdn/
@@ -79,6 +83,7 @@ ci:
 	$(GO) test -run xxx -fuzz FuzzRouterReply -fuzztime 5s ./internal/cdn/
 	$(GO) test -run xxx -fuzz FuzzParseZone -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzZoneReply -fuzztime 5s ./internal/dnsserver/
+	$(GO) test -run xxx -fuzz FuzzTruncate -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzCacheServerVerbs -fuzztime 5s ./internal/cdn/
 	$(GO) test -run xxx -bench='ServeUDPHit|StubExchange' -cpu 1,2,4 -benchtime=20000x -benchmem .
 	$(GO) test -run xxx -bench='RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .

@@ -694,7 +694,6 @@ func (w *imageWriter) WriteMsg(m *dnswire.Message) error {
 	return w.WriteWireOwned(buf, len(wire))
 }
 func (w *imageWriter) Written() bool { return w.buf != nil }
-func (w *imageWriter) WireSize() int { return dnswire.MaxMessageSize }
 func (w *imageWriter) WriteWireOwned(buf []byte, n int) error {
 	if w.buf != nil {
 		dnswire.PutBuffer(buf)

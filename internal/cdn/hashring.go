@@ -345,10 +345,10 @@ func (r *HashRing) RecordLoad(member string) {
 
 // DecayLoads multiplies every member's load by factor (clamped to
 // [0,1]), implementing the time decay that turns the counters into a
-// recent-load window. Callers pick the cadence: the health Checker's
-// probe sweep in dnsd, the per-tick loop in the X8 experiment. Every
-// cell ever seen decays — including members currently off the ring,
-// so a flapping member's load fades while it is out. Concurrent
+// recent-load window. The caller picks the cadence; the one caller is
+// the X8 experiment's tick loop, and dnsd's ring is never decayed.
+// Every cell ever seen decays — including members currently off the
+// ring, so a flapping member's load fades while it is out. Concurrent
 // RecordLoads may interleave with the decay; the counters are
 // deliberately approximate.
 func (r *HashRing) DecayLoads(factor float64) {

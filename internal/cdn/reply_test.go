@@ -27,7 +27,8 @@ func oracleReply(r *dnsserver.Request, rcode dnswire.Rcode, addr netip.Addr, sco
 		ttl = 30
 	}
 	m := new(dnswire.Message)
-	m.SetRcode(r.Msg, rcode)
+	m.SetReply(r.Msg)
+	m.Rcode = rcode
 	m.Authoritative = rcode == dnswire.RcodeSuccess
 	if addr.IsValid() {
 		m.Answers = []dnswire.RR{&dnswire.A{
@@ -81,7 +82,6 @@ func (w *imageWriter) WriteMsg(*dnswire.Message) error {
 	panic("imageWriter: reply not written as bytes")
 }
 func (w *imageWriter) Written() bool { return w.buf != nil }
-func (w *imageWriter) WireSize() int { return dnswire.MaxMessageSize }
 func (w *imageWriter) WriteWireOwned(buf []byte, n int) error {
 	w.buf, w.n = buf, n
 	return nil

@@ -496,10 +496,10 @@ func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *d
 }
 
 // reply answers r with rcode — an A record for addr when it is valid,
-// else NODATA or SERVFAIL — through writeReply. An A record echoes ECS with
-// the scope it depended on (RFC 7871 §7.2.1): the matched route length on
-// a table hit, 0 when the table did not discriminate, and without a
-// table (scope < 0) the source length.
+// else NODATA or SERVFAIL — through dnsserver.WriteReply. An A record
+// echoes ECS with the scope it depended on (RFC 7871 §7.2.1): the
+// matched route length on a table hit, 0 when the table did not
+// discriminate, and without a table (scope < 0) the source length.
 func (rt *Router) reply(w dnsserver.ResponseWriter, r *dnsserver.Request, rcode dnswire.Rcode, addr netip.Addr, scope int) (dnswire.Rcode, error) {
 	reply := dnswire.Reply{Authoritative: rcode == dnswire.RcodeSuccess, Rcode: rcode}
 	var echo dnswire.ECSOption
@@ -521,22 +521,7 @@ func (rt *Router) reply(w dnsserver.ResponseWriter, r *dnsserver.Request, rcode 
 		answer[0] = dnswire.ReplyRR{RR: &a, Owner: r.Name()}
 		reply.Answers = answer[:]
 	}
-	return writeReply(w, r, &reply)
-}
-
-// writeReply writes reply to r with dnswire.AppendReply into a pooled buffer
-// and hands it on through dnsserver.WriteImage.
-func writeReply(w dnsserver.ResponseWriter, r *dnsserver.Request, reply *dnswire.Reply) (dnswire.Rcode, error) {
-	buf := dnswire.GetBuffer()
-	wire, err := dnswire.AppendReply(buf[:0], r.Msg, reply)
-	if err != nil {
-		dnswire.PutBuffer(buf)
-		return dnswire.RcodeServerFailure, err
-	}
-	if err := dnsserver.WriteImage(w, buf, len(wire)); err != nil {
-		return dnswire.RcodeServerFailure, err
-	}
-	return reply.Rcode, nil
+	return dnsserver.WriteReply(w, r, &reply)
 }
 
 // ReferralNS is the owner label used for cross-tier C-DNS referrals:
@@ -553,7 +538,7 @@ func (rt *Router) writeReferralTo(w dnsserver.ResponseWriter, r *dnsserver.Reque
 	glue := dnswire.A{Hdr: dnswire.RRHeader{Name: nsName, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30}, Addr: next}
 	authority := [1]dnswire.ReplyRR{{RR: &ns}}
 	additional := [1]dnswire.ReplyRR{{RR: &glue}}
-	return writeReply(w, r, &dnswire.Reply{Authorities: authority[:], Additionals: additional[:]})
+	return dnsserver.WriteReply(w, r, &dnswire.Reply{Authorities: authority[:], Additionals: additional[:]})
 }
 
 // Referral extracts the next-tier C-DNS address from a response, if

@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"context"
+	"errors"
 	"net/netip"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 
 // askWire serves a query for name — with an OPT when edns, and the ECS
 // option ecs when that is not nil — through h as an ingress does, and
-// returns the reply decoded.
-func askWire(t *testing.T, h Handler, name string, edns bool, ecs *dnswire.ECSOption) *dnswire.Message {
+// returns the reply decoded, which must hold answers answers.
+func askWire(t *testing.T, h Handler, name string, edns bool, ecs *dnswire.ECSOption, answers int) *dnswire.Message {
 	t.Helper()
 	q := new(dnswire.Message)
 	q.SetQuestion(name, dnswire.TypeA)
@@ -33,7 +34,7 @@ func askWire(t *testing.T, h Handler, name string, edns bool, ecs *dnswire.ECSOp
 	}
 	defer dnswire.PutBuffer(buf)
 	resp := new(dnswire.Message)
-	if err := resp.Unpack(buf[:n]); err != nil || len(resp.Answers) != 1 {
+	if err := resp.Unpack(buf[:n]); err != nil || len(resp.Answers) != answers {
 		t.Fatalf("%s: reply %v, %d answers", name, err, len(resp.Answers))
 	}
 	return resp
@@ -72,13 +73,54 @@ func TestCacheOPTFollowsAsker(t *testing.T) {
 			cache := NewCache(&vclock.Fixed{})
 			h := Chain(cache, c.backend)
 			for i, edns := range order {
-				resp := askWire(t, h, c.qname, edns, nil)
+				resp := askWire(t, h, c.qname, edns, nil, 1)
 				if opt, has := resp.OPT(); has != edns || has && opt.UDPSize() != dnswire.DefaultEDNSSize {
 					t.Errorf("%s, order %v, query %d: OPT in the query %v, in the reply %v", c.name, order, i, edns, has)
 				}
 			}
 			if st := cache.Stats(); st.Misses != 1 || st.Hits != 2 {
 				t.Errorf("%s, order %v: cache stats %+v: one entry should serve both kinds of asker", c.name, order, st)
+			}
+		}
+	}
+}
+
+// TestSynthesizedReplyFollowsAsker (RFC 6891 §7, RFC 7871 §7.2.1): the
+// replies the server writes itself when no plugin answered — the chain's
+// REFUSED fall-through, SERVFAIL for a handler's error, and LoadShed's
+// refusal once its bucket is empty — carry an OPT exactly when the query
+// did, and echo an ECS option at scope 0.
+func TestSynthesizedReplyFollowsAsker(t *testing.T) {
+	failing := pluginize(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		return dnswire.RcodeSuccess, errors.New("handler failed")
+	}))
+	shed := &LoadShed{Clock: &vclock.Fixed{}, MaxQueries: 1}
+	shed.overloaded() // the bucket's one token; a fixed clock never refills it
+	subnet := netip.MustParsePrefix("10.1.2.0/24")
+	for _, c := range []struct {
+		name  string
+		h     Handler
+		rcode dnswire.Rcode
+	}{
+		{"REFUSED fall-through", Chain(), dnswire.RcodeRefused},
+		{"SERVFAIL on error", Chain(failing), dnswire.RcodeServerFailure},
+		{"LoadShed refusal", Chain(shed, failing), dnswire.RcodeRefused},
+	} {
+		for _, q := range []struct {
+			with string
+			edns bool
+			ecs  *dnswire.ECSOption
+		}{{"no OPT", false, nil}, {"OPT", true, nil}, {"OPT+ECS", true, dnswire.NewECSOption(subnet)}} {
+			resp := askWire(t, c.h, "synth.test.", q.edns, q.ecs, 0)
+			opt, has := resp.OPT()
+			echo, echoed := resp.ECS()
+			switch {
+			case resp.Rcode != c.rcode:
+				t.Errorf("%s, %s: rcode %v, want %v", c.name, q.with, resp.Rcode, c.rcode)
+			case has != q.edns || has && opt.UDPSize() != dnswire.DefaultEDNSSize:
+				t.Errorf("%s, %s: OPT in the reply %v, want %v", c.name, q.with, has, q.edns)
+			case echoed != (q.ecs != nil) || echoed && (echo.Prefix() != subnet || echo.Family != 1 || echo.ScopePrefix != 0):
+				t.Errorf("%s, %s: ECS echo %v, want %v at scope 0", c.name, q.with, echo, q.ecs)
 			}
 		}
 	}
@@ -117,7 +159,7 @@ func TestECSClampedAtIngress(t *testing.T) {
 		{"10.9.0.0/16", 16},
 	} {
 		p := netip.MustParsePrefix(c.client)
-		resp := askWire(t, h, "clamp.test.", true, dnswire.NewECSOption(p))
+		resp := askWire(t, h, "clamp.test.", true, dnswire.NewECSOption(p), 1)
 		echo, ok := resp.ECS()
 		if !ok || echo.Prefix() != p || echo.ScopePrefix != c.scope || echo.Family != dnswire.NewECSOption(p).Family {
 			t.Errorf("%s: echo %v, want the client's subnet with scope %d", c.client, echo, c.scope)

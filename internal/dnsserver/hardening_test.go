@@ -81,16 +81,13 @@ func (t *scriptTransport) Exchange(ctx context.Context, _ time.Time, server neti
 		return nil, err
 	}
 	m := new(dnswire.Message)
-	if rcode != dnswire.RcodeSuccess {
-		m.SetRcode(q, rcode)
-	} else {
-		m.SetReply(q)
-		if hasAnswer {
-			m.Answers = []dnswire.RR{&dnswire.A{
-				Hdr:  dnswire.RRHeader{Name: q.Question().Name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30},
-				Addr: addr,
-			}}
-		}
+	m.SetReply(q)
+	m.Rcode = rcode
+	if rcode == dnswire.RcodeSuccess && hasAnswer {
+		m.Answers = []dnswire.RR{&dnswire.A{
+			Hdr:  dnswire.RRHeader{Name: q.Question().Name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30},
+			Addr: addr,
+		}}
 	}
 	return m.Pack()
 }

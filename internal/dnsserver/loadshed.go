@@ -110,12 +110,7 @@ func (l *LoadShed) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, n
 		if l.Fallback != nil {
 			return l.Fallback.ServeDNS(ctx, w, r)
 		}
-		m := new(dnswire.Message)
-		m.SetRcode(r.Msg, dnswire.RcodeRefused)
-		if err := w.WriteMsg(m); err != nil {
-			return dnswire.RcodeServerFailure, err
-		}
-		return dnswire.RcodeRefused, nil
+		return dnswire.RcodeRefused, nil // ResolveTo writes the refusal
 	}
 	return next.ServeDNS(ctx, w, r)
 }

@@ -441,7 +441,8 @@ func TestMetricsHostileLabels(t *testing.T) {
 	h := Chain(m, pluginize(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
 		rc := dnswire.RcodeBadVers + 1 + dnswire.Rcode(r.Type())%n
 		reply := new(dnswire.Message)
-		reply.SetRcode(r.Msg, rc)
+		reply.SetReply(r.Msg)
+		reply.Rcode = rc
 		reply.SetEDNS(dnswire.DefaultEDNSSize)
 		return rc, w.WriteMsg(reply)
 	})))

@@ -23,11 +23,10 @@ func init() { poolOutstanding = dnswire.PoolOutstanding }
 // every UDP serve path that touches pooled buffers — misses (packed
 // once at store, replied from the image), plain and EDNS hits
 // (ownership transfer through WriteWireOwned), and oversized replies
-// (decoded at the cache boundary, clone-truncated in the writer) — and
-// a burst of slow misses, each of which takes its packet buffer out of
-// its ingress slot, gives the socket away mid-batch and sends its own
-// reply; then shut the server down and require every checked-out buffer
-// to be back in the pool. A positive delta is a leak on some exit path.
+// (cut in place by the writer) — and a burst of slow misses, each of
+// which takes its packet buffer out of its ingress slot, gives the
+// socket away mid-batch and sends its own reply; then shut the server
+// down and require every checked-out buffer to be back in the pool. A positive delta is a leak on some exit path.
 func TestServePathPoolBalance(t *testing.T) {
 	zone := NewZone("bal.test.")
 	if err := zone.AddA("www.bal.test.", 300, netip.MustParseAddr("192.0.2.5")); err != nil {
@@ -135,14 +134,24 @@ func (s *ownedSink) WriteWireOwned(buf []byte, n int) error {
 
 // TestReplyPoolBalance drives every exit of the cache's one reply
 // routine — WriteWireOwned (accepting and refusing), the decode
-// boundary for a message writer and for an oversized reply, and
-// the ECS echo failing — and requires each pooled patch buffer to have
-// been returned exactly once (a second return panics under this tag).
+// boundary for a message writer, an oversized reply truncated in the
+// ingress's writer, and the ECS echo failing — and requires each pooled
+// patch buffer to have been returned exactly once (a second return
+// panics under this tag).
 func TestReplyPoolBalance(t *testing.T) {
+	big := NewZone("big.pool.test.")
+	for i := range 40 {
+		if err := big.AddA("big.pool.test.", 30, netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cache := NewCache(&vclock.Fixed{})
-	h := Chain(cache, pluginize(ecsAnswerHandler("192.0.2.9", 16)))
+	h := Chain(cache, NewZonePlugin(big), pluginize(ecsAnswerHandler("192.0.2.9", 16)))
 	base := dnswire.PoolOutstanding()
-	Resolve(context.Background(), h, ecsQueryFor("pool.test.", "10.1.1.0/24")) // the miss: store
+	Resolve(context.Background(), h, ecsQueryFor("pool.test.", "10.1.1.0/24")) // the misses: store
+	if resp := Resolve(context.Background(), h, queryFor("big.pool.test.")); resp == nil || len(resp.Answers) != 40 {
+		t.Fatalf("big.pool.test. answered %v, want 40 records", resp)
+	}
 
 	badECS := ecsQueryFor("pool.test.", "10.1.3.0/24")
 	for _, tc := range []struct {
@@ -154,7 +163,7 @@ func TestReplyPoolBalance(t *testing.T) {
 		{"WriteWireOwned", &ownedSink{}, ecsQueryFor("pool.test.", "10.1.2.0/25"), false},
 		{"WriteWireOwned refusing", &ownedSink{failing: true}, ecsQueryFor("pool.test.", "10.1.2.0/24"), true},
 		{"message writer", &msgWriter{}, ecsQueryFor("pool.test.", "10.1.2.0/23"), false},
-		{"oversized", &wireSink{size: 20}, ecsQueryFor("pool.test.", "10.1.2.0/24"), false},
+		{"oversized", &replyImage{limit: dnswire.MaxUDPSize}, queryFor("big.pool.test."), false},
 		{"echo fails", &wireSink{}, badECS, true},
 	} {
 		if tc.req == badECS {
@@ -164,6 +173,12 @@ func TestReplyPoolBalance(t *testing.T) {
 		_, err := h.ServeDNS(context.Background(), tc.w, tc.req)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, want error: %v", tc.name, err, tc.wantErr)
+		}
+		if ri, ok := tc.w.(*replyImage); ok {
+			if ri.buf == nil || ri.n > dnswire.MaxUDPSize || ri.buf[2]&0x02 == 0 {
+				t.Errorf("%s: %d-byte reply, want one cut to %d with TC", tc.name, ri.n, dnswire.MaxUDPSize)
+			}
+			dnswire.PutBuffer(ri.buf)
 		}
 		if out := dnswire.PoolOutstanding(); out != base {
 			t.Errorf("%s: %d pooled buffers outstanding, want %d", tc.name, out, base)
@@ -407,7 +422,8 @@ func TestRelayPoolBalance(t *testing.T) {
 	}
 	servfail := scriptedUpstream(t, func(q *dnswire.Message, _ []byte) [][]byte {
 		m := new(dnswire.Message)
-		m.SetRcode(q, dnswire.RcodeServerFailure)
+		m.SetReply(q)
+		m.Rcode = dnswire.RcodeServerFailure
 		return [][]byte{mustPack(t, m)}
 	})
 	malformed := scriptedUpstream(t, func(q *dnswire.Message, _ []byte) [][]byte {

@@ -2,7 +2,6 @@ package dnsserver
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
 
 	"github.com/meccdn/meccdn/internal/dnswire"
@@ -71,10 +70,9 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 // (Cache.fill) and by a prefetch alike. It keeps the first response
 // written as a wire image in a pooled buffer whoever reads buf then
 // owns: taken over as it is from a plugin that relays or writes one
-// (Cache.reply, Stub, Forward, Zone, the C-DNS router), packed here from
-// a Message (the reply ResolveTo synthesizes, one WriteImage decoded). An
-// image above limit is refused, so that WriteImage hands it over decoded
-// and WriteMsg cuts it down.
+// (Cache.reply, Stub, Forward, WriteReply), packed here from a Message
+// (the resolver plugin's). It is the one place a reply is cut to size:
+// an image above limit is truncated in place (dnswire.Truncate).
 type replyImage struct {
 	buf   []byte // nil until written
 	n     int
@@ -84,56 +82,37 @@ type replyImage struct {
 // Written implements ResponseWriter.
 func (w *replyImage) Written() bool { return w.buf != nil }
 
-// WireSize implements OwnedWireWriter.
-func (w *replyImage) WireSize() int { return w.limit }
-
 // WriteWireOwned implements OwnedWireWriter: buf becomes the reply, so
 // a cache hit's patched image needs no copy on its way to the socket.
-func (w *replyImage) WriteWireOwned(buf []byte, n int) error {
-	switch {
-	case w.buf != nil:
-		dnswire.PutBuffer(buf)
-	case n > w.limit:
-		dnswire.PutBuffer(buf)
-		return fmt.Errorf("dnsserver: %d-byte wire response exceeds %d-byte payload limit", n, w.limit)
-	default:
-		w.buf, w.n = buf, n
+func (w *replyImage) WriteWireOwned(buf []byte, n int) (err error) {
+	if w.buf == nil {
+		if n, err = dnswire.Truncate(buf, n, w.limit); err == nil {
+			w.buf, w.n = buf, n
+			return nil
+		}
 	}
-	return nil
+	dnswire.PutBuffer(buf)
+	return err
 }
 
-// WriteMsg implements ResponseWriter: pack into a pooled buffer. A
-// response larger than limit is truncated with TC set — on a clone, so
-// a message the handler still holds is never mutated here. This is
-// where a cache reply too large for the transport is cut down: the
-// cache hands it over decoded.
+// WriteMsg implements ResponseWriter: pack into a pooled buffer and
+// take that over like any other image.
 func (w *replyImage) WriteMsg(m *dnswire.Message) error {
-	if w.buf != nil {
-		return nil
-	}
 	buf := dnswire.GetBuffer()
 	wire, err := m.AppendPack(buf[:0])
-	if err == nil && len(wire) > w.limit {
-		t := m.Clone()
-		t.TruncateTo(w.limit)
-		wire, err = t.AppendPack(buf[:0])
-	}
 	if err != nil {
 		dnswire.PutBuffer(buf)
 		return err
 	}
-	w.buf, w.n = buf, len(wire)
-	return nil
+	return w.WriteWireOwned(buf, len(wire))
 }
 
 // WriteImage hands w the response image buf[:n] and the pooled buffer
-// it is in (Cache, Forward, the C-DNS router). An OwnedWireWriter takes
-// the buffer itself, saving the last copy before the socket. A writer
-// that cannot take bytes — and any image larger than the transport
-// carries, so that truncation stays the writer's business — gets it
-// decoded, here and only here.
+// it is in (Cache, Forward, WriteReply). An OwnedWireWriter takes the
+// buffer itself, saving the last copy before the socket. A writer that
+// cannot take bytes gets it decoded, here and only here.
 func WriteImage(w ResponseWriter, buf []byte, n int) error {
-	if ow, ok := w.(OwnedWireWriter); ok && n <= ow.WireSize() {
+	if ow, ok := w.(OwnedWireWriter); ok {
 		return ow.WriteWireOwned(buf, n)
 	}
 	msg := new(dnswire.Message)
@@ -143,4 +122,33 @@ func WriteImage(w ResponseWriter, buf []byte, n int) error {
 		return err
 	}
 	return w.WriteMsg(msg)
+}
+
+// WriteReply writes every reply the server authors — a zone's, the C-DNS
+// router's, the one ResolveTo synthesizes — with dnswire.AppendReply
+// into a pooled buffer handed on through WriteImage. It returns reply's
+// rcode, or SERVFAIL with the error when nothing could be written.
+func WriteReply(w ResponseWriter, r *Request, reply *dnswire.Reply) (dnswire.Rcode, error) {
+	buf := dnswire.GetBuffer()
+	wire, err := dnswire.AppendReply(buf[:0], r.Msg, reply)
+	if err != nil {
+		dnswire.PutBuffer(buf)
+		return dnswire.RcodeServerFailure, err
+	}
+	if err := WriteImage(w, buf, len(wire)); err != nil {
+		return dnswire.RcodeServerFailure, err
+	}
+	return reply.Rcode, nil
+}
+
+// writeUnscoped is WriteReply for a reply that is the same for every
+// subnet: an ECS option the query carried is echoed at scope 0 (RFC
+// 7871 §7.2.1), so resolvers may serve it to all their clients.
+func writeUnscoped(w ResponseWriter, r *Request, reply dnswire.Reply) (dnswire.Rcode, error) {
+	var echo dnswire.ECSOption
+	if ecs, ok := r.Msg.ECS(); ok {
+		echo = ecs.Echo(0)
+		reply.Echo = &echo
+	}
+	return WriteReply(w, r, &reply)
 }

@@ -23,18 +23,11 @@ import (
 // buffer, WriteMsg keeps the message. It is an OwnedWireWriter like the
 // ingresses' replyImage.
 type wireSink struct {
-	size    int
 	wire    []byte
 	msg     *dnswire.Message
 	written bool
 }
 
-func (s *wireSink) WireSize() int {
-	if s.size > 0 {
-		return s.size
-	}
-	return dnswire.MaxUDPSize
-}
 func (s *wireSink) Written() bool { return s.written }
 func (s *wireSink) WriteWireOwned(buf []byte, n int) error {
 	s.wire = append(s.wire[:0], buf[:n]...)
@@ -71,23 +64,35 @@ func TestWireHitMatchesOracle(t *testing.T) {
 	if err := zone.AddA("www.wire.test.", 300, netip.MustParseAddr("192.0.2.31")); err != nil {
 		t.Fatal(err)
 	}
+	for i := range 40 {
+		if err := zone.AddA("big.wire.test.", 300, netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
 	clock := &vclock.Fixed{}
 	cache := NewCache(clock)
 	origin := NewZonePlugin(zone)
 	chain := Chain(cache, origin)
 
-	query := func(id uint16, rd bool) *Request {
+	nameQuery := func(name string, id uint16, rd bool) *Request {
 		q := new(dnswire.Message)
-		q.SetQuestion("www.wire.test.", dnswire.TypeA)
+		q.SetQuestion(name, dnswire.TypeA)
 		q.ID = id
 		q.RecursionDesired = rd
 		return &Request{Msg: q, Client: netip.MustParseAddrPort("192.0.2.99:4242"), Transport: "udp"}
 	}
+	query := func(id uint16, rd bool) *Request { return nameQuery("www.wire.test.", id, rd) }
 	stored := upstreamImage(t, Chain(origin), query(1, true))
+	bigStored := upstreamImage(t, Chain(origin), nameQuery("big.wire.test.", 1, true))
+	if len(bigStored) < 512 {
+		t.Fatalf("big.wire.test. packs to %d bytes, want at least 512", len(bigStored))
+	}
 
 	// Populate the cache, then age it.
-	if resp := Resolve(context.Background(), chain, query(1, true)); resp.Rcode != dnswire.RcodeSuccess {
-		t.Fatalf("warm query rcode = %v", resp.Rcode)
+	for _, req := range []*Request{query(1, true), nameQuery("big.wire.test.", 1, true)} {
+		if resp := Resolve(context.Background(), chain, req); resp.Rcode != dnswire.RcodeSuccess {
+			t.Fatalf("warm query rcode = %v", resp.Rcode)
+		}
 	}
 	clock.Time += 10 * time.Second
 
@@ -153,7 +158,7 @@ func TestWireHitMatchesOracle(t *testing.T) {
 	// An EDNS-bearing request is served the same way.
 	eq := query(9, true)
 	eq.Msg.SetEDNS(1232)
-	edns := &wireSink{size: dnswire.MaxMessageSize}
+	edns := &wireSink{}
 	ResolveTo(context.Background(), chain, edns, eq)
 	if edns.wire == nil || edns.msg != nil {
 		t.Fatal("EDNS request not served as wire bytes")
@@ -162,12 +167,26 @@ func TestWireHitMatchesOracle(t *testing.T) {
 		t.Errorf("EDNS hit differs from the oracle (%v):\n% x\n% x", err, edns.wire, want)
 	}
 
-	// A reply larger than the transport carries goes through WriteMsg,
-	// so truncation stays with the writer.
-	small := &wireSink{size: 20}
-	ResolveTo(context.Background(), chain, small, query(11, true))
-	if small.wire != nil || small.msg == nil {
-		t.Error("oversized hit not handed to WriteMsg")
+	// A hit larger than the transport carries reaches the ingress's
+	// writer as bytes too, and is cut down there, in place: the oracle's
+	// bytes truncated, TC set, within the limit.
+	bq := nameQuery("big.wire.test.", 11, true)
+	small := &replyImage{limit: dnswire.MaxUDPSize}
+	ResolveTo(context.Background(), chain, small, bq)
+	if small.buf == nil {
+		t.Fatal("oversized hit wrote nothing")
+	}
+	defer dnswire.PutBuffer(small.buf)
+	whole, err := oracleReply(bigStored, bq.Msg, 10, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := dnswire.Truncate(whole, len(whole), dnswire.MaxUDPSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := small.buf[:small.n]; !bytes.Equal(got, whole[:n]) || n > dnswire.MaxUDPSize || got[2]&0x02 == 0 {
+		t.Errorf("oversized hit is not the oracle cut to %d bytes with TC:\n% x\n% x", dnswire.MaxUDPSize, got, whole[:n])
 	}
 
 	if st := cache.Stats(); st.Hits < 5 {

@@ -102,15 +102,10 @@ type ResponseWriter interface {
 // in place — transaction ID, the request-mirrored flag bits, the TTLs,
 // the ECS echo — inside such a buffer, and WriteImage passes it on as
 // it is, so a hit reaches the socket without a copy or a decode. The
-// ingresses' replyImage is one; any other writer is handed the response
-// decoded, through WriteMsg.
+// ingresses' replyImage, which cuts one too large, is one; any other
+// writer is handed the response decoded, through WriteMsg.
 type OwnedWireWriter interface {
 	ResponseWriter
-	// WireSize returns the largest packed response the transport can
-	// carry as-is: the client's advertised EDNS payload size on UDP
-	// (at most maxUDPPayload), MaxMessageSize on TCP and simnet. Larger
-	// responses go through WriteMsg so truncation applies.
-	WireSize() int
 	// WriteWireOwned transmits buf[:n], a pooled buffer from
 	// dnswire.GetBuffer whose ownership transfers to the writer —
 	// even on error. The writer returns it to the pool.
@@ -203,8 +198,8 @@ func normalizeQueryECS(req *Request) {
 // ResolveTo is the engine: it runs handler h to completion for req,
 // writing the response through w as the chain produces it, and
 // synthesizing an empty response with the handler's rcode (SERVFAIL on
-// error) when no plugin answered. It returns the rcode of the response
-// that was written.
+// error), ECS echoed at scope 0, when no plugin answered. It returns the
+// rcode of the response that was written.
 //
 // It never materializes the response: an OwnedWireWriter (the
 // ingresses' replyImage) receives cached and relayed answers as patched
@@ -216,13 +211,11 @@ func ResolveTo(ctx context.Context, h Handler, w ResponseWriter, req *Request) d
 	if w.Written() || errors.Is(err, errIngressFull) {
 		return rcode // answered — or shed, and a shed query gets no reply
 	}
-	m := new(dnswire.Message)
 	if err != nil {
 		rcode = dnswire.RcodeServerFailure
 	}
-	m.SetRcode(req.Msg, rcode)
-	_ = w.WriteMsg(m)
-	return m.Rcode
+	_, _ = writeUnscoped(w, req, dnswire.Reply{Rcode: rcode}) // a reply that cannot be written is not sent
+	return rcode
 }
 
 // tcpReadTimeout bounds each read on a TCP connection.

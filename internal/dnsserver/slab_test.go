@@ -121,7 +121,7 @@ func TestSlabHashCollision(t *testing.T) {
 		sieveOrder(t, sh)
 		n := 0
 		for i, name := range names {
-			sink := &wireSink{size: dnswire.MaxMessageSize}
+			sink := &wireSink{}
 			res := cache.serveHit(sh, h, keys[i], 0, sink, reqs[i], true)
 			if res.hit != live[i] {
 				t.Fatalf("%s: hit %v, want %v", name, res.hit, live[i])
@@ -190,7 +190,7 @@ func TestFlightAnswerOutlivesEviction(t *testing.T) {
 	key := appendBaseKey(nil, queryFor(name))
 	kh, sh := cache.locate(key)
 	var slot int32
-	leader := &ownerSink{wireSink: wireSink{size: dnswire.MaxMessageSize}, then: func() {
+	leader := &ownerSink{then: func() {
 		slot = sh.find(kh, key)
 		for i := 0; i < 2*cache.MaxEntries; i++ {
 			ResolveTo(context.Background(), h, &wireSink{}, queryFor(fmt.Sprintf("s%d.flight.test.", i)))

@@ -515,10 +515,7 @@ func (p *ZonePlugin) match(qname string) *Zone {
 // allocating.
 const zoneAnswerRoom = 16
 
-// ServeDNS implements Plugin. The reply is written straight into a
-// pooled buffer with dnswire.AppendReply, from the view's own records,
-// and handed on through WriteImage, which truncates one too large for
-// the transport.
+// ServeDNS implements Plugin, writing the view's own records.
 func (p *ZonePlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
 	qname := r.Name()
 	z := p.match(qname)
@@ -544,27 +541,9 @@ func (p *ZonePlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request,
 		}
 		reply.Authorities, reply.Additionals = authority[:ns], authority[ns:]
 	}
-	// A query with an OPT gets one back (RFC 6891 §7), echoing its ECS
-	// option per RFC 7871 §7.2.1. Zone data is static — the same answer
-	// goes to every subnet — so the honest scope is 0: resolvers may
-	// serve this answer to all their clients from one cache entry.
-	// Subnet-tailored answers (and their nonzero scopes) are the CDN
-	// router's job, not the zone's.
-	var echo dnswire.ECSOption
-	if ecs, ok := r.Msg.ECS(); ok {
-		echo = ecs.Echo(0)
-		reply.Echo = &echo
-	}
-	buf := dnswire.GetBuffer()
-	wire, err := dnswire.AppendReply(buf[:0], r.Msg, &reply)
-	if err != nil {
-		dnswire.PutBuffer(buf)
-		return dnswire.RcodeServerFailure, err
-	}
-	if err := WriteImage(w, buf, len(wire)); err != nil {
-		return dnswire.RcodeServerFailure, err
-	}
-	return reply.Rcode, nil
+	// Zone data is the same for every subnet; subnet-tailored answers
+	// (and their nonzero scopes) are the CDN router's job.
+	return writeUnscoped(w, r, reply)
 }
 
 // ParseZone reads a minimal zone-file dialect: one record per line,

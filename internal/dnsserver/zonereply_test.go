@@ -405,3 +405,79 @@ func TestZoneAnswerAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTruncatedReplyAllocs: a reply too large for a plain UDP client is
+// cut down in its own buffer, so it costs no more than the same reply
+// whole at MaxMessageSize — a 40- and a 200-record RRset, answered by
+// the zone and as a cache hit — and the cut itself allocates nothing.
+// Under the race detector sync.Pool drops buffers on purpose, so there
+// the counts are logged.
+func TestTruncatedReplyAllocs(t *testing.T) {
+	z := NewZone("trunc.test.")
+	for i := range 200 {
+		addr := netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
+		if i < 40 {
+			if err := z.AddA("forty.trunc.test.", 60, addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := z.AddA("twohundred.trunc.test.", 60, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := &serveScratch{intern: dnswire.NewNameIntern(0)}
+	client := netip.MustParseAddrPort("198.51.100.7:4242")
+	for _, c := range []struct {
+		qname   string
+		records int
+	}{{"forty.trunc.test.", 40}, {"twohundred.trunc.test.", 200}} {
+		pkt, err := queryFor(c.qname).Msg.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []struct {
+			name string
+			h    Handler
+		}{
+			{"zone answer", Chain(NewZonePlugin(z))},
+			{"cache hit", Chain(NewCache(vclock.NewReal()), NewZonePlugin(z))},
+		} {
+			var allocs [2]float64
+			for i, limit := range []int{maxUDPPayload, dnswire.MaxMessageSize} {
+				serve := func() {
+					buf, n := serveQuery(context.Background(), b.h, nil, st, pkt, client, "udp", limit)
+					if buf == nil {
+						t.Fatalf("%s, %s: no reply", c.qname, b.name)
+					}
+					an, tc := int(binary.BigEndian.Uint16(buf[6:])), buf[2]&0x02 != 0
+					dnswire.PutBuffer(buf)
+					if whole := limit == dnswire.MaxMessageSize; whole == tc || whole != (an == c.records) || !whole && n > dnswire.MaxUDPSize {
+						t.Fatalf("%s, %s at %d: %d bytes, %d answers, TC %v", c.qname, b.name, limit, n, an, tc)
+					}
+				}
+				serve() // the miss that fills the cache
+				allocs[i] = testing.AllocsPerRun(100, serve)
+			}
+			switch {
+			case racecheck.Enabled:
+				t.Logf("%s, %s: %v allocs per query cut to 512 bytes, %v whole, under the race detector", c.qname, b.name, allocs[0], allocs[1])
+			case allocs[0] > allocs[1]:
+				t.Errorf("%s, %s: %v allocs per query cut to 512 bytes, want no more than the %v of the whole reply", c.qname, b.name, allocs[0], allocs[1])
+			}
+		}
+	}
+
+	image, err := Resolve(context.Background(), Chain(NewZonePlugin(z)), queryFor("twohundred.trunc.test.")).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := dnswire.GetBuffer()
+	defer dnswire.PutBuffer(buf)
+	if got := testing.AllocsPerRun(100, func() {
+		if n, err := dnswire.Truncate(buf, copy(buf, image), dnswire.MaxUDPSize); err != nil || n > dnswire.MaxUDPSize {
+			t.Fatalf("Truncate: %d bytes, %v", n, err)
+		}
+	}); got != 0 {
+		t.Errorf("Truncate: %v allocs per cut, want 0", got)
+	}
+}

@@ -75,13 +75,6 @@ func (m *Message) SetReply(req *Message) *Message {
 	return m
 }
 
-// SetRcode is SetReply followed by setting the response code.
-func (m *Message) SetRcode(req *Message, rcode Rcode) *Message {
-	m.SetReply(req)
-	m.Rcode = rcode
-	return m
-}
-
 // Question returns the first question, or a zero Question if none.
 func (m *Message) Question() Question {
 	if len(m.Questions) == 0 {
@@ -259,13 +252,13 @@ type Reply struct {
 }
 
 // AppendReply appends to b, which must be empty, the reply r to q: the
-// bytes Pack gives for SetRcode(q, r.Rcode) with AA, the three sections
-// and — when q carries an OPT, as RFC 6891 §7 requires — an OPT
-// advertising DefaultEDNSSize that holds r.Echo when it is not nil,
+// bytes Pack gives for SetReply(q) with r's rcode and AA, the three
+// sections and — when q carries an OPT, as RFC 6891 §7 requires — an
+// OPT advertising DefaultEDNSSize that holds r.Echo when it is not nil,
 // after the other additionals. No Message, record or OPT is built; the
 // records are read where they are and written once, names compressed
 // the way Pack compresses them. This is every authored reply of the
-// serve path: the zone's and the C-DNS router's.
+// serve path (dnsserver.WriteReply).
 func AppendReply(b []byte, q *Message, r *Reply) ([]byte, error) {
 	_, edns := q.OPT()
 	switch {
@@ -395,39 +388,6 @@ func (m *Message) Unpack(data []byte) error {
 		m.Rcode |= Rcode(opt.ExtendedRcode()) << 4
 	}
 	return nil
-}
-
-// TruncateTo shrinks the answer/authority/additional sections (keeping
-// any OPT record) until the packed size fits within size bytes, setting
-// the TC bit if anything was dropped. It reports whether truncation
-// occurred.
-func (m *Message) TruncateTo(size int) bool {
-	packedLen := func() int {
-		b, err := m.Pack()
-		if err != nil {
-			return MaxMessageSize + 1
-		}
-		return len(b)
-	}
-	if packedLen() <= size {
-		return false
-	}
-	m.Truncated = true
-	// Drop non-OPT additionals first, then authorities, then answers.
-	var keep []RR
-	for _, rr := range m.Additionals {
-		if rr.Header().Type == TypeOPT {
-			keep = append(keep, rr)
-		}
-	}
-	m.Additionals = keep
-	for packedLen() > size && len(m.Authorities) > 0 {
-		m.Authorities = m.Authorities[:len(m.Authorities)-1]
-	}
-	for packedLen() > size && len(m.Answers) > 0 {
-		m.Answers = m.Answers[:len(m.Answers)-1]
-	}
-	return true
 }
 
 // String renders the message in a dig-like multi-section format.

@@ -110,11 +110,6 @@ func TestSetQuestionAndReply(t *testing.T) {
 	if r.Question() != q.Question() {
 		t.Error("SetReply must copy the question")
 	}
-	e := new(Message)
-	e.SetRcode(q, RcodeNameError)
-	if e.Rcode != RcodeNameError {
-		t.Errorf("SetRcode = %v", e.Rcode)
-	}
 }
 
 func TestUnpackErrors(t *testing.T) {
@@ -240,46 +235,6 @@ func TestMessageClone(t *testing.T) {
 	c.Answers[1].(*A).Addr = netip.MustParseAddr("203.0.113.9")
 	if m.Answers[1].(*A).Addr.String() != "10.96.0.10" {
 		t.Error("Message.Clone shares answer records")
-	}
-}
-
-func TestTruncateTo(t *testing.T) {
-	m := new(Message)
-	m.SetQuestion("big.test.", TypeA)
-	m.Response = true
-	for i := 0; i < 100; i++ {
-		m.Answers = append(m.Answers, &A{
-			Hdr:  RRHeader{Name: "big.test.", Type: TypeA, Class: ClassINET, TTL: 60},
-			Addr: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}),
-		})
-	}
-	m.SetEDNS(1232)
-	if !m.TruncateTo(MaxUDPSize) {
-		t.Fatal("TruncateTo reported no truncation")
-	}
-	if !m.Truncated {
-		t.Error("TC bit not set")
-	}
-	wire, err := m.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wire) > MaxUDPSize {
-		t.Errorf("truncated message is %d bytes", len(wire))
-	}
-	if _, ok := m.OPT(); !ok {
-		t.Error("OPT record dropped during truncation")
-	}
-}
-
-func TestTruncateToNoOpWhenSmall(t *testing.T) {
-	m := new(Message)
-	m.SetQuestion("small.test.", TypeA)
-	if m.TruncateTo(MaxUDPSize) {
-		t.Error("TruncateTo truncated a small message")
-	}
-	if m.Truncated {
-		t.Error("TC bit set on small message")
 	}
 }
 

@@ -101,7 +101,7 @@ func packVectors() []packVector {
 	big.SetEDNS(1232)
 	add("big", big)
 	cut := big.Clone()
-	cut.TruncateTo(MaxUDPSize)
+	truncateTo(cut, MaxUDPSize)
 	add("big-truncated", cut)
 
 	badvers := new(Message)
@@ -298,7 +298,8 @@ func TestAppendReplyMatchesPack(t *testing.T) {
 		{"referral with glue", query("x.child.cdn.test.", true), Reply{Authorities: ns, Additionals: glue}},
 		{"answer, authority and additional", query("obj.cdn.test.", false), Reply{Answers: chain, Authorities: ns, Additionals: glue}},
 	} {
-		m := new(Message).SetRcode(c.q, c.reply.Rcode)
+		m := new(Message).SetReply(c.q)
+		m.Rcode = c.reply.Rcode
 		m.Authoritative = c.reply.Authoritative
 		for _, s := range []struct {
 			to   *[]RR

@@ -344,6 +344,89 @@ func FollowOPT(buf []byte, n, opt int, edns bool) (int, error) {
 	return n, nil
 }
 
+// Truncate cuts the packed response buf[:n] in place to at most limit
+// octets (RFC 2181 §9) and returns its length: the header and question,
+// the longest run of answer-then-authority records that fits, and the
+// OPT records of the additional section under the root owner; the rest
+// goes and TC is set. One that fits is left as it is; one whose question
+// and OPT records alone do not fit is refused. Kept records do not move,
+// so their backward pointers hold, and an image Pack wrote becomes what
+// Pack writes for the decoded message cut the same way.
+func Truncate(buf []byte, n, limit int) (int, error) {
+	if n <= limit {
+		return n, nil
+	}
+	if n < 12 {
+		return 0, ErrShortMessage
+	}
+	wire := buf[:n]
+	an := int(binary.BigEndian.Uint16(wire[6:]))
+	rrs := an + int(binary.BigEndian.Uint16(wire[8:])) // the answers and authorities
+	ar := int(binary.BigEndian.Uint16(wire[10:]))
+	off, err := 12, error(nil)
+	for i := binary.BigEndian.Uint16(wire[4:]); i > 0 && err == nil; i-- {
+		off, err = scanName(wire, off)
+		off += 4 // type, class
+	}
+	records, additional, opts, optLen := off, off, 0, 0
+	for i := 0; i < rrs+ar && err == nil; i++ {
+		var fixed, end int
+		if fixed, end, err = recordAt(wire, off); err == nil && i >= rrs && Type(binary.BigEndian.Uint16(wire[fixed:])) == TypeOPT {
+			opts, optLen = opts+1, optLen+1+end-fixed
+		}
+		if off = end; i == rrs-1 {
+			additional = off
+		}
+	}
+	switch {
+	case err != nil:
+		return 0, err
+	case off != n:
+		return 0, ErrTrailingGarbage
+	case records+optLen > limit:
+		return 0, fmt.Errorf("dnswire: the question and OPT records alone exceed %d octets", limit)
+	}
+	end, kept := records, 0
+	for ; kept < rrs; kept++ {
+		_, next, _ := recordAt(wire, end)
+		if next+optLen > limit {
+			break
+		}
+		end = next
+	}
+	// Each OPT record moves down behind the kept run, written no further
+	// on than it was read from; names are skipped, never followed, so no
+	// byte is read after it was overwritten.
+	for off = additional; off < n; {
+		fixed, next, _ := recordAt(wire, off)
+		if Type(binary.BigEndian.Uint16(wire[fixed:])) == TypeOPT {
+			wire[end] = 0 // the root owner
+			end += 1 + copy(wire[end+1:], wire[fixed:next])
+		}
+		off = next
+	}
+	wire[2] |= flagTC >> 8
+	binary.BigEndian.PutUint16(wire[6:], uint16(min(kept, an)))
+	binary.BigEndian.PutUint16(wire[8:], uint16(kept-min(kept, an)))
+	binary.BigEndian.PutUint16(wire[10:], uint16(opts))
+	return end, nil
+}
+
+// recordAt returns where the record at off has its TYPE field and where
+// it ends. Its owner is skipped up to its root octet or first pointer.
+func recordAt(wire []byte, off int) (fixed, end int, err error) {
+	for off < len(wire) && wire[off] != 0 && wire[off] < 0xC0 {
+		off += 1 + int(wire[off])
+	}
+	if fixed = off + 1; off < len(wire) && wire[off] != 0 {
+		fixed++ // a pointer
+	}
+	if fixed+10 > len(wire) || fixed+10+int(binary.BigEndian.Uint16(wire[fixed+8:])) > len(wire) {
+		return 0, 0, ErrBufferTooSmall
+	}
+	return fixed, fixed + 10 + int(binary.BigEndian.Uint16(wire[fixed+8:])), nil
+}
+
 // AgeTTLs subtracts age seconds from each TTL field at the given
 // offsets (recorded by PatchOffsets), clamping at zero — the in-place
 // equivalent of decoding the message and aging each record.

@@ -145,14 +145,9 @@ func (p *poolPicker) ServeDNS(_ context.Context, w dnsserver.ResponseWriter, r *
 	}
 	a4[3] = 1 + byte(rng.Intn(250))
 	host := netip.AddrFrom4(a4)
-	m := new(dnswire.Message)
-	m.SetReply(r.Msg)
-	m.Authoritative = true
-	m.Answers = []dnswire.RR{&dnswire.A{
-		Hdr:  dnswire.RRHeader{Name: r.Name(), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 20},
-		Addr: host,
-	}}
-	return dnswire.RcodeSuccess, w.WriteMsg(m)
+	a := dnswire.A{Hdr: dnswire.RRHeader{Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 20}, Addr: host}
+	answer := [1]dnswire.ReplyRR{{RR: &a, Owner: r.Name()}}
+	return dnsserver.WriteReply(w, r, &dnswire.Reply{Authoritative: true, Answers: answer[:]})
 }
 
 // Fig3Row is the response distribution for one (site, access) bar.

@@ -343,9 +343,9 @@ func lbArmRun(cfg *LoadBalanceConfig, sc lbScenario, bounded bool) (LoadBalanceA
 		}
 		arm.Requests += vol
 
-		// One decay window per tick, the same cadence dnsd ties to
-		// its probe sweep. Decaying the plain arm too is a no-op for
-		// routing (only the spread metrics read its counters).
+		// One decay window per tick; nothing decays dnsd's ring. The
+		// plain arm's decay is a no-op for routing (only the spread
+		// metrics read its counters).
 		for _, rt := range routers {
 			rt.Ring.DecayLoads(0.5)
 		}

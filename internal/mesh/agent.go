@@ -425,8 +425,8 @@ func (a *Agent) publishLocked() {
 
 // DecayLoads multiplies every peer steering cell by factor (clamped
 // to [0,1]) — the same recent-window decay the hash ring's cells get,
-// run at whatever cadence the caller picks (the announce loop under
-// Start, the health sweep in dnsd, the tick loop in experiments).
+// at the caller's cadence: the announce loop under Start, once per
+// round, and X9's tick loop (nothing decays dnsd's hash ring).
 func (a *Agent) DecayLoads(factor float64) {
 	if factor < 0 {
 		factor = 0
