@@ -63,7 +63,7 @@ ci:
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/ ./internal/meccdn/ ./internal/resolver/ .
 	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery|TestSingleflightLateJoiner|TestSlabSlotReuseRace' -cpu 1,2,4 ./internal/dnsserver/
-	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget|TestSlab|TestFlightAnswerOutlivesEviction|TestServeStaleOwnKeyOnly|TestCacheOPTFollowsAsker|TestECSClampedAtIngress' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget|TestSlab|TestFlightAnswerOutlivesEviction|TestServeStaleOwnKeyOnly|TestCacheOPTFollowsAsker|TestECSClampedAtIngress|TestOneNameCannotTakeTheCache' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestZoneAnswerAllocs' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestMixedCaseHitAllocs' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run TestTruncatedReplyAllocs -cpu 1,2,4 ./internal/dnsserver/
@@ -77,6 +77,7 @@ ci:
 	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzEchoECS -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzCacheEviction -fuzztime 5s ./internal/dnsserver/
+	$(GO) test -run xxx -fuzz FuzzScopedLookup -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzServeQuery -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzResponseWalk -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzNameUnpack -fuzztime 5s ./internal/dnswire/

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/meccdn/meccdn/internal/dnswire"
@@ -56,9 +55,13 @@ type CacheStats struct {
 // how finely the authority actually discriminates, not by how much
 // clients disclose.
 //
-// The cache is sharded by key hash: each shard has its own mutex and
-// SIEVE queue, so concurrent queries for different names never contend
-// on one lock. A hit only sets its entry's visited bit, and eviction
+// The cache is sharded by (name, type): every entry of one question,
+// unscoped or at any ECS scope, lives in the shard the hash of its base
+// key picks, so a lookup takes one shard lock however many scopes it
+// probes, and a name's scoped entries are counted, and bounded by
+// maxScopes, in one place. Each shard has its own mutex and SIEVE
+// queue, so concurrent queries for different names never contend on
+// one lock. A hit only sets its entry's visited bit, and eviction
 // passes over visited entries, so a stream of never-repeated names
 // evicts its own kind instead of the hot set. Concurrent misses for the
 // *same* key are coalesced with a singleflight flight per key: one
@@ -102,16 +105,6 @@ type Cache struct {
 	shards      []*cacheShard
 	ctr         cacheCounters
 	prefetchSem chan struct{}
-
-	// scope4/scope6 are per-family bitmask hints of which ECS scope
-	// lengths have ever been stored (bit S set ⇔ some entry is keyed at
-	// scope S). An ECS lookup probes only the set scopes, longest
-	// first, so a table with two distinct scopes costs two map probes,
-	// not 33. Bits are only ever set (entries expire but scopes stay
-	// plausible); updated with a CAS loop, read with a single load.
-	// scope4 holds bits 0..32; scope6 bits 0..128 across three words.
-	scope4 atomic.Uint64
-	scope6 [3]atomic.Uint64
 }
 
 const (
@@ -122,6 +115,14 @@ const (
 	// (long expired) and never zero (which clients treat as uncacheable
 	// and immediately re-ask).
 	staleTTL = 30
+	// maxScopes bounds the ECS-scoped entries one (name, type) holds.
+	// The client writes the ECS bytes, so without a bound one name asked
+	// from ever new subnets fills the cache, evicting every other name.
+	// The hit-ecs benchmark workload stores 32 scoped entries per name
+	// and X7's route table yields 24 distinct scopes for its one name.
+	// A name at the bound has a new scoped answer served but not stored:
+	// RFC 7871 §7.3.1 forbids storing it under a wider scope instead.
+	maxScopes = 64
 )
 
 // cacheCounters are the cache's off-hot-path counters as telemetry
@@ -142,10 +143,13 @@ type cacheCounters struct {
 // (the head) and prev the oldest (the tail); free slots chain through
 // next from free. Index 0 means none for hand, free and chain.
 //
-// The index is keyed by the key's keyhash.Sum64, the hash that already
-// picked the shard: keys sharing a hash chain through cacheSlot.chain
-// and are told apart by their bytes. In-flight exchanges are indexed
-// the same way, and finished flights wait on spare for the next miss.
+// The shard holds every entry of the (name, type)s whose base key hashes
+// to it (see Cache.locate). The index is keyed by keyhash.Sum64 of the
+// key: for an unscoped key that is the base hash that picked the shard,
+// for a scoped one the hash of the whole key. Keys sharing a hash chain
+// through cacheSlot.chain and are told apart by their bytes. In-flight
+// exchanges are indexed the same way, and finished flights wait on
+// spare for the next miss.
 type cacheShard struct {
 	mu         sync.Mutex
 	index      map[uint64]int32
@@ -155,6 +159,14 @@ type cacheShard struct {
 	ctr        *cacheCounters
 	flights    map[uint64]*flight
 	spare      *flight
+	// scopes marks the ECS scope lengths some entry of the shard has been
+	// keyed at since the last reset, IPv4 in [0] and IPv6 in [1], bit S
+	// of word S/64. A scoped lookup probes only those, longest first, so
+	// names with two distinct scopes cost two probes, not 33.
+	scopes [2][3]uint64
+	// scoped counts each (name, type)'s scoped entries by base hash;
+	// store takes no new one for a name already at maxScopes.
+	scoped map[uint64]int32
 	// Per-lookup effectiveness counters, guarded by mu (see
 	// cacheCounters). Summed across shards at scrape time.
 	hits, misses, negHits, expired, evictions uint64
@@ -176,14 +188,17 @@ type cacheSlot struct {
 	// buf is the key, buf[:klen], then the packed response, the only
 	// stored form of an entry; ttls and at are the patch positions
 	// recorded once at insert. A free slot has klen 0.
-	buf   []byte
-	ttls  []int
-	at    imageAt
-	hash  uint64
-	klen  int32
-	chain int32 // the next slot whose key has the same hash
-	prev  int32
-	next  int32
+	buf  []byte
+	ttls []int
+	at   imageAt
+	// hash indexes the key; base is the hash of its (name, type), which
+	// picked the shard. They differ exactly for a scoped key (one that
+	// hashes to its base, once in 2⁶⁴, goes uncounted in scoped).
+	hash, base uint64
+	klen       int32
+	chain      int32 // the next slot whose key has the same hash
+	prev       int32
+	next       int32
 	// stored and expires bound the entry's lifetime.
 	stored, expires time.Duration
 	visited         bool
@@ -222,6 +237,7 @@ type imageAt struct {
 func (sh *cacheShard) reset() {
 	sh.index, sh.slots = make(map[uint64]int32), make([]cacheSlot, 1)
 	sh.hand, sh.free, sh.n = 0, 0, 0
+	sh.scopes, sh.scoped = [2][3]uint64{}, make(map[uint64]int32)
 }
 
 // find returns the slot holding key, whose hash is h, or 0.
@@ -233,10 +249,11 @@ func (sh *cacheShard) find(h uint64, key []byte) int32 {
 	return i
 }
 
-// insert takes a slot for a key whose hash is h — a free one, a new one,
-// or, with the shard full, the SIEVE victim's — links it in at the head
-// of the ring, unvisited, and indexes it. The caller writes the key.
-func (sh *cacheShard) insert(h uint64) int32 {
+// insert takes a slot for a key whose hash is h, and whose (name, type)
+// hashes to base — a free one, a new one, or, with the shard full, the
+// SIEVE victim's — links it in at the head of the ring, unvisited, and
+// indexes and counts it. The caller writes the key.
+func (sh *cacheShard) insert(h, base uint64) int32 {
 	for sh.n >= sh.max {
 		sh.evict()
 	}
@@ -249,15 +266,18 @@ func (sh *cacheShard) insert(h uint64) int32 {
 	}
 	head := sh.slots[0].next
 	s := &sh.slots[i]
-	s.hash, s.chain, s.prev, s.next = h, sh.index[h], 0, head
+	s.hash, s.base, s.chain, s.prev, s.next = h, base, sh.index[h], 0, head
 	sh.slots[head].prev, sh.slots[0].next = i, i
 	sh.index[h] = i
+	if h != base {
+		sh.scoped[base]++
+	}
 	sh.n++
 	return i
 }
 
-// remove unlinks slot i from the ring and from its hash chain and frees
-// it, keeping its buffers for the next store unless they are larger than
+// remove unlinks slot i from the ring and from its hash chain, uncounts
+// it and frees it, keeping its buffers for the next store unless they are larger than
 // slotRetain. A hand resting on it moves to its newer neighbour.
 func (sh *cacheShard) remove(i int32) {
 	s := &sh.slots[i]
@@ -274,6 +294,11 @@ func (sh *cacheShard) remove(i int32) {
 		sh.index[s.hash] = s.chain
 	} else {
 		delete(sh.index, s.hash)
+	}
+	if s.hash != s.base {
+		if sh.scoped[s.base]--; sh.scoped[s.base] == 0 {
+			delete(sh.scoped, s.base)
+		}
 	}
 	buf, ttls := s.buf[:0], s.ttls[:0]
 	if cap(buf) > slotRetain {
@@ -478,12 +503,13 @@ func (c *Cache) Collectors() []telemetry.Collector {
 	}
 }
 
-// locate hashes key, still in its stack buffer, and picks the shard
-// owning it. The hash is taken once: the shard indexes its slots and
-// flights by it too.
-func (c *Cache) locate(key []byte) (uint64, *cacheShard) {
+// locate hashes base, a (name, type) base key still in its stack buffer,
+// and picks the shard owning every entry of that question. The hash is
+// taken once: the shard indexes the unscoped key's slot and flight by it
+// too.
+func (c *Cache) locate(base []byte) (uint64, *cacheShard) {
 	c.init()
-	h := keyhash.Sum64(key)
+	h := keyhash.Sum64(base)
 	return h, c.shards[h%uint64(len(c.shards))]
 }
 
@@ -552,16 +578,10 @@ func ecsFamilyBits(ecs *dnswire.ECSOption) int {
 
 // appendECSKey appends an ECS key suffix for the given prefix length:
 // a separator, the family byte, the length byte, and the address bytes
-// masked down to that length. Binary and allocation-free, unlike the
-// Prefix().String() rendering it replaces, and parameterized on the
-// length so one query can probe several scopes.
+// masked down to that length, 0 ≤ bits ≤ famBits. Binary and
+// allocation-free, unlike the Prefix().String() rendering it replaces,
+// and parameterized on the length so one query can probe several scopes.
 func appendECSKey(b []byte, ecs *dnswire.ECSOption, bits, famBits int) []byte {
-	if bits < 0 {
-		bits = 0
-	}
-	if bits > famBits {
-		bits = famBits
-	}
 	fam := byte(1)
 	if famBits == 128 {
 		fam = 2
@@ -590,103 +610,53 @@ func appendECSKey(b []byte, ecs *dnswire.ECSOption, bits, famBits int) []byte {
 	return append(b, raw[:n]...)
 }
 
-// markScope records that an entry exists keyed at the given family and
-// scope length, so lookups know to probe it.
-func (c *Cache) markScope(famBits, scope int) {
-	if famBits == 32 {
-		orBit(&c.scope4, scope)
-		return
-	}
-	orBit(&c.scope6[scope>>6], scope&63)
-}
-
-// orBit sets bit b of w. A CAS loop instead of atomic.Or keeps the
-// module at its declared go 1.22 floor.
-func orBit(w *atomic.Uint64, b int) {
-	mask := uint64(1) << b
-	for {
-		old := w.Load()
-		if old&mask != 0 || w.CompareAndSwap(old, old|mask) {
-			return
-		}
-	}
-}
-
-// serveScoped is the ECS cache lookup. RFC 7871 §7.3.1: a cached
-// entry answers a query when its scope-masked prefix covers the
-// query's address at no more bits than the client disclosed, most
-// specific entry first. Entries are keyed at store time by the
-// *answer's* scope (see store), so the lookup probes the
-// base key extended with each plausible scope length in descending
-// order — bounded by the per-family scope-hint bitmask, which in
-// practice holds a handful of bits, not all 33/129. Probes reuse the
-// caller's stack buffer: each one overwrites the previous suffix, so
-// the ladder allocates nothing.
+// serveScoped is the ECS cache lookup in sh, the shard of the request's
+// base key. RFC 7871 §7.3.1: a cached entry answers a query when its
+// scope-masked prefix covers the query's address at no more bits than
+// the client disclosed, most specific entry first. Entries are keyed at
+// store time by the *answer's* scope (see store), so the lookup probes
+// base extended with each scope length the shard's hint words hold, up
+// to the source, longest first — in practice a handful, not all 33/129.
+// Probes overwrite each other's suffix in base's stack buffer, so the
+// ladder allocates nothing, and all of it runs under one lock.
 //
 // It returns the key the caller should resolve under on a miss (the
 // full source-masked key — also the singleflight identity) or the key
-// of the hit, plus the lookup outcome, and the scope of the
+// of the hit, with its hash, the lookup outcome, and the scope of the
 // longest-scoped expired entry still inside its RFC 8767 window that a
-// miss passed, -1 for none. Counting: a hit is counted
-// by serveHit on the hit's shard; a miss is counted here, once, on the
-// resolve key's shard, keeping the Hits+Misses+Expired == lookups
-// invariant even though one lookup may probe several shards.
-func (c *Cache) serveScoped(kb *[cacheKeyBuf]byte, ecs *dnswire.ECSOption, now time.Duration, w ResponseWriter, r *Request) ([]byte, uint64, *cacheShard, lookupResult, int) {
-	base := appendBaseKey(kb[:0], r)
-	baseLen := len(base)
+// miss passed, -1 for none. A miss is counted once, as expired when it
+// passed such an entry.
+func (c *Cache) serveScoped(sh *cacheShard, base []byte, ecs *dnswire.ECSOption, now time.Duration, w ResponseWriter, r *Request) ([]byte, uint64, lookupResult, int) {
 	famBits := ecsFamilyBits(ecs)
 	source := min(int(ecs.SourcePrefix), famBits)
 	stale := -1
-	probe := func(scope int) ([]byte, uint64, *cacheShard, lookupResult, bool) {
-		key := appendECSKey(base[:baseLen], ecs, scope, famBits)
-		h, sh := c.locate(key)
-		res := c.serveHit(sh, h, key, now, w, r, false)
-		if res.stale && stale < 0 {
-			stale = scope // longest-scope stale candidate wins
-		}
-		return key, h, sh, res, res.hit
-	}
-	if famBits == 32 {
-		word := c.scope4.Load()
-		if source < 63 {
-			word &= (uint64(1) << (source + 1)) - 1
-		}
-		for word != 0 {
-			s := 63 - mathbits.LeadingZeros64(word)
-			if key, h, sh, res, ok := probe(s); ok {
-				return key, h, sh, res, -1
-			}
-			word &^= uint64(1) << s
-		}
-	} else {
-		for wi := 2; wi >= 0; wi-- {
-			word := c.scope6[wi].Load()
-			lo := wi * 64
-			if source < lo {
-				continue
-			}
-			if source < lo+63 {
-				word &= (uint64(1) << (source - lo + 1)) - 1
-			}
-			for word != 0 {
-				s := 63 - mathbits.LeadingZeros64(word)
-				if key, h, sh, res, ok := probe(lo + s); ok {
-					return key, h, sh, res, -1
-				}
-				word &^= uint64(1) << s
-			}
-		}
-	}
-	qkey := appendECSKey(base, ecs, source, famBits)
-	h, sh := c.locate(qkey)
 	sh.mu.Lock()
+	words := &sh.scopes[famBits/128]
+	for wi := source >> 6; wi >= 0; wi-- {
+		// Keep the bits up to source; a shift past 63 keeps a lower word whole.
+		for word := words[wi] & (uint64(2)<<(source-wi<<6) - 1); word != 0; {
+			b := 63 - mathbits.LeadingZeros64(word)
+			word &^= uint64(1) << b
+			scope := wi<<6 + b
+			key := appendECSKey(base, ecs, scope, famBits)
+			h := keyhash.Sum64(key)
+			switch i := sh.find(h, key); {
+			case i == 0:
+			case now < sh.slots[i].expires:
+				return key, h, c.serveSlot(sh, i, now, w, r), -1
+			case c.expire(sh, i, now) && stale < 0:
+				stale = scope // longest-scope stale candidate wins
+			}
+		}
+	}
 	if stale >= 0 {
 		sh.expired++
 	} else {
 		sh.misses++
 	}
 	sh.mu.Unlock()
-	return qkey, h, sh, lookupResult{}, stale
+	key := appendECSKey(base, ecs, source, famBits)
+	return key, keyhash.Sum64(key), lookupResult{}, stale
 }
 
 // lookupResult is the outcome of one cache lookup.
@@ -708,19 +678,14 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 	var kb [cacheKeyBuf]byte
 	lookup := telemetry.StartHop(ctx, "cache")
 	now := c.Clock.Now()
-	var key []byte
-	var h uint64
-	var sh *cacheShard
+	key := appendBaseKey(kb[:0], r)
+	h, sh := c.locate(key)
 	var res lookupResult
 	stale := -1
 	if ecs, ok := r.Msg.ECS(); ok {
-		key, h, sh, res, stale = c.serveScoped(&kb, ecs, now, w, r)
-	} else {
-		key = appendBaseKey(kb[:0], r)
-		h, sh = c.locate(key)
-		if res = c.serveHit(sh, h, key, now, w, r, true); res.stale {
-			stale = 0
-		}
+		key, h, res, stale = c.serveScoped(sh, key, ecs, now, w, r)
+	} else if res = c.serveHit(sh, h, key, now, w, r); res.stale {
+		stale = 0
 	}
 	if res.hit {
 		lookup.End("hit")
@@ -847,10 +812,11 @@ func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, w ResponseW
 func (c *Cache) loadStale(r *Request, scope int, f *flight) bool {
 	var kb [cacheKeyBuf]byte
 	key := appendBaseKey(kb[:0], r)
+	h, sh := c.locate(key)
 	if ecs, ok := r.Msg.ECS(); ok {
 		key = appendECSKey(key, ecs, scope, ecsFamilyBits(ecs))
+		h = keyhash.Sum64(key)
 	}
-	h, sh := c.locate(key)
 	now := c.Clock.Now()
 	sh.mu.Lock()
 	i := sh.find(h, key)
@@ -880,8 +846,9 @@ func (c *Cache) loadStale(r *Request, scope int, f *flight) bool {
 // /24, and must not land under the /16 key.
 //
 // A response with no cacheable lifetime (server failures among them) is
-// not stored. A slot freed by eviction keeps its buffers, so storing
-// into a full cache allocates nothing unless the entry outgrows them.
+// not stored, nor is a new scoped key for a name at maxScopes. A slot
+// freed by eviction keeps its buffers, so storing into a full cache
+// allocates nothing unless the entry outgrows them.
 func (c *Cache) store(r *Request, image []byte, img *dnswire.Image) {
 	var ttl time.Duration
 	if img.Rcode == dnswire.RcodeSuccess || img.Rcode == dnswire.RcodeNameError {
@@ -891,29 +858,34 @@ func (c *Cache) store(r *Request, image []byte, img *dnswire.Image) {
 		return
 	}
 	var kb [cacheKeyBuf]byte
-	kbuf := appendBaseKey(kb[:0], r)
+	key := appendBaseKey(kb[:0], r)
+	base, sh := c.locate(key)
+	h, now := base, c.Clock.Now()
+	sh.mu.Lock()
 	if ecs, ok := r.Msg.ECS(); ok {
 		famBits := ecsFamilyBits(ecs)
 		scope := min(int(img.Scope), int(ecs.SourcePrefix), famBits)
-		c.markScope(famBits, scope)
-		kbuf = appendECSKey(kbuf, ecs, scope, famBits)
+		sh.scopes[famBits/128][scope>>6] |= uint64(1) << (scope & 63)
+		key = appendECSKey(key, ecs, scope, famBits)
+		h = keyhash.Sum64(key)
 	}
-	h, sh := c.locate(kbuf)
-	now := c.Clock.Now()
-	sh.mu.Lock()
-	sh.put(h, kbuf, image, img, now, ttl)
+	sh.put(h, base, key, image, img, now, ttl)
 	sh.mu.Unlock()
 }
 
-// put stores image, walked into img, under key, whose hash is h, for
-// ttl from now: into the slot already holding key — a refill, which
-// counts as an access — or into one insert takes.
-func (sh *cacheShard) put(h uint64, key, image []byte, img *dnswire.Image, now, ttl time.Duration) {
+// put stores image, walked into img, under key, whose hash is h and
+// whose (name, type) hashes to base, for ttl from now: into the slot
+// already holding key — a refill, which counts as an access — or into
+// one insert takes, unless key is scoped and its name at maxScopes.
+func (sh *cacheShard) put(h, base uint64, key, image []byte, img *dnswire.Image, now, ttl time.Duration) {
 	i := sh.find(h, key)
-	if i != 0 {
+	switch {
+	case i != 0:
 		sh.slots[i].visited = true
-	} else {
-		i = sh.insert(h)
+	case h != base && sh.scoped[base] >= maxScopes:
+		return
+	default:
+		i = sh.insert(h, base)
 	}
 	s := &sh.slots[i]
 	s.buf = append(append(slices.Grow(s.buf[:0], len(key)+len(image)), key...), image...)
@@ -926,7 +898,7 @@ func (sh *cacheShard) put(h uint64, key, image []byte, img *dnswire.Image, now, 
 }
 
 // spawnPrefetch launches the refresh-ahead re-resolve for a hit whose
-// TTL has entered the prefetch window and whose refresh latch serveHit
+// TTL has entered the prefetch window and whose refresh latch serveSlot
 // took. The hit itself has already been served; the refresh runs on a
 // background goroutine, bounded by the prefetch semaphore, deduplicated
 // per stored entry (the latch) and per key (the singleflight index, so
@@ -1004,44 +976,45 @@ func (c *Cache) unlatch(sh *cacheShard, h uint64, key []byte) {
 	sh.mu.Unlock()
 }
 
-// serveHit looks key up in sh, h being its hash, and, on a live entry, replies from it and returns
-// a hit result. The slot may hold another key once the shard lock is
-// released, so the entry's image is copied into the reply buffer, its
-// TTLs aged, under the lock; the rest of the restamp runs outside it.
-//
-// A hit whose remaining TTL has entered the PrefetchFrac window takes
-// the entry's refresh latch and reports refresh, unless another hit
-// holds it already. An expired entry still inside the MaxStale window
-// is kept in place (the refill's store replaces it) and reported as
-// stale.
-//
-// count gates the miss-side counters (misses, expired): a scoped ECS
-// lookup probes several keys for one logical lookup and counts its
-// overall outcome in serveScoped instead. Hit counters are always
-// credited here, on the shard that actually served.
-func (c *Cache) serveHit(sh *cacheShard, h uint64, key []byte, now time.Duration, w ResponseWriter, r *Request, count bool) lookupResult {
+// serveHit looks key, an unscoped key whose hash is h, up in sh and
+// serves a live entry (serveSlot), or counts the miss or expiry.
+func (c *Cache) serveHit(sh *cacheShard, h uint64, key []byte, now time.Duration, w ResponseWriter, r *Request) lookupResult {
 	sh.mu.Lock()
 	i := sh.find(h, key)
+	if i != 0 && now < sh.slots[i].expires {
+		return c.serveSlot(sh, i, now, w, r)
+	}
+	var res lookupResult
 	if i == 0 {
-		if count {
-			sh.misses++
-		}
-		sh.mu.Unlock()
-		return lookupResult{}
+		sh.misses++
+	} else {
+		sh.expired++
+		res.stale = c.expire(sh, i, now)
 	}
+	sh.mu.Unlock()
+	return res
+}
+
+// expire settles slot i of sh, found past its TTL: an entry still inside
+// the MaxStale window is kept in place (the refill's store replaces it)
+// and reported stale, any other is removed.
+func (c *Cache) expire(sh *cacheShard, i int32, now time.Duration) bool {
+	if c.MaxStale > 0 && now < sh.slots[i].expires+c.MaxStale {
+		return true
+	}
+	sh.remove(i)
+	return false
+}
+
+// serveSlot replies from slot i of sh, a live entry, with sh locked, and
+// unlocks it. The slot may hold another key once the lock is released,
+// so the entry's image is copied into the reply buffer, its TTLs aged,
+// under the lock; the rest of the restamp runs outside it. A hit whose
+// remaining TTL has entered the PrefetchFrac window takes the entry's
+// refresh latch and reports refresh, unless another hit holds it
+// already.
+func (c *Cache) serveSlot(sh *cacheShard, i int32, now time.Duration, w ResponseWriter, r *Request) lookupResult {
 	s := &sh.slots[i]
-	if now >= s.expires {
-		if count {
-			sh.expired++
-		}
-		if c.MaxStale > 0 && now < s.expires+c.MaxStale {
-			sh.mu.Unlock()
-			return lookupResult{stale: true}
-		}
-		sh.remove(i)
-		sh.mu.Unlock()
-		return lookupResult{}
-	}
 	if !s.visited { // a hot slot's line is not dirtied on every hit
 		s.visited = true
 	}

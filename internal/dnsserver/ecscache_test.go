@@ -3,7 +3,9 @@ package dnsserver
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -293,4 +295,177 @@ func TestQueryECSNormalizedAtIngress(t *testing.T) {
 	if backend.hits != 1 {
 		t.Errorf("normalized duplicate went upstream: hits = %d, want 1", backend.hits)
 	}
+}
+
+// entriesOf counts the cache entries of name's A question, unscoped and
+// at every ECS scope.
+func entriesOf(cache *Cache, name string) int {
+	base := appendBaseKey(nil, queryFor(name))
+	n := 0
+	for _, sh := range cache.shards {
+		sh.mu.Lock()
+		for i := 1; i < len(sh.slots); i++ {
+			if key := sh.slots[i].key(); len(key) > 0 && bytes.HasPrefix(key, base) {
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestOneNameCannotTakeTheCache: the client writes the ECS bytes, so a
+// client asking for one name from 5 000 ever new subnets, answered at
+// the scope it disclosed, must not fill the cache — the name keeps at
+// most maxScopes entries — and a hot set warmed before the flood must
+// hit as well after it.
+func TestOneNameCannotTakeTheCache(t *testing.T) {
+	cache := NewCache(&vclock.Fixed{})
+	backend := &countingPlugin{h: ecsAnswerHandler("192.0.2.9", echoSourceScope)}
+	h := Chain(&ECS{}, cache, backend)
+	hot := make([]*Request, 0, 2*256)
+	for i := 0; i < 256; i++ {
+		name := fmt.Sprintf("hot-%d.flood.test.", i)
+		hot = append(hot, queryFor(name), ecsQueryFor(name, fmt.Sprintf("10.200.%d.0/24", i)))
+	}
+	replay := func() float64 {
+		before := cache.Stats().Hits
+		for _, r := range hot {
+			Resolve(context.Background(), h, r)
+		}
+		return float64(cache.Stats().Hits-before) / float64(len(hot))
+	}
+	replay() // warm
+	warm := replay()
+	const flooded = "flood.flood.test."
+	for i := 0; i < 5000; i++ {
+		// A /32 in a /24 of its own, so the /24 clamp leaves it a new key.
+		addr := netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 1})
+		Resolve(context.Background(), h, ecsQueryFor(flooded, netip.PrefixFrom(addr, 32).String()))
+	}
+	if n := entriesOf(cache, flooded); n > maxScopes {
+		t.Errorf("the flooded name holds %d entries, want at most %d", n, maxScopes)
+	}
+	if after := replay(); after < 0.99*warm {
+		t.Errorf("the hot set hits %.3f after the flood, %.3f before", after, warm)
+	}
+}
+
+// scopedRef is one entry of FuzzScopedLookup's reference cache.
+type scopedRef struct {
+	name    string
+	prefix  netip.Prefix // the query address masked to the entry's scope
+	expires time.Duration
+	answer  netip.Addr
+}
+
+// FuzzScopedLookup differentially tests the ECS scope ladder against a
+// plain list of entries. The fuzzer's bytes are decoded into stores,
+// lookups and clock advances over three names, both families, arbitrary
+// addresses, sources and answer scopes. A store keys its entry at
+// min(answer scope, source) and, new to a name already at maxScopes,
+// is refused. A lookup, its source clamped at ingress to /24 or /56,
+// must be answered by the longest-scoped live entry of its name at no
+// more bits than that source whose prefix covers its address, and miss
+// without one; an expired entry it passes on the way is dropped. Each
+// store answers with an address of its own, which tells entries apart,
+// and after every operation the cache holds as many entries as the
+// reference. The cache is large enough that nothing is evicted.
+func FuzzScopedLookup(f *testing.F) {
+	f.Add([]byte{0, 24, 16, 30, 10, 1, 2, 3, 2, 24, 0, 0, 10, 1, 9, 9, 3, 0, 31, 0, 0, 0, 0, 0, 2, 24, 0, 0, 10, 1, 9, 9})
+	f.Add([]byte{0x10, 64, 48, 10, 1, 2, 3, 4, 0x12, 56, 0, 0, 1, 2, 3, 4, 0x12, 40, 0, 0, 1, 2, 3, 4})
+	var flood []byte // one name past the bound, then a lookup for each
+	for i := 0; i < maxScopes+8; i++ {
+		flood = append(flood, 0, 32, 24, 60, 10, byte(i), byte(i), 1)
+	}
+	for i := 0; i < maxScopes+8; i++ {
+		flood = append(flood, 2, 24, 0, 0, 10, byte(i), byte(i), 7)
+	}
+	f.Add(flood)
+	names := []string{"a.scope.test.", "b.scope.test.", "c.scope.test."}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		clock := &vclock.Fixed{}
+		cache := NewCache(clock)
+		cache.MaxEntries = 1 << 14
+		h := Chain(cache, pluginize(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+			return dnswire.RcodeServerFailure, nil // a miss: relayed, never stored
+		})))
+		var ref []scopedRef
+		stores := 0
+		for n := 0; n+8 <= len(ops) && n < 8*512; n += 8 {
+			op := ops[n : n+8]
+			name := names[int(op[0]>>2&3)%len(names)]
+			ecs := &dnswire.ECSOption{Family: 1, Address: netip.AddrFrom4([4]byte(op[4:8]))}
+			famBits, clamp := 32, ecsPrefixV4
+			if op[0]&0x10 != 0 {
+				ecs.Family, famBits, clamp = 2, 128, ecsPrefixV6
+				ecs.Address = netip.AddrFrom16([16]byte{0x20, 0x01, op[4], op[5], op[6], op[7], op[4] ^ op[7], op[5] ^ op[6]})
+			}
+			ecs.SourcePrefix = uint8(int(op[1]) % (famBits + 1))
+			req := queryFor(name)
+			req.Msg.SetEDNS(dnswire.DefaultEDNSSize).Options = []dnswire.EDNSOption{ecs}
+			switch op[0] & 3 {
+			case 0, 1: // store
+				answer := netip.AddrFrom4([4]byte{198, 18, byte(stores >> 8), byte(stores)})
+				stores++
+				ttl := time.Duration(1+op[3]%64) * time.Second
+				m := new(dnswire.Message).SetReply(req.Msg)
+				m.Answers = []dnswire.RR{&dnswire.A{
+					Hdr:  dnswire.RRHeader{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: uint32(ttl / time.Second)},
+					Addr: answer,
+				}}
+				echo := *ecs
+				echo.ScopePrefix = op[2]
+				m.SetEDNS(dnswire.DefaultEDNSSize).Options = []dnswire.EDNSOption{&echo}
+				image, err := m.Pack()
+				if err != nil || !storeImage(cache, req, image) {
+					t.Fatalf("op %d: the image %v does not store (%v)", n/8, m, err)
+				}
+				prefix := netip.PrefixFrom(ecs.Address, min(int(op[2]), int(ecs.SourcePrefix))).Masked()
+				i := slices.IndexFunc(ref, func(e scopedRef) bool { return e.name == name && e.prefix == prefix })
+				held := 0
+				for _, e := range ref {
+					if e.name == name {
+						held++
+					}
+				}
+				switch {
+				case i >= 0:
+					ref[i].expires, ref[i].answer = clock.Now()+ttl, answer
+				case held < maxScopes:
+					ref = append(ref, scopedRef{name, prefix, clock.Now() + ttl, answer})
+				}
+			case 2: // lookup
+				source := min(int(ecs.SourcePrefix), clamp)
+				var want netip.Addr
+				for scope := source; scope >= 0 && !want.IsValid(); scope-- {
+					i := slices.IndexFunc(ref, func(e scopedRef) bool {
+						return e.name == name && e.prefix.Bits() == scope && e.prefix.Contains(ecs.Address)
+					})
+					switch {
+					case i < 0:
+					case clock.Now() < ref[i].expires:
+						want = ref[i].answer
+					default:
+						ref = slices.Delete(ref, i, i+1)
+					}
+				}
+				resp := Resolve(context.Background(), h, req)
+				var got netip.Addr
+				if resp != nil && len(resp.Answers) == 1 {
+					if a, ok := resp.Answers[0].(*dnswire.A); ok {
+						got = a.Addr
+					}
+				}
+				if got != want || !want.IsValid() && (resp == nil || resp.Rcode != dnswire.RcodeServerFailure) {
+					t.Fatalf("op %d: %s from %s/%d answered %v (%v), want %v", n/8, name, ecs.Address, ecs.SourcePrefix, got, resp, want)
+				}
+			default:
+				clock.Time += time.Duration(op[3]%64) * time.Second
+			}
+			if st := cache.Stats(); st.Entries != len(ref) {
+				t.Fatalf("op %d: the cache holds %d entries, the reference %d", n/8, st.Entries, len(ref))
+			}
+		}
+	})
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"sync"
 	"testing"
+	"time"
 
+	"github.com/meccdn/meccdn/internal/dnsclient"
 	"github.com/meccdn/meccdn/internal/dnswire"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
@@ -176,6 +179,91 @@ func TestECSClampedAtIngress(t *testing.T) {
 	for i := range want {
 		if forwarded[i] != want[i] {
 			t.Errorf("forwarded %v, want %v", forwarded, want)
+		}
+	}
+}
+
+// ecsSpy is a plugin that records the ECS option of every query it
+// passes on.
+type ecsSpy struct{ seen []netip.Prefix }
+
+func (s *ecsSpy) Name() string { return "ecs-spy" }
+func (s *ecsSpy) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
+	var p netip.Prefix
+	if ecs, ok := r.Msg.ECS(); ok {
+		p = ecs.Prefix()
+	}
+	s.seen = append(s.seen, p)
+	return next.ServeDNS(ctx, w, r)
+}
+
+// TestECSPluginKeepsOPTLessReplyOPTLess (RFC 6891 §7): the ECS plugin
+// gives an OPT-less query an OPT to carry its ECS option upstream, and
+// the cache keys on that option, but the client still gets no OPT back,
+// on the miss and on the hit; a query that came with an OPT gets one.
+func TestECSPluginKeepsOPTLessReplyOPTLess(t *testing.T) {
+	zone := NewZone("zone.test.")
+	if err := zone.AddA("www.zone.test.", 60, netip.MustParseAddr("192.0.2.2")); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var upstream []netip.Prefix // what the stub's upstream was asked with, under mu
+	up := scriptedUpstream(t, func(q *dnswire.Message, _ []byte) [][]byte {
+		var p netip.Prefix
+		m := new(dnswire.Message)
+		m.SetReply(q)
+		m.Answers = []dnswire.RR{&dnswire.A{
+			Hdr:  dnswire.RRHeader{Name: q.Question().Name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30},
+			Addr: netip.MustParseAddr("192.0.2.3"),
+		}}
+		if ecs, ok := q.ECS(); ok {
+			p = ecs.Prefix()
+			echo := ecs.Echo(ecs.SourcePrefix)
+			m.SetEDNS(dnswire.DefaultEDNSSize).Options = []dnswire.EDNSOption{&echo}
+		}
+		mu.Lock()
+		upstream = append(upstream, p)
+		mu.Unlock()
+		wire, err := m.Pack()
+		if err != nil {
+			t.Error(err)
+		}
+		return [][]byte{wire}
+	})
+	tr := &dnsclient.NetTransport{}
+	defer tr.Close()
+	stub := NewStub(&dnsclient.Client{Transport: tr, Timeout: 2 * time.Second, Retries: 2})
+	stub.Route("stub.test.", up)
+	client := netip.MustParsePrefix("198.51.100.0/24") // askWire's client, at the plugin's /24
+	for _, c := range []struct {
+		name, qname string
+		backend     Plugin
+	}{
+		{"zone", "www.zone.test.", NewZonePlugin(zone)},
+		{"stub", "www.stub.test.", stub},
+	} {
+		for _, order := range [][]bool{{false, false, true}, {true, true, false}} {
+			spy, cache := &ecsSpy{}, NewCache(&vclock.Fixed{})
+			mu.Lock()
+			upstream = nil
+			mu.Unlock()
+			h := Chain(&ECS{}, cache, spy, c.backend)
+			for i, edns := range order {
+				resp := askWire(t, h, c.qname, edns, nil, 1)
+				if _, has := resp.OPT(); has != edns || !edns && len(resp.Additionals) != 0 {
+					t.Errorf("%s, order %v, query %d: OPT in the query %v, in the reply %v (%d additional records)",
+						c.name, order, i, edns, has, len(resp.Additionals))
+				}
+			}
+			if st := cache.Stats(); st.Misses != 1 || st.Hits != 2 || len(spy.seen) != 1 || spy.seen[0] != client {
+				t.Errorf("%s, order %v: cache stats %+v, the chain past the cache asked with %v; want one miss asked with %v",
+					c.name, order, st, spy.seen, client)
+			}
+			mu.Lock()
+			if c.name == "stub" && (len(upstream) != 1 || upstream[0] != client) {
+				t.Errorf("%s, order %v: the upstream was asked with %v, want once with %v", c.name, order, upstream, client)
+			}
+			mu.Unlock()
 		}
 	}
 }

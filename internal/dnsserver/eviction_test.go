@@ -183,7 +183,7 @@ func FuzzCacheEviction(f *testing.F) {
 				ref.store(string(key), clock.Now()+30*time.Second) // the image's TTL
 			case 3, 4, 5:
 				h, sh := cache.locate(key)
-				cache.serveHit(sh, h, key, clock.Now(), &wireSink{}, req, true)
+				cache.serveHit(sh, h, key, clock.Now(), &wireSink{}, req)
 				ref.hit(string(key), clock.Now())
 			case 6:
 				clock.Time += time.Duration(op&31) * time.Second

@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/netip"
 	"sync/atomic"
@@ -232,25 +233,27 @@ func TestMalformedUpstreamImageIsNotRelayed(t *testing.T) {
 // decoded, the walk's TTL offsets are the caller's, and no key string is
 // built.
 func TestStoreAllocBudget(t *testing.T) {
-	req := ecsQueryFor("alloc.test.", "10.1.2.0/24")
+	// A new name, so a new key at either scope, each time: one name's
+	// new keys stop being stored at maxScopes.
+	reqs := make([]*Request, 4*64+1001) // the warm-up, then AllocsPerRun's 1000 runs and its first
+	for i := range reqs {
+		reqs[i] = ecsQueryFor(fmt.Sprintf("n%d.alloc.test.", i), "10.1.2.0/24")
+	}
 	for _, c := range []struct {
 		name  string
 		scope uint8
 	}{{"a key of its own", 16}, {"the flight's key", 24}} {
-		image := upstreamImage(t, ecsAnswerHandler("192.0.2.9", c.scope), req)
+		image := upstreamImage(t, ecsAnswerHandler("192.0.2.9", c.scope), reqs[0])
 		img, err := dnswire.PatchOffsets(image, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cache := NewCache(&vclock.Fixed{})
 		cache.MaxEntries = 64
-		ecs, _ := req.Msg.ECS()
 		i := 0
 		store := func() {
-			// A new subnet, so a new key at either scope, each time.
-			ecs.Address = netip.AddrFrom4([4]byte{byte(10 + i>>8), byte(i), 2, 0})
+			cache.store(reqs[i], image, &img)
 			i++
-			cache.store(req, image, &img)
 		}
 		for i < 4*cache.MaxEntries {
 			store()

@@ -61,6 +61,17 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 		ctx = telemetry.ContextWith(ctx, sp)
 	}
 	rcode := ResolveTo(ctx, h, &st.reply, &st.req)
+	if buf, n := st.reply.buf, st.reply.n; st.req.addedOPT && buf != nil {
+		// Cut the OPT the ECS plugin added off the reply again, unless the
+		// walk refuses the reply or its extended rcode needs the OPT. The
+		// walk's TTL offsets fit on the stack for up to 16 records.
+		var ttls [16]int
+		if img, err := dnswire.PatchOffsets(buf[:n], ttls[:0]); err == nil {
+			if n, err = dnswire.FollowOPT(buf, n, img.OPT, false); err == nil {
+				st.reply.n = n
+			}
+		}
+	}
 	hub.Finish(sp, rcode.String())
 	return st.reply.buf, st.reply.n
 }

@@ -61,6 +61,10 @@ type Request struct {
 	// never pointed at another question (serveQuery makes a new one for
 	// each query), so the name cannot go stale.
 	name string
+	// addedOPT marks a query the ECS plugin gave an OPT record its
+	// client did not send, to carry the option upstream: serveQuery cuts
+	// the OPT off the reply again (RFC 6891 §7).
+	addedOPT bool
 }
 
 // mayWait is called by a plugin that is about to wait on anything but

@@ -113,7 +113,7 @@ func TestSlabHashCollision(t *testing.T) {
 			t.Fatal(err)
 		}
 		sh.mu.Lock()
-		sh.put(h, keys[i], image, &img, 0, 30*time.Second)
+		sh.put(h, h, keys[i], image, &img, 0, 30*time.Second)
 		sh.mu.Unlock()
 	}
 	check := func(live ...bool) {
@@ -122,7 +122,7 @@ func TestSlabHashCollision(t *testing.T) {
 		n := 0
 		for i, name := range names {
 			sink := &wireSink{}
-			res := cache.serveHit(sh, h, keys[i], 0, sink, reqs[i], true)
+			res := cache.serveHit(sh, h, keys[i], 0, sink, reqs[i])
 			if res.hit != live[i] {
 				t.Fatalf("%s: hit %v, want %v", name, res.hit, live[i])
 			}
@@ -319,7 +319,7 @@ func TestSlabLargeImage(t *testing.T) {
 		t.Fatalf("slot %d: the large entry is not stored whole", slot)
 	}
 	clock.Time += time.Minute
-	if res := cache.serveHit(sh, kh, key, clock.Now(), &wireSink{}, queryFor(big), true); res.hit || sh.find(kh, key) != 0 {
+	if res := cache.serveHit(sh, kh, key, clock.Now(), &wireSink{}, queryFor(big)); res.hit || sh.find(kh, key) != 0 {
 		t.Fatal("the expired large entry is still stored")
 	}
 	for i := range sh.slots {

@@ -44,7 +44,8 @@ func (s *Split) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, _ Ha
 // address to requests that lack one (the resolver-side behaviour of
 // RFC 7871 §6), so downstream authoritative servers — the C-DNS — can
 // select a cache near the client. It discloses an IPv4 client's /24
-// and an IPv6 client's /56.
+// and an IPv6 client's /56. A query without an OPT record is given one,
+// and marked so that its reply is not (Request.addedOPT).
 type ECS struct{}
 
 // Source prefix lengths the ECS plugin discloses.
@@ -61,6 +62,8 @@ func (e *ECS) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next H
 	if _, has := r.Msg.ECS(); !has {
 		prefix, ok := e.clientPrefix(r.Client.Addr())
 		if ok {
+			_, edns := r.Msg.OPT()
+			r.addedOPT = !edns
 			opt := r.Msg.SetEDNS(dnswire.DefaultEDNSSize)
 			opt.Options = append(opt.Options, dnswire.NewECSOption(prefix))
 		}

@@ -143,7 +143,9 @@ func ecsRouteArmRun(seed int64, clients, pops int, ecs bool) (ecsRouteArm, int, 
 		name := fmt.Sprintf("client-%d", c)
 		node := net.AddNodeAddr(name, netip.AddrFrom4([4]byte{10, 77, byte(c), 1}))
 		net.AddLink(name, "ldns", delay, 0)
-		cl := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: node.Endpoint(), Timeout: 3 * time.Second}}
+		// With an OPT: the scope is read off the relayed ECS echo, which a
+		// reply to an OPT-less query may not carry (RFC 6891 §7).
+		cl := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: node.Endpoint(), Timeout: 3 * time.Second}, UDPSize: dnswire.DefaultEDNSSize}
 		cl.SetRand(net.Rand())
 		resp, err := cl.Query(context.Background(), target, ecsRouteQuery, dnswire.TypeA)
 		if err != nil {
