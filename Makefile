@@ -44,7 +44,8 @@ all: vet test race build
 #  - fuzz: the router's bytes-written reply against its Message oracle
 #  - fuzz: every record an accepted zone file holds packs and round-trips
 #  - fuzz: the zone's bytes-written reply against its Message oracle, at every limit
-#  - fuzz: the in-place cut of an oversized reply against decode → truncate → Pack
+#  - fuzz: the in-place cut of an oversized reply to its header, question and OPT
+#    against the same cut of the decoded message, packed
 #  - fuzz: the cache server's verb parser against a byte-level reference
 #  - serve-path bench smoke across the UDP ingress at 1, 2, 4 cores (catches a bounded-queue timeout)
 #  - router, LPM and ring bench smoke

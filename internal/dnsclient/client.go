@@ -57,9 +57,6 @@ type Client struct {
 	// UDPSize, when non-zero, attaches an EDNS(0) OPT advertising
 	// this payload size to queries that lack one.
 	UDPSize uint16
-	// DisableTCPFallback leaves truncated responses as-is instead of
-	// retrying over TCP.
-	DisableTCPFallback bool
 
 	rng atomic.Pointer[rand.Rand]
 	mu  sync.Mutex // serializes draws from rng
@@ -133,8 +130,7 @@ func (c *Client) Do(ctx context.Context, server netip.AddrPort, q *dnswire.Messa
 // can be reused (or raced by hedged exchanges) safely: what is packed is
 // a header copy carrying the client's own ID over the caller's records,
 // which are only read — cloned first only when an OPT has to be attached
-// per UDPSize. Truncated UDP responses are retried over TCP unless
-// DisableTCPFallback is set.
+// per UDPSize. A truncated UDP response is retried over TCP.
 func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, upstream string, q *dnswire.Message) ([]byte, dnswire.Rcode, error) {
 	if c.Transport == nil {
 		return nil, 0, errors.New("dnsclient: no transport configured")
@@ -197,7 +193,8 @@ func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, upstream s
 const qrBit, tcBit = 0x80, 0x02 // in a packed header's third octet
 
 // exchangeOnce is one attempt: query out, reply image back, checked. A
-// truncated UDP reply is retried over TCP on its header bit alone.
+// truncated UDP reply is retried over TCP on its header bit alone; a
+// truncated TCP reply is returned as it is.
 func (c *Client) exchangeOnce(ctx context.Context, deadline time.Time, server netip.AddrPort, query []byte, tcp bool) ([]byte, dnswire.Rcode, error) {
 	raw, err := c.Transport.Exchange(ctx, deadline, server, query, tcp)
 	if err != nil {
@@ -207,7 +204,7 @@ func (c *Client) exchangeOnce(ctx context.Context, deadline time.Time, server ne
 		dnswire.PutBuffer(raw)
 		return nil, 0, err
 	}
-	if raw[2]&tcBit != 0 && !tcp && !c.DisableTCPFallback {
+	if raw[2]&tcBit != 0 && !tcp {
 		dnswire.PutBuffer(raw)
 		return c.exchangeOnce(ctx, deadline, server, query, true)
 	}

@@ -138,21 +138,23 @@ func TestClientTCPFallbackOnTruncation(t *testing.T) {
 	}
 }
 
+// TestClientTruncationWithoutFallback: a truncated reply on the TCP leg
+// is returned as it is, after one TCP exchange; nothing is retried.
 func TestClientTruncationWithoutFallback(t *testing.T) {
 	ft := &fakeTransport{fn: func(q []byte, tcp bool) ([]byte, error) {
 		return answerFor(t, q, func(m *dnswire.Message) { m.Truncated = true }), nil
 	}}
-	c := &Client{Transport: ft, DisableTCPFallback: true}
+	c := &Client{Transport: ft}
 	c.SetRand(rand.New(rand.NewSource(6)))
 	resp, err := c.Query(context.Background(), testServer, "big.test", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Truncated {
-		t.Error("expected truncated response to be returned as-is")
+		t.Error("expected the truncated TCP reply to be returned as it is")
 	}
-	if ft.tcp != 0 {
-		t.Error("TCP used despite DisableTCPFallback")
+	if ft.calls != 2 || ft.tcp != 1 {
+		t.Errorf("%d exchanges, %d over TCP; want one over UDP, then one over TCP", ft.calls, ft.tcp)
 	}
 }
 

@@ -342,8 +342,10 @@ func bigZone(t testing.TB, origin string) (*Zone, int) {
 
 // TestServerCapsAdvertisedEDNSSize: the payload size a query advertises
 // is honoured only up to maxUDPPayload. A spoofed-source query
-// advertising 65 535 must not buy a reply larger than that over UDP (it
-// is truncated, TC set); the whole RRset is there over TCP.
+// advertising 65 535 must not buy a reply larger than that over UDP: it
+// is truncated to its header, question and OPT, TC set, so the ingress
+// reflects no more bytes than it was sent. The whole RRset is there
+// over TCP.
 func TestServerCapsAdvertisedEDNSSize(t *testing.T) {
 	zone, records := bigZone(t, "cap.test.")
 	addr := startTestServer(t, Chain(NewZonePlugin(zone)))
@@ -360,9 +362,9 @@ func TestServerCapsAdvertisedEDNSSize(t *testing.T) {
 	if err := m.Unpack(reply); err != nil {
 		t.Fatal(err)
 	}
-	if len(reply) > maxUDPPayload || !m.Truncated || len(m.Answers) >= records {
-		t.Errorf("UDP reply to an advertised 65535: %d bytes, TC=%v, %d answers; want <= %d bytes, truncated",
-			len(reply), m.Truncated, len(m.Answers), maxUDPPayload)
+	if len(reply) > len(query) || !m.Truncated || len(m.Answers) != 0 {
+		t.Errorf("UDP reply to a %d-byte query advertising 65535: %d bytes, TC=%v, %d answers; want <= %d bytes, TC, none",
+			len(query), len(reply), m.Truncated, len(m.Answers), len(query))
 	}
 
 	if reply, err = dialIngress(t, "tcp", addr)(query); err != nil {
@@ -380,8 +382,10 @@ func TestServerCapsAdvertisedEDNSSize(t *testing.T) {
 // function, at the reply limit of each transport: plain UDP, UDP at
 // the EDNS cap, and a stream. It must never panic; a datagram is either
 // dropped at every limit or answered at every limit; an answer decodes,
-// is a response under the query's ID, and fits the limit; and every
-// pooled buffer is back afterwards (counted under -tags pooldebug).
+// is a response under the query's ID, and fits the limit; a truncated
+// one carries no answers, no authorities and no additionals but OPT
+// records; and every pooled buffer is back afterwards (counted under
+// -tags pooldebug).
 func FuzzServeQuery(f *testing.F) {
 	zone, _ := bigZone(f, "fuzz.test.")
 	if err := zone.AddA("www.fuzz.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
@@ -429,6 +433,17 @@ func FuzzServeQuery(f *testing.F) {
 			}
 			if n > limit || !m.Response || id != uint16(data[0])<<8|uint16(data[1]) {
 				t.Fatalf("limit %d: %d-byte reply, QR=%v, ID %#x to a query with ID %#x", limit, n, m.Response, id, data[:2])
+			}
+			if !m.Truncated {
+				continue
+			}
+			if len(m.Answers) != 0 || len(m.Authorities) != 0 {
+				t.Fatalf("limit %d: a truncated reply carries %d answers and %d authorities", limit, len(m.Answers), len(m.Authorities))
+			}
+			for _, rr := range m.Additionals {
+				if rr.Header().Type != dnswire.TypeOPT {
+					t.Fatalf("limit %d: a truncated reply carries the additional %v", limit, rr)
+				}
 			}
 		}
 		if replied != 0 && replied != len(limits) {

@@ -79,7 +79,7 @@ func TestServePathPoolBalance(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ask("www.bal.test.", uint16(1+i), false)   // miss, then hits
 		ask("www.bal.test.", uint16(100+i), true)  // EDNS hits
-		ask("big.bal.test.", uint16(200+i), false) // decode boundary + clone-truncate every time
+		ask("big.bal.test.", uint16(200+i), false) // cut in its own buffer every time
 	}
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Fatalf("expected cache hits, got %+v", st)
@@ -400,17 +400,17 @@ func TestExchangePoolBalance(t *testing.T) {
 // TestRelayPoolBalance follows the upstream reply's buffer through the
 // relay path, where it changes owner twice — transport → the miss's
 // replyImage → the socket writer — on every exit: a stored answer, an
-// answer too large for the client (decoded and truncated by the
-// writer), a SERVFAIL verdict relayed as the last resort (kept while
-// the second upstream is tried, then relayed uncached), a malformed
-// reply and a dead upstream. After the servers have drained, every
+// answer too large for the client (cut in place by the writer), a
+// SERVFAIL verdict relayed as the last resort (kept while the second
+// upstream is tried, then relayed uncached), a malformed reply and a
+// dead upstream. After the servers have drained, every
 // buffer is back.
 func TestRelayPoolBalance(t *testing.T) {
 	zone := NewZone("relay.test.")
 	if err := zone.AddA("www.relay.test.", 300, netip.MustParseAddr("192.0.2.5")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ { // past 512 octets: the L-DNS decodes it to truncate
+	for i := 0; i < 40; i++ { // past 512 octets: the L-DNS cuts it to the question
 		if err := zone.AddA("big.relay.test.", 300, netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})); err != nil {
 			t.Fatal(err)
 		}

@@ -59,8 +59,7 @@ func TestServerTruncatesLargeUDPAndTCPRecovers(t *testing.T) {
 	}
 	addr := startTestServer(t, Chain(NewZonePlugin(z)))
 
-	// Client without EDNS: UDP response must be ≤512 and truncated;
-	// automatic TCP fallback must then return the full set.
+	// Client without EDNS: the automatic TCP fallback returns the full set.
 	resp, err := realClient().Query(context.Background(), addr, "many.big.test.", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -69,18 +68,19 @@ func TestServerTruncatesLargeUDPAndTCPRecovers(t *testing.T) {
 		t.Errorf("TCP fallback returned %d answers, want 120", len(resp.Answers))
 	}
 
-	// With fallback disabled we must see the truncated UDP response.
-	c := realClient()
-	c.DisableTCPFallback = true
-	resp, err = c.Query(context.Background(), addr, "many.big.test.", dnswire.TypeA)
+	// The UDP reply it fell back from: at most 512 bytes, TC set, no answers.
+	q := new(dnswire.Message)
+	q.SetQuestion("many.big.test.", dnswire.TypeA)
+	reply, err := dialIngress(t, "udp", addr)(mustPack(t, q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Truncated {
-		t.Error("UDP response not truncated")
+	var m dnswire.Message
+	if err := m.Unpack(reply); err != nil {
+		t.Fatal(err)
 	}
-	if len(resp.Answers) >= 120 {
-		t.Error("UDP response was not actually reduced")
+	if len(reply) > dnswire.MaxUDPSize || !m.Truncated || len(m.Answers) != 0 {
+		t.Errorf("UDP reply: %d bytes, TC=%v, %d answers; want <= %d bytes, TC, none", len(reply), m.Truncated, len(m.Answers), dnswire.MaxUDPSize)
 	}
 }
 
@@ -93,11 +93,15 @@ func TestServerHonoursEDNSSize(t *testing.T) {
 		}
 	}
 	addr := startTestServer(t, Chain(NewZonePlugin(z)))
-	c := realClient()
-	c.UDPSize = 4096
-	c.DisableTCPFallback = true
-	resp, err := c.Query(context.Background(), addr, "many.edns.test.", dnswire.TypeA)
+	q := new(dnswire.Message)
+	q.SetQuestion("many.edns.test.", dnswire.TypeA)
+	q.SetEDNS(4096)
+	reply, err := dialIngress(t, "udp", addr)(mustPack(t, q))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var resp dnswire.Message
+	if err := resp.Unpack(reply); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Truncated {

@@ -345,13 +345,15 @@ func FollowOPT(buf []byte, n, opt int, edns bool) (int, error) {
 }
 
 // Truncate cuts the packed response buf[:n] in place to at most limit
-// octets (RFC 2181 §9) and returns its length: the header and question,
-// the longest run of answer-then-authority records that fits, and the
-// OPT records of the additional section under the root owner; the rest
-// goes and TC is set. One that fits is left as it is; one whose question
-// and OPT records alone do not fit is refused. Kept records do not move,
-// so their backward pointers hold, and an image Pack wrote becomes what
-// Pack writes for the decoded message cut the same way.
+// octets (RFC 2181 §9) and returns its length: the header, the question
+// and the OPT records of the additional section under the root owner,
+// with TC set and every other record gone. A client keeps nothing from
+// a TC=1 reply but the signal to retry over TCP, so records packed into
+// one would reach nobody but a spoofed query's victim. One that fits is
+// left as it is; one that is malformed or whose question and OPT records
+// alone do not fit is refused, its records perhaps overwritten. An image
+// Pack wrote becomes what Pack writes for the decoded message cut the
+// same way.
 func Truncate(buf []byte, n, limit int) (int, error) {
 	if n <= limit {
 		return n, nil
@@ -360,54 +362,36 @@ func Truncate(buf []byte, n, limit int) (int, error) {
 		return 0, ErrShortMessage
 	}
 	wire := buf[:n]
-	an := int(binary.BigEndian.Uint16(wire[6:]))
-	rrs := an + int(binary.BigEndian.Uint16(wire[8:])) // the answers and authorities
+	rrs := int(binary.BigEndian.Uint16(wire[6:])) + int(binary.BigEndian.Uint16(wire[8:])) // the answers and authorities
 	ar := int(binary.BigEndian.Uint16(wire[10:]))
 	off, err := 12, error(nil)
 	for i := binary.BigEndian.Uint16(wire[4:]); i > 0 && err == nil; i-- {
 		off, err = scanName(wire, off)
 		off += 4 // type, class
 	}
-	records, additional, opts, optLen := off, off, 0, 0
+	// Each OPT record moves down behind the question, written no further
+	// on than it was read from; names are skipped, never followed, so no
+	// byte is read after it was overwritten.
+	end, opts := off, 0
 	for i := 0; i < rrs+ar && err == nil; i++ {
-		var fixed, end int
-		if fixed, end, err = recordAt(wire, off); err == nil && i >= rrs && Type(binary.BigEndian.Uint16(wire[fixed:])) == TypeOPT {
-			opts, optLen = opts+1, optLen+1+end-fixed
+		var fixed, next int
+		if fixed, next, err = recordAt(wire, off); err == nil && i >= rrs && Type(binary.BigEndian.Uint16(wire[fixed:])) == TypeOPT {
+			wire[end] = 0 // the root owner
+			end += 1 + copy(wire[end+1:], wire[fixed:next])
+			opts++
 		}
-		if off = end; i == rrs-1 {
-			additional = off
-		}
+		off = next
 	}
 	switch {
 	case err != nil:
 		return 0, err
 	case off != n:
 		return 0, ErrTrailingGarbage
-	case records+optLen > limit:
+	case end > limit:
 		return 0, fmt.Errorf("dnswire: the question and OPT records alone exceed %d octets", limit)
 	}
-	end, kept := records, 0
-	for ; kept < rrs; kept++ {
-		_, next, _ := recordAt(wire, end)
-		if next+optLen > limit {
-			break
-		}
-		end = next
-	}
-	// Each OPT record moves down behind the kept run, written no further
-	// on than it was read from; names are skipped, never followed, so no
-	// byte is read after it was overwritten.
-	for off = additional; off < n; {
-		fixed, next, _ := recordAt(wire, off)
-		if Type(binary.BigEndian.Uint16(wire[fixed:])) == TypeOPT {
-			wire[end] = 0 // the root owner
-			end += 1 + copy(wire[end+1:], wire[fixed:next])
-		}
-		off = next
-	}
 	wire[2] |= flagTC >> 8
-	binary.BigEndian.PutUint16(wire[6:], uint16(min(kept, an)))
-	binary.BigEndian.PutUint16(wire[8:], uint16(kept-min(kept, an)))
+	binary.BigEndian.PutUint32(wire[6:], 0) // ANCOUNT, NSCOUNT
 	binary.BigEndian.PutUint16(wire[10:], uint16(opts))
 	return end, nil
 }

@@ -41,8 +41,6 @@ var knobTypes = map[string][]string{
 var knobsWithoutProgramSetter = map[string]bool{
 	// TestPrefetchDedupAndBound sets it to pin the in-flight bound.
 	"internal/dnsserver.Cache.MaxPrefetch": true,
-	// The truncation tests turn the TCP retry off to see the TC reply.
-	"internal/dnsclient.Client.DisableTCPFallback": true,
 	// The fallback-timeout tests shorten the MEC attempt's budget.
 	"internal/meccdn.UEClient.MECBudget": true,
 	// New sets it from its argument.
