@@ -78,7 +78,7 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure3(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(experiments.Fig3Config{Seed: int64(i), Queries: 100}); err != nil {
+		if _, err := experiments.Figure3(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func BenchmarkDisaggregation(b *testing.B) {
 	b.ReportAllocs()
 	var last *experiments.DisaggregationResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Disaggregation(int64(i), 300, 2000)
+		res, err := experiments.Disaggregation(int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func BenchmarkDisaggregation(b *testing.B) {
 func BenchmarkIPReuse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.IPReuse(int64(i), 16); err != nil {
+		if _, err := experiments.IPReuse(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkIPReuse(b *testing.B) {
 func BenchmarkLoadShed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.LoadShed(int64(i), 20, []int{10, 100}); err != nil {
+		if _, err := experiments.LoadShed(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -918,8 +918,7 @@ func BenchmarkRoutePeerLookup(b *testing.B) {
 		}
 		agent.HandleDatagram(ann)
 	}
-	router := cdn.NewRouter("bench.test.")
-	router.UseMesh(agent.View())
+	view := agent.View()
 	keys := make([]string, 128)
 	for i := range keys {
 		if i%2 == 0 {
@@ -931,7 +930,7 @@ func BenchmarkRoutePeerLookup(b *testing.B) {
 	hits := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := router.PeerLookup(keys[i%len(keys)]); ok {
+		if _, ok := view.Lookup(keys[i%len(keys)]); ok {
 			hits++
 		}
 	}

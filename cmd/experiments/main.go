@@ -78,7 +78,7 @@ func run(out io.Writer, table, fig int, air string, ecs bool, ext string, all bo
 		ran = true
 	}
 	if all || fig == 3 {
-		res, err := experiments.Figure3(experiments.Fig3Config{Seed: seed})
+		res, err := experiments.Figure3(seed)
 		if err != nil {
 			return err
 		}
@@ -103,10 +103,10 @@ func run(out io.Writer, table, fig int, air string, ecs bool, ext string, all bo
 	}
 	exts := map[string]func() (interface{ Render() string }, error){
 		"fallback": func() (interface{ Render() string }, error) { return experiments.Fallback(seed, runs) },
-		"disagg":   func() (interface{ Render() string }, error) { return experiments.Disaggregation(seed, 0, 0) },
-		"ipreuse":  func() (interface{ Render() string }, error) { return experiments.IPReuse(seed, 0) },
-		"ecsroute": func() (interface{ Render() string }, error) { return experiments.ECSRouting(seed, 0, 0) },
-		"loadshed": func() (interface{ Render() string }, error) { return experiments.LoadShed(seed, 20, nil) },
+		"disagg":   func() (interface{ Render() string }, error) { return experiments.Disaggregation(seed) },
+		"ipreuse":  func() (interface{ Render() string }, error) { return experiments.IPReuse(seed) },
+		"ecsroute": func() (interface{ Render() string }, error) { return experiments.ECSRouting(seed) },
+		"loadshed": func() (interface{ Render() string }, error) { return experiments.LoadShed(seed) },
 		"sweep": func() (interface{ Render() string }, error) {
 			return experiments.BudgetSweep(experiments.SweepConfig{Seed: seed, Runs: runs})
 		},

@@ -34,7 +34,6 @@ var forbiddenRouterMutexFrames = []string{
 	"(*HashRing).LoadStats",
 	"(*ModuloPlacement).Owner",
 	"(*Router).RoutePeer",
-	"(*Router).PeerLookup",
 	"(*Router).selectLocal",
 	"(*View).Lookup",
 	"(*View).Steer",
@@ -93,7 +92,7 @@ func TestRouterServePathMutexFree(t *testing.T) {
 				rt.Ring.Load("cache-0")
 				rt.Ring.LoadStats()
 				modulo.Owner(fmt.Sprintf("key-%d", i%8))
-				rt.PeerLookup(fmt.Sprintf("key-%d", i%32))
+				rt.Mesh().Lookup(fmt.Sprintf("key-%d", i%32))
 				rt.RoutePeer(fmt.Sprintf("key-%d", i%32), client)
 				rt.Mesh().Nearest()
 				routerQuery(t, rt, "video.mycdn.ciab.test.", "10.0.0.1:5000")

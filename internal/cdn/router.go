@@ -607,17 +607,6 @@ func (rt *Router) RoutePeer(key string, client ClientInfo) (*ServerInfo, mesh.Pe
 	return selected, mesh.PeerHit{}, false
 }
 
-// PeerLookup asks the attached mesh view which peer announced key,
-// without charging load or counters — the pure read the lock-free
-// certification and BenchmarkRoutePeerLookup exercise: one atomic
-// snapshot load, zero allocations.
-func (rt *Router) PeerLookup(key string) (mesh.PeerHit, bool) {
-	if v := rt.peers.Load(); v != nil {
-		return v.Lookup(key)
-	}
-	return mesh.PeerHit{}, false
-}
-
 // selectLocal runs candidate selection over the site's own servers
 // without charging the ring's load cells.
 func (rt *Router) selectLocal(key string, client ClientInfo) *ServerInfo {

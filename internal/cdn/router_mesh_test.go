@@ -94,8 +94,11 @@ func TestServeDNSPeerReferral(t *testing.T) {
 
 func TestPeerLookupNoMesh(t *testing.T) {
 	fx := buildRouterFixture(t, 6)
-	if _, ok := fx.router.PeerLookup("anything"); ok {
-		t.Fatal("PeerLookup hit with no mesh attached")
+	if fx.router.Mesh() != nil {
+		t.Fatal("a mesh view with no mesh attached")
+	}
+	if _, _, steered := fx.router.RoutePeer("anything", ClientInfo{}); steered {
+		t.Fatal("RoutePeer steered to a peer with no mesh attached")
 	}
 }
 

@@ -4,7 +4,8 @@ package dnsserver
 // serveQuery, so they must agree byte for byte, the sim ingress must
 // survive a query arriving while another is parked in its chain, the
 // advertised EDNS payload size must not buy more than maxUDPPayload,
-// and serveQuery must take any bytes at any limit.
+// a response must get no reply, and serveQuery must take any bytes at
+// any limit.
 
 import (
 	"bytes"
@@ -327,6 +328,91 @@ func TestAttachReentrant(t *testing.T) {
 	}
 }
 
+// TestResponsesAreNotAnswered sends a packet with QR set — a response,
+// which a server never answers, or two servers answering each other's
+// responses would loop — to a UDP socket, a TCP listener and an
+// Attached simnet node. None of them may reply to it; each still
+// answers the query that follows it on UDP and in the simulator (a TCP
+// stream is hung up, as on any packet that is not a query).
+func TestResponsesAreNotAnswered(t *testing.T) {
+	zone := NewZone("zone.test.")
+	if err := zone.AddA("www.zone.test.", 300, netip.MustParseAddr("192.0.2.80")); err != nil {
+		t.Fatal(err)
+	}
+	chain := Chain(NewMetrics(), NewCache(new(stepClock)), NewZonePlugin(zone))
+	packet := func(id uint16, response bool) []byte {
+		q := new(dnswire.Message)
+		q.SetQuestion("www.zone.test.", dnswire.TypeA)
+		q.ID, q.Response = id, response
+		return mustPack(t, q)
+	}
+	const respID, queryID = 0x5151, 0x7171
+
+	srv := &Server{Addr: "127.0.0.1:0", Handler: chain}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	udp, err := net.Dial("udp", srv.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	for _, pkt := range [][]byte{packet(respID, true), packet(queryID, false)} {
+		if _, err := udp.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []uint16
+	buf := make([]byte, dnswire.MaxMessageSize)
+	for {
+		_ = udp.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+		if _, err := udp.Read(buf); err != nil {
+			break
+		}
+		ids = append(ids, uint16(buf[0])<<8|uint16(buf[1]))
+	}
+	if !reflect.DeepEqual(ids, []uint16{queryID}) {
+		t.Errorf("udp: replies to IDs %#x, want only the query's %#x", ids, queryID)
+	}
+
+	tcp, err := net.Dial("tcp", srv.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	if err := dnswire.WriteTCP(tcp, packet(respID, true)); err != nil {
+		t.Fatal(err)
+	}
+	_ = tcp.SetReadDeadline(time.Now().Add(time.Second))
+	if reply, err := dnswire.ReadTCP(tcp); err == nil {
+		t.Errorf("tcp: the response was answered: % x", reply)
+		dnswire.PutBuffer(reply)
+	}
+
+	n := simnet.New(3)
+	n.AddNode("ue")
+	n.AddNode("ldns")
+	n.AddLink("ue", "ldns", simnet.Constant(time.Millisecond), 0)
+	Attach(n.Node("ldns"), chain, nil)
+	ids = nil
+	n.Node("ue").Tap(func(ev simnet.HopEvent) {
+		if ev.Kind == simnet.HopDeliver {
+			ids = append(ids, uint16(ev.Dg.Payload[0])<<8|uint16(ev.Dg.Payload[1]))
+		}
+	})
+	for _, pkt := range [][]byte{packet(respID, true), packet(queryID, false)} {
+		if err := n.Send(simnet.Datagram{Src: n.Node("ue").Addr, Dst: n.Node("ldns").Addr, Payload: pkt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Clock.Run()
+	if !reflect.DeepEqual(ids, []uint16{queryID}) {
+		t.Errorf("sim: replies to IDs %#x, want only the query's %#x", ids, queryID)
+	}
+}
+
 // bigZone returns a zone whose big.<origin> RRset packs to more than
 // maxUDPPayload bytes (16 per compressed A record).
 func bigZone(t testing.TB, origin string) (*Zone, int) {
@@ -412,6 +498,14 @@ func FuzzServeQuery(f *testing.F) {
 		}
 	}
 	f.Add([]byte("not dns"))
+	response := new(dnswire.Message)
+	response.SetQuestion("www.fuzz.test.", dnswire.TypeA)
+	response.Response = true
+	wire, err := response.Pack()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wire)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := poolOutstanding()
@@ -422,6 +516,10 @@ func FuzzServeQuery(f *testing.F) {
 			buf, n := serveQuery(context.Background(), chain, nil, st, data, client, "fuzz", limit)
 			if buf == nil {
 				continue
+			}
+			if len(data) > 2 && data[2]&0x80 != 0 {
+				dnswire.PutBuffer(buf)
+				t.Fatalf("limit %d: a packet with QR set was answered", limit)
 			}
 			replied++
 			var m dnswire.Message

@@ -33,8 +33,8 @@ type serveScratch struct {
 // for Resolve: parse pkt into st, open the telemetry span (hub may be
 // nil) under ctx, run the chain through ResolveTo, and hand back the
 // reply as one wire image, buf[:n], in a pooled buffer the caller now
-// owns. buf is nil when there is nothing to send: pkt was not DNS, the
-// query was shed, or no reply could be packed.
+// owns. buf is nil when there is nothing to send: pkt was a response
+// or not DNS, the query was shed, or no reply could be packed.
 //
 // limit is the largest reply the transport carries. Below
 // MaxMessageSize it is a datagram ceiling, and the reply is further
@@ -42,6 +42,9 @@ type serveScratch struct {
 // a larger answer leaves truncated, TC set. A stream or a virtual
 // datagram passes MaxMessageSize and gets every reply whole.
 func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScratch, pkt []byte, client netip.AddrPort, transport string, limit int) (buf []byte, n int) {
+	if len(pkt) > 2 && pkt[2]&0x80 != 0 {
+		return nil, 0 // QR set: two servers answering responses would loop
+	}
 	msg := &st.msg
 	if err := msg.UnpackQuery(pkt, st.intern); err != nil {
 		return nil, 0 // not DNS; drop like a real server

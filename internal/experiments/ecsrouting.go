@@ -21,8 +21,6 @@ import (
 // arrive through a shared recursive resolver, with and without EDNS
 // Client Subnet.
 type ECSRouteResult struct {
-	Clients   int
-	PoPs      int
 	RouteRows int
 	// Accuracy is the fraction of clients answered with their mapped
 	// PoP's address, per arm.
@@ -36,6 +34,13 @@ type ECSRouteResult struct {
 // ecsRouteQuery is the content host name resolved by every client.
 const ecsRouteQuery = "video.demo1.mycdn.ciab.test."
 
+// X7's population: ecsRouteClients clients, each in its own /24, mapped
+// round-robin onto ecsRoutePoPs PoPs.
+const (
+	ecsRouteClients = 24
+	ecsRoutePoPs    = 4
+)
+
 // ECSRouting measures edge-selection accuracy of the subnet→PoP table
 // through a recursive-resolver hop. Every client sits in its own /24
 // and is assigned a PoP by the C-DNS routing table; all clients share
@@ -44,19 +49,13 @@ const ecsRouteQuery = "video.demo1.mycdn.ciab.test."
 // the resolver's source address, so every client collapses onto the
 // resolver's PoP; with ECS forwarded, the disclosed /24 restores the
 // per-client mapping.
-func ECSRouting(seed int64, clients, pops int) (*ECSRouteResult, error) {
-	if clients <= 0 {
-		clients = 24
-	}
-	if pops <= 0 {
-		pops = 4
-	}
-	res := &ECSRouteResult{Clients: clients, PoPs: pops}
-	base, rows, err := ecsRouteArmRun(seed, clients, pops, false)
+func ECSRouting(seed int64) (*ECSRouteResult, error) {
+	res := &ECSRouteResult{}
+	base, rows, err := ecsRouteArmRun(seed, false)
 	if err != nil {
 		return nil, fmt.Errorf("ecsroute without ECS: %w", err)
 	}
-	withECS, _, err := ecsRouteArmRun(seed+1, clients, pops, true)
+	withECS, _, err := ecsRouteArmRun(seed+1, true)
 	if err != nil {
 		return nil, fmt.Errorf("ecsroute with ECS: %w", err)
 	}
@@ -72,7 +71,7 @@ type ecsRouteArm struct {
 	meanScope float64
 }
 
-func ecsRouteArmRun(seed int64, clients, pops int, ecs bool) (ecsRouteArm, int, error) {
+func ecsRouteArmRun(seed int64, ecs bool) (ecsRouteArm, int, error) {
 	net := simnet.New(seed)
 	delay := simnet.Constant(time.Millisecond)
 	proc := simnet.Constant(500 * time.Microsecond)
@@ -83,21 +82,19 @@ func ecsRouteArmRun(seed int64, clients, pops int, ecs bool) (ecsRouteArm, int, 
 	cdnsNode := net.AddNode("cdns")
 	router := cdn.NewRouter(Fig5Domain)
 	b := lpm.NewBuilder()
-	popAddrs := make([]netip.Addr, pops)
-	for p := 0; p < pops; p++ {
+	var popAddrs [ecsRoutePoPs]netip.Addr
+	for p := range popAddrs {
 		popAddrs[p] = netip.AddrFrom4([4]byte{198, 18, 0, byte(p + 1)})
 		router.MapPoP(lpm.PoP(p), popAddrs[p])
 	}
-	want := make([]netip.Addr, clients)
-	wantScope := make([]int, clients)
-	for c := 0; c < clients; c++ {
-		p := c % pops
+	var want [ecsRouteClients]netip.Addr
+	for c := range want {
+		p := c % ecsRoutePoPs
 		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 77, byte(c), 0}), 24)
 		if err := b.Add(prefix, lpm.PoP(p)); err != nil {
 			return ecsRouteArm{}, 0, err
 		}
 		want[c] = popAddrs[p]
-		wantScope[c] = 24
 	}
 	if err := b.Add(netip.MustParsePrefix("192.0.2.0/24"), 0); err != nil {
 		return ecsRouteArm{}, 0, err
@@ -125,8 +122,7 @@ func ecsRouteArmRun(seed int64, clients, pops int, ecs bool) (ecsRouteArm, int, 
 	ldnsNode := net.AddNodeAddr("ldns", netip.MustParseAddr("192.0.2.53"))
 	net.AddLink("ldns", "adns", delay, 0)
 	net.AddLink("ldns", "cdns", delay, 0)
-	upClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: ldnsNode.Endpoint()}}
-	upClient.SetRand(net.Rand())
+	upClient := newSimClient(net, ldnsNode.Name)
 	rec := resolver.New(upClient, net.Clock, netip.AddrPortFrom(adnsNode.Addr, 53))
 	rec.ForwardECS = ecs
 	plugins := []dnsserver.Plugin{}
@@ -139,7 +135,7 @@ func ecsRouteArmRun(seed int64, clients, pops int, ecs bool) (ecsRouteArm, int, 
 	correct := 0
 	scopeSum := 0
 	target := netip.AddrPortFrom(ldnsNode.Addr, 53)
-	for c := 0; c < clients; c++ {
+	for c := range want {
 		name := fmt.Sprintf("client-%d", c)
 		node := net.AddNodeAddr(name, netip.AddrFrom4([4]byte{10, 77, byte(c), 1}))
 		net.AddLink(name, "ldns", delay, 0)
@@ -168,8 +164,8 @@ func ecsRouteArmRun(seed int64, clients, pops int, ecs bool) (ecsRouteArm, int, 
 		}
 	}
 	return ecsRouteArm{
-		accuracy:  float64(correct) / float64(clients),
-		meanScope: float64(scopeSum) / float64(clients),
+		accuracy:  float64(correct) / ecsRouteClients,
+		meanScope: float64(scopeSum) / ecsRouteClients,
 	}, table.Rows(), nil
 }
 
@@ -177,7 +173,7 @@ func ecsRouteArmRun(seed int64, clients, pops int, ecs bool) (ecsRouteArm, int, 
 func (r *ECSRouteResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "X7 ECS subnet routing: %d clients in distinct /24s, %d PoPs, %d-row table, one shared recursive L-DNS\n",
-		r.Clients, r.PoPs, r.RouteRows)
+		ecsRouteClients, ecsRoutePoPs, r.RouteRows)
 	fmt.Fprintf(&b, "%-14s %10s\n", "arm", "accuracy")
 	fmt.Fprintf(&b, "%-14s %9.1f%%   (C-DNS sees only the resolver's subnet)\n", "without ECS", 100*r.WithoutECS)
 	fmt.Fprintf(&b, "%-14s %9.1f%%   (mean answer scope /%.0f)\n", "with ECS", 100*r.WithECS, r.ScopeWithECS)

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestECSRoutingAccuracy(t *testing.T) {
-	res, err := ECSRouting(42, 12, 4)
+	res, err := ECSRouting(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,10 +18,10 @@ func TestECSRoutingAccuracy(t *testing.T) {
 	// Without ECS the C-DNS sees only the resolver's subnet and sends
 	// everyone to the resolver's PoP (PoP 0): only the clients that
 	// happen to map there are served correctly.
-	if want := 3.0 / 12.0; res.WithoutECS != want {
+	if want := 6.0 / 24.0; res.WithoutECS != want {
 		t.Errorf("without ECS accuracy = %.2f, want %.2f", res.WithoutECS, want)
 	}
-	if res.RouteRows != 13 {
-		t.Errorf("route rows = %d, want 13", res.RouteRows)
+	if res.RouteRows != 25 {
+		t.Errorf("route rows = %d, want 25", res.RouteRows)
 	}
 }

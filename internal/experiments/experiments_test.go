@@ -88,7 +88,7 @@ func TestFigure2Deterministic(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	res, err := Figure3(Fig3Config{Seed: 42, Queries: 300})
+	res, err := Figure3(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestFallbackExperiment(t *testing.T) {
 }
 
 func TestDisaggregationExperiment(t *testing.T) {
-	res, err := Disaggregation(42, 400, 3000)
+	res, err := Disaggregation(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,11 +348,11 @@ func TestDisaggregationExperiment(t *testing.T) {
 }
 
 func TestIPReuseExperiment(t *testing.T) {
-	res, err := IPReuse(42, 12)
+	res, err := IPReuse(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WithReuse != 1 || res.WithoutReuse != 12 {
+	if res.WithReuse != 1 || res.WithoutReuse != ipReuseCustomers {
 		t.Errorf("report = %d/%d", res.WithReuse, res.WithoutReuse)
 	}
 	if !strings.Contains(res.Render(), "public IP") {
@@ -391,13 +391,13 @@ func TestBudgetSweep(t *testing.T) {
 
 func TestLoadShedExperiment(t *testing.T) {
 	// The driver is closed-loop (one query at a time), so its offered
-	// rate saturates around 1/RTT ≈ 34 q/s; a threshold of 20 sits
-	// squarely between the two steps.
-	res, err := LoadShed(42, 20, []int{10, 100})
+	// rate saturates around 1/RTT ≈ 34 q/s; the first step stays under
+	// the threshold of 20 and the second goes past it.
+	res, err := LoadShed(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Offered) != 2 {
+	if len(res.Offered) != len(loadShedSteps) {
 		t.Fatalf("steps = %d", len(res.Offered))
 	}
 	// Below threshold: nothing diverted. Above: diversion kicks in

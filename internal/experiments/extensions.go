@@ -12,6 +12,7 @@ import (
 	"github.com/meccdn/meccdn/internal/lte"
 	"github.com/meccdn/meccdn/internal/meccdn"
 	"github.com/meccdn/meccdn/internal/orchestrator"
+	"github.com/meccdn/meccdn/internal/resolver"
 	"github.com/meccdn/meccdn/internal/simnet"
 	"github.com/meccdn/meccdn/internal/stats"
 	"github.com/meccdn/meccdn/internal/workload"
@@ -57,7 +58,7 @@ func Fallback(seed int64, runs int) (*FallbackResult, error) {
 	upProv := newSimClient(tb.Net, provNode.Name)
 	provChain := dnsserver.Chain(
 		dnsserver.NewZonePlugin(webZone),
-		mustResolver(upProv, tb.Net, roots...),
+		resolver.New(upProv, tb.Net.Clock, roots...),
 	)
 	dnsserver.Attach(provNode, provChain, fig5LDNSProc)
 	provider := netip.AddrPortFrom(provNode.Addr, 53)
@@ -142,29 +143,28 @@ func (r *FallbackResult) Render() string {
 // spreading one client population's requests across multiple cache
 // pools raises the miss rate versus consolidated routing.
 type DisaggregationResult struct {
-	Objects      int
-	Requests     int
 	Consolidated float64 // hit ratio with content-aware routing
 	Spread       float64 // hit ratio with round-robin disaggregation
 }
 
+// X2's workload: disaggObjects catalog objects, disaggRequests Zipf
+// requests.
+const (
+	disaggObjects  = 500
+	disaggRequests = 4000
+)
+
 // Disaggregation runs a Zipf workload through an edge cache pool
 // twice: once with the consistent-hash/availability-first router and
 // once with a round-robin router that ignores placement.
-func Disaggregation(seed int64, objects, requests int) (*DisaggregationResult, error) {
-	if objects <= 0 {
-		objects = 500
-	}
-	if requests <= 0 {
-		requests = 4000
-	}
+func Disaggregation(seed int64) (*DisaggregationResult, error) {
 	run := func(policy cdn.SelectionPolicy) (float64, error) {
 		net := simnet.New(seed)
 		net.AddNode("client")
 		net.AddNode("origin")
 		origin := cdn.NewOrigin()
 		cat := cdn.NewCatalog("pool.test.")
-		cat.PublishN("obj", objects, 10_000)
+		cat.PublishN("obj", disaggObjects, 10_000)
 		origin.AddCatalog(cat)
 		osrv := cdn.NewOriginServer(net.Node("origin"), origin, nil)
 
@@ -182,17 +182,17 @@ func Disaggregation(seed int64, objects, requests int) (*DisaggregationResult, e
 				// Each cache holds only ~15% of the catalog: routing
 				// decides whether the pool behaves like one big cache
 				// or four small ones.
-				CapacityBytes: int64(objects) * 10_000 * 15 / 100,
+				CapacityBytes: disaggObjects * 10_000 * 15 / 100,
 				Parent:        osrv.Addr(),
 			})
 			router.AddServer(servers[i], geoip.Location{X: float64(i)})
 		}
-		zipf, err := workload.NewZipfCatalog(net.Rand(), 1.2, objects)
+		zipf, err := workload.NewZipfCatalog(net.Rand(), 1.2, disaggObjects)
 		if err != nil {
 			return 0, err
 		}
 		ep := net.Node("client").Endpoint()
-		for i := 0; i < requests; i++ {
+		for i := 0; i < disaggRequests; i++ {
 			name := workload.Name("obj", zipf.Next())
 			sel := router.Route(name, cdn.ClientInfo{})
 			if sel == nil {
@@ -218,17 +218,14 @@ func Disaggregation(seed int64, objects, requests int) (*DisaggregationResult, e
 	if err != nil {
 		return nil, fmt.Errorf("spread run: %w", err)
 	}
-	return &DisaggregationResult{
-		Objects: objects, Requests: requests,
-		Consolidated: consolidated, Spread: spread,
-	}, nil
+	return &DisaggregationResult{Consolidated: consolidated, Spread: spread}, nil
 }
 
 // Render prints the disaggregation comparison.
 func (r *DisaggregationResult) Render() string {
 	var b strings.Builder
 	b.WriteString("X2 §2 Obs.2: request disaggregation vs cache hit ratio\n")
-	fmt.Fprintf(&b, "catalog %d objects, %d Zipf(1.2) requests, 4 caches × 15%% capacity\n", r.Objects, r.Requests)
+	fmt.Fprintf(&b, "catalog %d objects, %d Zipf(1.2) requests, 4 caches × 15%% capacity\n", disaggObjects, disaggRequests)
 	fmt.Fprintf(&b, "%-36s hit ratio %.1f%%\n", "content-aware routing (MEC-CDN C-DNS)", 100*r.Consolidated)
 	fmt.Fprintf(&b, "%-36s hit ratio %.1f%%\n", "round-robin across pools (status quo)", 100*r.Spread)
 	fmt.Fprintf(&b, "miss-rate increase from disaggregation: %.1f%% → %.1f%%\n",
@@ -238,17 +235,17 @@ func (r *DisaggregationResult) Render() string {
 
 // IPReuseResult is experiment X4.
 type IPReuseResult struct {
-	Customers    int
 	WithReuse    int
 	WithoutReuse int
 }
 
-// IPReuse deploys N CDN customer domains on one MEC site and reports
-// the public-IP demand with and without the cluster-IP indirection.
-func IPReuse(seed int64, customers int) (*IPReuseResult, error) {
-	if customers <= 0 {
-		customers = 8
-	}
+// ipReuseCustomers is the number of CDN customer domains X4 deploys.
+const ipReuseCustomers = 8
+
+// IPReuse deploys ipReuseCustomers CDN customer domains on one MEC site
+// and reports the public-IP demand with and without the cluster-IP
+// indirection.
+func IPReuse(seed int64) (*IPReuseResult, error) {
 	net := simnet.New(seed)
 	net.AddNode("pgw")
 	orch, err := orchestrator.New(orchestrator.Config{Net: net, FabricNode: "pgw"})
@@ -257,7 +254,7 @@ func IPReuse(seed int64, customers int) (*IPReuseResult, error) {
 	}
 	pub := dnsserver.NewZone("mec.example.")
 	orch.SetPublicZone(pub)
-	for i := 0; i < customers; i++ {
+	for i := 0; i < ipReuseCustomers; i++ {
 		if _, err := orch.CreateService(orchestrator.ServiceSpec{
 			Name:       fmt.Sprintf("cdn-customer-%d", i),
 			Namespace:  "cdn",
@@ -267,14 +264,14 @@ func IPReuse(seed int64, customers int) (*IPReuseResult, error) {
 		}
 	}
 	with, without := orch.PublicIPReport()
-	return &IPReuseResult{Customers: customers, WithReuse: with, WithoutReuse: without}, nil
+	return &IPReuseResult{WithReuse: with, WithoutReuse: without}, nil
 }
 
 // Render prints the IP-reuse accounting.
 func (r *IPReuseResult) Render() string {
 	var b strings.Builder
 	b.WriteString("X4 §3/§5: public IPv4 addresses needed at the MEC site\n")
-	fmt.Fprintf(&b, "CDN customer domains deployed:        %d\n", r.Customers)
+	fmt.Fprintf(&b, "CDN customer domains deployed:        %d\n", ipReuseCustomers)
 	fmt.Fprintf(&b, "with MEC-CDN cluster-IP indirection:  %d public IP(s)\n", r.WithReuse)
 	fmt.Fprintf(&b, "with per-domain public addressing:    %d public IP(s)\n", r.WithoutReuse)
 	return b.String()
@@ -282,26 +279,25 @@ func (r *IPReuseResult) Render() string {
 
 // LoadShedResult is experiment X5.
 type LoadShedResult struct {
-	Threshold int
 	Offered   []int     // offered load per step (queries/s)
 	MECServed []uint64  // queries the MEC DNS answered itself
 	Diverted  []uint64  // queries diverted to the provider L-DNS
 	Latency   []float64 // mean latency (ms) per step
 }
 
-// LoadShed ramps the query rate at the MEC DNS past its configured
-// ingress threshold and shows the orchestrator's policy switching
-// excess load to the provider L-DNS, keeping resolution available.
+// loadShedThreshold is X5's ingress threshold in queries per second.
 // The driver is closed-loop (one outstanding query), so the effective
-// offered rate saturates near 1/RTT regardless of the requested step;
-// choose thresholds below that ceiling to observe shedding.
-func LoadShed(seed int64, threshold int, steps []int) (*LoadShedResult, error) {
-	if threshold <= 0 {
-		threshold = 100
-	}
-	if len(steps) == 0 {
-		steps = []int{50, 100, 200, 400}
-	}
+// offered rate saturates near 1/RTT ≈ 34 q/s whatever the requested
+// step; the threshold sits below that ceiling so shedding shows.
+const loadShedThreshold = 20
+
+// loadShedSteps are the offered rates X5 ramps through, in q/s.
+var loadShedSteps = [...]int{50, 100, 200, 400}
+
+// LoadShed ramps the query rate at the MEC DNS past its ingress
+// threshold and shows the orchestrator's policy switching excess load
+// to the provider L-DNS, keeping resolution available.
+func LoadShed(seed int64) (*LoadShedResult, error) {
 	tb := fig5Testbed(seed, lte.LTE4G())
 	provNode := tb.AddLAN("provider-ldns")
 	roots, err := buildCDNInfra(tb.Net, provNode.Name, simnet.Constant(20*time.Millisecond))
@@ -309,12 +305,12 @@ func LoadShed(seed int64, threshold int, steps []int) (*LoadShedResult, error) {
 		return nil, err
 	}
 	upProv := newSimClient(tb.Net, provNode.Name)
-	dnsserver.Attach(provNode, dnsserver.Chain(mustResolver(upProv, tb.Net, roots...)), fig5LDNSProc)
+	dnsserver.Attach(provNode, dnsserver.Chain(resolver.New(upProv, tb.Net.Clock, roots...)), fig5LDNSProc)
 
 	site, err := meccdn.DeploySite(tb, meccdn.SiteConfig{
 		Domain:         Fig5Domain,
 		ProviderLDNS:   netip.AddrPortFrom(provNode.Addr, 53),
-		MaxIngressQPS:  threshold,
+		MaxIngressQPS:  loadShedThreshold,
 		LDNSProcessing: fig5LDNSProc,
 		CDNSProcessing: fig5CDNSProc,
 	})
@@ -323,9 +319,9 @@ func LoadShed(seed int64, threshold int, steps []int) (*LoadShedResult, error) {
 	}
 	ue := &meccdn.UEClient{EP: tb.Net.Node(lte.NodeUE).Endpoint(), MEC: site.LDNS}
 
-	res := &LoadShedResult{Threshold: threshold}
+	res := &LoadShedResult{}
 	var prevShed, prevServed uint64
-	for _, qps := range steps {
+	for _, qps := range loadShedSteps {
 		sample := stats.New()
 		// One second of offered load at this rate, spaced evenly in
 		// virtual time.
@@ -353,7 +349,7 @@ func LoadShed(seed int64, threshold int, steps []int) (*LoadShedResult, error) {
 // Render prints the load ramp.
 func (r *LoadShedResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "X5 §3: ingress-threshold DoS mitigation (threshold %d q/s)\n", r.Threshold)
+	fmt.Fprintf(&b, "X5 §3: ingress-threshold DoS mitigation (threshold %d q/s)\n", loadShedThreshold)
 	fmt.Fprintf(&b, "%10s %12s %12s %12s\n", "offered", "MEC-served", "diverted", "mean lat")
 	for i := range r.Offered {
 		fmt.Fprintf(&b, "%8d/s %12d %12d %10.1fms\n",

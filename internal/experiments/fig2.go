@@ -58,10 +58,11 @@ type Fig2Config struct {
 	Seed int64
 	// Runs per bar; 0 means 15 (the paper uses "at least 12").
 	Runs int
-	// Gap is the virtual time between queries; 0 means 20s, enough
-	// for short-TTL answers to expire.
-	Gap time.Duration
 }
+
+// fig2Gap is the virtual time between queries, enough for short-TTL
+// answers to expire.
+const fig2Gap = 20 * time.Second
 
 // Figure2 reproduces the DNS-lookup-latency study: for each Table 1
 // domain and each access network, a client issues repeated A queries
@@ -71,9 +72,6 @@ func Figure2(cfg Fig2Config) (*Fig2Result, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 15
 	}
-	if cfg.Gap <= 0 {
-		cfg.Gap = 20 * time.Second
-	}
 	domains := fig2Domains()
 	accesses := netprofile.All()
 	res := &Fig2Result{Runs: cfg.Runs}
@@ -81,7 +79,7 @@ func Figure2(cfg Fig2Config) (*Fig2Result, error) {
 		row := make([]Fig2Cell, 0, len(accesses))
 		for ai, access := range accesses {
 			seed := cfg.Seed + int64(di*10+ai)
-			bar, err := fig2Bar(seed, dom, access, cfg.Runs, cfg.Gap)
+			bar, err := fig2Bar(seed, dom, access, cfg.Runs)
 			if err != nil {
 				return nil, fmt.Errorf("figure 2 %s/%s: %w", dom.Domain, access.Name, err)
 			}
@@ -94,7 +92,7 @@ func Figure2(cfg Fig2Config) (*Fig2Result, error) {
 
 // fig2Bar measures one (domain, access) bar on a fresh topology:
 // client —(access)— ldns —(wan)— authoritative C-DNS.
-func fig2Bar(seed int64, dom fig2Domain, access netprofile.Access, runs int, gap time.Duration) (stats.Bar, error) {
+func fig2Bar(seed int64, dom fig2Domain, access netprofile.Access, runs int) (stats.Bar, error) {
 	net := simnet.New(seed)
 	net.AddNode("client")
 	net.AddNode("ldns")
@@ -112,8 +110,7 @@ func fig2Bar(seed int64, dom fig2Domain, access netprofile.Access, runs int, gap
 	dnsserver.Attach(net.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(zone)),
 		simnet.Constant(dom.AuthProcess))
 
-	upClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: net.Node("ldns").Endpoint()}}
-	upClient.SetRand(net.Rand())
+	upClient := newSimClient(net, "ldns")
 	cache := dnsserver.NewCache(net.Clock)
 	fwd := &dnsserver.Forward{Upstreams: []netip.AddrPort{netip.AddrPortFrom(net.Node("auth").Addr, 53)}, Client: upClient}
 	dnsserver.Attach(net.Node("ldns"), dnsserver.Chain(cache, fwd), access.LDNSProcessing)
@@ -134,7 +131,7 @@ func fig2Bar(seed int64, dom fig2Domain, access netprofile.Access, runs int, gap
 
 	sample := stats.New()
 	for i := 0; i < runs; i++ {
-		net.Clock.RunUntil(net.Now() + gap)
+		net.Clock.RunUntil(net.Now() + fig2Gap)
 		start := net.Now()
 		if _, err := client.Query(context.Background(), ldns, qname, dnswire.TypeA); err != nil {
 			return stats.Bar{}, fmt.Errorf("run %d: %w", i, err)

@@ -167,20 +167,13 @@ type Fig3Result struct {
 	PoolOrder map[string][]string
 }
 
-// Fig3Config parameterizes Figure3.
-type Fig3Config struct {
-	Seed int64
-	// Queries per bar; 0 means 200.
-	Queries int
-}
+// fig3Queries is the number of lookups per bar.
+const fig3Queries = 200
 
 // Figure3 reproduces the response-distribution study: repeated
 // lookups of each Table 1 domain over each access network, classified
 // by the answering cache server's CIDR pool.
-func Figure3(cfg Fig3Config) (*Fig3Result, error) {
-	if cfg.Queries <= 0 {
-		cfg.Queries = 200
-	}
+func Figure3(seed int64) (*Fig3Result, error) {
 	res := &Fig3Result{PoolOrder: make(map[string][]string)}
 	for si, site := range fig3Sites() {
 		var order []string
@@ -189,7 +182,7 @@ func Figure3(cfg Fig3Config) (*Fig3Result, error) {
 		}
 		res.PoolOrder[site.Agency] = order
 		for ai, access := range netprofile.All() {
-			row, err := fig3Row(cfg.Seed+int64(si*10+ai), site, access, cfg.Queries)
+			row, err := fig3Row(seed+int64(si*10+ai), site, access)
 			if err != nil {
 				return nil, fmt.Errorf("figure 3 %s/%s: %w", site.Agency, access.Name, err)
 			}
@@ -199,7 +192,7 @@ func Figure3(cfg Fig3Config) (*Fig3Result, error) {
 	return res, nil
 }
 
-func fig3Row(seed int64, site fig3Site, access netprofile.Access, queries int) (Fig3Row, error) {
+func fig3Row(seed int64, site fig3Site, access netprofile.Access) (Fig3Row, error) {
 	net := simnet.New(seed)
 	net.AddNode("client")
 	net.AddNode("ldns")
@@ -215,8 +208,7 @@ func fig3Row(seed int64, site fig3Site, access netprofile.Access, queries int) (
 	}
 	dnsserver.Attach(net.Node("cdns"), dnsserver.Chain(picker), simnet.Constant(time.Millisecond))
 
-	upClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: net.Node("ldns").Endpoint()}}
-	upClient.SetRand(net.Rand())
+	upClient := newSimClient(net, "ldns")
 	fwd := &dnsserver.Forward{
 		Upstreams: []netip.AddrPort{netip.AddrPortFrom(net.Node("cdns").Addr, 53)},
 		Client:    upClient,
@@ -233,7 +225,7 @@ func fig3Row(seed int64, site fig3Site, access netprofile.Access, queries int) (
 	ldns := netip.AddrPortFrom(net.Node("ldns").Addr, 53)
 
 	dist := stats.NewDistribution()
-	for i := 0; i < queries; i++ {
+	for i := 0; i < fig3Queries; i++ {
 		resp, err := client.Query(context.Background(), ldns, site.Domain, dnswire.TypeA)
 		if err != nil {
 			return Fig3Row{}, fmt.Errorf("query %d: %w", i, err)

@@ -137,8 +137,7 @@ func buildMECLDNSRemoteCDNS(wan bool) func(int64, lte.AirProfile, bool) (*fig5En
 
 		// MEC L-DNS with a stub-domain route to the remote C-DNS.
 		ldnsNode := tb.AddMEC("mec-ldns")
-		upClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: ldnsNode.Endpoint()}}
-		upClient.SetRand(tb.Net.Rand())
+		upClient := newSimClient(tb.Net, ldnsNode.Name)
 		stub := dnsserver.NewStub(upClient)
 		stub.Route(Fig5Domain, netip.AddrPortFrom(cdnsNode.Addr, 53))
 		plugins := []dnsserver.Plugin{}
@@ -220,8 +219,7 @@ func buildRecursiveLDNS(placement string, toLDNSScale float64, infraOneWay time.
 		if err != nil {
 			return nil, err
 		}
-		upClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: ldnsNode.Endpoint()}}
-		upClient.SetRand(tb.Net.Rand())
+		upClient := newSimClient(tb.Net, ldnsNode.Name)
 		rec := resolver.New(upClient, tb.Net.Clock, roots...)
 		plugins := []dnsserver.Plugin{}
 		if ecs {
@@ -281,8 +279,6 @@ type Fig5Config struct {
 	// Air is the radio profile; zero value means 4G LTE. Pass
 	// lte.NR5G() for the paper's 5G projection (X3).
 	Air lte.AirProfile
-	// ECS enables EDNS Client Subnet at the resolvers.
-	ECS bool
 }
 
 // Figure5 reproduces the LTE-testbed DNS-latency comparison across
@@ -297,7 +293,7 @@ func Figure5(cfg Fig5Config) (*Fig5Result, error) {
 	}
 	res := &Fig5Result{Air: cfg.Air.Name, Runs: cfg.Runs}
 	for i, sc := range fig5Scenarios() {
-		row, _, err := fig5Measure(sc, cfg.Seed+int64(i), cfg.Air, cfg.ECS, cfg.Runs)
+		row, _, err := fig5Measure(sc, cfg.Seed+int64(i), cfg.Air, false, cfg.Runs)
 		if err != nil {
 			return nil, fmt.Errorf("figure 5 %s: %w", sc.Key, err)
 		}

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"net/netip"
-
 	"github.com/meccdn/meccdn/internal/dnsclient"
-	"github.com/meccdn/meccdn/internal/resolver"
 	"github.com/meccdn/meccdn/internal/simnet"
 )
 
@@ -14,10 +11,4 @@ func newSimClient(net *simnet.Network, node string) *dnsclient.Client {
 	c := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: net.Node(node).Endpoint()}}
 	c.SetRand(net.Rand())
 	return c
-}
-
-// mustResolver builds a recursive resolver plugin over the simulation
-// clock.
-func mustResolver(client *dnsclient.Client, net *simnet.Network, roots ...netip.AddrPort) *resolver.Resolver {
-	return resolver.New(client, net.Clock, roots...)
 }

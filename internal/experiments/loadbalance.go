@@ -26,44 +26,34 @@ type LoadBalanceConfig struct {
 	// Zero means 1.2M — the "flash crowd of a million users" scale
 	// the MEC sizing discussion turns on.
 	UEs int
-	// CachesPerSite is the cache-server fleet behind each site's
-	// C-DNS. Zero means 8.
-	CachesPerSite int
-	// Objects is the content catalog size. Zero means 100k.
-	Objects int
-	// Ticks is the number of simulation rounds per scenario; each
-	// tick is one load-decay window. Zero means 48.
-	Ticks int
 	// RequestsPerTick is the peak request volume per tick across the
 	// population. Zero means UEs/20.
 	RequestsPerTick int
-	// LoadFactor is the bounded arm's cap multiple. Zero means 1.25.
-	LoadFactor float64
-	// ZipfS is the popularity skew. Zero means 1.1.
-	ZipfS float64
 }
+
+// X8's fixed corpus.
+const (
+	// lbCachesPerSite is the cache-server fleet behind each site's
+	// C-DNS.
+	lbCachesPerSite = 8
+	// lbObjects is the content catalog size.
+	lbObjects = 100_000
+	// lbTicks is the number of simulation rounds per scenario; each
+	// tick is one load-decay window.
+	lbTicks = 48
+	// lbLoadFactor is the bounded arm's cap multiple: the hash ring's
+	// default.
+	lbLoadFactor = 1.25
+	// lbZipfS is the popularity skew.
+	lbZipfS = 1.1
+)
 
 func (c *LoadBalanceConfig) defaults() {
 	if c.UEs <= 0 {
 		c.UEs = 1_200_000
 	}
-	if c.CachesPerSite <= 0 {
-		c.CachesPerSite = 8
-	}
-	if c.Objects <= 0 {
-		c.Objects = 100_000
-	}
-	if c.Ticks <= 0 {
-		c.Ticks = 48
-	}
 	if c.RequestsPerTick <= 0 {
 		c.RequestsPerTick = c.UEs / 20
-	}
-	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
-	}
-	if c.ZipfS <= 0 {
-		c.ZipfS = 1.1
 	}
 }
 
@@ -93,12 +83,9 @@ type LoadBalanceScenario struct {
 
 // LoadBalanceResult is experiment X8.
 type LoadBalanceResult struct {
-	UEs, Sites, CachesPerSite int
-	Objects, Ticks            int
-	RequestsPerTick           int
-	LoadFactor                float64
-	CohortHandoffs            int // mobility events observed in the handoff storm
-	Scenarios                 []LoadBalanceScenario
+	UEs, RequestsPerTick int
+	CohortHandoffs       int // mobility events observed in the handoff storm
+	Scenarios            []LoadBalanceScenario
 }
 
 // lbSites are the two edge locations of the corpus.
@@ -130,9 +117,9 @@ type lbScenario struct {
 	volume func(cfg *LoadBalanceConfig, tick int) int
 	// flashFrac is the fraction of requests pinned to one hot object
 	// during the storm window (flash crowd), 0 otherwise.
-	flashFrac func(cfg *LoadBalanceConfig, tick int) float64
+	flashFrac func(tick int) float64
 	// storm reports whether the handoff storm is underway.
-	storm func(cfg *LoadBalanceConfig, tick int) bool
+	storm func(tick int) bool
 }
 
 func lbScenarios() []lbScenario {
@@ -142,36 +129,34 @@ func lbScenarios() []lbScenario {
 			// the run and draws 40% of all requests.
 			name:   "flash-crowd",
 			volume: func(cfg *LoadBalanceConfig, _ int) int { return cfg.RequestsPerTick },
-			flashFrac: func(cfg *LoadBalanceConfig, tick int) float64 {
-				if tick >= cfg.Ticks/3 && tick < cfg.Ticks/3+cfg.Ticks/6+1 {
+			flashFrac: func(tick int) float64 {
+				if tick >= lbTicks/3 && tick < lbTicks/3+lbTicks/6+1 {
 					return 0.4
 				}
 				return 0
 			},
-			storm: func(*LoadBalanceConfig, int) bool { return false },
+			storm: func(int) bool { return false },
 		},
 		{
 			// Sinusoidal day curve between ~30% and 100% of peak.
 			name: "diurnal-tide",
 			volume: func(cfg *LoadBalanceConfig, tick int) int {
-				phase := 2 * math.Pi * float64(tick) / float64(cfg.Ticks)
+				phase := 2 * math.Pi * float64(tick) / lbTicks
 				frac := 0.65 - 0.35*math.Cos(phase)
 				return int(float64(cfg.RequestsPerTick) * frac)
 			},
-			flashFrac: func(*LoadBalanceConfig, int) float64 { return 0 },
-			storm:     func(*LoadBalanceConfig, int) bool { return false },
+			flashFrac: func(int) float64 { return 0 },
+			storm:     func(int) bool { return false },
 		},
 		{
 			// Commuter wave: the east-attached cohort hands off to
 			// west during the middle third, dragging request mass
 			// (and each UE's target DNS) with it.
-			name:   "handoff-storm",
-			volume: func(cfg *LoadBalanceConfig, _ int) int { return cfg.RequestsPerTick },
-			flashFrac: func(*LoadBalanceConfig, int) float64 {
-				return 0
-			},
-			storm: func(cfg *LoadBalanceConfig, tick int) bool {
-				return tick >= cfg.Ticks/3 && tick < 2*cfg.Ticks/3
+			name:      "handoff-storm",
+			volume:    func(cfg *LoadBalanceConfig, _ int) int { return cfg.RequestsPerTick },
+			flashFrac: func(int) float64 { return 0 },
+			storm: func(tick int) bool {
+				return tick >= lbTicks/3 && tick < 2*lbTicks/3
 			},
 		},
 	}
@@ -198,8 +183,7 @@ func lbArmRun(cfg *LoadBalanceConfig, sc lbScenario, bounded bool) (LoadBalanceA
 		rt := cdn.NewRouter("cdn.x8.test")
 		rt.Policy = ringOrder{}
 		rt.Ring.Bounded = bounded
-		rt.Ring.LoadFactor = cfg.LoadFactor
-		for i := 0; i < cfg.CachesPerSite; i++ {
+		for i := 0; i < lbCachesPerSite; i++ {
 			name := fmt.Sprintf("%s-cache-%02d", site, i)
 			node := net.AddNode(name)
 			srv := cdn.NewCacheServer(node, cdn.CacheServerConfig{
@@ -244,14 +228,14 @@ func lbArmRun(cfg *LoadBalanceConfig, sc lbScenario, bounded bool) (LoadBalanceA
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	zipf, err := workload.NewZipfCatalog(rng, cfg.ZipfS, cfg.Objects)
+	zipf, err := workload.NewZipfCatalog(rng, lbZipfS, lbObjects)
 	if err != nil {
 		return arm, 0, err
 	}
 
 	// Per-cache service capacity per tick: fair share at peak volume
 	// plus 50% headroom. Load above it queues.
-	totalCaches := len(lbSites) * cfg.CachesPerSite
+	totalCaches := len(lbSites) * lbCachesPerSite
 	capacity := cfg.RequestsPerTick * 3 / (totalCaches * 2)
 	if capacity < 1 {
 		capacity = 1
@@ -265,11 +249,11 @@ func lbArmRun(cfg *LoadBalanceConfig, sc lbScenario, bounded bool) (LoadBalanceA
 	overloaded, cacheTicks := 0, 0
 	moved := 0
 
-	for tick := 0; tick < cfg.Ticks; tick++ {
+	for tick := 0; tick < lbTicks; tick++ {
 		// Mobility first: during the storm the east cohort drains to
 		// west at a steady per-tick rate.
-		if sc.storm(cfg, tick) {
-			want := lbCohort * 4 / 5 * (tick + 1 - cfg.Ticks/3) / (cfg.Ticks / 3)
+		if sc.storm(tick) {
+			want := lbCohort * 4 / 5 * (tick + 1 - lbTicks/3) / (lbTicks / 3)
 			for _, ue := range cohort {
 				if moved >= want {
 					break
@@ -291,7 +275,7 @@ func lbArmRun(cfg *LoadBalanceConfig, sc lbScenario, bounded bool) (LoadBalanceA
 		eastFrac /= float64(len(cohort))
 
 		vol := sc.volume(cfg, tick)
-		flash := sc.flashFrac(cfg, tick)
+		flash := sc.flashFrac(tick)
 		for k := range counts {
 			delete(counts, k)
 		}
@@ -366,11 +350,7 @@ func lbArmRun(cfg *LoadBalanceConfig, sc lbScenario, bounded bool) (LoadBalanceA
 // handoff-storm scenarios, each under the plain and the bounded ring.
 func LoadBalance(cfg LoadBalanceConfig) (*LoadBalanceResult, error) {
 	cfg.defaults()
-	res := &LoadBalanceResult{
-		UEs: cfg.UEs, Sites: len(lbSites), CachesPerSite: cfg.CachesPerSite,
-		Objects: cfg.Objects, Ticks: cfg.Ticks,
-		RequestsPerTick: cfg.RequestsPerTick, LoadFactor: cfg.LoadFactor,
-	}
+	res := &LoadBalanceResult{UEs: cfg.UEs, RequestsPerTick: cfg.RequestsPerTick}
 	for _, sc := range lbScenarios() {
 		scenario := LoadBalanceScenario{Name: sc.name}
 		for _, bounded := range []bool{false, true} {
@@ -429,7 +409,7 @@ func (w *weightedLatencies) percentile(p float64) time.Duration {
 func (r *LoadBalanceResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "X8 · bounded-load ring vs plain ring — %d UEs, %d sites × %d caches, %d-object Zipf catalog, %d ticks, c=%.2f\n",
-		r.UEs, r.Sites, r.CachesPerSite, r.Objects, r.Ticks, r.LoadFactor)
+		r.UEs, len(lbSites), lbCachesPerSite, lbObjects, lbTicks, lbLoadFactor)
 	if r.CohortHandoffs > 0 {
 		fmt.Fprintf(&b, "handoff storm: %d cohort handoffs (each stands for ~%d UEs)\n",
 			r.CohortHandoffs, r.UEs/lbCohort)

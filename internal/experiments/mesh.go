@@ -19,39 +19,25 @@ import (
 // site requests them, with and without the federated mesh.
 type MeshConfig struct {
 	Seed int64
-	// Sites is the MEC site count; site 0 hosts the flash crowd and
-	// the rest are siblings holding the event segments. Zero means 3.
-	Sites int
-	// Ticks is the number of announce/request rounds. Zero means 16.
-	Ticks int
-	// SegmentsPerTick is how many new live segments appear (and are
-	// warmed at a sibling site) each tick. Zero means 3.
-	SegmentsPerTick int
 	// RequestsPerTick is the flash-crowd volume at the hot site each
 	// tick. Zero means 64.
 	RequestsPerTick int
-	// Window is the recency window requests draw from: each request
-	// picks uniformly among the newest Window segments. Zero means 8.
-	Window int
 }
 
-func (c *MeshConfig) defaults() {
-	if c.Sites <= 0 {
-		c.Sites = 3
-	}
-	if c.Ticks <= 0 {
-		c.Ticks = 16
-	}
-	if c.SegmentsPerTick <= 0 {
-		c.SegmentsPerTick = 3
-	}
-	if c.RequestsPerTick <= 0 {
-		c.RequestsPerTick = 64
-	}
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-}
+// X9's fixed event.
+const (
+	// meshSites is the MEC site count; site 0 hosts the flash crowd
+	// and the rest are siblings holding the event segments.
+	meshSites = 3
+	// meshTicks is the number of announce/request rounds.
+	meshTicks = 16
+	// meshSegmentsPerTick is how many new live segments appear (and
+	// are warmed at a sibling site) each tick.
+	meshSegmentsPerTick = 3
+	// meshWindow is the recency window requests draw from: each
+	// request picks uniformly among the newest meshWindow segments.
+	meshWindow = 8
+)
 
 // MeshArm is one steering mode's outcome.
 type MeshArm struct {
@@ -75,14 +61,12 @@ type MeshArm struct {
 
 // MeshResult is experiment X9.
 type MeshResult struct {
-	Sites, Ticks    int
-	SegmentsPerTick int
 	RequestsPerTick int
 	Arms            []MeshArm
 }
 
 // meshArmRun drives the flash crowd through one steering mode on a
-// fresh testbed: Sites MEC sites share one LTE core, segments are
+// fresh testbed: meshSites MEC sites share one LTE core, segments are
 // produced at sibling home sites round-robin, and every request is a
 // full UE resolve (with referral chase) plus content transfer.
 func meshArmRun(cfg *MeshConfig, meshed bool) (MeshArm, error) {
@@ -95,7 +79,7 @@ func meshArmRun(cfg *MeshConfig, meshed bool) (MeshArm, error) {
 	originNode := tb.AddWAN("origin", 1)
 	origin := cdn.NewOrigin()
 	cat := cdn.NewCatalog(domain)
-	total := cfg.Ticks * cfg.SegmentsPerTick
+	total := meshTicks * meshSegmentsPerTick
 	segs := make([]cdn.Content, total)
 	for i := range segs {
 		segs[i] = cdn.Content{Name: fmt.Sprintf("seg-%04d.live.%s", i, domain), Size: 4096}
@@ -104,7 +88,7 @@ func meshArmRun(cfg *MeshConfig, meshed bool) (MeshArm, error) {
 	origin.AddCatalog(cat)
 	cdn.NewOriginServer(originNode, origin, simnet.Constant(2*time.Millisecond))
 
-	sites := make([]*meccdn.Site, cfg.Sites)
+	sites := make([]*meccdn.Site, meshSites)
 	for i := range sites {
 		var err error
 		sites[i], err = meccdn.DeploySite(tb, meccdn.SiteConfig{
@@ -134,12 +118,12 @@ func meshArmRun(cfg *MeshConfig, meshed bool) (MeshArm, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 9))
 	var lats []time.Duration
 
-	for tick := 0; tick < cfg.Ticks; tick++ {
+	for tick := 0; tick < meshTicks; tick++ {
 		// The event produces new segments, each cached at its home
 		// sibling (never at the hot site), then everyone gossips.
-		for j := 0; j < cfg.SegmentsPerTick; j++ {
-			idx := tick*cfg.SegmentsPerTick + j
-			home := sites[1+idx%(cfg.Sites-1)]
+		for j := 0; j < meshSegmentsPerTick; j++ {
+			idx := tick*meshSegmentsPerTick + j
+			home := sites[1+idx%(meshSites-1)]
 			home.Warm(segs[idx])
 		}
 		for _, s := range sites {
@@ -147,8 +131,8 @@ func meshArmRun(cfg *MeshConfig, meshed bool) (MeshArm, error) {
 			s.AnnounceOnce()
 		}
 
-		newest := (tick + 1) * cfg.SegmentsPerTick
-		lo := newest - cfg.Window
+		newest := (tick + 1) * meshSegmentsPerTick
+		lo := newest - meshWindow
 		if lo < 0 {
 			lo = 0
 		}
@@ -194,13 +178,11 @@ func meshArmRun(cfg *MeshConfig, meshed bool) (MeshArm, error) {
 // peer-steered miss routing over the federated mesh and once with the
 // vertical (parent-fill) path only.
 func Mesh(cfg MeshConfig) (*MeshResult, error) {
-	cfg.defaults()
-	if cfg.Sites < 2 {
-		return nil, fmt.Errorf("x9 needs at least 2 sites, got %d", cfg.Sites)
+	if cfg.RequestsPerTick <= 0 {
+		cfg.RequestsPerTick = 64
 	}
 	res := &MeshResult{
-		Sites: cfg.Sites, Ticks: cfg.Ticks,
-		SegmentsPerTick: cfg.SegmentsPerTick, RequestsPerTick: cfg.RequestsPerTick,
+		RequestsPerTick: cfg.RequestsPerTick,
 	}
 	for _, meshed := range []bool{true, false} {
 		arm, err := meshArmRun(&cfg, meshed)
@@ -216,7 +198,7 @@ func Mesh(cfg MeshConfig) (*MeshResult, error) {
 func (r *MeshResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "X9 · federated mesh vs vertical fill — %d sites, %d ticks × %d requests, %d new segments/tick\n",
-		r.Sites, r.Ticks, r.RequestsPerTick, r.SegmentsPerTick)
+		meshSites, meshTicks, r.RequestsPerTick, meshSegmentsPerTick)
 	fmt.Fprintf(&b, "%-10s %9s %10s %9s %9s %9s %9s %10s %10s\n",
 		"mode", "requests", "local-hit", "sib-hit", "sib-fill", "parent", "share", "p50", "p99")
 	for _, a := range r.Arms {

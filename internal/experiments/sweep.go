@@ -26,7 +26,7 @@ type SweepPoint struct {
 	Total time.Duration
 	// Resolver is the mean beyond-P-GW portion.
 	Resolver time.Duration
-	// FitsBudget reports Resolver < Budget.
+	// FitsBudget reports Resolver < sweepBudget.
 	FitsBudget bool
 }
 
@@ -35,7 +35,6 @@ type SweepPoint struct {
 // observation is binary (LAN fits, WAN does not); the sweep locates
 // the crossover.
 type SweepResult struct {
-	Budget time.Duration
 	Points []SweepPoint
 	// Crossover is the first swept distance whose resolver portion
 	// exceeds the budget (zero if none did).
@@ -47,12 +46,17 @@ type SweepConfig struct {
 	Seed int64
 	// Runs per point; 0 means 10.
 	Runs int
-	// Budget is the DNS-portion budget; 0 means 20ms (the paper's
-	// MEC latency envelope).
-	Budget time.Duration
-	// Distances are the one-way L-DNS→C-DNS latencies to sweep; nil
-	// means {0.2, 1, 2, 5, 8, 12, 16, 25}ms.
-	Distances []time.Duration
+}
+
+// sweepBudget is the DNS-portion budget: the paper's MEC latency
+// envelope.
+const sweepBudget = 20 * time.Millisecond
+
+// sweepDistances are the one-way L-DNS→C-DNS latencies swept.
+var sweepDistances = []time.Duration{
+	200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond,
+	5 * time.Millisecond, 8 * time.Millisecond, 12 * time.Millisecond,
+	16 * time.Millisecond, 25 * time.Millisecond,
 }
 
 // BudgetSweep measures MEC-L-DNS resolution with the C-DNS placed at
@@ -62,23 +66,13 @@ func BudgetSweep(cfg SweepConfig) (*SweepResult, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 10
 	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 20 * time.Millisecond
-	}
-	if len(cfg.Distances) == 0 {
-		cfg.Distances = []time.Duration{
-			200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond,
-			5 * time.Millisecond, 8 * time.Millisecond, 12 * time.Millisecond,
-			16 * time.Millisecond, 25 * time.Millisecond,
-		}
-	}
-	res := &SweepResult{Budget: cfg.Budget}
-	for i, d := range cfg.Distances {
+	res := &SweepResult{}
+	for i, d := range sweepDistances {
 		point, err := sweepPoint(cfg.Seed+int64(i), d, cfg.Runs)
 		if err != nil {
 			return nil, fmt.Errorf("sweep %v: %w", d, err)
 		}
-		point.FitsBudget = point.Resolver < cfg.Budget
+		point.FitsBudget = point.Resolver < sweepBudget
 		res.Points = append(res.Points, point)
 		if !point.FitsBudget && res.Crossover == 0 {
 			res.Crossover = d
@@ -105,8 +99,7 @@ func sweepPoint(seed int64, oneWay time.Duration, runs int) (SweepPoint, error) 
 	dnsserver.Attach(cdnsNode, dnsserver.Chain(router), fig5CDNSProc)
 
 	ldnsNode := tb.AddMEC("mec-ldns")
-	upClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: ldnsNode.Endpoint()}}
-	upClient.SetRand(tb.Net.Rand())
+	upClient := newSimClient(tb.Net, ldnsNode.Name)
 	stub := dnsserver.NewStub(upClient)
 	stub.Route(Fig5Domain, netip.AddrPortFrom(cdnsNode.Addr, 53))
 	dnsserver.Attach(ldnsNode, dnsserver.Chain(stub), fig5LDNSProc)
@@ -142,7 +135,7 @@ func sweepPoint(seed int64, oneWay time.Duration, runs int) (SweepPoint, error) 
 // Render prints the sweep.
 func (r *SweepResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "X6 §4: C-DNS distance sweep against a %v DNS budget\n", r.Budget)
+	fmt.Fprintf(&b, "X6 §4: C-DNS distance sweep against a %v DNS budget\n", sweepBudget)
 	fmt.Fprintf(&b, "%14s %12s %14s %s\n", "c-dns one-way", "total", "DNS portion", "fits budget")
 	for _, p := range r.Points {
 		fits := "yes"

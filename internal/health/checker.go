@@ -94,17 +94,17 @@ func (c *Checker) loop(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// nextInterval jitters the probe interval by ±Jitter so a fleet of
+// jitter is the fraction of ProbeInterval each sweep is randomly
+// advanced or delayed by, de-synchronizing probers across instances.
+const jitter = 0.1
+
+// nextInterval jitters the probe interval by ±jitter so a fleet of
 // checkers started together does not synchronize its probe bursts.
 func (c *Checker) nextInterval() time.Duration {
-	cfg := c.Registry.Config()
-	d := cfg.ProbeInterval
-	if cfg.Jitter > 0 {
-		c.mu.Lock()
-		f := 1 + cfg.Jitter*(2*c.rng.Float64()-1)
-		c.mu.Unlock()
-		d = time.Duration(float64(d) * f)
-	}
+	c.mu.Lock()
+	f := 1 + jitter*(2*c.rng.Float64()-1)
+	c.mu.Unlock()
+	d := time.Duration(float64(c.Registry.Config().ProbeInterval) * f)
 	if d <= 0 {
 		d = time.Millisecond
 	}

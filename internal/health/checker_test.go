@@ -123,7 +123,7 @@ func (g *drainGate) TrackBackground() (func(), bool) {
 }
 
 func TestCheckerRespectsDrain(t *testing.T) {
-	r := New(Config{ProbeInterval: 2 * time.Millisecond, Jitter: -1})
+	r := New(Config{ProbeInterval: 2 * time.Millisecond})
 	p := newFlakyProber()
 	g := &drainGate{}
 	c := &Checker{Registry: r, Prober: p, Background: g}
@@ -181,12 +181,12 @@ func TestCheckerStopIsIdempotent(t *testing.T) {
 }
 
 func TestNextIntervalJitterBounds(t *testing.T) {
-	r := New(Config{ProbeInterval: time.Second, Jitter: 0.2})
+	r := New(Config{ProbeInterval: time.Second})
 	c := &Checker{Registry: r}
 	c.mu.Lock()
 	c.rng = rand.New(rand.NewSource(1))
 	c.mu.Unlock()
-	lo, hi := 800*time.Millisecond, 1200*time.Millisecond
+	lo, hi := 900*time.Millisecond, 1100*time.Millisecond
 	varied := false
 	for i := 0; i < 200; i++ {
 		d := c.nextInterval()
@@ -199,11 +199,5 @@ func TestNextIntervalJitterBounds(t *testing.T) {
 	}
 	if !varied {
 		t.Fatal("jitter produced no variation")
-	}
-
-	r2 := New(Config{ProbeInterval: time.Second, Jitter: -1})
-	c2 := &Checker{Registry: r2}
-	if d := c2.nextInterval(); d != time.Second {
-		t.Fatalf("disabled jitter must return the nominal interval, got %v", d)
 	}
 }

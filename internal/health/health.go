@@ -86,15 +86,11 @@ func (s State) Routable() bool { return s == StateHealthy || s == StateDegraded 
 // gets sensible defaults from withDefaults.
 type Config struct {
 	// ProbeInterval is the nominal time between probe sweeps; the
-	// Checker jitters each sweep by ±Jitter of this. 0 means 1s.
+	// Checker jitters each sweep by ±jitter of this. 0 means 1s.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe exchange. 0 means half the probe
 	// interval, capped at 2s.
 	ProbeTimeout time.Duration
-	// Jitter is the fraction of ProbeInterval each sweep is randomly
-	// advanced or delayed by, de-synchronizing probers across
-	// instances. Negative disables; 0 means 0.1.
-	Jitter float64
 	// DownAfter is the number of consecutive probe failures that
 	// demotes a target to down. 0 means 3.
 	DownAfter int
@@ -126,12 +122,6 @@ func (c Config) withDefaults() Config {
 		if c.ProbeTimeout > 2*time.Second {
 			c.ProbeTimeout = 2 * time.Second
 		}
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.1
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3

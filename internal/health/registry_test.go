@@ -390,8 +390,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Clock == nil {
 		t.Fatal("Clock default must be the wall clock")
 	}
-	neg := Config{MinDwell: -1, Jitter: -1}.withDefaults()
-	if neg.MinDwell != 0 || neg.Jitter != 0 {
-		t.Fatalf("negative MinDwell/Jitter must disable, got %v/%v", neg.MinDwell, neg.Jitter)
+	neg := Config{MinDwell: -1}.withDefaults()
+	if neg.MinDwell != 0 {
+		t.Fatalf("negative MinDwell must disable, got %v", neg.MinDwell)
 	}
 }

@@ -71,17 +71,16 @@ type UEClient struct {
 	Mode ResolutionMode
 	// MECBudget is the FallbackOnTimeout patience; 0 means 50ms.
 	MECBudget time.Duration
-	// Timeout is the overall per-target budget; 0 means 2s.
-	Timeout time.Duration
-
-	nextID uint16
 }
+
+// ueTimeout is the UE's overall per-target budget.
+const ueTimeout = 2 * time.Second
 
 // Resolve looks up an A record for name under the client's policy.
 func (c *UEClient) Resolve(name string) (*Result, error) {
 	switch c.Mode {
 	case ProviderOnly:
-		return c.unicast(name, c.Provider, "provider", c.timeout())
+		return c.unicast(name, c.Provider, "provider", ueTimeout)
 	case Multicast:
 		return c.multicast(name)
 	case FallbackOnTimeout:
@@ -89,7 +88,7 @@ func (c *UEClient) Resolve(name string) (*Result, error) {
 		if err == nil {
 			return res, nil
 		}
-		res2, err2 := c.unicast(name, c.Provider, "provider", c.timeout())
+		res2, err2 := c.unicast(name, c.Provider, "provider", ueTimeout)
 		if err2 != nil {
 			return nil, fmt.Errorf("both resolvers failed: mec: %v; provider: %w", err, err2)
 		}
@@ -97,15 +96,8 @@ func (c *UEClient) Resolve(name string) (*Result, error) {
 		res2.RTT += c.mecBudget()
 		return res2, nil
 	default:
-		return c.unicast(name, c.MEC, "mec", c.timeout())
+		return c.unicast(name, c.MEC, "mec", ueTimeout)
 	}
-}
-
-func (c *UEClient) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 2 * time.Second
 }
 
 func (c *UEClient) mecBudget() time.Duration {
@@ -165,8 +157,8 @@ func (c *UEClient) multicast(name string) (*Result, error) {
 	if !c.MEC.IsValid() || !c.Provider.IsValid() {
 		return nil, errors.New("meccdn: multicast needs both resolvers")
 	}
-	mecRes, mecErr := c.unicast(name, c.MEC, "mec", c.timeout())
-	provRes, provErr := c.unicast(name, c.Provider, "provider", c.timeout())
+	mecRes, mecErr := c.unicast(name, c.MEC, "mec", ueTimeout)
+	provRes, provErr := c.unicast(name, c.Provider, "provider", ueTimeout)
 	useful := func(r *Result, err error) bool {
 		if err != nil {
 			return false
@@ -234,7 +226,7 @@ func (c *UEClient) resolveAndFetch(domain, name string) (*FetchResult, error) {
 	if !res.Addr.IsValid() {
 		return nil, fmt.Errorf("meccdn: resolution of %s returned no address (rcode %v)", name, res.Msg.Rcode)
 	}
-	content, err := cdn.Fetch(c.EP, res.Addr, domain, name, c.timeout())
+	content, err := cdn.Fetch(c.EP, res.Addr, domain, name, ueTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,6 @@ func TestUEClientMissingResolvers(t *testing.T) {
 func TestUEClientMulticastBothDead(t *testing.T) {
 	d := deploy(t, 91, nil)
 	d.ue.Mode = Multicast
-	d.ue.Timeout = 30 * time.Millisecond
 	// Point both at a node that is not a DNS server.
 	dead := addrPortOf(d.tb.Net.Node("origin").Addr)
 	d.ue.MEC, d.ue.Provider = dead, dead
@@ -41,7 +40,6 @@ func TestUEClientFallbackBothDead(t *testing.T) {
 	d := deploy(t, 92, nil)
 	d.ue.Mode = FallbackOnTimeout
 	d.ue.MECBudget = 10 * time.Millisecond
-	d.ue.Timeout = 30 * time.Millisecond
 	dead := addrPortOf(d.tb.Net.Node("origin").Addr)
 	d.ue.MEC, d.ue.Provider = dead, dead
 	if _, err := d.ue.Resolve("x.test."); err == nil {
