@@ -25,13 +25,19 @@ all: vet test race build
 #    a slot's reuse) and its EDNS (OPT follows the asker, ECS source clamp)
 #  - allocation pin: every kind of zone answer (answer, CNAME chain, wildcard,
 #    NODATA, NXDOMAIN, referral; no OPT, OPT, ECS) allocates nothing
-#  - allocation pin: a 0x20-cased question is lowered once per query
+#  - allocation pin: a repeated 0x20-cased question costs nothing (the intern
+#    table hands out its lowered name)
 #  - allocation pin: a reply cut to 512 bytes (zone answer or cache hit, 40 and
 #    200 records) costs no more than the same reply whole, and the cut allocates nothing
 #  - allocation pin: a sampled query's log record
-#  - allocation pins: the query parse, the router's reply vector and the query pack
-#  - allocation pin: the router's answer, table- and ring-routed
+#  - allocation pins: the query parse (a repeat allocates nothing, a never-seen
+#    name a share of one chunk, counted over 10 000 names), the router's reply
+#    vector and the query pack
+#  - allocation pin: the router's answer, table- and ring-routed, under a short
+#    CDN domain and an operator's long one
 #  - allocation budget: the P2 hop
+#  - the acceptance step: opcode and EDNS version refusals in front of a zone,
+#    a cache hit and a stub miss
 #  - fuzz: LPM lookup against its linear-scan twin
 #  - fuzz: the routes-file parser against a line-by-line reading into that twin
 #  - fuzz: the mesh ANNOUNCE codec round trip, both ways
@@ -41,6 +47,7 @@ all: vet test race build
 #  - fuzz: serveQuery, the one query-to-reply function every ingress uses
 #  - fuzz: the walk that lets a reply be relayed undecoded
 #  - fuzz: the name codec
+#  - fuzz: the intern table never takes back a string it handed out
 #  - fuzz: the router's bytes-written reply against its Message oracle
 #  - fuzz: every record an accepted zone file holds packs and round-trips
 #  - fuzz: the zone's bytes-written reply against its Message oracle, at every limit
@@ -66,7 +73,7 @@ ci:
 	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery|TestSingleflightLateJoiner|TestSlabSlotReuseRace' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget|TestSlab|TestFlightAnswerOutlivesEviction|TestServeStaleOwnKeyOnly|TestCacheOPTFollowsAsker|TestECSClampedAtIngress|TestOneNameCannotTakeTheCache' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestZoneAnswerAllocs' -cpu 1,2,4 ./internal/dnsserver/
-	$(GO) test -run 'TestMixedCaseHitAllocs' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -run 'TestMixedCaseHitAllocs|TestAcceptMatrix' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run TestTruncatedReplyAllocs -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestSampledFinishAllocs' -cpu 1,2,4 ./internal/telemetry/
 	$(GO) test -run 'TestUnpackQueryNoAllocOnRepeat|TestAppendReplyIsRouterVector|TestAppendPackAllocs' -cpu 1,2,4 ./internal/dnswire/
@@ -82,6 +89,7 @@ ci:
 	$(GO) test -run xxx -fuzz FuzzServeQuery -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzResponseWalk -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzNameUnpack -fuzztime 5s ./internal/dnswire/
+	$(GO) test -run xxx -fuzz FuzzNameIntern -fuzztime 5s ./internal/dnswire/
 	$(GO) test -run xxx -fuzz FuzzRouterReply -fuzztime 5s ./internal/cdn/
 	$(GO) test -run xxx -fuzz FuzzParseZone -fuzztime 5s ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzZoneReply -fuzztime 5s ./internal/dnsserver/

@@ -717,14 +717,15 @@ func (w *imageWriter) release() {
 // for a waiter, the entry shared the flight's key, the attempt deadline
 // became a value, the compressor table was pooled and the router's
 // candidates stayed on the stack; 6 before the cache's slab owned its
-// entries' bytes and its flights were recycled; 2 since: the name on
-// each tier. It is measured as the route-miss workload runs, with the
-// cache full, so every store takes over the slot of an entry it evicts.
-// The ceiling leaves one above that, none for a Message coming back.
-// Under the race detector, whose sync.Pool drops buffers on purpose,
-// the count is 4, and the ceiling there is 5.
+// entries' bytes and its flights were recycled; 2 before the intern
+// table copied never-seen names into chunks it owns, one allocation for
+// dozens of names; 0 since (AllocsPerRun rounds the chunks' share
+// down). It is measured as the route-miss workload runs, with the cache
+// full, so every store takes over the slot of an entry it evicts. Under
+// the race detector, whose sync.Pool drops buffers on purpose, the
+// ceiling is 5.
 func TestStubExchangeAllocBudget(t *testing.T) {
-	budget := 3.0
+	budget := 0.0
 	if racecheck.Enabled {
 		budget = 5
 	}

@@ -255,13 +255,25 @@ func TestRouterRepliesCarryOPT(t *testing.T) {
 }
 
 // TestRouterAnswerAllocs: the router answers a table-routed query — ECS
-// or not — a ring-routed one and a NODATA into an OwnedWireWriter
-// without allocating. Under the race detector sync.Pool drops buffers
-// on purpose, so there the counts are logged.
+// or not, under a short CDN domain or an operator's long one — a
+// ring-routed one and a NODATA into an OwnedWireWriter without
+// allocating. Under the race detector sync.Pool drops buffers on
+// purpose, so there the counts are logged.
 func TestRouterAnswerAllocs(t *testing.T) {
 	rt := NewRouter("cdn.test.")
 	rt.SetRoutes(routeTable(t, map[string]lpm.PoP{"10.0.0.0/8": 1, "198.51.100.0/24": 1}))
 	rt.MapPoP(1, netip.MustParseAddr("203.0.113.1"))
+	const longDomain = "cdn.operator.mec.mnc001.mcc001.3gppnetwork.org."
+	long := NewRouter(longDomain)
+	long.SetRoutes(routeTable(t, map[string]lpm.PoP{"10.0.0.0/8": 1}))
+	long.MapPoP(1, netip.MustParseAddr("203.0.113.1"))
+	lq := new(dnswire.Message)
+	lq.SetQuestion("obj."+longDomain, dnswire.TypeA)
+	lq.SetEDNS(1232).Options = []dnswire.EDNSOption{dnswire.NewECSOption(netip.MustParsePrefix("10.1.2.0/24"))}
+	longQuery, err := lq.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A subnet no route covers is routed over the ring of these two.
 	n := simnet.New(1)
 	for _, name := range []string{"cache-0", "cache-1"} {
@@ -271,20 +283,22 @@ func TestRouterAnswerAllocs(t *testing.T) {
 			Domains: []string{"cdn.test."},
 		}), geoip.Location{Name: name})
 	}
-	chain := dnsserver.Chain(rt)
+	chain, longChain := dnsserver.Chain(rt), dnsserver.Chain(long)
 	var msg dnswire.Message // the scratch an ingress parses into
 	var req dnsserver.Request
 	intern := dnswire.NewNameIntern(0)
 	client := netip.MustParseAddrPort("198.51.100.7:4242")
 	for _, c := range []struct {
 		name    string
+		chain   dnsserver.Handler
 		pkt     []byte
 		answers int
 	}{
-		{"A, ECS", fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 2, 24, []byte{10, 1, 2}), 1},
-		{"A, OPT-less", fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 0, 0, nil), 1},
-		{"A, ring-routed", fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 2, 24, []byte{192, 0, 2}), 1},
-		{"NODATA", fuzzQuery([]byte("obj"), 28, 0, 1, true, false, 1, 0, nil), 0},
+		{"A, ECS", chain, fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 2, 24, []byte{10, 1, 2}), 1},
+		{"A, OPT-less", chain, fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 0, 0, nil), 1},
+		{"A, ring-routed", chain, fuzzQuery([]byte("obj"), 1, 0, 1, true, false, 2, 24, []byte{192, 0, 2}), 1},
+		{"NODATA", chain, fuzzQuery([]byte("obj"), 28, 0, 1, true, false, 1, 0, nil), 0},
+		{"A, ECS, long domain", longChain, longQuery, 1},
 	} {
 		var w imageWriter
 		serve := func() {
@@ -292,7 +306,7 @@ func TestRouterAnswerAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			req = dnsserver.Request{Msg: &msg, Client: client, Transport: "udp"}
-			if rcode := dnsserver.ResolveTo(context.Background(), chain, &w, &req); rcode != dnswire.RcodeSuccess {
+			if rcode := dnsserver.ResolveTo(context.Background(), c.chain, &w, &req); rcode != dnswire.RcodeSuccess {
 				t.Fatalf("%s: rcode %v", c.name, rcode)
 			}
 			if an := int(binary.BigEndian.Uint16(w.buf[6:])); an != c.answers {

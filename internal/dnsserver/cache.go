@@ -551,21 +551,28 @@ func (c *Cache) Flush() {
 }
 
 // cacheKeyBuf sizes the stack buffer lookups build their key in, and a
-// flight's copy of it; a maximal DNS name (255 octets) plus type and ECS
-// suffixes fits. A key is never a string: the slab and the flights keep
-// its bytes.
-const cacheKeyBuf = 288
+// flight's copy of it; a maximal DNS name (255 octets) plus type, class
+// and ECS suffixes fits. A key is never a string: the slab and the
+// flights keep its bytes.
+const cacheKeyBuf = 296
 
 // appendBaseKey appends the ECS-independent part of r's cache key:
 // the name and the type as Type.String renders it, without the
-// allocations String makes for a type dnswire does not name.
+// allocations String makes for a type dnswire does not name, then a
+// class other than IN, so that an answer is never served to a question
+// of another class.
 func appendBaseKey(b []byte, r *Request) []byte {
 	b = append(b, r.Name()...)
 	b = append(b, '|')
 	if name, ok := qtypeLabels.named(uint16(r.Type())); ok {
-		return append(b, name...)
+		b = append(b, name...)
+	} else {
+		b = strconv.AppendUint(append(b, "TYPE"...), uint64(r.Type()), 10)
 	}
-	return strconv.AppendUint(append(b, "TYPE"...), uint64(r.Type()), 10)
+	if class := r.Msg.Question().Class; class != dnswire.ClassINET {
+		b = strconv.AppendUint(append(b, "|CLASS"...), uint64(class), 10)
+	}
+	return b
 }
 
 // ecsFamilyBits resolves an ECS option to its address width in bits.

@@ -468,10 +468,11 @@ func TestServerCapsAdvertisedEDNSSize(t *testing.T) {
 // function, at the reply limit of each transport: plain UDP, UDP at
 // the EDNS cap, and a stream. It must never panic; a datagram is either
 // dropped at every limit or answered at every limit; an answer decodes,
-// is a response under the query's ID, and fits the limit; a truncated
-// one carries no answers, no authorities and no additionals but OPT
-// records; and every pooled buffer is back afterwards (counted under
-// -tags pooldebug).
+// is a response under the query's ID and opcode, carries the query's
+// first question as asked — letter case, type and class — and fits the
+// limit; a truncated one carries no answers, no authorities and no
+// additionals but OPT records; and every pooled buffer is back
+// afterwards (counted under -tags pooldebug).
 func FuzzServeQuery(f *testing.F) {
 	zone, _ := bigZone(f, "fuzz.test.")
 	if err := zone.AddA("www.fuzz.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
@@ -497,6 +498,25 @@ func FuzzServeQuery(f *testing.F) {
 			f.Add(wire)
 		}
 	}
+	for _, build := range []func(*dnswire.Message){
+		func(q *dnswire.Message) {
+			q.SetQuestion("www.fuzz.test.", dnswire.TypeA)
+			q.Opcode = dnswire.OpcodeStatus
+		},
+		func(q *dnswire.Message) {
+			q.SetQuestion("www.fuzz.test.", dnswire.TypeA)
+			q.SetEDNS(1232).Hdr.TTL |= 1 << 16
+		},
+		ecsQuery("wWw.FuZz.TeSt.", "10.1.2.0/24"),
+	} {
+		q := new(dnswire.Message)
+		build(q)
+		wire, err := q.Pack()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
 	f.Add([]byte("not dns"))
 	response := new(dnswire.Message)
 	response.SetQuestion("www.fuzz.test.", dnswire.TypeA)
@@ -509,6 +529,10 @@ func FuzzServeQuery(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := poolOutstanding()
+		var query dnswire.Message // UnpackQuery accepts what Unpack does
+		if query.Unpack(data) != nil {
+			query = dnswire.Message{}
+		}
 		st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 		replied := 0
 		limits := []int{dnswire.MaxUDPSize, maxUDPPayload, dnswire.MaxMessageSize}
@@ -531,6 +555,12 @@ func FuzzServeQuery(f *testing.F) {
 			}
 			if n > limit || !m.Response || id != uint16(data[0])<<8|uint16(data[1]) {
 				t.Fatalf("limit %d: %d-byte reply, QR=%v, ID %#x to a query with ID %#x", limit, n, m.Response, id, data[:2])
+			}
+			if m.Opcode != query.Opcode {
+				t.Fatalf("limit %d: opcode %v in the reply to opcode %v", limit, m.Opcode, query.Opcode)
+			}
+			if len(m.Questions) != min(len(query.Questions), 1) || len(m.Questions) == 1 && m.Questions[0] != query.Questions[0] {
+				t.Fatalf("limit %d: question %v in the reply to %v", limit, m.Questions, query.Questions)
 			}
 			if !m.Truncated {
 				continue

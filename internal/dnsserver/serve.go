@@ -31,10 +31,11 @@ type serveScratch struct {
 
 // serveQuery owns one query from bytes to bytes, for every ingress and
 // for Resolve: parse pkt into st, open the telemetry span (hub may be
-// nil) under ctx, run the chain through ResolveTo, and hand back the
-// reply as one wire image, buf[:n], in a pooled buffer the caller now
-// owns. buf is nil when there is nothing to send: pkt was a response
-// or not DNS, the query was shed, or no reply could be packed.
+// nil) under ctx, run the chain through ResolveTo unless accept refuses
+// the query, and hand back the reply as one wire image, buf[:n], in a
+// pooled buffer the caller now owns. buf is nil when there is nothing
+// to send: pkt was a response or not DNS, the query was shed, or no
+// reply could be packed.
 //
 // limit is the largest reply the transport carries. Below
 // MaxMessageSize it is a datagram ceiling, and the reply is further
@@ -57,13 +58,16 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 		limit = min(adv, limit)
 	}
 	st.reply = replyImage{limit: limit}
-	st.req = Request{Msg: msg, Client: client, Transport: transport, wait: st.wait}
+	st.req = Request{Msg: msg, Client: client, Transport: transport, wait: st.wait, name: st.intern.Lowered()}
 	var sp *telemetry.Span // nil-safe, like the hub's Finish
 	if hub != nil {
 		sp = hub.BeginAddr(st.req.Name(), st.req.Type().String(), transport, client)
 		ctx = telemetry.ContextWith(ctx, sp)
 	}
-	rcode := ResolveTo(ctx, h, &st.reply, &st.req)
+	rcode, refused := accept(&st.reply, &st.req)
+	if !refused {
+		rcode = ResolveTo(ctx, h, &st.reply, &st.req)
+	}
 	if buf, n := st.reply.buf, st.reply.n; st.req.addedOPT && buf != nil {
 		// Cut the OPT the ECS plugin added off the reply again, unless the
 		// walk refuses the reply or its extended rcode needs the OPT. The
@@ -77,6 +81,29 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 	}
 	hub.Finish(sp, rcode.String())
 	return st.reply.buf, st.reply.n
+}
+
+// accept is the ingress's one acceptance step, run on every parsed query
+// before the chain. A query the RFCs say to refuse gets its error reply
+// here, written by WriteReply, and never reaches a plugin or the cache;
+// accept then returns that reply's rcode and true. A query to serve
+// gets false.
+//   - An opcode other than QUERY: NOTIMP, the opcode echoed (RFC 1035
+//     §4.1.1).
+//   - An OPT of a version other than 0: BADVERS, in an OPT of version 0
+//     (RFC 6891 §6.1.3).
+func accept(w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
+	var rcode dnswire.Rcode
+	switch opt, edns := r.Msg.OPT(); {
+	case r.Msg.Opcode != dnswire.OpcodeQuery:
+		rcode = dnswire.RcodeNotImplemented
+	case edns && opt.Version() != 0:
+		rcode = dnswire.RcodeBadVers
+	default:
+		return 0, false
+	}
+	rcode, _ = WriteReply(w, r, &dnswire.Reply{Rcode: rcode})
+	return rcode, true
 }
 
 // replyImage is the one ResponseWriter the chain is run against, by the

@@ -56,10 +56,11 @@ type Request struct {
 	// wait is the UDP ingress's hand-off hook (udpServe.wait); nil on
 	// TCP, simnet and requests a test builds.
 	wait func() bool
-	// name is Name's result, filled by its first call: a mixed-case
-	// question is lowered once, however many plugins ask. A Request is
-	// never pointed at another question (serveQuery makes a new one for
-	// each query), so the name cannot go stale.
+	// name is Name's result: the intern table's lowered name, set by
+	// serveQuery, or filled by Name's first call, so a mixed-case
+	// question is lowered at most once, however many plugins ask. A
+	// Request is never pointed at another question (serveQuery makes a
+	// new one for each query), so the name cannot go stale.
 	name string
 	// addedOPT marks a query the ECS plugin gave an OPT record its
 	// client did not send, to carry the option upstream: serveQuery cuts

@@ -265,8 +265,9 @@ func zoneQuery(label []byte, name byte, flip uint64, qtype uint16, opcode uint8,
 // earlier query used, the reply serveQuery hands back at 512 bytes, at
 // the advertised limit and at MaxMessageSize is what the oracle's
 // Message gives through the same writer: its Pack, truncated with TC
-// when it does not fit. No pooled buffer is left behind (checked under
-// -tags pooldebug).
+// when it does not fit; for an opcode other than QUERY it is accept's
+// NOTIMP. No pooled buffer is left behind (checked under -tags
+// pooldebug).
 func FuzzZoneReply(f *testing.F) {
 	seed := []byte{
 		1, 0, 1, 1, 0, 2, 2, 2, 1, 4, 0, 9, // a: two A; b → a
@@ -302,8 +303,12 @@ func FuzzZoneReply(f *testing.F) {
 			got := append([]byte(nil), buf[:n]...)
 			dnswire.PutBuffer(buf)
 
+			msg := oracleZoneReply(z, &st.req)
+			if st.req.Msg.Opcode != dnswire.OpcodeQuery {
+				msg = oracleRefusal(&st.req, dnswire.RcodeNotImplemented)
+			}
 			oracle := replyImage{limit: st.reply.limit}
-			if err := oracle.WriteMsg(oracleZoneReply(z, &st.req)); err != nil {
+			if err := oracle.WriteMsg(msg); err != nil {
 				t.Fatalf("limit %d: the oracle's reply does not pack: %v", limit, err)
 			}
 			want := oracle.buf[:oracle.n]
@@ -322,9 +327,9 @@ func FuzzZoneReply(f *testing.F) {
 // with telemetry on — one A record, a multi-record RRset, AAAA, an
 // in-zone CNAME chain, a wildcard, NODATA, NXDOMAIN and a referral with
 // glue, each without OPT, with an OPT alone and with OPT+ECS — and a
-// 0x20-cased question costs only the Request's one lower-cased copy of
-// its name. Under the race detector sync.Pool drops buffers on purpose,
-// so there the counts are logged.
+// 0x20-cased question costs nothing more: the intern table hands out
+// its lowered name too. Under the race detector sync.Pool drops buffers
+// on purpose, so there the counts are logged.
 func TestZoneAnswerAllocs(t *testing.T) {
 	z := NewZone("alloc.test.")
 	for _, err := range []error{
@@ -378,7 +383,7 @@ func TestZoneAnswerAllocs(t *testing.T) {
 		{"NODATA", "one.alloc.test.", dnswire.TypeTXT, dnswire.RcodeSuccess, 0, 1, 0, 0},
 		{"NXDOMAIN", "nope.alloc.test.", dnswire.TypeA, dnswire.RcodeNameError, 0, 1, 0, 0},
 		{"referral", "x.child.alloc.test.", dnswire.TypeA, dnswire.RcodeSuccess, 0, 1, 1, 0},
-		{"0x20 A", "oNe.AlLoC.tEsT.", dnswire.TypeA, dnswire.RcodeSuccess, 1, 0, 0, 1},
+		{"0x20 A", "oNe.AlLoC.tEsT.", dnswire.TypeA, dnswire.RcodeSuccess, 1, 0, 0, 0},
 	} {
 		for edns, with := range []string{"no OPT", "OPT", "OPT+ECS"} {
 			pkt := query(c.qname, c.qtype, edns)

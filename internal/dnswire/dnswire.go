@@ -201,17 +201,16 @@ func CanonicalName(name string) string {
 }
 
 // IsSubdomain reports whether child is equal to or beneath parent.
-// Both arguments are canonicalized first, so "Video.CDN.test" is a
-// subdomain of "cdn.test.".
+// Both are compared as CanonicalName gives them, letter case aside and
+// the trailing dot optional, so "Video.CDN.test" is a subdomain of
+// "cdn.test.". The comparison is made in place: no name is copied.
 func IsSubdomain(parent, child string) bool {
-	p, c := CanonicalName(parent), CanonicalName(child)
-	if p == "." {
+	p, c := strings.TrimSuffix(parent, "."), strings.TrimSuffix(child, ".")
+	if p == "" {
 		return true
 	}
-	if c == p {
-		return true
-	}
-	return strings.HasSuffix(c, "."+p)
+	n := len(c) - len(p)
+	return n >= 0 && (n == 0 || c[n-1] == '.') && strings.EqualFold(c[n:], p)
 }
 
 // CountLabels returns the number of labels in name; the root name has

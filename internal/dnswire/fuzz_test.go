@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -165,6 +166,67 @@ func FuzzNameUnpack(f *testing.F) {
 		}
 		if !bytes.Equal(repacked, flat) {
 			t.Fatalf("name %q re-packs to % x, was % x", name, repacked, flat)
+		}
+	})
+}
+
+// FuzzNameIntern: a NameIntern never takes back what it handed out.
+// data is read as a stream of question names, each a run of labels (a
+// length octet, its low six bits, then that many octets) ended by a
+// zero length; a length octet with both high bits set instead asks
+// again for the name the next octet picks among those asked so far.
+// Each query is parsed through one small table, so it is cleared and
+// changes chunks often, and through no table at all: the name and
+// Lowered must be what the table-less parse renders and its
+// CanonicalName, and every string the table ever returned must still
+// read as it did when returned.
+func FuzzNameIntern(f *testing.F) {
+	f.Add([]byte{3, 'w', 'w', 'w', 4, 't', 'e', 's', 't', 0, 0xC0, 0})
+	f.Add([]byte{3, 'W', 'w', 'W', 4, 'T', 'e', 'S', 't', 0, 3, 'a', '.', 'b', 0, 0xC0, 0, 0xC0, 1})
+	f.Add([]byte{2, '\\', 0xFF, 1, ' ', 0, 1, 'Z', 0, 0, 0xC0, 2, 63})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl := NewNameIntern(3)
+		var asked [][]byte
+		type returned struct{ s, was string }
+		var given []returned
+		var m, ref Message
+		for len(data) > 0 {
+			var qname []byte
+			if data[0]&0xC0 == 0xC0 && len(data) > 1 && len(asked) > 0 {
+				qname = asked[int(data[1])%len(asked)]
+				data = data[2:]
+			} else {
+				for len(data) > 0 {
+					n := int(data[0] & 0x3F)
+					data = data[1:]
+					if n == 0 {
+						break
+					}
+					n = min(n, len(data))
+					qname = append(append(qname, byte(n)), data[:n]...)
+					data = data[n:]
+				}
+				qname = append(qname, 0)
+				asked = append(asked, qname)
+			}
+			pkt := append([]byte{0x12, 0x34, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, qname...)
+			pkt = append(pkt, 0, 1, 0, 1)
+			err, refErr := m.UnpackQuery(pkt, tbl), ref.Unpack(pkt)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("% x: through the table err = %v, without err = %v", qname, err, refErr)
+			}
+			if err == nil {
+				name, lower := m.Questions[0].Name, tbl.Lowered()
+				if want := ref.Questions[0].Name; name != want || lower != CanonicalName(want) {
+					t.Fatalf("% x: table gives %q, lowered %q; the parse renders %q", qname, name, lower, want)
+				}
+				given = append(given, returned{name, strings.Clone(name)}, returned{lower, strings.Clone(lower)})
+			}
+			for _, g := range given {
+				if g.s != g.was {
+					t.Fatalf("a string the table returned as %q now reads %q", g.was, g.s)
+				}
+			}
 		}
 	})
 }

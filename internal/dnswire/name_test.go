@@ -257,6 +257,13 @@ func TestIsSubdomain(t *testing.T) {
 		{".", "anything.at.all.", true},
 		{"mycdn.ciab.test.", "video.demo1.mycdn.ciab.test.", true},
 		{"Mycdn.CIAB.test", "VIDEO.demo1.mycdn.ciab.test.", true},
+		{"", "example.com", true},
+		{"example.com", "Example.COM", true},
+		{"example.com.", "com", false},
+		{"com.", "", false},
+		{"b.c.", ".b.c.", true},
+		{"cdn.operator.mec.mnc001.mcc001.3gppnetwork.org.", "obj.CDN.operator.mec.mnc001.mcc001.3gppnetwork.org.", true},
+		{"cdn.operator.mec.mnc001.mcc001.3gppnetwork.org.", "obj.operator.mec.mnc001.mcc001.3gppnetwork.org.", false},
 	}
 	for _, tt := range tests {
 		if got := IsSubdomain(tt.parent, tt.child); got != tt.want {

@@ -1,8 +1,10 @@
 package dnswire
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -186,26 +188,44 @@ func TestUnpackQueryReusesStorage(t *testing.T) {
 }
 
 func TestUnpackQueryInternsNames(t *testing.T) {
-	wire := packQuery(t, nil)
-	tbl := NewNameIntern(0)
-	var m Message
-	if err := m.UnpackQuery(wire, tbl); err != nil {
-		t.Fatal(err)
-	}
-	n1 := m.Questions[0].Name
-	if err := m.UnpackQuery(wire, tbl); err != nil {
-		t.Fatal(err)
-	}
-	n2 := m.Questions[0].Name
-	if unsafePointerOf(n1) != unsafePointerOf(n2) {
-		t.Error("repeat parse did not return the interned string")
+	for _, c := range []struct{ qname, lower string }{
+		{"cdn.edge.example.org.", "cdn.edge.example.org."},
+		{"CdN.eDgE.Example.ORG.", "cdn.edge.example.org."},
+	} {
+		wire := packQuery(t, func(m *Message) { m.Questions[0].Name = c.qname })
+		tbl := NewNameIntern(0)
+		var m Message
+		if err := m.UnpackQuery(wire, tbl); err != nil {
+			t.Fatal(err)
+		}
+		n1, l1 := m.Questions[0].Name, tbl.Lowered()
+		if err := m.UnpackQuery(wire, tbl); err != nil {
+			t.Fatal(err)
+		}
+		n2, l2 := m.Questions[0].Name, tbl.Lowered()
+		if n2 != c.qname || l2 != c.lower {
+			t.Errorf("%s: parsed %q, lowered %q", c.qname, n2, l2)
+		}
+		if unsafePointerOf(n1) != unsafePointerOf(n2) || unsafePointerOf(l1) != unsafePointerOf(l2) {
+			t.Errorf("%s: repeat parse did not return the interned strings", c.qname)
+		}
+		if c.qname == c.lower && unsafePointerOf(l2) != unsafePointerOf(n2) {
+			t.Errorf("%s: a lower-case name is stored twice", c.qname)
+		}
+		if err := m.UnpackQuery([]byte("short"), tbl); err == nil || tbl.Lowered() != "" {
+			t.Errorf("%s: after a failed parse Lowered is %q", c.qname, tbl.Lowered())
+		}
 	}
 }
 
 func TestNameInternBounded(t *testing.T) {
 	tbl := NewNameIntern(4)
+	var m Message
 	for i := 0; i < 10; i++ {
-		tbl.put(string(rune(i)), "x.")
+		wire := packQuery(t, func(m *Message) { m.Questions[0].Name = fmt.Sprintf("n%d.example.", i) })
+		if err := m.UnpackQuery(wire, tbl); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(tbl.names) > 4 {
 		t.Fatalf("intern table grew to %d entries, bound is 4", len(tbl.names))
@@ -215,7 +235,9 @@ func TestNameInternBounded(t *testing.T) {
 // TestUnpackQueryNoAllocOnRepeat: a repeat of a seen name allocates
 // nothing, with or without an OPT and an ECS option, and in a stream
 // that alternates them (the scratch keeps its ECS option through an
-// OPT-only query); a name never seen costs its one string.
+// OPT-only query); names never seen share the table's chunks, so they
+// cost a few allocations per hundred, counted over more names than the
+// table holds. testing.AllocsPerRun would round that down to 0.
 func TestUnpackQueryNoAllocOnRepeat(t *testing.T) {
 	ecs := packQuery(t, func(m *Message) {
 		m.SetEDNS(1232).Options = []EDNSOption{NewECSOption(netip.MustParsePrefix("10.1.2.0/24"))}
@@ -230,6 +252,7 @@ func TestUnpackQueryNoAllocOnRepeat(t *testing.T) {
 		{"plain", [][]byte{packQuery(t, nil)}},
 		{"ECS", [][]byte{ecs}},
 		{"ECS, OPT-only, ECS", [][]byte{ecs, optOnly, ecs}},
+		{"0x20-cased", [][]byte{packQuery(t, func(m *Message) { m.Questions[0].Name = "CdN.eDgE.Example.ORG." })}},
 	} {
 		parse := func() {
 			for _, wire := range c.wires {
@@ -243,17 +266,21 @@ func TestUnpackQueryNoAllocOnRepeat(t *testing.T) {
 			t.Errorf("%s: UnpackQuery allocates %.1f per repeat parse, want 0", c.name, allocs)
 		}
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		i++
+	const names = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= names; i++ {
 		wire := ecs
 		wire[13], wire[14], wire[15] = byte(i), byte(i>>8), byte(i>>16) // a new first label
 		if err := m.UnpackQuery(wire, tbl); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 1 {
-		t.Errorf("UnpackQuery allocates %.1f per never-seen name, want 1", allocs)
+	}
+	runtime.ReadMemStats(&after)
+	if perName := float64(after.Mallocs-before.Mallocs) / names; perName > 0.05 {
+		t.Errorf("UnpackQuery allocates %.3f per never-seen name, want <= 0.05", perName)
+	} else {
+		t.Logf("UnpackQuery allocates %.4f per never-seen name", perName)
 	}
 }
 

@@ -130,6 +130,7 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 	}
 	sp.gen.Add(1) // a hop still open is dropped by its End
 	sp.hops, sp.outcome, sp.ended = sp.hopsBuf[:0], "", false
+	sp.name = "" // pooled, the span must not keep the name's bytes alive
 	sp.mu.Unlock()
 	if h.ServeDuration != nil {
 		h.ServeDuration.Observe(total)

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/meccdn/meccdn/internal/racecheck"
 	"github.com/meccdn/meccdn/internal/vclock"
@@ -93,18 +94,20 @@ func TestNilHubSafe(t *testing.T) {
 }
 
 // TestSampledFinishAllocs: once the ring has gone round, logging a
-// sampled query allocates nothing — its slot keeps the backing array of
-// the hops it held before, and the client address is rendered only when
-// the log is read — and what the log gives back is what RecordFromSpan
-// renders, byte for byte as /querylog writes it.
+// sampled query allocates nothing — its slot keeps the backing arrays of
+// the hops and the name it held before, and the name and client address
+// are rendered only when the log is read — and what the log gives back
+// is what RecordFromSpan renders, byte for byte as /querylog writes it,
+// in a name of its own: a record must not keep the query's bytes alive.
 func TestSampledFinishAllocs(t *testing.T) {
 	clk := &vclock.Fixed{}
 	h := NewHub(clk)
 	h.SampleEvery = 1
 	h.Log = NewQueryLog(8)
 	client := netip.MustParseAddrPort("198.51.100.7:4242")
+	name := "v.cdn.example."
 	query := func() {
-		sp := h.BeginAddr("v.cdn.example.", "A", "udp", client)
+		sp := h.BeginAddr(name, "A", "udp", client)
 		hop := sp.StartHop("cache")
 		clk.Time += time.Millisecond
 		hop.End("miss")
@@ -131,5 +134,8 @@ func TestSampledFinishAllocs(t *testing.T) {
 	wantJSON, _ := json.Marshal(want)
 	if len(recs) != 8 || string(got) != string(wantJSON) {
 		t.Errorf("%d records; the last is\n%s\nwant\n%s", len(recs), got, wantJSON)
+	}
+	if unsafe.StringData(recs[0].Name) == unsafe.StringData(name) {
+		t.Error("a logged record shares its name's bytes with the query's")
 	}
 }

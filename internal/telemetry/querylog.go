@@ -33,9 +33,11 @@ type Record struct {
 
 // QueryLog is a bounded ring of sampled query records. Writers never
 // block, and a sampled query allocates nothing: each ring slot keeps
-// the backing array of its record's hops for the next record, and a
-// span's client address is kept as it is and rendered only when the log
-// is read. Once the ring is full, the oldest record is overwritten and
+// the backing arrays of its record's hops and name for the next record,
+// and a span's client address is kept as it is; the name and the
+// address are rendered only when the log is read. So a record keeps
+// nothing of its query's alive (a question name may share its bytes
+// with a whole chunk of other names: dnswire.NameIntern). Once the ring is full, the oldest record is overwritten and
 // counted as dropped. Draining (the admin /querylog endpoint) empties
 // the ring.
 type QueryLog struct {
@@ -47,10 +49,12 @@ type QueryLog struct {
 	dropped uint64
 }
 
-// logSlot is one ring slot: a record whose Client, when client is
-// valid, is still to be rendered from it.
+// logSlot is one ring slot: a record whose Name is still to be
+// rendered from name, and whose Client, when client is valid, from
+// client.
 type logSlot struct {
 	rec    Record
+	name   []byte
 	client netip.AddrPort
 }
 
@@ -79,12 +83,15 @@ func (l *QueryLog) slotLocked() *logSlot {
 }
 
 // addSpan appends the record of an ended span, as RecordFromSpan renders
-// it but with the client left unrendered, with the span lock held.
+// it but with the name copied and the client left unrendered, with the
+// span lock held.
 func (l *QueryLog) addSpan(s *Span, rcode, path string, now time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	slot := l.slotLocked()
 	s.fillLocked(&slot.rec, rcode, path, now)
+	slot.rec.Name = ""
+	slot.name = append(slot.name[:0], s.name...)
 	slot.client = s.client
 }
 
@@ -103,8 +110,8 @@ func (l *QueryLog) Stats() (added, dropped uint64) {
 	return l.added, l.dropped
 }
 
-// Drain returns the retained records oldest-first, each with its client
-// rendered and hops of its own, and empties the log.
+// Drain returns the retained records oldest-first, each with its name
+// and client rendered and hops of its own, and empties the log.
 func (l *QueryLog) Drain() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -112,6 +119,7 @@ func (l *QueryLog) Drain() []Record {
 	take := func(slots []logSlot) {
 		for _, slot := range slots {
 			rec := slot.rec
+			rec.Name = string(slot.name)
 			rec.Hops = append([]HopRecord(nil), slot.rec.Hops...)
 			if slot.client.IsValid() {
 				rec.Client = slot.client.String()

@@ -109,5 +109,6 @@ func (l *QueryLog) add(rec Record) {
 	defer l.mu.Unlock()
 	slot := l.slotLocked()
 	slot.rec, slot.client = rec, netip.AddrPort{}
+	slot.rec.Name, slot.name = "", append(slot.name[:0], rec.Name...)
 	slot.rec.Hops = append(slot.rec.Hops[:0], rec.Hops...)
 }
