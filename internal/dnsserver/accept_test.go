@@ -17,7 +17,8 @@ import (
 // zone answer, a cache hit, a stub's upstream exchange — and the chain
 // never sees it: the cache neither answers nor stores it and the
 // upstream is not asked. Each reply carries the query's opcode and
-// question and an OPT of version 0.
+// question and an OPT of version 0, and the chain's Metrics link counts
+// it under its rcode and the query's type.
 func TestAcceptMatrix(t *testing.T) {
 	const name = "www.accept.test."
 	var asked atomic.Int32
@@ -50,18 +51,18 @@ func TestAcceptMatrix(t *testing.T) {
 		for _, col := range []struct {
 			name    string
 			prefill bool // a well-formed query for the name is cached first
-			chain   func(*Cache) Handler
+			source  func() Plugin // the link behind the cache
 		}{
-			{"zone answer", false, func(c *Cache) Handler { return Chain(c, NewZonePlugin(zone)) }},
-			{"cache hit", true, func(c *Cache) Handler { return Chain(c, NewZonePlugin(zone)) }},
-			{"stub miss", false, func(c *Cache) Handler {
+			{"zone answer", false, func() Plugin { return NewZonePlugin(zone) }},
+			{"cache hit", true, func() Plugin { return NewZonePlugin(zone) }},
+			{"stub miss", false, func() Plugin {
 				stub := NewStub(&dnsclient.Client{Transport: tr, Timeout: 2 * time.Second, Retries: 1})
 				stub.Route("accept.test.", up)
-				return Chain(c, stub)
+				return stub
 			}},
 		} {
-			cache := NewCache(vclock.NewReal())
-			chain := col.chain(cache)
+			cache, metrics := NewCache(vclock.NewReal()), NewMetrics()
+			chain := Chain(metrics, cache, col.source())
 			st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 			serve := func(build func(*dnswire.Message)) *dnswire.Message {
 				q := new(dnswire.Message)
@@ -90,6 +91,7 @@ func TestAcceptMatrix(t *testing.T) {
 				serve(nil)
 			}
 			before, askedBefore := cache.Stats(), asked.Load()
+			counted, countedA := metrics.CountByRcode(row.rcode), metrics.CountByType(dnswire.TypeA)
 			reply := serve(row.build)
 			opt, edns := reply.OPT()
 			switch {
@@ -105,6 +107,9 @@ func TestAcceptMatrix(t *testing.T) {
 			}
 			if n := asked.Load() - askedBefore; n != 0 {
 				t.Errorf("%s, %s: the upstream was asked %d times", row.name, col.name, n)
+			}
+			if n, nA := metrics.CountByRcode(row.rcode)-counted, metrics.CountByType(dnswire.TypeA)-countedA; n != 1 || nA != 1 {
+				t.Errorf("%s, %s: Metrics counted the reply %d times under %v, the query %d times under A", row.name, col.name, n, row.rcode, nA)
 			}
 		}
 	}

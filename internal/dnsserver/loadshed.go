@@ -210,7 +210,6 @@ func (m *Metrics) Name() string { return "metrics" }
 
 // ServeDNS implements Plugin.
 func (m *Metrics) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
-	queries, rcodes, duration := m.instruments()
 	clock := m.Clock
 	if clock == nil {
 		clock = wallClock
@@ -218,12 +217,16 @@ func (m *Metrics) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, ne
 
 	start := clock.Now()
 	rcode, err := next.ServeDNS(ctx, w, r)
-	elapsed := clock.Now() - start
+	m.count(r, rcode, clock.Now()-start)
+	return rcode, err
+}
 
+// count counts r, answered with rcode after elapsed in the chain.
+func (m *Metrics) count(r *Request, rcode dnswire.Rcode, elapsed time.Duration) {
+	queries, rcodes, duration := m.instruments()
 	queries.Inc(qtypeLabels.of(uint16(r.Type())))
 	rcodes.Inc(rcodeLabels.of(uint16(rcode)))
 	duration.Observe(elapsed)
-	return rcode, err
 }
 
 // Total returns the number of queries observed.

@@ -58,13 +58,13 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 		limit = min(adv, limit)
 	}
 	st.reply = replyImage{limit: limit}
-	st.req = Request{Msg: msg, Client: client, Transport: transport, wait: st.wait, name: st.intern.Lowered()}
+	st.req = Request{Msg: msg, Client: client, Transport: transport, wait: st.wait}
 	var sp *telemetry.Span // nil-safe, like the hub's Finish
 	if hub != nil {
 		sp = hub.BeginAddr(st.req.Name(), st.req.Type().String(), transport, client)
 		ctx = telemetry.ContextWith(ctx, sp)
 	}
-	rcode, refused := accept(&st.reply, &st.req)
+	rcode, refused := accept(h, &st.reply, &st.req)
 	if !refused {
 		rcode = ResolveTo(ctx, h, &st.reply, &st.req)
 	}
@@ -84,15 +84,15 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 }
 
 // accept is the ingress's one acceptance step, run on every parsed query
-// before the chain. A query the RFCs say to refuse gets its error reply
-// here, written by WriteReply, and never reaches a plugin or the cache;
-// accept then returns that reply's rcode and true. A query to serve
-// gets false.
+// before the chain h. A query the RFCs say to refuse gets its error
+// reply here, written by WriteReply, and never reaches a plugin or the
+// cache; the Metrics links of h (when Chain built it) count the reply,
+// and accept returns its rcode and true. A query to serve gets false.
 //   - An opcode other than QUERY: NOTIMP, the opcode echoed (RFC 1035
 //     §4.1.1).
 //   - An OPT of a version other than 0: BADVERS, in an OPT of version 0
 //     (RFC 6891 §6.1.3).
-func accept(w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
+func accept(h Handler, w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 	var rcode dnswire.Rcode
 	switch opt, edns := r.Msg.OPT(); {
 	case r.Msg.Opcode != dnswire.OpcodeQuery:
@@ -103,6 +103,11 @@ func accept(w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 		return 0, false
 	}
 	rcode, _ = WriteReply(w, r, &dnswire.Reply{Rcode: rcode})
+	if c, ok := h.(*chain); ok {
+		for _, m := range c.metrics {
+			m.count(r, rcode, 0) // no link ran, so the chain took no time
+		}
+	}
 	return rcode, true
 }
 

@@ -56,11 +56,10 @@ type Request struct {
 	// wait is the UDP ingress's hand-off hook (udpServe.wait); nil on
 	// TCP, simnet and requests a test builds.
 	wait func() bool
-	// name is Name's result: the intern table's lowered name, set by
-	// serveQuery, or filled by Name's first call, so a mixed-case
-	// question is lowered at most once, however many plugins ask. A
-	// Request is never pointed at another question (serveQuery makes a
-	// new one for each query), so the name cannot go stale.
+	// name is Name's result, filled by its first call: a mixed-case
+	// question is lowered once, however many plugins ask. A Request is
+	// never pointed at another question (serveQuery makes a new one for
+	// each query), so the name cannot go stale.
 	name string
 	// addedOPT marks a query the ECS plugin gave an OPT record its
 	// client did not send, to carry the option upstream: serveQuery cuts
@@ -146,16 +145,30 @@ type Plugin interface {
 // Chain composes plugins into a Handler. The final fallthrough
 // REFUSES the query, the behaviour of a server with no matching zone.
 func Chain(plugins ...Plugin) Handler {
-	h := Handler(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+	c := &chain{first: HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
 		return dnswire.RcodeRefused, nil
-	}))
+	})}
 	for i := len(plugins) - 1; i >= 0; i-- {
-		p, next := plugins[i], h
-		h = HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		p, next := plugins[i], c.first
+		c.first = HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
 			return p.ServeDNS(ctx, w, r, next)
 		})
+		if m, ok := p.(*Metrics); ok {
+			c.metrics = append(c.metrics, m)
+		}
 	}
-	return h
+	return c
+}
+
+// chain is the Handler Chain builds.
+type chain struct {
+	first   Handler    // the first plugin, called with the rest as next
+	metrics []*Metrics // the chain's Metrics links: they count what accept refuses too
+}
+
+// ServeDNS implements Handler.
+func (c *chain) ServeDNS(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+	return c.first.ServeDNS(ctx, w, r)
 }
 
 // Resolve serves req.Msg as an ingress would and returns the reply

@@ -176,10 +176,9 @@ func FuzzNameUnpack(f *testing.F) {
 // zero length; a length octet with both high bits set instead asks
 // again for the name the next octet picks among those asked so far.
 // Each query is parsed through one small table, so it is cleared and
-// changes chunks often, and through no table at all: the name and
-// Lowered must be what the table-less parse renders and its
-// CanonicalName, and every string the table ever returned must still
-// read as it did when returned.
+// changes chunks often, and through no table at all: the name must be
+// what the table-less parse renders, and every string the table ever
+// returned must still read as it did when returned.
 func FuzzNameIntern(f *testing.F) {
 	f.Add([]byte{3, 'w', 'w', 'w', 4, 't', 'e', 's', 't', 0, 0xC0, 0})
 	f.Add([]byte{3, 'W', 'w', 'W', 4, 'T', 'e', 'S', 't', 0, 3, 'a', '.', 'b', 0, 0xC0, 0, 0xC0, 1})
@@ -216,11 +215,11 @@ func FuzzNameIntern(f *testing.F) {
 				t.Fatalf("% x: through the table err = %v, without err = %v", qname, err, refErr)
 			}
 			if err == nil {
-				name, lower := m.Questions[0].Name, tbl.Lowered()
-				if want := ref.Questions[0].Name; name != want || lower != CanonicalName(want) {
-					t.Fatalf("% x: table gives %q, lowered %q; the parse renders %q", qname, name, lower, want)
+				name := m.Questions[0].Name
+				if want := ref.Questions[0].Name; name != want {
+					t.Fatalf("% x: table gives %q; the parse renders %q", qname, name, want)
 				}
-				given = append(given, returned{name, strings.Clone(name)}, returned{lower, strings.Clone(lower)})
+				given = append(given, returned{name, strings.Clone(name)})
 			}
 			for _, g := range given {
 				if g.s != g.was {

@@ -19,16 +19,16 @@ import (
 // every packet. Keys are the raw wire bytes of the name as they appear
 // in the question section, so a lookup is one map probe with no
 // conversion; values are the canonical presentation-format strings
-// unpackName would have produced, and their lowered forms.
+// unpackName would have produced.
 //
-// A name never seen is copied — key, presentation form and, when it
-// has capital letters, its lowered form — into a chunk the table owns:
-// a strings.Builder that is only ever appended to and is replaced, not
-// grown, when the next name does not fit. The first chunk holds the
-// first name alone, so a table that parses one query costs what that
-// name's string would; each later one doubles, up to maxChunk. So one
-// allocation serves dozens of names, and every string the table hands
-// out is immutable: its bytes are never written again.
+// A name never seen is copied — key, then presentation form — into a
+// chunk the table owns: a strings.Builder that is only ever appended to
+// and is replaced, not grown, when the next name does not fit. The
+// first chunk holds the first name alone, so a table that parses one
+// query costs what that name's string would; each later one doubles, up
+// to maxChunk. So one allocation serves dozens of names, and every
+// string the table hands out is immutable: its bytes are never written
+// again.
 //
 // A NameIntern is not safe for concurrent use: give each worker its
 // own. The table is cleared wholesale when it reaches its bound, so a
@@ -37,28 +37,13 @@ import (
 // its whole chunk alive: what outlives the query for long (the cache's
 // keys, the query log's records) copies the bytes instead.
 type NameIntern struct {
-	names map[string]string // wire key → entry (splitEntry)
+	names map[string]string
 	max   int
 	chunk strings.Builder
-	last  string // the lowered name of the question UnpackQuery last took from the table
-}
-
-// splitEntry splits an entry of NameIntern.names into the name and its
-// lowered form. An entry is the name, which is then its own lowered
-// form, or — when the name has a capital letter — the name followed by
-// its lowered form, of the same length. One string per entry keeps the
-// table's map as small as one that holds names alone.
-func splitEntry(e string) (name, lower string) {
-	for i := 0; i < len(e); i++ {
-		if 'A' <= e[i] && e[i] <= 'Z' {
-			return e[:len(e)/2], e[len(e)/2:]
-		}
-	}
-	return e, e
 }
 
 // maxChunk bounds the chunks a NameIntern copies names into; the
-// largest name, with its key and lowered form, is 2 295 bytes.
+// largest name, with its key, is 1 275 bytes.
 const maxChunk = 4096
 
 // NewNameIntern returns an intern table bounded to max names;
@@ -70,49 +55,14 @@ func NewNameIntern(max int) *NameIntern {
 	return &NameIntern{names: make(map[string]string, 64), max: max}
 }
 
-// Lowered returns CanonicalName of the question name the last
-// UnpackQuery through t parsed, interned with it, or "" when that parse
-// did not take the name from t (a compressed or second question, an
-// error). Nil-table safe.
-func (t *NameIntern) Lowered() string {
-	if t == nil {
-		return ""
-	}
-	return t.last
-}
-
 // intern returns the presentation form of the question name wire, which
-// starts msg's question section and which UnpackQuery has scanned, and
-// makes its lowered form the one Lowered returns.
+// starts msg's question section and which UnpackQuery has scanned.
 func (t *NameIntern) intern(msg, wire []byte) string {
-	e, ok := t.names[string(wire)] // no alloc: map probe by converted key
-	if !ok {
-		e = t.put(msg, wire)
+	if name, ok := t.names[string(wire)]; ok { // no alloc: map probe by converted key
+		return name
 	}
-	name, lower := splitEntry(e)
-	t.last = lower
-	return name
-}
-
-// put copies the key wire, the name it renders to and, when that has
-// capital letters, its lowered form into the chunk, enters them in the
-// table, and returns the entry.
-func (t *NameIntern) put(msg, wire []byte) string {
-	// The key, the name, then its lowered form: a rendered name is ASCII
-	// (every other octet is a \DDD escape), so lowering its letters is
-	// what CanonicalName's strings.ToLower does.
-	var buf [9 * maxNameWire]byte
+	var buf [5 * maxNameWire]byte // the key, then every octet as \DDD
 	text := appendName(append(buf[:0], wire...), msg, 12)
-	nw, nt := len(wire), len(text)
-	for _, c := range text[nw:nt] {
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		text = append(text, c)
-	}
-	if string(text[nw:nt]) == string(text[nt:]) {
-		text = text[:nt] // no capitals: the name is its own lowered form
-	}
 	if t.chunk.Cap()-t.chunk.Len() < len(text) {
 		size := len(text)
 		if c := t.chunk.Cap(); c > 0 {
@@ -127,8 +77,8 @@ func (t *NameIntern) put(msg, wire []byte) string {
 	if len(t.names) >= t.max {
 		clear(t.names)
 	}
-	t.names[s[:nw]] = s[nw:]
-	return s[nw:]
+	t.names[s[:len(wire)]] = s[len(wire):]
+	return s[len(wire):]
 }
 
 // UnpackQuery parses wire-format data into m like Unpack, replacing
@@ -138,17 +88,13 @@ func (t *NameIntern) put(msg, wire []byte) string {
 // way must not be retained past the request, because the next packet
 // overwrites it, its OPT record and ECS option in place: Clone what must
 // outlive the request. The name strings are immutable and safe to keep
-// (NameIntern says what keeping one costs), and tbl.Lowered() is then
-// the question name's CanonicalName.
+// (NameIntern says what keeping one costs).
 //
 // The reuse fast path covers the shape of every real client query —
 // one question, empty answer/authority sections, at most one
 // additional record (EDNS OPT). Anything else falls back to Unpack,
 // so the two paths accept and reject identical inputs.
 func (m *Message) UnpackQuery(data []byte, tbl *NameIntern) error {
-	if tbl != nil {
-		tbl.last = ""
-	}
 	if len(data) < 12 {
 		return ErrShortMessage
 	}
