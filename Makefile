@@ -25,8 +25,7 @@ all: vet test race build
 #    a slot's reuse) and its EDNS (OPT follows the asker, ECS source clamp)
 #  - allocation pin: every kind of zone answer (answer, CNAME chain, wildcard,
 #    NODATA, NXDOMAIN, referral; no OPT, OPT, ECS) allocates nothing
-#  - allocation pin: a repeated 0x20-cased question costs nothing (the intern
-#    table hands out its lowered name)
+#  - allocation pin: a 0x20-cased question is lowered once per query
 #  - allocation pin: a reply cut to 512 bytes (zone answer or cache hit, 40 and
 #    200 records) costs no more than the same reply whole, and the cut allocates nothing
 #  - allocation pin: a sampled query's log record
@@ -37,7 +36,7 @@ all: vet test race build
 #    CDN domain and an operator's long one
 #  - allocation budget: the P2 hop
 #  - the acceptance step: opcode and EDNS version refusals in front of a zone,
-#    a cache hit and a stub miss
+#    a cache hit and a stub miss, counted on the chain's Metrics
 #  - fuzz: LPM lookup against its linear-scan twin
 #  - fuzz: the routes-file parser against a line-by-line reading into that twin
 #  - fuzz: the mesh ANNOUNCE codec round trip, both ways

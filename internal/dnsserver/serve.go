@@ -94,12 +94,11 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 //     (RFC 6891 §6.1.3).
 func accept(h Handler, w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 	var rcode dnswire.Rcode
-	switch opt, edns := r.Msg.OPT(); {
-	case r.Msg.Opcode != dnswire.OpcodeQuery:
+	if r.Msg.Opcode != dnswire.OpcodeQuery {
 		rcode = dnswire.RcodeNotImplemented
-	case edns && opt.Version() != 0:
+	} else if opt, edns := r.Msg.OPT(); edns && opt.Version() != 0 {
 		rcode = dnswire.RcodeBadVers
-	default:
+	} else {
 		return 0, false
 	}
 	rcode, _ = WriteReply(w, r, &dnswire.Reply{Rcode: rcode})

@@ -55,12 +55,10 @@ func NewNameIntern(max int) *NameIntern {
 	return &NameIntern{names: make(map[string]string, 64), max: max}
 }
 
-// intern returns the presentation form of the question name wire, which
-// starts msg's question section and which UnpackQuery has scanned.
-func (t *NameIntern) intern(msg, wire []byte) string {
-	if name, ok := t.names[string(wire)]; ok { // no alloc: map probe by converted key
-		return name
-	}
+// put enters the question name wire, which starts msg's question
+// section and which UnpackQuery has scanned, and returns its
+// presentation form.
+func (t *NameIntern) put(msg, wire []byte) string {
 	var buf [5 * maxNameWire]byte // the key, then every octet as \DDD
 	text := appendName(append(buf[:0], wire...), msg, 12)
 	if t.chunk.Cap()-t.chunk.Len() < len(text) {
@@ -140,7 +138,10 @@ func (m *Message) UnpackQuery(data []byte, tbl *NameIntern) error {
 
 	var name string
 	if tbl != nil {
-		name = tbl.intern(data, wireName)
+		name = tbl.names[string(wireName)] // no alloc: map probe by converted key
+		if name == "" {
+			name = tbl.put(data, wireName)
+		}
 	} else {
 		var text [4 * maxNameWire]byte // room for every octet as \DDD
 		name = string(appendName(text[:0], data, 12))
