@@ -50,7 +50,7 @@ func TestAcceptMatrix(t *testing.T) {
 	} {
 		for _, col := range []struct {
 			name    string
-			prefill bool // a well-formed query for the name is cached first
+			prefill bool          // a well-formed query for the name is cached first
 			source  func() Plugin // the link behind the cache
 		}{
 			{"zone answer", false, func() Plugin { return NewZonePlugin(zone) }},
