@@ -176,6 +176,23 @@ func (e enumLabels) named(v uint16) (string, bool) {
 	return e.names[i], i < len(e.names)-1
 }
 
+// typeName and rcodeName are t.String() and rc.String(), read off the
+// label tables for a value dnswire names instead of from String's map:
+// serveQuery hands every span both.
+func typeName(t dnswire.Type) string {
+	if name, ok := qtypeLabels.named(uint16(t)); ok {
+		return name
+	}
+	return t.String()
+}
+
+func rcodeName(rc dnswire.Rcode) string {
+	if name, ok := rcodeLabels.named(uint16(rc)); ok {
+		return name
+	}
+	return rc.String()
+}
+
 // wallClock times queries for every Metrics without a Clock of its
 // own; only differences of its readings are used.
 var wallClock vclock.Clock = vclock.NewReal()

@@ -61,7 +61,7 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 	st.req = Request{Msg: msg, Client: client, Transport: transport, wait: st.wait}
 	var sp *telemetry.Span // nil-safe, like the hub's Finish
 	if hub != nil {
-		sp = hub.BeginAddr(st.req.Name(), st.req.Type().String(), transport, client)
+		sp = hub.BeginAddr(st.req.Name(), typeName(st.req.Type()), transport, client)
 		ctx = telemetry.ContextWith(ctx, sp)
 	}
 	rcode, refused := accept(h, &st.reply, &st.req)
@@ -79,7 +79,7 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 			}
 		}
 	}
-	hub.Finish(sp, rcode.String())
+	hub.Finish(sp, rcodeName(rcode))
 	return st.reply.buf, st.reply.n
 }
 
