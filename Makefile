@@ -14,7 +14,10 @@ all: vet test race build
 #  - build everything
 #  - the test suite under the race detector, including the linked-function
 #    check (every internal/ function is linked by a command, an example,
-#    the benchmark or the root test binary)
+#    the benchmark or the root test binary), the setter check (every setting
+#    of a config type is set by a program), and dnsd's flags: `dnsd -h`, the
+#    README's flag table, and every fixed tuning value read off a daemon built
+#    from deployment flags alone
 #  - the pool-ownership checker over every package that checks out packet buffers
 #  - the overload contract (hits never wait behind upstreams; read == served + shed) at 1, 2, 4 cores
 #  - the recycled-span hazard (a hedge straggler reaching the next query),
@@ -43,7 +46,9 @@ all: vet test race build
 #  - fuzz: the cache's reply patch
 #  - fuzz: the ECS echo on arbitrary stored images
 #  - fuzz: SIEVE eviction against a reference SIEVE
-#  - fuzz: serveQuery, the one query-to-reply function every ingress uses
+#  - fuzz: serveQuery, the one query-to-reply function every ingress uses (the
+#    reply keeps the query's opcode and question; a class other than IN or ANY
+#    gets no records)
 #  - fuzz: the walk that lets a reply be relayed undecoded
 #  - fuzz: the name codec
 #  - fuzz: the intern table never takes back a string it handed out

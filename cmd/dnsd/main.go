@@ -7,7 +7,12 @@
 //
 //	dnsd -listen 127.0.0.1:5353 -zone mycdn.ciab.test.=./mycdn.zone \
 //	     -stub cdn.example.=192.0.2.53:53 -forward 9.9.9.9:53,8.8.8.8:53 \
-//	     -hedge 25ms -cooldown 5s -cache-shards 16 -admin 127.0.0.1:8053
+//	     -hedge 25ms -admin 127.0.0.1:8053
+//
+// The flags are the deployment: addresses, zones, routes and peers.
+// The tuning every site shares is fixed in internal/dnsd (a 4096-entry
+// cache over 16 shards, a 5s upstream cooldown after 3 failures, one
+// ingress socket per core, ...).
 //
 // Flags may repeat: -zone and -stub accumulate. -forward and stub
 // upstreams take comma-separated lists tried in order, with automatic
@@ -17,9 +22,9 @@
 //
 // -probe-interval enables active upstream health probing: every
 // forward and stub upstream is probed with a lightweight NS query on
-// that cadence, scored through a hysteresis state machine
-// (-down-after consecutive failures demote, -up-after successes
-// promote), and the forwarders try probe-verified upstreams first.
+// that cadence, scored through a hysteresis state machine (3
+// consecutive failures demote, 2 successes promote), and the
+// forwarders try probe-verified upstreams first.
 //
 // -cdn-domain embeds the C-DNS request router for one CDN domain.
 // -routes loads its subnet→PoP table ("prefix popID" per line, #
@@ -33,9 +38,9 @@
 // -mesh joins the embedded C-DNS to a federated multi-MEC mesh: it
 // listens for ANNOUNCE/DIGEST datagrams on the given UDP address,
 // gossips this site's content digest to every -peers target (repeat
-// the flag: name=host:port) on the -announce-interval cadence, and
-// steers cache misses to the sibling MEC whose announced digest holds
-// the object before falling back to the parent tier. Peer liveness is
+// the flag: name=host:port) every 2s, and steers cache misses to the
+// sibling MEC whose announced digest holds the object before falling
+// back to the parent tier. Peer liveness is
 // scored by a dedicated health registry fed by announce exchanges;
 // the peer view is summarized on admin /mesh and exported as the
 // meccdn_mesh_* metric families. -mesh-name sets the announced site
@@ -46,8 +51,8 @@
 // /routes (subnet-table summary), /mesh (peer-view JSON), /reload
 // (POST: online config reload), /querylog (sampled JSON-lines trace,
 // rate set by -qlog-sample) and /debug/pprof. On SIGTERM/SIGINT the server
-// drains: it stops accepting, waits up to -drain for in-flight
-// queries, then prints the session's stats.
+// drains: it stops accepting, waits up to 5s for in-flight queries,
+// then prints the session's stats.
 //
 // SIGHUP (or POST /reload) re-parses every -zone file and the -routes
 // file and atomically swaps the serving snapshots: a zone whose file
@@ -77,28 +82,13 @@ func bind(fs *flag.FlagSet, c *dnsd.Config) {
 	fs.StringVar(&c.Listen, "listen", "127.0.0.1:5353", "listen address (UDP and TCP)")
 	fs.StringVar(&c.Forward, "forward", "", "upstream resolver(s) for unmatched names, comma-separated host:port tried in order")
 	fs.DurationVar(&c.Hedge, "hedge", 0, "hedged-query delay: race a second upstream after this delay (0 disables)")
-	fs.DurationVar(&c.Cooldown, "cooldown", 5*time.Second, "base cooldown window for an upstream after repeated failures")
-	fs.IntVar(&c.MaxFailures, "max-failures", 3, "consecutive upstream failures before the cooldown trips")
-	fs.IntVar(&c.CacheEntries, "cache-entries", 4096, "response cache capacity in entries")
-	fs.IntVar(&c.CacheShards, "cache-shards", 16, "response cache shard count (reduced automatically for small caches)")
 	fs.StringVar(&c.Admin, "admin", "", "admin HTTP address serving /metrics, /healthz, /querylog and /debug/pprof (empty disables)")
 	fs.IntVar(&c.QlogSample, "qlog-sample", 16, "head-sample 1 in N queries into the query log (<=1 keeps all)")
-	fs.IntVar(&c.QlogCap, "qlog-cap", 1024, "query-log ring capacity; oldest entries are overwritten")
-	fs.DurationVar(&c.Drain, "drain", 5*time.Second, "graceful-drain budget for in-flight queries on shutdown")
-	fs.IntVar(&c.UDPQueue, "udp-queue", 0, "UDP queries that may wait on the network (upstream exchanges) at once; a query that would wait beyond it is shed (0 means 128x GOMAXPROCS)")
-	fs.IntVar(&c.Sockets, "sockets", 0, "SO_REUSEPORT-sharded UDP ingress sockets (0 means GOMAXPROCS; 1 or unsupported platforms use a single socket)")
-	fs.IntVar(&c.MaxConns, "max-conns", 0, "concurrent TCP connection cap; connections beyond it are closed at accept (0 means 512)")
-	fs.Float64Var(&c.PrefetchFrac, "prefetch-frac", 0.1, "refresh-ahead window as a fraction of TTL: hits in the last frac of their lifetime trigger an async re-resolve (0 disables)")
-	fs.DurationVar(&c.MaxStale, "max-stale", time.Hour, "RFC 8767 serve-stale window: on upstream failure, expired entries this recent are served with a clamped 30s TTL (0 disables)")
 	fs.DurationVar(&c.ProbeInterval, "probe-interval", 0, "active upstream health-probe cadence (0 disables probing)")
-	fs.DurationVar(&c.ProbeTimeout, "probe-timeout", 0, "per-probe timeout (0 means half the interval, capped at 2s)")
-	fs.IntVar(&c.DownAfter, "down-after", 3, "consecutive probe failures before an upstream is marked down")
-	fs.IntVar(&c.UpAfter, "up-after", 2, "consecutive probe successes before a down upstream recovers")
 	fs.StringVar(&c.CDNDomain, "cdn-domain", "", "CDN domain served by the embedded C-DNS request router (empty disables)")
 	fs.StringVar(&c.Routes, "routes", "", "subnet→PoP routes file for the C-DNS router, one \"prefix popID\" per line; requires -cdn-domain")
 	fs.StringVar(&c.Mesh, "mesh", "", "UDP listen address for federated-mesh ANNOUNCE/DIGEST gossip (empty disables); requires -cdn-domain")
 	fs.StringVar(&c.MeshName, "mesh-name", "", "site name announced to mesh peers (default: hostname); requires -mesh")
-	fs.DurationVar(&c.AnnounceInterval, "announce-interval", 2*time.Second, "mesh announce cadence; requires -mesh")
 	fs.Func("zone", "origin=path to a zone file (repeatable)", c.AddZone)
 	fs.Func("stub", "domain=upstream for stub-domain routing (repeatable)", c.AddStub)
 	fs.Func("pop", "id=addr answer address for a PoP in the routes file (repeatable); requires -cdn-domain", c.AddPoP)
@@ -147,9 +137,9 @@ func run(cfg dnsd.Config) error {
 
 	// Graceful drain: stop accepting, give in-flight queries a bounded
 	// window to finish, then report what the process saw.
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Drain)
+	ctx, cancel := context.WithTimeout(context.Background(), dnsd.DrainBudget)
 	defer cancel()
-	fmt.Printf("\ndraining (up to %v)...\n", cfg.Drain)
+	fmt.Printf("\ndraining (up to %v)...\n", dnsd.DrainBudget)
 	if err := d.Shutdown(ctx); err != nil {
 		fmt.Printf("drain cut short: %v\n", err)
 	}

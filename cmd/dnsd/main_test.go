@@ -7,6 +7,8 @@ import (
 	"net/netip"
 	"os"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,10 +26,9 @@ func parse(t *testing.T, args ...string) (dnsd.Config, error) {
 	return cfg, fs.Parse(args)
 }
 
-// TestHelpGolden: flag names, defaults and usage strings are
-// byte-identical to `dnsd -h` of the commit before the daemon moved
-// into internal/dnsd (testdata/help.golden, first line normalized to
-// the flag set's name).
+// TestHelpGolden: flag names, defaults and usage strings are `dnsd -h`
+// byte for byte (testdata/help.golden, first line normalized to the
+// flag set's name).
 func TestHelpGolden(t *testing.T) {
 	var cfg dnsd.Config
 	var out bytes.Buffer
@@ -54,28 +55,13 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		"-listen", "127.0.0.1:1053",
 		"-forward", "192.0.2.1:53,192.0.2.2:53",
 		"-hedge", "21ms",
-		"-cooldown", "22s",
-		"-max-failures", "23",
-		"-cache-entries", "24",
-		"-cache-shards", "25",
 		"-admin", "127.0.0.1:8026",
 		"-qlog-sample", "27",
-		"-qlog-cap", "28",
-		"-drain", "29s",
-		"-udp-queue", "31",
-		"-sockets", "32",
-		"-max-conns", "34",
-		"-prefetch-frac", "0.35",
-		"-max-stale", "36m",
 		"-probe-interval", "37s",
-		"-probe-timeout", "38ms",
-		"-down-after", "39",
-		"-up-after", "40",
 		"-cdn-domain", "cdn43.test.",
 		"-routes", "/etc/routes44",
 		"-mesh", "127.0.0.1:7047",
 		"-mesh-name", "site48",
-		"-announce-interval", "49s",
 		"-zone", "a.test.=/zones/a", "-zone", "b.test.=/zones/b=odd",
 		"-stub", "s1.test.=192.0.2.51:53", "-stub", "s2.test.=192.0.2.52:53, 192.0.2.53:5353",
 		"-pop", "1=203.0.113.1", "-pop", "2=2001:db8::2",
@@ -86,31 +72,16 @@ func TestFlagsReachTheirFields(t *testing.T) {
 	}
 	ap := netip.MustParseAddrPort
 	want := dnsd.Config{
-		Listen:           "127.0.0.1:1053",
-		Forward:          "192.0.2.1:53,192.0.2.2:53",
-		Hedge:            21 * time.Millisecond,
-		Cooldown:         22 * time.Second,
-		MaxFailures:      23,
-		CacheEntries:     24,
-		CacheShards:      25,
-		Admin:            "127.0.0.1:8026",
-		QlogSample:       27,
-		QlogCap:          28,
-		Drain:            29 * time.Second,
-		UDPQueue:         31,
-		Sockets:          32,
-		MaxConns:         34,
-		PrefetchFrac:     0.35,
-		MaxStale:         36 * time.Minute,
-		ProbeInterval:    37 * time.Second,
-		ProbeTimeout:     38 * time.Millisecond,
-		DownAfter:        39,
-		UpAfter:          40,
-		CDNDomain:        "cdn43.test.",
-		Routes:           "/etc/routes44",
-		Mesh:             "127.0.0.1:7047",
-		MeshName:         "site48",
-		AnnounceInterval: 49 * time.Second,
+		Listen:        "127.0.0.1:1053",
+		Forward:       "192.0.2.1:53,192.0.2.2:53",
+		Hedge:         21 * time.Millisecond,
+		Admin:         "127.0.0.1:8026",
+		QlogSample:    27,
+		ProbeInterval: 37 * time.Second,
+		CDNDomain:     "cdn43.test.",
+		Routes:        "/etc/routes44",
+		Mesh:          "127.0.0.1:7047",
+		MeshName:      "site48",
 		// Only the first "=" splits: a path may contain one.
 		Zones: []dnsd.ZoneFile{{Origin: "a.test.", Path: "/zones/a"}, {Origin: "b.test.", Path: "/zones/b=odd"}},
 		Stubs: []dnsd.StubRoute{
@@ -159,5 +130,37 @@ func TestMalformedFlagValues(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "flag "+args[0]) {
 			t.Errorf("%v: error %q does not name the flag", args, err)
 		}
+	}
+}
+
+// TestREADMEFlagTable: README's dnsd flag table names exactly the flags
+// bind defines, each in one row.
+func TestREADMEFlagTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "`dnsd` flags:\n")
+	if !ok {
+		t.Fatal("README has no \"`dnsd` flags:\" table")
+	}
+	var documented []string
+	flagName := regexp.MustCompile("`-([a-z-]+)`")
+	for _, line := range strings.Split(strings.TrimLeft(table, "\n"), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			break // the table has ended
+		}
+		for _, m := range flagName.FindAllStringSubmatch(cells[1], -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	var defined []string
+	fs := flag.NewFlagSet("dnsd", flag.ContinueOnError)
+	bind(fs, new(dnsd.Config))
+	fs.VisitAll(func(f *flag.Flag) { defined = append(defined, f.Name) })
+	slices.Sort(documented)
+	if !slices.Equal(documented, defined) {
+		t.Errorf("README's dnsd flag table names %v,\nbind defines %v", documented, defined)
 	}
 }

@@ -426,10 +426,11 @@ func (rt *Router) AddServerAdvertise(s *CacheServer, loc geoip.Location, adverti
 // Name implements dnsserver.Plugin.
 func (rt *Router) Name() string { return "cdn-router" }
 
-// ServeDNS implements dnsserver.Plugin.
+// ServeDNS implements dnsserver.Plugin. A question of a class other
+// than IN or ANY goes to next: the router's answers are IN records.
 func (rt *Router) ServeDNS(ctx context.Context, w dnsserver.ResponseWriter, r *dnsserver.Request, next dnsserver.Handler) (dnswire.Rcode, error) {
 	qname := r.Name()
-	if !dnswire.IsSubdomain(rt.Domain, qname) {
+	if !dnswire.IsSubdomain(rt.Domain, qname) || !r.ClassIN() {
 		return next.ServeDNS(ctx, w, r)
 	}
 	routed := rt.counters()

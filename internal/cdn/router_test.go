@@ -11,6 +11,7 @@ import (
 	"github.com/meccdn/meccdn/internal/dnswire"
 	"github.com/meccdn/meccdn/internal/geoip"
 	"github.com/meccdn/meccdn/internal/health"
+	"github.com/meccdn/meccdn/internal/lpm"
 	"github.com/meccdn/meccdn/internal/simnet"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
@@ -398,5 +399,54 @@ func TestRouterEmpty(t *testing.T) {
 	rt := NewRouter("empty.test.")
 	if sel := rt.Route("x.empty.test.", ClientInfo{}); sel != nil {
 		t.Error("selection from empty router")
+	}
+}
+
+// TestOnlyINClassIsAnswered: the zone and the router hold IN records
+// only. A question of class IN or ANY gets them, authoritatively; one
+// of class CH or HS goes on down the chain (here to its end, which
+// refuses) and gets no records.
+func TestOnlyINClassIsAnswered(t *testing.T) {
+	zone := dnsserver.NewZone("z.test.")
+	if err := zone.AddA("www.z.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter("cdn.test.")
+	rt.SetRoutes(routeTable(t, map[string]lpm.PoP{"10.0.0.0/8": 1}))
+	rt.MapPoP(1, netip.MustParseAddr("203.0.113.1"))
+	for _, p := range []struct {
+		plugin dnsserver.Plugin
+		qname  string
+	}{
+		{dnsserver.NewZonePlugin(zone), "www.z.test."},
+		{rt, "video.cdn.test."},
+	} {
+		for _, c := range []struct {
+			class    dnswire.Class
+			answered bool
+		}{
+			{dnswire.ClassINET, true},
+			{3, false}, // CH
+			{4, false}, // HS
+			{dnswire.ClassANY, true},
+		} {
+			q := new(dnswire.Message)
+			q.SetQuestion(p.qname, dnswire.TypeA)
+			q.Questions[0].Class = c.class
+			resp := dnsserver.Resolve(context.Background(), dnsserver.Chain(p.plugin),
+				&dnsserver.Request{Msg: q, Client: netip.MustParseAddrPort("10.1.2.3:5300")})
+			if resp == nil {
+				t.Fatalf("%s, %v: no reply", p.plugin.Name(), c.class)
+			}
+			if answered := len(resp.Answers) > 0; answered != c.answered || resp.Authoritative != c.answered {
+				t.Errorf("%s, %v: %d answers, AA=%v, rcode %v; want answered=%v",
+					p.plugin.Name(), c.class, len(resp.Answers), resp.Authoritative, resp.Rcode, c.answered)
+			}
+			for _, rr := range resp.Answers {
+				if rr.Header().Class != dnswire.ClassINET {
+					t.Errorf("%s, %v: answer %v is not class IN", p.plugin.Name(), c.class, rr)
+				}
+			}
+		}
 	}
 }

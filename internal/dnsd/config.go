@@ -19,32 +19,22 @@ import (
 
 // Config is the daemon's whole configuration surface: one field per
 // dnsd flag, named after it (`dnsd -h` documents each). A zero field
-// means what the flag's zero means — the component's own default — so
-// Config{Listen: ...} alone builds a serving daemon.
+// means what the flag's zero means, so Config{Listen: ...} alone
+// builds a serving daemon. What varies between sites is here:
+// addresses, zones, routes and peers. The tuning every site shares is
+// constants in Build.
 type Config struct {
-	Listen                    string
-	Forward                   string // comma-separated host:port list, as the flag is; Build parses it
-	Hedge, Cooldown           time.Duration
-	MaxFailures               int
-	CacheEntries, CacheShards int
-	PrefetchFrac              float64
-	MaxStale                  time.Duration
+	Listen  string
+	Forward string // comma-separated host:port list, as the flag is; Build parses it
+	Hedge   time.Duration
 
-	Admin               string
-	QlogSample, QlogCap int
-	// Drain is the budget in-flight queries get when a failed Start
-	// unwinds; Shutdown's is its context's, and cmd/dnsd passes this one.
-	Drain time.Duration
+	Admin      string
+	QlogSample int
 
-	UDPQueue, Sockets, MaxConns int
-
-	ProbeInterval, ProbeTimeout time.Duration
-	DownAfter, UpAfter          int
+	ProbeInterval time.Duration
 
 	CDNDomain, Routes string
-
-	Mesh, MeshName   string
-	AnnounceInterval time.Duration
+	Mesh, MeshName    string
 
 	Zones []ZoneFile  // -zone
 	Stubs []StubRoute // -stub

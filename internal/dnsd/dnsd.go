@@ -21,6 +21,19 @@ import (
 	"github.com/meccdn/meccdn/internal/vclock"
 )
 
+// The tuning every dnsd shares. The rest of it (cache size, upstream
+// cooldown, UDP queue, TCP cap, query-log ring, probe hysteresis, mesh
+// cadence) is each component's own default, which Build leaves unset.
+const (
+	// prefetchFrac is the refresh-ahead window, a fraction of the TTL.
+	prefetchFrac = 0.1
+	// maxStale is the RFC 8767 serve-stale window.
+	maxStale = time.Hour
+	// DrainBudget is how long in-flight queries get to finish when the
+	// daemon stops: cmd/dnsd's shutdown, and a failed Start unwinding.
+	DrainBudget = 5 * time.Second
+)
+
 // Daemon is an assembled dnsd. Build returns it not yet started; the
 // exported fields are the parts a caller may inspect or drive, nil
 // where the Config left the part out.
@@ -69,7 +82,6 @@ func Build(cfg Config) (*Daemon, error) {
 
 	d := &Daemon{cfg: cfg, Upstream: &dnsclient.NetTransport{}, Hub: telemetry.NewHub(vclock.NewReal())}
 	d.Hub.SampleEvery = cfg.QlogSample
-	d.Hub.Log = telemetry.NewQueryLog(cfg.QlogCap)
 	client := &dnsclient.Client{Transport: d.Upstream, Timeout: 3 * time.Second, Retries: 1}
 	admin := &telemetry.Admin{
 		Addr:     cfg.Admin,
@@ -79,10 +91,8 @@ func Build(cfg Config) (*Daemon, error) {
 	}
 
 	chain := dnsserver.LDNS{Metrics: dnsserver.NewMetrics(), Cache: dnsserver.NewCache(vclock.NewReal())}
-	chain.Cache.MaxEntries = cfg.CacheEntries
-	chain.Cache.Shards = cfg.CacheShards
-	chain.Cache.PrefetchFrac = cfg.PrefetchFrac
-	chain.Cache.MaxStale = cfg.MaxStale
+	chain.Cache.PrefetchFrac = prefetchFrac
+	chain.Cache.MaxStale = maxStale
 	families := append(chain.Metrics.Collectors(), chain.Cache.Collectors()...)
 	families = append(families, d.Upstream.Collectors()...)
 
@@ -96,8 +106,6 @@ func Build(cfg Config) (*Daemon, error) {
 		// Stub routes own private Forwards whose families would collide
 		// with the main forwarder's by name; they are not exported.
 		chain.Stub = dnsserver.NewStub(client)
-		chain.Stub.FailureThreshold = cfg.MaxFailures
-		chain.Stub.Cooldown = cfg.Cooldown
 		chain.Stub.HedgeDelay = cfg.Hedge
 		chain.Stub.Health = d.Health
 		for _, s := range cfg.Stubs {
@@ -133,29 +141,21 @@ func Build(cfg Config) (*Daemon, error) {
 	}
 	if forwardTo != nil {
 		chain.Forward = &dnsserver.Forward{
-			Upstreams:        forwardTo,
-			Client:           client,
-			FailureThreshold: cfg.MaxFailures,
-			Cooldown:         cfg.Cooldown,
-			HedgeDelay:       cfg.Hedge,
-			Health:           d.Health,
+			Upstreams:  forwardTo,
+			Client:     client,
+			HedgeDelay: cfg.Hedge,
+			Health:     d.Health,
 		}
 		families = append(families, chain.Forward.Collectors()...)
 	}
 	d.Plugins = chain.Plugins()
 	d.Metrics, d.Cache, d.Forward = chain.Metrics, chain.Cache, chain.Forward
 
-	sockets := cfg.Sockets
-	if sockets <= 0 {
-		sockets = runtime.GOMAXPROCS(0)
-	}
 	d.Server = &dnsserver.Server{
-		Addr:       cfg.Listen,
-		Handler:    dnsserver.Chain(d.Plugins...),
-		Telemetry:  d.Hub,
-		QueueDepth: cfg.UDPQueue,
-		Sockets:    sockets,
-		MaxConns:   cfg.MaxConns,
+		Addr:      cfg.Listen,
+		Handler:   dnsserver.Chain(d.Plugins...),
+		Telemetry: d.Hub,
+		Sockets:   runtime.GOMAXPROCS(0), // one ingress socket per core
 	}
 	families = append(families, d.Server.Collectors()...)
 	// Refresh-ahead prefetches drain with the server's in-flight work.
@@ -201,12 +201,7 @@ func newHealth(cfg Config, forwardTo []netip.AddrPort) *health.Registry {
 	if cfg.ProbeInterval <= 0 || len(cfg.Stubs)+len(forwardTo) == 0 {
 		return nil
 	}
-	reg := health.New(health.Config{
-		ProbeInterval: cfg.ProbeInterval,
-		ProbeTimeout:  cfg.ProbeTimeout,
-		DownAfter:     cfg.DownAfter,
-		UpAfter:       cfg.UpAfter,
-	})
+	reg := health.New(health.Config{ProbeInterval: cfg.ProbeInterval})
 	add := func(addrs []netip.AddrPort) {
 		for _, a := range addrs {
 			reg.Add(a.String(), a.String()) // a repeated address is one target
@@ -238,13 +233,12 @@ func newMesh(cfg Config, load func() float64) *mesh.Agent {
 		answer = ap.Addr().String()
 	}
 	return mesh.NewAgent(mesh.Config{
-		Site:             site,
-		AnswerAddr:       answer,
-		Peers:            cfg.Peers,
-		AnnounceInterval: cfg.AnnounceInterval,
-		Health:           health.New(health.Config{DownAfter: cfg.DownAfter, UpAfter: cfg.UpAfter}),
-		Transport:        &mesh.UDPTransport{},
-		Load:             load,
+		Site:       site,
+		AnswerAddr: answer,
+		Peers:      cfg.Peers,
+		Health:     health.New(health.Config{}),
+		Transport:  &mesh.UDPTransport{},
+		Load:       load,
 	})
 }
 
@@ -260,14 +254,14 @@ func (d *Daemon) routesSummary() any {
 // Start brings the daemon up in dependency order: DNS sockets, health
 // prober, mesh listener and announce loop, admin endpoint. A step that
 // fails takes the started ones down again through Shutdown — drain
-// included, budget Config.Drain — and Start returns that step's error.
+// included, budget DrainBudget — and Start returns that step's error.
 func (d *Daemon) Start() (err error) {
 	if err := d.Server.Start(); err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), d.cfg.Drain)
+			ctx, cancel := context.WithTimeout(context.Background(), DrainBudget)
 			defer cancel()
 			_ = d.Shutdown(ctx) // the failed step's error is the one to report
 		}
@@ -344,7 +338,7 @@ func (d *Daemon) Describe() []string {
 	}
 	if d.meshConn != nil {
 		say("mesh gossip on %v as %q, announcing to %d peer(s) every %v",
-			d.meshConn.LocalAddr(), d.Mesh.Site(), len(d.Mesh.PeerNames()), d.cfg.AnnounceInterval)
+			d.meshConn.LocalAddr(), d.Mesh.Site(), len(d.Mesh.PeerNames()), mesh.AnnounceInterval)
 	}
 	if d.Admin != nil && d.Admin.LocalAddr() != nil {
 		say("admin endpoint on http://%v (/metrics /healthz /health /routes /mesh /reload /querylog /debug/pprof)", d.Admin.LocalAddr())

@@ -178,20 +178,16 @@ func TestBuildStubAndForward(t *testing.T) {
 
 func TestBuildHotPathConfig(t *testing.T) {
 	zones := []ZoneFile{{"dnsd.test.", tempFile(t, "test.zone", zoneText("1", "192.0.2.88"))}}
-	d := build(t, Config{Listen: loopback, Zones: zones, Sockets: 3, MaxConns: 7, PrefetchFrac: 0.25, MaxStale: time.Minute})
-	if d.Server.Sockets != 3 || d.Server.MaxConns != 7 {
-		t.Errorf("server sockets/maxConns = %d/%d, want 3/7", d.Server.Sockets, d.Server.MaxConns)
+	d := build(t, Config{Listen: loopback, Zones: zones})
+	if d.Server.Sockets != runtime.GOMAXPROCS(0) {
+		t.Errorf("server sockets = %d, want GOMAXPROCS", d.Server.Sockets)
 	}
-	if d.Cache.PrefetchFrac != 0.25 || d.Cache.MaxStale != time.Minute {
-		t.Errorf("cache prefetch/maxStale = %v/%v, want 0.25/1m", d.Cache.PrefetchFrac, d.Cache.MaxStale)
+	if d.Cache.PrefetchFrac != prefetchFrac || d.Cache.MaxStale != maxStale {
+		t.Errorf("cache prefetch/maxStale = %v/%v, want %v/%v", d.Cache.PrefetchFrac, d.Cache.MaxStale, prefetchFrac, maxStale)
 	}
-	// Prefetches must drain with the server, and -sockets 0 must
-	// follow GOMAXPROCS.
+	// Prefetches must drain with the server.
 	if d.Cache.Background != dnsserver.BackgroundTracker(d.Server) {
 		t.Error("cache.Background not wired to the server")
-	}
-	if d2 := build(t, Config{Listen: loopback, Zones: zones}); d2.Server.Sockets != runtime.GOMAXPROCS(0) {
-		t.Errorf("default sockets = %d, want GOMAXPROCS", d2.Server.Sockets)
 	}
 }
 
@@ -206,8 +202,6 @@ func TestBuildHealthConfig(t *testing.T) {
 		Stubs:         []StubRoute{{"cdn.test.", addrPorts("192.0.2.11:53", "192.0.2.12:53")}},
 		Admin:         loopback,
 		ProbeInterval: 250 * time.Millisecond,
-		DownAfter:     2,
-		UpAfter:       1,
 	})
 	if d.Health == nil || d.checker == nil {
 		t.Fatal("health registry/checker not built")
@@ -216,7 +210,7 @@ func TestBuildHealthConfig(t *testing.T) {
 		t.Errorf("probe targets = %d, want 3 (deduplicated union)", got)
 	}
 	hc := d.Health.Config()
-	if hc.ProbeInterval != 250*time.Millisecond || hc.DownAfter != 2 || hc.UpAfter != 1 {
+	if hc.ProbeInterval != 250*time.Millisecond || hc.DownAfter != 3 || hc.UpAfter != 2 {
 		t.Errorf("health config = %+v", hc)
 	}
 	if d.Forward.Health != d.Health {
@@ -439,14 +433,11 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 func TestMeshGossipBetweenDaemons(t *testing.T) {
 	site := func(name string) *Daemon {
 		return build(t, Config{
-			Listen:           loopback,
-			CDNDomain:        "mycdn.dnsd.test.",
-			Mesh:             loopback,
-			MeshName:         name,
-			AnnounceInterval: time.Second,
-			DownAfter:        2,
-			UpAfter:          1,
-			Admin:            loopback,
+			Listen:    loopback,
+			CDNDomain: "mycdn.dnsd.test.",
+			Mesh:      loopback,
+			MeshName:  name,
+			Admin:     loopback,
 		})
 	}
 	a, b := site("site-a"), site("site-b")
@@ -507,7 +498,7 @@ func TestStartFailureUnwinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer taken.Close()
-	d := build(t, Config{Listen: loopback, CDNDomain: "d.test.", Mesh: loopback, Admin: taken.Addr().String(), Drain: time.Second})
+	d := build(t, Config{Listen: loopback, CDNDomain: "d.test.", Mesh: loopback, Admin: taken.Addr().String()})
 	if err := d.Start(); err == nil {
 		t.Fatal("Start succeeded with the admin address taken")
 	}
@@ -533,8 +524,6 @@ func TestDescribe(t *testing.T) {
 		Forward:       "192.0.2.10:53",
 		Stubs:         []StubRoute{{"CDN.test", addrPorts("192.0.2.11:53")}},
 		ProbeInterval: time.Second,
-		DownAfter:     3,
-		UpAfter:       2,
 		CDNDomain:     "mycdn.test",
 	})
 	want := []string{

@@ -48,7 +48,7 @@ func TestWorkerCounterAggregationExact(t *testing.T) {
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(waitOdd{}, NewZonePlugin(zone)),
 		Sockets:    2,
-		QueueDepth: 256, // roomy: this test is about counting, not shedding
+		queueDepth: 256, // roomy: this test is about counting, not shedding
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestBatchDrainOnShutdown(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(&slowPlugin{delay: 3 * time.Millisecond}, NewZonePlugin(z)),
-		QueueDepth: 64, // roomy: every query of the burst waits at once
+		queueDepth: 64, // roomy: every query of the burst waits at once
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)

@@ -84,12 +84,12 @@ func TestForwardHealthKeepsCooldownLast(t *testing.T) {
 	}
 }
 
-// TestIngressLoad: the load signal is the share of QueueDepth taken by
+// TestIngressLoad: the load signal is the share of queueDepth taken by
 // UDP queries waiting on the network, read off a live server whose
 // upstream is held shut.
 func TestIngressLoad(t *testing.T) {
 	upstream := make(gate)
-	s := &Server{Addr: "127.0.0.1:0", Handler: Chain(upstream), QueueDepth: 4}
+	s := &Server{Addr: "127.0.0.1:0", Handler: Chain(upstream), queueDepth: 4}
 	if got := s.IngressLoad(); got != 0 {
 		t.Fatalf("IngressLoad before Start = %v, want 0", got)
 	}

@@ -508,6 +508,10 @@ func FuzzServeQuery(f *testing.F) {
 			q.SetEDNS(1232).Hdr.TTL |= 1 << 16
 		},
 		ecsQuery("wWw.FuZz.TeSt.", "10.1.2.0/24"),
+		func(q *dnswire.Message) {
+			q.SetQuestion("www.fuzz.test.", dnswire.TypeA)
+			q.Questions[0].Class = 3 // CH
+		},
 	} {
 		q := new(dnswire.Message)
 		build(q)
@@ -561,6 +565,13 @@ func FuzzServeQuery(f *testing.F) {
 			}
 			if len(m.Questions) != min(len(query.Questions), 1) || len(m.Questions) == 1 && m.Questions[0] != query.Questions[0] {
 				t.Fatalf("limit %d: question %v in the reply to %v", limit, m.Questions, query.Questions)
+			}
+			// The zone holds IN records only: a question of another
+			// class is never answered from it.
+			if len(m.Questions) == 1 && len(m.Answers) > 0 {
+				if c := m.Questions[0].Class; c != dnswire.ClassINET && c != dnswire.ClassANY {
+					t.Fatalf("limit %d: %d answer records to a %v question", limit, len(m.Answers), c)
+				}
 			}
 			if !m.Truncated {
 				continue

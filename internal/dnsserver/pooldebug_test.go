@@ -41,7 +41,7 @@ func TestServePathPoolBalance(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(cache, &slowPlugin{delay: 20 * time.Millisecond}, NewZonePlugin(zone)),
-		QueueDepth: 4, // the burst below overruns it: shed queries hold buffers too
+		queueDepth: 4, // the burst below overruns it: shed queries hold buffers too
 	}
 
 	base := dnswire.PoolOutstanding()
@@ -190,7 +190,7 @@ func TestReplyPoolBalance(t *testing.T) {
 }
 
 // shedPlugin drops every query for shed.test. the way an ingress at its
-// QueueDepth bound does: no reply at all.
+// queueDepth bound does: no reply at all.
 type shedPlugin struct{}
 
 func (shedPlugin) Name() string { return "shed" }

@@ -113,7 +113,7 @@ func dialTCPQuery(t *testing.T, addr netip.AddrPort) (net.Conn, func() error) {
 	}
 }
 
-// TestTCPMaxConns pins the connection cap: with MaxConns held open by
+// TestTCPMaxConns pins the connection cap: with maxConns held open by
 // idle connections, the next accept is closed immediately (counted on
 // the reject counter), and closing one of the idle
 // connections frees a slot for a new client.
@@ -122,7 +122,7 @@ func TestTCPMaxConns(t *testing.T) {
 	if err := z.AddA("www.shard.test.", 60, netip.MustParseAddr("192.0.2.61")); err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Addr: "127.0.0.1:0", Handler: Chain(NewZonePlugin(z)), MaxConns: 2}
+	srv := &Server{Addr: "127.0.0.1:0", Handler: Chain(NewZonePlugin(z)), maxConns: 2}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTCPMaxConns(t *testing.T) {
 	// without a response ever arriving.
 	conn3, query3 := dialTCPQuery(t, addr)
 	if err := query3(); err == nil {
-		t.Fatal("query succeeded on a connection beyond MaxConns")
+		t.Fatal("query succeeded on a connection beyond maxConns")
 	}
 	conn3.Close()
 	if got := srv.RejectedConns(); got != 1 {

@@ -229,7 +229,7 @@ func TestHandlerNeverSeesReusedBuffer(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(guard, NewZonePlugin(zone)),
-		QueueDepth: 256, // roomy: this test is about reuse, not shedding
+		queueDepth: 256, // roomy: this test is about reuse, not shedding
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestGracefulDrainWaitsForQueued(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(&slowPlugin{delay: 120 * time.Millisecond}, NewZonePlugin(z)),
-		QueueDepth: 8, // datagrams
+		queueDepth: 8, // datagrams
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestUDPQueueOverflowSheds(t *testing.T) {
 	srv := &Server{
 		Addr:       "127.0.0.1:0",
 		Handler:    Chain(&slowPlugin{delay: 100 * time.Millisecond}, NewZonePlugin(z)),
-		QueueDepth: 1, // datagram
+		queueDepth: 1, // datagram
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)

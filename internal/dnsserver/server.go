@@ -72,7 +72,7 @@ type Request struct {
 // touches state other queries can see. On the UDP ingress it gives the
 // socket this goroutine is serving to another goroutine, so queries
 // behind this one are not held up by the wait. False means the server
-// already has QueueDepth queries waiting: the plugin returns at once
+// already has queueDepth queries waiting: the plugin returns at once
 // with errIngressFull, no reply is made and the datagram is shed.
 func (r *Request) mayWait() bool { return r.wait == nil || r.wait() }
 
@@ -90,6 +90,13 @@ func (r *Request) Name() string {
 
 // Type returns the first question type.
 func (r *Request) Type() dnswire.Type { return r.Msg.Question().Type }
+
+// ClassIN reports whether the first question's class is IN or ANY, the
+// only classes whose records a zone or the C-DNS router holds.
+func (r *Request) ClassIN() bool {
+	c := r.Msg.Question().Class
+	return c == dnswire.ClassINET || c == dnswire.ClassANY
+}
 
 // ResponseWriter takes the response to one request. The first response
 // written is the reply; a writer ignores later ones. Written reports
@@ -255,20 +262,22 @@ type Server struct {
 	// cores. Values <= 1 — and any value on platforms without
 	// SO_REUSEPORT (see reuseport_other.go) — mean a single socket.
 	Sockets int
-	// MaxConns caps concurrently served TCP connections; accepted
+
+	// maxConns caps concurrently served TCP connections; accepted
 	// connections beyond the cap are closed immediately and counted in
-	// meccdn_dns_tcp_rejected_total. Zero means 512. A goroutine per
-	// connection is fine; an unbounded number of them under a SYN-rate
-	// attack is not.
-	MaxConns int
-	// QueueDepth bounds, in datagrams, the UDP queries waiting on the
+	// meccdn_dns_tcp_rejected_total. Start resolves zero to 512; tests
+	// set it lower. A goroutine per connection is fine; an unbounded
+	// number of them under a SYN-rate attack is not.
+	maxConns int
+	// queueDepth bounds, in datagrams, the UDP queries waiting on the
 	// network at once (an upstream exchange, another query's flight),
-	// each on a goroutine of its own. Zero means 128 × GOMAXPROCS. A
-	// query that would have to wait beyond the bound is shed — no reply,
-	// counted in meccdn_dns_udp_dropped_total — while queries that need
-	// only the CPU (cache hits, zones, the C-DNS router) keep being
-	// answered: the paper's DoS-threshold behaviour.
-	QueueDepth int
+	// each on a goroutine of its own. Start resolves zero to 128 ×
+	// GOMAXPROCS; tests set it lower. A query that would have to wait
+	// beyond the bound is shed — no reply, counted in
+	// meccdn_dns_udp_dropped_total — while queries that need only the
+	// CPU (cache hits, zones, the C-DNS router) keep being answered: the
+	// paper's DoS-threshold behaviour.
+	queueDepth int64
 
 	mu       sync.Mutex
 	udps     []*net.UDPConn
@@ -285,7 +294,6 @@ type Server struct {
 	leads  chan *socketShard
 	live   atomic.Int32 // socket loops not yet ended
 	parked atomic.Int64 // UDP queries waiting on the network
-	depth  int64        // QueueDepth resolved at Start
 
 	ctrOnce     sync.Once
 	ctr         serveCounters
@@ -301,7 +309,7 @@ type Server struct {
 type serveCounters struct {
 	packets  *telemetry.Family // datagrams read off each socket, labelled by socket
 	batches  *telemetry.Family // reads that yielded >= 1 datagram
-	dropped  *telemetry.Family // datagrams shed at the QueueDepth bound
+	dropped  *telemetry.Family // datagrams shed at the queueDepth bound
 	served   *telemetry.Family // datagrams served, reply (if any) sent
 	sendErrs *telemetry.Family // response transmissions that failed
 	recvErrs *telemetry.Family // transient receive errors survived
@@ -319,7 +327,7 @@ func newServeCounters(sockets int) serveCounters {
 		batches: c("meccdn_dns_udp_batches_total",
 			"Socket reads that yielded at least one datagram; packets_total over batches_total is the achieved batching factor."),
 		dropped: c("meccdn_dns_udp_dropped_total",
-			"Datagrams shed because QueueDepth queries were already waiting on the network."),
+			"Datagrams shed because the UDP queue (128 x GOMAXPROCS queries waiting on the network) was full."),
 		served: c("meccdn_dns_udp_served_total", "Datagrams served, the reply (if any) sent."),
 		sendErrs: c("meccdn_dns_udp_send_errors_total",
 			"UDP response transmissions that failed at the socket."),
@@ -366,14 +374,6 @@ func (s *Server) socketCount() int {
 	return s.Sockets
 }
 
-// maxConns resolves the TCP concurrency cap.
-func (s *Server) maxConns() int {
-	if s.MaxConns > 0 {
-		return s.MaxConns
-	}
-	return 512
-}
-
 // counters returns the serve counters, built on first use with a cell
 // per socket Start will bind.
 func (s *Server) counters() *serveCounters {
@@ -390,7 +390,7 @@ func (s *Server) Collectors() []telemetry.Collector {
 	c := s.counters()
 	return []telemetry.Collector{
 		telemetry.NewGaugeFunc("meccdn_dns_udp_queue_depth",
-			"UDP queries waiting on the network (an upstream exchange or another query's flight), bounded by QueueDepth.",
+			"UDP queries waiting on the network (an upstream exchange or another query's flight), bounded by 128 x GOMAXPROCS.",
 			func() float64 { return float64(s.parked.Load()) }),
 		telemetry.NewCounterFunc("meccdn_dns_udp_packets_total", "Datagrams read off the UDP ingress sockets.",
 			func() float64 { return float64(c.packets.Sum()) }),
@@ -399,19 +399,19 @@ func (s *Server) Collectors() []telemetry.Collector {
 			"UDP ingress sockets sharing the listen address via SO_REUSEPORT.",
 			func() float64 { return float64(s.NumSockets()) }),
 		telemetry.NewCounterFunc("meccdn_dns_tcp_rejected_total",
-			"TCP connections closed at accept because MaxConns was reached.",
+			"TCP connections closed at accept because 512 were already open.",
 			func() float64 { return float64(s.tcpRejected.Load()) }),
 	}
 }
 
-// IngressLoad returns the share of QueueDepth in use as a fraction in
+// IngressLoad returns the share of the queue bound in use as a fraction in
 // [0, 1]: 0 when no UDP query is waiting on the network (or before
 // Start), 1 when the bound is reached and queries that would wait are
 // being shed. The mesh agent announces it to peer MECs as this site's
 // load.
 func (s *Server) IngressLoad() float64 {
 	s.mu.Lock()
-	depth := s.depth
+	depth := s.queueDepth
 	s.mu.Unlock()
 	if depth == 0 {
 		return 0
@@ -420,7 +420,7 @@ func (s *Server) IngressLoad() float64 {
 }
 
 // DroppedPackets returns the number of datagrams shed at the
-// QueueDepth bound since Start.
+// queueDepth bound since Start.
 func (s *Server) DroppedPackets() uint64 { return s.counters().dropped.Sum() }
 
 // BatchStats returns the ingress batching tallies since Start: packets
@@ -443,7 +443,7 @@ func (s *Server) SocketPackets() []uint64 { return s.counters().packets.Values()
 func (s *Server) ServedPackets() uint64 { return s.counters().served.Sum() }
 
 // RejectedConns returns the number of TCP connections refused at the
-// MaxConns cap since Start.
+// maxConns cap since Start.
 func (s *Server) RejectedConns() uint64 { return s.tcpRejected.Load() }
 
 // NumSockets returns the number of UDP ingress sockets actually bound;
@@ -495,9 +495,11 @@ func (s *Server) Start() error {
 	}
 	s.udps = udps
 	s.conns = make(map[net.Conn]struct{})
-	s.depth = int64(s.QueueDepth)
-	if s.depth <= 0 {
-		s.depth = 128 * int64(runtime.GOMAXPROCS(0))
+	if s.queueDepth <= 0 {
+		s.queueDepth = 128 * int64(runtime.GOMAXPROCS(0))
+	}
+	if s.maxConns <= 0 {
+		s.maxConns = 512
 	}
 	s.leads = make(chan *socketShard)
 	s.live.Store(int32(len(udps)))
@@ -766,14 +768,14 @@ func (g *udpServe) lead(sh *socketShard) {
 // leave first, then the socket — slots, cursor and all — goes to an
 // idle goroutine, or a new one if none is parked on leads; the query's
 // own packet stays behind with this goroutine, which will send its
-// reply itself. At QueueDepth waiting queries the answer is no, and
+// reply itself. At queueDepth waiting queries the answer is no, and
 // nothing has changed hands.
 func (g *udpServe) wait() bool {
 	sh, s := g.sh, g.s
 	if sh == nil || g.shed {
 		return !g.shed // asked before in this query: the answer stands
 	}
-	if s.parked.Add(1) > s.depth {
+	if s.parked.Add(1) > s.queueDepth {
 		s.parked.Add(-1)
 		g.shed = true
 		return false
@@ -889,7 +891,7 @@ func (s *Server) serveTCP() {
 			conn.Close()
 			return
 		}
-		if len(s.conns) >= s.maxConns() {
+		if len(s.conns) >= s.maxConns {
 			s.mu.Unlock()
 			// At the cap: refuse outright rather than queueing the
 			// accept — a connection held open while others starve is

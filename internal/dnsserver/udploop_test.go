@@ -234,7 +234,7 @@ func TestShedContract(t *testing.T) {
 		srv := &Server{
 			Addr:       "127.0.0.1:0",
 			Handler:    Chain(NewCache(vclock.NewReal()), hitZone(t), upstream),
-			QueueDepth: 4,
+			queueDepth: 4,
 		}
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)

@@ -515,11 +515,13 @@ func (p *ZonePlugin) match(qname string) *Zone {
 // allocating.
 const zoneAnswerRoom = 16
 
-// ServeDNS implements Plugin, writing the view's own records.
+// ServeDNS implements Plugin, writing the view's own records. Zones
+// hold IN records only: a question of another class (CH, HS) goes to
+// next.
 func (p *ZonePlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
 	qname := r.Name()
 	z := p.match(qname)
-	if z == nil {
+	if z == nil || !r.ClassIN() {
 		return next.ServeDNS(ctx, w, r)
 	}
 	hop := telemetry.StartHop(ctx, "zone")

@@ -159,7 +159,7 @@ func (c *Checker) RunOnce(ctx context.Context) {
 
 func (c *Checker) probeOne(ctx context.Context, t TargetID) {
 	cfg := c.Registry.Config()
-	ctx, cancel := context.WithTimeout(ctx, cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, cfg.ProbeTimeout())
 	defer cancel()
 	start := cfg.Clock.Now()
 	err := c.Prober.Probe(ctx, t)

@@ -66,8 +66,7 @@ func TestRunOnceSweepsAllTargets(t *testing.T) {
 // DownAfter probe intervals (plus jitter slack).
 func TestCheckerDemotesDeadTargetWithinBound(t *testing.T) {
 	r := New(Config{
-		ProbeInterval: 5 * time.Millisecond,
-		ProbeTimeout:  2 * time.Millisecond,
+		ProbeInterval: 5 * time.Millisecond, // probes time out at 2.5ms
 		DownAfter:     3,
 		UpAfter:       2,
 		MinDwell:      -1, // promotions gate on UpAfter alone here

@@ -88,9 +88,6 @@ type Config struct {
 	// ProbeInterval is the nominal time between probe sweeps; the
 	// Checker jitters each sweep by ±jitter of this. 0 means 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe exchange. 0 means half the probe
-	// interval, capped at 2s.
-	ProbeTimeout time.Duration
 	// DownAfter is the number of consecutive probe failures that
 	// demotes a target to down. 0 means 3.
 	DownAfter int
@@ -108,6 +105,10 @@ type Config struct {
 	Clock vclock.Clock
 }
 
+// ProbeTimeout bounds one probe exchange: half the probe interval,
+// capped at 2s.
+func (c Config) ProbeTimeout() time.Duration { return min(c.ProbeInterval/2, 2*time.Second) }
+
 // ewmaAlpha weighs the newest probe RTT in a target's smoothed latency
 // score.
 const ewmaAlpha = 0.2
@@ -116,12 +117,6 @@ const ewmaAlpha = 0.2
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval / 2
-		if c.ProbeTimeout > 2*time.Second {
-			c.ProbeTimeout = 2 * time.Second
-		}
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3

@@ -381,8 +381,11 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.ProbeInterval != time.Second || cfg.DownAfter != 3 || cfg.UpAfter != 2 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.ProbeTimeout != 500*time.Millisecond {
-		t.Fatalf("ProbeTimeout default = %v, want interval/2", cfg.ProbeTimeout)
+	if got := cfg.ProbeTimeout(); got != 500*time.Millisecond {
+		t.Fatalf("ProbeTimeout = %v, want interval/2", got)
+	}
+	if got := (Config{ProbeInterval: 10 * time.Second}).withDefaults().ProbeTimeout(); got != 2*time.Second {
+		t.Fatalf("ProbeTimeout at a 10s interval = %v, want the 2s cap", got)
 	}
 	if cfg.MinDwell != time.Second {
 		t.Fatalf("MinDwell default = %v, want ProbeInterval", cfg.MinDwell)

@@ -209,7 +209,7 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 		// own cache fleet, the same path ATC's health protocol takes.
 		site.checker = &health.Checker{
 			Registry: site.Health,
-			Prober:   &cdn.CacheProber{Endpoint: cdnsNode.Endpoint(), Timeout: site.Health.Config().ProbeTimeout},
+			Prober:   &cdn.CacheProber{Endpoint: cdnsNode.Endpoint(), Timeout: site.Health.Config().ProbeTimeout()},
 		}
 	}
 	cdnsSvc, err := orch.CreateService(orchestrator.ServiceSpec{

@@ -38,10 +38,6 @@ type Config struct {
 	AnswerAddr string
 	// Peers seeds the announce targets; AddPeer extends them later.
 	Peers []Peer
-	// AnnounceInterval is the gossip cadence for Start; zero means 2s.
-	// A peer stays steerable for staleAfterIntervals of it after its
-	// last applied announce.
-	AnnounceInterval time.Duration
 	// Health, when non-nil, folds per-peer failure detection into the
 	// registry: configured peers are registered as "peer:<name>"
 	// targets, every announce exchange reports as a probe, and a peer
@@ -64,6 +60,10 @@ type Config struct {
 }
 
 const (
+	// AnnounceInterval is the gossip cadence of Start. A peer stays
+	// steerable for staleAfterIntervals of it after its last applied
+	// announce.
+	AnnounceInterval = 2 * time.Second
 	// announceTimeout bounds one announce exchange.
 	announceTimeout = 2 * time.Second
 	// staleAfterIntervals is how many announce intervals a peer's last
@@ -137,9 +137,6 @@ func peerTarget(name string) string { return "peer:" + name }
 func NewAgent(cfg Config) *Agent {
 	if cfg.Site == "" {
 		cfg.Site = "mec"
-	}
-	if cfg.AnnounceInterval <= 0 {
-		cfg.AnnounceInterval = 2 * time.Second
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.NewReal()
@@ -391,7 +388,7 @@ func (a *Agent) publishLocked() {
 			updated: rec.updated,
 			cell:    cell,
 		}
-		e.ok = rec.addr.IsValid() && now-rec.updated <= staleAfterIntervals*a.cfg.AnnounceInterval && rec.load < peerLoadMax
+		e.ok = rec.addr.IsValid() && now-rec.updated <= staleAfterIntervals*AnnounceInterval && rec.load < peerLoadMax
 		if a.cfg.Health != nil && a.registered[name] {
 			rank, ewma := a.cfg.Health.Rank(cell.target)
 			ranks[name] = rank
@@ -461,7 +458,7 @@ func (a *Agent) Start() {
 	go func(stop <-chan struct{}, done chan<- struct{}) {
 		defer close(done)
 		a.AnnounceOnce()
-		t := time.NewTicker(a.cfg.AnnounceInterval)
+		t := time.NewTicker(AnnounceInterval)
 		defer t.Stop()
 		for {
 			select {

@@ -129,17 +129,20 @@ func TestMalformedAnnounceCountedAndDropped(t *testing.T) {
 
 func TestFreshnessExpiry(t *testing.T) {
 	clk := &vclock.Fixed{}
-	a := NewAgent(Config{Site: "site-a", Clock: clk, AnnounceInterval: time.Second})
+	a := NewAgent(Config{Site: "site-a", Clock: clk})
 	bitmap, k := testBitmap("seg-0001")
 	ann, _ := EncodeAnnounce("site-b", "10.0.0.2", 1, 1, 0, k, bitmap)
 	a.HandleDatagram(ann)
-	if _, ok := a.View().Lookup("seg-0001"); !ok {
-		t.Fatal("fresh announce not steerable")
-	}
-	// Past staleAfterIntervals (3× interval) the peer must leave the steering
-	// set at the next republish, even with no further datagrams.
-	clk.Time += 4 * time.Second
+	// Up to staleAfterIntervals (3× interval) the peer stays steerable.
+	clk.Time += staleAfterIntervals * AnnounceInterval
 	a.AnnounceOnce() // no transport: republish only
+	if _, ok := a.View().Lookup("seg-0001"); !ok {
+		t.Fatal("announce within 3 intervals not steerable")
+	}
+	// Past it the peer must leave the steering set at the next
+	// republish, even with no further datagrams.
+	clk.Time++
+	a.AnnounceOnce()
 	if _, ok := a.View().Lookup("seg-0001"); ok {
 		t.Fatal("stale peer still steerable")
 	}
@@ -217,11 +220,11 @@ func TestBoundedLoadCapsSteering(t *testing.T) {
 
 func TestEligibleOrderedFirst(t *testing.T) {
 	clk := &vclock.Fixed{}
-	a := NewAgent(Config{Site: "site-a", Clock: clk, AnnounceInterval: time.Second})
+	a := NewAgent(Config{Site: "site-a", Clock: clk})
 	bitmap, k := testBitmap("seg-0001")
 	stale, _ := EncodeAnnounce("site-old", "10.0.0.8", 1, 1, 0, k, bitmap)
 	a.HandleDatagram(stale)
-	clk.Time += 10 * time.Second
+	clk.Time += staleAfterIntervals*AnnounceInterval + 1
 	fresh, _ := EncodeAnnounce("site-new", "10.0.0.9", 1, 1, 0, k, bitmap)
 	a.HandleDatagram(fresh)
 	hit, ok := a.View().Lookup("seg-0001")
@@ -338,11 +341,10 @@ func TestStartStopAnnounceLoop(t *testing.T) {
 		}
 	}()
 	a := NewAgent(Config{
-		Site:             "site-a",
-		AnswerAddr:       "10.0.0.1",
-		AnnounceInterval: 20 * time.Millisecond,
-		Transport:        UDPTransport{},
-		Peers:            []Peer{{Name: "site-b", Addr: conn.LocalAddr().String()}},
+		Site:       "site-a",
+		AnswerAddr: "10.0.0.1",
+		Transport:  UDPTransport{},
+		Peers:      []Peer{{Name: "site-b", Addr: conn.LocalAddr().String()}},
 	})
 	a.Start()
 	defer a.Stop()
