@@ -19,10 +19,14 @@ all: vet test race build
 #    README's flag table, and every fixed tuning value read off a daemon built
 #    from deployment flags alone
 #  - the pool-ownership checker over every package that checks out packet buffers
-#  - the overload contract (hits never wait behind upstreams; read == served + shed) at 1, 2, 4 cores
+#  - the overload contract at 1, 2, 4 cores: hits never wait behind upstreams,
+#    CPU-only misses (zone and router answers) never wait and are answered
+#    behind a full queue, a refused joiner leaves its flight, the joiners of a
+#    leader shed at the exchange get SERVFAIL; read == served + shed
 #  - the recycled-span hazard (a hedge straggler reaching the next query),
-#    queries joining a flight at every moment of its leader's life, and hits
-#    racing the evictions that reuse their slots, 20 times under -race
+#    queries joining a flight at every moment of its leader's life, the joiners
+#    of a shed leader, and hits racing the evictions that reuse their slots,
+#    20 times under -race
 #  - allocation pins: the telemetry-on hit and the cache's store; the cache's
 #    slab (hash collisions, large images, flights and serve-stale outliving
 #    a slot's reuse) and its EDNS (OPT follows the asker, ECS source clamp)
@@ -38,8 +42,8 @@ all: vet test race build
 #  - allocation pin: the router's answer, table- and ring-routed, under a short
 #    CDN domain and an operator's long one
 #  - allocation budget: the P2 hop
-#  - the acceptance step: opcode and EDNS version refusals in front of a zone,
-#    a cache hit and a stub miss, counted on the chain's Metrics
+#  - the acceptance step: opcode, two-OPT and EDNS version refusals in front of
+#    a zone, a cache hit and a stub miss, counted on the chain's Metrics
 #  - fuzz: LPM lookup against its linear-scan twin
 #  - fuzz: the routes-file parser against a line-by-line reading into that twin
 #  - fuzz: the mesh ANNOUNCE codec round trip, both ways
@@ -47,8 +51,8 @@ all: vet test race build
 #  - fuzz: the ECS echo on arbitrary stored images
 #  - fuzz: SIEVE eviction against a reference SIEVE
 #  - fuzz: serveQuery, the one query-to-reply function every ingress uses (the
-#    reply keeps the query's opcode and question; a class other than IN or ANY
-#    gets no records)
+#    reply keeps the query's opcode and question; a class other than IN or ANY,
+#    or a query with two OPT records, gets no records)
 #  - fuzz: the walk that lets a reply be relayed undecoded
 #  - fuzz: the name codec
 #  - fuzz: the intern table never takes back a string it handed out
@@ -73,8 +77,8 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsclient/ ./internal/dnsserver/ ./internal/cdn/ ./internal/meccdn/ ./internal/resolver/ .
-	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract' -cpu 1,2,4 ./internal/dnsserver/
-	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery|TestSingleflightLateJoiner|TestSlabSlotReuseRace' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -race -run 'TestHitsDoNotWaitBehindUpstream|TestShedContract|TestCPUOnlyMisses|TestShedJoinerLeavesFlight|TestShedLeaderJoinersGetServfail' -cpu 1,2,4 ./internal/dnsserver/
+	$(GO) test -race -count 20 -run 'TestHedgeStragglerCannotReachNextQuery|TestSingleflightLateJoiner|TestShedLeaderJoinersGetServfail|TestSlabSlotReuseRace' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestServeQueryAllocs|TestStoreAllocBudget|TestSlab|TestFlightAnswerOutlivesEviction|TestServeStaleOwnKeyOnly|TestCacheOPTFollowsAsker|TestECSClampedAtIngress|TestOneNameCannotTakeTheCache' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestZoneAnswerAllocs' -cpu 1,2,4 ./internal/dnsserver/
 	$(GO) test -run 'TestMixedCaseHitAllocs|TestAcceptMatrix' -cpu 1,2,4 ./internal/dnsserver/

@@ -18,9 +18,9 @@ func TestBoundedLoadInvariant(t *testing.T) {
 		t.Run(fmt.Sprintf("c=%v", c), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(c * 1000)))
 			ring := NewHashRing()
-			ring.Replicas = 64
+			ring.replicas = 64
 			ring.Bounded = true
-			ring.LoadFactor = c
+			ring.loadFactor = c
 			live := map[string]bool{}
 			for i := 0; i < 4; i++ {
 				m := fmt.Sprintf("m-%02d", i)
@@ -125,7 +125,7 @@ func TestBoundedCapRelaxesOnMemberLoss(t *testing.T) {
 	}
 	sat := func() bool {
 		s := ring.state.Load()
-		return ring.Load("a") >= s.capacity(ring.loadFactor(), ring.total.Load())
+		return ring.Load("a") >= s.capacity(ring.factor(), ring.total.Load())
 	}
 	// Push "a" past the 4-member cap (the cap grows with total, so
 	// this converges once a's share beats c/members of the stream).
@@ -142,7 +142,7 @@ func TestBoundedCapRelaxesOnMemberLoss(t *testing.T) {
 	if sat() {
 		s := ring.state.Load()
 		t.Fatalf("cap did not relax: a load %d, cap %d after member loss",
-			ring.Load("a"), s.capacity(ring.loadFactor(), ring.total.Load()))
+			ring.Load("a"), s.capacity(ring.factor(), ring.total.Load()))
 	}
 	// And a's counter survived the rebuilds.
 	if ring.Load("a") != before {
@@ -155,7 +155,7 @@ func TestBoundedCapRelaxesOnMemberLoss(t *testing.T) {
 // the data-race certification for the shared load cells.
 func TestBoundedChurnRace(t *testing.T) {
 	ring := NewHashRing()
-	ring.Replicas = 32
+	ring.replicas = 32
 	ring.Bounded = true
 	for i := 0; i < 8; i++ {
 		ring.Add(fmt.Sprintf("m-%d", i))

@@ -13,7 +13,7 @@ import (
 // bit-identical across any refactor of the hash.
 func TestRingHashPinned(t *testing.T) {
 	r := NewHashRing()
-	r.Replicas = 4
+	r.replicas = 4
 	r.Add("cache-a")
 	r.Add("cache-b")
 	var got []string

@@ -65,22 +65,22 @@ func (s *ringState) capacity(c float64, total int64) int64 {
 // placement, benchmarked in the ablations).
 //
 // With Bounded set the ring implements consistent hashing with
-// bounded loads: each member is capped at LoadFactor× the mean load,
+// bounded loads: each member is capped at loadFactor× the mean load,
 // and a lookup whose ring owner is saturated spills deterministically
 // to the next owner with spare capacity. Load is whatever the caller
 // records via RecordLoad — the C-DNS router records one unit per
 // routing decision — and is decayed over time (DecayLoads), so the
 // cap tracks a recent-traffic window rather than all of history.
 type HashRing struct {
-	// Replicas is the number of virtual nodes per server; higher
-	// values smooth the distribution. Zero means 256.
-	Replicas int
+	// replicas is the number of virtual nodes per server; higher
+	// values smooth the distribution. Zero means 256; tests set it.
+	replicas int
 	// Bounded switches Owners/OwnersAppend to the bounded-load walk.
 	Bounded bool
-	// LoadFactor is the bounded-load factor c: no member may hold
+	// loadFactor is the bounded-load factor c: no member may hold
 	// more than ⌈c · mean load⌉. Values ≤ 1 (including zero) mean
-	// 1.25. Read when Bounded is set.
-	LoadFactor float64
+	// 1.25; tests set others. Read when Bounded is set.
+	loadFactor float64
 
 	state atomic.Pointer[ringState]
 	// wmu serializes Add/Remove; OwnersAppend/Members never take it.
@@ -122,8 +122,8 @@ func (r *HashRing) snapshot() *ringState {
 }
 
 // loadFactor returns the effective bounded-load factor.
-func (r *HashRing) loadFactor() float64 {
-	if c := r.LoadFactor; c > 1 {
+func (r *HashRing) factor() float64 {
+	if c := r.loadFactor; c > 1 {
 		return c
 	}
 	return 1.25
@@ -146,7 +146,7 @@ func (r *HashRing) rebuild(members []string) {
 		}
 		cells[i] = cell
 	}
-	replicas := r.Replicas
+	replicas := r.replicas
 	if replicas <= 0 {
 		replicas = 256
 	}
@@ -297,7 +297,7 @@ func (r *HashRing) ownersAppend(s *ringState, dst []string, key string, n int) [
 	// distinct-member tracking on every lookup; with c > 1 some
 	// member is always under the cap, so the walk terminates (the
 	// len(ring) bound only backstops a torn concurrent total).
-	capLoad := s.capacity(r.loadFactor(), r.total.Load())
+	capLoad := s.capacity(r.factor(), r.total.Load())
 	owner := s.ring[i%len(s.ring)].idx
 	spilled := false
 	rejects := uint64(0)
@@ -394,7 +394,7 @@ func (r *HashRing) LoadStats() (max int64, mean float64) {
 }
 
 // LoadSpread returns max/mean member load — 1.0 is perfectly even; a
-// bounded ring keeps this ≤ LoadFactor (plus rounding). Returns 0
+// bounded ring keeps this ≤ loadFactor (plus rounding). Returns 0
 // when the ring is empty or idle.
 func (r *HashRing) LoadSpread() float64 {
 	max, mean := r.LoadStats()

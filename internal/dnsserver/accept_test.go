@@ -47,6 +47,7 @@ func TestAcceptMatrix(t *testing.T) {
 	}{
 		{"opcode STATUS", func(q *dnswire.Message) { q.Opcode = dnswire.OpcodeStatus }, dnswire.RcodeNotImplemented},
 		{"OPT VERSION 1", func(q *dnswire.Message) { q.Additionals[0].(*dnswire.OPT).Hdr.TTL |= 1 << 16 }, dnswire.RcodeBadVers},
+		{"two OPT records", func(q *dnswire.Message) { q.Additionals = append(q.Additionals, dnswire.NewOPT(1232)) }, dnswire.RcodeFormatError},
 	} {
 		for _, col := range []struct {
 			name    string

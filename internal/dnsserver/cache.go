@@ -86,10 +86,11 @@ type Cache struct {
 	// upstream RTT at expiry. 0 disables; 0.1 refreshes hits landing
 	// in the last 10% of the TTL.
 	PrefetchFrac float64
-	// MaxPrefetch bounds concurrently running prefetches; 0 means 8.
-	// Attempts beyond the bound are dropped — the entry keeps serving
-	// until it actually expires — and counted in PrefetchDropped.
-	MaxPrefetch int
+	// maxPrefetch bounds concurrently running prefetches; 0 means 8,
+	// and tests set it lower. Attempts beyond the bound are dropped —
+	// the entry keeps serving until it actually expires — and counted
+	// in PrefetchDropped.
+	maxPrefetch int
 	// Background, when non-nil, has every prefetch goroutine register
 	// with it so a graceful drain waits for in-flight refreshes
 	// instead of leaking them; a started Server implements it.
@@ -426,7 +427,7 @@ func (c *Cache) init() {
 			prefetchDropped:   telemetry.NewCounter("meccdn_dns_cache_prefetch_dropped_total", "Prefetch attempts shed at the prefetch concurrency bound."),
 			staleServes:       telemetry.NewCounter("meccdn_dns_cache_stale_serves_total", "Expired entries served with a clamped TTL after an upstream failure (RFC 8767)."),
 		}
-		maxPrefetch := c.MaxPrefetch
+		maxPrefetch := c.maxPrefetch
 		if maxPrefetch <= 0 {
 			maxPrefetch = 8
 		}
@@ -702,27 +703,31 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 		return res.rcode, res.err
 	}
 	lookup.End("miss")
-	// A miss waits — on the flight it joins, or on whatever the rest of
-	// the chain does to resolve it. Refused, it must neither join nor
-	// lead: a shed leader would hand its failure to every waiter.
-	if !r.mayWait() {
-		return dnswire.RcodeServerFailure, errIngressFull
-	}
+	return c.miss(ctx, sh, h, key, w, r, next, stale)
+}
 
-	// Singleflight: join an in-flight exchange for this key, or
-	// become the leader of a new one.
+// miss resolves r, whose lookup found nothing live under key (hash h,
+// in sh): it leads a new flight (fill), or joins the one resolving key
+// and only then, about to block on its leader, asks to wait, leaving the
+// flight if refused. A leader asks nothing; a link behind it that blocks does.
+func (c *Cache) miss(ctx context.Context, sh *cacheShard, h uint64, key []byte, w ResponseWriter, r *Request, next Handler, stale int) (dnswire.Rcode, error) {
 	sh.mu.Lock()
-	if f := sh.findFlight(h, key); f != nil {
-		if f.done == nil {
-			f.done = make(chan struct{})
-		}
-		f.refs++
-		done := f.done
-		c.ctr.coalesced.Inc()
+	f := sh.findFlight(h, key)
+	if f == nil {
+		f = sh.startFlight(h, key)
 		sh.mu.Unlock()
+		return c.fill(ctx, sh, f, w, r, next, stale)
+	}
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	f.refs++
+	done := f.done
+	sh.mu.Unlock()
+	rcode, err := dnswire.RcodeServerFailure, errIngressFull
+	if r.mayWait() {
+		c.ctr.coalesced.Inc()
 		wait := telemetry.StartHop(ctx, "coalesce")
-		var rcode dnswire.Rcode
-		var err error
 		select {
 		case <-done:
 			wait.End("shared")
@@ -731,14 +736,11 @@ func (c *Cache) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next
 			wait.End("canceled")
 			rcode, err = dnswire.RcodeServerFailure, ctx.Err()
 		}
-		sh.mu.Lock()
-		sh.leave(f)
-		sh.mu.Unlock()
-		return rcode, err
 	}
-	f := sh.startFlight(h, key)
+	sh.mu.Lock()
+	sh.leave(f)
 	sh.mu.Unlock()
-	return c.fill(ctx, sh, f, w, r, next, stale)
+	return rcode, err
 }
 
 // replyShared replies to a query that joined flight f, once f is done:
@@ -758,24 +760,30 @@ func (c *Cache) replyShared(w ResponseWriter, r *Request, f *flight) (dnswire.Rc
 // scope stale, -1 for none; any scope for a query without ECS — that
 // entry is served if it is still there and in its RFC 8767 window:
 // better a recently-true answer than a SERVFAIL, for a bounded window.
+// A leader refused at the exchange (errIngressFull) writes nothing and
+// is not served stale; its joiners, let wait, get SERVFAIL (errLeaderShed).
 func (c *Cache) fill(ctx context.Context, sh *cacheShard, f *flight, w ResponseWriter, r *Request, next Handler, stale int) (dnswire.Rcode, error) {
 	rec := &f.rec
 	rec.limit = dnswire.MaxMessageSize
-	f.rcode, f.err = next.ServeDNS(ctx, rec, r)
-	if f.err == nil && rec.buf != nil {
+	rcode, err := next.ServeDNS(ctx, rec, r)
+	f.rcode, f.err = rcode, err
+	shed := err == errIngressFull
+	if shed {
+		f.err = errLeaderShed
+	} else if err == nil && rec.buf != nil {
 		if img, err := dnswire.PatchOffsets(rec.buf[:rec.n], f.ttls[:0]); err == nil {
 			f.ttls, f.answered = img.TTLs, true
 			f.at = imageAt{ecs: img.ECS, opt: img.OPT, rcode: img.Rcode}
 			c.store(r, rec.buf[:rec.n], &img)
 		}
 	}
-	if stale >= 0 && (!f.answered || failoverRcode(f.at.rcode)) && c.loadStale(r, stale, f) {
+	if stale >= 0 && !shed && (!f.answered || failoverRcode(f.at.rcode)) && c.loadStale(r, stale, f) {
 		c.ctr.staleServes.Inc()
 	}
 	// Alone, the leader takes the image over; with waiters it copies it
 	// like they do, and the last to leave recycles the flight.
 	var buf []byte
-	n, at, answered, rcode, err := rec.n, f.at, f.answered, f.rcode, f.err
+	n, at, answered := rec.n, f.at, f.answered
 	sh.mu.Lock()
 	sh.endFlight(f)
 	done, alone := f.done, f.refs == 1

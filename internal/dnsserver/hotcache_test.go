@@ -130,13 +130,13 @@ func TestRefreshAheadKeepsHotNameAnswered(t *testing.T) {
 
 // TestPrefetchDedupAndBound pins the two prefetch throttles: the
 // per-entry latch collapses repeated in-window hits to one refresh,
-// and the MaxPrefetch semaphore sheds refreshes beyond the bound
+// and the maxPrefetch semaphore sheds refreshes beyond the bound
 // (counted, entry unlatched for a later retry).
 func TestPrefetchDedupAndBound(t *testing.T) {
 	clock := &vclock.Fixed{}
 	cache := NewCache(clock)
 	cache.PrefetchFrac = 0.5
-	cache.MaxPrefetch = 1
+	cache.maxPrefetch = 1
 	origin := newFakeOrigin(10)
 	h := Chain(cache, origin)
 
@@ -157,7 +157,7 @@ func TestPrefetchDedupAndBound(t *testing.T) {
 	// must be shed, not queued.
 	Resolve(context.Background(), h, queryFor("b.dedup.test."))
 	if s := cache.Stats(); s.PrefetchDropped != 1 {
-		t.Errorf("dropped=%d after hitting the MaxPrefetch bound, want 1", s.PrefetchDropped)
+		t.Errorf("dropped=%d after hitting the maxPrefetch bound, want 1", s.PrefetchDropped)
 	}
 	release()
 	waitFor(t, 2*time.Second, func() bool { return origin.served.Load() == 3 })

@@ -512,6 +512,10 @@ func FuzzServeQuery(f *testing.F) {
 			q.SetQuestion("www.fuzz.test.", dnswire.TypeA)
 			q.Questions[0].Class = 3 // CH
 		},
+		func(q *dnswire.Message) {
+			ecsQuery("www.fuzz.test.", "10.1.2.0/24")(q)
+			q.Additionals = append(q.Additionals, dnswire.NewOPT(1232))
+		},
 	} {
 		q := new(dnswire.Message)
 		build(q)
@@ -565,6 +569,17 @@ func FuzzServeQuery(f *testing.F) {
 			}
 			if len(m.Questions) != min(len(query.Questions), 1) || len(m.Questions) == 1 && m.Questions[0] != query.Questions[0] {
 				t.Fatalf("limit %d: question %v in the reply to %v", limit, m.Questions, query.Questions)
+			}
+			// RFC 6891 §6.1.1: a query with more than one OPT record is
+			// malformed, and gets no answer.
+			opts := 0
+			for _, rr := range query.Additionals {
+				if rr.Header().Type == dnswire.TypeOPT {
+					opts++
+				}
+			}
+			if opts > 1 && len(m.Answers) > 0 {
+				t.Fatalf("limit %d: %d answer records to a query with %d OPT records", limit, len(m.Answers), opts)
 			}
 			// The zone holds IN records only: a question of another
 			// class is never answered from it.

@@ -90,12 +90,15 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 // and accept returns its rcode and true. A query to serve gets false.
 //   - An opcode other than QUERY: NOTIMP, the opcode echoed (RFC 1035
 //     §4.1.1).
+//   - More than one OPT record: FORMERR (RFC 6891 §6.1.1).
 //   - An OPT of a version other than 0: BADVERS, in an OPT of version 0
 //     (RFC 6891 §6.1.3).
 func accept(h Handler, w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 	var rcode dnswire.Rcode
 	if r.Msg.Opcode != dnswire.OpcodeQuery {
 		rcode = dnswire.RcodeNotImplemented
+	} else if len(r.Msg.Additionals) > 1 && countOPT(r.Msg.Additionals) > 1 {
+		rcode = dnswire.RcodeFormatError
 	} else if opt, edns := r.Msg.OPT(); edns && opt.Version() != 0 {
 		rcode = dnswire.RcodeBadVers
 	} else {
@@ -108,6 +111,17 @@ func accept(h Handler, w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 		}
 	}
 	return rcode, true
+}
+
+// countOPT returns the number of OPT records in rrs.
+func countOPT(rrs []dnswire.RR) int {
+	n := 0
+	for _, rr := range rrs {
+		if _, ok := rr.(*dnswire.OPT); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // replyImage is the one ResponseWriter the chain is run against, by the

@@ -67,18 +67,21 @@ type Request struct {
 	addedOPT bool
 }
 
-// mayWait is called by a plugin that is about to wait on anything but
-// the CPU — an upstream exchange, another query's flight — before it
-// touches state other queries can see. On the UDP ingress it gives the
-// socket this goroutine is serving to another goroutine, so queries
-// behind this one are not held up by the wait. False means the server
-// already has queueDepth queries waiting: the plugin returns at once
-// with errIngressFull, no reply is made and the datagram is shed.
+// mayWait is asked by the code about to block on anything but the CPU,
+// and by nothing else (see Plugin). On the UDP ingress it gives the
+// socket this goroutine serves to another goroutine, so the queries
+// behind this one are not held up. False means queueDepth queries are
+// waiting already: the caller returns errIngressFull at once, and the
+// datagram is shed without a reply.
 func (r *Request) mayWait() bool { return r.wait == nil || r.wait() }
 
 // errIngressFull is what a plugin returns when mayWait said no;
 // ResolveTo synthesizes no response for it.
 var errIngressFull = errors.New("dnsserver: too many queries waiting on the network")
+
+// errLeaderShed is what the joiners of a cache flight whose leader was
+// shed get: they were let wait, so they get SERVFAIL.
+var errLeaderShed = errors.New("dnsserver: the query this one waited on was shed")
 
 // Name returns the canonicalized first question name.
 func (r *Request) Name() string {
@@ -139,9 +142,9 @@ func (f HandlerFunc) ServeDNS(ctx context.Context, w ResponseWriter, r *Request)
 }
 
 // Plugin is one link of a server chain. The UDP ingress runs the chain
-// on the goroutine that reads the socket, so the rule is: a plugin that
-// waits on anything but the CPU says so first (Request.mayWait, as
-// Forward and Cache do); one that only computes just answers.
+// on the goroutine that reads the socket, so the rule is: only the code
+// that blocks asks to wait (Request.mayWait: Forward before its exchange,
+// a cache miss once it joins another's flight); the rest just answers.
 type Plugin interface {
 	// Name identifies the plugin in metrics and errors.
 	Name() string
@@ -272,11 +275,11 @@ type Server struct {
 	// queueDepth bounds, in datagrams, the UDP queries waiting on the
 	// network at once (an upstream exchange, another query's flight),
 	// each on a goroutine of its own. Start resolves zero to 128 ×
-	// GOMAXPROCS; tests set it lower. A query that would have to wait
-	// beyond the bound is shed — no reply, counted in
-	// meccdn_dns_udp_dropped_total — while queries that need only the
-	// CPU (cache hits, zones, the C-DNS router) keep being answered: the
-	// paper's DoS-threshold behaviour.
+	// GOMAXPROCS; tests set it lower. A query refused a place (only
+	// the code that blocks asks, Request.mayWait) is shed — no reply,
+	// counted in meccdn_dns_udp_dropped_total — while queries that need
+	// only the CPU (hits; zone and router answers, cached or not) keep
+	// being answered: the paper's DoS-threshold behaviour.
 	queueDepth int64
 
 	mu       sync.Mutex
@@ -516,24 +519,16 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// listenUDP binds the UDP ingress socket set: a single plain socket
-// for socketCount() == 1, or N SO_REUSEPORT-sharing sockets bound to
-// the same address. With a ":0" listen address the first socket picks
-// the port and the rest join it.
+// listenUDP binds the UDP ingress socket set: socketCount() sockets on
+// the same address, sharing it through SO_REUSEPORT when there is more
+// than one. With a ":0" listen address the first socket picks the port
+// and the rest join it.
 func (s *Server) listenUDP() ([]*net.UDPConn, error) {
 	n := s.socketCount()
-	if n == 1 {
-		uaddr, err := net.ResolveUDPAddr("udp", s.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("resolving %q: %w", s.Addr, err)
-		}
-		conn, err := net.ListenUDP("udp", uaddr)
-		if err != nil {
-			return nil, fmt.Errorf("listening udp %q: %w", s.Addr, err)
-		}
-		return []*net.UDPConn{conn}, nil
+	var lc net.ListenConfig
+	if n > 1 {
+		lc.Control = controlReusePort
 	}
-	lc := net.ListenConfig{Control: controlReusePort}
 	conns := make([]*net.UDPConn, 0, n)
 	addr := s.Addr
 	for i := 0; i < n; i++ {
@@ -662,16 +657,13 @@ type BackgroundTracker interface {
 	TrackBackground() (done func(), ok bool)
 }
 
-// TrackBackground implements BackgroundTracker on the server's
-// in-flight WaitGroup, under the same mutex ordering as track(): no
-// tracked work can begin after Shutdown starts waiting.
+// TrackBackground implements BackgroundTracker: it registers the work
+// as track registers a query, so no tracked work can begin after
+// Shutdown starts waiting.
 func (s *Server) TrackBackground() (done func(), ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
+	if !s.track() {
 		return nil, false
 	}
-	s.inflight.Add(1)
 	return s.inflight.Done, true
 }
 

@@ -13,6 +13,7 @@ import (
 	"net/netip"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -241,7 +242,7 @@ func TestShedContract(t *testing.T) {
 		}
 		defer srv.Close()
 		f := dialFlow(t, srv)
-		f.send("www.hit.test.", 0) // warm: a miss the zone answers, so it waits but never reaches the gate
+		f.send("www.hit.test.", 0) // warm: a miss the zone answers from the CPU, so it neither waits nor reaches the gate
 		if _, _, ok := f.recv(2 * time.Second); !ok {
 			t.Fatal("warm-up lost")
 		}
@@ -286,6 +287,285 @@ func TestShedContract(t *testing.T) {
 			t.Errorf("IngressLoad = %v after the drain, want 0", got)
 		}
 	})
+}
+
+// cdnRouter stands in for the embedded C-DNS router (a *cdn.Router,
+// which this package's tests cannot import): it answers every name
+// under cdn.test. from the CPU and passes the rest on.
+type cdnRouter struct{}
+
+func (cdnRouter) Name() string { return "router" }
+func (cdnRouter) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
+	if !dnswire.IsSubdomain("cdn.test.", r.Name()) {
+		return next.ServeDNS(ctx, w, r)
+	}
+	return answerHandler("203.0.113.1").ServeDNS(ctx, w, r)
+}
+
+// TestCPUOnlyMissesDoNotAsk: only the code that blocks asks to wait. A
+// cache miss the zone or the router answers never calls the wait hook;
+// a miss that reaches the upstream asks once, there.
+func TestCPUOnlyMissesDoNotAsk(t *testing.T) {
+	upstream := make(gate)
+	close(upstream) // it asks, then answers at once
+	chain := Chain(NewCache(vclock.NewReal()), hitZone(t), cdnRouter{}, upstream)
+	asked := 0
+	st := &serveScratch{intern: dnswire.NewNameIntern(0), wait: func() bool { asked++; return true }}
+	client := netip.MustParseAddrPort("198.51.100.9:5300")
+	for _, tc := range []struct {
+		name  string
+		asks  int
+		rcode dnswire.Rcode
+	}{
+		{"www.hit.test.", 0, dnswire.RcodeSuccess},    // a zone answer, stored
+		{"nope.hit.test.", 0, dnswire.RcodeNameError}, // a zone NXDOMAIN, stored
+		{"a.cdn.test.", 0, dnswire.RcodeSuccess},      // a router answer, stored
+		{"www.hit.test.", 0, dnswire.RcodeSuccess},    // a hit
+		{"m.miss.test.", 1, dnswire.RcodeRefused},     // the upstream's exchange asks
+		{"WWW.CDN.TEST.", 0, dnswire.RcodeSuccess},    // another router answer
+		{"m.miss.test.", 1, dnswire.RcodeRefused},     // REFUSED is not stored: asks again
+	} {
+		before := asked
+		q := new(dnswire.Message)
+		q.SetQuestion(tc.name, dnswire.TypeA)
+		buf, _ := serveQuery(context.Background(), chain, nil, st, mustPack(t, q), client, "udp", maxUDPPayload)
+		if buf == nil {
+			t.Fatalf("%s: no reply", tc.name)
+		}
+		rcode := dnswire.Rcode(buf[3] & 0xF)
+		dnswire.PutBuffer(buf)
+		if got := asked - before; got != tc.asks || rcode != tc.rcode {
+			t.Errorf("%s: asked to wait %d times, rcode %v; want %d, %v", tc.name, got, rcode, tc.asks, tc.rcode)
+		}
+	}
+}
+
+// TestCPUOnlyMissesAnsweredWhenQueueFull is the DoS-threshold promise
+// for names not yet cached: with queueDepth queries parked at a shut
+// upstream, a never-seen zone name and a never-seen router name are
+// answered, nothing more is shed and no place in the queue is taken.
+func TestCPUOnlyMissesAnsweredWhenQueueFull(t *testing.T) {
+	upstream := make(gate)
+	srv := &Server{
+		Addr:       "127.0.0.1:0",
+		Handler:    Chain(NewCache(vclock.NewReal()), hitZone(t), cdnRouter{}, upstream),
+		queueDepth: 4,
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(upstream)
+	f := dialFlow(t, srv)
+	for i := 0; i < 4; i++ {
+		f.send(fmt.Sprintf("m%d.miss.test.", i), uint16(100+i))
+	}
+	waitFor(t, 2*time.Second, func() bool { return srv.IngressLoad() == 1 })
+	for i, name := range []string{"www.hit.test.", "nope.hit.test.", "a.cdn.test.", "b.cdn.test."} {
+		f.send(name, uint16(i))
+		id, rcode, ok := f.recv(2 * time.Second)
+		if !ok || id != uint16(i) || rcode == dnswire.RcodeServerFailure {
+			t.Fatalf("%s, never seen, behind a full queue: ok=%v id=%d rcode=%v", name, ok, id, rcode)
+		}
+		if got := srv.IngressLoad(); got != 1 {
+			t.Errorf("%s: IngressLoad = %v, want 1 (the four parked queries)", name, got)
+		}
+	}
+	if n := srv.DroppedPackets(); n != 0 {
+		t.Errorf("%d datagrams shed; a miss the CPU answers must not be", n)
+	}
+}
+
+// hold is a plugin that, once armed, keeps the next query for name on
+// the goroutine serving it until released: it does not say it waits,
+// so on UDP it holds the socket's lead.
+type hold struct {
+	name             string
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (h *hold) Name() string { return "hold" }
+func (h *hold) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
+	if r.Name() == h.name && h.armed.CompareAndSwap(true, false) {
+		close(h.entered)
+		<-h.release
+	}
+	return next.ServeDNS(ctx, w, r)
+}
+
+// tcpAsk sends one A question for name over a new TCP connection to
+// srv and returns the reply's rcode, ok=false if none arrived.
+func tcpAsk(srv *Server, name string) (rcode dnswire.Rcode, ok bool) {
+	conn, err := net.Dial("tcp", srv.LocalAddr().String())
+	if err != nil {
+		return 0, false
+	}
+	defer conn.Close()
+	q := new(dnswire.Message)
+	q.SetQuestion(name, dnswire.TypeA)
+	wire, err := q.Pack()
+	if err != nil {
+		return 0, false
+	}
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if dnswire.WriteTCP(conn, wire) != nil {
+		return 0, false
+	}
+	reply, err := dnswire.ReadTCP(conn)
+	if err != nil {
+		return 0, false
+	}
+	defer dnswire.PutBuffer(reply)
+	return dnswire.Rcode(reply[3] & 0xF), len(reply) >= 12
+}
+
+// TestShedLeaderJoinersGetServfail: a cache leader refused at the
+// exchange after another query joined its flight drops nobody silently.
+// The joiner, which was let wait, gets SERVFAIL; the leader gets no
+// reply — no stale entry revives it — and is counted once as shed;
+// every datagram read is served or shed, and every pooled buffer comes
+// back (run it with -tags pooldebug).
+func TestShedLeaderJoinersGetServfail(t *testing.T) {
+	const name = "x.shed.test."
+	clock := new(stepClock)
+	cache := NewCache(clock)
+	cache.MaxStale = time.Hour
+	shut, warmed := make(gate), atomic.Bool{}
+	// The upstream asks, as Forward does; it answers the warm-up, then
+	// holds every query at the shut gate.
+	upstream := pluginize(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		if !r.mayWait() {
+			return dnswire.RcodeServerFailure, errIngressFull
+		}
+		if warmed.CompareAndSwap(false, true) {
+			return answerHandler("192.0.2.99").ServeDNS(ctx, w, r)
+		}
+		<-shut
+		return dnswire.RcodeRefused, nil
+	}))
+	held := &hold{name: name, entered: make(chan struct{}), release: make(chan struct{})}
+	srv := &Server{Addr: "127.0.0.1:0", Handler: Chain(cache, held, upstream), queueDepth: 2}
+	base := poolOutstanding()
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	release := sync.OnceFunc(func() { close(held.release) })
+	defer release()
+	open := sync.OnceFunc(func() { close(shut) })
+	defer open()
+
+	// The name's entry expires into its serve-stale window: a failed
+	// refill would be answered from it.
+	f := dialFlow(t, srv)
+	f.send(name, 1)
+	if _, rcode, ok := f.recv(2 * time.Second); !ok || rcode != dnswire.RcodeSuccess {
+		t.Fatalf("warm-up: ok=%v rcode=%v", ok, rcode)
+	}
+	clock.Advance(time.Minute)
+	waitFor(t, 2*time.Second, func() bool { return srv.IngressLoad() == 0 }) // the warm-up's place is free
+	// Both places in the queue are taken.
+	f.send("m0.shed.test.", 100)
+	f.send("m1.shed.test.", 101)
+	waitFor(t, 2*time.Second, func() bool { return srv.IngressLoad() == 1 })
+
+	// The leader's refill is held in front of the upstream while a TCP
+	// query, which no queue bounds, joins its flight.
+	held.armed.Store(true)
+	f.send(name, 2)
+	select {
+	case <-held.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the refill never led a flight: the miss was shed at the cache")
+	}
+	joiner := make(chan dnswire.Rcode, 1)
+	go func() {
+		rcode, ok := tcpAsk(srv, name)
+		if !ok {
+			rcode = 0xF // no reply: not an rcode the test expects
+		}
+		joiner <- rcode
+	}()
+	waitFor(t, 2*time.Second, func() bool { return cache.Stats().Coalesced == 1 })
+	release()
+	select {
+	case rcode := <-joiner:
+		if rcode != dnswire.RcodeServerFailure {
+			t.Errorf("the joiner of a shed leader got rcode %v, want SERVFAIL", rcode)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the joiner of a shed leader got no reply")
+	}
+	waitFor(t, 2*time.Second, func() bool { return srv.DroppedPackets() == 1 })
+
+	open()
+	for i := 0; i < 2; i++ {
+		if id, rcode, ok := f.recv(2 * time.Second); !ok || id < 100 || rcode != dnswire.RcodeRefused {
+			t.Fatalf("released query %d: ok=%v id=%d rcode=%v", i, ok, id, rcode)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if id, _, ok := f.recv(50 * time.Millisecond); ok {
+		t.Errorf("the shed leader was answered (id %d)", id)
+	}
+	packets, _ := srv.BatchStats()
+	if served, dropped := srv.ServedPackets(), srv.DroppedPackets(); packets != 4 || served != 3 || dropped != 1 {
+		t.Errorf("read %d, served %d, shed %d; want 4, 3, 1", packets, served, dropped)
+	}
+	if st := cache.Stats(); st.StaleServes != 0 {
+		t.Errorf("%d stale serves: the shed leader was revived", st.StaleServes)
+	}
+	waitFor(t, 2*time.Second, func() bool { return poolOutstanding() <= base })
+}
+
+// TestShedJoinerLeavesFlight: a query refused when it asks to wait on
+// another query's flight leaves the flight at once, with no reply; the
+// leader, now alone, answers from its own exchange, and the flight and
+// its buffer go back for the next miss.
+func TestShedJoinerLeavesFlight(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	backend := HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		close(entered)
+		<-release
+		return answerHandler("192.0.2.77").ServeDNS(ctx, w, r)
+	})
+	cache := NewCache(vclock.NewReal())
+	h := Chain(cache, pluginize(backend))
+	base := poolOutstanding()
+	leader := make(chan *dnswire.Message, 1)
+	go func() { leader <- Resolve(context.Background(), h, queryFor("join.test.")) }()
+	<-entered
+
+	asked := 0
+	st := &serveScratch{intern: dnswire.NewNameIntern(0), wait: func() bool { asked++; return false }}
+	q := new(dnswire.Message)
+	q.SetQuestion("join.test.", dnswire.TypeA)
+	if buf, _ := serveQuery(context.Background(), h, nil, st, mustPack(t, q), netip.MustParseAddrPort("198.51.100.9:5300"), "udp", maxUDPPayload); buf != nil {
+		dnswire.PutBuffer(buf)
+		t.Error("a joiner refused a place in the queue was answered")
+	}
+	if asked != 1 || cache.Stats().Coalesced != 0 {
+		t.Errorf("the joiner asked %d times and was counted coalesced %d times; want 1 and 0", asked, cache.Stats().Coalesced)
+	}
+	close(release)
+	if resp := <-leader; resp == nil || len(resp.Answers) != 1 {
+		t.Fatalf("the leader got %v", resp)
+	}
+	for _, sh := range cache.shards {
+		sh.mu.Lock()
+		if len(sh.flights) != 0 {
+			t.Errorf("%d flights still indexed", len(sh.flights))
+		}
+		sh.mu.Unlock()
+	}
+	if out := poolOutstanding(); out != base {
+		t.Errorf("%d pooled buffers outstanding", out-base)
+	}
 }
 
 // TestDrainSweepsSocketBuffer: datagrams the kernel was still holding

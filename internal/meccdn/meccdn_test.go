@@ -175,7 +175,7 @@ func TestMulticastTakesFasterResolver(t *testing.T) {
 func TestFallbackOnTimeout(t *testing.T) {
 	d := deploy(t, 7, nil)
 	d.ue.Mode = FallbackOnTimeout
-	d.ue.MECBudget = 30 * time.Millisecond
+	d.ue.mecBudget = 30 * time.Millisecond
 	// A name only the provider knows: the MEC DNS forwards it too,
 	// so make the MEC unreachable instead to force the fallback.
 	d.ue.MEC = netip.AddrPortFrom(d.tb.Net.Node("origin").Addr, 53) // origin is not a DNS server
@@ -187,7 +187,7 @@ func TestFallbackOnTimeout(t *testing.T) {
 		t.Errorf("source = %s", res.Source)
 	}
 	// The paid MEC budget must be reflected in the reported RTT.
-	if res.RTT < d.ue.MECBudget {
+	if res.RTT < d.ue.mecBudget {
 		t.Errorf("RTT %v does not include the wasted MEC budget", res.RTT)
 	}
 }

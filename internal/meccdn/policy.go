@@ -69,8 +69,8 @@ type UEClient struct {
 	Provider netip.AddrPort
 	// Mode selects the policy; zero value is MECOnly.
 	Mode ResolutionMode
-	// MECBudget is the FallbackOnTimeout patience; 0 means 50ms.
-	MECBudget time.Duration
+	// mecBudget is the FallbackOnTimeout patience; 0 (all but tests) means 50ms.
+	mecBudget time.Duration
 }
 
 // ueTimeout is the UE's overall per-target budget.
@@ -84,7 +84,7 @@ func (c *UEClient) Resolve(name string) (*Result, error) {
 	case Multicast:
 		return c.multicast(name)
 	case FallbackOnTimeout:
-		res, err := c.unicast(name, c.MEC, "mec", c.mecBudget())
+		res, err := c.unicast(name, c.MEC, "mec", c.budget())
 		if err == nil {
 			return res, nil
 		}
@@ -93,16 +93,16 @@ func (c *UEClient) Resolve(name string) (*Result, error) {
 			return nil, fmt.Errorf("both resolvers failed: mec: %v; provider: %w", err, err2)
 		}
 		// The client paid the MEC budget before falling back.
-		res2.RTT += c.mecBudget()
+		res2.RTT += c.budget()
 		return res2, nil
 	default:
 		return c.unicast(name, c.MEC, "mec", ueTimeout)
 	}
 }
 
-func (c *UEClient) mecBudget() time.Duration {
-	if c.MECBudget > 0 {
-		return c.MECBudget
+func (c *UEClient) budget() time.Duration {
+	if c.mecBudget > 0 {
+		return c.mecBudget
 	}
 	return 50 * time.Millisecond
 }

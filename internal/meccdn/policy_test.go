@@ -39,7 +39,7 @@ func TestUEClientMulticastBothDead(t *testing.T) {
 func TestUEClientFallbackBothDead(t *testing.T) {
 	d := deploy(t, 92, nil)
 	d.ue.Mode = FallbackOnTimeout
-	d.ue.MECBudget = 10 * time.Millisecond
+	d.ue.mecBudget = 10 * time.Millisecond
 	dead := addrPortOf(d.tb.Net.Node("origin").Addr)
 	d.ue.MEC, d.ue.Provider = dead, dead
 	if _, err := d.ue.Resolve("x.test."); err == nil {

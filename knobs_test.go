@@ -51,10 +51,6 @@ var knobTypes = map[string][]string{
 // knobsWithoutProgramSetter are the fields that stay although no
 // program sets them outside their declaring file.
 var knobsWithoutProgramSetter = map[string]bool{
-	// TestPrefetchDedupAndBound sets it to pin the in-flight bound.
-	"internal/dnsserver.Cache.MaxPrefetch": true,
-	// The fallback-timeout tests shorten the MEC attempt's budget.
-	"internal/meccdn.UEClient.MECBudget": true,
 	// New sets it from its argument.
 	"internal/resolver.Resolver.Roots": true,
 	// AddStub and AddPoP, the -stub and -pop flag functions, append
@@ -63,10 +59,6 @@ var knobsWithoutProgramSetter = map[string]bool{
 	"internal/dnsd.Config.PoPs":  true,
 	// Profile data: LTE4G and NR5G set it.
 	"internal/lte.AirProfile.Delay": true,
-	// TestRingHashPinned pins placement vectors at 4 virtual nodes.
-	"internal/cdn.HashRing.Replicas": true,
-	// TestBoundedLoadInvariant checks the cap at c ∈ {1.1, 1.25, 2.0}.
-	"internal/cdn.HashRing.LoadFactor": true,
 }
 
 // goFile is one parsed non-test file with the package directory it
