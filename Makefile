@@ -13,8 +13,8 @@ all: vet test race build
 #  - vet the pool-ownership checker's packages under -tags pooldebug
 #  - build everything
 #  - the test suite under the race detector, including the linked-function
-#    check (every internal/ function is linked by a command, an example,
-#    the benchmark or the root test binary), the setter check (every setting
+#    check (every internal/ function is linked by a command, an example or
+#    the benchmark; tests do not count), the setter check (every setting
 #    of a config type is set by a program), and dnsd's flags: `dnsd -h`, the
 #    README's flag table, and every fixed tuning value read off a daemon built
 #    from deployment flags alone
@@ -42,8 +42,9 @@ all: vet test race build
 #  - allocation pin: the router's answer, table- and ring-routed, under a short
 #    CDN domain and an operator's long one
 #  - allocation budget: the P2 hop
-#  - the acceptance step: opcode, two-OPT and EDNS version refusals in front of
-#    a zone, a cache hit and a stub miss, counted on the chain's Metrics
+#  - the acceptance step: opcode, two-OPT, EDNS version and malformed-ECS
+#    refusals in front of a zone, a cache hit and a stub miss, counted on
+#    the chain's Metrics
 #  - fuzz: LPM lookup against its linear-scan twin
 #  - fuzz: the routes-file parser against a line-by-line reading into that twin
 #  - fuzz: the mesh ANNOUNCE codec round trip, both ways

@@ -49,7 +49,7 @@ func Example() {
 func ExampleNewZone() {
 	zone := meccdn.NewZone("mycdn.ciab.test.")
 	_ = zone.AddCNAME("video.demo1.mycdn.ciab.test.", 300, "edge1.mycdn.ciab.test.")
-	res, answers, _ := zone.Lookup("video.demo1.mycdn.ciab.test.", meccdn.TypeCNAME)
+	res, answers, _ := zone.View().Lookup("video.demo1.mycdn.ciab.test.", meccdn.TypeCNAME, nil)
 	fmt.Println(res == 0, len(answers)) // LookupSuccess, one CNAME
 	// Output:
 	// true 1

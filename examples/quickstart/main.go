@@ -1,6 +1,8 @@
 // Quickstart: deploy a MEC-CDN edge site on the simulated LTE testbed,
 // resolve a CDN domain from the UE in a single edge-contained hop, and
-// fetch the content — the full Figure 4 flow in ~40 lines.
+// fetch the content — the full Figure 4 flow in ~40 lines. Then a second
+// CDN customer joins the site, and one name of each customer resolves
+// through the same MEC L-DNS address.
 package main
 
 import (
@@ -48,4 +50,20 @@ func main() {
 		"video.demo1.mycdn.ciab.test.", res.Resolve.Addr, res.Resolve.RTT, res.Resolve.Source)
 	fmt.Printf("content: %s (%d bytes) in %v\n", res.Content.Status, res.Content.Size, res.Content.RTT)
 	fmt.Printf("end-to-end: %v — edge-contained, no hierarchical DNS walk\n", res.Total)
+
+	// A second CDN customer on the same site gets its own C-DNS and
+	// caches behind cluster IPs, and shares the one public L-DNS.
+	if _, err := site.AddDomain("streamco.example.", originNode.Addr, 1); err != nil {
+		log.Fatal(err)
+	}
+	for _, name := range []string{"video.demo1.mycdn.ciab.test.", "live.streamco.example."} {
+		r, err := ue.Resolve(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !r.Addr.IsValid() {
+			log.Fatalf("%s did not resolve through %v", name, site.LDNS)
+		}
+		fmt.Printf("%s -> %v via the L-DNS at %v\n", name, r.Addr, site.LDNS)
+	}
 }

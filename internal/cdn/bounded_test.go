@@ -231,43 +231,3 @@ func TestOwnersAppendParity(t *testing.T) {
 		}
 	}
 }
-
-// TestModuloPlacementSnapshot covers the converted ablation baseline:
-// lock-free reads agree with the sorted semantics and survive
-// concurrent churn under -race.
-func TestModuloPlacementSnapshot(t *testing.T) {
-	m := &ModuloPlacement{}
-	if m.Owner("anything") != "" {
-		t.Fatal("empty placement must return empty owner")
-	}
-	m.Add("b")
-	m.Add("a")
-	m.Add("a") // idempotent
-	owner := m.Owner("some-key")
-	if owner != "a" && owner != "b" {
-		t.Fatalf("owner %q not a member", owner)
-	}
-	m.Remove("a")
-	if got := m.Owner("some-key"); got != "b" {
-		t.Fatalf("after removal owner = %q, want b", got)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < 3000; i++ {
-				m.Owner(fmt.Sprintf("key-%d-%d", id, i))
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 300; i++ {
-			m.Add(fmt.Sprintf("x-%d", i%5))
-			m.Remove(fmt.Sprintf("x-%d", (i+2)%5))
-		}
-	}()
-	wg.Wait()
-}

@@ -62,7 +62,6 @@ func (c *Catalog) Get(name string) (Content, bool) {
 type Origin struct {
 	mu       sync.RWMutex
 	catalogs map[string]*Catalog
-	fetches  uint64
 }
 
 // NewOrigin returns an empty origin.
@@ -77,22 +76,13 @@ func (o *Origin) AddCatalog(c *Catalog) {
 	o.catalogs[c.Domain] = c
 }
 
-// Fetch returns the object from the origin store. It counts fetches so
-// experiments can report origin offload.
+// Fetch returns the object from the origin store.
 func (o *Origin) Fetch(domain, name string) (Content, bool) {
-	o.mu.Lock()
-	o.fetches++
+	o.mu.RLock()
 	cat := o.catalogs[domain]
-	o.mu.Unlock()
+	o.mu.RUnlock()
 	if cat == nil {
 		return Content{}, false
 	}
 	return cat.Get(name)
-}
-
-// Fetches returns how many objects were served by the origin.
-func (o *Origin) Fetches() uint64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.fetches
 }

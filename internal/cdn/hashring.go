@@ -422,64 +422,3 @@ func (r *HashRing) Members() []string {
 	copy(out, s.members)
 	return out
 }
-
-// ModuloPlacement is the naive alternative placement: key → member by
-// hash modulo member count over a fixed sorted member list. It exists
-// as the ablation baseline for BenchmarkPlacement-style comparisons,
-// and follows the same atomic-snapshot pattern as the ring so the
-// ablation's read path is lock-free too.
-type ModuloPlacement struct {
-	// members is the immutable sorted member list, published via
-	// atomic pointer; wmu serializes writers only.
-	members atomic.Pointer[[]string]
-	wmu     sync.Mutex
-}
-
-// list returns the current member list, never nil.
-func (m *ModuloPlacement) list() []string {
-	if p := m.members.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// Add inserts a member, keeping the list sorted.
-func (m *ModuloPlacement) Add(member string) {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	old := m.list()
-	for _, existing := range old {
-		if existing == member {
-			return
-		}
-	}
-	next := make([]string, 0, len(old)+1)
-	next = append(next, old...)
-	next = append(next, member)
-	sort.Strings(next)
-	m.members.Store(&next)
-}
-
-// Remove deletes a member.
-func (m *ModuloPlacement) Remove(member string) {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	old := m.list()
-	next := make([]string, 0, len(old))
-	for _, existing := range old {
-		if existing != member {
-			next = append(next, existing)
-		}
-	}
-	m.members.Store(&next)
-}
-
-// Owner returns the member for key, or "". Lock-free: one snapshot
-// load.
-func (m *ModuloPlacement) Owner(key string) string {
-	members := m.list()
-	if len(members) == 0 {
-		return ""
-	}
-	return members[keyhash.Sum64(key)%uint64(len(members))]
-}

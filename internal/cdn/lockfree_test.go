@@ -32,7 +32,6 @@ var forbiddenRouterMutexFrames = []string{
 	"(*HashRing).RecordLoad",
 	"(*HashRing).Load",
 	"(*HashRing).LoadStats",
-	"(*ModuloPlacement).Owner",
 	"(*Router).RoutePeer",
 	"(*Router).selectLocal",
 	"(*View).Lookup",
@@ -83,15 +82,12 @@ func TestRouterServePathMutexFree(t *testing.T) {
 			defer wg.Done()
 			client := ClientInfo{Addr: netip.MustParseAddr("10.0.0.1")}
 			var ownersBuf [smallOwners]string
-			modulo := &ModuloPlacement{}
-			modulo.Add("cache-0")
 			for i := 0; !stop.Load(); i++ {
 				rt.Route(fmt.Sprintf("key-%d-%d", id, i%32), client)
 				rt.Ring.OwnersAppend(ownersBuf[:0], "key", 2)
 				rt.Ring.RecordLoad("cache-0")
 				rt.Ring.Load("cache-0")
 				rt.Ring.LoadStats()
-				modulo.Owner(fmt.Sprintf("key-%d", i%8))
 				rt.Mesh().Lookup(fmt.Sprintf("key-%d", i%32))
 				rt.RoutePeer(fmt.Sprintf("key-%d", i%32), client)
 				rt.Mesh().Nearest()

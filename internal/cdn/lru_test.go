@@ -177,36 +177,3 @@ func TestHashRingMinimalDisruption(t *testing.T) {
 		t.Errorf("%d keys moved between surviving servers", moved)
 	}
 }
-
-func TestModuloPlacementDisruption(t *testing.T) {
-	m := &ModuloPlacement{}
-	for i := 0; i < 10; i++ {
-		m.Add(fmt.Sprintf("server-%d", i))
-	}
-	m.Add("server-3") // idempotent
-	const keys = 2000
-	before := make(map[string]string, keys)
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		before[k] = m.Owner(k)
-	}
-	m.Remove("server-3")
-	moved := 0
-	for k, owner := range before {
-		if owner != "server-3" && m.Owner(k) != owner {
-			moved++
-		}
-	}
-	// Modulo placement reshuffles nearly everything — that contrast
-	// with the consistent-hash test above is the point.
-	if moved < keys/2 {
-		t.Errorf("modulo moved only %d keys; expected large disruption", moved)
-	}
-	if m.Owner("x") == "" {
-		t.Error("no owner after removals")
-	}
-	var empty ModuloPlacement
-	if empty.Owner("x") != "" {
-		t.Error("empty placement returned owner")
-	}
-}

@@ -99,11 +99,11 @@ func (t *NetTransport) Collectors() []telemetry.Collector {
 
 // Stats returns a snapshot of the socket pool counters.
 func (t *NetTransport) Stats() SocketStats {
-	c := t.counters()
+	c := t.counters().Values()
 	return SocketStats{
-		Dialed:    c.Value(socketDialed),
-		Reused:    c.Value(socketReused),
-		Discarded: c.Value(socketDiscarded),
+		Dialed:    c[socketDialed],
+		Reused:    c[socketReused],
+		Discarded: c[socketDiscarded],
 		Idle:      t.idleCount(),
 	}
 }

@@ -381,7 +381,7 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	if zoneA.View().Serial() != 1 || zoneB.View().Serial() != 1 {
 		t.Errorf("serials after failed reload = %d/%d, want 1/1: a parse error must swap nothing", zoneA.View().Serial(), zoneB.View().Serial())
 	}
-	if got := d.reloads.Value(reloadError); got != 1 {
+	if got := d.reloads.Values()[reloadError]; got != 1 {
 		t.Errorf(`meccdn_reload_total{result="error"} = %d, want 1`, got)
 	}
 	if d.zoneSwaps.Value() != 0 || d.routeSwaps.Value() != 0 {
@@ -399,8 +399,8 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	if zoneA.View().Serial() != 7 || zoneB.View().Serial() != 9 {
 		t.Errorf("serials after reload = %d/%d, want 7/9", zoneA.View().Serial(), zoneB.View().Serial())
 	}
-	if d.zoneSwaps.Value() != 2 || d.routeSwaps.Value() != 1 || d.reloads.Value(reloadOK) != 1 {
-		t.Errorf("zone/route swaps / ok reloads = %d/%d/%d, want 2/1/1", d.zoneSwaps.Value(), d.routeSwaps.Value(), d.reloads.Value(reloadOK))
+	if d.zoneSwaps.Value() != 2 || d.routeSwaps.Value() != 1 || d.reloads.Values()[reloadOK] != 1 {
+		t.Errorf("zone/route swaps / ok reloads = %d/%d/%d, want 2/1/1", d.zoneSwaps.Value(), d.routeSwaps.Value(), d.reloads.Values()[reloadOK])
 	}
 	if n := d.Cache.Stats().Entries; n != 0 {
 		t.Errorf("cache entries after reload = %d, want 0 (flushed)", n)
@@ -416,8 +416,8 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 	if zoneA.View() != viewA || zoneA.View().Serial() != 7 || zoneB.View().Serial() != 9 {
 		t.Errorf("unchanged reload republished: serials %d/%d, want 7/9", zoneA.View().Serial(), zoneB.View().Serial())
 	}
-	if d.zoneSwaps.Value() != 2 || d.routeSwaps.Value() != 1 || d.reloads.Value(reloadOK) != 2 {
-		t.Errorf("zone/route swaps / ok reloads = %d/%d/%d after an unchanged reload, want 2/1/2", d.zoneSwaps.Value(), d.routeSwaps.Value(), d.reloads.Value(reloadOK))
+	if d.zoneSwaps.Value() != 2 || d.routeSwaps.Value() != 1 || d.reloads.Values()[reloadOK] != 2 {
+		t.Errorf("zone/route swaps / ok reloads = %d/%d/%d after an unchanged reload, want 2/1/2", d.zoneSwaps.Value(), d.routeSwaps.Value(), d.reloads.Values()[reloadOK])
 	}
 	if d.Router.Routes() != table {
 		t.Error("unchanged reload republished the route table")

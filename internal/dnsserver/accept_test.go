@@ -48,6 +48,9 @@ func TestAcceptMatrix(t *testing.T) {
 		{"opcode STATUS", func(q *dnswire.Message) { q.Opcode = dnswire.OpcodeStatus }, dnswire.RcodeNotImplemented},
 		{"OPT VERSION 1", func(q *dnswire.Message) { q.Additionals[0].(*dnswire.OPT).Hdr.TTL |= 1 << 16 }, dnswire.RcodeBadVers},
 		{"two OPT records", func(q *dnswire.Message) { q.Additionals = append(q.Additionals, dnswire.NewOPT(1232)) }, dnswire.RcodeFormatError},
+		// 10.1.2.0/24 with a fourth address octet; 10.1.3.0/22 with bits 23 and 24 set.
+		{"ECS address longer than its prefix", badECS(0, 1, 24, 0, 10, 1, 2, 0), dnswire.RcodeFormatError},
+		{"ECS bits past its prefix", badECS(0, 1, 22, 0, 10, 1, 3), dnswire.RcodeFormatError},
 	} {
 		for _, col := range []struct {
 			name    string
@@ -113,6 +116,14 @@ func TestAcceptMatrix(t *testing.T) {
 				t.Errorf("%s, %s: Metrics counted the reply %d times under %v, the query %d times under A", row.name, col.name, n, row.rcode, nA)
 			}
 		}
+	}
+}
+
+// badECS returns a query edit that replaces the query's ECS option with
+// one whose bytes are data.
+func badECS(data ...byte) func(*dnswire.Message) {
+	return func(q *dnswire.Message) {
+		q.Additionals[0].(*dnswire.OPT).Options[0] = &dnswire.GenericOption{OptCode: dnswire.OptionCodeECS, Data: data}
 	}
 }
 

@@ -311,7 +311,7 @@ func TestAttachReentrant(t *testing.T) {
 	// upstream; b's arrives at 6 ms, in the middle of that wait.
 	send("a", "a.up.test.", 0xAAAA)
 	n.Clock.Schedule(5*time.Millisecond, func() { send("b", "b.up.test.", 0xBBBB) })
-	n.Clock.Run()
+	n.Clock.RunUntil(time.Second)
 
 	for node, id := range map[string]uint16{"a": 0xAAAA, "b": 0xBBBB} {
 		name := node + ".up.test."
@@ -407,7 +407,7 @@ func TestResponsesAreNotAnswered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.Clock.Run()
+	n.Clock.RunUntil(time.Second)
 	if !reflect.DeepEqual(ids, []uint16{queryID}) {
 		t.Errorf("sim: replies to IDs %#x, want only the query's %#x", ids, queryID)
 	}

@@ -256,14 +256,14 @@ func (m *Metrics) Total() uint64 {
 // does not name reads the count of every such code.
 func (m *Metrics) CountByRcode(rc dnswire.Rcode) uint64 {
 	_, rcodes, _ := m.instruments()
-	return rcodes.Value(rcodeLabels.of(uint16(rc)))
+	return rcodes.Values()[rcodeLabels.of(uint16(rc))]
 }
 
 // CountByType returns the count for one query type; a type dnswire
 // does not name reads the count of every such type.
 func (m *Metrics) CountByType(t dnswire.Type) uint64 {
 	queries, _, _ := m.instruments()
-	return queries.Value(qtypeLabels.of(uint16(t)))
+	return queries.Values()[qtypeLabels.of(uint16(t))]
 }
 
 // Duration returns the ServeDNS duration histogram, for summaries

@@ -93,6 +93,9 @@ func serveQuery(ctx context.Context, h Handler, hub *telemetry.Hub, st *serveScr
 //   - More than one OPT record: FORMERR (RFC 6891 §6.1.1).
 //   - An OPT of a version other than 0: BADVERS, in an OPT of version 0
 //     (RFC 6891 §6.1.3).
+//   - An ECS option that does not decode — too few or too many address
+//     octets for its SOURCE PREFIX-LENGTH, address bits set past it, an
+//     unknown family: FORMERR (RFC 7871 §6).
 func accept(h Handler, w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 	var rcode dnswire.Rcode
 	if r.Msg.Opcode != dnswire.OpcodeQuery {
@@ -101,6 +104,8 @@ func accept(h Handler, w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 		rcode = dnswire.RcodeFormatError
 	} else if opt, edns := r.Msg.OPT(); edns && opt.Version() != 0 {
 		rcode = dnswire.RcodeBadVers
+	} else if edns && malformedECS(opt) {
+		rcode = dnswire.RcodeFormatError
 	} else {
 		return 0, false
 	}
@@ -111,6 +116,17 @@ func accept(h Handler, w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 		}
 	}
 	return rcode, true
+}
+
+// malformedECS reports whether opt carries an ECS option that did not
+// decode, which the OPT keeps as its bytes.
+func malformedECS(opt *dnswire.OPT) bool {
+	for _, o := range opt.Options {
+		if g, ok := o.(*dnswire.GenericOption); ok && g.OptCode == dnswire.OptionCodeECS {
+			return true
+		}
+	}
+	return false
 }
 
 // countOPT returns the number of OPT records in rrs.

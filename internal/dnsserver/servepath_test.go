@@ -323,7 +323,8 @@ func TestGracefulDrainWaitsForQueued(t *testing.T) {
 // TestUDPQueueOverflowSheds pins the overflow contract: with room for
 // one query waiting on the network, the rest of a burst of them must be
 // shed (counted on the server's drop counter), never parked without
-// bound.
+// bound, and a scrape of the drained server reads every datagram as
+// served or shed.
 func TestUDPQueueOverflowSheds(t *testing.T) {
 	z := NewZone("flood.test.")
 	if err := z.AddA("www.flood.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
@@ -374,6 +375,25 @@ func TestUDPQueueOverflowSheds(t *testing.T) {
 	} {
 		if !strings.Contains(b.String(), family) {
 			t.Errorf("exposition missing %s", family)
+		}
+	}
+
+	// Drained, the scrape shows every datagram read as served or shed:
+	// 30 == 1 + 29.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, sample := range []string{
+		"meccdn_dns_udp_packets_total 30\n", "meccdn_dns_udp_served_total 1\n", "meccdn_dns_udp_dropped_total 29\n",
+	} {
+		if !strings.Contains(b.String(), sample) {
+			t.Errorf("drained exposition missing %q", sample)
 		}
 	}
 }

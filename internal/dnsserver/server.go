@@ -386,9 +386,10 @@ func (s *Server) counters() *serveCounters {
 
 // Collectors returns the server's serve-loop metric families for
 // registration on a telemetry.Registry: queries waiting on the network,
-// batching tallies per server and packets per socket, and the drop and
-// error counters. Every family reads 0 before Start — callers may
-// register the collectors first (cmd/dnsd does) and Start later.
+// batching tallies per server and packets per socket, and the served,
+// drop and error counters (packets == served + dropped once the server
+// is drained). Every family reads 0 before Start — callers may register
+// the collectors first (cmd/dnsd does) and Start later.
 func (s *Server) Collectors() []telemetry.Collector {
 	c := s.counters()
 	return []telemetry.Collector{
@@ -397,7 +398,7 @@ func (s *Server) Collectors() []telemetry.Collector {
 			func() float64 { return float64(s.parked.Load()) }),
 		telemetry.NewCounterFunc("meccdn_dns_udp_packets_total", "Datagrams read off the UDP ingress sockets.",
 			func() float64 { return float64(c.packets.Sum()) }),
-		c.packets, c.batches, c.dropped, c.sendErrs, c.recvErrs,
+		c.packets, c.batches, c.served, c.dropped, c.sendErrs, c.recvErrs,
 		telemetry.NewGaugeFunc("meccdn_dns_udp_sockets",
 			"UDP ingress sockets sharing the listen address via SO_REUSEPORT.",
 			func() float64 { return float64(s.NumSockets()) }),
@@ -727,13 +728,15 @@ func (g *udpServe) lead(sh *socketShard) {
 				g.shed = false
 				sh.ctr.dropped.Inc(sh.id)
 			case g.sh == nil:
+				// The queue place is free before the reply leaves, so a
+				// client that asks again at once finds it free.
+				s.parked.Add(-1)
 				if buf != nil {
 					sh.send(buf, n, from)
 				}
 				dnswire.PutBuffer(g.pkt)
 				g.pkt = nil
 				sh.ctr.served.Inc(sh.id)
-				s.parked.Add(-1)
 				s.inflight.Done()
 				return
 			default:

@@ -217,7 +217,7 @@ func TestAttachQueuesConcurrentQueries(t *testing.T) {
 	if err := n.Send(simnet.Datagram{Src: n.Node("b").Addr, Dst: n.Node("server").Addr, Payload: wire}); err != nil {
 		t.Fatal(err)
 	}
-	n.Clock.Run()
+	n.Clock.RunUntil(time.Second)
 	// First reply: 1ms + 10ms + 1ms = 12ms. Second: queued behind the
 	// first, so 1ms + (10+10)ms + 1ms = 22ms.
 	first, second := tA, tB

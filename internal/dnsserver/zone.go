@@ -329,12 +329,6 @@ const (
 	LookupDelegation                     // referral to child zone
 )
 
-// Lookup resolves (qname, qtype) against the zone's current view; see
-// ZoneView.Lookup. Lock-free.
-func (z *Zone) Lookup(qname string, qtype dnswire.Type) (LookupResult, []dnswire.ReplyRR, []dnswire.ReplyRR) {
-	return z.View().Lookup(qname, qtype, nil)
-}
-
 // Lookup resolves (qname, qtype) within the view, following in-zone
 // CNAME chains. It returns the result class, the answer records, and
 // the authority records (SOA for negative answers; for a referral the

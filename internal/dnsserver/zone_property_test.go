@@ -52,7 +52,7 @@ func TestZoneAddedRecordsAlwaysFound(t *testing.T) {
 			added[key{dnswire.CanonicalName(name)}] = addr
 		}
 		for k, addr := range added {
-			res, answers, _ := z.Lookup(k.name, dnswire.TypeA)
+			res, answers, _ := z.View().Lookup(k.name, dnswire.TypeA, nil)
 			if res != LookupSuccess {
 				t.Logf("lookup %q: %v", k.name, res)
 				return false
@@ -80,8 +80,8 @@ func TestZoneLookupNeverPanics(t *testing.T) {
 	z := testZone(t)
 	f := func(raw []byte, typ uint16) bool {
 		name := string(raw)
-		_, _, _ = z.Lookup(name, dnswire.Type(typ))
-		_, _, _ = z.Lookup(name+".mycdn.ciab.test.", dnswire.Type(typ))
+		_, _, _ = z.View().Lookup(name, dnswire.Type(typ), nil)
+		_, _, _ = z.View().Lookup(name+".mycdn.ciab.test.", dnswire.Type(typ), nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
@@ -105,8 +105,8 @@ func TestZoneLookupClassifiesConsistently(t *testing.T) {
 			names = append(names, dnswire.CanonicalName(name))
 		}
 		for _, name := range names {
-			resA, _, _ := z.Lookup(name, dnswire.TypeA)
-			resTXT, _, _ := z.Lookup(name, dnswire.TypeTXT)
+			resA, _, _ := z.View().Lookup(name, dnswire.TypeA, nil)
+			resTXT, _, _ := z.View().Lookup(name, dnswire.TypeTXT, nil)
 			if resA != LookupSuccess {
 				return false
 			}

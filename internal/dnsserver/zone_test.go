@@ -42,7 +42,7 @@ func testZone(t *testing.T) *Zone {
 
 func TestZoneLookupExact(t *testing.T) {
 	z := testZone(t)
-	res, ans, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA)
+	res, ans, _ := z.View().Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res != LookupSuccess || len(ans) != 2 {
 		t.Fatalf("res=%v answers=%d", res, len(ans))
 	}
@@ -50,7 +50,7 @@ func TestZoneLookupExact(t *testing.T) {
 
 func TestZoneLookupCNAMEChase(t *testing.T) {
 	z := testZone(t)
-	res, ans, _ := z.Lookup("video.demo1.mycdn.ciab.test.", dnswire.TypeA)
+	res, ans, _ := z.View().Lookup("video.demo1.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res != LookupSuccess {
 		t.Fatalf("res = %v", res)
 	}
@@ -65,7 +65,7 @@ func TestZoneLookupCNAMEChase(t *testing.T) {
 
 func TestZoneLookupMultiLinkChain(t *testing.T) {
 	z := testZone(t)
-	res, ans, _ := z.Lookup("chain1.mycdn.ciab.test.", dnswire.TypeA)
+	res, ans, _ := z.View().Lookup("chain1.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res != LookupSuccess || len(ans) != 4 {
 		t.Fatalf("res=%v answers=%d", res, len(ans))
 	}
@@ -73,7 +73,7 @@ func TestZoneLookupMultiLinkChain(t *testing.T) {
 
 func TestZoneLookupExternalCNAME(t *testing.T) {
 	z := testZone(t)
-	res, ans, _ := z.Lookup("external.mycdn.ciab.test.", dnswire.TypeA)
+	res, ans, _ := z.View().Lookup("external.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res != LookupSuccess || len(ans) != 1 {
 		t.Fatalf("res=%v answers=%d", res, len(ans))
 	}
@@ -85,7 +85,7 @@ func TestZoneLookupExternalCNAME(t *testing.T) {
 
 func TestZoneLookupNXDomain(t *testing.T) {
 	z := testZone(t)
-	res, _, auth := z.Lookup("missing.mycdn.ciab.test.", dnswire.TypeA)
+	res, _, auth := z.View().Lookup("missing.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res != LookupNXDomain {
 		t.Fatalf("res = %v", res)
 	}
@@ -96,7 +96,7 @@ func TestZoneLookupNXDomain(t *testing.T) {
 
 func TestZoneLookupNoData(t *testing.T) {
 	z := testZone(t)
-	res, _, auth := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeAAAA)
+	res, _, auth := z.View().Lookup("edge1.mycdn.ciab.test.", dnswire.TypeAAAA, nil)
 	if res != LookupNoData {
 		t.Fatalf("res = %v", res)
 	}
@@ -107,7 +107,7 @@ func TestZoneLookupNoData(t *testing.T) {
 
 func TestZoneLookupWildcard(t *testing.T) {
 	z := testZone(t)
-	res, ans, _ := z.Lookup("anything.wild.mycdn.ciab.test.", dnswire.TypeA)
+	res, ans, _ := z.View().Lookup("anything.wild.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res != LookupSuccess || len(ans) != 1 {
 		t.Fatalf("res=%v answers=%v", res, ans)
 	}
@@ -118,7 +118,7 @@ func TestZoneLookupWildcard(t *testing.T) {
 		t.Errorf("the view's wildcard record was renamed to %q", ans[0].RR.Header().Name)
 	}
 	// The stored wildcard record must not be mutated by synthesis.
-	res2, ans2, _ := z.Lookup("other.wild.mycdn.ciab.test.", dnswire.TypeA)
+	res2, ans2, _ := z.View().Lookup("other.wild.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res2 != LookupSuccess || ans2[0].Name() != "other.wild.mycdn.ciab.test." {
 		t.Errorf("second wildcard lookup = %v %v", res2, ans2)
 	}
@@ -126,7 +126,7 @@ func TestZoneLookupWildcard(t *testing.T) {
 
 func TestZoneLookupDelegation(t *testing.T) {
 	z := testZone(t)
-	res, _, auth := z.Lookup("deep.child.mycdn.ciab.test.", dnswire.TypeA)
+	res, _, auth := z.View().Lookup("deep.child.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res != LookupDelegation {
 		t.Fatalf("res = %v", res)
 	}
@@ -172,10 +172,10 @@ func TestZoneUpdateIsOneRevision(t *testing.T) {
 		t.Error("the batch changed a view published before it")
 	}
 	_, old, _ := before.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA, nil)
-	if _, ans, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA); len(ans) != len(old)+1 || ans[len(old)].RR.(*dnswire.A).Addr != netip.MustParseAddr("10.96.0.13") {
+	if _, ans, _ := z.View().Lookup("edge1.mycdn.ciab.test.", dnswire.TypeA, nil); len(ans) != len(old)+1 || ans[len(old)].RR.(*dnswire.A).Addr != netip.MustParseAddr("10.96.0.13") {
 		t.Errorf("edge1 A after the batch = %v, want %v then 10.96.0.13", ans, old)
 	}
-	if res, _, _ := z.Lookup("edge1.mycdn.ciab.test.", dnswire.TypeTXT); res != LookupSuccess {
+	if res, _, _ := z.View().Lookup("edge1.mycdn.ciab.test.", dnswire.TypeTXT, nil); res != LookupSuccess {
 		t.Error("the batch lost a record it did not touch")
 	}
 
@@ -266,7 +266,7 @@ func TestZoneCNAMELoopTerminates(t *testing.T) {
 	z := NewZone("loop.test.")
 	_ = z.AddCNAME("a.loop.test.", 60, "b.loop.test.")
 	_ = z.AddCNAME("b.loop.test.", 60, "a.loop.test.")
-	res, ans, _ := z.Lookup("a.loop.test.", dnswire.TypeA)
+	res, ans, _ := z.View().Lookup("a.loop.test.", dnswire.TypeA, nil)
 	if res != LookupSuccess {
 		t.Fatalf("res = %v", res)
 	}
@@ -360,15 +360,15 @@ rev 60 IN PTR edge1
 	if z.View().Serial() != 2020110401 {
 		t.Errorf("SOA serial = %d", z.View().Serial())
 	}
-	res, ans, _ := z.Lookup("video.demo1.mycdn.ciab.test.", dnswire.TypeA)
+	res, ans, _ := z.View().Lookup("video.demo1.mycdn.ciab.test.", dnswire.TypeA, nil)
 	if res != LookupSuccess || len(ans) != 2 {
 		t.Fatalf("parsed zone lookup: res=%v ans=%v", res, ans)
 	}
-	res, ans, _ = z.Lookup("mail.mycdn.ciab.test.", dnswire.TypeMX)
+	res, ans, _ = z.View().Lookup("mail.mycdn.ciab.test.", dnswire.TypeMX, nil)
 	if res != LookupSuccess || ans[0].RR.(*dnswire.MX).MX != "mx1.mycdn.ciab.test." {
 		t.Errorf("MX = %v", ans)
 	}
-	res, ans, _ = z.Lookup("_dns._udp.mycdn.ciab.test.", dnswire.TypeSRV)
+	res, ans, _ = z.View().Lookup("_dns._udp.mycdn.ciab.test.", dnswire.TypeSRV, nil)
 	if res != LookupSuccess || ans[0].RR.(*dnswire.SRV).Port != 53 {
 		t.Errorf("SRV = %v", ans)
 	}

@@ -242,19 +242,34 @@ func zoneQuery(label []byte, name byte, flip uint64, qtype uint16, opcode uint8,
 	if edns == 1 {
 		return append(b, 0, 0)
 	}
+	family, source, octets := zoneQueryECS(edns, source, addr)
+	b = binary.BigEndian.AppendUint16(b, uint16(8+len(octets)))
+	b = append(b, 0, 8)
+	b = binary.BigEndian.AppendUint16(b, uint16(4+len(octets)))
+	b = binary.BigEndian.AppendUint16(b, family)
+	return append(append(b, source, 0), octets...)
+}
+
+// zoneQueryECS is the ECS option zoneQuery sends for edns 2 (IPv4) or 3
+// (IPv6): the family, source cut to the family's length, and the
+// address octets that source needs, taken from addr as they are. So an
+// octet may set bits past the source prefix, and accept must refuse
+// the query with FORMERR (RFC 7871 §6); strayBits reports it.
+func zoneQueryECS(edns, source uint8, addr []byte) (family uint16, src uint8, octets []byte) {
 	family, bits := uint16(1), 32
 	if edns == 3 {
 		family, bits = 2, 128
 	}
-	source %= uint8(bits + 1)
+	src = source % uint8(bits+1)
 	var a [16]byte
 	copy(a[:], addr)
-	n := (int(source) + 7) / 8
-	b = binary.BigEndian.AppendUint16(b, uint16(8+n))
-	b = append(b, 0, 8)
-	b = binary.BigEndian.AppendUint16(b, uint16(4+n))
-	b = binary.BigEndian.AppendUint16(b, family)
-	return append(append(b, source, 0), a[:n]...)
+	return family, src, a[:(int(src)+7)/8]
+}
+
+// strayBits reports whether the address octets set a bit past source.
+func strayBits(source uint8, octets []byte) bool {
+	rem := source % 8
+	return rem != 0 && octets[len(octets)-1]<<rem != 0
 }
 
 // FuzzZoneReply holds the zone's bytes-written reply to its oracle: for
@@ -266,7 +281,8 @@ func zoneQuery(label []byte, name byte, flip uint64, qtype uint16, opcode uint8,
 // the advertised limit and at MaxMessageSize is what the oracle's
 // Message gives through the same writer: its Pack, truncated with TC
 // when it does not fit; for an opcode other than QUERY it is accept's
-// NOTIMP. No pooled buffer is left behind (checked under -tags
+// NOTIMP, and for an ECS address with bits set past its source prefix
+// accept's FORMERR. No pooled buffer is left behind (checked under -tags
 // pooldebug).
 func FuzzZoneReply(f *testing.F) {
 	seed := []byte{
@@ -306,6 +322,8 @@ func FuzzZoneReply(f *testing.F) {
 			msg := oracleZoneReply(z, &st.req)
 			if st.req.Msg.Opcode != dnswire.OpcodeQuery {
 				msg = oracleRefusal(&st.req, dnswire.RcodeNotImplemented)
+			} else if _, src, octets := zoneQueryECS(edns%4, source, ecsAddr); edns%4 >= 2 && strayBits(src, octets) {
+				msg = oracleRefusal(&st.req, dnswire.RcodeFormatError)
 			}
 			oracle := replyImage{limit: st.reply.limit}
 			if err := oracle.WriteMsg(msg); err != nil {

@@ -144,8 +144,11 @@ func (r *OPT) unpackData(msg []byte, off, rdlen int) error {
 		default:
 			o = &GenericOption{OptCode: code}
 		}
-		if err := o.unpackOption(msg[off : off+olen]); err != nil {
-			return err
+		if data := msg[off : off+olen]; o.unpackOption(data) != nil {
+			// Only an ECS option fails to decode. It is kept as its bytes,
+			// so the message still parses and a server can refuse the
+			// query with FORMERR (RFC 7871 §6) instead of dropping it.
+			o = &GenericOption{OptCode: code, Data: append([]byte(nil), data...)}
 		}
 		r.Options = append(r.Options, o)
 		off += olen
@@ -297,6 +300,11 @@ func (o *ECSOption) unpackOption(data []byte) error {
 	if len(addrBytes) != n {
 		return fmt.Errorf("%w: ECS address has %d octets, want %d", ErrBadRdata, len(addrBytes), n)
 	}
+	// RFC 7871 §6: the address bits beyond SourcePrefix are zero on the
+	// wire.
+	if rem := o.SourcePrefix % 8; rem != 0 && addrBytes[n-1]<<rem != 0 {
+		return fmt.Errorf("%w: ECS address has bits set past /%d", ErrBadRdata, o.SourcePrefix)
+	}
 	switch o.Family {
 	case 1:
 		if n > 4 {
@@ -315,10 +323,6 @@ func (o *ECSOption) unpackOption(data []byte) error {
 	default:
 		return fmt.Errorf("%w: ECS family %d", ErrBadRdata, o.Family)
 	}
-	// RFC 7871 §6 requires bits beyond SourcePrefix be zero on the
-	// wire; a sender that set them anyway must not have them surface
-	// in the decoded address, so mask here rather than trust.
-	o.maskAddress()
 	return nil
 }
 

@@ -180,29 +180,28 @@ func TestECSOptionUnpackNeverPanics(t *testing.T) {
 	}
 }
 
-// Stray address bits inside the final disclosed octet must not
-// survive decoding (RFC 7871 §6: they MUST be zero on the wire, so a
-// sender that set them anyway must not have them reach routing code).
-func TestECSUnpackMasksStrayBits(t *testing.T) {
-	// Family 1, /20, 3 address octets with the low nibble of the last
-	// octet (beyond the 20 disclosed bits) set.
-	data := []byte{0, 1, 20, 0, 203, 0, 0xFF}
-	var o ECSOption
-	if err := o.unpackOption(data); err != nil {
-		t.Fatal(err)
+// Stray address bits inside the final disclosed octet make the option
+// malformed (RFC 7871 §6: they MUST be zero on the wire), so they never
+// reach routing code.
+func TestECSUnpackRejectsStrayBits(t *testing.T) {
+	for _, data := range [][]byte{
+		{0, 1, 20, 0, 203, 0, 0xFF},                          // /20, the low nibble of the third octet set
+		{0, 2, 61, 0, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0x07}, // /61, bits 62-64 set
+	} {
+		var o ECSOption
+		if err := o.unpackOption(data); err == nil {
+			t.Errorf("% x decodes to %v", data, o.Prefix())
+		}
 	}
-	if want := netip.MustParseAddr("203.0.240.0"); o.Address != want {
-		t.Errorf("address = %v, want %v", o.Address, want)
-	}
-
-	// Family 2, /61, 8 octets with bits 61-63 set.
-	data6 := []byte{0, 2, 61, 0, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0x07}
-	var o6 ECSOption
-	if err := o6.unpackOption(data6); err != nil {
-		t.Fatal(err)
-	}
-	if want := netip.MustParseAddr("2001:db8::"); o6.Address != want {
-		t.Errorf("v6 address = %v, want %v", o6.Address, want)
+	// The same prefixes with the stray bits clear decode.
+	for data, want := range map[string]string{
+		string([]byte{0, 1, 20, 0, 203, 0, 0xF0}):                       "203.0.240.0/20",
+		string([]byte{0, 2, 61, 0, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0}): "2001:db8::/61",
+	} {
+		var o ECSOption
+		if err := o.unpackOption([]byte(data)); err != nil || o.Prefix().String() != want {
+			t.Errorf("% x: %v, %v; want %s", data, o.Prefix(), err, want)
+		}
 	}
 }
 

@@ -132,8 +132,9 @@ func TestPatchReplyBits(t *testing.T) {
 	}
 }
 
-// hostileReplies are the router's reply bent into shapes Unpack refuses;
-// the walk that lets a reply be relayed undecoded must refuse them too.
+// hostileReplies are the router's reply bent into shapes Unpack refuses,
+// or, for a malformed ECS option, keeps undecoded; the walk that lets a
+// reply be relayed undecoded must refuse them all.
 func hostileReplies() [][]byte {
 	reply, err := routerReply().Pack()
 	if err != nil {
@@ -155,6 +156,7 @@ func hostileReplies() [][]byte {
 		append(bend(0, 0), 0),  // a trailing octet
 		bend(len(reply)-6, 3),  // ECS family 3
 		bend(len(reply)-5, 25), // ECS source /25 with three address octets
+		bend(len(reply)-5, 23), // ECS source /23 with the 24th address bit set
 		bend(len(reply)-8, 99), // an ECS option running past the OPT's RDATA
 		bend(5, 2),             // QDCOUNT 2
 		bend(11, 2),            // ARCOUNT 2
@@ -175,10 +177,25 @@ func TestPatchOffsetsMalformed(t *testing.T) {
 		if _, err := PatchOffsets(bad, nil); err == nil {
 			t.Errorf("PatchOffsets accepted malformed input % x", bad)
 		}
-		if err := new(Message).Unpack(bad); err == nil {
+		if m := new(Message); m.Unpack(bad) == nil && !keepsECSUndecoded(m) {
 			t.Errorf("Unpack accepts % x: not a malformed input", bad)
 		}
 	}
+}
+
+// keepsECSUndecoded reports whether m's OPT holds an ECS option as
+// bytes, which is how Unpack keeps one that does not decode.
+func keepsECSUndecoded(m *Message) bool {
+	opt, ok := m.OPT()
+	if !ok {
+		return false
+	}
+	for _, o := range opt.Options {
+		if g, ok := o.(*GenericOption); ok && g.OptCode == OptionCodeECS {
+			return true
+		}
+	}
+	return false
 }
 
 // TestPatchOffsetsRefusesNamesOverPatchedBytes: Unpack decodes a name

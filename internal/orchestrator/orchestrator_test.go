@@ -66,11 +66,11 @@ func TestServiceDNSRegistration(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, ans, _ := o.InternalZone().Lookup("traffic-router.cdn.svc.cluster.local.", dnswire.TypeA)
+	res, ans, _ := o.InternalZone().View().Lookup("traffic-router.cdn.svc.cluster.local.", dnswire.TypeA, nil)
 	if res != dnsserver.LookupSuccess || len(ans) != 1 {
 		t.Errorf("internal lookup: %v %v", res, ans)
 	}
-	res, ans, _ = pub.Lookup("video.demo1.mycdn.mec.example.", dnswire.TypeA)
+	res, ans, _ = pub.View().Lookup("video.demo1.mycdn.mec.example.", dnswire.TypeA, nil)
 	if res != dnsserver.LookupSuccess || len(ans) != 1 {
 		t.Errorf("public lookup: %v %v", res, ans)
 	}
@@ -84,7 +84,7 @@ func TestServiceDNSRegistration(t *testing.T) {
 
 func mustA(t *testing.T, z *dnsserver.Zone, name string) netip.Addr {
 	t.Helper()
-	_, ans, _ := z.Lookup(name, dnswire.TypeA)
+	_, ans, _ := z.View().Lookup(name, dnswire.TypeA, nil)
 	if len(ans) == 0 {
 		t.Fatalf("no A for %s", name)
 	}

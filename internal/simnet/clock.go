@@ -114,12 +114,6 @@ func (c *Clock) step() bool {
 	return false
 }
 
-// Run fires events until the queue is empty.
-func (c *Clock) Run() {
-	for c.step() {
-	}
-}
-
 // RunUntil fires events with times ≤ t, then advances the clock to t.
 func (c *Clock) RunUntil(t time.Duration) {
 	for c.queue.Len() > 0 {

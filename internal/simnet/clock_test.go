@@ -8,13 +8,19 @@ import (
 	"time"
 )
 
+// drain fires events until the queue is empty.
+func drain(c *Clock) {
+	for c.step() {
+	}
+}
+
 func TestClockOrdering(t *testing.T) {
 	var c Clock
 	var fired []int
 	c.Schedule(30*time.Millisecond, func() { fired = append(fired, 3) })
 	c.Schedule(10*time.Millisecond, func() { fired = append(fired, 1) })
 	c.Schedule(20*time.Millisecond, func() { fired = append(fired, 2) })
-	c.Run()
+	drain(&c)
 	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
 		t.Errorf("fired = %v", fired)
 	}
@@ -30,7 +36,7 @@ func TestClockFIFOAtSameInstant(t *testing.T) {
 		i := i
 		c.Schedule(time.Millisecond, func() { fired = append(fired, i) })
 	}
-	c.Run()
+	drain(&c)
 	for i, v := range fired {
 		if v != i {
 			t.Fatalf("same-instant events fired out of order: %v", fired)
@@ -44,7 +50,7 @@ func TestClockCancel(t *testing.T) {
 	timer := c.Schedule(time.Second, func() { fired = true })
 	timer.Cancel()
 	timer.Cancel() // double cancel is fine
-	c.Run()
+	drain(&c)
 	if fired {
 		t.Error("cancelled event fired")
 	}
@@ -56,7 +62,7 @@ func TestClockNegativeDelay(t *testing.T) {
 	var c Clock
 	fired := false
 	c.Schedule(-time.Second, func() { fired = true })
-	c.Run()
+	drain(&c)
 	if !fired || c.Now() != 0 {
 		t.Errorf("fired=%v now=%v", fired, c.Now())
 	}
@@ -76,9 +82,9 @@ func TestClockRunUntil(t *testing.T) {
 	if c.Now() != 12*time.Millisecond {
 		t.Errorf("Now = %v, want 12ms", c.Now())
 	}
-	c.Run()
+	drain(&c)
 	if len(fired) != 4 {
-		t.Errorf("after Run fired %d, want 4", len(fired))
+		t.Errorf("after the drain fired %d, want 4", len(fired))
 	}
 }
 
@@ -92,7 +98,7 @@ func TestClockScheduleAtPast(t *testing.T) {
 			t.Errorf("past event advanced time backwards: %v", c.Now())
 		}
 	})
-	c.Run()
+	drain(&c)
 }
 
 func TestClockNestedScheduling(t *testing.T) {
@@ -106,7 +112,7 @@ func TestClockNestedScheduling(t *testing.T) {
 		}
 	}
 	c.Schedule(0, rec)
-	c.Run()
+	drain(&c)
 	if depth != 50 {
 		t.Errorf("depth = %d", depth)
 	}
@@ -126,7 +132,7 @@ func TestClockReentrantPump(t *testing.T) {
 		c.RunWhile(func() bool { return !innerDone })
 		outerSawInner = innerDone
 	})
-	c.Run()
+	drain(&c)
 	if !outerSawInner {
 		t.Error("nested pump did not observe inner completion")
 	}
@@ -141,7 +147,7 @@ func TestClockPropertyEventTimesMonotonic(t *testing.T) {
 				times = append(times, c.Now())
 			})
 		}
-		c.Run()
+		drain(&c)
 		return sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

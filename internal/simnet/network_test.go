@@ -292,7 +292,7 @@ func TestSendAsyncAndUnsolicitedDelivery(t *testing.T) {
 	if err := n.Send(Datagram{Src: n.Node("a").Addr, Dst: n.Node("b").Addr, Payload: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
-	n.Clock.Run()
+	drain(n.Clock)
 	if string(got) != "hi" {
 		t.Errorf("got %q", got)
 	}

@@ -41,7 +41,7 @@ func TestShardedCounterExactSum(t *testing.T) {
 	}
 	vals := f.Values()
 	for w := 0; w < workers; w++ {
-		if vals[w] != perWorker || f.Value(w) != perWorker {
+		if vals[w] != perWorker {
 			t.Errorf("cell %d = %d, want %d", w, vals[w], perWorker)
 		}
 	}
@@ -51,14 +51,11 @@ func TestShardedCounterExactSum(t *testing.T) {
 }
 
 // TestCounterVecValueSumSnapshot: a labelled counter family reads back
-// each value, its sum and every cell in index order.
+// its sum and every cell in index order.
 func TestCounterVecValueSumSnapshot(t *testing.T) {
 	f := NewCounters("vec_total", "h", "a", "x", "y", "z")
 	f.Add(0, 5)
 	f.Inc(1)
-	if f.Value(0) != 5 || f.Value(1) != 1 || f.Value(2) != 0 {
-		t.Errorf("values = %d/%d/%d", f.Value(0), f.Value(1), f.Value(2))
-	}
 	if f.Sum() != 6 {
 		t.Errorf("sum = %d", f.Sum())
 	}
@@ -68,7 +65,7 @@ func TestCounterVecValueSumSnapshot(t *testing.T) {
 }
 
 // TestGaugeVecSetAddSnapshot: a gauge family moves up and down, reads
-// back each value, and exposes every value, zero included.
+// back every value, and exposes every value, zero included.
 func TestGaugeVecSetAddSnapshot(t *testing.T) {
 	g := NewGauges("gvec", "h", "state", "probing", "healthy", "down")
 	for range 5 {
@@ -76,9 +73,6 @@ func TestGaugeVecSetAddSnapshot(t *testing.T) {
 	}
 	g.Inc(2)
 	g.Dec(2)
-	if g.Value(1) != 5 || g.Value(2) != 0 || g.Value(0) != 0 {
-		t.Errorf("values = %d/%d/%d", g.Value(1), g.Value(2), g.Value(0))
-	}
 	if snap := g.Values(); !slices.Equal(snap, []uint64{0, 5, 0}) {
 		t.Errorf("Values() = %v, want [0 5 0]", snap)
 	}

@@ -49,7 +49,7 @@ func TestHubFinishFeedsInstrumentsAndLog(t *testing.T) {
 	if h.ServeDuration.Count() != 1 || h.ServeDuration.Sum() != time.Millisecond {
 		t.Errorf("histogram = %d obs / %v", h.ServeDuration.Count(), h.ServeDuration.Sum())
 	}
-	if h.Path.Value(pathCacheHit) != 1 {
+	if h.Path.Values()[pathCacheHit] != 1 {
 		t.Errorf("path counts = %v", h.Path.Values())
 	}
 	recs := h.Log.Drain()

@@ -230,9 +230,6 @@ func (f *Family) Add(i int, n uint64) { f.cells[i].v.Add(n) }
 // Dec subtracts one from cell i of a gauge family.
 func (f *Family) Dec(i int) { f.cells[i].v.Add(^uint64(0)) }
 
-// Value returns cell i.
-func (f *Family) Value(i int) uint64 { return f.cells[i].v.Load() }
-
 // Values returns every cell, in index order. Each is one atomic load,
 // so the set is exact once the writers have quiesced.
 func (f *Family) Values() []uint64 {

@@ -63,8 +63,6 @@ func ConnectMesh(sites ...*Site) error { return meccdn.ConnectMesh(sites...) }
 type (
 	// Content identifies one cacheable object.
 	Content = cdn.Content
-	// Origin is the authoritative content store.
-	Origin = cdn.Origin
 	// CacheServer is one CDN cache instance.
 	CacheServer = cdn.CacheServer
 	// CacheServerConfig configures NewCacheServer.
@@ -83,7 +81,7 @@ const (
 func NewCatalog(domain string) *cdn.Catalog { return cdn.NewCatalog(domain) }
 
 // NewOrigin returns an empty origin store.
-func NewOrigin() *Origin { return cdn.NewOrigin() }
+func NewOrigin() *cdn.Origin { return cdn.NewOrigin() }
 
 // NewCacheServer installs a cache server on a simulator node.
 func NewCacheServer(node *Node, cfg CacheServerConfig) *CacheServer {
@@ -91,7 +89,7 @@ func NewCacheServer(node *Node, cfg CacheServerConfig) *CacheServer {
 }
 
 // NewOriginServer exposes an origin as a content service on a node.
-func NewOriginServer(node *Node, origin *Origin, serveDelay simnet.Sampler) *cdn.OriginServer {
+func NewOriginServer(node *Node, origin *cdn.Origin, serveDelay simnet.Sampler) *cdn.OriginServer {
 	return cdn.NewOriginServer(node, origin, serveDelay)
 }
 
