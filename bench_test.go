@@ -855,46 +855,93 @@ func BenchmarkMECCDNResolve(b *testing.B) {
 	}
 }
 
+// lpmRoute is one row of a benchmark routing table.
+type lpmRoute struct {
+	prefix netip.Prefix
+	pop    lpm.PoP
+}
+
+// randV4 and randV6 draw the LPM benchmarks' addresses: IPv4 anywhere,
+// IPv6 under 2000::/8, out of the 4-in-6 mapping space.
+func randV4(rng *rand.Rand) netip.Addr {
+	var a [4]byte
+	rng.Read(a[:])
+	return netip.AddrFrom4(a)
+}
+
+func randV6(rng *rand.Rand) netip.Addr {
+	var a [16]byte
+	rng.Read(a[:])
+	a[0] = 0x20
+	return netip.AddrFrom16(a)
+}
+
+// benchLPMRoutes draws n random routes (3:1 IPv4:IPv6) from rng.
+func benchLPMRoutes(b *testing.B, rng *rand.Rand, n int) []lpmRoute {
+	b.Helper()
+	routes := make([]lpmRoute, n)
+	for i := range routes {
+		var p netip.Prefix
+		var err error
+		if i%4 == 3 {
+			p, err = randV6(rng).Prefix(32 + rng.Intn(33))
+		} else {
+			p, err = randV4(rng).Prefix(8 + rng.Intn(21))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		routes[i] = lpmRoute{p, lpm.PoP(i)}
+	}
+	return routes
+}
+
+// benchLPMCells returns a per-cell-site table, the shape the repository
+// benchmark routes by: a /16 row over each of the 512 /16s of
+// 10.0.0.0/7, then /24 rows for n of its 131 072 /24s, in ascending
+// address order. The PoPs come from rng.
+func benchLPMCells(rng *rand.Rand, n int) []lpmRoute {
+	const subnets = 1 << 17
+	routes := make([]lpmRoute, 0, 512+n)
+	for s := 0; s < subnets; s += 256 {
+		a := netip.AddrFrom4([4]byte{10 + byte(s>>16), byte(s >> 8), 0, 0})
+		routes = append(routes, lpmRoute{netip.PrefixFrom(a, 16), lpm.PoP(rng.Intn(16))})
+	}
+	for s := 0; s < subnets; s++ {
+		// Multiplying by an odd constant permutes the residues mod
+		// 2^17, so exactly n subnets pass.
+		if (s*40503)&(subnets-1) >= n {
+			continue
+		}
+		a := netip.AddrFrom4([4]byte{10 + byte(s>>16), byte(s >> 8), byte(s), 0})
+		routes = append(routes, lpmRoute{netip.PrefixFrom(a, 24), lpm.PoP(rng.Intn(16))})
+	}
+	return routes
+}
+
+func buildLPM(b *testing.B, routes []lpmRoute) *lpm.Table {
+	bld := lpm.NewBuilder()
+	for _, r := range routes {
+		if err := bld.Add(r.prefix, r.pop); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return bld.Build()
+}
+
 // benchLPMTable builds a deterministic routing table of n routes
 // (3:1 IPv4:IPv6) plus a fixed probe set drawn from the same address
 // distribution.
 func benchLPMTable(b *testing.B, n int) (*lpm.Table, []netip.Addr) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
-	randV4 := func() netip.Addr {
-		var a [4]byte
-		rng.Read(a[:])
-		return netip.AddrFrom4(a)
-	}
-	randV6 := func() netip.Addr {
-		var a [16]byte
-		rng.Read(a[:])
-		a[0] = 0x20 // stay out of the 4-in-6 mapping space
-		return netip.AddrFrom16(a)
-	}
-	bld := lpm.NewBuilder()
-	for i := 0; i < n; i++ {
-		var p netip.Prefix
-		var err error
-		if i%4 == 3 {
-			p, err = randV6().Prefix(32 + rng.Intn(33))
-		} else {
-			p, err = randV4().Prefix(8 + rng.Intn(21))
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := bld.Add(p, lpm.PoP(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	table := bld.Build()
+	table := buildLPM(b, benchLPMRoutes(b, rng, n))
 	probes := make([]netip.Addr, 1024)
 	for i := range probes {
 		if i%4 == 3 {
-			probes[i] = randV6()
+			probes[i] = randV6(rng)
 		} else {
-			probes[i] = randV4()
+			probes[i] = randV4(rng)
 		}
 	}
 	return table, probes
@@ -920,6 +967,31 @@ func benchmarkLPMLookup(b *testing.B, rows int) {
 func BenchmarkLPMLookup10k(b *testing.B)  { benchmarkLPMLookup(b, 10_000) }
 func BenchmarkLPMLookup100k(b *testing.B) { benchmarkLPMLookup(b, 100_000) }
 func BenchmarkLPMLookup1M(b *testing.B)   { benchmarkLPMLookup(b, 1_000_000) }
+
+// BenchmarkLPMBuild times what a C-DNS spends on its route table at
+// start-up and on every reload: a new Builder, every row added, Build.
+// The rows are drawn before the timer starts.
+func BenchmarkLPMBuild(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		routes func(b *testing.B, rng *rand.Rand) []lpmRoute
+	}{
+		{"Cells100k", func(b *testing.B, rng *rand.Rand) []lpmRoute { return benchLPMCells(rng, 100_000) }},
+		{"Random100k", func(b *testing.B, rng *rand.Rand) []lpmRoute { return benchLPMRoutes(b, rng, 100_000) }},
+		{"Random1M", func(b *testing.B, rng *rand.Rand) []lpmRoute { return benchLPMRoutes(b, rng, 1_000_000) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			routes := bc.routes(b, rand.New(rand.NewSource(7)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchTableSink = buildLPM(b, routes)
+			}
+		})
+	}
+}
+
+var benchTableSink *lpm.Table
 
 // BenchmarkRoutePeerLookup is the mesh read plane's gate: consulting
 // the federated peer view on the miss path must be one atomic snapshot

@@ -1,7 +1,9 @@
 package cdn
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -165,7 +167,10 @@ func (r *HashRing) rebuild(members []string) {
 			ring = append(ring, ringPoint{hash: keyhash.Sum64(buf), idx: int32(i)})
 		}
 	}
-	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
+	// Ties on hash go to the lower member index, so the order is total.
+	slices.SortFunc(ring, func(a, b ringPoint) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.idx, b.idx))
+	})
 	next := &ringState{ring: ring, members: members, cells: cells}
 	r.state.Store(next)
 	r.total.Store(next.totalLoad())

@@ -12,7 +12,12 @@ import (
 // naive linear-scan reference: the fuzzer's bytes are decoded into a
 // route set plus probe addresses, both implementations are loaded with
 // the same routes, and every probe — the fuzz-chosen addresses plus
-// each route's own start and end boundary — must agree.
+// each route's own start and end boundary — must agree. The table's
+// shape is checked too: each family's spans start at address zero,
+// ascend, and never repeat their predecessor's PoP and prefix length;
+// and the same rows, each carrying the PoP that survives for its
+// prefix, added in reverse order build an Equal table, so a reload
+// of a re-sorted routes file is seen as no change.
 func FuzzLPMLookup(f *testing.F) {
 	f.Add([]byte{0x00, 10, 0, 0, 0, 16, 1, 0x00, 10, 1, 0, 0, 24, 2})
 	f.Add([]byte{0x01, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 32, 3})
@@ -21,6 +26,7 @@ func FuzzLPMLookup(f *testing.F) {
 		b := NewBuilder()
 		ref := &Reference{}
 		var prefixes []netip.Prefix
+		survivor := map[netip.Prefix]PoP{} // by the prefix Add files the row under
 		// Decode records: tag byte selects family; v4 records are
 		// addr(4)+bits(1)+pop(1), v6 records addr(16)+bits(1)+pop(1).
 		// Cap the route count so a large input can't stall the fuzzer.
@@ -60,8 +66,20 @@ func FuzzLPMLookup(f *testing.F) {
 				t.Fatalf("Reference.Add(%v): %v", p, err)
 			}
 			prefixes = append(prefixes, p)
+			survivor[filed(p)] = pop
 		}
 		tab := b.Build()
+		checkSpans(t, tab.v4start, tab.v4pop, tab.v4bits, func(a uint32) u128 { return u128{lo: uint64(a)} })
+		checkSpans(t, tab.v6start, tab.v6pop, tab.v6bits, func(a u128) u128 { return a })
+		rev := NewBuilder()
+		for i := len(prefixes) - 1; i >= 0; i-- {
+			if err := rev.Add(prefixes[i], survivor[filed(prefixes[i])]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !rev.Build().Equal(tab) {
+			t.Fatalf("the rows in reverse order, with their surviving PoPs, build another table: %v", prefixes)
+		}
 
 		check := func(addr netip.Addr) {
 			gp, gb, gok := tab.Lookup(addr)
@@ -90,6 +108,35 @@ func FuzzLPMLookup(f *testing.F) {
 			data = data[4:]
 		}
 	})
+}
+
+// filed returns the prefix Builder.Add files p under: masked, and a
+// 4-in-6 prefix of 96 bits or more as its IPv4 prefix.
+func filed(p netip.Prefix) netip.Prefix {
+	p = p.Masked()
+	if a := p.Addr(); a.Is4In6() && p.Bits() >= 96 {
+		return netip.PrefixFrom(a.Unmap(), p.Bits()-96)
+	}
+	return p
+}
+
+// checkSpans fails unless one family's spans start at address zero,
+// ascend, and each differ from their predecessor in PoP or prefix
+// length.
+func checkSpans[A uint32 | u128](t *testing.T, starts []A, pops []PoP, bits []int16, wide func(A) u128) {
+	t.Helper()
+	var zero A
+	if len(starts) > 0 && starts[0] != zero {
+		t.Fatalf("first span starts at %v, not zero", starts[0])
+	}
+	for i := 1; i < len(starts); i++ {
+		if wide(starts[i-1]).compare(wide(starts[i])) >= 0 {
+			t.Fatalf("span %d starts at %v, not after span %d's %v", i, starts[i], i-1, starts[i-1])
+		}
+		if pops[i] == pops[i-1] && bits[i] == bits[i-1] {
+			t.Fatalf("spans %d and %d both route to PoP %d at /%d", i-1, i, pops[i], bits[i])
+		}
+	}
 }
 
 // lastAddr returns the highest address covered by p.

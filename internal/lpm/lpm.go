@@ -6,8 +6,11 @@
 // Layout: binary search over sorted disjoint intervals. The builder
 // flattens the (possibly nested) input prefixes into a sorted list of
 // non-overlapping address spans, each carrying the PoP and prefix
-// length of the most specific route covering it; a lookup is then a
-// single branch-light binary search for the greatest span start <= the
+// length of the most specific route covering it: it sorts its rows in
+// place, by start and then prefix length, and one sweep writes the
+// spans straight into the table. Rows keep their insertion order, so
+// a Builder stays reusable after a Build. A lookup is then a single
+// branch-light binary search for the greatest span start <= the
 // address. Compared to a level-compressed radix trie this trades
 // incremental update (we rebuild and atomically swap instead — see
 // DESIGN.md "Subnet routing") for a layout that is immutable,
@@ -18,10 +21,12 @@
 package lpm
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
-	"sort"
 )
 
 // PoP identifies a point of presence (an edge cache site) in the
@@ -32,35 +37,55 @@ type PoP uint32
 // u128 is an unsigned 128-bit integer, the key space of IPv6 spans.
 type u128 struct{ hi, lo uint64 }
 
-func u128Less(a, b u128) bool {
-	return a.hi < b.hi || (a.hi == b.hi && a.lo < b.lo)
+func (a u128) compare(b u128) int {
+	if a.hi != b.hi {
+		return cmp.Compare(a.hi, b.hi)
+	}
+	return cmp.Compare(a.lo, b.lo)
 }
 
-// inc returns a+1 and whether it did not wrap.
-func (a u128) inc() (u128, bool) {
+// inc returns a+1, wrapping to zero past the last u128.
+func (a u128) inc() u128 {
 	a.lo++
 	if a.lo == 0 {
 		a.hi++
-		if a.hi == 0 {
-			return a, false
-		}
 	}
-	return a, true
+	return a
 }
 
-// row is one input route before flattening.
-type row struct {
-	start, end u128 // inclusive address range of the prefix
-	pop        PoP
-	bits       int16
-	seq        int // insertion order; later rows win exact duplicates
+// last returns the last address of the prefix a/bits in a family of
+// width-bit addresses.
+func (a u128) last(bits uint8, width uint) u128 {
+	host := width - uint(bits)
+	if host > 64 {
+		a.hi |= 1<<(host-64) - 1
+	}
+	a.lo |= 1<<host - 1
+	return a
 }
 
-// Builder accumulates routes for a Table. Not safe for concurrent use;
-// Build may be called once the rows are in.
+// row is one input route, keyed by its prefix's first address in the
+// family's key type; its last address follows from start and bits.
+type row[A uint32 | u128] struct {
+	start A
+	pop   PoP
+	order uint32 // insertion order; of two equal prefixes the later wins
+	bits  uint8
+}
+
+// enclosing is a route the sweep is inside: its last address, widened
+// to u128, and its outcome.
+type enclosing struct {
+	last u128
+	pop  PoP
+	bits uint8
+}
+
+// Builder accumulates routes for a Table. Not safe for concurrent use.
 type Builder struct {
-	v4, v6 []row
-	seq    int
+	v4    []row[uint32]
+	v6    []row[u128]
+	order uint32
 }
 
 // NewBuilder returns an empty Builder.
@@ -68,10 +93,15 @@ func NewBuilder() *Builder { return &Builder{} }
 
 // Add registers prefix → pop. 4-in-6 prefixes (::ffff:a.b.c.d/n with
 // n >= 96) are normalized into the IPv4 table. A prefix added twice
-// keeps the last PoP.
+// keeps the last PoP. A Builder holds at most 2³²−1 routes: Add refuses
+// the next one, since past that count insertion order, which decides
+// between duplicates, would wrap.
 func (b *Builder) Add(prefix netip.Prefix, pop PoP) error {
 	if !prefix.IsValid() {
 		return fmt.Errorf("lpm: invalid prefix %v", prefix)
+	}
+	if b.order == math.MaxUint32 {
+		return fmt.Errorf("lpm: more than %d routes", uint32(math.MaxUint32))
 	}
 	prefix = prefix.Masked()
 	addr := prefix.Addr()
@@ -80,40 +110,26 @@ func (b *Builder) Add(prefix netip.Prefix, pop PoP) error {
 		addr = addr.Unmap()
 		pbits -= 96
 	}
-	b.seq++
+	b.order++
 	if addr.Is4() {
 		a4 := addr.As4()
-		start := uint64(a4[0])<<24 | uint64(a4[1])<<16 | uint64(a4[2])<<8 | uint64(a4[3])
-		var host uint64
-		if pbits < 32 {
-			host = (1 << (32 - pbits)) - 1
-		}
-		b.v4 = append(b.v4, row{
-			start: u128{lo: start},
-			end:   u128{lo: start | host},
-			pop:   pop,
-			bits:  int16(pbits),
-			seq:   b.seq,
-		})
+		b.v4 = append(grow(b.v4), row[uint32]{start: binary.BigEndian.Uint32(a4[:]), pop: pop, order: b.order, bits: uint8(pbits)})
 		return nil
 	}
 	a16 := addr.As16()
-	var start u128
-	for i := 0; i < 8; i++ {
-		start.hi = start.hi<<8 | uint64(a16[i])
-		start.lo = start.lo<<8 | uint64(a16[i+8])
-	}
-	end := start
-	if pbits <= 64 {
-		if pbits < 64 {
-			end.hi |= ^uint64(0) >> pbits
-		}
-		end.lo = ^uint64(0)
-	} else if pbits < 128 {
-		end.lo |= ^uint64(0) >> (pbits - 64)
-	}
-	b.v6 = append(b.v6, row{start: start, end: end, pop: pop, bits: int16(pbits), seq: b.seq})
+	start := u128{hi: binary.BigEndian.Uint64(a16[:8]), lo: binary.BigEndian.Uint64(a16[8:])}
+	b.v6 = append(grow(b.v6), row[u128]{start: start, pop: pop, order: b.order, bits: uint8(pbits)})
 	return nil
+}
+
+// grow doubles a full slice's capacity. Past a few hundred elements
+// append grows by a quarter, which for a large table copies its rows
+// about four times over.
+func grow[R any](rows []R) []R {
+	if len(rows) < cap(rows) {
+		return rows
+	}
+	return slices.Grow(rows, len(rows)+1)
 }
 
 // Len returns the number of routes added so far.
@@ -137,116 +153,99 @@ type Table struct {
 	rows4, rows6 int
 }
 
-// Build flattens the accumulated routes into a Table. The Builder may
-// be reused afterwards (further Adds affect only later Builds).
+// Build flattens the accumulated routes into a Table: it sorts each
+// family's rows in place by start, then prefix length, and sweeps them
+// once into the table's spans. Each row keeps its insertion order, so
+// the Builder stays reusable: further Adds and Builds see the routes
+// as if they had never been sorted.
 func (b *Builder) Build() *Table {
+	slices.SortFunc(b.v4, func(x, y row[uint32]) int {
+		return cmp.Compare(uint64(x.start)<<8|uint64(x.bits), uint64(y.start)<<8|uint64(y.bits))
+	})
+	slices.SortFunc(b.v6, func(x, y row[u128]) int {
+		return cmp.Or(x.start.compare(y.start), cmp.Compare(x.bits, y.bits))
+	})
 	t := &Table{rows4: len(b.v4), rows6: len(b.v6)}
-	max4 := u128{lo: 0xFFFFFFFF}
-	max6 := u128{hi: ^uint64(0), lo: ^uint64(0)}
-	for _, sp := range flatten(b.v4, max4) {
-		t.v4start = append(t.v4start, uint32(sp.start.lo))
-		t.v4pop = append(t.v4pop, sp.pop)
-		t.v4bits = append(t.v4bits, sp.bits)
-	}
-	for _, sp := range flatten(b.v6, max6) {
-		t.v6start = append(t.v6start, sp.start)
-		t.v6pop = append(t.v6pop, sp.pop)
-		t.v6bits = append(t.v6bits, sp.bits)
-	}
+	t.v4start, t.v4pop, t.v4bits = sweep(b.v4, 32,
+		func(a uint32) u128 { return u128{lo: uint64(a)} }, func(k u128) uint32 { return uint32(k.lo) })
+	t.v6start, t.v6pop, t.v6bits = sweep(b.v6, 128,
+		func(a u128) u128 { return a }, func(k u128) u128 { return k })
 	return t
 }
 
-// span is one flattened output interval: it begins at start and runs
-// to the next span's start (or the end of the address space).
-type span struct {
-	start u128
-	pop   PoP
-	bits  int16 // -1: no route covers this span
-}
-
-// flatten turns possibly-nested rows into disjoint spans via a single
-// sweep with a parent stack. Rows are sorted so that a parent prefix
-// precedes its children (start ascending, then end descending); the
-// stack holds the chain of enclosing routes, and each row boundary
-// emits a span carrying the innermost route in force. max is the last
-// address of the family's space: a route ending there has no successor
-// span (incrementing past it would escape the family's key range).
-func flatten(rows []row, max u128) []span {
+// sweep flattens one family's sorted rows into disjoint spans, each
+// carrying the PoP and prefix length of the innermost route covering
+// it (bits -1 where none does), from a sentinel gap at address zero.
+// A parent prefix sorts before its children, so a stack holds the
+// chain of routes enclosing the current address: a row's start opens
+// a span for it, and past a route's last address the span returns to
+// its parent. Of equal prefixes, which sort together, only the
+// later-added is kept, and adjacent spans with the same outcome merge.
+// width is the family's address width; wide and narrow convert its
+// keys to and from u128.
+func sweep[A uint32 | u128](rows []row[A], width uint, wide func(A) u128, narrow func(u128) A) (starts []A, pops []PoP, bits []int16) {
 	if len(rows) == 0 {
-		return nil
+		return nil, nil, nil
 	}
-	sorted := make([]row, len(rows))
-	copy(sorted, rows)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, c := sorted[i], sorted[j]
-		if a.start != c.start {
-			return u128Less(a.start, c.start)
-		}
-		if a.end != c.end {
-			return u128Less(c.end, a.end) // wider (parent) first
-		}
-		return a.seq < c.seq // duplicates: keep insertion order, last wins below
-	})
-	// Collapse exact-duplicate prefixes to the last-added row.
-	dd := sorted[:0]
-	for i, r := range sorted {
-		if i+1 < len(sorted) && sorted[i+1].start == r.start && sorted[i+1].end == r.end {
-			continue
-		}
-		dd = append(dd, r)
-	}
-	sorted = dd
-
-	out := make([]span, 0, 2*len(sorted)+1)
-	// emit starts a new span at `at`; it merges spans with equal
-	// routing outcome and drops zero-length predecessors.
-	emit := func(at u128, pop PoP, b int16) {
-		if n := len(out); n > 0 {
-			last := &out[n-1]
-			if last.start == at {
-				last.pop, last.bits = pop, b
-				if n > 1 && out[n-2].pop == pop && out[n-2].bits == b {
-					out = out[:n-1]
+	n := 2*len(rows) + 1 // a row opens at most two spans
+	starts, pops, bits = make([]A, 0, n), make([]PoP, 0, n), make([]int16, 0, n)
+	// emit starts a span at `at`, which never decreases from one call
+	// to the next: an empty last span takes the new outcome instead,
+	// and a span with its predecessor's outcome is not started.
+	emit := func(at A, pop PoP, b int16) {
+		if n := len(starts); n > 0 {
+			if starts[n-1] == at {
+				pops[n-1], bits[n-1] = pop, b
+				if n > 1 && pops[n-2] == pop && bits[n-2] == b {
+					starts, pops, bits = starts[:n-1], pops[:n-1], bits[:n-1]
 				}
 				return
 			}
-			if last.pop == pop && last.bits == b {
+			if pops[n-1] == pop && bits[n-1] == b {
 				return
 			}
 		}
-		out = append(out, span{start: at, pop: pop, bits: b})
+		starts, pops, bits = append(starts, at), append(pops, pop), append(bits, b)
 	}
-	emit(u128{}, 0, -1) // sentinel: address space starts unrouted
+	var zero A
+	emit(zero, 0, -1)
 
-	var stack []row
-	// pop closes the innermost route: control past its end returns to
-	// its parent, or to no-route when the stack empties. A route ending
-	// at the family's last address has no successor span.
-	pop := func() {
+	var stack []enclosing
+	// leave closes the innermost route. The span after it belongs to
+	// its parent, or to no route when the stack empties; a route that
+	// ends the family's space has none, as its successor wraps to zero.
+	leave := func() {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if top.end == max {
+		after := narrow(top.last.inc())
+		if after == zero {
 			return
 		}
-		after, _ := top.end.inc()
 		if len(stack) > 0 {
 			p := stack[len(stack)-1]
-			emit(after, p.pop, p.bits)
+			emit(after, p.pop, int16(p.bits))
 		} else {
 			emit(after, 0, -1)
 		}
 	}
-	for _, r := range sorted {
-		for len(stack) > 0 && u128Less(stack[len(stack)-1].end, r.start) {
-			pop()
+	for i := 0; i < len(rows); i++ {
+		r := rows[i]
+		for ; i+1 < len(rows) && rows[i+1].start == r.start && rows[i+1].bits == r.bits; i++ {
+			if rows[i+1].order > r.order {
+				r = rows[i+1]
+			}
 		}
-		emit(r.start, r.pop, r.bits)
-		stack = append(stack, r)
+		start := wide(r.start)
+		for len(stack) > 0 && stack[len(stack)-1].last.compare(start) < 0 {
+			leave()
+		}
+		emit(r.start, r.pop, int16(r.bits))
+		stack = append(stack, enclosing{last: start.last(r.bits, width), pop: r.pop, bits: r.bits})
 	}
 	for len(stack) > 0 {
-		pop()
+		leave()
 	}
-	return out
+	return starts, pops, bits
 }
 
 // Lookup returns the PoP of the most specific route covering addr, the

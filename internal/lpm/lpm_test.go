@@ -1,6 +1,7 @@
 package lpm
 
 import (
+	"math"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -147,6 +148,21 @@ func TestAddInvalidPrefix(t *testing.T) {
 	}
 }
 
+// TestAddRefusesOrderWrap: a Builder numbers its rows in a uint32, so
+// it takes 2³²−1 of them and refuses the next; a wrapped number would
+// let an earlier duplicate win.
+func TestAddRefusesOrderWrap(t *testing.T) {
+	b := &Builder{order: math.MaxUint32 - 1}
+	mustAdd(t, b, "10.0.0.0/8", 1)
+	if err := b.Add(netip.MustParsePrefix("10.0.0.0/8"), 2); err == nil {
+		t.Fatal("the 2³²-th row was accepted")
+	}
+	if b.Len() != 1 {
+		t.Fatalf("Len = %d after a refused row, want 1", b.Len())
+	}
+	checkLookup(t, b.Build(), "10.1.2.3", 1, 8, true)
+}
+
 // randomTables builds a Table and Reference from the same random route
 // set, for differential comparison.
 func randomTables(rng *rand.Rand, n int) (*Table, *Reference) {
@@ -227,6 +243,38 @@ func TestTableEqual(t *testing.T) {
 	}
 	if base.Equal(build([]int{0, 1, 2, 3, 4}, -1)) {
 		t.Error("table missing a row is Equal")
+	}
+
+	// A per-cell-site table: a /16 over each /16 of 10.0.0.0/7, then
+	// /24s for 100 000 of its /24s in ascending order, and the same rows
+	// shuffled.
+	rng := rand.New(rand.NewSource(1))
+	var cells []netip.Prefix
+	for s := 0; s < 1<<17; s += 256 {
+		cells = append(cells, netip.PrefixFrom(netip.AddrFrom4([4]byte{10 + byte(s>>16), byte(s >> 8), 0, 0}), 16))
+	}
+	for s := 0; s < 1<<17; s++ {
+		if (s*40503)&(1<<17-1) < 100_000 {
+			cells = append(cells, netip.PrefixFrom(netip.AddrFrom4([4]byte{10 + byte(s>>16), byte(s >> 8), byte(s), 0}), 24))
+		}
+	}
+	pops := make(map[netip.Prefix]PoP, len(cells))
+	for _, p := range cells {
+		pops[p] = PoP(rng.Intn(16))
+	}
+	buildCells := func() *Table {
+		b := NewBuilder()
+		for _, p := range cells {
+			if err := b.Add(p, pops[p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+	sorted := buildCells()
+	rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+	if !buildCells().Equal(sorted) {
+		t.Error("the cell-site table, its rows shuffled, is not Equal")
 	}
 	var none *Table
 	if base.Equal(none) || none.Equal(base) || !none.Equal(nil) {
