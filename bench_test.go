@@ -919,7 +919,9 @@ func benchLPMCells(rng *rand.Rand, n int) []lpmRoute {
 	return routes
 }
 
+// buildLPM adds every route to a new Builder and builds the table.
 func buildLPM(b *testing.B, routes []lpmRoute) *lpm.Table {
+	b.Helper()
 	bld := lpm.NewBuilder()
 	for _, r := range routes {
 		if err := bld.Add(r.prefix, r.pop); err != nil {

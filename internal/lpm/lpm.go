@@ -191,19 +191,18 @@ func sweep[A uint32 | u128](rows []row[A], width uint, wide func(A) u128, narrow
 	starts, pops, bits = make([]A, 0, n), make([]PoP, 0, n), make([]int16, 0, n)
 	// emit starts a span at `at`, which never decreases from one call
 	// to the next: an empty last span takes the new outcome instead,
-	// and a span with its predecessor's outcome is not started.
+	// and merges into its predecessor if that has the same one. A span
+	// at a new address differs from the one before it, which belongs
+	// to a route enclosing the new one (a shorter prefix) or to none
+	// when a row starts, and to the closed route or one inside it (a
+	// longer prefix) when a route closes.
 	emit := func(at A, pop PoP, b int16) {
-		if n := len(starts); n > 0 {
-			if starts[n-1] == at {
-				pops[n-1], bits[n-1] = pop, b
-				if n > 1 && pops[n-2] == pop && bits[n-2] == b {
-					starts, pops, bits = starts[:n-1], pops[:n-1], bits[:n-1]
-				}
-				return
+		if n := len(starts); n > 0 && starts[n-1] == at {
+			pops[n-1], bits[n-1] = pop, b
+			if n > 1 && pops[n-2] == pop && bits[n-2] == b {
+				starts, pops, bits = starts[:n-1], pops[:n-1], bits[:n-1]
 			}
-			if pops[n-1] == pop && bits[n-1] == b {
-				return
-			}
+			return
 		}
 		starts, pops, bits = append(starts, at), append(pops, pop), append(bits, b)
 	}
