@@ -201,7 +201,7 @@ func benchmarkResolution(b *testing.B, withCache bool) {
 	if err := zone.AddA("www.bench.test.", 3600, netip.MustParseAddr("192.0.2.1")); err != nil {
 		b.Fatal(err)
 	}
-	dnsserver.Attach(net.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(zone)), nil)
+	dnsserver.Attach(net.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(zone)), nil, nil)
 	up := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: net.Node("ldns").Endpoint()}}
 	up.SetRand(rand.New(rand.NewSource(2)))
 	fwd := &dnsserver.Forward{Upstreams: []netip.AddrPort{netip.AddrPortFrom(net.Node("auth").Addr, 53)}, Client: up}
@@ -211,7 +211,7 @@ func benchmarkResolution(b *testing.B, withCache bool) {
 	} else {
 		chain = dnsserver.Chain(fwd)
 	}
-	dnsserver.Attach(net.Node("ldns"), chain, nil)
+	dnsserver.Attach(net.Node("ldns"), chain, nil, nil)
 	client := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: net.Node("client").Endpoint()}}
 	client.SetRand(rand.New(rand.NewSource(3)))
 	ldns := netip.AddrPortFrom(net.Node("ldns").Addr, 53)

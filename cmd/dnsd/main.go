@@ -147,7 +147,7 @@ func run(cfg dnsd.Config) error {
 	cs := d.Cache.Stats()
 	fmt.Printf("cache: %d entries over %d shards, %d hits / %d misses, %d coalesced, %d evictions\n",
 		cs.Entries, cs.Shards, cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions)
-	if lat := d.Metrics.Duration(); lat.Count() > 0 {
+	if lat := d.Hub.ServeDuration; lat.Count() > 0 {
 		// Quantiles are histogram bucket bounds, hence "<=".
 		fmt.Printf("serve latency: mean %v  p50 <=%v  p99 <=%v (n=%d)\n",
 			(lat.Sum() / time.Duration(lat.Count())).Round(time.Microsecond),

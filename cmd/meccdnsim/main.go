@@ -131,7 +131,7 @@ func run(out io.Writer, seed int64, objects, requests int, air string, caches in
 	ms := site.MsgCache.Stats()
 	fmt.Fprintf(out, "  L-DNS msg cache: %d entries over %d shards, %d hits / %d misses, %d coalesced\n",
 		ms.Entries, ms.Shards, ms.Hits, ms.Misses, ms.Coalesced)
-	if d := site.Metrics.Duration(); d.Count() > 0 {
+	if d := site.Hub.ServeDuration; d.Count() > 0 {
 		msec := func(t time.Duration) float64 { return float64(t) / float64(time.Millisecond) }
 		fmt.Fprintf(out, "  L-DNS serve time (virtual): mean %8.2fms  p50 <=%.2fms  p99 <=%.2fms  n=%d\n",
 			msec(d.Sum())/float64(d.Count()), msec(d.Quantile(0.50)), msec(d.Quantile(0.99)), d.Count())

@@ -70,7 +70,9 @@ func NewDNSMetrics() *dnsserver.Metrics { return dnsserver.NewMetrics() }
 
 // AttachDNS installs a DNS handler on a simulator node with the given
 // per-query processing-time distribution.
-func AttachDNS(node *Node, h dnsserver.Handler, proc simnet.Sampler) { dnsserver.Attach(node, h, proc) }
+func AttachDNS(node *Node, h dnsserver.Handler, proc simnet.Sampler) {
+	dnsserver.Attach(node, h, nil, proc)
+}
 
 // NewTelemetryRegistry returns an empty metrics registry; every
 // component's Collectors() registers on one.

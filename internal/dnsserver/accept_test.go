@@ -3,12 +3,14 @@ package dnsserver
 import (
 	"context"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/meccdn/meccdn/internal/dnsclient"
 	"github.com/meccdn/meccdn/internal/dnswire"
+	"github.com/meccdn/meccdn/internal/telemetry"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
 
@@ -17,9 +19,13 @@ import (
 // zone answer, a cache hit, a stub's upstream exchange — and the chain
 // never sees it: the cache neither answers nor stores it and the
 // upstream is not asked. Each reply carries the query's opcode and
-// question and an OPT of version 0, and the chain's Metrics link counts
-// it under its rcode and the query's type.
+// question and an OPT of version 0, the chain's Metrics link counts
+// it under its rcode and the query's type, and the hub counts it on the
+// refused resolution path.
 func TestAcceptMatrix(t *testing.T) {
+	// The cells of meccdn_dns_resolution_path_total run cache-hit, edge,
+	// upstream, refused, error.
+	const refusedPath = 3
 	const name = "www.accept.test."
 	var asked atomic.Int32
 	up := scriptedUpstream(t, func(q *dnswire.Message, raw []byte) [][]byte {
@@ -65,7 +71,7 @@ func TestAcceptMatrix(t *testing.T) {
 				return stub
 			}},
 		} {
-			cache, metrics := NewCache(vclock.NewReal()), NewMetrics()
+			cache, metrics, hub := NewCache(vclock.NewReal()), NewMetrics(), telemetry.NewHub(nil)
 			chain := Chain(metrics, cache, col.source())
 			st := &serveScratch{intern: dnswire.NewNameIntern(0)}
 			serve := func(build func(*dnswire.Message)) *dnswire.Message {
@@ -75,7 +81,7 @@ func TestAcceptMatrix(t *testing.T) {
 				if build != nil {
 					build(q)
 				}
-				buf, n := serveQuery(context.Background(), chain, nil, st, mustPack(t, q), client, "udp", maxUDPPayload)
+				buf, n := serveQuery(context.Background(), chain, hub, st, mustPack(t, q), client, "udp", maxUDPPayload)
 				if buf == nil {
 					t.Fatalf("%s, %s: no reply", row.name, col.name)
 				}
@@ -96,6 +102,7 @@ func TestAcceptMatrix(t *testing.T) {
 			}
 			before, askedBefore := cache.Stats(), asked.Load()
 			counted, countedA := metrics.CountByRcode(row.rcode), metrics.CountByType(dnswire.TypeA)
+			paths := hub.Path.Values()
 			reply := serve(row.build)
 			opt, edns := reply.OPT()
 			switch {
@@ -114,6 +121,10 @@ func TestAcceptMatrix(t *testing.T) {
 			}
 			if n, nA := metrics.CountByRcode(row.rcode)-counted, metrics.CountByType(dnswire.TypeA)-countedA; n != 1 || nA != 1 {
 				t.Errorf("%s, %s: Metrics counted the reply %d times under %v, the query %d times under A", row.name, col.name, n, row.rcode, nA)
+			}
+			paths[refusedPath]++
+			if got := hub.Path.Values(); !slices.Equal(got, paths) {
+				t.Errorf("%s, %s: resolution paths %v, want %v", row.name, col.name, got, paths)
 			}
 		}
 	}

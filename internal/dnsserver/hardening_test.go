@@ -19,6 +19,7 @@ import (
 
 	"github.com/meccdn/meccdn/internal/dnsclient"
 	"github.com/meccdn/meccdn/internal/dnswire"
+	"github.com/meccdn/meccdn/internal/telemetry"
 	"github.com/meccdn/meccdn/internal/vclock"
 )
 
@@ -770,21 +771,30 @@ func TestLoadShedNilClockDefaults(t *testing.T) {
 	}
 }
 
-// TestMetricsLatencyHistogram: the ServeDNS duration histogram tracks
-// the handler's virtual-time cost.
-func TestMetricsLatencyHistogram(t *testing.T) {
+// TestHubLatencyHistogram: the hub's serve-duration histogram tracks
+// the chain's virtual-time cost when serveQuery runs under a hub on
+// that clock, as Attach serves a simnet node.
+func TestHubLatencyHistogram(t *testing.T) {
 	clock := &vclock.Fixed{}
-	m := NewMetrics()
-	m.Clock = clock
+	hub := telemetry.NewHub(clock)
 	backend := HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
 		clock.Time += 5 * time.Millisecond // simulated resolution work
 		return answerHandler("192.0.2.1").ServeDNS(ctx, w, r)
 	})
-	h := Chain(m, pluginize(backend))
-	for i := 0; i < 20; i++ {
-		Resolve(context.Background(), h, queryFor("lat.test."))
+	h := Chain(NewMetrics(), pluginize(backend))
+	query, err := queryFor("lat.test.").Msg.Pack()
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := m.Duration()
+	st := new(serveScratch)
+	for i := 0; i < 20; i++ {
+		buf, _ := serveQuery(context.Background(), h, hub, st, query, netip.AddrPort{}, "sim", dnswire.MaxMessageSize)
+		if buf == nil {
+			t.Fatal("no reply")
+		}
+		dnswire.PutBuffer(buf)
+	}
+	d := hub.ServeDuration
 	if d.Count() != 20 || d.Sum() != 100*time.Millisecond {
 		t.Fatalf("histogram count/sum = %d/%v, want 20/100ms", d.Count(), d.Sum())
 	}

@@ -212,7 +212,7 @@ func TestIngressesAgree(t *testing.T) {
 	n.AddNode("ue")
 	n.AddNode("ldns")
 	n.AddLink("ue", "ldns", simnet.Constant(time.Millisecond), 0)
-	Attach(n.Node("ldns"), site.chain, simnet.Constant(250*time.Microsecond))
+	Attach(n.Node("ldns"), site.chain, nil, simnet.Constant(250*time.Microsecond))
 	ingresses = append(ingresses, ingress{"sim", site, func(query []byte) ([]byte, error) {
 		reply, _, err := n.Node("ue").Endpoint().Exchange(n.Node("ldns").Addr, query, time.Second)
 		return reply, err
@@ -288,10 +288,10 @@ func TestAttachReentrant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	Attach(n.Node("up"), Chain(NewZonePlugin(zone)), nil)
+	Attach(n.Node("up"), Chain(NewZonePlugin(zone)), nil, nil)
 	stub := NewStub(simClient(n, "ldns"))
 	stub.Route("up.test.", netip.AddrPortFrom(n.Node("up").Addr, 53))
-	Attach(n.Node("ldns"), Chain(stub), nil)
+	Attach(n.Node("ldns"), Chain(stub), nil, nil)
 
 	replies := map[string][]byte{}
 	send := func(node, name string, id uint16) {
@@ -395,7 +395,7 @@ func TestResponsesAreNotAnswered(t *testing.T) {
 	n.AddNode("ue")
 	n.AddNode("ldns")
 	n.AddLink("ue", "ldns", simnet.Constant(time.Millisecond), 0)
-	Attach(n.Node("ldns"), chain, nil)
+	Attach(n.Node("ldns"), chain, nil, nil)
 	ids = nil
 	n.Node("ue").Tap(func(ev simnet.HopEvent) {
 		if ev.Kind == simnet.HopDeliver {

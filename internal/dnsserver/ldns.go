@@ -6,7 +6,7 @@ package dnsserver
 // dnsd daemon over sockets, meccdn.DeploySite under simnet) fills the
 // links it has and takes the order from Plugins.
 //
-// Why this order: Metrics times everything after it; Shed refuses
+// Why this order: Metrics counts every reply, Shed's included; Shed refuses
 // before any work is spent; ECS stamps the query before Cache keys on
 // its subnet; Cache fronts every link that can produce an answer; then
 // the most specific source wins — a stub domain handed to a collocated

@@ -115,21 +115,12 @@ func (l *LoadShed) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, n
 	return next.ServeDNS(ctx, w, r)
 }
 
-// Metrics counts queries by type and response code and observes each
-// query's ServeDNS duration once, into a fixed-bucket telemetry
-// histogram — the same series /metrics exposes and the shutdown
-// summaries quote — so the Fig-5 latency decomposition is observable
-// on a live server, not only in simnet traces.
+// Metrics counts queries by type and response code. It reads no
+// clock: the telemetry hub's span times each query once, into
+// meccdn_dns_serve_duration_seconds, on every ingress and under simnet.
 type Metrics struct {
-	// Clock supplies the duration measurements. Nil means a wall
-	// clock; set the simnet clock so the histogram reflects virtual
-	// time in experiments.
-	Clock vclock.Clock
-
-	ctrOnce  sync.Once
-	queries  *telemetry.Family // by qtypeLabels
-	rcodes   *telemetry.Family // by rcodeLabels
-	duration *telemetry.Histogram
+	queries *telemetry.Family // by qtypeLabels
+	rcodes  *telemetry.Family // by rcodeLabels
 }
 
 // enumLabels are the label values of a family counting a protocol
@@ -193,33 +184,18 @@ func rcodeName(rc dnswire.Rcode) string {
 	return rc.String()
 }
 
-// wallClock times queries for every Metrics without a Clock of its
-// own; only differences of its readings are used.
-var wallClock vclock.Clock = vclock.NewReal()
-
 // NewMetrics returns an empty counter set.
 func NewMetrics() *Metrics {
-	m := &Metrics{}
-	m.instruments()
-	return m
-}
-
-// instruments lazily builds the telemetry families, so Metrics also
-// works as a plain struct literal.
-func (m *Metrics) instruments() (queries, rcodes *telemetry.Family, duration *telemetry.Histogram) {
-	m.ctrOnce.Do(func() {
-		m.queries = telemetry.NewCounters("meccdn_dns_queries_total", "Queries served, by question type.", "type", qtypeLabels.names...)
-		m.rcodes = telemetry.NewCounters("meccdn_dns_responses_total", "Responses produced, by response code.", "rcode", rcodeLabels.names...)
-		m.duration = telemetry.NewHistogram("meccdn_dns_handler_duration_seconds", "Plugin-chain ServeDNS duration per query.")
-	})
-	return m.queries, m.rcodes, m.duration
+	return &Metrics{
+		queries: telemetry.NewCounters("meccdn_dns_queries_total", "Queries served, by question type.", "type", qtypeLabels.names...),
+		rcodes:  telemetry.NewCounters("meccdn_dns_responses_total", "Responses produced, by response code.", "rcode", rcodeLabels.names...),
+	}
 }
 
 // Collectors returns the metric families for registration on a
 // telemetry.Registry.
 func (m *Metrics) Collectors() []telemetry.Collector {
-	queries, rcodes, duration := m.instruments()
-	return []telemetry.Collector{queries, rcodes, duration}
+	return []telemetry.Collector{m.queries, m.rcodes}
 }
 
 // Name implements Plugin.
@@ -227,48 +203,28 @@ func (m *Metrics) Name() string { return "metrics" }
 
 // ServeDNS implements Plugin.
 func (m *Metrics) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
-	clock := m.Clock
-	if clock == nil {
-		clock = wallClock
-	}
-
-	start := clock.Now()
 	rcode, err := next.ServeDNS(ctx, w, r)
-	m.count(r, rcode, clock.Now()-start)
+	m.count(r, rcode)
 	return rcode, err
 }
 
-// count counts r, answered with rcode after elapsed in the chain.
-func (m *Metrics) count(r *Request, rcode dnswire.Rcode, elapsed time.Duration) {
-	queries, rcodes, duration := m.instruments()
-	queries.Inc(qtypeLabels.of(uint16(r.Type())))
-	rcodes.Inc(rcodeLabels.of(uint16(rcode)))
-	duration.Observe(elapsed)
+// count counts r, answered with rcode.
+func (m *Metrics) count(r *Request, rcode dnswire.Rcode) {
+	m.queries.Inc(qtypeLabels.of(uint16(r.Type())))
+	m.rcodes.Inc(rcodeLabels.of(uint16(rcode)))
 }
 
 // Total returns the number of queries observed.
-func (m *Metrics) Total() uint64 {
-	_, rcodes, _ := m.instruments()
-	return rcodes.Sum()
-}
+func (m *Metrics) Total() uint64 { return m.rcodes.Sum() }
 
 // CountByRcode returns the count for one response code; a code dnswire
 // does not name reads the count of every such code.
 func (m *Metrics) CountByRcode(rc dnswire.Rcode) uint64 {
-	_, rcodes, _ := m.instruments()
-	return rcodes.Values()[rcodeLabels.of(uint16(rc))]
+	return m.rcodes.Values()[rcodeLabels.of(uint16(rc))]
 }
 
 // CountByType returns the count for one query type; a type dnswire
 // does not name reads the count of every such type.
 func (m *Metrics) CountByType(t dnswire.Type) uint64 {
-	queries, _, _ := m.instruments()
-	return queries.Values()[qtypeLabels.of(uint16(t))]
-}
-
-// Duration returns the ServeDNS duration histogram, for summaries
-// (Count, Sum, Quantile) outside a /metrics scrape.
-func (m *Metrics) Duration() *telemetry.Histogram {
-	_, _, duration := m.instruments()
-	return duration
+	return m.queries.Values()[qtypeLabels.of(uint16(t))]
 }

@@ -206,7 +206,7 @@ func simPair(t *testing.T, seed int64, h Handler) (*simnet.Network, netip.AddrPo
 	n.AddNode("down")
 	n.AddNode("up")
 	n.AddLink("down", "up", simnet.Constant(5*time.Millisecond), 0)
-	Attach(n.Node("up"), h, simnet.Constant(time.Millisecond))
+	Attach(n.Node("up"), h, nil, simnet.Constant(time.Millisecond))
 	return n, netip.AddrPortFrom(n.Node("up").Addr, 53)
 }
 
@@ -237,7 +237,7 @@ func TestForwardFailover(t *testing.T) {
 	n.AddNode("live")
 	n.AddLink("down", "dead", simnet.Constant(time.Millisecond), 1.0)
 	n.AddLink("down", "live", simnet.Constant(time.Millisecond), 0)
-	Attach(n.Node("live"), Chain(NewZonePlugin(z)), nil)
+	Attach(n.Node("live"), Chain(NewZonePlugin(z)), nil, nil)
 
 	client := &dnsclient.Client{Transport: &dnsclient.SimTransport{
 		Endpoint: n.Node("down").Endpoint(), Timeout: 10 * time.Millisecond}}

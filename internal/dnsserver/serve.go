@@ -112,7 +112,7 @@ func accept(h Handler, w ResponseWriter, r *Request) (dnswire.Rcode, bool) {
 	rcode, _ = WriteReply(w, r, &dnswire.Reply{Rcode: rcode})
 	if c, ok := h.(*chain); ok {
 		for _, m := range c.metrics {
-			m.count(r, rcode, 0) // no link ran, so the chain took no time
+			m.count(r, rcode)
 		}
 	}
 	return rcode, true

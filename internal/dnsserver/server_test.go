@@ -145,7 +145,7 @@ func TestAttachServesOverSimnet(t *testing.T) {
 	n.AddNode("client")
 	n.AddNode("server")
 	n.AddLink("client", "server", simnet.Constant(4*time.Millisecond), 0)
-	Attach(n.Node("server"), Chain(NewZonePlugin(z)), simnet.Constant(2*time.Millisecond))
+	Attach(n.Node("server"), Chain(NewZonePlugin(z)), nil, simnet.Constant(2*time.Millisecond))
 
 	c := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: n.Node("client").Endpoint()}}
 	c.SetRand(rand.New(rand.NewSource(51)))
@@ -168,7 +168,7 @@ func TestAttachIgnoresGarbage(t *testing.T) {
 	n.AddNode("a")
 	n.AddNode("b")
 	n.AddLink("a", "b", simnet.Constant(time.Millisecond), 0)
-	Attach(n.Node("b"), Chain(), nil)
+	Attach(n.Node("b"), Chain(), nil, nil)
 	_, _, err := n.Node("a").Endpoint().Exchange(n.Node("b").Addr, []byte("not dns"), 10*time.Millisecond)
 	if err == nil {
 		t.Error("garbage got a reply")
@@ -190,7 +190,7 @@ func TestAttachQueuesConcurrentQueries(t *testing.T) {
 	if err := z.AddA("www.q.test.", 60, netip.MustParseAddr("192.0.2.1")); err != nil {
 		t.Fatal(err)
 	}
-	Attach(n.Node("server"), Chain(NewZonePlugin(z)), simnet.Constant(10*time.Millisecond))
+	Attach(n.Node("server"), Chain(NewZonePlugin(z)), nil, simnet.Constant(10*time.Millisecond))
 
 	q := new(dnswire.Message)
 	q.SetQuestion("www.q.test.", dnswire.TypeA)
@@ -248,13 +248,13 @@ func TestRecursiveForwardingTopology(t *testing.T) {
 	if err := z.AddA("img.cdn.example.", 300, netip.MustParseAddr("198.51.100.10")); err != nil {
 		t.Fatal(err)
 	}
-	Attach(n.Node("adns"), Chain(NewZonePlugin(z)), simnet.Constant(time.Millisecond))
+	Attach(n.Node("adns"), Chain(NewZonePlugin(z)), nil, simnet.Constant(time.Millisecond))
 
 	upClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: n.Node("ldns").Endpoint()}}
 	upClient.SetRand(rand.New(rand.NewSource(54)))
 	cache := NewCache(n.Clock)
 	fwd := &Forward{Upstreams: []netip.AddrPort{netip.AddrPortFrom(n.Node("adns").Addr, 53)}, Client: upClient}
-	Attach(n.Node("ldns"), Chain(cache, fwd), simnet.Constant(time.Millisecond))
+	Attach(n.Node("ldns"), Chain(cache, fwd), nil, simnet.Constant(time.Millisecond))
 
 	ueClient := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: n.Node("ue").Endpoint()}}
 	ueClient.SetRand(rand.New(rand.NewSource(55)))

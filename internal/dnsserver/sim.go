@@ -7,6 +7,7 @@ import (
 
 	"github.com/meccdn/meccdn/internal/dnswire"
 	"github.com/meccdn/meccdn/internal/simnet"
+	"github.com/meccdn/meccdn/internal/telemetry"
 )
 
 // Attach installs handler h as the DNS service of a simnet node. Every
@@ -14,7 +15,9 @@ import (
 // TCP ingresses serve with — so the chain (which may itself issue
 // nested upstream exchanges in virtual time) runs exactly as it does
 // behind a socket, and the reply is answered after a processing delay
-// drawn from proc (nil means zero processing time). Virtual datagrams
+// drawn from proc (nil means zero processing time). A non-nil hub
+// times each query with a span, as it does for Server.Telemetry; give
+// it the simnet clock so the spans read virtual time. Virtual datagrams
 // are not size-limited, so no reply is truncated.
 //
 // The server is modelled as a single-server queue: each query
@@ -23,14 +26,14 @@ import (
 // delay is zero; under an ingress flood (the X5 experiment) response
 // latency inflates, which is exactly why the paper's orchestrator
 // monitors ingress and sheds to the provider L-DNS.
-func Attach(node *simnet.Node, h Handler, proc simnet.Sampler) {
+func Attach(node *simnet.Node, h Handler, hub *telemetry.Hub, proc simnet.Sampler) {
 	var busyUntil time.Duration
 	node.SetHandler(simnet.HandlerFunc(func(ctx *simnet.Ctx, dg simnet.Datagram) {
 		// Fresh scratch per datagram: a nested upstream exchange pumps
 		// the event loop re-entrantly, so this node can be handed query
 		// B while query A is still parked inside the chain.
 		client := netip.AddrPortFrom(dg.Client(), 0)
-		buf, n := serveQuery(context.Background(), h, nil, new(serveScratch), dg.Payload, client, "sim", dnswire.MaxMessageSize)
+		buf, n := serveQuery(context.Background(), h, hub, new(serveScratch), dg.Payload, client, "sim", dnswire.MaxMessageSize)
 		if buf == nil {
 			return // not DNS; drop
 		}

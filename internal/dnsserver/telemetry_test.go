@@ -260,8 +260,7 @@ func TestTelemetryParallelResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, family := range []string{
-		"meccdn_dns_queries_total", "meccdn_dns_responses_total",
-		"meccdn_dns_handler_duration_seconds_bucket", "meccdn_dns_cache_hits_total",
+		"meccdn_dns_queries_total", "meccdn_dns_responses_total", "meccdn_dns_cache_hits_total",
 		"meccdn_dns_forward_queries_total", "meccdn_dns_loadshed_served_total",
 	} {
 		if !strings.Contains(b.String(), family) {

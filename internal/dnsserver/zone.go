@@ -274,7 +274,10 @@ func (b *ZoneBuilder) Add(rr dnswire.RR) error {
 		return fmt.Errorf("dnsserver: record %q outside zone %q", owner, b.origin)
 	}
 	rr.Header().Name = owner
-	if _, err := (&dnswire.Message{Answers: []dnswire.RR{rr}}).Pack(); err != nil {
+	buf := dnswire.GetBuffer()
+	_, err := (&dnswire.Message{Answers: []dnswire.RR{rr}}).AppendPack(buf[:0])
+	dnswire.PutBuffer(buf)
+	if err != nil {
 		return fmt.Errorf("dnsserver: %w", err)
 	}
 	if rr.Header().Type == dnswire.TypeSOA {

@@ -101,7 +101,7 @@ func ecsRouteArmRun(seed int64, ecs bool) (ecsRouteArm, int, error) {
 	}
 	table := b.Build()
 	router.SetRoutes(table)
-	dnsserver.Attach(cdnsNode, dnsserver.Chain(router), proc)
+	dnsserver.Attach(cdnsNode, dnsserver.Chain(router), nil, proc)
 
 	// A-DNS: the parent zone delegates the CDN domain to the C-DNS, so
 	// the resolver walks a real referral before the content query.
@@ -116,7 +116,7 @@ func ecsRouteArmRun(seed int64, ecs bool) (ecsRouteArm, int, error) {
 	if err := parent.AddA("ns."+Fig5Domain, 3600, cdnsNode.Addr); err != nil {
 		return ecsRouteArm{}, 0, err
 	}
-	dnsserver.Attach(adnsNode, dnsserver.Chain(dnsserver.NewZonePlugin(parent)), proc)
+	dnsserver.Attach(adnsNode, dnsserver.Chain(dnsserver.NewZonePlugin(parent)), nil, proc)
 
 	// The shared recursive L-DNS, in its own subnet.
 	ldnsNode := net.AddNodeAddr("ldns", netip.MustParseAddr("192.0.2.53"))
@@ -130,7 +130,7 @@ func ecsRouteArmRun(seed int64, ecs bool) (ecsRouteArm, int, error) {
 		plugins = append(plugins, &dnsserver.ECS{})
 	}
 	plugins = append(plugins, rec)
-	dnsserver.Attach(ldnsNode, dnsserver.Chain(plugins...), proc)
+	dnsserver.Attach(ldnsNode, dnsserver.Chain(plugins...), nil, proc)
 
 	correct := 0
 	scopeSum := 0

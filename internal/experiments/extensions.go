@@ -60,7 +60,7 @@ func Fallback(seed int64, runs int) (*FallbackResult, error) {
 		dnsserver.NewZonePlugin(webZone),
 		resolver.New(upProv, tb.Net.Clock, roots...),
 	)
-	dnsserver.Attach(provNode, provChain, fig5LDNSProc)
+	dnsserver.Attach(provNode, provChain, nil, fig5LDNSProc)
 	provider := netip.AddrPortFrom(provNode.Addr, 53)
 
 	// The MEC site forwards non-MEC names to the provider L-DNS.
@@ -305,7 +305,7 @@ func LoadShed(seed int64) (*LoadShedResult, error) {
 		return nil, err
 	}
 	upProv := newSimClient(tb.Net, provNode.Name)
-	dnsserver.Attach(provNode, dnsserver.Chain(resolver.New(upProv, tb.Net.Clock, roots...)), fig5LDNSProc)
+	dnsserver.Attach(provNode, dnsserver.Chain(resolver.New(upProv, tb.Net.Clock, roots...)), nil, fig5LDNSProc)
 
 	site, err := meccdn.DeploySite(tb, meccdn.SiteConfig{
 		Domain:         Fig5Domain,

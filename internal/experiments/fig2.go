@@ -107,13 +107,13 @@ func fig2Bar(seed int64, dom fig2Domain, access netprofile.Access, runs int) (st
 	if err := zone.AddA(qname, dom.TTL, netip.MustParseAddr("198.51.100.77")); err != nil {
 		return stats.Bar{}, err
 	}
-	dnsserver.Attach(net.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(zone)),
+	dnsserver.Attach(net.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(zone)), nil,
 		simnet.Constant(dom.AuthProcess))
 
 	upClient := newSimClient(net, "ldns")
 	cache := dnsserver.NewCache(net.Clock)
 	fwd := &dnsserver.Forward{Upstreams: []netip.AddrPort{netip.AddrPortFrom(net.Node("auth").Addr, 53)}, Client: upClient}
-	dnsserver.Attach(net.Node("ldns"), dnsserver.Chain(cache, fwd), access.LDNSProcessing)
+	dnsserver.Attach(net.Node("ldns"), dnsserver.Chain(cache, fwd), nil, access.LDNSProcessing)
 
 	client := &dnsclient.Client{
 		Transport: &dnsclient.SimTransport{Endpoint: net.Node("client").Endpoint(), Timeout: 500 * time.Millisecond},

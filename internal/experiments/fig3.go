@@ -206,7 +206,7 @@ func fig3Row(seed int64, site fig3Site, access netprofile.Access) (Fig3Row, erro
 		weights: site.Weights[access.Name],
 		rng:     net,
 	}
-	dnsserver.Attach(net.Node("cdns"), dnsserver.Chain(picker), simnet.Constant(time.Millisecond))
+	dnsserver.Attach(net.Node("cdns"), dnsserver.Chain(picker), nil, simnet.Constant(time.Millisecond))
 
 	upClient := newSimClient(net, "ldns")
 	fwd := &dnsserver.Forward{
@@ -215,7 +215,7 @@ func fig3Row(seed int64, site fig3Site, access netprofile.Access) (Fig3Row, erro
 	}
 	// No L-DNS message cache: Figure 3 counts fresh routing decisions
 	// (TTL 20s answers, dig runs spread over days).
-	dnsserver.Attach(net.Node("ldns"), dnsserver.Chain(fwd), access.LDNSProcessing)
+	dnsserver.Attach(net.Node("ldns"), dnsserver.Chain(fwd), nil, access.LDNSProcessing)
 
 	client := &dnsclient.Client{
 		Transport: &dnsclient.SimTransport{Endpoint: net.Node("client").Endpoint(), Timeout: 2 * time.Second},

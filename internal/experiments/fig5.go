@@ -133,7 +133,7 @@ func buildMECLDNSRemoteCDNS(wan bool) func(int64, lte.AirProfile, bool) (*fig5En
 		} else {
 			cdnsNode = tb.AddLAN("remote-cdns")
 		}
-		dnsserver.Attach(cdnsNode, dnsserver.Chain(router), fig5CDNSProc)
+		dnsserver.Attach(cdnsNode, dnsserver.Chain(router), nil, fig5CDNSProc)
 
 		// MEC L-DNS with a stub-domain route to the remote C-DNS.
 		ldnsNode := tb.AddMEC("mec-ldns")
@@ -149,7 +149,7 @@ func buildMECLDNSRemoteCDNS(wan bool) func(int64, lte.AirProfile, bool) (*fig5En
 		if ecs {
 			proc = simnet.Shifted{Base: 60 * time.Microsecond, Jitter: proc}
 		}
-		dnsserver.Attach(ldnsNode, dnsserver.Chain(plugins...), proc)
+		dnsserver.Attach(ldnsNode, dnsserver.Chain(plugins...), nil, proc)
 
 		return &fig5Env{
 			net:    tb.Net,
@@ -187,14 +187,14 @@ func buildCDNInfra(net *simnet.Network, resolverNode string, oneWay simnet.Sampl
 	if err := prov.AddA("ns.pool.cdnprov.example.", 3600, cdnsNode.Addr); err != nil {
 		return nil, err
 	}
-	dnsserver.Attach(adnsNode, dnsserver.Chain(dnsserver.NewZonePlugin(mycdn, prov)), fig5ADNSProc)
+	dnsserver.Attach(adnsNode, dnsserver.Chain(dnsserver.NewZonePlugin(mycdn, prov)), nil, fig5ADNSProc)
 
 	// Far C-DNS: authoritative for the pool, short-TTL answers.
 	pool := dnsserver.NewZone("pool.cdnprov.example.")
 	if err := pool.AddA("edge.pool.cdnprov.example.", 30, netip.MustParseAddr("198.51.100.80")); err != nil {
 		return nil, err
 	}
-	dnsserver.Attach(cdnsNode, dnsserver.Chain(dnsserver.NewZonePlugin(pool)), fig5CDNSProc)
+	dnsserver.Attach(cdnsNode, dnsserver.Chain(dnsserver.NewZonePlugin(pool)), nil, fig5CDNSProc)
 
 	return []netip.AddrPort{netip.AddrPortFrom(adnsNode.Addr, 53)}, nil
 }
@@ -226,7 +226,7 @@ func buildRecursiveLDNS(placement string, toLDNSScale float64, infraOneWay time.
 			plugins = append(plugins, &dnsserver.ECS{})
 		}
 		plugins = append(plugins, rec)
-		dnsserver.Attach(ldnsNode, dnsserver.Chain(plugins...), fig5LDNSProc)
+		dnsserver.Attach(ldnsNode, dnsserver.Chain(plugins...), nil, fig5LDNSProc)
 
 		env := &fig5Env{
 			net:    tb.Net,

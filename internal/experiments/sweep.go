@@ -96,13 +96,13 @@ func sweepPoint(seed int64, oneWay time.Duration, runs int) (SweepPoint, error) 
 
 	cdnsNode := tb.Net.AddNode("swept-cdns")
 	tb.Net.AddLink(lte.NodePGW, "swept-cdns", simnet.Constant(oneWay), 0)
-	dnsserver.Attach(cdnsNode, dnsserver.Chain(router), fig5CDNSProc)
+	dnsserver.Attach(cdnsNode, dnsserver.Chain(router), nil, fig5CDNSProc)
 
 	ldnsNode := tb.AddMEC("mec-ldns")
 	upClient := newSimClient(tb.Net, ldnsNode.Name)
 	stub := dnsserver.NewStub(upClient)
 	stub.Route(Fig5Domain, netip.AddrPortFrom(cdnsNode.Addr, 53))
-	dnsserver.Attach(ldnsNode, dnsserver.Chain(stub), fig5LDNSProc)
+	dnsserver.Attach(ldnsNode, dnsserver.Chain(stub), nil, fig5LDNSProc)
 
 	tap := trace.Install(tb.Net, lte.NodePGW)
 	client := &dnsclient.Client{

@@ -36,6 +36,7 @@ import (
 	"github.com/meccdn/meccdn/internal/mesh"
 	"github.com/meccdn/meccdn/internal/orchestrator"
 	"github.com/meccdn/meccdn/internal/simnet"
+	"github.com/meccdn/meccdn/internal/telemetry"
 )
 
 // SiteConfig parameterizes DeploySite.
@@ -111,6 +112,8 @@ type Site struct {
 	MsgCache *dnsserver.Cache
 	// Metrics counts queries at the MEC L-DNS public view.
 	Metrics *dnsserver.Metrics
+	// Hub times every query the MEC L-DNS serves, in virtual time.
+	Hub *telemetry.Hub
 	// Shed is the ingress load shedder (nil when disabled).
 	Shed *dnsserver.LoadShed
 	// PublicZone holds non-CDN public MEC names.
@@ -203,7 +206,7 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 	if cfg.EnableECS {
 		cdnsProc = simnet.Shifted{Base: ecsProcessing, Jitter: cdnsProc}
 	}
-	dnsserver.Attach(cdnsNode, dnsserver.Chain(site.Router), cdnsProc)
+	dnsserver.Attach(cdnsNode, dnsserver.Chain(site.Router), nil, cdnsProc)
 	if site.Health != nil {
 		// The Traffic Router doubles as the probe vantage: it PINGs its
 		// own cache fleet, the same path ATC's health protocol takes.
@@ -255,7 +258,7 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 
 	site.MsgCache = dnsserver.NewCache(net.Clock)
 	site.Metrics = dnsserver.NewMetrics()
-	site.Metrics.Clock = net.Clock
+	site.Hub = telemetry.NewHub(net.Clock)
 
 	// The public view's links; their serving order is LDNS.Plugins'.
 	public := dnsserver.LDNS{
@@ -299,7 +302,7 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 	if cfg.EnableECS {
 		ldnsProc = simnet.Shifted{Base: ecsProcessing, Jitter: ldnsProc}
 	}
-	dnsserver.Attach(ldnsNode, dnsserver.Chain(split), ldnsProc)
+	dnsserver.Attach(ldnsNode, dnsserver.Chain(split), site.Hub, ldnsProc)
 	ldnsSvc, err := orch.CreateService(orchestrator.ServiceSpec{
 		Name:      prefix + "coredns",
 		Namespace: "kube-system",
@@ -452,7 +455,7 @@ func (s *Site) AddDomain(domain string, originAddr netip.Addr, cacheServers int)
 	}
 
 	cdnsNode := s.tb.AddMEC(tag + "cdns")
-	dnsserver.Attach(cdnsNode, dnsserver.Chain(dep.Router), s.cfg.CDNSProcessing)
+	dnsserver.Attach(cdnsNode, dnsserver.Chain(dep.Router), nil, s.cfg.CDNSProcessing)
 	svc, err := s.Orch.CreateService(orchestrator.ServiceSpec{
 		Name:      tag + "traffic-router",
 		Namespace: "cdn",

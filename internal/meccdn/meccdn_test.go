@@ -41,7 +41,7 @@ func deploy(t *testing.T, seed int64, mutate func(*SiteConfig)) *deployment {
 	if err := provZone.AddA("www.web.example.", 300, tb.Net.Node("origin").Addr); err != nil {
 		t.Fatal(err)
 	}
-	dnsserver.Attach(provNode, dnsserver.Chain(dnsserver.NewZonePlugin(provZone)), simnet.Constant(500*time.Microsecond))
+	dnsserver.Attach(provNode, dnsserver.Chain(dnsserver.NewZonePlugin(provZone)), nil, simnet.Constant(500*time.Microsecond))
 
 	cfg := SiteConfig{
 		Domain:       testDomain,
@@ -91,6 +91,28 @@ func TestSingleHopEdgeResolution(t *testing.T) {
 	}
 	if res.Source != "mec" {
 		t.Errorf("source = %s", res.Source)
+	}
+}
+
+// TestSiteHubTimesEveryQuery: the site's hub times each query the MEC
+// L-DNS serves, in virtual time, and counts the same queries its
+// Metrics link does.
+func TestSiteHubTimesEveryQuery(t *testing.T) {
+	d := deploy(t, 1, nil)
+	const n = 10
+	for i := 0; i < n; i++ {
+		name := []string{"video.demo1.", "img.demo1."}[i%2] + testDomain
+		if _, err := d.ue.Resolve(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timed, counted := d.site.Hub.ServeDuration.Count(), d.site.Metrics.Total()
+	if timed != n || counted != n {
+		t.Fatalf("hub timed %d queries, Metrics counted %d, want %d each", timed, counted, n)
+	}
+	// The two misses wait on the C-DNS in virtual time; the hits do not.
+	if d.site.Hub.ServeDuration.Sum() <= 0 {
+		t.Errorf("hub serve time %v, want the misses' C-DNS exchanges", d.site.Hub.ServeDuration.Sum())
 	}
 }
 

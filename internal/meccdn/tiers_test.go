@@ -30,13 +30,13 @@ func TestCrossTierReferralChase(t *testing.T) {
 	midRouter := cdn.NewRouter(testDomain)
 	midRouter.AddServer(midCache, geoip.Location{Name: "mid"})
 	midCDNSNode := tb.AddLAN("mid-cdns")
-	dnsserver.Attach(midCDNSNode, dnsserver.Chain(midRouter), simnet.Constant(time.Millisecond))
+	dnsserver.Attach(midCDNSNode, dnsserver.Chain(midRouter), nil, simnet.Constant(time.Millisecond))
 
 	// Edge C-DNS with NO local cache servers, parented to the mid.
 	edgeRouter := cdn.NewRouter(testDomain)
 	edgeRouter.Parent = midCDNSNode.Addr
 	edgeCDNSNode := tb.AddMEC("edge-cdns")
-	dnsserver.Attach(edgeCDNSNode, dnsserver.Chain(edgeRouter), simnet.Constant(time.Millisecond))
+	dnsserver.Attach(edgeCDNSNode, dnsserver.Chain(edgeRouter), nil, simnet.Constant(time.Millisecond))
 
 	ue := &UEClient{
 		EP:  tb.Net.Node(lte.NodeUE).Endpoint(),
@@ -68,8 +68,8 @@ func TestReferralChaseBounded(t *testing.T) {
 	a.Parent = bNode.Addr
 	b := cdn.NewRouter(testDomain)
 	b.Parent = aNode.Addr
-	dnsserver.Attach(aNode, dnsserver.Chain(a), nil)
-	dnsserver.Attach(bNode, dnsserver.Chain(b), nil)
+	dnsserver.Attach(aNode, dnsserver.Chain(a), nil, nil)
+	dnsserver.Attach(bNode, dnsserver.Chain(b), nil, nil)
 
 	ue := &UEClient{EP: tb.Net.Node(lte.NodeUE).Endpoint(), MEC: addrPortOf(aNode.Addr)}
 	res, err := ue.Resolve("video.demo1." + testDomain)

@@ -29,7 +29,7 @@ func lameFixture(t *testing.T) (*Resolver, *simnet.Network) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	dnsserver.Attach(n.Node("root"), dnsserver.Chain(dnsserver.NewZonePlugin(root)), nil)
+	dnsserver.Attach(n.Node("root"), dnsserver.Chain(dnsserver.NewZonePlugin(root)), nil, nil)
 	client := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: n.Node("ldns").Endpoint(), Timeout: 20 * time.Millisecond}}
 	client.SetRand(rand.New(rand.NewSource(80)))
 	return New(client, n.Clock, netip.AddrPortFrom(n.Node("root").Addr, 53)), n

@@ -101,11 +101,11 @@ func buildHierarchy(t *testing.T, seed int64) *hierarchy {
 		tldHits:  dnsserver.NewMetrics(),
 		authHits: dnsserver.NewMetrics(),
 	}
-	dnsserver.Attach(n.Node("root"), dnsserver.Chain(h.rootHits, dnsserver.NewZonePlugin(root)), simnet.Constant(time.Millisecond))
-	dnsserver.Attach(n.Node("tld-test"), dnsserver.Chain(h.tldHits, dnsserver.NewZonePlugin(tldTest)), simnet.Constant(time.Millisecond))
-	dnsserver.Attach(n.Node("tld-example"), dnsserver.Chain(dnsserver.NewZonePlugin(tldExample)), simnet.Constant(time.Millisecond))
-	dnsserver.Attach(n.Node("auth-mycdn"), dnsserver.Chain(h.authHits, dnsserver.NewZonePlugin(authMycdn)), simnet.Constant(time.Millisecond))
-	dnsserver.Attach(n.Node("auth-other"), dnsserver.Chain(dnsserver.NewZonePlugin(authOther)), simnet.Constant(time.Millisecond))
+	dnsserver.Attach(n.Node("root"), dnsserver.Chain(h.rootHits, dnsserver.NewZonePlugin(root)), nil, simnet.Constant(time.Millisecond))
+	dnsserver.Attach(n.Node("tld-test"), dnsserver.Chain(h.tldHits, dnsserver.NewZonePlugin(tldTest)), nil, simnet.Constant(time.Millisecond))
+	dnsserver.Attach(n.Node("tld-example"), dnsserver.Chain(dnsserver.NewZonePlugin(tldExample)), nil, simnet.Constant(time.Millisecond))
+	dnsserver.Attach(n.Node("auth-mycdn"), dnsserver.Chain(h.authHits, dnsserver.NewZonePlugin(authMycdn)), nil, simnet.Constant(time.Millisecond))
+	dnsserver.Attach(n.Node("auth-other"), dnsserver.Chain(dnsserver.NewZonePlugin(authOther)), nil, simnet.Constant(time.Millisecond))
 
 	h.resolverEP = n.Node("ldns").Endpoint()
 	client := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: h.resolverEP}}
@@ -229,7 +229,7 @@ func TestCNAMELoopAcrossZones(t *testing.T) {
 	if err := z2.AddCNAME("b.pool.test.", 60, "a.loop.test."); err != nil {
 		t.Fatal(err)
 	}
-	dnsserver.Attach(n.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(z, z2)), nil)
+	dnsserver.Attach(n.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(z, z2)), nil, nil)
 	client := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: n.Node("ldns").Endpoint()}}
 	client.SetRand(rand.New(rand.NewSource(6)))
 	r := New(client, n.Clock, netip.AddrPortFrom(n.Node("auth").Addr, 53))
@@ -297,8 +297,8 @@ func TestGluelessDelegation(t *testing.T) {
 	if err := corp.AddA("www.corp.test.", 60, netip.MustParseAddr("192.0.2.123")); err != nil {
 		t.Fatal(err)
 	}
-	dnsserver.Attach(n.Node("root"), dnsserver.Chain(dnsserver.NewZonePlugin(root, hosting)), nil)
-	dnsserver.Attach(n.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(corp)), nil)
+	dnsserver.Attach(n.Node("root"), dnsserver.Chain(dnsserver.NewZonePlugin(root, hosting)), nil, nil)
+	dnsserver.Attach(n.Node("auth"), dnsserver.Chain(dnsserver.NewZonePlugin(corp)), nil, nil)
 
 	client := &dnsclient.Client{Transport: &dnsclient.SimTransport{Endpoint: n.Node("ldns").Endpoint()}}
 	client.SetRand(rand.New(rand.NewSource(9)))

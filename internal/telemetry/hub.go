@@ -142,7 +142,9 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 }
 
 // classifyPath maps a span's hops and final rcode onto the Fig 5
-// resolution-path categories, as an index of pathNames.
+// resolution-path categories, as an index of pathNames. A query no
+// upstream answered is refused when its rcode is REFUSED or one of the
+// ingress's refusals (NOTIMP, FORMERR, BADVERS), which no link ran for.
 func classifyPath(hops []Hop, rcode string) int {
 	upstream := false
 	for _, hop := range hops {
@@ -162,7 +164,7 @@ func classifyPath(hops []Hop, rcode string) int {
 	switch {
 	case upstream:
 		return pathUpstream
-	case rcode == "REFUSED":
+	case rcode == "REFUSED", rcode == "NOTIMP", rcode == "FORMERR", rcode == "BADVERS":
 		return pathRefused
 	case rcode == "SERVFAIL":
 		return pathError

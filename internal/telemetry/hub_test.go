@@ -24,6 +24,9 @@ func TestClassifyPath(t *testing.T) {
 		{"forwarded", []Hop{{Layer: "cache", Note: "miss"}, {Layer: "forward"}, {Layer: "upstream", Note: "a"}}, "NOERROR", PathUpstream},
 		{"coalesced", []Hop{{Layer: "cache", Note: "miss"}, {Layer: "coalesce", Note: "shared"}}, "NOERROR", PathUpstream},
 		{"refused", nil, "REFUSED", PathRefused},
+		{"opcode refused", nil, "NOTIMP", PathRefused},
+		{"malformed refused", nil, "FORMERR", PathRefused},
+		{"EDNS version refused", nil, "BADVERS", PathRefused},
 		{"servfail", []Hop{{Layer: "cache", Note: "miss"}}, "SERVFAIL", PathError},
 	}
 	for _, c := range cases {
