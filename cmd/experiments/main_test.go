@@ -60,22 +60,35 @@ func TestRunCSVFormat(t *testing.T) {
 	}
 }
 
-// TestGoldenRender pins the deterministic experiments: the whole
-// reduced-size -all render must stay byte-identical to the capture in
-// testdata (taken with `experiments -all -seed 42 -runs 5 -ues 20000
-// -requests 400`). The simulator answers every query through Resolve,
-// so this is the proof that a serve-path change alters no result.
+// TestGoldenRender pins the deterministic experiments: each render
+// must stay byte-identical to its capture in testdata. The simulator
+// answers every query through Resolve, so this is the proof that a
+// serve-path change alters no result.
 func TestGoldenRender(t *testing.T) {
-	want, err := os.ReadFile("testdata/all_seed42.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := run(&got, 0, 0, "4g", false, "", true, 42, 5, 20_000, 400, "text"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("render differs from testdata/all_seed42.golden:\n%s", firstDiff(got.Bytes(), want))
+	for _, tc := range []struct {
+		file string
+		fig  int
+		air  string
+		all  bool
+	}{
+		// experiments -all -seed 42 -runs 5 -ues 20000 -requests 400
+		{"all_seed42.golden", 0, "4g", true},
+		// experiments -fig 5 -air 5g -seed 42 -runs 5 (X3)
+		{"fig5_5g_seed42.golden", 5, "5g", false},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(&got, 0, tc.fig, tc.air, false, "", tc.all, 42, 5, 20_000, 400, "text"); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("render differs from testdata/%s:\n%s", tc.file, firstDiff(got.Bytes(), want))
+			}
+		})
 	}
 }
 
