@@ -379,13 +379,32 @@ func TestBudgetSweep(t *testing.T) {
 	if res.Crossover == 0 {
 		t.Error("no crossover found in swept range")
 	}
-	// With ~6ms of fixed processing, the 20ms budget breaks around
-	// 7ms one-way (2×distance + fixed ≈ 20).
+	// With ≈7ms of fixed processing, the 20ms budget breaks around
+	// 6.5ms one-way (2×distance + fixed ≈ 20).
 	if res.Crossover < 4*time.Millisecond || res.Crossover > 13*time.Millisecond {
 		t.Errorf("crossover = %v, expected mid-single-digit ms", res.Crossover)
 	}
 	if !strings.Contains(res.Render(), "crossover") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestSweepAtMECIsFigure5Bar1: X6 with its C-DNS one pod-network hop
+// away is Figure 5's MEC bar at the same seed, to the nanosecond — the
+// sweep and the figure share one site assembly and one measuring loop.
+func TestSweepAtMECIsFigure5Bar1(t *testing.T) {
+	fig, err := Figure5(Fig5Config{Seed: 42, Runs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	point, err := sweepPoint(42, time.Duration(lte.MECDelay), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bar := fig.Rows[0]
+	if point.Total != bar.Bar.Mean || point.Resolver != bar.Resolver {
+		t.Errorf("X6 at %v: total %v, DNS portion %v; Figure 5 %s: %v, %v",
+			point.OneWay, point.Total, point.Resolver, bar.Key, bar.Bar.Mean, bar.Resolver)
 	}
 }
 

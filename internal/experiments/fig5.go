@@ -7,11 +7,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/meccdn/meccdn/internal/cdn"
 	"github.com/meccdn/meccdn/internal/dnsclient"
 	"github.com/meccdn/meccdn/internal/dnsserver"
 	"github.com/meccdn/meccdn/internal/dnswire"
-	"github.com/meccdn/meccdn/internal/geoip"
 	"github.com/meccdn/meccdn/internal/lte"
 	"github.com/meccdn/meccdn/internal/meccdn"
 	"github.com/meccdn/meccdn/internal/resolver"
@@ -81,79 +79,31 @@ func fig5Testbed(seed int64, air lte.AirProfile) *lte.Testbed {
 	})
 }
 
-// buildMECSite deploys the full MEC-CDN site (scenario 1).
-func buildMECSite(seed int64, air lte.AirProfile, ecs bool) (*fig5Env, error) {
-	tb := fig5Testbed(seed, air)
-	site, err := meccdn.DeploySite(tb, meccdn.SiteConfig{
-		Domain:         Fig5Domain,
-		CacheServers:   2,
-		EnableECS:      ecs,
-		LDNSProcessing: fig5LDNSProc,
-		CDNSProcessing: fig5CDNSProc,
-	})
-	if err != nil {
-		return nil, err
-	}
-	validIPs := make(map[netip.Addr]bool)
-	for _, svc := range site.CacheServices {
-		validIPs[svc.ClusterIP] = true
-	}
-	return &fig5Env{
-		net:    tb.Net,
-		target: site.LDNS,
-		tap:    trace.Install(tb.Net, lte.NodePGW),
-		valid:  func(a netip.Addr) bool { return validIPs[a] },
-	}, nil
-}
-
-// buildMECLDNSRemoteCDNS places the L-DNS (and the caches) at MEC but
-// the C-DNS outside the cluster — the ETSI/3GPP-style deployments of
-// scenarios 2 and 3.
-func buildMECLDNSRemoteCDNS(wan bool) func(int64, lte.AirProfile, bool) (*fig5Env, error) {
+// buildMECSite deploys the full MEC-CDN site with its C-DNS link
+// cdnsLink from the P-GW: nil collocates it at MEC (scenario 1);
+// fig5LANDelay and fig5WANDelay place it outside the cluster, the
+// ETSI/3GPP-style deployments of scenarios 2 and 3.
+func buildMECSite(cdnsLink simnet.Sampler) func(int64, lte.AirProfile, bool) (*fig5Env, error) {
 	return func(seed int64, air lte.AirProfile, ecs bool) (*fig5Env, error) {
 		tb := fig5Testbed(seed, air)
-
-		// Caches at MEC.
+		site, err := meccdn.DeploySite(tb, meccdn.SiteConfig{
+			Domain:         Fig5Domain,
+			CacheServers:   2,
+			EnableECS:      ecs,
+			LDNSProcessing: fig5LDNSProc,
+			CDNSProcessing: fig5CDNSProc,
+			CDNSLink:       cdnsLink,
+		})
+		if err != nil {
+			return nil, err
+		}
 		validIPs := make(map[netip.Addr]bool)
-		router := cdn.NewRouter(Fig5Domain)
-		for i := 0; i < 2; i++ {
-			node := tb.AddMEC(fmt.Sprintf("mec-cache-%d", i))
-			server := cdn.NewCacheServer(node, cdn.CacheServerConfig{
-				Name: node.Name, Tier: cdn.TierEdge, CapacityBytes: 64 << 20,
-				Domains: []string{Fig5Domain},
-			})
-			router.AddServer(server, geoip.Location{Name: "mec"})
-			validIPs[node.Addr] = true
+		for _, svc := range site.CacheServices {
+			validIPs[svc.ClusterIP] = true
 		}
-
-		// C-DNS outside the MEC cluster: LAN (best case) or WAN.
-		var cdnsNode *simnet.Node
-		if wan {
-			cdnsNode = tb.AddWAN("remote-cdns", 1)
-		} else {
-			cdnsNode = tb.AddLAN("remote-cdns")
-		}
-		dnsserver.Attach(cdnsNode, dnsserver.Chain(router), nil, fig5CDNSProc)
-
-		// MEC L-DNS with a stub-domain route to the remote C-DNS.
-		ldnsNode := tb.AddMEC("mec-ldns")
-		upClient := newSimClient(tb.Net, ldnsNode.Name)
-		stub := dnsserver.NewStub(upClient)
-		stub.Route(Fig5Domain, netip.AddrPortFrom(cdnsNode.Addr, 53))
-		plugins := []dnsserver.Plugin{}
-		if ecs {
-			plugins = append(plugins, &dnsserver.ECS{})
-		}
-		plugins = append(plugins, stub)
-		proc := simnet.Sampler(fig5LDNSProc)
-		if ecs {
-			proc = simnet.Shifted{Base: 60 * time.Microsecond, Jitter: proc}
-		}
-		dnsserver.Attach(ldnsNode, dnsserver.Chain(plugins...), nil, proc)
-
 		return &fig5Env{
 			net:    tb.Net,
-			target: netip.AddrPortFrom(ldnsNode.Addr, 53),
+			target: site.LDNS,
 			tap:    trace.Install(tb.Net, lte.NodePGW),
 			valid:  func(a netip.Addr) bool { return validIPs[a] },
 		}, nil
@@ -246,9 +196,9 @@ func buildRecursiveLDNS(placement string, toLDNSScale float64, infraOneWay time.
 
 func fig5Scenarios() []fig5Scenario {
 	return []fig5Scenario{
-		{ScenarioMECMEC, "MEC L-DNS w/ MEC C-DNS", buildMECSite},
-		{ScenarioMECLAN, "MEC L-DNS w/ LAN C-DNS", buildMECLDNSRemoteCDNS(false)},
-		{ScenarioMECWAN, "MEC L-DNS w/ WAN C-DNS", buildMECLDNSRemoteCDNS(true)},
+		{ScenarioMECMEC, "MEC L-DNS w/ MEC C-DNS", buildMECSite(nil)},
+		{ScenarioMECLAN, "MEC L-DNS w/ LAN C-DNS", buildMECSite(fig5LANDelay)},
+		{ScenarioMECWAN, "MEC L-DNS w/ WAN C-DNS", buildMECSite(fig5WANDelay)},
 		{ScenarioLANLDNS, "LAN L-DNS", buildRecursiveLDNS("lan", 1, 20*time.Millisecond)},
 		{ScenarioGoogle, "Google DNS", buildRecursiveLDNS("google-dns", 1, 13*time.Millisecond)},
 		{ScenarioCloudflare, "Cloudflare DNS", buildRecursiveLDNS("cloudflare-dns", 2.6, 44*time.Millisecond)},
@@ -394,13 +344,12 @@ func (r *Fig5Result) Render() string {
 
 // ECSRow compares one deployment with and without ECS.
 type ECSRow struct {
-	Key       string
-	Label     string
-	BaseMean  time.Duration
-	ECSMean   time.Duration
-	Ratio     float64
-	Correct   bool // ECS answers still point at the MEC cache
-	HasCaches bool // scenario resolves to MEC caches at all
+	Key      string
+	Label    string
+	BaseMean time.Duration
+	ECSMean  time.Duration
+	Ratio    float64
+	Correct  bool // ECS answers still point at the MEC cache
 }
 
 // ECSResult is the §4 ECS experiment.
@@ -432,13 +381,12 @@ func ECS(cfg Fig5Config) (*ECSResult, error) {
 			return nil, fmt.Errorf("ecs run %s: %w", sc.Key, err)
 		}
 		res.Rows = append(res.Rows, ECSRow{
-			Key:       sc.Key,
-			Label:     sc.Label,
-			BaseMean:  base.Bar.Mean,
-			ECSMean:   withECS.Bar.Mean,
-			Ratio:     float64(withECS.Bar.Mean) / float64(base.Bar.Mean),
-			Correct:   correct,
-			HasCaches: true,
+			Key:      sc.Key,
+			Label:    sc.Label,
+			BaseMean: base.Bar.Mean,
+			ECSMean:  withECS.Bar.Mean,
+			Ratio:    float64(withECS.Bar.Mean) / float64(base.Bar.Mean),
+			Correct:  correct,
 		})
 	}
 	return res, nil

@@ -1,28 +1,21 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"net/netip"
 	"strings"
 	"time"
 
-	"github.com/meccdn/meccdn/internal/cdn"
-	"github.com/meccdn/meccdn/internal/dnsclient"
-	"github.com/meccdn/meccdn/internal/dnsserver"
-	"github.com/meccdn/meccdn/internal/dnswire"
-	"github.com/meccdn/meccdn/internal/geoip"
 	"github.com/meccdn/meccdn/internal/lte"
 	"github.com/meccdn/meccdn/internal/simnet"
 	"github.com/meccdn/meccdn/internal/stats"
-	"github.com/meccdn/meccdn/internal/trace"
 )
 
 // SweepPoint is one C-DNS distance in the budget sweep.
 type SweepPoint struct {
-	// OneWay is the L-DNS→C-DNS one-way link latency.
+	// OneWay is the P-GW→C-DNS one-way link latency.
 	OneWay time.Duration
-	// Total is the mean UE-observed resolution latency.
+	// Total is the UE-observed resolution latency, as Figure 5's bar
+	// height (its 8th–92nd percentile trimmed mean).
 	Total time.Duration
 	// Resolver is the mean beyond-P-GW portion.
 	Resolver time.Duration
@@ -52,7 +45,7 @@ type SweepConfig struct {
 // envelope.
 const sweepBudget = 20 * time.Millisecond
 
-// sweepDistances are the one-way L-DNS→C-DNS latencies swept.
+// sweepDistances are the one-way P-GW→C-DNS latencies swept.
 var sweepDistances = []time.Duration{
 	200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond,
 	5 * time.Millisecond, 8 * time.Millisecond, 12 * time.Millisecond,
@@ -81,55 +74,11 @@ func BudgetSweep(cfg SweepConfig) (*SweepResult, error) {
 	return res, nil
 }
 
-// sweepPoint builds a MEC L-DNS whose stub C-DNS sits oneWay away and
-// measures resolution from the UE.
+// sweepPoint measures Figure 5's MEC site with its C-DNS oneWay from
+// the P-GW.
 func sweepPoint(seed int64, oneWay time.Duration, runs int) (SweepPoint, error) {
-	tb := fig5Testbed(seed, lte.LTE4G())
-
-	router := cdn.NewRouter(Fig5Domain)
-	cacheNode := tb.AddMEC("cache")
-	server := cdn.NewCacheServer(cacheNode, cdn.CacheServerConfig{
-		Name: "cache", Tier: cdn.TierEdge, CapacityBytes: 1 << 20,
-		Domains: []string{Fig5Domain},
-	})
-	router.AddServer(server, geoip.Location{Name: "mec"})
-
-	cdnsNode := tb.Net.AddNode("swept-cdns")
-	tb.Net.AddLink(lte.NodePGW, "swept-cdns", simnet.Constant(oneWay), 0)
-	dnsserver.Attach(cdnsNode, dnsserver.Chain(router), nil, fig5CDNSProc)
-
-	ldnsNode := tb.AddMEC("mec-ldns")
-	upClient := newSimClient(tb.Net, ldnsNode.Name)
-	stub := dnsserver.NewStub(upClient)
-	stub.Route(Fig5Domain, netip.AddrPortFrom(cdnsNode.Addr, 53))
-	dnsserver.Attach(ldnsNode, dnsserver.Chain(stub), nil, fig5LDNSProc)
-
-	tap := trace.Install(tb.Net, lte.NodePGW)
-	client := &dnsclient.Client{
-		Transport: &dnsclient.SimTransport{Endpoint: tb.Net.Node(lte.NodeUE).Endpoint(), Timeout: 2 * time.Second},
-		Retries:   2,
-	}
-	client.SetRand(tb.Net.Rand())
-	target := netip.AddrPortFrom(ldnsNode.Addr, 53)
-
-	total := stats.New()
-	var resolver time.Duration
-	for i := 0; i < runs; i++ {
-		tb.Net.Clock.RunUntil(tb.Net.Now() + time.Minute)
-		tap.Reset()
-		start := tb.Net.Now()
-		if _, err := client.Query(context.Background(), target, Fig5Query, dnswire.TypeA); err != nil {
-			return SweepPoint{}, err
-		}
-		end := tb.Net.Now()
-		total.Add(end - start)
-		resolver += tap.Measure(start, end).Resolver
-	}
-	return SweepPoint{
-		OneWay:   oneWay,
-		Total:    total.Mean(),
-		Resolver: resolver / time.Duration(runs),
-	}, nil
+	row, _, err := fig5Measure(fig5Scenario{build: buildMECSite(simnet.Constant(oneWay))}, seed, lte.LTE4G(), false, runs)
+	return SweepPoint{OneWay: oneWay, Total: row.Bar.Mean, Resolver: row.Resolver}, err
 }
 
 // Render prints the sweep.

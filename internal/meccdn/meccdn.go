@@ -66,6 +66,11 @@ type SiteConfig struct {
 	// CDNSProcessing is the Traffic Router's per-query processing
 	// time; nil means ~700µs (ATC does content-aware selection).
 	CDNSProcessing simnet.Sampler
+	// CDNSLink is the one-way latency between the P-GW and every C-DNS
+	// of the site; nil means lte.MECDelay, the collocated pod network.
+	// A longer link places the C-DNS outside the cluster (Figure 5's
+	// LAN and WAN bars); its cluster-IP Service stays the same.
+	CDNSLink simnet.Sampler
 	// NamePrefix distinguishes multiple sites on one testbed.
 	NamePrefix string
 	// Health, when non-nil, attaches a health registry to the site's
@@ -162,6 +167,9 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 	if cfg.CDNSProcessing == nil {
 		cfg.CDNSProcessing = simnet.Shifted{Base: 600 * time.Microsecond, Jitter: simnet.Uniform{Max: 200 * time.Microsecond}}
 	}
+	if cfg.CDNSLink == nil {
+		cfg.CDNSLink = lte.MECDelay
+	}
 
 	prefix := cfg.NamePrefix
 	net := tb.Net
@@ -199,14 +207,13 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 		}
 	}
 
-	// C-DNS: the Traffic Router, collocated at MEC, scoped to this
-	// site's caches, fronted by a fixed cluster IP.
-	cdnsNode := tb.AddMEC(prefix + "mec-cdns")
-	cdnsProc := cfg.CDNSProcessing
-	if cfg.EnableECS {
-		cdnsProc = simnet.Shifted{Base: ecsProcessing, Jitter: cdnsProc}
+	// C-DNS: the Traffic Router, scoped to this site's caches, fronted
+	// by a fixed cluster IP.
+	cdnsNode, cdns, err := site.addCDNS(prefix+"mec-cdns", prefix+"cdn-traffic-router", site.Router)
+	if err != nil {
+		return nil, err
 	}
-	dnsserver.Attach(cdnsNode, dnsserver.Chain(site.Router), nil, cdnsProc)
+	site.CDNS = cdns
 	if site.Health != nil {
 		// The Traffic Router doubles as the probe vantage: it PINGs its
 		// own cache fleet, the same path ATC's health protocol takes.
@@ -215,15 +222,6 @@ func DeploySite(tb *lte.Testbed, cfg SiteConfig) (*Site, error) {
 			Prober:   &cdn.CacheProber{Endpoint: cdnsNode.Endpoint(), Timeout: site.Health.Config().ProbeTimeout()},
 		}
 	}
-	cdnsSvc, err := orch.CreateService(orchestrator.ServiceSpec{
-		Name:      prefix + "cdn-traffic-router",
-		Namespace: "cdn",
-		Endpoints: []netip.Addr{cdnsNode.Addr},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("creating C-DNS service: %w", err)
-	}
-	site.CDNS = netip.AddrPortFrom(cdnsSvc.ClusterIP, 53)
 
 	// Federated-mesh agent: its own MEC node on the shared datagram
 	// plane, announcing the cache fleet's content digest and steering
@@ -399,6 +397,29 @@ func (s *Site) newCacheInstance(router *cdn.Router, nodeName, svcName, domain st
 	return server, svc, nil
 }
 
+// addCDNS builds one C-DNS serving router: a node on the site's
+// CDNSLink, charged the site's C-DNS processing (plus ECS's, when on),
+// and a fronting Service whose cluster IP it returns.
+func (s *Site) addCDNS(nodeName, svcName string, router *cdn.Router) (*simnet.Node, netip.AddrPort, error) {
+	net := s.tb.Net
+	node := net.AddNode(nodeName)
+	net.AddLink(lte.NodePGW, nodeName, s.cfg.CDNSLink, 0)
+	proc := s.cfg.CDNSProcessing
+	if s.cfg.EnableECS {
+		proc = simnet.Shifted{Base: ecsProcessing, Jitter: proc}
+	}
+	dnsserver.Attach(node, dnsserver.Chain(router), nil, proc)
+	svc, err := s.Orch.CreateService(orchestrator.ServiceSpec{
+		Name:      svcName,
+		Namespace: "cdn",
+		Endpoints: []netip.Addr{node.Addr},
+	})
+	if err != nil {
+		return nil, netip.AddrPort{}, fmt.Errorf("creating C-DNS service %s: %w", svcName, err)
+	}
+	return node, netip.AddrPortFrom(svc.ClusterIP, 53), nil
+}
+
 // AddCache scales the site up by one cache instance: a new MEC node,
 // a fronting Service with a fresh stable cluster IP, and registration
 // with the C-DNS. Routing via the consistent-hash ring means only
@@ -454,17 +475,11 @@ func (s *Site) AddDomain(domain string, originAddr netip.Addr, cacheServers int)
 		dep.Caches = append(dep.Caches, server)
 	}
 
-	cdnsNode := s.tb.AddMEC(tag + "cdns")
-	dnsserver.Attach(cdnsNode, dnsserver.Chain(dep.Router), nil, s.cfg.CDNSProcessing)
-	svc, err := s.Orch.CreateService(orchestrator.ServiceSpec{
-		Name:      tag + "traffic-router",
-		Namespace: "cdn",
-		Endpoints: []netip.Addr{cdnsNode.Addr},
-	})
+	_, cdns, err := s.addCDNS(tag+"cdns", tag+"traffic-router", dep.Router)
 	if err != nil {
-		return nil, fmt.Errorf("creating tenant C-DNS service: %w", err)
+		return nil, err
 	}
-	dep.CDNS = netip.AddrPortFrom(svc.ClusterIP, 53)
+	dep.CDNS = cdns
 	s.stub.Route(domain, dep.CDNS)
 	s.tenants[domain] = true
 	return dep, nil

@@ -2,6 +2,7 @@ package meccdn
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -287,5 +288,55 @@ func TestResolutionModeStrings(t *testing.T) {
 	}
 	if ResolutionMode(9).String() != "mode(9)" {
 		t.Error("unknown mode")
+	}
+}
+
+// resolveAcross deploys the test site at seed with its C-DNS link set
+// to link, adds tenantDomain, and resolves each name from the UE a
+// minute apart (past the answer TTL, so the L-DNS cache never
+// answers), returning the UE-observed RTTs.
+func resolveAcross(t *testing.T, seed int64, link simnet.Sampler, names ...string) []time.Duration {
+	t.Helper()
+	d := deploy(t, seed, func(cfg *SiteConfig) { cfg.CDNSLink = link })
+	if _, err := d.site.AddDomain(tenantDomain, d.tb.Net.Node("origin").Addr, 1); err != nil {
+		t.Fatal(err)
+	}
+	var rtts []time.Duration
+	for _, name := range names {
+		d.tb.Net.Clock.RunUntil(d.tb.Net.Now() + time.Minute)
+		res, err := d.ue.Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Addr.IsValid() {
+			t.Fatalf("%s: no address in %v", name, res.Msg)
+		}
+		rtts = append(rtts, res.RTT)
+	}
+	return rtts
+}
+
+// farLink places a C-DNS 5ms from the P-GW; a query crosses it out
+// and back, each way farExtra/2 slower than the collocated pod network.
+var (
+	farLink  = simnet.Constant(5 * time.Millisecond)
+	farExtra = 2 * (time.Duration(farLink) - time.Duration(lte.MECDelay))
+)
+
+// TestCDNSLinkMovesOnlyTheCDNSHop: the C-DNS's placement is its link
+// and nothing else. A nil link is the collocated pod network, draw for
+// draw, and a farther one adds its extra one-way delay twice per query.
+func TestCDNSLinkMovesOnlyTheCDNSHop(t *testing.T) {
+	names := []string{"video.demo1." + testDomain, "img.demo1." + testDomain, "video.demo1." + testDomain}
+	byDefault := resolveAcross(t, 9, nil, names...)
+	atMEC := resolveAcross(t, 9, lte.MECDelay, names...)
+	far := resolveAcross(t, 9, farLink, names...)
+	if !slices.Equal(byDefault, atMEC) {
+		t.Errorf("nil link RTTs %v, lte.MECDelay RTTs %v", byDefault, atMEC)
+	}
+	for i := range names {
+		if got := far[i] - byDefault[i]; got != farExtra {
+			t.Errorf("query %d: 5ms link added %v, want %v", i, got, farExtra)
+		}
 	}
 }

@@ -57,3 +57,17 @@ func TestMultiTenantSite(t *testing.T) {
 		t.Error("primary domain accepted as tenant")
 	}
 }
+
+// TestTenantCDNSOnSiteLink: a tenant's C-DNS sits on the same link as
+// the site's own, so moving the link moves a tenant name's resolution
+// by exactly as much as the primary's.
+func TestTenantCDNSOnSiteLink(t *testing.T) {
+	names := []string{"video.demo1." + testDomain, "img.site." + tenantDomain}
+	near := resolveAcross(t, 9, nil, names...)
+	far := resolveAcross(t, 9, farLink, names...)
+	for i, name := range names {
+		if got := far[i] - near[i]; got != farExtra {
+			t.Errorf("%s: 5ms link added %v, want %v", name, got, farExtra)
+		}
+	}
+}
