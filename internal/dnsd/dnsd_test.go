@@ -161,6 +161,9 @@ func TestBuildStubAndForward(t *testing.T) {
 		`meccdn_dns_upstream_sockets_total{result="dialed"} 1`,
 		`meccdn_dns_upstream_sockets_total{result="reused"} 1`,
 		"meccdn_dns_upstream_sockets_idle 1",
+		// The stub's upstream is the collocated C-DNS: edge, not upstream.
+		`meccdn_dns_resolution_path_total{path="edge"} 1`,
+		`meccdn_dns_resolution_path_total{path="upstream"} 1`,
 	} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("/metrics lacks %q", want)

@@ -3,6 +3,9 @@ package dnsserver
 import (
 	"reflect"
 	"testing"
+
+	"github.com/meccdn/meccdn/internal/dnsclient"
+	"github.com/meccdn/meccdn/internal/vclock"
 )
 
 func TestLDNSPluginsOrder(t *testing.T) {
@@ -36,5 +39,25 @@ func TestLDNSPluginsOrder(t *testing.T) {
 	}
 	if got := (LDNS{}).Plugins(); len(got) != 0 {
 		t.Errorf("empty LDNS yields %v", got)
+	}
+}
+
+// TestPluginNames pins every plugin's registry name; metrics and
+// error messages key off these.
+func TestPluginNames(t *testing.T) {
+	plugins := map[string]Plugin{
+		"zone":     NewZonePlugin(),
+		"cache":    NewCache(&vclock.Fixed{}),
+		"forward":  &Forward{},
+		"stub":     NewStub(&dnsclient.Client{}),
+		"split":    &Split{},
+		"ecs":      &ECS{},
+		"loadshed": &LoadShed{},
+		"metrics":  NewMetrics(),
+	}
+	for want, p := range plugins {
+		if p.Name() != want {
+			t.Errorf("%T.Name() = %q, want %q", p, p.Name(), want)
+		}
 	}
 }

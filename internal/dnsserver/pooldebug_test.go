@@ -148,21 +148,21 @@ func TestReplyPoolBalance(t *testing.T) {
 	cache := NewCache(&vclock.Fixed{})
 	h := Chain(cache, NewZonePlugin(big), pluginize(ecsAnswerHandler("192.0.2.9", 16)))
 	base := dnswire.PoolOutstanding()
-	Resolve(context.Background(), h, ecsQueryFor("pool.test.", "10.1.1.0/24")) // the misses: store
+	Resolve(context.Background(), h, queryFor("pool.test.", "10.1.1.0/24")) // the misses: store
 	if resp := Resolve(context.Background(), h, queryFor("big.pool.test.")); resp == nil || len(resp.Answers) != 40 {
 		t.Fatalf("big.pool.test. answered %v, want 40 records", resp)
 	}
 
-	badECS := ecsQueryFor("pool.test.", "10.1.3.0/24")
+	badECS := queryFor("pool.test.", "10.1.3.0/24")
 	for _, tc := range []struct {
 		name    string
 		w       ResponseWriter
 		req     *Request
 		wantErr bool
 	}{
-		{"WriteWireOwned", &ownedSink{}, ecsQueryFor("pool.test.", "10.1.2.0/25"), false},
-		{"WriteWireOwned refusing", &ownedSink{failing: true}, ecsQueryFor("pool.test.", "10.1.2.0/24"), true},
-		{"message writer", &msgWriter{}, ecsQueryFor("pool.test.", "10.1.2.0/23"), false},
+		{"WriteWireOwned", &ownedSink{}, queryFor("pool.test.", "10.1.2.0/25"), false},
+		{"WriteWireOwned refusing", &ownedSink{failing: true}, queryFor("pool.test.", "10.1.2.0/24"), true},
+		{"message writer", &msgWriter{}, queryFor("pool.test.", "10.1.2.0/23"), false},
 		{"oversized", &replyImage{limit: dnswire.MaxUDPSize}, queryFor("big.pool.test."), false},
 		{"echo fails", &wireSink{}, badECS, true},
 	} {
@@ -420,13 +420,13 @@ func TestRelayPoolBalance(t *testing.T) {
 	if err := cdns.Start(); err != nil {
 		t.Fatal(err)
 	}
-	servfail := scriptedUpstream(t, func(q *dnswire.Message, _ []byte) [][]byte {
+	servfail := scriptedUpstream(t, 0, func(q *dnswire.Message, _ []byte) [][]byte {
 		m := new(dnswire.Message)
 		m.SetReply(q)
 		m.Rcode = dnswire.RcodeServerFailure
 		return [][]byte{mustPack(t, m)}
 	})
-	malformed := scriptedUpstream(t, func(q *dnswire.Message, _ []byte) [][]byte {
+	malformed := scriptedUpstream(t, 0, func(q *dnswire.Message, _ []byte) [][]byte {
 		m := new(dnswire.Message)
 		m.SetReply(q)
 		return [][]byte{append(mustPack(t, m), 0)}

@@ -117,6 +117,35 @@ func TestSiteHubTimesEveryQuery(t *testing.T) {
 	}
 }
 
+// TestSiteP2MissIsEdge: a P2 miss the site's stub sends to its
+// collocated C-DNS is contained at the edge on the hub's path family,
+// though the exchange with the C-DNS opens an upstream hop; its repeat
+// is a cache hit.
+func TestSiteP2MissIsEdge(t *testing.T) {
+	d := deploy(t, 1, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := d.ue.Resolve("video.demo1." + testDomain); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// cache-hit, edge, upstream, refused, error
+	if got := d.site.Hub.Path.Values(); !slices.Equal(got, []uint64{1, 1, 0, 0, 0}) {
+		t.Errorf("path counts = %v, want one cache hit and one edge", got)
+	}
+}
+
+// TestSiteForwardedNameIsUpstream: a name outside the CDN domain, which
+// the site forwards to the provider L-DNS, escapes upstream.
+func TestSiteForwardedNameIsUpstream(t *testing.T) {
+	d := deploy(t, 4, nil)
+	if _, err := d.ue.Resolve("www.web.example."); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.site.Hub.Path.Values(); !slices.Equal(got, []uint64{0, 0, 1, 0, 0}) {
+		t.Errorf("path counts = %v, want one upstream", got)
+	}
+}
+
 func TestEndToEndContentFetch(t *testing.T) {
 	d := deploy(t, 2, nil)
 	name := "video.demo1." + testDomain

@@ -126,7 +126,7 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 	sp.endLocked(path)
 	total := sp.end - sp.start
 	if h.Log != nil && sp.sampled {
-		h.Log.addSpan(sp, rcode, path, time.Now())
+		h.Log.addSpan(sp, rcode, path, epoch(sp.clock).Add(sp.end))
 	}
 	sp.gen.Add(1) // a hop still open is dropped by its End
 	sp.hops, sp.outcome, sp.ended = sp.hopsBuf[:0], "", false
@@ -141,12 +141,29 @@ func (h *Hub) Finish(sp *Span, rcode string) {
 	h.spans.Put(sp)
 }
 
+// simEpoch is the wall time at virtual time zero: a record kept by a
+// hub on any clock but vclock.Real is stamped simEpoch plus the
+// virtual time its query finished at.
+var simEpoch = time.Unix(0, 0).UTC()
+
+// epoch is the wall time at clock's zero: a vclock.Real's start, so a
+// live server's records carry wall time, and simEpoch otherwise.
+func epoch(clock vclock.Clock) time.Time {
+	if r, ok := clock.(*vclock.Real); ok {
+		return r.Start()
+	}
+	return simEpoch
+}
+
 // classifyPath maps a span's hops and final rcode onto the Fig 5
-// resolution-path categories, as an index of pathNames. A query no
-// upstream answered is refused when its rcode is REFUSED or one of the
-// ingress's refusals (NOTIMP, FORMERR, BADVERS), which no link ran for.
+// resolution-path categories, as an index of pathNames. A query a stub
+// route sent to the collocated C-DNS stays at the edge, whatever hops
+// its exchange opened; only Forward's own upstreams and the resolver
+// escape. A query no upstream answered is refused when its rcode is
+// REFUSED or one of the ingress's refusals (NOTIMP, FORMERR, BADVERS),
+// which no link ran for.
 func classifyPath(hops []Hop, rcode string) int {
-	upstream := false
+	upstream, stub := false, false
 	for _, hop := range hops {
 		switch hop.Layer {
 		case "cache":
@@ -154,14 +171,19 @@ func classifyPath(hops []Hop, rcode string) int {
 				return pathCacheHit
 			}
 		case "coalesce":
-			// A coalesced waiter shared another query's upstream
-			// exchange; classify like its leader.
+			// A coalesced waiter shared another query's exchange,
+			// whose hops it cannot see: it counts as upstream, even
+			// when its leader went through a stub route.
 			upstream = true
 		case "upstream":
 			upstream = true
+		case "stub":
+			stub = true
 		}
 	}
 	switch {
+	case stub:
+		return pathEdge
 	case upstream:
 		return pathUpstream
 	case rcode == "REFUSED", rcode == "NOTIMP", rcode == "FORMERR", rcode == "BADVERS":

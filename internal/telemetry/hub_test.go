@@ -22,6 +22,7 @@ func TestClassifyPath(t *testing.T) {
 		{"zone answer", []Hop{{Layer: "cache", Note: "miss"}, {Layer: "zone", Note: "x."}}, "NOERROR", PathEdge},
 		{"cdn answer", []Hop{{Layer: "cache", Note: "miss"}, {Layer: "cdn-router", Note: "edge-0"}}, "NOERROR", PathEdge},
 		{"forwarded", []Hop{{Layer: "cache", Note: "miss"}, {Layer: "forward"}, {Layer: "upstream", Note: "a"}}, "NOERROR", PathUpstream},
+		{"stub to the collocated C-DNS", []Hop{{Layer: "cache", Note: "miss"}, {Layer: "stub", Note: "cdn."}, {Layer: "forward"}, {Layer: "upstream", Note: "a"}}, "NOERROR", PathEdge},
 		{"coalesced", []Hop{{Layer: "cache", Note: "miss"}, {Layer: "coalesce", Note: "shared"}}, "NOERROR", PathUpstream},
 		{"refused", nil, "REFUSED", PathRefused},
 		{"opcode refused", nil, "NOTIMP", PathRefused},
@@ -62,6 +63,30 @@ func TestHubFinishFeedsInstrumentsAndLog(t *testing.T) {
 	if r := recs[0]; r.Name != "q.example." || r.Type != "A" || r.Rcode != "NOERROR" || r.DurUS != 1000 ||
 		len(r.Hops) != 1 || r.Hops[0] != (HopRecord{Layer: "cache", Note: "hit", DurUS: 1000}) {
 		t.Errorf("record = %+v", r)
+	}
+}
+
+// TestRecordTimeFromHubClock: a record is stamped from the hub's own
+// clock, not the wall: simEpoch plus the virtual time its query
+// finished at on a simulated clock, and wall time on vclock.Real.
+func TestRecordTimeFromHubClock(t *testing.T) {
+	clk := &vclock.Fixed{Time: 90 * time.Second}
+	h := NewHub(clk)
+	h.SampleEvery = 1
+	sp := h.BeginAddr("q.example.", "A", "udp", netip.AddrPort{})
+	clk.Time += 3 * time.Millisecond
+	h.Finish(sp, "NOERROR")
+	if recs := h.Log.Drain(); len(recs) != 1 || !recs[0].Time.Equal(simEpoch.Add(90*time.Second+3*time.Millisecond)) {
+		t.Errorf("simulated record = %+v, want time %v", recs, simEpoch.Add(90*time.Second+3*time.Millisecond))
+	}
+
+	h = NewHub(vclock.NewReal())
+	h.SampleEvery = 1
+	before := time.Now()
+	h.Finish(h.BeginAddr("q.example.", "A", "udp", netip.AddrPort{}), "NOERROR")
+	after := time.Now()
+	if recs := h.Log.Drain(); len(recs) != 1 || recs[0].Time.Before(before) || recs[0].Time.After(after) {
+		t.Errorf("wall-clock record = %+v, want a time in [%v, %v]", recs, before, after)
 	}
 }
 

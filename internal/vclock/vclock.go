@@ -22,6 +22,9 @@ func NewReal() *Real { return &Real{start: time.Now()} }
 // Now implements Clock.
 func (r *Real) Now() time.Duration { return time.Since(r.start) }
 
+// Start returns the wall time the clock reads zero at.
+func (r *Real) Start() time.Time { return r.start }
+
 // Fixed is a clock that reads Time; tests advance it by adding to Time.
 type Fixed struct {
 	Time time.Duration
